@@ -2,8 +2,7 @@
 
 Exit codes: 0 accepted/Proven/pass, 1 rejected/Refuted/fail, 2 Unknown,
 3 usage or I/O error.  All randomized work is seeded and the seed prints
-in the report header; with the default single worker, reports are
-byte-identical across runs.
+in the report header; reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def emit(args, payload: dict, text: str):
 
 def header(args):
     if not args.json:
-        print(f"# relmeta seed={args.seed} workers={args.workers}")
+        print(f"# relmeta seed={args.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +198,7 @@ def cmd_translate(args):
     return EXIT_OK
 
 
-LAW_SETS = ("relmonad", "strong", "jstrong", "wstrong", "graded", "bistrong",
-            "strengthmap", "all")
+LAW_SETS = (*lawcheck.LAW_SETS, "all")
 
 
 def load_instance(path):
@@ -281,31 +279,13 @@ def _explicit_instance(kv, path):
 def cmd_lawcheck(args):
     inst = load_instance(args.file)
     header(args)
-    reports = []
     want = args.laws
-    if isinstance(inst, lawcheck.GradedMonadData):
-        if want not in ("graded", "all"):
-            raise CliError("a graded instance supports --laws graded")
-        reports.append(lawcheck.check_graded_laws(inst))
-    else:
-        if want in ("relmonad", "all") and inst.ext_plain is not None:
-            reports.append(lawcheck.check_rel_monad_laws(inst))
-        if want in ("strong", "all") and inst.ext_strong is not None:
-            reports.append(lawcheck.check_strong_laws(inst))
-        if want in ("jstrong", "all") and inst.ext_j is not None:
-            reports.append(lawcheck.check_j_strong_laws(inst))
-        if want in ("wstrong", "all") and inst.ext_w is not None and \
-                inst.wfun is not None:
-            reports.append(lawcheck.check_w_strong_laws(inst, inst.wfun))
-        if want in ("bistrong", "all"):
-            if inst.ext_bi is None and inst.ext_strong is not None:
-                inst.ext_bi = lawcheck.bistrong_from_strong(inst)
-            if inst.ext_bi is not None:
-                reports.append(lawcheck.check_bistrong_laws(inst))
-        if want in ("strengthmap", "all") and inst.ext_j is not None and \
-                inst.jfun is not None:
-            theta, _ = lawcheck.strength_from_extension(inst)
-            reports.append(lawcheck.check_strength_map_laws(theta, inst))
+    if isinstance(inst, lawcheck.GradedMonadData) and \
+            want not in ("graded", "all"):
+        raise CliError("a graded instance supports --laws graded")
+    reports = [law_set.check(inst)
+               for name, law_set in lawcheck.LAW_SETS.items()
+               if want in (name, "all") and law_set.applies(inst)]
     if not reports:
         raise CliError(f"instance has no tables for --laws {want}")
     ok = all(r.ok for r in reports)
@@ -414,9 +394,6 @@ def make_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-budget", type=int, default=10000)
     p.add_argument("--carrier-cap", type=int, default=10 ** 6)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker count (sweeps are deterministic; >1 runs"
-                        " the same fixed enumeration order)")
     p.add_argument("--search-depth", type=int, default=6)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -474,9 +451,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     random.seed(args.seed)
     try:
         return args.fn(args)

@@ -2,8 +2,12 @@
 
 Everything here is tables: a finite category is explicit hom-sets with a
 composition table, a relative monad is an object map plus unit and
-extension tables, and each law checker sweeps every instantiation of its
-equations, reporting the first counterexample as a replayable witness.
+extension tables, and each law is data (a Law): quantifier domains in
+enumeration order, guards and a predicate.  One engine (_forall) sweeps
+every law's instances in the order of its declared domains, outermost
+first, and stops at the first failing one: that instance is the law's
+replayable witness, and the skip count of a failing law covers the
+instances enumerated before it.
 
 Monoidal structure on explicit categories may be *partial* (tensors whose
 result leaves the declared object set are simply absent); law instances
@@ -16,7 +20,9 @@ carried as an explicit table).
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .signatures import all_functions
@@ -389,69 +395,156 @@ def identity_monad_instance(c_max: int = 2) -> FinRelMonadData:
 
 
 # ---------------------------------------------------------------------------
-# law checkers
+# the quantifier engine
+#
+# Every law is data: its quantifier domains in enumeration order, the
+# guards that cut out-of-fragment instances, and a predicate on the bound
+# values.  One engine enumerates every law set, so they all share one
+# order, one stop rule, one skip counter and one witness construction.
+
+@dataclass(frozen=True)
+class Guard:
+    """A side condition on the values bound so far.  When it fails, the
+    instances below it are out of the fragment: they count as one skip
+    and are not enumerated."""
+
+    test: Callable
+
+
+@dataclass(frozen=True)
+class Law:
+    """One law as data.
+
+    domains lists the quantifiers outermost first; each is a sequence, or
+    a function of the values bound before it that returns one.  Guards may
+    sit between them; the innermost step is a quantifier.  pred takes
+    every bound value and returns True when the instance holds, None when
+    it is out of the fragment (one skip), otherwise False or a tuple of
+    evidence.  The witness is (tag, *bound values, *evidence)."""
+
+    name: str
+    tag: str
+    domains: tuple
+    pred: Callable
+
+
+def _forall(law: Law):
+    """Enumerate law's instances in the order of its domains and stop at
+    the first failing one: (witness or None, skips counted on the way)."""
+    skipped = 0
+
+    def values(dom):
+        return dom if callable(dom) else lambda *env: dom
+
+    def innermost(dom, pred):
+        def run(env):
+            nonlocal skipped
+            for v in dom(*env):
+                r = pred(*env, v)
+                if r is None:
+                    skipped += 1
+                elif r is not True:
+                    return env + (v,) + (() if r is False else r)
+        return run
+
+    def guard(test, inner):
+        def run(env):
+            nonlocal skipped
+            if test(*env):
+                return inner(env)
+            skipped += 1
+        return run
+
+    def quantify(dom, inner):
+        def run(env):
+            for v in dom(*env):
+                w = inner(env + (v,))
+                if w is not None:
+                    return w
+        return run
+
+    # one closure per step, built from the innermost quantifier outwards
+    *outer, last = law.domains
+    run = innermost(values(last), law.pred)
+    for step in reversed(outer):
+        run = guard(step.test, run) if isinstance(step, Guard) else \
+            quantify(values(step), run)
+    w = run(())
+    return (None if w is None else (law.tag,) + w), skipped
+
+
+def _report(name, laws, stop_early=False) -> LawReport:
+    """Check laws in order; stop_early stops after the first failing one."""
+    rep = LawReport(name)
+    for law in laws:
+        rep.add(law.name, *_forall(law))
+        if stop_early and not rep.ok:
+            break
+    return rep
+
+
+def _trie(table: dict) -> dict:
+    """Nest a table's tuple keys into dicts, one level per component, in
+    the table's order; the last level maps to the table's values."""
+    root = {}
+    for key, val in table.items():
+        node = root
+        for k in key[:-1]:
+            node = node.setdefault(k, {})
+        node[key[-1]] = val
+    return root
+
+
+# ---------------------------------------------------------------------------
+# law sets
+
+def relmonad_laws(d: FinRelMonadData) -> list[Law]:
+    """(eta)* = id, f* o eta = f, g* o f* = (g* o f)* over all tables."""
+    C, A, ext, eta = d.C, d.aobjs, d.ext_plain, d.eta
+    if ext is None:
+        raise LawError("plain extension tables absent")
+
+    def kleisli(a, b):
+        return C.hom(d.jmap[a], d.tmap[b])
+
+    def unit_ext(a):
+        got = ext.get((a, a, eta[a]))
+        return got == C.ids[d.tmap[a]] or (eta[a], got)
+
+    def ext_comp(a, b, c, f, g):
+        gstar = ext[(b, c, g)]
+        return C.compose(gstar, ext[(a, b, f)]) == \
+            ext[(a, c, C.compose(gstar, f))]
+
+    return [
+        Law("unit-extension", "eta-ext", (A,), unit_ext),
+        Law("extension-unit", "ext-unit", (A, A, kleisli),
+            lambda a, b, f: C.compose(ext[(a, b, f)], eta[a]) == f),
+        Law("extension-composition", "ext-comp",
+            (A, A, A, lambda a, b, c: kleisli(a, b),
+             lambda a, b, c, f: kleisli(b, c)), ext_comp),
+    ]
+
 
 def check_rel_monad_laws(d: FinRelMonadData) -> LawReport:
-    """(eta)* = id, f* o eta = f, g* o f* = (g* o f)* over all tables."""
-    rep = LawReport(f"{d.name}/relmonad")
-    C = d.C
-    if d.ext_plain is None:
-        raise LawError("plain extension tables absent")
-    w = None
-    for a in d.aobjs:
-        got = d.ext_plain.get((a, a, d.eta[a]))
-        if got != C.ids[d.tmap[a]]:
-            w = ("eta-ext", a, d.eta[a], got)
-            break
-    rep.add("unit-extension", w)
-    w = None
-    for a in d.aobjs:
-        for b in d.aobjs:
-            for f in C.hom(d.jmap[a], d.tmap[b]):
-                if C.compose(d.ext_plain[(a, b, f)], d.eta[a]) != f:
-                    w = ("ext-unit", a, b, f)
-                    break
-    rep.add("extension-unit", w)
-    w = None
-    for a in d.aobjs:
-        for b in d.aobjs:
-            for c in d.aobjs:
-                for f in C.hom(d.jmap[a], d.tmap[b]):
-                    for g in C.hom(d.jmap[b], d.tmap[c]):
-                        lhs = C.compose(d.ext_plain[(b, c, g)],
-                                        d.ext_plain[(a, b, f)])
-                        rhs = d.ext_plain[
-                            (a, c, C.compose(d.ext_plain[(b, c, g)], f))]
-                        if lhs != rhs:
-                            w = ("ext-comp", a, b, c, f, g)
-                            break
-    rep.add("extension-composition", w)
-    return rep
+    return _report(f"{d.name}/relmonad", relmonad_laws(d))
 
 
 def check_monad_morphism(gamma: dict, d1: FinRelMonadData,
                          d2: FinRelMonadData) -> LawReport:
     """gamma_A : T1 A -> T2 A a morphism of relative monads."""
-    rep = LawReport("monad-morphism")
-    C = d1.C
-    w = None
-    for a in d1.aobjs:
-        if C.compose(gamma[a], d1.eta[a]) != d2.eta[a]:
-            w = ("unit", a)
-            break
-    rep.add("morphism-unit", w)
-    w = None
-    for a in d1.aobjs:
-        for b in d1.aobjs:
-            for f in C.hom(d1.jmap[a], d1.tmap[b]):
-                lhs = C.compose(gamma[b], d1.ext_plain[(a, b, f)])
-                rhs = C.compose(d2.ext_plain[(a, b, C.compose(gamma[b], f))],
-                                gamma[a])
-                if lhs != rhs:
-                    w = ("extension", a, b, f)
-                    break
-    rep.add("morphism-extension", w)
-    return rep
+    C, A = d1.C, d1.aobjs
+
+    def extension(a, b, f):
+        return C.compose(gamma[b], d1.ext_plain[(a, b, f)]) == C.compose(
+            d2.ext_plain[(a, b, C.compose(gamma[b], f))], gamma[a])
+
+    return _report("monad-morphism", [
+        Law("morphism-unit", "unit", (A,),
+            lambda a: C.compose(gamma[a], d1.eta[a]) == d2.eta[a]),
+        Law("morphism-extension", "extension",
+            (A, A, lambda a, b: C.hom(d1.jmap[a], d1.tmap[b])), extension),
+    ])
 
 
 def _tensor_id_mor(C, obj, f):
@@ -462,16 +555,15 @@ def _tensor_mor_id(C, f, obj):
     return C.tensor_mor(f, C.ids[obj])
 
 
-def check_strong_laws(d: FinRelMonadData, table: str = "ext_strong",
-                      indices=None, wfun: FinFunctor | None = None
-                      ) -> LawReport:
+def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
+                indices=None, wfun: FinFunctor | None = None) -> list[Law]:
     """The three strong-extension equations plus naturality in the context.
 
     table/indices select the table family: the full strong tables (indices
     = all C-objects), the J-indexed fragment, or W-indexed tables with the
     strong monoidal witnesses of W.
     """
-    C = d.C
+    C, A, J, T, eta = d.C, d.aobjs, d.jmap, d.tmap, d.eta
     ext = getattr(d, table)
     if ext is None:
         raise LawError(f"{table} tables absent")
@@ -482,141 +574,88 @@ def check_strong_laws(d: FinRelMonadData, table: str = "ext_strong",
     def wobj(g):
         return w_omap[g] if w_omap else g
 
-    rep = LawReport(f"{d.name}/{table}")
-    skipped = 0
-    w = None
-    # unit law at the monoidal unit
-    for a in d.aobjs:
-        unit_idx = None
-        for g in indices:
-            if wobj(g) == C.unit:
-                unit_idx = g
-                break
-        if unit_idx is None:
-            skipped += 1
-            continue
-        got = ext.get((unit_idx, a, a, d.eta[a]))
-        if got != C.ids[d.tmap[a]]:
-            w = ("strong-unit", a, got)
-            break
-    rep.add("strong-unit", w, skipped)
-    skipped = 0
-    w = None
-    for gamma in indices:
-        for a in d.aobjs:
-            for b in d.aobjs:
-                gj = C.tensor_obj(wobj(gamma), d.jmap[a])
-                if gj is None or C.tensor_obj(wobj(gamma), d.tmap[a]) is None:
-                    skipped += 1
-                    continue
-                ge = _tensor_id_mor(C, wobj(gamma), d.eta[a])
-                for f in C.hom(gj, d.tmap[b]):
-                    if (gamma, a, b, f) not in ext:
-                        skipped += 1
-                        continue
-                    if C.compose(ext[(gamma, a, b, f)], ge) != f:
-                        w = ("strong-ext-unit", gamma, a, b, f)
-                        break
-    rep.add("strong-extension-unit", w, skipped)
-    skipped = 0
-    w = None
-    for gamma in indices:
-        for delta in indices:
-            dg = C.tensor_obj(wobj(delta), wobj(gamma))
-            if dg is None:
-                skipped += 1
-                continue
-            # locate the composite index: for W-tables the index space is
-            # W's source, so the tensor must exist there too
-            comp_idx = None
-            if w_omap:
-                for m in indices:
-                    if wobj(m) == dg:
-                        comp_idx = m
-                        break
-            else:
-                comp_idx = dg
-            if comp_idx is None:
-                skipped += 1
-                continue
-            for a in d.aobjs:
-                for b in d.aobjs:
-                    for c in d.aobjs:
-                        gja = C.tensor_obj(wobj(gamma), d.jmap[a])
-                        gta = C.tensor_obj(wobj(gamma), d.tmap[a])
-                        if gja is None or gta is None or \
-                                C.tensor_obj(dg, d.jmap[a]) is None or \
-                                C.tensor_obj(dg, d.tmap[a]) is None or \
-                                C.tensor_obj(wobj(delta), d.jmap[b]) is None:
-                            skipped += 1
-                            continue
-                        for f in C.hom(gja, d.tmap[b]):
-                            if (gamma, a, b, f) not in ext:
-                                skipped += 1
-                                continue
-                            fstar = ext[(gamma, a, b, f)]
-                            for g in C.hom(
-                                    C.tensor_obj(wobj(delta), d.jmap[b]),
-                                    d.tmap[c]):
-                                if (delta, b, c, g) not in ext:
-                                    skipped += 1
-                                    continue
-                                mid_t = _tensor_id_mor(C, wobj(delta), fstar)
-                                mid_j = _tensor_id_mor(C, wobj(delta), f)
-                                gstar = ext[(delta, b, c, g)]
-                                if mid_t is None or mid_j is None:
-                                    skipped += 1
-                                    continue
-                                inner = C.compose(gstar, mid_j)
-                                if (comp_idx, a, c, inner) not in ext:
-                                    skipped += 1
-                                    continue
-                                lhs = C.compose(gstar, mid_t)
-                                rhs = ext[(comp_idx, a, c, inner)]
-                                if lhs != rhs:
-                                    w = ("strong-assoc", gamma, delta, a, b,
-                                         c, f, g)
-                                    break
-    rep.add("strong-associativity", w, skipped)
-    # naturality in the context index
-    skipped = 0
-    w = None
+    # W(Gamma) (x) JA and W(Gamma) (x) TA
+    tj = {(g, a): C.tensor_obj(wobj(g), J[a]) for g in indices for a in A}
+    tt = {(g, a): C.tensor_obj(wobj(g), T[a]) for g in indices for a in A}
+    unit_idx = next((g for g in indices if wobj(g) == C.unit), None)
+    # W(Delta) (x) W(Gamma) and the index of its tables: for W-tables the
+    # index space is W's source, so the tensor must exist there too
+    dg = {(g, e): C.tensor_obj(wobj(e), wobj(g))
+          for g in indices for e in indices}
+    comp_idx = {k: next((m for m in indices if wobj(m) == v), None)
+                if w_omap else v for k, v in dg.items()}
+    # naturality is quantified over the morphisms h : Gamma' -> Gamma of
+    # the index category, taken to C through W
     if w_omap and wfun.source is not None:
-        nat_mors = [(wfun.source.dom[m], wfun.source.cod[m], wfun.mmap[m])
-                    for m in wfun.source.morphisms()]
+        def nat_mors(gp, g):
+            return [wfun.mmap[m] for m in wfun.source.hom(gp, g)]
     elif w_omap:
-        nat_mors = []
+        def nat_mors(gp, g):
+            return ()
     else:
-        nat_mors = [(C.dom[m], C.cod[m], m) for m in C.morphisms()]
-    for (gp, gamma, h) in nat_mors:
-        if gp not in indices or gamma not in indices:
-            continue
-        for a in d.aobjs:
-            for b in d.aobjs:
-                if C.tensor_obj(wobj(gamma), d.jmap[a]) is None or \
-                        C.tensor_obj(wobj(gp), d.jmap[a]) is None or \
-                        C.tensor_obj(wobj(gp), d.tmap[a]) is None or \
-                        C.tensor_obj(wobj(gamma), d.tmap[a]) is None:
-                    skipped += 1
-                    continue
-                hj = _tensor_mor_id(C, h, d.jmap[a])
-                ht = _tensor_mor_id(C, h, d.tmap[a])
-                if hj is None or ht is None:
-                    skipped += 1
-                    continue
-                for f in C.hom(C.tensor_obj(wobj(gamma), d.jmap[a]),
-                               d.tmap[b]):
-                    if (gamma, a, b, f) not in ext or \
-                            (gp, a, b, C.compose(f, hj)) not in ext:
-                        skipped += 1
-                        continue
-                    lhs = ext[(gp, a, b, C.compose(f, hj))]
-                    rhs = C.compose(ext[(gamma, a, b, f)], ht)
-                    if lhs != rhs:
-                        w = ("strong-naturality", gp, gamma, h, a, b, f)
-                        break
-    rep.add("strong-naturality", w, skipped)
-    return rep
+        nat_mors = C.hom
+
+    def unit(a):
+        if unit_idx is None:
+            return None
+        got = ext.get((unit_idx, a, a, eta[a]))
+        return got == C.ids[T[a]] or (got,)
+
+    def ext_unit(g, a, b, f):
+        fstar = ext.get((g, a, b, f))
+        if fstar is None:
+            return None
+        return C.compose(fstar, _tensor_id_mor(C, wobj(g), eta[a])) == f
+
+    def assoc_defined(g, e, a, b, c):
+        return None not in (tj[g, a], tt[g, a], C.tensor_obj(dg[g, e], J[a]),
+                            C.tensor_obj(dg[g, e], T[a]), tj[e, b])
+
+    def assoc(g, e, a, b, c, f, h):
+        gstar = ext.get((e, b, c, h))
+        mid_t = _tensor_id_mor(C, wobj(e), ext[(g, a, b, f)])
+        mid_j = _tensor_id_mor(C, wobj(e), f)
+        if gstar is None or mid_t is None or mid_j is None:
+            return None
+        rhs = ext.get((comp_idx[g, e], a, c, C.compose(gstar, mid_j)))
+        return None if rhs is None else C.compose(gstar, mid_t) == rhs
+
+    def nat_defined(gp, g, h, a, b):
+        return None not in (tj[g, a], tj[gp, a], tt[gp, a], tt[g, a],
+                            _tensor_mor_id(C, h, J[a]),
+                            _tensor_mor_id(C, h, T[a]))
+
+    def naturality(gp, g, h, a, b, f):
+        fstar = ext.get((g, a, b, f))
+        lhs = ext.get((gp, a, b, C.compose(f, _tensor_mor_id(C, h, J[a]))))
+        if fstar is None or lhs is None:
+            return None
+        return lhs == C.compose(fstar, _tensor_mor_id(C, h, T[a]))
+
+    return [
+        Law("strong-unit", "strong-unit", (A,), unit),
+        Law("strong-extension-unit", "strong-ext-unit",
+            (indices, A, A,
+             Guard(lambda g, a, b: tj[g, a] is not None and
+                   tt[g, a] is not None),
+             lambda g, a, b: C.hom(tj[g, a], T[b])), ext_unit),
+        Law("strong-associativity", "strong-assoc",
+            (indices, indices,
+             Guard(lambda g, e: comp_idx[g, e] is not None),
+             A, A, A, Guard(assoc_defined),
+             lambda g, e, a, b, c: C.hom(tj[g, a], T[b]),
+             Guard(lambda g, e, a, b, c, f: (g, a, b, f) in ext),
+             lambda g, e, a, b, c, f: C.hom(tj[e, b], T[c])), assoc),
+        Law("strong-naturality", "strong-naturality",
+            (indices, indices, nat_mors, A, A, Guard(nat_defined),
+             lambda gp, g, h, a, b: C.hom(tj[g, a], T[b])), naturality),
+    ]
+
+
+def check_strong_laws(d: FinRelMonadData, table: str = "ext_strong",
+                      indices=None, wfun: FinFunctor | None = None
+                      ) -> LawReport:
+    return _report(f"{d.name}/{table}", strong_laws(d, table, indices, wfun))
 
 
 def check_w_strong_laws(d: FinRelMonadData, wfun: FinFunctor) -> LawReport:
@@ -687,96 +726,67 @@ def extension_from_strength(theta: dict, d: FinRelMonadData):
     return ext_j, skipped
 
 
-def check_strength_map_laws(theta: dict, d: FinRelMonadData) -> LawReport:
-    """The four strength-map diagrams plus naturality in both indices."""
-    C = d.C
-    rep = LawReport(f"{d.name}/strength-maps")
+def strength_map_laws(theta: dict, d: FinRelMonadData) -> list[Law]:
+    """The four strength-map diagrams: unitor, eta compatibility, the
+    associativity pentagon (strict associators) and extension
+    compatibility."""
+    C, A, J, T, eta = d.C, d.aobjs, d.jmap, d.tmap, d.eta
     if d.jfun is None:
         raise LawError("J witnesses absent")
-    iota = d.jfun.iota
-    skipped = 0
-    w = None
-    # unit-side diagram: T(lambda) o theta_{I,B} o (iota (x) TB) = lambda
-    for b in d.aobjs:
-        unit_a = None
-        for a in d.aobjs:
-            if d.jmap[a] == C.unit:
-                unit_a = a
+    iota, kappa = d.jfun.iota, d.jfun.kappa
+    unit_a = next((a for a in reversed(A) if J[a] == C.unit), None)
+
+    def unitor(b):
+        # T(lambda) o theta_{I,B} o (iota (x) TB) = lambda, strict unitors
         if unit_a is None or (unit_a, b) not in theta:
-            skipped += 1
-            continue
-        lhs = C.compose(theta[(unit_a, b)],
-                        _tensor_mor_id(C, iota, d.tmap[b]))
-        if lhs != C.ids[d.tmap[b]]:  # strict unitors
-            w = ("theta-unitor", b, lhs)
-            break
-    rep.add("strength-unitor", w, skipped)
-    skipped = 0
-    w = None
-    # eta compatibility: theta o (JA (x) eta_B) = eta_{AxB} o kappa
-    for a in d.aobjs:
-        for b in d.aobjs:
-            if (a, b) not in theta:
-                skipped += 1
-                continue
-            kap = d.jfun.kappa[(a, b)]
-            ab = C.tensor_obj(a, b)
-            lhs = C.compose(theta[(a, b)],
-                            _tensor_id_mor(C, d.jmap[a], d.eta[b]))
-            rhs = C.compose(d.eta[ab], kap)
-            if lhs != rhs:
-                w = ("theta-eta", a, b)
-                break
-    rep.add("strength-eta", w, skipped)
-    skipped = 0
-    w = None
-    # associativity pentagon (strict associators)
-    for a in d.aobjs:
-        for b in d.aobjs:
-            for c in d.aobjs:
-                ab = C.tensor_obj(a, b)
-                bc = C.tensor_obj(b, c)
-                if ab not in d.aobjs or bc not in d.aobjs or \
-                        (ab, c) not in theta or (a, bc) not in theta or \
-                        (b, c) not in theta or \
-                        C.tensor_obj(d.jmap[a], d.jmap[b]) is None:
-                    skipped += 1
-                    continue
-                kap_ab = d.jfun.kappa[(a, b)]
-                lhs = C.compose(theta[(ab, c)],
-                                _tensor_mor_id(C, kap_ab, d.tmap[c]))
-                rhs = C.compose(theta[(a, bc)],
-                                _tensor_id_mor(C, d.jmap[a], theta[(b, c)]))
-                if lhs != rhs:
-                    w = ("theta-assoc", a, b, c)
-                    break
-    rep.add("strength-associativity", w, skipped)
-    skipped = 0
-    w = None
-    # extension compatibility
-    for a in d.aobjs:
-        for b in d.aobjs:
-            for c in d.aobjs:
-                if (a, b) not in theta or (a, c) not in theta:
-                    skipped += 1
-                    continue
-                ab = C.tensor_obj(a, b)
-                kinv = _kappa_inv(C, d.jfun.kappa[(a, b)])
-                for f in C.hom(d.jmap[b], d.tmap[c]):
-                    fstar = d.ext_plain[(b, c, f)]
-                    lhs = C.compose(theta[(a, c)],
-                                    _tensor_id_mor(C, d.jmap[a], fstar))
-                    inner = C.compose(
-                        theta[(a, c)],
-                        C.compose(_tensor_id_mor(C, d.jmap[a], f), kinv))
-                    acobj = C.tensor_obj(a, c)
-                    rhs = C.compose(d.ext_plain[(ab, acobj, inner)],
-                                    theta[(a, b)])
-                    if lhs != rhs:
-                        w = ("theta-ext", a, b, c, f)
-                        break
-    rep.add("strength-extension", w, skipped)
-    return rep
+            return None
+        lhs = C.compose(theta[(unit_a, b)], _tensor_mor_id(C, iota, T[b]))
+        return lhs == C.ids[T[b]] or (lhs,)
+
+    def eta_compat(a, b):
+        # theta o (JA (x) eta_B) = eta_{AxB} o kappa
+        if (a, b) not in theta:
+            return None
+        return C.compose(theta[(a, b)], _tensor_id_mor(C, J[a], eta[b])) \
+            == C.compose(eta[C.tensor_obj(a, b)], kappa[(a, b)])
+
+    def assoc(a, b, c):
+        ab, bc = C.tensor_obj(a, b), C.tensor_obj(b, c)
+        if ab not in A or bc not in A or (ab, c) not in theta or \
+                (a, bc) not in theta or (b, c) not in theta or \
+                C.tensor_obj(J[a], J[b]) is None:
+            return None
+        lhs = C.compose(theta[(ab, c)],
+                        _tensor_mor_id(C, kappa[(a, b)], T[c]))
+        return lhs == C.compose(theta[(a, bc)],
+                                _tensor_id_mor(C, J[a], theta[(b, c)]))
+
+    @functools.cache
+    def kappa_inv(a, b):
+        return _kappa_inv(C, kappa[(a, b)])
+
+    def extension(a, b, c, f):
+        lhs = C.compose(theta[(a, c)],
+                        _tensor_id_mor(C, J[a], d.ext_plain[(b, c, f)]))
+        inner = C.compose(theta[(a, c)], C.compose(
+            _tensor_id_mor(C, J[a], f), kappa_inv(a, b)))
+        return lhs == C.compose(
+            d.ext_plain[(C.tensor_obj(a, b), C.tensor_obj(a, c), inner)],
+            theta[(a, b)])
+
+    return [
+        Law("strength-unitor", "theta-unitor", (A,), unitor),
+        Law("strength-eta", "theta-eta", (A, A), eta_compat),
+        Law("strength-associativity", "theta-assoc", (A, A, A), assoc),
+        Law("strength-extension", "theta-ext",
+            (A, A, A, Guard(lambda a, b, c: (a, b) in theta and
+                            (a, c) in theta),
+             lambda a, b, c: C.hom(J[b], T[c])), extension),
+    ]
+
+
+def check_strength_map_laws(theta: dict, d: FinRelMonadData) -> LawReport:
+    return _report(f"{d.name}/strength-maps", strength_map_laws(theta, d))
 
 
 # -- bistrong ----------------------------------------------------------------
@@ -832,108 +842,101 @@ def bistrong_from_strong(d: FinRelMonadData) -> dict:
     return out
 
 
-def check_bistrong_laws(d: FinRelMonadData) -> LawReport:
+def _sym_perm(g_n, x_n, d_n, p_n):
+    """sigma~ : Gamma x (X x (Delta x Gamma')) -> (Gamma x Delta) x
+    (X x Gamma') as a function table on the lex encodings."""
+    out = []
+    for i in range(g_n * x_n * d_n * p_n):
+        g_i, rest = divmod(i, x_n * d_n * p_n)
+        x_i, rest2 = divmod(rest, d_n * p_n)
+        d_i, p_i = divmod(rest2, p_n)
+        out.append(((g_i * d_n + d_i) * x_n + x_i) * p_n + p_i)
+    return out
+
+
+def bistrong_laws(d: FinRelMonadData) -> list[Law]:
     """The two-sided extension laws and, when the symmetry is present, the
-    symmetric-bistrength condition."""
-    C = d.C
-    ext = d.ext_bi
+    symmetric-bistrength condition.  Table cells are quantified through
+    the components of their keys, in the table's order."""
+    C, U, ext = d.C, d.C.unit, d.ext_bi
     if ext is None:
         raise LawError("bistrong tables absent")
-    rep = LawReport(f"{d.name}/bistrong")
-    w = None
-    skipped = 0
-    for a in d.aobjs:
-        got = ext.get((C.unit, C.unit, a, a, d.eta[a]))
+    t = _trie(ext)
+
+    def keys(*prefix):
+        node = t
+        for k in prefix:
+            node = node[k]
+        return node
+
+    def unit(a):
+        got = ext.get((U, U, a, a, d.eta[a]))
         if got is None:
-            skipped += 1
-        elif got != C.ids[d.tmap[a]]:
-            w = ("bi-unit", a, got)
-            break
-    rep.add("bistrong-unit", w, skipped)
-    w = None
-    for (gamma, delta, a, b, f), fstar in ext.items():
-        mid = C.tensor_mor(d.eta[a], C.ids[delta])
-        ge = None if mid is None else _tensor_id_mor(C, gamma, mid)
+            return None
+        return got == C.ids[d.tmap[a]] or (got,)
+
+    def lift(g, e, m):
+        # Gamma (x) (m (x) Delta), None where the tensor is undefined
+        mid = C.tensor_mor(m, C.ids[e])
+        return None if mid is None else _tensor_id_mor(C, g, mid)
+
+    def ext_unit(g, e, a, b, f):
+        ge = lift(g, e, d.eta[a])
         if ge is None:
-            continue
-        if C.compose(fstar, ge) != f:
-            w = ("bi-ext-unit", gamma, delta, a, b, f)
-            break
-    rep.add("bistrong-extension-unit", w)
-    w = None
-    skipped = 0
-    for (g1, d1, a, b, f), fstar in ext.items():
-        for (g2, d2, b2, c, g), gstar in ext.items():
-            if b2 != b:
-                continue
-            og = C.tensor_obj(g2, g1)
-            od = C.tensor_obj(d1, d2)
-            if og is None or od is None:
-                skipped += 1
-                continue
-            m1 = C.tensor_mor(fstar, C.ids[d2])
-            m2 = None if m1 is None else _tensor_id_mor(C, g2, m1)
-            m1j = C.tensor_mor(f, C.ids[d2])
-            m2j = None if m1j is None else _tensor_id_mor(C, g2, m1j)
-            if m2 is None or m2j is None:
-                skipped += 1
-                continue
-            inner = C.compose(gstar, m2j)
-            key = (og, od, a, c, inner)
-            if key not in ext:
-                skipped += 1
-                continue
-            lhs = C.compose(gstar, m2)
-            if lhs != ext[key]:
-                w = ("bi-assoc", g1, d1, g2, d2, a, b, c, f, g)
-                break
-        if w:
-            break
-    rep.add("bistrong-associativity", w, skipped)
-    w = None
-    skipped = 0
-    if C.sigma:
-        for (gd, gp, a, b, f), fstar in list(ext.items()):
-            # the symmetric condition relates the extension at index
-            # (Gamma x Delta, Gamma') to the one at (Gamma, Delta x Gamma')
-            for gamma in C.objects:
-                for delta in C.objects:
-                    if C.tensor_obj(gamma, delta) != gd:
-                        continue
-                    dgp = C.tensor_obj(delta, gp)
-                    if dgp is None:
-                        skipped += 1
-                        continue
-                    g_n, d_n, gp_n = int(gamma), int(delta), int(gp)
-                    a_n, t_n = int(d.jmap[a]), int(d.tmap[a])
-                    n_j = g_n * a_n * d_n * gp_n
-                    n_t = g_n * t_n * d_n * gp_n
-                    if str(n_j) not in C.objects or str(n_t) not in C.objects:
-                        skipped += 1
-                        continue
-                    # sigma~ : Gamma x (X x (Delta x Gamma')) ->
-                    #          (Gamma x Delta) x (X x Gamma')
-                    def sig(x_n, total):
-                        out = [0] * total
-                        for i in range(total):
-                            g_i, rest = divmod(i, x_n * d_n * gp_n)
-                            x_i, rest2 = divmod(rest, d_n * gp_n)
-                            d_i, p_i = divmod(rest2, gp_n)
-                            out[i] = ((g_i * d_n + d_i) * x_n + x_i) * gp_n \
-                                + p_i
-                        return out
-                    sj = _perm_mor(n_j, sig(a_n, n_j))
-                    st = _perm_mor(n_t, sig(t_n, n_t))
-                    key = (gamma, dgp, a, b, C.compose(f, sj))
-                    if key not in ext:
-                        skipped += 1
-                        continue
-                    lhs = C.compose(fstar, st)
-                    if lhs != ext[key]:
-                        w = ("bi-symmetric", gamma, delta, gp, a, b, f)
-                        break
-    rep.add("bistrong-symmetric", w, skipped)
-    return rep
+            return None
+        return C.compose(ext[(g, e, a, b, f)], ge) == f
+
+    def assoc(g1, d1, a, b, f, g2, d2, c, g):
+        og, od = C.tensor_obj(g2, g1), C.tensor_obj(d1, d2)
+        if og is None or od is None:
+            return None
+        m2 = lift(g2, d2, ext[(g1, d1, a, b, f)])
+        m2j = lift(g2, d2, f)
+        if m2 is None or m2j is None:
+            return None
+        gstar = ext[(g2, d2, b, c, g)]
+        rhs = ext.get((og, od, a, c, C.compose(gstar, m2j)))
+        return None if rhs is None else C.compose(gstar, m2) == rhs
+
+    def shuffle(g, e, p, x):
+        # sigma~ at the object x, None if its domain leaves the category
+        n = int(g) * int(x) * int(e) * int(p)
+        if str(n) not in C.objects:
+            return None
+        return _perm_mor(n, _sym_perm(int(g), int(x), int(e), int(p)))
+
+    def symmetric(g, e, p, a, b, f):
+        # the (Gamma x Delta, Gamma') cell against (Gamma, Delta x Gamma')
+        dgp = C.tensor_obj(e, p)
+        sj, st = shuffle(g, e, p, d.jmap[a]), shuffle(g, e, p, d.tmap[a])
+        if dgp is None or sj is None or st is None:
+            return None
+        rhs = ext.get((g, dgp, a, b, C.compose(f, sj)))
+        return None if rhs is None else \
+            C.compose(ext[(C.tensor_obj(g, e), p, a, b, f)], st) == rhs
+
+    def at_gd(g, e, *rest):
+        return keys(C.tensor_obj(g, e), *rest)
+
+    return [
+        Law("bistrong-unit", "bi-unit", (d.aobjs,), unit),
+        Law("bistrong-extension-unit", "bi-ext-unit", (keys,) * 5, ext_unit),
+        # pairs of cells (Gamma1, Delta1, A, B, f), (Gamma2, Delta2, B, C, g)
+        Law("bistrong-associativity", "bi-assoc",
+            (keys, keys, keys, keys, keys, t,
+             lambda g1, d1, a, b, f, g2: [d2 for d2 in t[g2]
+                                          if b in t[g2][d2]],
+             lambda g1, d1, a, b, f, g2, d2: t[g2][d2][b],
+             lambda g1, d1, a, b, f, g2, d2, c: t[g2][d2][b][c]), assoc),
+        Law("bistrong-symmetric", "bi-symmetric",
+            (C.objects if C.sigma else (),
+             lambda g: [e for e in C.objects if C.tensor_obj(g, e) in t],
+             at_gd, at_gd, at_gd, at_gd), symmetric),
+    ]
+
+
+def check_bistrong_laws(d: FinRelMonadData) -> LawReport:
+    return _report(f"{d.name}/bistrong", bistrong_laws(d))
 
 
 # ---------------------------------------------------------------------------
@@ -960,23 +963,6 @@ def mutations_of(d: FinRelMonadData, tables=("eta", "ext_plain",
                     and key in mut.ext_j:
                 mut.ext_j[key] = alt
             yield (f"{tname}[{key}] := {alt}", mut)
-
-
-def replay_witness(d: FinRelMonadData, report: LawReport) -> bool:
-    """A failing report's witness must reproduce: re-running the checker on
-    the same data yields the same failing law."""
-    checks = {
-        "relmonad": check_rel_monad_laws,
-        "ext_strong": lambda dd: check_strong_laws(dd),
-    }
-    for line in report.lines:
-        if line.status == "FAIL":
-            law_kind = report.name.rsplit("/", 1)[-1]
-            fn = checks.get(law_kind, check_rel_monad_laws)
-            rerun = fn(d)
-            return any(l.status == "FAIL" and l.witness == line.witness
-                       for l in rerun.lines)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1051,13 +1037,6 @@ class GradedMonadData:
             out.extend(f[(g, x)])
         return tuple(out)
 
-    def ext(self, G, m, n, X, Y, f: dict) -> dict:
-        out = {}
-        for g in self.carriers[G]:
-            for xs in self.tvals(m, X):
-                out[(g, xs)] = self.ext_value(G, m, n, X, Y, f, (g, xs))
-        return out
-
 
 def bounded_list_instance(carriers=None, grades=(1, 2, 3),
                           flavor="mult") -> GradedMonadData:
@@ -1102,10 +1081,8 @@ class _ExtVec:
     """Vectorized f*_{m,n} for every row of fmat at once, with extension
     overrides applied by matching rows against the override's table."""
 
-    def __init__(self, gd, G, m, n, X, Y, fmat, dom_index, codec_y,
-                 _level_vals=None):
+    def __init__(self, gd, G, m, n, X, Y, fmat, dom_index, codec_y):
         # fmat: (Nf, |G x X|) codes of T_n Y values (in codec_y space)
-        self.cells = []
         gelems = gd.carriers[G]
         xvals = gd.tvals(m, X)
         Nf = fmat.shape[0]
@@ -1119,7 +1096,6 @@ class _ExtVec:
                     acc = codec_y.cat[acc, fmat[:, dom_index[(g, x)]]]
                 out[:, ci] = acc
                 self.cell_index[(g, xs)] = ci
-                self.cells.append((g, xs))
                 ci += 1
         if gd.ext_overrides:
             fdomkeys = sorted(dom_index, key=lambda k: dom_index[k])
@@ -1146,7 +1122,7 @@ class _ExtVec:
 
 def _fmat_for(gd, G, X, n, codec_y):
     """All maps G x X -> T_n Y coded in codec_y's space, plus the domain
-    index and the level-n value list (for override decoding)."""
+    index."""
     gelems = gd.carriers[G]
     xelems = gd.carriers[X]
     dom = [(g, x) for g in gelems for x in xelems]
@@ -1155,224 +1131,138 @@ def _fmat_for(gd, G, X, n, codec_y):
     level_codes = _np.array([codec_y.code[v] for v in level_vals],
                             dtype=_np.int32)
     raw = _all_maps_array(len(dom), len(level_vals))
-    return level_codes[raw], dom_index, level_vals
+    return level_codes[raw], dom_index
+
+
+def _first_diff(lhs, rhs) -> int:
+    return int(_np.nonzero(lhs != rhs)[0][0])
+
+
+def graded_laws(gd: GradedMonadData) -> list[Law]:
+    """The graded-monad laws over the declared fragment: unit laws,
+    associativity, regrade functoriality and compatibility, and naturality
+    in the context; out-of-fragment tensors are reported as skips.  The
+    engine quantifies over grades and carriers; the vectorized kernels
+    sweep the function spaces."""
+    grades, e, car, tx, tensor = (gd.grades, gd.unit_grade, gd.carriers,
+                                  gd.tx, gd.tensor)
+    names = sorted(car)
+    codecs = {X: _GradedCodec(gd, X, max(grades)) for X in names}
+
+    def below(m):
+        return [n for n in grades if m >= n]
+
+    def lifts(m, n, X, Y):
+        # every carrier map h : X -> Y as a table
+        return [dict(zip(car[X], h))
+                for h in itertools.product(car[Y], repeat=len(car[X]))]
+
+    def regrade_natural(m, n, X, Y, htab, v):
+        # regrades commute with the lifted action of every carrier map
+        return tx[(m, n, Y, tuple(htab[x] for x in v))] == \
+            tuple(htab[x] for x in tx[(m, n, X, v)])
+
+    def unit_right(G, m, A, g, xs):
+        # (eta o pi)*_{m,e} agrees with the projection
+        f = {(g2, a): gd.eta[(A, a)] for g2 in car[G] for a in car[A]}
+        got = gd.ext_value(G, m, e, A, A, f, (g, xs))
+        me = tensor(m, e)
+        return got == (tx[(me, m, A, xs)] if me != m else xs) or (got,)
+
+    def unit_left(G, m, A, B):
+        # f*_{e,m} o (G x eta) = f, for every f
+        cy = codecs[B]
+        fmat, dom_index = _fmat_for(gd, G, A, m, cy)
+        extv = _ExtVec(gd, G, e, m, A, B, fmat, dom_index, cy)
+        for g in car[G]:
+            for a in car[A]:
+                lhs = extv.col((g, gd.eta[(A, a)]))
+                rhs = fmat[:, dom_index[(g, a)]]
+                if not _np.array_equal(lhs, rhs):
+                    return (g, a, f"f#{_first_diff(lhs, rhs)}")
+        return True
+
+    def naturality(m, n, G2, G, A, B):
+        # f*_{m,n} o (u x T_m A) = (f o (u x A))*_{m,n} for u : G2 -> G
+        cy = codecs[B]
+        fmat, dom_index = _fmat_for(gd, G, A, n, cy)
+        extv = _ExtVec(gd, G, m, n, A, B, fmat, dom_index, cy)
+        for u in itertools.product(car[G], repeat=len(car[G2])):
+            utab = dict(zip(car[G2], u))
+            # f o (u x A) columns, then its extension
+            dom2 = {(g2, a): dom_index[(utab[g2], a)]
+                    for g2 in car[G2] for a in car[A]}
+            dom2_index = {k: i for i, k in enumerate(sorted(dom2))}
+            f2 = fmat[:, [dom2[k] for k in sorted(dom2)]]
+            extv2 = _ExtVec(gd, G2, m, n, A, B, f2, dom2_index, cy)
+            for g2 in car[G2]:
+                for xs in gd.tvals(m, A):
+                    lhs = extv2.col((g2, xs))
+                    rhs = extv.col((utab[g2], xs))
+                    if not _np.array_equal(lhs, rhs):
+                        return (u, g2, xs, f"f#{_first_diff(lhs, rhs)}")
+        return True
+
+    return [
+        Law("graded-functor-identity", "tx-id",
+            (grades, names, lambda m, X: gd.tvals(m, X)),
+            lambda m, X, v: tx[(m, m, X, v)] == v),
+        Law("graded-functor-composition", "tx-comp",
+            (grades, below, lambda m, n: below(n), names,
+             lambda m, n, l, X: gd.tvals(l, X)),
+            lambda m, n, l, X, v:
+                tx[(m, l, X, v)] == tx[(m, n, X, tx[(n, l, X, v)])]),
+        Law("graded-regrade-naturality", "tx-naturality",
+            (grades, below, names, names, lifts,
+             lambda m, n, X, Y, htab: gd.tvals(n, X)), regrade_natural),
+        Law("graded-unit-right", "unit-right",
+            (names, grades, Guard(lambda G, m: tensor(m, e) in grades),
+             names, lambda G, m, A: car[G],
+             lambda G, m, A, g: gd.tvals(m, A)), unit_right),
+        Law("graded-unit-left", "unit-left",
+            (names, grades, Guard(lambda G, m: tensor(e, m) in grades),
+             names, names), unit_left),
+        Law("graded-associativity", "assoc",
+            (grades, grades, grades,
+             Guard(lambda l, m, n: tensor(l, m) in grades and
+                   tensor(m, n) in grades and
+                   tensor(tensor(l, m), n) in grades),
+             names, names, names, names),
+            lambda l, m, n, G, A, B, Cc: _graded_assoc_combo(
+                gd, codecs, G, A, B, Cc, l, m, n)),
+        Law("graded-context-naturality", "naturality",
+            (grades, grades, Guard(lambda m, n: tensor(m, n) in grades),
+             names, names, names, names), naturality),
+        Law("graded-regrade-compatibility", "regrade-compat",
+            (grades, grades, grades,
+             Guard(lambda m, n, n2: n >= n2 and tensor(m, n) in grades and
+                   tensor(m, n2) in grades),
+             names, names, names),
+            lambda m, n, n2, G, A, B: _graded_regrade_combo(
+                gd, codecs, G, A, B, m, n, n2)),
+    ]
 
 
 def check_graded_laws(gd: GradedMonadData, stop_early: bool = False
                       ) -> LawReport:
-    """The graded-monad laws over the declared fragment: unit laws,
-    associativity, regrade functoriality and compatibility, and naturality
-    in the context; out-of-fragment tensors are reported as skips.
+    """The graded-monad laws over the declared fragment (graded_laws).
 
     stop_early returns after the first failing law (used by the mutation
     sweeps, where any failure suffices)."""
-    rep = LawReport(f"{gd.name}/graded")
-
-    def halted():
-        return stop_early and not rep.ok
-    grades = gd.grades
-    cap = max(grades)
-    e = gd.unit_grade
-    names = sorted(gd.carriers)
-    codecs = {X: _GradedCodec(gd, X, cap) for X in names}
-
-    # regrade functoriality
-    w = None
-    for m in grades:
-        for X in names:
-            for v in gd.tvals(m, X):
-                if gd.tx[(m, m, X, v)] != v:
-                    w = ("tx-id", m, X, v)
-                    break
-    rep.add("graded-functor-identity", w)
-    if halted():
-        return rep
-    w = None
-    for m in grades:
-        for n in grades:
-            for l in grades:
-                if not (m >= n >= l):
-                    continue
-                for X in names:
-                    for v in gd.tvals(l, X):
-                        if gd.tx[(m, l, X, v)] != \
-                                gd.tx[(m, n, X, gd.tx[(n, l, X, v)])]:
-                            w = ("tx-comp", m, n, l, X, v)
-                            break
-    rep.add("graded-functor-composition", w)
-    if halted():
-        return rep
-    # regrades are natural transformations: they commute with the lifted
-    # action of every carrier map
-    w = None
-    for m in grades:
-        for n in grades:
-            if not (m >= n):
-                continue
-            for X in names:
-                for Y in names:
-                    for h in itertools.product(gd.carriers[Y],
-                                               repeat=len(gd.carriers[X])):
-                        htab = dict(zip(gd.carriers[X], h))
-                        for v in gd.tvals(n, X):
-                            hv = tuple(htab[x] for x in v)
-                            lhs = gd.tx[(m, n, Y, hv)]
-                            rhs = tuple(htab[x] for x in gd.tx[(m, n, X, v)])
-                            if lhs != rhs:
-                                w = ("tx-naturality", m, n, X, Y, htab, v)
-                                break
-    rep.add("graded-regrade-naturality", w)
-    if halted():
-        return rep
-
-    # right unit: (eta o pi)*_{m,e} agrees with the projection
-    w = None
-    skipped = 0
-    for G in names:
-        for m in grades:
-            if gd.tensor(m, e) not in grades:
-                skipped += 1
-                continue
-            for A in names:
-                f = {(g, a): gd.eta[(A, a)]
-                     for g in gd.carriers[G] for a in gd.carriers[A]}
-                for g in gd.carriers[G]:
-                    for xs in gd.tvals(m, A):
-                        got = gd.ext_value(G, m, e, A, A, f, (g, xs))
-                        if got != gd.tx[(gd.tensor(m, e), m, A, xs)] if \
-                                gd.tensor(m, e) != m else got != xs:
-                            w = ("unit-right", G, m, A, g, xs, got)
-                            break
-    rep.add("graded-unit-right", w, skipped)
-    if halted():
-        return rep
-
-    # left unit: f*_{e,m} o (G x eta) = f, for every f
-    w = None
-    skipped = 0
-    for G in names:
-        for m in grades:
-            if gd.tensor(e, m) not in grades:
-                skipped += 1
-                continue
-            for A in names:
-                for B in names:
-                    cy = codecs[B]
-                    fmat, dom_index, lv = _fmat_for(gd, G, A, m, cy)
-                    extv = _ExtVec(gd, G, e, m, A, B, fmat, dom_index, cy, lv)
-                    for g in gd.carriers[G]:
-                        for a in gd.carriers[A]:
-                            lhs = extv.col((g, gd.eta[(A, a)]))
-                            rhs = fmat[:, dom_index[(g, a)]]
-                            if not _np.array_equal(lhs, rhs):
-                                fi = int(_np.nonzero(lhs != rhs)[0][0])
-                                w = ("unit-left", G, m, A, B, g, a,
-                                     f"f#{fi}")
-                                break
-    rep.add("graded-unit-left", w, skipped)
-    if halted():
-        return rep
-
-    # associativity
-    w = None
-    skipped = 0
-    for l in grades:
-        for m in grades:
-            for n in grades:
-                lm = gd.tensor(l, m)
-                mn = gd.tensor(m, n)
-                lmn = gd.tensor(lm, n)
-                if lm not in grades or mn not in grades or lmn not in grades:
-                    skipped += 1
-                    continue
-                for G in names:
-                    for A in names:
-                        for B in names:
-                            for Cc in names:
-                                ww = _graded_assoc_combo(
-                                    gd, codecs, G, A, B, Cc, l, m, n)
-                                if ww is not None:
-                                    w = ww
-                                    break
-    rep.add("graded-associativity", w, skipped)
-    if halted():
-        return rep
-
-    # naturality in the context
-    w = None
-    for G2 in names:
-        for G in names:
-            maps = list(itertools.product(gd.carriers[G],
-                                          repeat=len(gd.carriers[G2])))
-            for m in grades:
-                for n in grades:
-                    if gd.tensor(m, n) not in grades:
-                        continue
-                    for A in names:
-                        for B in names:
-                            cy = codecs[B]
-                            fmat, dom_index, lv = _fmat_for(gd, G, A, n, cy)
-                            extv = _ExtVec(gd, G, m, n, A, B, fmat,
-                                           dom_index, cy, lv)
-                            for u in maps:
-                                utab = dict(zip(gd.carriers[G2], u))
-                                # f o (u x A) columns, then its extension
-                                dom2 = {(g2, a): dom_index[(utab[g2], a)]
-                                        for g2 in gd.carriers[G2]
-                                        for a in gd.carriers[A]}
-                                dom2_index = {k: i for i, k in
-                                              enumerate(sorted(dom2))}
-                                f2 = fmat[:, [dom2[k] for k in sorted(dom2)]]
-                                extv2 = _ExtVec(gd, G2, m, n, A, B, f2,
-                                                dom2_index, cy, lv)
-                                for g2 in gd.carriers[G2]:
-                                    for xs in gd.tvals(m, A):
-                                        lhs = extv2.col((g2, xs))
-                                        rhs = extv.col((utab[g2], xs))
-                                        if not _np.array_equal(lhs, rhs):
-                                            fi = int(_np.nonzero(
-                                                lhs != rhs)[0][0])
-                                            w = ("naturality", G2, G, u, m,
-                                                 n, A, B, g2, xs, f"f#{fi}")
-                                            break
-    rep.add("graded-context-naturality", w)
-    if halted():
-        return rep
-
-    # compatibility of regrades with the extension (both indices)
-    w = None
-    skipped = 0
-    for m in grades:
-        for n in grades:
-            for n2 in grades:
-                if not (n >= n2) or gd.tensor(m, n) not in grades or \
-                        gd.tensor(m, n2) not in grades:
-                    skipped += 1
-                    continue
-                for G in names:
-                    for A in names:
-                        for B in names:
-                            ww = _graded_regrade_combo(gd, codecs, G, A, B,
-                                                       m, n, n2)
-                            if ww is not None:
-                                w = ww
-                                break
-    rep.add("graded-regrade-compatibility", w, skipped)
-    if halted():
-        return rep
-    return rep
+    return _report(f"{gd.name}/graded", graded_laws(gd), stop_early)
 
 
 def _graded_assoc_combo(gd, codecs, G, A, B, Cc, l, m, n):
+    """g*_{l (x) m, n} o f*_{l,m} vs (g*_{m,n} o f)*_{l, m (x) n} for all f,
+    g at once: True, or the evidence of the first failing cell."""
     lm, mn = gd.tensor(l, m), gd.tensor(m, n)
     cb, cc = codecs[B], codecs[Cc]
-    fmat, fdom, flv = _fmat_for(gd, G, A, m, cb)
-    gmat, gdom, glv = _fmat_for(gd, G, B, n, cc)
+    fmat, fdom = _fmat_for(gd, G, A, m, cb)
+    gmat, gdom = _fmat_for(gd, G, B, n, cc)
     Nf, Ng = fmat.shape[0], gmat.shape[0]
-    extF = _ExtVec(gd, G, l, m, A, B, fmat, fdom, cb, flv)
-    extG1 = _ExtVec(gd, G, lm, n, B, Cc, gmat, gdom, cc, glv)
-    extG2 = _ExtVec(gd, G, m, n, B, Cc, gmat, gdom, cc, glv)
-    bvals = gd.tvals(max(gd.grades), B)
+    extF = _ExtVec(gd, G, l, m, A, B, fmat, fdom, cb)
+    extG1 = _ExtVec(gd, G, lm, n, B, Cc, gmat, gdom, cc)
+    extG2 = _ExtVec(gd, G, m, n, B, Cc, gmat, gdom, cc)
     loop_f = Nf <= Ng
     outer = range(Nf) if loop_f else range(Ng)
     for oi in outer:
@@ -1386,17 +1276,15 @@ def _graded_assoc_combo(gd, codecs, G, A, B, Cc, l, m, n):
                     (g, cb.vals[frow[col]])]]
             hdom_index = {k: i for i, k in enumerate(sorted(hcols))}
             hmat = _np.stack([hcols[k] for k in sorted(hcols)], axis=1)
-            extH = _ExtVec(gd, G, l, mn, A, Cc, hmat, hdom_index, cc,
-                           gd.tvals(mn, Cc))
+            extH = _ExtVec(gd, G, l, mn, A, Cc, hmat, hdom_index, cc)
             for g in gd.carriers[G]:
                 for xs in gd.tvals(l, A):
                     fstar_v = cb.vals[extF_row[extF.cell_index[(g, xs)]]]
                     lhs = extG1.mat[:, extG1.cell_index[(g, fstar_v)]]
                     rhs = extH.col((g, xs))
                     if not _np.array_equal(lhs, rhs):
-                        gi = int(_np.nonzero(lhs != rhs)[0][0])
-                        return ("assoc", G, A, B, Cc, l, m, n,
-                                f"f#{oi}", f"g#{gi}", g, xs)
+                        return (f"f#{oi}", f"g#{_first_diff(lhs, rhs)}",
+                                g, xs)
         else:
             extG1_row = extG1.mat[oi]
             extG2_row = extG2.mat[oi]
@@ -1412,8 +1300,7 @@ def _graded_assoc_combo(gd, codecs, G, A, B, Cc, l, m, n):
                 hcols[(g, a)] = row_lut(extG2_row, extG2, g, m)[fmat[:, col]]
             hdom_index = {k: i for i, k in enumerate(sorted(hcols))}
             hmat = _np.stack([hcols[k] for k in sorted(hcols)], axis=1)
-            extH = _ExtVec(gd, G, l, mn, A, Cc, hmat, hdom_index, cc,
-                           gd.tvals(mn, Cc))
+            extH = _ExtVec(gd, G, l, mn, A, Cc, hmat, hdom_index, cc)
             for g in gd.carriers[G]:
                 lutg = row_lut(extG1_row, extG1, g, lm)
                 for xs in gd.tvals(l, A):
@@ -1421,24 +1308,24 @@ def _graded_assoc_combo(gd, codecs, G, A, B, Cc, l, m, n):
                     lhs = lutg[fstar_col]
                     rhs = extH.col((g, xs))
                     if not _np.array_equal(lhs, rhs):
-                        fi = int(_np.nonzero(lhs != rhs)[0][0])
-                        return ("assoc", G, A, B, Cc, l, m, n,
-                                f"f#{fi}", f"g#{oi}", g, xs)
-    return None
+                        return (f"f#{_first_diff(lhs, rhs)}", f"g#{oi}",
+                                g, xs)
+    return True
 
 
 def _graded_regrade_combo(gd, codecs, G, A, B, m, n, n2):
     """ext_{m,n}(T_xi o f) vs T_{m (+) xi} o ext_{m,n2}(f) for xi : n >= n2,
-    and the mirrored condition in the first index."""
+    and the mirrored condition in the first index (evidence tagged "left"):
+    True, or the evidence of the first failing cell."""
     cy = codecs[B]
-    fmat, fdom, flv = _fmat_for(gd, G, A, n2, cy)
+    fmat, fdom = _fmat_for(gd, G, A, n2, cy)
     # T_xi o f : recode every value through the (n, n2) regrade table
     lut = _np.arange(len(cy.vals), dtype=_np.int32)
     for v in gd.tvals(n2, B):
         lut[cy.code[v]] = cy.code[gd.tx[(n, n2, B, v)]]
     fmat_x = lut[fmat]
-    extL = _ExtVec(gd, G, m, n, A, B, fmat_x, fdom, cy, gd.tvals(n, B))
-    extR = _ExtVec(gd, G, m, n2, A, B, fmat, fdom, cy, flv)
+    extL = _ExtVec(gd, G, m, n, A, B, fmat_x, fdom, cy)
+    extR = _ExtVec(gd, G, m, n2, A, B, fmat, fdom, cy)
     mn, mn2 = gd.tensor(m, n), gd.tensor(m, n2)
     lut2 = _np.arange(len(cy.vals), dtype=_np.int32)
     for v in gd.tvals(mn2, B):
@@ -1448,13 +1335,12 @@ def _graded_regrade_combo(gd, codecs, G, A, B, m, n, n2):
             lhs = extL.col((g, xs))
             rhs = lut2[extR.col((g, xs))]
             if not _np.array_equal(lhs, rhs):
-                fi = int(_np.nonzero(lhs != rhs)[0][0])
-                return ("regrade-compat", G, A, B, m, n, n2, g, xs, f"f#{fi}")
+                return (g, xs, f"f#{_first_diff(lhs, rhs)}")
     # first index: ext(f) o (G x T_xi) vs T_{xi (+) n2} o ext at m
     for m2 in gd.grades:
         if not (m >= m2) or gd.tensor(m2, n2) not in gd.grades:
             continue
-        extS = _ExtVec(gd, G, m2, n2, A, B, fmat, fdom, cy, flv)
+        extS = _ExtVec(gd, G, m2, n2, A, B, fmat, fdom, cy)
         mn2b = gd.tensor(m2, n2)
         lut3 = _np.arange(len(cy.vals), dtype=_np.int32)
         for v in gd.tvals(mn2b, B):
@@ -1465,10 +1351,8 @@ def _graded_regrade_combo(gd, codecs, G, A, B, m, n, n2):
                 lhs = extR.col((g, ys))
                 rhs = lut3[extS.col((g, xs))]
                 if not _np.array_equal(lhs, rhs):
-                    fi = int(_np.nonzero(lhs != rhs)[0][0])
-                    return ("regrade-compat-left", G, A, B, m, m2, n2, g,
-                            xs, f"f#{fi}")
-    return None
+                    return ("left", m2, g, xs, f"f#{_first_diff(lhs, rhs)}")
+    return True
 
 
 def graded_mutations(gd: GradedMonadData, rng=None, ext_samples=0):
@@ -1510,3 +1394,69 @@ def graded_mutations(gd: GradedMonadData, rng=None, ext_samples=0):
         mut.ext_overrides[(key, (g0, xs))] = alt
         made += 1
         yield (f"ext[{G},{m},{n},{A},{B}]@{(g0, xs)} := {alt}", mut)
+
+
+# ---------------------------------------------------------------------------
+# the law-set registry
+
+@dataclass(frozen=True)
+class LawSet:
+    report: str          # last component of its reports' names
+    applies: Callable    # instance -> whether the set runs on it
+    check: Callable      # instance -> LawReport
+    replays: bool = True  # its reports depend on the instance alone
+
+
+def _rel(cond):
+    return lambda d: isinstance(d, FinRelMonadData) and cond(d)
+
+
+def _check_bistrong_set(d: FinRelMonadData) -> LawReport:
+    if d.ext_bi is None:
+        d.ext_bi = bistrong_from_strong(d)
+    return check_bistrong_laws(d)
+
+
+# set name (`relmeta lawcheck --laws`) -> law set, in run order.  The
+# checkers are looked up when called, so wrappers installed on the module's
+# check_* functions apply.
+LAW_SETS = {
+    "relmonad": LawSet("relmonad", _rel(lambda d: d.ext_plain is not None),
+                       lambda d: check_rel_monad_laws(d)),
+    "strong": LawSet("ext_strong", _rel(lambda d: d.ext_strong is not None),
+                     lambda d: check_strong_laws(d)),
+    "jstrong": LawSet("ext_j", _rel(lambda d: d.ext_j is not None),
+                      lambda d: check_j_strong_laws(d)),
+    "wstrong": LawSet("ext_w", _rel(lambda d: d.ext_w is not None and
+                                         d.wfun is not None),
+                      lambda d: check_w_strong_laws(d, d.wfun)),
+    "graded": LawSet("graded", lambda d: isinstance(d, GradedMonadData),
+                     lambda d: check_graded_laws(d)),
+    "bistrong": LawSet("bistrong", _rel(lambda d: d.ext_bi is not None or
+                                           d.ext_strong is not None),
+                       _check_bistrong_set),
+    # the strength maps are an argument of their checker: a report made
+    # from other maps than the instance's own cannot be replayed
+    "strengthmap": LawSet(
+        "strength-maps",
+        _rel(lambda d: d.ext_j is not None and d.jfun is not None),
+        lambda d: check_strength_map_laws(strength_from_extension(d)[0], d),
+        replays=False),
+}
+
+
+def replay_witness(d, report: LawReport) -> bool:
+    """A failing report's witness must reproduce: re-running the law set
+    its name ends in on the same data yields the same failing law with the
+    same witness.  Raises LawError for a report that cannot be replayed
+    from d alone."""
+    fail = next((l for l in report.lines if l.status == "FAIL"), None)
+    if fail is None:
+        return False
+    kind = report.name.rsplit("/", 1)[-1]
+    law_set = next((s for s in LAW_SETS.values() if s.report == kind), None)
+    if law_set is None or not law_set.replays or not law_set.applies(d):
+        raise LawError(f"a {kind} report cannot be replayed from the"
+                       f" instance alone")
+    return any(l.law == fail.law and l.status == "FAIL" and
+               l.witness == fail.witness for l in law_set.check(d).lines)

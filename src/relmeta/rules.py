@@ -72,10 +72,6 @@ def rules_for(calculus: str, include_search=False) -> list[Rule]:
             if calculus in r.calculi and (include_search or not r.search_only)]
 
 
-def all_rules() -> list[Rule]:
-    return list(_RULES)
-
-
 # ---------------------------------------------------------------------------
 # small de Bruijn helpers
 
@@ -115,10 +111,6 @@ def rotate2(t: Term, nb1: int, nb2: int) -> Term:
             return i - nb2
         return i
     return map_bvar(t, fn)
-
-
-def swap01(t: Term) -> Term:
-    return map_bvar(t, lambda i: {0: 1, 1: 0}.get(i, i))
 
 
 ALL = ("urmm", "rmm", "gmm", "lnl", "arrow", "armm")

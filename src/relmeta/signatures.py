@@ -149,14 +149,6 @@ class CategoryPresentation:
         return self.normalize_word(out, at)
 
 
-def load_category_lines(lines) -> CategoryPresentation:
-    pres = CategoryPresentation()
-    for ln in lines:
-        pres_line(pres, ln)
-    pres.validate()
-    return pres
-
-
 def _parse_word(text: str) -> tuple[Word, str | None]:
     names = [p.strip() for p in text.split(";") if p.strip()]
     if len(names) == 1 and names[0].startswith("id_"):

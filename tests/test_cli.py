@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import fixture_path
+from relmeta import cli
 
 RUN = [sys.executable, "-m", "relmeta.cli"]
 
@@ -163,6 +165,23 @@ type T(Val)
     bad = write(tmp_path, "bad.proof", "ax2 at root lr fwd\n")
     r2 = run_cli("prove", "--theory", fixture_path("store.sig"), eq, bad)
     assert r2.returncode == 1
+
+
+GOLDEN = Path(__file__).parent / "golden" / "lawcheck"
+
+
+@pytest.mark.parametrize("mode", ["txt", "json"])
+@pytest.mark.parametrize("name", ["exception", "identity", "gradedlist",
+                                  "tiny"])
+def test_lawcheck_golden(name, mode, monkeypatch, capsys):
+    """`lawcheck --laws all` on each shipped instance, byte for byte.  Run
+    from the fixture directory: explicit instances are named by the path
+    they were given as."""
+    monkeypatch.chdir(Path(fixture_path(f"{name}.inst")).parent)
+    args = ["--json"] if mode == "json" else []
+    assert cli.main(args + ["lawcheck", f"{name}.inst", "--laws", "all"]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / f"{name}.{mode}").read_bytes()
 
 
 def test_usage_errors():

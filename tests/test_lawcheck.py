@@ -1,6 +1,8 @@
 """Categorical law checking on tabulated data: ground-truth instances,
 conversions, induced structure, and mutation soundness."""
 
+import itertools
+
 import pytest
 
 import relmeta.lawcheck as lc
@@ -206,6 +208,15 @@ def test_graded_laws_pass(glist):
     assert skips > 0  # out-of-fragment tensors are reported, not hidden
 
 
+def test_graded_context_naturality_counts_skips():
+    # one skip per grade pair (m, n) whose tensor leaves the fragment:
+    # 2x2, 2x3, 3x2, 3x3 on grades 1,2,3 and 2x2 on grades 1,2
+    for grades, skips in (((1, 2, 3), 4), ((1, 2), 1)):
+        gd = lc.bounded_list_instance(grades=grades)
+        line = _line(lc.check_graded_laws(gd), "graded-context-naturality")
+        assert (line.status, line.skipped) == ("PASS", skips)
+
+
 def test_graded_degenerate_fragment():
     # the one-grade fragment at the unit reduces to plain monad laws: all
     # combos stay in range and everything passes
@@ -304,3 +315,197 @@ def test_finset_skeleton_signature_loads():
                 if g.src == "2" and g.tgt == "2"]) == 4
     swap = "f2_2_10"
     assert sig.category.normalize_word((swap, swap)) == ()
+
+
+# -- the quantifier engine: first witness, skip counts, replay -------------------
+
+def _line(rep, law):
+    return next(l for l in rep.lines if l.law == law)
+
+
+def _next_cell(d, table, key):
+    """Replace one cell by the next morphism of its hom-set, as
+    mutations_of does."""
+    tab = getattr(d, table)
+    homset = d.C.hom(d.C.dom[tab[key]], d.C.cod[tab[key]])
+    assert len(homset) > 1
+    tab[key] = homset[(homset.index(tab[key]) + 1) % len(homset)]
+
+
+def _declared_instances(law):
+    """The instances of law's declared domains in order, walked without
+    the engine; None stands for a subtree cut by a failing guard."""
+    def walk(env, steps):
+        if not steps:
+            yield env
+        elif isinstance(steps[0], lc.Guard):
+            if steps[0].test(*env):
+                yield from walk(env, steps[1:])
+            else:
+                yield None
+        else:
+            dom = steps[0](*env) if callable(steps[0]) else steps[0]
+            for v in dom:
+                yield from walk(env + (v,), steps[1:])
+    return walk((), law.domains)
+
+
+def _assert_first_witness(law, line):
+    """No instance before line's witness fails, the witness's instance
+    does, and the skip count covers exactly the instances before it."""
+    assert line.law == law.name
+    skips = 0
+    for env in _declared_instances(law):
+        r = None if env is None else law.pred(*env)
+        if r is None:
+            skips += 1
+        elif r is not True:
+            evidence = () if r is False else r
+            assert (line.status, line.witness, line.skipped) == \
+                ("FAIL", (law.tag, *env, *evidence), skips)
+            return
+    assert (line.status, line.witness, line.skipped) == ("PASS", None, skips)
+
+
+def test_extension_composition_reports_first_witness(exc):
+    d = exc.copy()
+    _next_cell(d, "ext_plain", ("0", "1", "f0_2_e"))
+    _next_cell(d, "ext_plain", ("0", "2", "f0_3_e"))
+    line = _line(lc.check_rel_monad_laws(d), "extension-composition")
+    # the first failure in (a, b, c, f, g) order, by an independent scan
+    C, ext = d.C, d.ext_plain
+    first = next(
+        (a, b, c, f, g)
+        for a, b, c in itertools.product(d.aobjs, repeat=3)
+        for f in C.hom(d.jmap[a], d.tmap[b])
+        for g in C.hom(d.jmap[b], d.tmap[c])
+        if C.compose(ext[(b, c, g)], ext[(a, b, f)]) !=
+        ext[(a, c, C.compose(ext[(b, c, g)], f))])
+    assert first == ("0", "1", "1", "f0_2_e", "f1_2_1")
+    assert line.witness == ("ext-comp",) + first
+
+
+def _relmonad(d):
+    return lc.relmonad_laws(d), lc.check_rel_monad_laws(d)
+
+
+def _strong(d):
+    return lc.strong_laws(d), lc.check_strong_laws(d)
+
+
+def _jstrong(d):
+    return lc.strong_laws(d, "ext_j", d.aobjs), lc.check_j_strong_laws(d)
+
+
+def _bistrong(d):
+    return lc.bistrong_laws(d), lc.check_bistrong_laws(d)
+
+
+# two corrupted cells of one table, each failing laws at different points
+# of the enumeration
+PAIRED_MUTATIONS = [
+    (_relmonad, "ext_plain", [("0", "1", "f0_2_e"), ("0", "2", "f0_3_e")]),
+    (_relmonad, "ext_plain", [("2", "2", "f2_3_12"), ("1", "2", "f1_3_2")]),
+    (_strong, "ext_strong", [("1", "1", "2", "f1_3_1"),
+                             ("1", "2", "1", "f2_2_11")]),
+    (_jstrong, "ext_j", [("1", "2", "2", "f2_3_20"),
+                         ("1", "1", "2", "f1_3_0")]),
+    (_bistrong, "ext_bi", [("2", "1", "0", "1", "f0_2_e"),
+                           ("3", "1", "0", "2", "f0_3_e")]),
+]
+
+
+@pytest.mark.parametrize("law_set, table, cells", PAIRED_MUTATIONS)
+def test_paired_mutation_reports_first_witness(exc, law_set, table, cells):
+    d = exc.copy()
+    d.ext_bi = lc.bistrong_from_strong(d)
+    for key in cells:
+        _next_cell(d, table, key)
+    laws, rep = law_set(d)
+    assert not rep.ok
+    assert len(laws) == len(rep.lines)
+    for law, line in zip(laws, rep.lines):
+        _assert_first_witness(law, line)
+
+
+def test_clean_instances_count_every_skip(exc, ident):
+    """On clean instances every law passes with the skips the declared
+    domains and guards give, including the bistrong cells whose unit
+    tensor is undefined (12 of 98 and 3 of 72)."""
+    for d, cells, skips in ((exc, 98, 12), (ident, 72, 3)):
+        d = d.copy()
+        d.ext_bi = lc.bistrong_from_strong(d)
+        assert len(d.ext_bi) == cells
+        assert _line(lc.check_bistrong_laws(d),
+                     "bistrong-extension-unit").skipped == skips
+        theta, _ = lc.strength_from_extension(d)
+        for laws, rep in (_relmonad(d), _strong(d), _jstrong(d),
+                          _bistrong(d),
+                          (lc.strength_map_laws(theta, d),
+                           lc.check_strength_map_laws(theta, d))):
+            for law, line in zip(laws, rep.lines):
+                _assert_first_witness(law, line)
+
+
+def test_graded_stop_early_keeps_first_witness(glist):
+    mut = glist.copy()
+    mut.tx[(2, 1, "B", ("b0",))] = ("b0", "b0")
+    full = lc.check_graded_laws(mut)
+    early = lc.check_graded_laws(mut, stop_early=True)
+    first = next(l for l in full.lines if l.status == "FAIL")
+    assert early.lines[-1] == first
+    assert all(l.status == "PASS" for l in early.lines[:-1])
+
+
+def test_replay_witness_reruns_the_reported_law_set(exc, glist):
+    # a J-strong mutant: only the J-indexed tables are corrupted, so the
+    # relative-monad laws still pass on it
+    d = exc.copy()
+    _next_cell(d, "ext_j", ("1", "1", "2", "f1_3_1"))
+    rep = lc.check_j_strong_laws(d)
+    assert not rep.ok and lc.check_rel_monad_laws(d).ok
+    assert lc.replay_witness(d, rep)
+    # a witness the instance does not produce does not replay
+    fail = next(l for l in rep.lines if l.status == "FAIL")
+    forged = lc.LawReport(rep.name, [lc.LawLine(fail.law, "FAIL",
+                                                fail.witness[:-1])])
+    assert not lc.replay_witness(d, forged)
+    assert not lc.replay_witness(exc, rep)
+
+    d = exc.copy()
+    d.ext_w = dict(d.ext_strong)
+    d.wfun = lc.identity_functor(d.C)
+    _next_cell(d, "ext_w", ("1", "1", "2", "f1_3_1"))
+    assert lc.replay_witness(d, lc.check_w_strong_laws(d, d.wfun))
+
+    d = exc.copy()
+    _next_cell(d, "ext_strong", ("1", "1", "2", "f1_3_1"))
+    assert lc.replay_witness(d, lc.check_strong_laws(d))
+    d.ext_bi = lc.bistrong_from_strong(exc)
+    _next_cell(d, "ext_bi", ("1", "1", "0", "2", "f0_3_e"))
+    assert lc.replay_witness(d, lc.check_bistrong_laws(d))
+
+    mut = glist.copy()
+    mut.eta[("B", "b0")] = ("b1",)
+    assert lc.replay_witness(mut, lc.check_graded_laws(mut, stop_early=True))
+    assert not lc.replay_witness(glist, lc.check_graded_laws(glist))
+
+
+def test_replay_witness_refuses_reports_it_cannot_rerun(exc, ident):
+    # both checkers take data besides the instance (strength maps, a
+    # monad morphism), so d alone cannot reproduce their reports
+    theta, _ = lc.strength_from_extension(exc)
+    bad = dict(theta)
+    bad[("1", "2")] = next(m for m in exc.C.hom(exc.C.dom[theta[("1", "2")]],
+                                                exc.C.cod[theta[("1", "2")]])
+                           if m != theta[("1", "2")])
+    rep = lc.check_strength_map_laws(bad, exc)
+    assert not rep.ok
+    with pytest.raises(lc.LawError):
+        lc.replay_witness(exc, rep)
+    gamma = {a: ident.C.ids[a] for a in ident.aobjs}
+    gamma["2"] = "f2_2_10"  # the swap does not preserve the unit
+    rep = lc.check_monad_morphism(gamma, ident, ident)
+    assert not rep.ok
+    with pytest.raises(lc.LawError):
+        lc.replay_witness(ident, rep)
