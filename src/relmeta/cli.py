@@ -1,7 +1,8 @@
 """Batch command-line frontend and REPL.
 
 Exit codes: 0 accepted/Proven/pass, 1 rejected/Refuted/fail, 2 Unknown,
-3 usage or I/O error.  All randomized work is seeded and the seed prints
+3 usage or I/O error, 4 internal error (one `error: internal:` line on
+stderr, no traceback).  All randomized work is seeded and the seed prints
 in the report header; reports are byte-identical across runs.
 """
 
@@ -17,7 +18,7 @@ from .signatures import Signature, SignatureError, load_signature
 from .syntax import Judgement, SyntaxError_, parse_context, parse_term, parse_type
 from .typecheck import check, serialize_derivation
 
-EXIT_OK, EXIT_REJECT, EXIT_UNKNOWN, EXIT_USAGE = 0, 1, 2, 3
+EXIT_OK, EXIT_REJECT, EXIT_UNKNOWN, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 class CliError(Exception):
@@ -273,7 +274,25 @@ def _explicit_instance(kv, path):
             g, a, b, f = parts
             d.ext_strong = d.ext_strong or {}
             d.ext_strong[(g, a, b, f)] = rhs.strip()
+    _require_cells(d, path)
     return d
+
+
+def _require_cells(d, path):
+    """Name the first unit or extension cell the laws read but the file
+    does not give: a `tmap`/`eta` entry for each aobj and, with an `ext`
+    table, a cell for each f in hom(J a, T b)."""
+    for a in d.aobjs:
+        for name in ("tmap", "eta"):
+            if a not in getattr(d, name):
+                raise CliError(f"{path}: no `{name} {a}` entry")
+    if d.ext_plain is None:
+        return
+    for a in d.aobjs:
+        for b in d.aobjs:
+            for f in d.C.hom(d.jmap[a], d.tmap[b]):
+                if (a, b, f) not in d.ext_plain:
+                    raise CliError(f"{path}: no `ext {a} {b} {f}` cell")
 
 
 def cmd_lawcheck(args):
@@ -393,7 +412,6 @@ def make_parser():
                    help="machine-readable output")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-budget", type=int, default=10000)
-    p.add_argument("--carrier-cap", type=int, default=10 ** 6)
     p.add_argument("--search-depth", type=int, default=6)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -459,6 +477,10 @@ def main(argv=None):
             lawcheck.LawError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        msg = str(e).replace("\n", " ")
+        print(f"error: internal: {type(e).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

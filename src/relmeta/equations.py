@@ -10,7 +10,8 @@ and carries both normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import rules as rules_mod
 from . import syntax
@@ -91,79 +92,93 @@ class EqVerdict:
 class NormalizeResult:
     term: Term
     steps: list[Step] = field(default_factory=list)
+    checked: object = field(default=None, repr=False)  # normal form's _Checked
 
 
 # ---------------------------------------------------------------------------
-# redex enumeration and single steps
+# checked judgements, redex enumeration and single steps
 
-def _annotate(j: Judgement, sig: Signature):
+class _Checked(NamedTuple):
+    """A judgement with the annotations of a `check` this module ran on it
+    (position -> (zone, type)); each rewrite step hands its own on."""
+    j: Judgement
+    ann: dict
+
+
+def _enter(j, sig: Signature) -> _Checked:
+    """Check a judgement as it enters the engine; raises if ill-typed."""
+    if isinstance(j, _Checked):
+        return j
     res = check(j, sig)
     if not res.ok:
         raise RewriteError(f"term does not type-check: {res.message}")
-    return res.annotations
+    return _Checked(j, res.annotations)
 
 
-def redexes(j: Judgement, sig: Signature, include_search=False):
-    """All (rule, path, result) triples available on the judgement's term."""
-    ann = _annotate(j, sig)
-    out = []
-    t = j.term
-    for path in positions(t):
-        sub = subterm_at(t, path)
-        for r in RULES_BY_HEAD.get((j.calculus, sub.kind), ()):
-            if r.search_only and not include_search:
-                continue
-            ctx = RuleCtx(sig, j.calculus, path, ann)
+def _fire(cj: _Checked, sig: Signature, path: tuple, keep):
+    """(rule, subterm, result) for each rule `keep` admits that fires at
+    the position, in registration order."""
+    sub = subterm_at(cj.j.term, path)
+    ctx = RuleCtx(sig, cj.j.calculus, path, cj.ann)
+    for r in RULES_BY_HEAD.get((cj.j.calculus, sub.kind), ()):
+        if keep(r):
             new = r.rewrite(sub, ctx)
-            if new is not None and new != sub:
-                out.append((r, path, replace_at(t, path, new)))
-    return out
+            if new is not None:
+                yield r, sub, new
 
 
-def apply_rule_at(j: Judgement, sig: Signature, rule_name: str, path: tuple,
-                  include_search=True) -> Term:
+def redexes(cj: _Checked, sig: Signature, include_search=False):
+    """The (rule, path, result) triples on a checked judgement, lazily,
+    leftmost-outermost and then in rule registration order."""
+    keep = lambda r: include_search or not r.search_only
+    t = cj.j.term
+    for path in positions(t):
+        for r, sub, new in _fire(cj, sig, path, keep):
+            if new != sub:
+                yield r, path, replace_at(t, path, new)
+
+
+def apply_rule_at(cj: _Checked, sig: Signature, rule_name: str,
+                  path: tuple) -> Term:
     """Replay a single named rule at a position; raises if it does not fire."""
-    ann = _annotate(j, sig)
-    sub = subterm_at(j.term, path)
-    for r in RULES_BY_HEAD.get((j.calculus, sub.kind), ()):
-        if r.name != rule_name:
-            continue
-        new = r.rewrite(sub, RuleCtx(sig, j.calculus, path, ann))
-        if new is not None:
-            return replace_at(j.term, path, new)
+    for _, _, new in _fire(cj, sig, path, lambda r: r.name == rule_name):
+        return replace_at(cj.j.term, path, new)
     raise RewriteError(f"rule {rule_name} does not apply at {path}")
 
 
-def normalize(j: Judgement, sig: Signature, *, budget: int = 10000,
-              rng=None, check_steps: bool = True) -> NormalizeResult:
+def normalize(j, sig: Signature, *, budget: int = 10000,
+              rng=None) -> NormalizeResult:
     """Rewrite to a fixed point of the oriented rule set.
 
-    Deterministic (leftmost-outermost, rule registration order) unless an
-    rng is supplied, in which case each step picks a uniformly random redex
-    (used by the confluence smoke tests).  Every step re-checks the
-    judgement, so subject reduction is enforced, not assumed.
+    Deterministic (the first redex: leftmost-outermost, then rule
+    registration order) unless an rng is supplied, in which case each step
+    picks a uniformly random redex (used by the confluence smoke tests).
+    Subject reduction is enforced, not assumed: the input is checked once
+    (unless it is a `_Checked` this module made) and every step's result
+    is checked, and that check's annotations drive the next step, so n
+    steps make n+1 checks.
     """
-    cur = j
+    cur = _enter(j, sig)
     steps: list[Step] = []
     for _ in range(budget):
-        rds = redexes(cur, sig)
-        if not rds:
-            return NormalizeResult(cur.term, steps)
         if rng is None:
-            r, path, new_term = rds[0]
+            rd = next(redexes(cur, sig), None)
         else:
-            r, path, new_term = rds[rng.randrange(len(rds))]
-        nxt = Judgement(cur.calculus, cur.form, cur.zones, new_term, cur.ty)
-        if check_steps:
-            res = check(nxt, sig)
-            if not res.ok:
-                raise SubjectReductionError(
-                    f"rule {r.name} at {path} broke typing: {res.message}\n"
-                    f"  before: {term_to_text(cur.term)}\n"
-                    f"  after:  {term_to_text(new_term)}")
-        cur = nxt
+            rds = list(redexes(cur, sig))
+            rd = rds[rng.randrange(len(rds))] if rds else None
+        if rd is None:
+            return NormalizeResult(cur.j.term, steps, cur)
+        r, path, new_term = rd
+        nxt = replace(cur.j, term=new_term)
+        res = check(nxt, sig)
+        if not res.ok:
+            raise SubjectReductionError(
+                f"rule {r.name} at {path} broke typing: {res.message}\n"
+                f"  before: {term_to_text(cur.j.term)}\n"
+                f"  after:  {term_to_text(new_term)}")
+        cur = _Checked(nxt, res.annotations)
         steps.append(Step(r.name, path))
-    raise BudgetExceeded(budget, cur.term)
+    raise BudgetExceeded(budget, cur.j.term)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +227,7 @@ def _ainst(pat: Term, sigma: dict, depth: int = 0) -> Term:
 
 def axiom_moves(j: Judgement, sig: Signature, axioms):
     """All single axiom rewrites (either direction, any position) that keep
-    the judgement well-typed."""
+    the judgement well-typed, each as (step, checked result)."""
     out = []
     for ax in axioms:
         axvars = {x for x, _ in ax.zones[0]}
@@ -221,19 +236,17 @@ def axiom_moves(j: Judgement, sig: Signature, axioms):
             for path in positions(j.term):
                 sub = subterm_at(j.term, path)
                 sigma = _amatch(src, sub, axvars, 0, {})
-                if sigma is None:
+                # a var only on the other side cannot be guessed
+                if sigma is None or axvars - set(sigma):
                     continue
-                missing = axvars - set(sigma)
-                if missing:
-                    continue  # a var only on the other side cannot be guessed
-                new_sub = _ainst(tgt, sigma)
-                new_term = replace_at(j.term, path, new_sub)
-                nxt = Judgement(j.calculus, j.form, j.zones, new_term, j.ty)
-                if not check(nxt, sig).ok:
-                    continue
-                out.append((Step(ax.name, path, kind="axiom", axdir=axdir,
-                                 sigma=tuple(sorted(sigma.items()))),
-                            nxt))
+                nxt = replace(j, term=replace_at(j.term, path,
+                                                 _ainst(tgt, sigma)))
+                res = check(nxt, sig)
+                if res.ok:
+                    out.append((Step(ax.name, path, kind="axiom",
+                                     axdir=axdir,
+                                     sigma=tuple(sorted(sigma.items()))),
+                                _Checked(nxt, res.annotations)))
     return out
 
 
@@ -267,15 +280,15 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     if (jl.calculus, jl.form, jl.zones, jl.ty) != \
             (jr.calculus, jr.form, jr.zones, jr.ty):
         raise RewriteError("the two sides are not judgements of one shape")
-    nl = normalize(jl, sig, budget=budget)
-    nr = normalize(jr, sig, budget=budget)
-    rhs_steps = [Step(s.name, s.path, orientation="bwd")
-                 for s in reversed(nr.steps)]
+    cl = _enter(jl, sig)
+    nl = normalize(cl, sig, budget=budget)
+    cr = _enter(jr, sig)
+    nr = normalize(cr, sig, budget=budget)
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN",
-                         proof=EqProof(tuple(nl.steps + rhs_steps)))
+                         proof=EqProof(tuple(nl.steps + _backward(nr.steps))))
     axioms = sig.theory.axioms if sig.theory else []
-    mid = _bisearch(jl, nl, jr, nr, sig, axioms, depth, breadth, budget)
+    mid = _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget)
     if mid is not None:
         return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
     from . import models as models_mod
@@ -286,34 +299,32 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     return EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
 
 
-def _expand(state_j, sig, axioms, budget):
-    """One search layer: an axiom move followed by renormalization."""
-    out = []
-    moves = axiom_moves(state_j, sig, axioms)
+def _backward(steps):
+    """A step sequence read from its far end, as the right half of a valley."""
+    return [replace(s, orientation="bwd") for s in reversed(steps)]
+
+
+def _expand(cj, sig, axioms, budget):
+    """One search layer: (move, NormalizeResult) for each axiom or
+    search-only rule move, followed by renormalization."""
+    moves = axiom_moves(cj.j, sig, axioms)
     # search-only rules participate in both orientations
-    for r, path, new_term in redexes(state_j, sig, include_search=True):
-        if r.search_only:
-            moves.append((Step(r.name, path),
-                          Judgement(state_j.calculus, state_j.form,
-                                    state_j.zones, new_term, state_j.ty)))
-    for step, nxt in moves:
-        norm = normalize(nxt, sig, budget=budget)
-        out.append(([step] + norm.steps,
-                    Judgement(nxt.calculus, nxt.form, nxt.zones, norm.term,
-                              nxt.ty)))
-    return out
+    moves += [(Step(r.name, path), replace(cj.j, term=new_term))
+              for r, path, new_term in redexes(cj, sig, include_search=True)
+              if r.search_only]
+    return [(step, normalize(nxt, sig, budget=budget)) for step, nxt in moves]
 
 
-def _bisearch(jl, nl, jr, nr, sig, axioms, depth, breadth, budget):
+def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
     if not axioms and not any(
-            r.search_only for r in rules_mod.rules_for(jl.calculus, True)):
+            r.search_only for r in rules_mod.rules_for(cl.j.calculus, True)):
         return None
-    mk = lambda j, t: Judgement(j.calculus, j.form, j.zones, t, j.ty)
     # seed with the originals too: an axiom redex may only exist before
     # normalization reshapes the term
-    left = {nl.term: list(nl.steps), jl.term: []}
-    right = {nr.term: [Step(s.name, s.path, orientation="bwd")
-                       for s in reversed(nr.steps)], jr.term: []}
+    left = {nl.term: list(nl.steps), cl.j.term: []}
+    right = {nr.term: _backward(nr.steps), cr.j.term: []}
+    # both sides share one shape, so a term's check serves either side
+    checked = {c.j.term: c for c in (cl, nl.checked, cr, nr.checked)}
     lfront, rfront = dict(left), dict(right)
     for _ in range(depth):
         if not lfront and not rfront:
@@ -322,27 +333,20 @@ def _bisearch(jl, nl, jr, nr, sig, axioms, depth, breadth, budget):
         src, seen, other = ((lfront, left, right) if expand_left
                             else (rfront, right, left))
         nxt_front = {}
-        base_j = jl if expand_left else jr
         for term, steps in list(src.items()):
-            for new_steps, njudge in _expand(mk(base_j, term), sig, axioms,
-                                             budget):
-                nt = njudge.term
+            for step, norm in _expand(checked[term], sig, axioms, budget):
+                nt, new_steps = norm.term, [step] + norm.steps
                 if nt in seen:
                     continue
-                if expand_left:
-                    acc = steps + new_steps
-                else:
-                    acc = [Step(s.name, s.path, orientation="bwd",
-                                kind=s.kind, axdir=s.axdir, sigma=s.sigma)
-                           for s in reversed(new_steps)] + steps
+                checked.setdefault(nt, norm.checked)
+                acc = (steps + new_steps if expand_left
+                       else _backward(new_steps) + steps)
                 seen[nt] = acc
                 nxt_front[nt] = acc
                 if len(seen) > breadth:
                     break
                 if nt in other:
-                    if expand_left:
-                        return acc + other[nt]
-                    return other[nt] + acc
+                    return acc + other[nt] if expand_left else other[nt] + acc
             if len(seen) > breadth:
                 break
         if expand_left:
@@ -362,39 +366,34 @@ def _bisearch(jl, nl, jr, nr, sig, axioms, depth, breadth, budget):
 def check_proof(proof: EqProof, jl: Judgement, jr: Judgement,
                 sig: Signature) -> bool:
     """Replay a valley proof: forward steps from the left endpoint, backward
-    steps from the right endpoint, cursors must meet alpha-equal.  Every
-    intermediate term must type-check (rule/axiom application enforces it).
+    steps from the right endpoint, cursors must meet alpha-equal.  Both
+    endpoints and every intermediate term must type-check; each step's
+    check supplies the annotations the next rule step reads.
     """
-    steps = list(proof.steps)
-    i, jdx = 0, len(steps)
+    steps = proof.steps
+    k = 0
+    while k < len(steps) and steps[k].orientation == "fwd":
+        k += 1
+    if any(s.orientation != "bwd" for s in steps[k:]):
+        return False  # not a valley: a fwd step after a bwd step
     axioms = {ax.name: ax for ax in (sig.theory.axioms if sig.theory else [])}
 
-    def apply_one(j, step):
-        if step.kind == "axiom":
-            ax = axioms.get(step.name)
-            if ax is None:
+    def replay(j, side):
+        cj = _enter(j, sig)
+        for step in side:
+            if step.kind != "axiom":
+                new_term = apply_rule_at(cj, sig, step.name, step.path)
+            elif step.name not in axioms:
                 raise RewriteError(f"unknown axiom {step.name}")
-            new_term = apply_axiom_at(j, sig, ax, step.path, step.axdir,
-                                      dict(step.sigma) if step.sigma else None)
-        else:
-            new_term = apply_rule_at(j, sig, step.name, step.path)
-        nxt = Judgement(j.calculus, j.form, j.zones, new_term, j.ty)
-        if not check(nxt, sig).ok:
-            raise RewriteError("proof step produced an ill-typed term")
-        return nxt
+            else:
+                new_term = apply_axiom_at(
+                    cj.j, sig, axioms[step.name], step.path, step.axdir,
+                    dict(step.sigma) if step.sigma else None)
+            cj = _enter(replace(cj.j, term=new_term), sig)
+        return cj.j.term
 
     try:
-        curl = jl
-        while i < jdx and steps[i].orientation == "fwd":
-            curl = apply_one(curl, steps[i])
-            i += 1
-        curr = jr
-        while jdx > i and steps[jdx - 1].orientation == "bwd":
-            curr = apply_one(curr, steps[jdx - 1])
-            jdx -= 1
-        if i != jdx:
-            return False  # not a valley: a fwd step after a bwd step
-        return alpha_eq(curl.term, curr.term)
+        return alpha_eq(replay(jl, steps[:k]), replay(jr, reversed(steps[k:])))
     except RewriteError:
         return False
 

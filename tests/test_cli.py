@@ -184,6 +184,35 @@ def test_lawcheck_golden(name, mode, monkeypatch, capsys):
         (GOLDEN / f"{name}.{mode}").read_bytes()
 
 
+EQ_GOLDEN = Path(__file__).parent / "golden" / "eq"
+EQ_THEORY = {"stone1": ["coin.sig", "--model", "dist=dist.mb"],
+             "stone2": ["coin.sig", "--model", "dist=dist.mb"],
+             "stone3": ["coin.sig", "--model", "dist=dist.mb"],
+             "store_d1": ["store.sig"], "store_d2": ["store.sig"]}
+
+
+@pytest.mark.parametrize("mode", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(EQ_THEORY))
+def test_eq_golden(name, mode, monkeypatch, capsys):
+    """`eq` on each shipped equation file with its theory and models, byte
+    for byte: the same verdicts and the same valley proofs."""
+    monkeypatch.chdir(Path(fixture_path(f"{name}.eq")).parent)
+    args = ["--json"] if mode == "json" else []
+    cli.main(args + ["eq", "--theory", *EQ_THEORY[name], f"{name}.eq"])
+    assert capsys.readouterr().out.encode() == \
+        (EQ_GOLDEN / f"{name}.{mode}").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(EQ_THEORY))
+def test_eq_golden_proof_replays(name, tmp_path, capsys):
+    lines = (EQ_GOLDEN / f"{name}.txt").read_text().splitlines()
+    assert lines[1] == "PROVEN"
+    proof = write(tmp_path, f"{name}.proof", "\n".join(lines[2:]) + "\n")
+    assert cli.main(["prove", "--theory", fixture_path(EQ_THEORY[name][0]),
+                     fixture_path(f"{name}.eq"), proof]) == 0
+    assert capsys.readouterr().out.endswith("proof checked\n")
+
+
 def test_usage_errors():
     r = run_cli("eq", "--theory", "/nonexistent.sig", "/nonexistent.eq")
     assert r.returncode == 3
@@ -191,6 +220,33 @@ def test_usage_errors():
     assert r2.returncode == 3
     r3 = run_cli("--workers", "0", "lawcheck", fixture_path("tiny.inst"))
     assert r3.returncode == 3
+    r4 = run_cli("--carrier-cap", "5", "lawcheck", fixture_path("tiny.inst"))
+    assert r4.returncode == 3
+
+
+@pytest.mark.parametrize("drop, cell", [("ext A A eA = eA", "ext A A eA"),
+                                        ("eta A = idA", "eta A"),
+                                        ("tmap A = A", "tmap A")])
+def test_incomplete_instance_is_a_usage_error(tmp_path, drop, cell):
+    text = Path(fixture_path("tiny.inst")).read_text()
+    assert drop in text
+    path = write(tmp_path, "partial.inst", text.replace(drop, ""))
+    r = run_cli("lawcheck", path, "--laws", "relmonad")
+    assert r.returncode == 3
+    assert f"`{cell}`" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path):
+    lhs = "".join(f"do x{i} <- coin in " for i in range(400)) + "ret ()"
+    path = write(tmp_path, "deep.eq",
+                 f"calculus rmm\nlhs {lhs}\nrhs ret ()\ntype T(1)\n")
+    r = run_cli("eq", "--theory", fixture_path("coin.sig"), path)
+    assert r.returncode in (0, 1, 2, 3, 4)
+    assert "Traceback" not in r.stderr
+    if r.returncode == 4:
+        assert r.stderr.startswith("error: internal: ")
+        assert len(r.stderr.splitlines()) == 1
 
 
 def test_json_mode():

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from relmeta import gen as genmod
+from relmeta import equations, gen as genmod
 from relmeta.equations import (BudgetExceeded, EqProof, Step, check_eq,
                                check_proof, derive_local_store, normalize,
                                parse_proof)
 from relmeta.signatures import load_signature
 from relmeta.syntax import (alpha_eq, judgement, parse_context, parse_term,
                             parse_type, term_to_text)
+from relmeta.typecheck import check
 
 
 def _j(calc, sig, ctx, term, ty, form=None):
@@ -271,7 +272,46 @@ def test_confluence_smoke_small(sweep_sig, rng):
 
 
 def test_subject_reduction_enforced(coin_sig):
-    # every normalize step re-checks; a well-typed start cannot break
+    # normalize checks every step's result; a well-typed start cannot break
     j = _j("rmm", coin_sig, "u : T(2) * T(2)",
            "do x <- pi1 u in do y <- pi2 u in ret pair2(x,y)", "T(4)")
-    normalize(j, coin_sig, check_steps=True)
+    normalize(j, coin_sig)
+
+
+# -- one typecheck per rewrite step --------------------------------------------
+
+def _count_checks(monkeypatch):
+    """Record the term of every judgement the step engine type-checks."""
+    seen = []
+
+    def counting(j, sig):
+        seen.append(j.term)
+        return check(j, sig)
+
+    monkeypatch.setattr(equations, "check", counting)
+    return seen
+
+
+def test_normalize_checks_each_judgement_once(coin_sig, monkeypatch):
+    j = _j("rmm", coin_sig, "y : J(2), u : T(2)",
+           "do z <- (do x <- ret y in do w <- u in ret not not x) in ret z",
+           "T(2)")
+    seen = _count_checks(monkeypatch)
+    res = normalize(j, coin_sig)
+    assert len(res.steps) >= 3
+    assert len(seen) == len(res.steps) + 1
+    assert len(set(seen)) == len(seen)
+
+
+def test_check_proof_threads_checks(coin_sig, monkeypatch):
+    jl = _j("rmm", coin_sig, "y : J(2), u : T(2)",
+            "do x <- ret y in do w <- u in ret not not x", "T(2)")
+    jr = _j("rmm", coin_sig, "y : J(2), u : T(2)",
+            "do z <- (do w <- u in ret y) in ret z", "T(2)")
+    proof = check_eq(jl, jr, coin_sig).proof
+    assert len(proof.steps) >= 3
+    assert {s.kind for s in proof.steps} == {"rule"}
+    assert {s.orientation for s in proof.steps} == {"fwd", "bwd"}
+    seen = _count_checks(monkeypatch)
+    assert check_proof(proof, jl, jr, coin_sig)
+    assert len(seen) <= len(proof.steps) + 2
