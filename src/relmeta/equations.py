@@ -92,7 +92,6 @@ class EqVerdict:
 class NormalizeResult:
     term: Term
     steps: list[Step] = field(default_factory=list)
-    checked: object = field(default=None, repr=False)  # normal form's _Checked
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +99,43 @@ class NormalizeResult:
 
 class _Checked(NamedTuple):
     """A judgement with the annotations of a `check` this module ran on it
-    (position -> (zone, type)); each rewrite step hands its own on."""
+    (position -> (zone, type)), and the checks of the engine call it
+    belongs to; each rewrite step hands its own on."""
     j: Judgement
     ann: dict
+    checks: "_Checks"
 
 
-def _enter(j, sig: Signature) -> _Checked:
-    """Check a judgement as it enters the engine; raises if ill-typed."""
+class _Checks:
+    """The typechecks of one engine call, by term.  Every judgement one call
+    visits has the same shape (check_eq's two sides share it), so a term is
+    checked once however often the call reaches it."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.results = {}   # term -> annotations, or the failure message
+
+    def __call__(self, j: Judgement):
+        """(_Checked, "") for a well-typed j, else (None, message)."""
+        out = self.results.get(j.term)
+        if out is None:
+            res = check(j, self.sig)
+            out = self.results[j.term] = \
+                res.annotations if res.ok else res.message
+        if isinstance(out, str):
+            return None, out
+        return _Checked(j, out, self), ""
+
+
+def _enter(j, sig: Signature, checks: _Checks | None = None) -> _Checked:
+    """Check a judgement as it enters the engine (through the call's
+    checks, if given); raises if ill-typed."""
     if isinstance(j, _Checked):
         return j
-    res = check(j, sig)
-    if not res.ok:
-        raise RewriteError(f"term does not type-check: {res.message}")
-    return _Checked(j, res.annotations)
+    cj, msg = (checks or _Checks(sig))(j)
+    if cj is None:
+        raise RewriteError(f"term does not type-check: {msg}")
+    return cj
 
 
 def _fire(cj: _Checked, sig: Signature, path: tuple, keep):
@@ -156,7 +179,8 @@ def normalize(j, sig: Signature, *, budget: int = 10000,
     Subject reduction is enforced, not assumed: the input is checked once
     (unless it is a `_Checked` this module made) and every step's result
     is checked, and that check's annotations drive the next step, so n
-    steps make n+1 checks.
+    steps make at most n+1 checks (fewer when the input's engine call has
+    already checked a term on the way).
     """
     cur = _enter(j, sig)
     steps: list[Step] = []
@@ -167,16 +191,15 @@ def normalize(j, sig: Signature, *, budget: int = 10000,
             rds = list(redexes(cur, sig))
             rd = rds[rng.randrange(len(rds))] if rds else None
         if rd is None:
-            return NormalizeResult(cur.j.term, steps, cur)
+            return NormalizeResult(cur.j.term, steps)
         r, path, new_term = rd
-        nxt = replace(cur.j, term=new_term)
-        res = check(nxt, sig)
-        if not res.ok:
+        nxt, msg = cur.checks(replace(cur.j, term=new_term))
+        if nxt is None:
             raise SubjectReductionError(
-                f"rule {r.name} at {path} broke typing: {res.message}\n"
+                f"rule {r.name} at {path} broke typing: {msg}\n"
                 f"  before: {term_to_text(cur.j.term)}\n"
                 f"  after:  {term_to_text(new_term)}")
-        cur = _Checked(nxt, res.annotations)
+        cur = nxt
         steps.append(Step(r.name, path))
     raise BudgetExceeded(budget, cur.j.term)
 
@@ -225,9 +248,12 @@ def _ainst(pat: Term, sigma: dict, depth: int = 0) -> Term:
               for i, s in enumerate(pat.subs)))
 
 
-def axiom_moves(j: Judgement, sig: Signature, axioms):
+def axiom_moves(j, sig: Signature, axioms):
     """All single axiom rewrites (either direction, any position) that keep
-    the judgement well-typed, each as (step, checked result)."""
+    the judgement well-typed, each as (step, checked result).  j may be a
+    `_Checked` this module made; its engine call's checks then serve."""
+    checks = j.checks if isinstance(j, _Checked) else _Checks(sig)
+    j = j.j if isinstance(j, _Checked) else j
     out = []
     for ax in axioms:
         axvars = {x for x, _ in ax.zones[0]}
@@ -239,14 +265,13 @@ def axiom_moves(j: Judgement, sig: Signature, axioms):
                 # a var only on the other side cannot be guessed
                 if sigma is None or axvars - set(sigma):
                     continue
-                nxt = replace(j, term=replace_at(j.term, path,
-                                                 _ainst(tgt, sigma)))
-                res = check(nxt, sig)
-                if res.ok:
+                cj, _ = checks(replace(j, term=replace_at(
+                    j.term, path, _ainst(tgt, sigma))))
+                if cj is not None:
                     out.append((Step(ax.name, path, kind="axiom",
                                      axdir=axdir,
                                      sigma=tuple(sorted(sigma.items()))),
-                                _Checked(nxt, res.annotations)))
+                                cj))
     return out
 
 
@@ -275,14 +300,16 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
              ) -> EqVerdict:
     """Proven / Refuted / Unknown for a pair of judgements of one shape.
 
-    models is a list of (name, ModelBinding) used for refutation.
+    models is a list of (name, ModelBinding) used for refutation.  Both
+    sides and the axiom search share one set of checks, so the rewriting
+    engine checks no term twice in one call.
     """
     if (jl.calculus, jl.form, jl.zones, jl.ty) != \
             (jr.calculus, jr.form, jr.zones, jr.ty):
         raise RewriteError("the two sides are not judgements of one shape")
     cl = _enter(jl, sig)
     nl = normalize(cl, sig, budget=budget)
-    cr = _enter(jr, sig)
+    cr = _enter(jr, sig, cl.checks)
     nr = normalize(cr, sig, budget=budget)
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN",
@@ -307,12 +334,13 @@ def _backward(steps):
 def _expand(cj, sig, axioms, budget):
     """One search layer: (move, NormalizeResult) for each axiom or
     search-only rule move, followed by renormalization."""
-    moves = axiom_moves(cj.j, sig, axioms)
+    moves = axiom_moves(cj, sig, axioms)
     # search-only rules participate in both orientations
     moves += [(Step(r.name, path), replace(cj.j, term=new_term))
               for r, path, new_term in redexes(cj, sig, include_search=True)
               if r.search_only]
-    return [(step, normalize(nxt, sig, budget=budget)) for step, nxt in moves]
+    return [(step, normalize(_enter(nxt, sig, cj.checks), sig, budget=budget))
+            for step, nxt in moves]
 
 
 def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
@@ -323,8 +351,6 @@ def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
     # normalization reshapes the term
     left = {nl.term: list(nl.steps), cl.j.term: []}
     right = {nr.term: _backward(nr.steps), cr.j.term: []}
-    # both sides share one shape, so a term's check serves either side
-    checked = {c.j.term: c for c in (cl, nl.checked, cr, nr.checked)}
     lfront, rfront = dict(left), dict(right)
     for _ in range(depth):
         if not lfront and not rfront:
@@ -334,11 +360,11 @@ def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
                             else (rfront, right, left))
         nxt_front = {}
         for term, steps in list(src.items()):
-            for step, norm in _expand(checked[term], sig, axioms, budget):
+            cj = _enter(replace(cl.j, term=term), sig, cl.checks)
+            for step, norm in _expand(cj, sig, axioms, budget):
                 nt, new_steps = norm.term, [step] + norm.steps
                 if nt in seen:
                     continue
-                checked.setdefault(nt, norm.checked)
                 acc = (steps + new_steps if expand_left
                        else _backward(new_steps) + steps)
                 seen[nt] = acc
@@ -389,7 +415,7 @@ def check_proof(proof: EqProof, jl: Judgement, jr: Judgement,
                 new_term = apply_axiom_at(
                     cj.j, sig, axioms[step.name], step.path, step.axdir,
                     dict(step.sigma) if step.sigma else None)
-            cj = _enter(replace(cj.j, term=new_term), sig)
+            cj = _enter(replace(cj.j, term=new_term), sig, cj.checks)
         return cj.j.term
 
     try:

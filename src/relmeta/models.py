@@ -15,10 +15,17 @@ degree is bounded by term size).  The order-m principal lattice of a
 simplex is unisolvent for polynomials of total degree <= m, which makes
 agreement on the lattice agreement everywhere: the verdict is exact, not a
 sampling heuristic.
+
+Evaluation follows the typing derivation.  A derivation is compiled once
+into a closure tree (binder names resolved to environment slots) and the
+tree is run for each environment, so semantic_eq compiles each side once
+per sweep.  Function and command tables are memoized on the values of
+their own free variables; the memos live for one call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -537,182 +544,258 @@ def _simplex_lattice(n, k):
 
 
 # ---------------------------------------------------------------------------
-# evaluation (driven by the typing derivation)
+# evaluation: a typing derivation compiled once into a closure tree
+#
+# compile_derivation turns a checked derivation into run(env), where env is
+# a tuple of values indexed by slot: the root judgement's names first, then
+# one slot per binder on the way down.  Names resolve to slots at compile
+# time.  Each table-building node (lam, limpl, lamarrow, commands) enumerates
+# its domain once, with the order VFun sorts it in, and memoizes its table
+# on the values of its own free slots.  Memos live as long as the compiled
+# tree: one eval_term or semantic_eq call.
+
+MISSING = object()   # the slot of a name the caller's environment lacks
+MEMO_CAP = 4096      # tables kept per node before its memo starts over
+
 
 def eval_term(j: Judgement, env: dict, binding: ModelBinding,
               sig: Signature) -> Value:
     res = check(j, sig)
     if not res.ok:
         raise ModelError(f"judgement does not check: {res.message}")
-    return eval_deriv(res.derivation, dict(env), binding, sig)
+    names = _root_names(j)
+    run = compile_derivation(res.derivation, names, binding, sig)
+    return run(tuple(env.get(x, MISSING) for x in names))
 
 
-def _new_names(parent_names, node: Derivation, child: Derivation):
-    out = []
-    for zone in child.judgement.zones:
-        for x, ty in zone:
-            if x not in parent_names:
-                out.append((x, ty))
-    return out
+def _root_names(j: Judgement) -> list:
+    return list(dict.fromkeys(x for zone in j.zones for x, _ in zone))
 
 
-def _names_of(node: Derivation):
-    return {x for zone in node.judgement.zones for x, _ in zone}
+def compile_derivation(node: Derivation, names, binding: ModelBinding,
+                       sig: Signature):
+    """Compile a checked derivation; returns run(env) for env a tuple of
+    values in the order of names (MISSING where there is no entry)."""
+    run, _ = _compile(node, {x: i for i, x in enumerate(names)}, len(names),
+                      binding, sig)
+    return run
 
 
-def eval_deriv(node: Derivation, env: dict, binding: ModelBinding,
-               sig: Signature) -> Value:
+def _domain(keys):
+    """Table keys with the order VFun sorts them in."""
+    return keys, sorted(range(len(keys)), key=lambda i: value_key(keys[i]))
+
+
+def _table(dom, images) -> Value:
+    keys, order = dom
+    return Value("fun", tuple((keys[i], images[i]) for i in order))
+
+
+def _memo(build, slots):
+    """run(env) building a table once per value of the given slots."""
+    memo = {}
+
+    def run(env):
+        key = tuple(env[s] for s in slots)
+        v = memo.get(key)
+        if v is None:
+            if len(memo) >= MEMO_CAP:
+                memo.clear()
+            v = memo[key] = build(env)
+        return v
+    return run
+
+
+def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
+             sig: Signature):
+    """(run, free slots) for one node; scope maps names to slots and n is
+    the number of slots bound above the node."""
     t = node.judgement.term
     rule = node.rule
     backend = binding.backend
     calc = node.judgement.calculus
-    my_names = _names_of(node)
+    ty = node.judgement.ty
+    mine = {x for zone in node.judgement.zones for x, _ in zone}
+    free = set()
 
-    def child_env(i, values):
-        new = _new_names(my_names, node, node.children[i])
-        if len(new) != len(values):
-            raise ModelError(f"binder arity mismatch in rule {rule}")
-        e2 = dict(env)
-        for (x, _), v in zip(new, values):
-            e2[x] = v
-        return e2
+    def sub(i, arity=0, bound=()):
+        """Compile child i: the names new in its zones are its `arity`
+        binders and take slots n, n+1, ...; slots in `bound` are set by
+        this node before the child runs."""
+        child = node.children[i]
+        s2 = scope
+        if arity:
+            new = [x for zone in child.judgement.zones for x, _ in zone
+                   if x not in mine]
+            if len(new) != arity:
+                raise ModelError(f"binder arity mismatch in rule {rule}")
+            s2 = dict(scope)
+            s2.update((x, n + k) for k, x in enumerate(new))
+        run, fv = _compile(child, s2, n + arity, binding, sig)
+        free.update(s for s in fv if s < n and s not in bound)
+        return run
 
-    def ev(i, env2=None):
-        return eval_deriv(node.children[i], env if env2 is None else env2,
-                          binding, sig)
+    def grade(g):
+        return VGrade(sig.grading.norm(g))
 
     match rule:
         case "var" | "lvar" | "cvar":
-            if t.name not in env:
-                raise ModelError(f"environment missing {t.name!r}")
-            return env[t.name]
-        case "unit" | "lunit" | "cunit" | "unit-j":
-            return VUnit()
+            name, slot = t.name, scope[t.name]
+            free.add(slot)
+
+            def run(env):
+                v = env[slot]
+                if v is MISSING:
+                    raise ModelError(f"environment missing {name!r}")
+                return v
+        case "unit" | "lunit" | "cunit" | "unit-j" | "merge" | "unmerge":
+            if rule == "merge":
+                token = grade(ty.grade)
+            elif rule == "unmerge" and ty.kind != "lunit":
+                token = VTuple(grade(ty.subs[0].grade),
+                               grade(ty.subs[1].grade))
+            else:
+                token = VUnit()
+
+            def run(env):
+                return token
         case "pair" | "tensor" | "cpair":
-            return VTuple(ev(0), ev(1))
-        case "pi1" | "cpi1":
-            return ev(0).payload[0]
-        case "pi2" | "cpi2":
-            return ev(0).payload[1]
+            a, b = sub(0), sub(1)
+
+            def run(env):
+                return VTuple(a(env), b(env))
+        case "pi1" | "cpi1" | "pi2" | "cpi2" | "derelict":
+            a, k = sub(0), 1 if rule.endswith("2") else 0
+
+            def run(env):
+                return a(env).payload[k]
         case "gen":
-            arg = ev(0)
-            table = binding.geninterp.get(t.name)
-            if table is None:
-                raise ModelError(f"binding has no interpretation for"
-                                 f" generator {t.name}")
-            return VElem(table[arg.payload[0]])
+            a, name = sub(0), t.name
+            table = binding.geninterp.get(name)
+
+            def run(env):
+                arg = a(env)
+                if table is None:
+                    raise ModelError(f"binding has no interpretation for"
+                                     f" generator {name}")
+                return VElem(table[arg.payload[0]])
         case "op":
-            interp = binding.opinterp.get(t.name)
-            if interp is None:
-                raise ModelError(f"binding has no interpretation for"
-                                 f" operation {t.name}")
-            if isinstance(interp, Value):
-                return interp
-            args = tuple(ev(i) for i in range(len(node.children)))
-            key = tuple(a.payload[0] for a in args) if len(args) > 1 \
-                else args[0].payload[0]
-            if key not in interp:
-                raise ModelError(f"opinterp {t.name}: no entry for {key}")
-            return VElem(interp[key])
+            name = t.name
+            interp = binding.opinterp.get(name)
+            args = [sub(i) for i in range(len(node.children))]
+
+            def run(env):
+                if interp is None:
+                    raise ModelError(f"binding has no interpretation for"
+                                     f" operation {name}")
+                if isinstance(interp, Value):
+                    return interp
+                vs = [a(env) for a in args]
+                key = tuple(v.payload[0] for v in vs) if len(vs) > 1 \
+                    else vs[0].payload[0]
+                if key not in interp:
+                    raise ModelError(f"opinterp {name}: no entry for {key}")
+                return VElem(interp[key])
         case "ret":
-            v = ev(0)
+            a = sub(0)
             if calc == "lnl":
-                return VList((v.payload[0],))  # v is a J-tagged value
-            if calc == "armm":
-                inner = backend[1]
-                return VT(monad_unit(inner, v.payload[0]))
-            if calc == "gmm":
-                return monad_unit(backend, v)
-            return monad_unit(backend, v)
+                def run(env):
+                    return VList((a(env).payload[0],))  # a J-tagged value
+            elif calc == "armm":
+                def run(env):
+                    return VT(monad_unit(backend[1], a(env).payload[0]))
+            else:
+                def run(env):
+                    return monad_unit(backend, a(env))
         case "do":
-            mv = ev(0)
+            m, body = sub(0), sub(1, 1)
             if calc == "lnl":
-                out = []
-                for a in mv.payload:
-                    body = ev(1, child_env(1, [VJ(a)]))
-                    out.extend(body.payload)
-                return VList(out)
-            if calc == "armm":
-                inner = backend[1]
-                return VT(monad_bind(
-                    inner, mv.payload[0],
-                    lambda b: ev(1, child_env(1, [VJ(b)])).payload[0]))
-            if calc == "gmm":
-                out_v = monad_bind(backend, mv,
-                                   lambda a: ev(1, child_env(1, [a])))
-                _check_list_bound(out_v, node.judgement.ty, sig)
-                return out_v
-            return monad_bind(backend, mv,
-                              lambda a: ev(1, child_env(1, [a])))
+                def run(env):
+                    out = []
+                    for a in m(env).payload:
+                        out.extend(body(env + (VJ(a),)).payload)
+                    return VList(out)
+            elif calc == "armm":
+                def run(env):
+                    return VT(monad_bind(
+                        backend[1], m(env).payload[0],
+                        lambda b: body(env + (VJ(b),)).payload[0]))
+            else:
+                def run(env):
+                    v = monad_bind(backend, m(env),
+                                   lambda a: body(env + (a,)))
+                    if calc == "gmm":
+                        _check_list_bound(v, ty, sig)
+                    return v
         case "regrade":
-            v = ev(0)
+            a = sub(0)
             if calc == "gmm":
-                _check_list_bound(v, node.judgement.ty, sig)
-                return v  # bounded-list inclusion: identity on elements
-            # linear grade action: retag the token
-            ty = node.judgement.ty
-            return VGrade(sig.grading.norm(ty.grade))
-        case "merge":
-            ty = node.judgement.ty
-            return VGrade(sig.grading.norm(ty.grade))
-        case "unmerge":
-            ty = node.judgement.ty
-            if ty.kind == "lunit":
-                return VUnit()
-            return VTuple(VGrade(sig.grading.norm(ty.subs[0].grade)),
-                          VGrade(sig.grading.norm(ty.subs[1].grade)))
-        case "lam" | "limpl":
-            ann = t.tyann
-            table = []
-            for v in carrier_values(ann, binding, sig):
-                table.append((v, ev(0, child_env(0, [v]))))
-            return VFun(table)
-        case "lamarrow":
-            ann = t.tyann
-            if calc == "arrow":
-                table = []
-                for v in carrier_values(ann, binding, sig):
-                    cmd = ev(0, child_env(0, [v]))
-                    # the body command has Delta = [x]; its table is keyed
-                    # by the single binder value
-                    table.append((v, fun_lookup(cmd, VTuple(v, VUnit()))))
-                return VFun(table)
-            table = []
-            for v in carrier_values(ann, binding, sig):
-                table.append((v, ev(0, child_env(0, [v]))))
-            return VFun(table)
-        case "app" | "lapp":
-            f = ev(0)
-            a = ev(1)
-            out = fun_lookup(f, a)
-            if calc == "armm":
-                return out.payload[0]  # A => J(B) application lands in B
-            return out
-        case "aapp":
-            f = ev(0)
-            both = dict(env)
-            a = eval_deriv(node.children[1], both, binding, sig)
-            return fun_lookup(f, a)
-        case "rterm":
-            return VWrap(ev(0))
-        case "derelict":
-            return ev(0).payload[0]
-        case "jterm":
-            return VJ(ev(0))
-        case "kterm":
-            return VK(ev(0))
-        case "letj" | "letk":
-            v = ev(0)
-            return ev(1, child_env(1, [v.payload[0]]))
+                def run(env):
+                    v = a(env)
+                    _check_list_bound(v, ty, sig)
+                    return v  # bounded-list inclusion: identity on elements
+            else:
+                token = grade(ty.grade)  # linear grade action: retag
+
+                def run(env):
+                    a(env)
+                    return token
+        case "lam" | "limpl" | "lamarrow":
+            body = sub(0, 1)
+            # enumerated when the node first runs: carrier_values may raise
+            dom = functools.cache(lambda: _domain(
+                carrier_values(t.tyann, binding, sig)))
+            if rule == "lamarrow" and calc == "arrow":
+                # the body command has Delta = [x]; its table is keyed by
+                # the single binder value
+                def image(env, v):
+                    return fun_lookup(body(env + (v,)), VTuple(v, VUnit()))
+            else:
+                def image(env, v):
+                    return body(env + (v,))
+
+            def build(env):
+                keyed = dom()
+                return _table(keyed, [image(env, v) for v in keyed[0]])
+            run = _memo(build, sorted(free))
+        case "app" | "lapp" | "aapp":
+            f, a = sub(0), sub(1)
+            if calc == "armm" and rule == "app":
+                def run(env):
+                    # A => J(B) application lands in B
+                    return fun_lookup(f(env), a(env)).payload[0]
+            else:
+                def run(env):
+                    return fun_lookup(f(env), a(env))
+        case "rterm" | "jterm" | "kterm":
+            a, wrap = sub(0), {"rterm": VWrap, "jterm": VJ, "kterm": VK}[rule]
+
+            def run(env):
+                return wrap(a(env))
+        case "letj" | "letk" | "letpair":
+            k = 2 if rule == "letpair" else 1
+            a, body = sub(0), sub(1, k)
+
+            def run(env):
+                return body(env + a(env).payload[:k])
         case "letunit":
-            ev(0)
-            return ev(1)
-        case "letpair":
-            v = ev(0)
-            return ev(1, child_env(1, [v.payload[0], v.payload[1]]))
+            a, body = sub(0), sub(1)
+
+            def run(env):
+                a(env)
+                return body(env)
         case "cmd-ret" | "cmd-app" | "cmd-do":
-            return eval_command(node, env, binding, sig)
-    raise ModelError(f"no evaluation clause for rule {rule!r}")
+            table = _memo(_command_table(node, scope, binding, sig, sub),
+                          sorted(free))
+
+            def run(env):
+                if backend[0] != "kleisli":
+                    raise ModelError("commands need a kleisli(...) backend")
+                return table(env)
+        case _:
+            def run(env):
+                raise ModelError(f"no evaluation clause for rule {rule!r}")
+    return run, frozenset(free)
 
 
 def _check_list_bound(v: Value, ty: TypeExpr, sig: Signature):
@@ -724,11 +807,6 @@ def _check_list_bound(v: Value, ty: TypeExpr, sig: Signature):
                 f" exceeds grade {m.nat}")
 
 
-def _delta_tuples(delta, binding, sig):
-    spaces = [carrier_values(ty, binding, sig) for _, ty in delta]
-    return list(itertools.product(*spaces))
-
-
 def _tuple_value(vs):
     out = VUnit()
     for v in reversed(vs):
@@ -736,48 +814,53 @@ def _tuple_value(vs):
     return out
 
 
-def eval_command(node: Derivation, env: dict, binding: ModelBinding,
-                 sig: Signature) -> Value:
-    """Arrow-calculus command: a table from Delta-environments to values of
-    the inner monad (the Kleisli-arrow reading of commands)."""
-    if binding.backend[0] != "kleisli":
-        raise ModelError("commands need a kleisli(...) backend")
-    inner = binding.backend[1]
+def _command_table(node, scope, binding, sig, sub):
+    """build(env) for an arrow-calculus command: a table from
+    Delta-environments to values of the inner monad (the Kleisli-arrow
+    reading of commands).  A Delta environment overrides the Delta slots
+    of env before a child runs."""
     delta = node.judgement.zones[1]
-    my_names = _names_of(node)
+    dslots = [scope[x] for x, _ in delta]
 
-    def entry(dvals):
-        e2 = dict(env)
-        for (x, _), v in zip(delta, dvals):
-            e2[x] = v
-        if node.rule == "cmd-ret":
-            v = eval_deriv(node.children[0], e2, binding, sig)
-            return monad_unit(inner, v)
-        if node.rule == "cmd-app":
-            f = eval_deriv(node.children[0], env, binding, sig)
-            a = eval_deriv(node.children[1], e2, binding, sig)
-            return fun_lookup(f, a)
-        if node.rule == "cmd-do":
-            left = eval_command(node.children[0], env, binding, sig)
-            lval = fun_lookup(left, _tuple_value(dvals))
-            new = _new_names(my_names, node, node.children[1])
-            xname = new[0][0]
+    def with_delta(env, dvals):
+        e = list(env)
+        for s, v in zip(dslots, dvals):
+            e[s] = v
+        return tuple(e)
 
-            def k(b):
-                e3 = dict(e2)
-                e3[xname] = b
-                sub = eval_command(node.children[1], e3, binding, sig)
-                sub_delta = node.children[1].judgement.zones[1]
-                key = _tuple_value([e3[x] for x, _ in sub_delta])
-                return fun_lookup(sub, key)
+    if node.rule == "cmd-ret":
+        a = sub(0, bound=dslots)
 
-            return monad_bind(inner, lval, k)
-        raise ModelError(f"not a command rule: {node.rule}")
+        def entry(env, dvals, inner):
+            return monad_unit(inner, a(with_delta(env, dvals)))
+    elif node.rule == "cmd-app":
+        f, a = sub(0), sub(1, bound=dslots)
 
-    table = []
-    for dvals in _delta_tuples(delta, binding, sig):
-        table.append((_tuple_value(dvals), entry(dvals)))
-    return VFun(table)
+        def entry(env, dvals, inner):
+            return fun_lookup(f(env), a(with_delta(env, dvals)))
+    else:
+        # the body's Delta is this Delta followed by its binder (see
+        # typecheck.synth_command), so its table is keyed by (*dvals, b)
+        left, right = sub(0), sub(1, 1, bound=dslots)
+
+        def entry(env, dvals, inner):
+            e2 = with_delta(env, dvals)
+            return monad_bind(
+                inner, fun_lookup(left(env), _tuple_value(dvals)),
+                lambda b: fun_lookup(right(e2 + (b,)),
+                                     _tuple_value((*dvals, b))))
+
+    def tuples():
+        spaces = [carrier_values(ty, binding, sig) for _, ty in delta]
+        dvals = list(itertools.product(*spaces))
+        return dvals, _domain([_tuple_value(d) for d in dvals])
+    dom = functools.cache(tuples)
+
+    def build(env):
+        dvals, keyed = dom()
+        inner = binding.backend[1]
+        return _table(keyed, [entry(env, d, inner) for d in dvals])
+    return build
 
 
 def eval_arrow_command(j: Judgement, env: dict, binding: ModelBinding,
@@ -829,10 +912,12 @@ def semantic_eq(j1: Judgement, j2: Judgement, binding: ModelBinding,
     r2 = check(j2, sig)
     if not (r1.ok and r2.ok):
         raise ModelError("semantic equality on ill-typed judgements")
+    names = _root_names(j1)
+    run1 = compile_derivation(r1.derivation, names, binding, sig)
+    run2 = compile_derivation(r2.derivation, names, binding, sig)
     for env in env_space(j1, binding, sig, grid, cap):
-        v1 = eval_deriv(r1.derivation, dict(env), binding, sig)
-        v2 = eval_deriv(r2.derivation, dict(env), binding, sig)
-        if v1 != v2:
+        slots = tuple(env[x] for x in names)
+        if run1(slots) != run2(slots):
             witness = {k: str(v) for k, v in env.items()}
             return False, witness
     return True, None

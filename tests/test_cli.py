@@ -213,6 +213,45 @@ def test_eq_golden_proof_replays(name, tmp_path, capsys):
     assert capsys.readouterr().out.endswith("proof checked\n")
 
 
+
+def test_eq_golden_refuted(monkeypatch, capsys):
+    """A REFUTED verdict whose witness is a distribution off the lattice's
+    vertices, byte for byte."""
+    monkeypatch.chdir(EQ_GOLDEN)
+    for mode in ("txt", "json"):
+        args = ["--json"] if mode == "json" else []
+        assert cli.main(args + ["eq", "--theory", fixture_path("coin.sig"),
+                                "--model", "dist=" + fixture_path("dist.mb"),
+                                "refuted_dist.eq"]) == 1
+        assert capsys.readouterr().out.encode() == \
+            (EQ_GOLDEN / f"refuted_dist.{mode}").read_bytes()
+
+
+EVAL_GOLDEN = Path(__file__).parent / "golden" / "eval"
+# program -> (signature, model binding); names not in the golden directory
+# are shipped fixtures
+EVAL_PROGRAMS = {"dist_pair": ("coin.sig", "dist.mb"),
+                 "exc_throw": ("coin.sig", "exc.mb"),
+                 "glist_pairs": ("gmm.sig", "gmm.mb"),
+                 "lnl_curry": ("lnl.sig", "lnl.mb"),
+                 "arrow_lam": ("arrow.sig", "karr.mb"),
+                 "arrow_cmd": ("arrow.sig", "karr.mb")}
+
+
+@pytest.mark.parametrize("mode", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(EVAL_PROGRAMS))
+def test_eval_golden(name, mode, monkeypatch, capsys):
+    """`eval` on closed programs: a distribution, an exception, a graded
+    list, and function tables from lam and lamarrow, byte for byte."""
+    monkeypatch.chdir(EVAL_GOLDEN)
+    sig, model = (f if (EVAL_GOLDEN / f).exists() else fixture_path(f)
+                  for f in EVAL_PROGRAMS[name])
+    args = ["--json"] if mode == "json" else []
+    assert cli.main(args + ["eval", "--sig", sig, "--model", model,
+                            f"{name}.term"]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (EVAL_GOLDEN / f"{name}.{mode}").read_bytes()
+
 def test_usage_errors():
     r = run_cli("eq", "--theory", "/nonexistent.sig", "/nonexistent.eq")
     assert r.returncode == 3

@@ -315,3 +315,20 @@ def test_check_proof_threads_checks(coin_sig, monkeypatch):
     seen = _count_checks(monkeypatch)
     assert check_proof(proof, jl, jr, coin_sig)
     assert len(seen) <= len(proof.steps) + 2
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    # the right side is the left side's normal form
+    ("do x <- ret y in do w <- u in ret not not x", "do w <- u in ret y"),
+    # the two sides normalize through a common term
+    ("do x <- ret y in do w <- u in ret not not x",
+     "do x <- ret y in do w <- u in ret x"),
+    # an axiom search: renormalizations reach terms checked before
+    ("do x <- coin in do w <- u in ret not x", "do w <- u in coin"),
+])
+def test_check_eq_checks_each_term_once(coin_sig, monkeypatch, lhs, rhs):
+    jl = _j("rmm", coin_sig, "y : J(2), u : T(2)", lhs, "T(2)")
+    jr = _j("rmm", coin_sig, "y : J(2), u : T(2)", rhs, "T(2)")
+    seen = _count_checks(monkeypatch)
+    check_eq(jl, jr, coin_sig)
+    assert len(set(seen)) == len(seen)

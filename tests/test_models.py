@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_text
 from relmeta import gen as genmod
 from relmeta.models import (CarrierTooLarge, Dyadic, ModelError, VDist,
                             VElem, VErr, VFun, VOk, VTuple, VUnit,
@@ -344,3 +345,93 @@ def test_lnl_rejects_outside_fragment(lnl_sig):
                       "carrier A = {a1}\n", lnl_sig)
     with pytest.raises(ModelError):
         carrier_values(parse_type("T(A)"), lb, lnl_sig)
+
+
+# -- the compiled evaluator: memoized tables, one compilation per sweep ---------
+
+def _curried_tables(lnl_sig):
+    lb = load_binding("calculus lnl\nbackend gradedlist\n"
+                      "carrier A = {a1, a2, a3}\n", lnl_sig)
+    j = _j("lnl", lnl_sig, "", "lam (x:A). lam (y:A). (y, x)",
+           "A -> A -> A * A", form="A")
+    v = eval_term(j, {}, lb, lnl_sig)
+    elems = [VElem(e) for e in ("a1", "a2", "a3")]
+    assert v == VFun(tuple((x, VFun(tuple((y, VTuple(y, x)) for y in elems)))
+                           for x in elems))
+    assert len({inner for _, inner in v.payload}) == 3
+
+
+def test_inner_table_follows_the_outer_binder(lnl_sig):
+    """The inner lam's table is memoized on its free variable x, so each
+    value of x gets its own table."""
+    _curried_tables(lnl_sig)
+
+
+def test_memo_starts_over_when_full(lnl_sig, monkeypatch):
+    """A memo that reaches MEMO_CAP tables is cleared, and the tables built
+    after that are still right."""
+    from relmeta import models
+    monkeypatch.setattr(models, "MEMO_CAP", 1)
+    _curried_tables(lnl_sig)
+
+
+def test_no_state_leaks_between_calls(coin_sig, dist_binding, exc_binding):
+    """One judgement evaluated under two bindings, and under two
+    environments, gives each its own value."""
+    j = _j("rmm", coin_sig, "", "do x <- coin in ret not x", "T(2)")
+    half = VDist(((VElem("tt"), Dyadic.make(1, 1)),
+                  (VElem("ff"), Dyadic.make(1, 1))))
+    for _ in range(2):
+        assert eval_term(j, {}, dist_binding, coin_sig) == half
+        assert eval_term(j, {}, exc_binding, coin_sig) == VErr("boom")
+    jz = _j("rmm", coin_sig, "z : J(2)", "ret not z", "T(2)")
+    for z, out in (("tt", "ff"), ("ff", "tt"), ("tt", "ff")):
+        assert eval_term(jz, {"z": VElem(z)}, exc_binding, coin_sig) == \
+            VOk(VElem(out))
+
+
+def test_model_errors_keep_their_messages(coin_sig, gmm_sig, lnl_sig):
+    jz = _j("rmm", coin_sig, "z : J(2)", "ret not z", "T(2)")
+    dist = load_binding(fixture_text("dist.mb"), coin_sig)
+    with pytest.raises(ModelError, match="environment missing 'z'"):
+        eval_term(jz, {}, dist, coin_sig)
+    bare = load_binding("calculus rmm\nbackend distribution\n"
+                        "carrier 2 = {tt, ff}\n", coin_sig)
+    with pytest.raises(ModelError, match="no interpretation for generator"
+                                         " not"):
+        eval_term(jz, {"z": VElem("tt")}, bare, coin_sig)
+    jc = _j("rmm", coin_sig, "", "coin", "T(2)")
+    with pytest.raises(ModelError, match="no interpretation for operation"
+                                         " coin"):
+        eval_term(jc, {}, bare, coin_sig)
+    long = load_binding("calculus gmm\nbackend gradedlist\n"
+                        "carrier A = {a1, a2}\n"
+                        "opinterp pick = list[a1, a2, a1]\n", gmm_sig)
+    jg = _j("gmm", gmm_sig, "", "do x <- pick in ret x", "T_2(A)")
+    with pytest.raises(ModelError, match="length 3 exceeds grade 2"):
+        eval_term(jg, {}, long, gmm_sig)
+
+
+def test_semantic_eq_compiles_each_side_once(coin_sig, dist_binding,
+                                             monkeypatch):
+    from relmeta import models
+    compiled, envs = [], []
+    real_compile, real_envs = models.compile_derivation, models.env_space
+
+    def counting_compile(node, *args):
+        compiled.append(node.judgement.term)
+        return real_compile(node, *args)
+
+    def counting_envs(*args, **kwargs):
+        for env in real_envs(*args, **kwargs):
+            envs.append(env)
+            yield env
+    monkeypatch.setattr(models, "compile_derivation", counting_compile)
+    monkeypatch.setattr(models, "env_space", counting_envs)
+    jl = _j("rmm", coin_sig, "u : T(2), v : T(2)",
+            "do x <- u in do y <- v in ret and2(x, y)", "T(2)")
+    jr = _j("rmm", coin_sig, "u : T(2), v : T(2)",
+            "do y <- v in do x <- u in ret and2(x, y)", "T(2)")
+    eq, _ = semantic_eq(jl, jr, dist_binding, coin_sig)
+    assert eq and len(envs) > 100
+    assert compiled == [jl.term, jr.term]
