@@ -35,7 +35,7 @@ def read_kv_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(str(e))
     out = {}
     for raw in text.splitlines():
@@ -50,6 +50,8 @@ def read_kv_file(path) -> dict:
 def load_judgement(path, sig: Signature, term_key="term") -> Judgement:
     kv = read_kv_file(path)
     calculus = kv.get("calculus", ["rmm"])[0]
+    if calculus not in syntax.CALCULI:
+        raise CliError(f"unknown calculus {calculus!r}")
     nzones = max(syntax.ZONES.get((calculus, "C"),
                                   syntax.ZONES[(calculus, "A")]), 1)
     zones = [() for _ in range(nzones)]
@@ -62,14 +64,13 @@ def load_judgement(path, sig: Signature, term_key="term") -> Judgement:
             if idx > 0:
                 has_c_zone = True
     form = kv.get("form", [None])[0]
+    form = {"command": "C", "term": "A"}.get(form, form)
     if form is None:
         form = "C" if ((calculus, "C") in syntax.ZONES and
                        (has_c_zone or calculus in ("lnl", "arrow", "armm")))\
             else "A"
     if form == "A":
         zones = zones[:1]
-    if form in ("command", "term"):
-        form = "C" if form == "command" else "A"
     if term_key not in kv or "type" not in kv:
         raise CliError(f"file {path} needs `{term_key}` and `type` lines")
     term = parse_term(kv[term_key][0], calculus, sig)

@@ -19,7 +19,7 @@ from .rules import Rule, RuleCtx, RULES_BY_HEAD
 from .signatures import Axiom, Signature
 from .syntax import (Judgement, Term, alpha_eq, positions, replace_at, shift,
                      subterm_at, term_to_text)
-from .typecheck import check
+from .typecheck import Derivation, check
 
 
 class RewriteError(Exception):
@@ -98,22 +98,34 @@ class NormalizeResult:
 # checked judgements, redex enumeration and single steps
 
 class _Checked(NamedTuple):
-    """A judgement with the annotations of a `check` this module ran on it
-    (position -> (zone, type)), and the checks of the engine call it
-    belongs to; each rewrite step hands its own on."""
+    """A judgement with the typing index of a `check` this module ran on
+    it (`_typings`), and the checks of the engine call it belongs to; each
+    rewrite step hands its own on."""
     j: Judgement
     ann: dict
     checks: "_Checks"
 
 
+def _typings(node: Derivation, path=(), out=None) -> dict:
+    """position -> (form, type) of each node of a derivation, read in
+    step with its term (child i of a node types sub-term i), in
+    `positions` order."""
+    out = {} if out is None else out
+    out[path] = (node.judgement.form, node.judgement.ty)
+    for i, child in enumerate(node.children):
+        _typings(child, path + (i,), out)
+    return out
+
+
 class _Checks:
     """The typechecks of one engine call, by term.  Every judgement one call
     visits has the same shape (check_eq's two sides share it), so a term is
-    checked once however often the call reaches it."""
+    checked once however often the call reaches it.  Only each check's
+    typing index is kept, not its derivation."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.results = {}   # term -> annotations, or the failure message
+        self.results = {}   # term -> typing index, or the failure message
 
     def __call__(self, j: Judgement):
         """(_Checked, "") for a well-typed j, else (None, message)."""
@@ -121,7 +133,7 @@ class _Checks:
         if out is None:
             res = check(j, self.sig)
             out = self.results[j.term] = \
-                res.annotations if res.ok else res.message
+                _typings(res.derivation) if res.ok else res.message
         if isinstance(out, str):
             return None, out
         return _Checked(j, out, self), ""
@@ -155,7 +167,7 @@ def redexes(cj: _Checked, sig: Signature, include_search=False):
     leftmost-outermost and then in rule registration order."""
     keep = lambda r: include_search or not r.search_only
     t = cj.j.term
-    for path in positions(t):
+    for path in cj.ann:
         for r, sub, new in _fire(cj, sig, path, keep):
             if new != sub:
                 yield r, path, replace_at(t, path, new)
@@ -178,7 +190,7 @@ def normalize(j, sig: Signature, *, budget: int = 10000,
     picks a uniformly random redex (used by the confluence smoke tests).
     Subject reduction is enforced, not assumed: the input is checked once
     (unless it is a `_Checked` this module made) and every step's result
-    is checked, and that check's annotations drive the next step, so n
+    is checked, and that check's typing index drives the next step, so n
     steps make at most n+1 checks (fewer when the input's engine call has
     already checked a term on the way).
     """
@@ -394,7 +406,7 @@ def check_proof(proof: EqProof, jl: Judgement, jr: Judgement,
     """Replay a valley proof: forward steps from the left endpoint, backward
     steps from the right endpoint, cursors must meet alpha-equal.  Both
     endpoints and every intermediate term must type-check; each step's
-    check supplies the annotations the next rule step reads.
+    check supplies the typing index the next rule step reads.
     """
     steps = proof.steps
     k = 0

@@ -615,23 +615,16 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
     backend = binding.backend
     calc = node.judgement.calculus
     ty = node.judgement.ty
-    mine = {x for zone in node.judgement.zones for x, _ in zone}
     free = set()
 
-    def sub(i, arity=0, bound=()):
-        """Compile child i: the names new in its zones are its `arity`
-        binders and take slots n, n+1, ...; slots in `bound` are set by
-        this node before the child runs."""
-        child = node.children[i]
-        s2 = scope
-        if arity:
-            new = [x for zone in child.judgement.zones for x, _ in zone
-                   if x not in mine]
-            if len(new) != arity:
-                raise ModelError(f"binder arity mismatch in rule {rule}")
-            s2 = dict(scope)
-            s2.update((x, n + k) for k, x in enumerate(new))
-        run, fv = _compile(child, s2, n + arity, binding, sig)
+    def sub(i, binds=False, bound=()):
+        """Compile child i: for the binding child, the node's binders take
+        slots n, n+1, ...; slots in `bound` are set by this node before
+        the child runs."""
+        new = node.binders if binds else ()
+        s2 = {**scope, **{x: n + k for k, x in enumerate(new)}} if new \
+            else scope
+        run, fv = _compile(node.children[i], s2, n + len(new), binding, sig)
         free.update(s for s in fv if s < n and s not in bound)
         return run
 
@@ -708,7 +701,7 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
                 def run(env):
                     return monad_unit(backend, a(env))
         case "do":
-            m, body = sub(0), sub(1, 1)
+            m, body = sub(0), sub(1, binds=True)
             if calc == "lnl":
                 def run(env):
                     out = []
@@ -741,7 +734,7 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
                     a(env)
                     return token
         case "lam" | "limpl" | "lamarrow":
-            body = sub(0, 1)
+            body = sub(0, binds=True)
             # enumerated when the node first runs: carrier_values may raise
             dom = functools.cache(lambda: _domain(
                 carrier_values(t.tyann, binding, sig)))
@@ -773,8 +766,7 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
             def run(env):
                 return wrap(a(env))
         case "letj" | "letk" | "letpair":
-            k = 2 if rule == "letpair" else 1
-            a, body = sub(0), sub(1, k)
+            a, body, k = sub(0), sub(1, binds=True), len(node.binders)
 
             def run(env):
                 return body(env + a(env).payload[:k])
@@ -841,7 +833,7 @@ def _command_table(node, scope, binding, sig, sub):
     else:
         # the body's Delta is this Delta followed by its binder (see
         # typecheck.synth_command), so its table is keyed by (*dvals, b)
-        left, right = sub(0), sub(1, 1, bound=dslots)
+        left, right = sub(0), sub(1, binds=True, bound=dslots)
 
         def entry(env, dvals, inner):
             e2 = with_delta(env, dvals)

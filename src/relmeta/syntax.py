@@ -248,10 +248,6 @@ def bv(k: int) -> Term:
     return Term("bvar", index=k)
 
 
-def meta(x: str) -> Term:
-    return Term("meta", name=x)
-
-
 UNIT = Term("unit")
 
 
@@ -417,27 +413,10 @@ def free_vars(t: Term) -> frozenset:
     return out
 
 
-def free_var_counts(t: Term, acc=None) -> dict:
-    if acc is None:
-        acc = {}
-    if t.kind == "var":
-        acc[t.name] = acc.get(t.name, 0) + 1
-    for s in t.subs:
-        free_var_counts(s, acc)
-    return acc
-
-
 def uses_bvar(t: Term, j: int = 0) -> bool:
     if t.kind == "bvar":
         return t.index == j
     return any(uses_bvar(s, j + child_binders(t, i))
-               for i, s in enumerate(t.subs))
-
-
-def locally_closed(t: Term, depth: int = 0) -> bool:
-    if t.kind == "bvar":
-        return t.index < depth
-    return all(locally_closed(s, depth + child_binders(t, i))
                for i, s in enumerate(t.subs))
 
 
@@ -524,12 +503,6 @@ def check_admissible(t: Term, calculus: str):
         k = subterm_at(t, p).kind
         if k not in ok and k != "meta":
             raise SyntaxError_(f"term former '{k}' is not part of {calculus}")
-
-
-def type_admissible(ty: TypeExpr, calculus: str) -> bool:
-    if ty.kind not in _TYPES_BY_CALC[calculus]:
-        return False
-    return all(type_admissible(s, calculus) for s in ty.subs)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +628,10 @@ class _P:
         return self.toks[self.i + 1][0] if self.i + 1 < len(self.toks) else None
 
     def next(self):
+        """The next token; None, without advancing, at the end."""
         t = self.toks[self.i]
-        self.i += 1
+        if t[0] is not None:
+            self.i += 1
         return t[0]
 
     def expect(self, tok):

@@ -99,25 +99,15 @@ def regrade_program(xi: GradeMor, x_ty: TypeExpr) -> Term:
     return syntax.lam(tn_x, syntax.rterm(inner), hint="f")
 
 
-def _tr_gmm(node: Derivation, names: dict, trace: TranslationTrace,
-            path=()) -> Term:
-    """names: opened variable name -> itself (identity); kept for clarity."""
+def _tr_gmm(node: Derivation, trace: TranslationTrace, path=()) -> Term:
     t = node.judgement.term
     rule = node.rule
 
     def kid(i, extra_close=None):
-        sub = _tr_gmm(node.children[i], names, trace, path + (i,))
+        sub = _tr_gmm(node.children[i], trace, path + (i,))
         if extra_close:
             sub = close_binder(sub, extra_close)
         return sub
-
-    def new_name(i):
-        parent = {x for z in node.judgement.zones for x, _ in z}
-        for zone in node.children[i].judgement.zones:
-            for x, _ in zone:
-                if x not in parent:
-                    return x
-        raise TranslateError("binder name not found")
 
     trace.node_map[path] = rule
     match rule:
@@ -141,7 +131,7 @@ def _tr_gmm(node: Derivation, names: dict, trace: TranslationTrace,
         case "do":
             uty = node.children[0].judgement.ty
             bty = node.children[1].judgement.ty
-            x = new_name(1)
+            x = node.binders[0]
             prog = bind_program(uty.grade, bty.grade,
                                 ty_gmm_to_lnl(uty.subs[0]),
                                 ty_gmm_to_lnl(bty.subs[0]))
@@ -166,9 +156,7 @@ def gmm_to_lnl(j: Judgement, sig: Signature,
     if not res.ok:
         raise TranslateError(f"source judgement fails checking: {res.message}")
     trace = TranslationTrace(j, None)
-    term = _tr_gmm(res.derivation, {}, trace)
-    # the derivation carries opened bodies; close them back up zone-wise is
-    # unnecessary: _tr_gmm rebuilds binders via extra_close
+    term = _tr_gmm(res.derivation, trace)
     zones = (tuple((x, ty_gmm_to_lnl(ty)) for x, ty in j.zones[0]),)
     tgt = Judgement("lnl", "A", zones, term, ty_gmm_to_lnl(j.ty))
     trace.target = tgt
@@ -212,14 +200,6 @@ def _tr_arrow(node: Derivation, trace: TranslationTrace, path=()) -> Term:
             sub = close_binder(sub, extra_close)
         return sub
 
-    def new_name(i):
-        parent = {x for z in node.judgement.zones for x, _ in z}
-        for zone in node.children[i].judgement.zones:
-            for x, _ in zone:
-                if x not in parent:
-                    return x
-        raise TranslateError("binder name not found")
-
     trace.node_map[path] = rule
     match rule:
         case "var":
@@ -237,14 +217,14 @@ def _tr_arrow(node: Derivation, trace: TranslationTrace, path=()) -> Term:
                                           for i in range(len(node.children))))
         case "lam":
             # lam (x:A). u  becomes  lamarrow (x:A'). J(u')
-            x = new_name(0)
+            x = node.binders[0]
             body = syntax.jterm(kid(0, extra_close=None))
             return syntax.lamarrow(ty_arrow_to_armm(t.tyann),
                                    close_binder(body, x), hint=x)
         case "app":
             return syntax.app(kid(0), kid(1))
         case "lamarrow":
-            x = new_name(0)
+            x = node.binders[0]
             return syntax.lamarrow(ty_arrow_to_armm(t.tyann),
                                    kid(0, extra_close=x), hint=x)
         case "cmd-ret":
@@ -252,7 +232,7 @@ def _tr_arrow(node: Derivation, trace: TranslationTrace, path=()) -> Term:
         case "cmd-app":
             return syntax.aapp(kid(0), kid(1))
         case "cmd-do":
-            x = new_name(1)
+            x = node.binders[0]
             body = kid(1, extra_close=x)
             inner = syntax.letj(bv(0), shift(body, 1, 1), hint=x)
             return syntax.do(kid(0), inner, hint="y")

@@ -7,13 +7,15 @@ calculus use leftover-free splitting: each multiplicative node partitions
 the available linear variables by free occurrence, which is the unique
 valid split when one exists.
 
-Accepted judgements carry annotations mapping each term position to its
-zone and type; the rewrite engine and the evaluators are driven by these.
+The derivation is the one typing record: each node holds its judgement
+(zones, form, term and type) and, at a binding rule, the names it opened
+for the binding child.  The rewrite engine, the evaluator and the
+translations read the derivation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import syntax
 from .signatures import Signature, SignatureError
@@ -26,6 +28,7 @@ class Derivation:
     rule: str
     judgement: Judgement
     children: tuple = ()
+    binders: tuple = ()  # names opened for the binding child, in slot order
 
     def walk(self):
         yield self
@@ -42,7 +45,6 @@ class CheckResult:
     expected: str | None = None
     actual: str | None = None
     derivation: Derivation | None = None
-    annotations: dict = field(default_factory=dict)  # path -> (form, TypeExpr)
 
     def __bool__(self):
         return self.ok
@@ -211,7 +213,6 @@ class _Checker:
         self.sig = sig
         self.calculus = calculus
         self.grading = sig.grading
-        self.annotations = {}
 
     # .. helpers ..........................................................
 
@@ -222,9 +223,6 @@ class _Checker:
         raise _Fail(path, rule, msg,
                     None if expected is None else type_to_text(expected),
                     None if actual is None else type_to_text(actual))
-
-    def note(self, path, form, ty):
-        self.annotations[path] = (form, ty)
 
     def gen_endpoints(self, name, path):
         try:
@@ -237,10 +235,11 @@ class _Checker:
         x = _fresh(hint, used)
         return x, open_binder(t, x)
 
-    def deriv(self, rule, zones, term, ty, children=(), form="A"):
+    def deriv(self, rule, zones, term, ty, children=(), form="A",
+              binders=()):
         j = Judgement(self.calculus, form, tuple(tuple(z) for z in zones),
                       term, ty)
-        return Derivation(rule, j, tuple(children))
+        return Derivation(rule, j, tuple(children), binders)
 
     # .. entry ............................................................
 
@@ -318,7 +317,6 @@ class _Checker:
                 if t.name not in gamma:
                     self.fail(path, "var", f"unbound variable {t.name!r}")
                 ty = gamma[t.name]
-                self.note(path, "A", ty)
                 return self.deriv("var", (tuple(gamma.items()),), t, ty), ty
             case "unit":
                 ty = syntax.UNIT1
@@ -326,9 +324,7 @@ class _Checker:
                         expect.kind == "jt" and expect.subs[0].kind == "unit1":
                     # () inhabits J(1): the terminal object's unique element
                     ty = expect
-                    self.note(path, "A", ty)
                     return self.deriv("unit-j", (tuple(gamma.items()),), t, ty), ty
-                self.note(path, "A", ty)
                 return self.deriv("unit", (tuple(gamma.items()),), t, ty), ty
             case "pair":
                 e1 = e2 = None
@@ -337,7 +333,6 @@ class _Checker:
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used, e1)
                 d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma, used, e2)
                 ty = prod(ty1, ty2)
-                self.note(path, "A", ty)
                 return self.deriv("pair", (tuple(gamma.items()),), t, ty,
                                   (d1, d2)), ty
             case "pi1" | "pi2":
@@ -346,7 +341,6 @@ class _Checker:
                     self.fail(path, k, "projection of a non-product",
                               actual=ty1)
                 ty = ty1.subs[0 if k == "pi1" else 1]
-                self.note(path, "A", ty)
                 return self.deriv(k, (tuple(gamma.items()),), t, ty, (d1,)), ty
             case "gen":
                 src, tgt = self.gen_endpoints(t.name, path)
@@ -356,14 +350,12 @@ class _Checker:
                     self.fail(path, "gen", f"generator {t.name} expects",
                               jt(base(src)), ty1)
                 ty = jt(base(tgt))
-                self.note(path, "A", ty)
                 return self.deriv("gen", (tuple(gamma.items()),), t, ty,
                                   (d1,)), ty
             case "ret":
                 if calc == "gmm":
                     d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
                     ty = tgr(self.grading.unit(), ty1)
-                    self.note(path, "A", ty)
                     return self.deriv("ret", (tuple(gamma.items()),), t, ty,
                                       (d1,)), ty
                 ej = expect.subs[0] if expect is not None and \
@@ -374,7 +366,6 @@ class _Checker:
                     self.fail(path, "ret", "ret expects a J-typed argument",
                               actual=ty1)
                 ty = tt(ty1.subs[0])
-                self.note(path, "A", ty)
                 return self.deriv("ret", (tuple(gamma.items()),), t, ty,
                                   (d1,)), ty
             case "do":
@@ -397,7 +388,6 @@ class _Checker:
                               f"regrade<{t.xi}> applies at grade {xi.tgt}",
                               tgr(xi.tgt, base("_")), ty1)
                 ty = tgr(xi.src, ty1.subs[0])
-                self.note(path, "A", ty)
                 return self.deriv("regrade", (tuple(gamma.items()),), t, ty,
                                   (d1,)), ty
             case "lam":
@@ -411,9 +401,8 @@ class _Checker:
                     expect.kind == "fun" else None
                 d1, tyb = self.synth_a(body, path + (0,), g2, used | {x}, eb)
                 ty = syntax.fun(t.tyann, tyb)
-                self.note(path, "A", ty)
                 return self.deriv("lam", (tuple(gamma.items()),), t, ty,
-                                  (d1,)), ty
+                                  (d1,), binders=(x,)), ty
             case "app":
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
                 if calc == "armm":
@@ -437,7 +426,6 @@ class _Checker:
                         self.fail(path, "app", "argument type mismatch",
                                   ty1.subs[0], ty2)
                     ty = ty1.subs[1]
-                self.note(path, "A", ty)
                 return self.deriv("app", (tuple(gamma.items()),), t, ty,
                                   (d1, d2)), ty
             case "rterm":
@@ -448,7 +436,6 @@ class _Checker:
                     expect=expect.subs[0] if expect is not None and
                     expect.kind == "rt" else None)
                 ty = syntax.rt(ty1)
-                self.note(path, "A", ty)
                 return self.deriv("rterm", (tuple(gamma.items()),), t, ty,
                                   (d1,)), ty
             case "lamarrow":
@@ -474,9 +461,8 @@ class _Checker:
             m = self.grading.norm(ty1.grade)
             n = self.grading.norm(ty2.grade)
             ty = tgr(self.grading.tensor(m, n), ty2.subs[0])
-            self.note(path, "A", ty)
             return self.deriv("do", (tuple(gamma.items()),), t, ty,
-                              (d1, d2)), ty
+                              (d1, d2), binders=(x,)), ty
         if ty1.kind != "tt":
             self.fail(path, "do", "do expects a computation", actual=ty1)
         x, body = self.open1(t.subs[1], hint, used)
@@ -489,9 +475,8 @@ class _Checker:
                                expect=expect)
         if ty2.kind != "tt":
             self.fail(path, "do", "do body must be a computation", actual=ty2)
-        self.note(path, "A", ty2)
         return self.deriv("do", (tuple(gamma.items()),), t, ty2,
-                          (d1, d2)), ty2
+                          (d1, d2), binders=(x,)), ty2
 
     def synth_opapp(self, t, path, gamma, used, subcheck):
         try:
@@ -508,7 +493,6 @@ class _Checker:
                 self.fail(path + (i,), "op", f"operation {t.name} argument"
                           f" {i + 1} type mismatch", pty, ty)
             children.append(d)
-        self.note(path, "A", decl.result)
         return self.deriv("op", (tuple(gamma.items()),), t, decl.result,
                           tuple(children)), decl.result
 
@@ -529,9 +513,8 @@ class _Checker:
                 expect=expect.subs[1] if expect is not None and
                 expect.kind == "arr" else None)
             ty = syntax.arr(ann, tyb)
-            self.note(path, "A", ty)
             return self.deriv("lamarrow", (tuple(gamma.items()),), t, ty,
-                              (d1,)), ty
+                              (d1,), binders=(x,)), ty
         if calc == "armm":
             ann = t.tyann
             if ann is None:
@@ -546,9 +529,8 @@ class _Checker:
                 expect=expect.subs[1] if expect is not None and
                 expect.kind == "aabs" else None)
             ty = syntax.aabs(ann, tyb)
-            self.note(path, "A", ty)
             return self.deriv("lamarrow", (tuple(gamma.items()),), t, ty,
-                              (d1,)), ty
+                              (d1,), binders=(x,)), ty
         self.fail(path, "lamarrow", f"arrow abstraction is not a term of {calc}")
 
     # .. LNL linear judgements ............................................
@@ -574,7 +556,6 @@ class _Checker:
             case "var":
                 if t.name in delta:
                     ty = delta[t.name]
-                    self.note(path, "C", ty)
                     return self.deriv("lvar", zs, t, ty, form="C"), ty
                 if t.name in gamma:
                     raise LinearityError(
@@ -584,7 +565,6 @@ class _Checker:
             case "unit":
                 require_empty_share("unit")
                 ty = syntax.LUNIT
-                self.note(path, "C", ty)
                 return self.deriv("lunit", zs, t, ty, form="C"), ty
             case "pair":
                 c0, c1 = split(t.subs[0], t.subs[1])
@@ -595,7 +575,6 @@ class _Checker:
                 d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1,
                                            used, e.subs[1] if e else None)
                 ty = prod(ty1, ty2)
-                self.note(path, "C", ty)
                 return self.deriv("tensor", zs, t, ty, (d1, d2), form="C"), ty
             case "letunit":
                 c0, c1 = split(t.subs[0], t.subs[1])
@@ -606,7 +585,6 @@ class _Checker:
                               " type I", syntax.LUNIT, ty1)
                 d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1,
                                            used, expect)
-                self.note(path, "C", ty2)
                 return self.deriv("letunit", zs, t, ty2, (d1, d2), form="C"), ty2
             case "letpair":
                 c0, c1 = split(t.subs[0], t.subs[1])
@@ -629,8 +607,8 @@ class _Checker:
                 c1b[y] = ty1.subs[1]
                 d2, ty2 = self.synth_lnl_c(body, path + (1,), gamma, c1b,
                                            used | {x, y}, expect)
-                self.note(path, "C", ty2)
-                return self.deriv("letpair", zs, t, ty2, (d1, d2), form="C"), ty2
+                return self.deriv("letpair", zs, t, ty2, (d1, d2), form="C",
+                                  binders=(x, y)), ty2
             case "lam":
                 x, body = self.open1(t.subs[0], t.hints[0] if t.hints else "x",
                                      used)
@@ -644,8 +622,8 @@ class _Checker:
                                            expect.subs[1] if expect is not None
                                            and expect.kind == "lolli" else None)
                 ty = syntax.lolli(t.tyann, tyb)
-                self.note(path, "C", ty)
-                return self.deriv("limpl", zs, t, ty, (d1,), form="C"), ty
+                return self.deriv("limpl", zs, t, ty, (d1,), form="C",
+                                  binders=(x,)), ty
             case "app":
                 c0, c1 = split(t.subs[0], t.subs[1])
                 d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
@@ -659,7 +637,6 @@ class _Checker:
                     self.fail(path, "lapp", "argument type mismatch",
                               ty1.subs[0], ty2)
                 ty = ty1.subs[1]
-                self.note(path, "C", ty)
                 return self.deriv("lapp", zs, t, ty, (d1, d2), form="C"), ty
             case "ret":
                 d1, ty1 = self.synth_lnl_c(
@@ -670,7 +647,6 @@ class _Checker:
                     self.fail(path, "ret", "ret expects a J-typed argument",
                               actual=ty1)
                 ty = tt(ty1.subs[0])
-                self.note(path, "C", ty)
                 return self.deriv("ret", zs, t, ty, (d1,), form="C"), ty
             case "do":
                 c0, c1 = split(t.subs[0], t.subs[1])
@@ -691,8 +667,8 @@ class _Checker:
                 if ty2.kind != "tt":
                     self.fail(path, "do", "do body must be a computation",
                               actual=ty2)
-                self.note(path, "C", ty2)
-                return self.deriv("do", zs, t, ty2, (d1, d2), form="C"), ty2
+                return self.deriv("do", zs, t, ty2, (d1, d2), form="C",
+                                  binders=(x,)), ty2
             case "regrade":
                 xi = self.grading.norm_mor(t.xi)
                 if not self.grading.has_mor(xi):
@@ -705,7 +681,6 @@ class _Checker:
                               f"grade action <{t.xi}> applies at {xi.src}",
                               grty(xi.src), ty1)
                 ty = grty(t.xi.tgt)  # the written target keeps factorizations
-                self.note(path, "C", ty)
                 return self.deriv("regrade", zs, t, ty, (d1,), form="C"), ty
             case "merge":
                 d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
@@ -719,7 +694,6 @@ class _Checker:
                 else:
                     self.fail(path, "merge", "merge expects I or a tensor of"
                               " grade types", actual=ty1)
-                self.note(path, "C", ty)
                 return self.deriv("merge", zs, t, ty, (d1,), form="C"), ty
             case "unmerge":
                 if expect is not None and expect.kind == "lunit":
@@ -759,7 +733,6 @@ class _Checker:
                         self.fail(path, "unmerge",
                                   f"cannot infer a factorization of grade {g};"
                                   f" annotate via the expected type")
-                self.note(path, "C", ty)
                 return self.deriv("unmerge", zs, t, ty, (d1,), form="C"), ty
             case "jterm":
                 require_empty_share("J(-)")
@@ -767,7 +740,6 @@ class _Checker:
                     expect.kind == "jt" else None
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used, e)
                 ty = jt(ty1)
-                self.note(path, "C", ty)
                 return self.deriv("jterm", zs, t, ty, (d1,), form="C"), ty
             case "letj":
                 c0, c1 = split(t.subs[0], t.subs[1])
@@ -782,8 +754,8 @@ class _Checker:
                 g2[a] = ty1.subs[0]
                 d2, ty2 = self.synth_lnl_c(body, path + (1,), g2, c1,
                                            used | {a}, expect)
-                self.note(path, "C", ty2)
-                return self.deriv("letj", zs, t, ty2, (d1, d2), form="C"), ty2
+                return self.deriv("letj", zs, t, ty2, (d1, d2), form="C",
+                                  binders=(a,)), ty2
             case "derelict":
                 require_empty_share("derelict")
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
@@ -791,7 +763,6 @@ class _Checker:
                     self.fail(path, "derelict", "derelict expects an R-typed"
                               " term", actual=ty1)
                 ty = ty1.subs[0]
-                self.note(path, "C", ty)
                 return self.deriv("derelict", zs, t, ty, (d1,), form="C"), ty
             case "opapp":
                 require_empty_share("op")
@@ -811,7 +782,6 @@ class _Checker:
             case "ret":
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), both, used,
                                        expect)
-                self.note(path, "C", ty1)
                 return self.deriv("cmd-ret", zs, t, ty1, (d1,), form="C"), ty1
             case "aapp":
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
@@ -824,7 +794,6 @@ class _Checker:
                     self.fail(path, "cmd-app", "arrow argument type mismatch",
                               ty1.subs[0], ty2)
                 ty = ty1.subs[1]
-                self.note(path, "C", ty)
                 return self.deriv("cmd-app", zs, t, ty, (d1, d2), form="C"), ty
             case "do":
                 d1, ty1 = self.synth_command(t.subs[0], path + (0,), gamma,
@@ -836,8 +805,8 @@ class _Checker:
                 d2, ty2 = self.synth_command(body, path + (1,), gamma, dl2,
                                              delta_order + [(x, ty1)],
                                              used | {x}, expect)
-                self.note(path, "C", ty2)
-                return self.deriv("cmd-do", zs, t, ty2, (d1, d2), form="C"), ty2
+                return self.deriv("cmd-do", zs, t, ty2, (d1, d2), form="C",
+                                  binders=(x,)), ty2
         self.fail(path, t.kind,
                   f"{t.kind!r} is not a command former (commands are"
                   f" ret / u . v / do)")
@@ -858,11 +827,9 @@ class _Checker:
                                   f" a nonlinear zone; use J(-)/K(-)")
                     self.fail(path, "cvar", f"unbound variable {t.name!r}")
                 ty = phi[t.name]
-                self.note(path, "C", ty)
                 return self.deriv("cvar", zs, t, ty, form="C"), ty
             case "unit":
                 ty = syntax.UNIT1
-                self.note(path, "C", ty)
                 return self.deriv("cunit", zs, t, ty, form="C"), ty
             case "pair":
                 e = expect if expect is not None and expect.kind == "prod" \
@@ -874,7 +841,6 @@ class _Checker:
                                             delta, phi, used,
                                             e.subs[1] if e else None)
                 ty = prod(ty1, ty2)
-                self.note(path, "C", ty)
                 return self.deriv("cpair", zs, t, ty, (d1, d2), form="C"), ty
             case "pi1" | "pi2":
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
@@ -883,21 +849,18 @@ class _Checker:
                     self.fail(path, k, "projection of a non-product",
                               actual=ty1)
                 ty = ty1.subs[0 if k == "pi1" else 1]
-                self.note(path, "C", ty)
                 return self.deriv("c" + k, zs, t, ty, (d1,), form="C"), ty
             case "jterm":
                 e = expect.subs[0] if expect is not None and \
                     expect.kind == "jt" else None
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), gd, used, e)
                 ty = jt(ty1)
-                self.note(path, "C", ty)
                 return self.deriv("jterm", zs, t, ty, (d1,), form="C"), ty
             case "kterm":
                 e = expect.subs[0] if expect is not None and \
                     expect.kind == "kt" else None
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used, e)
                 ty = kt(ty1)
-                self.note(path, "C", ty)
                 return self.deriv("kterm", zs, t, ty, (d1,), form="C"), ty
             case "letj":
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
@@ -911,8 +874,8 @@ class _Checker:
                 dl2[a] = ty1.subs[0]
                 d2, ty2 = self.synth_armm_c(body, path + (1,), gamma, dl2,
                                             phi, used | {a}, expect)
-                self.note(path, "C", ty2)
-                return self.deriv("letj", zs, t, ty2, (d1, d2), form="C"), ty2
+                return self.deriv("letj", zs, t, ty2, (d1, d2), form="C",
+                                  binders=(a,)), ty2
             case "letk":
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
                                             delta, phi, used)
@@ -925,8 +888,8 @@ class _Checker:
                 g2[a] = ty1.subs[0]
                 d2, ty2 = self.synth_armm_c(body, path + (1,), g2, delta,
                                             phi, used | {a}, expect)
-                self.note(path, "C", ty2)
-                return self.deriv("letk", zs, t, ty2, (d1, d2), form="C"), ty2
+                return self.deriv("letk", zs, t, ty2, (d1, d2), form="C",
+                                  binders=(a,)), ty2
             case "ret":
                 d1, ty1 = self.synth_armm_c(
                     t.subs[0], path + (0,), gamma, delta, phi, used,
@@ -936,7 +899,6 @@ class _Checker:
                     self.fail(path, "ret", "ret expects a J-typed argument",
                               actual=ty1)
                 ty = tt(ty1.subs[0])
-                self.note(path, "C", ty)
                 return self.deriv("ret", zs, t, ty, (d1,), form="C"), ty
             case "do":
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
@@ -952,8 +914,8 @@ class _Checker:
                 if ty2.kind != "tt":
                     self.fail(path, "do", "do body must be a computation",
                               actual=ty2)
-                self.note(path, "C", ty2)
-                return self.deriv("do", zs, t, ty2, (d1, d2), form="C"), ty2
+                return self.deriv("do", zs, t, ty2, (d1, d2), form="C",
+                                  binders=(x,)), ty2
             case "aapp":
                 d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
                 if ty1.kind != "aabs":
@@ -965,7 +927,6 @@ class _Checker:
                     self.fail(path, "aapp", "argument type mismatch",
                               ty1.subs[0], ty2)
                 ty = ty1.subs[1]
-                self.note(path, "C", ty)
                 return self.deriv("aapp", zs, t, ty, (d1, d2), form="C"), ty
             case "opapp":
                 return self.synth_opapp(
@@ -988,7 +949,7 @@ def check(j: Judgement, sig: Signature) -> CheckResult:
                            expected=e.expected, actual=e.actual)
     except SignatureError as e:
         return CheckResult(False, message=str(e), path=(), rule="signature")
-    return CheckResult(True, derivation=d, annotations=chk.annotations)
+    return CheckResult(True, derivation=d)
 
 
 def check_graded_arithmetic(derivation: Derivation, sig: Signature) -> bool:

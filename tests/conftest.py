@@ -1,10 +1,16 @@
 import importlib.resources
 import random
+from pathlib import Path
 
 import pytest
 
 from relmeta.models import load_binding
 from relmeta.signatures import load_signature
+
+GOLDEN = Path(__file__).parent / "golden"
+# golden name prefix (its calculus) -> signature file
+CALCULUS_SIG = {"urmm": "coin.sig", "rmm": "coin.sig", "gmm": "gmm.sig",
+                "lnl": "lnl.sig", "arrow": "arrow.sig", "armm": "arrow.sig"}
 
 
 def fixture_text(name: str) -> str:
@@ -14,6 +20,28 @@ def fixture_text(name: str) -> str:
 
 def fixture_path(name: str) -> str:
     return str(importlib.resources.files("relmeta.fixtures").joinpath(name))
+
+
+def golden_sig_path(name: str) -> str:
+    """The signature of a golden judgement file, named by its calculus
+    prefix: one beside the eval goldens, else a shipped fixture."""
+    sig = CALCULUS_SIG[name.split("_", 1)[0]]
+    local = GOLDEN / "eval" / sig
+    return str(local) if local.exists() else fixture_path(sig)
+
+
+def accepted_golden_judgements():
+    """(name, judgement, signature) for each `typecheck` golden that is
+    accepted: all six calculi and every binding rule."""
+    from relmeta.cli import load_judgement
+    from relmeta.typecheck import check
+    out = []
+    for term in sorted((GOLDEN / "typecheck").glob("*.term")):
+        sig = load_signature(Path(golden_sig_path(term.stem)).read_text())
+        j = load_judgement(term, sig)
+        if check(j, sig).ok:
+            out.append((term.stem, j, sig))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, golden_sig_path
 from relmeta import cli
+from relmeta.signatures import load_signature
 
 RUN = [sys.executable, "-m", "relmeta.cli"]
 
@@ -251,6 +252,58 @@ def test_eval_golden(name, mode, monkeypatch, capsys):
                             f"{name}.term"]) == 0
     assert capsys.readouterr().out.encode() == \
         (EVAL_GOLDEN / f"{name}.{mode}").read_bytes()
+
+
+TRANSLATE_ARGS = {"gmm": ["--from", "gmm", "--to", "lnl"],
+                  "arrow": ["--from", "arrow", "--to", "armm"]}
+REJECTED = {"lnl_unused", "rmm_reject"}
+
+
+def _judgement_goldens():
+    for cmd in ("typecheck", "normalize", "translate"):
+        for term in sorted((Path(__file__).parent / "golden" / cmd)
+                           .glob("*.term")):
+            yield cmd, term.stem
+
+
+@pytest.mark.parametrize("mode", ["txt", "json"])
+@pytest.mark.parametrize("cmd, name", list(_judgement_goldens()))
+def test_judgement_golden(cmd, name, mode, monkeypatch, capsys):
+    """`typecheck`, `normalize` and `translate` on judgements of all six
+    calculi that use every binding rule, byte for byte: derivations with
+    their fresh binder names, rewrite steps, and translated terms."""
+    golden = Path(__file__).parent / "golden" / cmd
+    monkeypatch.chdir(golden)
+    extra = TRANSLATE_ARGS[name.split("_", 1)[0]] if cmd == "translate" \
+        else []
+    args = ["--json"] if mode == "json" else []
+    assert cli.main(args + [cmd, "--sig", golden_sig_path(name), *extra,
+                            f"{name}.term"]) == \
+        (1 if name in REJECTED else 0)
+    assert capsys.readouterr().out.encode() == \
+        (golden / f"{name}.{mode}").read_bytes()
+
+
+def test_form_term_is_form_a(tmp_path, capsys):
+    """`form term` names the A form and `form command` the C form; the
+    form is mapped before the zones are cut, so an lnl `form term` file
+    evaluates like the same file with `form A`."""
+    body = "calculus lnl\nterm lam (x:A). x\ntype A -> A\n"
+    outs = []
+    for form in ("A", "term"):
+        path = write(tmp_path, f"{form}.term", f"form {form}\n" + body)
+        assert cli.main(["eval", "--sig", str(EVAL_GOLDEN / "lnl.sig"),
+                         "--model", str(EVAL_GOLDEN / "lnl.mb"), path]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "value: " in outs[0]
+    cmd = write(tmp_path, "cmd.term",
+                "calculus arrow\nform command\nctx f : B ~> C\n"
+                "dctx b : B\nterm f . b\ntype C\n")
+    j = cli.load_judgement(cmd, load_signature(
+        (EVAL_GOLDEN / "arrow.sig").read_text()))
+    assert (j.form, len(j.zones)) == ("C", 2)
+
 
 def test_usage_errors():
     r = run_cli("eq", "--theory", "/nonexistent.sig", "/nonexistent.eq")

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from conftest import accepted_golden_judgements
 from relmeta import equations, gen as genmod
 from relmeta.equations import (BudgetExceeded, EqProof, Step, check_eq,
                                check_proof, derive_local_store, normalize,
                                parse_proof)
 from relmeta.signatures import load_signature
 from relmeta.syntax import (alpha_eq, judgement, parse_context, parse_term,
-                            parse_type, term_to_text)
+                            parse_type, positions, subterm_at, term_to_text)
 from relmeta.typecheck import check
 
 
@@ -332,3 +333,22 @@ def test_check_eq_checks_each_term_once(coin_sig, monkeypatch, lhs, rhs):
     seen = _count_checks(monkeypatch)
     check_eq(jl, jr, coin_sig)
     assert len(set(seen)) == len(seen)
+
+
+def test_typing_index_has_exactly_the_term_positions():
+    """The engine's typing index of a checked judgement has one entry per
+    term position, in `positions` order, each the form and type of the
+    derivation node at that position; for all six calculi."""
+    calculi = set()
+    for name, j, sig in accepted_golden_judgements():
+        cj = equations._enter(j, sig)
+        assert list(cj.ann) == positions(j.term), name
+        d = check(j, sig).derivation
+        for path, (form, ty) in cj.ann.items():
+            node = d
+            for i in path:
+                node = node.children[i]
+            assert len(node.children) == len(subterm_at(j.term, path).subs)
+            assert (form, ty) == (node.judgement.form, node.judgement.ty)
+        calculi.add(j.calculus)
+    assert calculi == {"urmm", "rmm", "gmm", "lnl", "arrow", "armm"}

@@ -4,6 +4,7 @@ exchange, weakening)."""
 
 import pytest
 
+from conftest import accepted_golden_judgements
 from relmeta import gen as genmod
 from relmeta import syntax
 from relmeta.signatures import load_signature
@@ -323,3 +324,25 @@ def test_linear_exchange(lnl_sig):
     assert check(judgement("lnl", [(), zl], t, ty, form="C"), lnl_sig).ok
     assert check(judgement("lnl", [(), tuple(reversed(zl))], t, ty,
                            form="C"), lnl_sig).ok
+
+
+BINDING_CHILD = {"do": 1, "letj": 1, "letk": 1, "letpair": 1, "cmd-do": 1,
+                 "lam": 0, "limpl": 0, "lamarrow": 0}
+
+
+def test_derivation_binders_are_the_new_zone_names():
+    """At each binding rule a node's binders are the names new in its
+    binding child's zones, in zone order; every other node binds none."""
+    seen = set()
+    for name, j, sig in accepted_golden_judgements():
+        for node in check(j, sig).derivation.walk():
+            if node.rule not in BINDING_CHILD:
+                assert node.binders == (), (name, node.rule)
+                continue
+            seen.add(node.rule)
+            mine = {x for zone in node.judgement.zones for x, _ in zone}
+            child = node.children[BINDING_CHILD[node.rule]]
+            new = tuple(x for zone in child.judgement.zones for x, _ in zone
+                        if x not in mine)
+            assert node.binders == new and new, (name, node.rule)
+    assert seen == set(BINDING_CHILD)
