@@ -608,8 +608,9 @@ def _memo(build, slots):
 
 def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
              sig: Signature):
-    """(run, free slots) for one node; scope maps names to slots and n is
-    the number of slots bound above the node."""
+    """(run, free slots) for one node.  scope maps the root's names to
+    their slots; n is the number of slots in use at the node, the root's
+    and then one per binder in force, so bvar i is slot n-1-i."""
     t = node.judgement.term
     rule = node.rule
     backend = binding.backend
@@ -617,14 +618,12 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
     ty = node.judgement.ty
     free = set()
 
-    def sub(i, binds=False, bound=()):
+    def sub(i, bound=()):
         """Compile child i: for the binding child, the node's binders take
         slots n, n+1, ...; slots in `bound` are set by this node before
         the child runs."""
-        new = node.binders if binds else ()
-        s2 = {**scope, **{x: n + k for k, x in enumerate(new)}} if new \
-            else scope
-        run, fv = _compile(node.children[i], s2, n + len(new), binding, sig)
+        run, fv = _compile(node.children[i], scope,
+                           n + syntax.child_binders(t, i), binding, sig)
         free.update(s for s in fv if s < n and s not in bound)
         return run
 
@@ -633,7 +632,8 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
 
     match rule:
         case "var" | "lvar" | "cvar":
-            name, slot = t.name, scope[t.name]
+            name = t.name
+            slot = n - 1 - t.index if t.kind == "bvar" else scope[name]
             free.add(slot)
 
             def run(env):
@@ -701,7 +701,7 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
                 def run(env):
                     return monad_unit(backend, a(env))
         case "do":
-            m, body = sub(0), sub(1, binds=True)
+            m, body = sub(0), sub(1)
             if calc == "lnl":
                 def run(env):
                     out = []
@@ -734,7 +734,7 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
                     a(env)
                     return token
         case "lam" | "limpl" | "lamarrow":
-            body = sub(0, binds=True)
+            body = sub(0)
             # enumerated when the node first runs: carrier_values may raise
             dom = functools.cache(lambda: _domain(
                 carrier_values(t.tyann, binding, sig)))
@@ -766,7 +766,7 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
             def run(env):
                 return wrap(a(env))
         case "letj" | "letk" | "letpair":
-            a, body, k = sub(0), sub(1, binds=True), len(node.binders)
+            a, body, k = sub(0), sub(1), len(node.binders)
 
             def run(env):
                 return body(env + a(env).payload[:k])
@@ -777,7 +777,7 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
                 a(env)
                 return body(env)
         case "cmd-ret" | "cmd-app" | "cmd-do":
-            table = _memo(_command_table(node, scope, binding, sig, sub),
+            table = _memo(_command_table(node, scope, n, binding, sig, sub),
                           sorted(free))
 
             def run(env):
@@ -806,13 +806,18 @@ def _tuple_value(vs):
     return out
 
 
-def _command_table(node, scope, binding, sig, sub):
+def _command_table(node, scope, n, binding, sig, sub):
     """build(env) for an arrow-calculus command: a table from
     Delta-environments to values of the inner monad (the Kleisli-arrow
     reading of commands).  A Delta environment overrides the Delta slots
     of env before a child runs."""
     delta = node.judgement.zones[1]
-    dslots = [scope[x] for x, _ in delta]
+    # Delta is the root's Delta (or the binder of an arrow abstraction)
+    # followed by the binders of the command dos above: nothing else binds
+    # between them, so the bound ones hold the top slots, in order
+    m = sum(x not in scope for x, _ in delta)
+    dslots = [scope[x] for x, _ in delta[:len(delta) - m]] + \
+        list(range(n - m, n))
 
     def with_delta(env, dvals):
         e = list(env)
@@ -833,7 +838,7 @@ def _command_table(node, scope, binding, sig, sub):
     else:
         # the body's Delta is this Delta followed by its binder (see
         # typecheck.synth_command), so its table is keyed by (*dvals, b)
-        left, right = sub(0), sub(1, binds=True, bound=dslots)
+        left, right = sub(0), sub(1, bound=dslots)
 
         def entry(env, dvals, inner):
             e2 = with_delta(env, dvals)

@@ -404,13 +404,23 @@ def subst_free(t: Term, x: str, u: Term) -> Term:
     return with_subs(t, (subst_free(s, x, u) for s in t.subs))
 
 
-def free_vars(t: Term) -> frozenset:
-    if t.kind == "var":
-        return frozenset((t.name,))
-    out = frozenset()
-    for s in t.subs:
-        out |= free_vars(s)
-    return out
+def free_vars(t: Term, names=()) -> frozenset:
+    """The free names of t.  `names` names the binders around t, innermost
+    last; the names its dangling bvars refer to are free in t too."""
+    out = set()
+
+    def go(t, depth):
+        if t.kind == "var":
+            out.add(t.name)
+        elif t.kind == "bvar":
+            if 0 <= t.index - depth < len(names):
+                out.add(names[depth - 1 - t.index])
+        else:
+            for i, s in enumerate(t.subs):
+                go(s, depth + child_binders(t, i))
+
+    go(t, 0)
+    return frozenset(out)
 
 
 def uses_bvar(t: Term, j: int = 0) -> bool:
@@ -555,23 +565,23 @@ class Judgement:
         return self.calculus == "arrow" and self.form == "C"
 
     def __str__(self):
+        return self.text()
+
+    def text(self, names=()) -> str:
+        """The judgement as printed; `names` names the binders around its
+        term, as `term_to_text` takes them."""
         zs = " ; ".join(
             ", ".join(f"{x} : {type_to_text(ty)}" for x, ty in zone) or "-"
             for zone in self.zones)
         bang = " !" if self.is_command else " :"
         return f"[{self.calculus}/{self.form}] {zs} |-{bang} " \
-               f"{term_to_text(self.term)} : {type_to_text(self.ty)}"
+               f"{term_to_text(self.term, names)} : {type_to_text(self.ty)}"
 
 
 def judgement(calculus, zones, term, ty, form=None) -> Judgement:
     if form is None:
         form = "A" if (calculus, "C") not in ZONES else "C"
     return Judgement(calculus, form, tuple(tuple(z) for z in zones), term, ty)
-
-
-def all_zone_vars(j: Judgement):
-    for zone in j.zones:
-        yield from zone
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +653,14 @@ class _P:
     def err(self, msg):
         _, line, col = self.toks[self.i]
         raise SyntaxError_(msg, line, col)
+
+    def name(self):
+        """A variable name, as a binder or a context entry declares it."""
+        tok = self.peek()
+        if tok is None or not (tok[0].isalpha() or tok[0] == "_") or \
+                tok in KEYWORDS:
+            self.err(f"expected a variable name, found {tok!r}")
+        return self.next()
 
     # -- helpers over the signature ------------------------------------
 
@@ -754,7 +772,7 @@ class _P:
         tok = self.peek()
         if tok == "do":
             self.next()
-            x = self.next()
+            x = self.name()
             self.expect("<-")
             u = self.term()
             self.expect("in")
@@ -765,7 +783,7 @@ class _P:
         if tok == "lam":
             self.next()
             self.expect("(")
-            x = self.next()
+            x = self.name()
             self.expect(":")
             ty = self.type_()
             self.expect(")")
@@ -776,12 +794,12 @@ class _P:
             self.next()
             if self.peek() == "(":
                 self.next()
-                x = self.next()
+                x = self.name()
                 self.expect(":")
                 ty = self.type_()
                 self.expect(")")
             else:
-                x, ty = self.next(), None
+                x, ty = self.name(), None
             self.expect(".")
             t = self.term()
             return lamarrow(ty, close_binder(t, x), hint=x)
@@ -803,9 +821,9 @@ class _P:
                 self.expect("in")
                 s = self.term()
                 return letunit(t, s)
-            x = self.next()
+            x = self.name()
             self.expect(",")
-            y = self.next()
+            y = self.name()
             self.expect(")")
             self.expect("=")
             t = self.term()
@@ -814,7 +832,7 @@ class _P:
             return letpair(t, close_binder(close_binder(s, x), y), hx=x, hy=y)
         if tok in ("J", "K"):
             self.expect("(")
-            a = self.next()
+            a = self.name()
             self.expect(")")
             self.expect("=")
             t = self.term()
@@ -923,7 +941,7 @@ def parse_context(text: str, sig=None) -> Context:
     p = _P(tokenize(text), sig=sig)
     out = []
     while True:
-        x = p.next()
+        x = p.name()
         p.expect(":")
         out.append((x, p.type_()))
         if p.peek() != ",":
@@ -983,9 +1001,15 @@ def _fresh(hint: str, avoid: set) -> str:
     return f"{hint}{k}"
 
 
-def term_to_text(t: Term, avoid: frozenset | None = None) -> str:
-    """Pretty-print in the surface grammar; parse(print(t)) is alpha-equal."""
-    avoid = set(avoid if avoid is not None else free_vars(t))
+def term_to_text(t: Term, names=()) -> str:
+    """Pretty-print in the surface grammar; parse(print(t)) is alpha-equal.
+
+    A bvar prints as the name of the binder it points to: one of t's, or,
+    for a subterm, one of `names`, the binders around t (innermost last).
+    Each binder of t prints as its hint, made fresh for the free names t
+    refers to and the binders of t around it."""
+    avoid = set(free_vars(t, names))
+    stack = list(names)
 
     def atom(t):
         # arguments of prefix operators may be prefix chains themselves
@@ -996,12 +1020,27 @@ def term_to_text(t: Term, avoid: frozenset | None = None) -> str:
             return s
         return f"({s})"
 
+    def fresh(t, i, default):
+        x = _fresh(t.hints[i] if len(t.hints) > i else default, avoid)
+        avoid.add(x)
+        return x
+
+    def under(body, *xs):
+        """Print body with the binders xs in force, and release them."""
+        stack.extend(xs)
+        s = go(body)
+        del stack[-len(xs):]
+        avoid.difference_update(xs)
+        return s
+
     def go(t):
         match t.kind:
             case "var":
                 return t.name
             case "bvar":
-                return f"?b{t.index}"  # only reachable on open terms
+                if t.index < len(stack):
+                    return stack[-1 - t.index]
+                return f"?b{t.index - len(stack)}"  # only on open terms
             case "meta":
                 return f"?{t.name}"
             case "unit":
@@ -1019,20 +1058,14 @@ def term_to_text(t: Term, avoid: frozenset | None = None) -> str:
             case "regrade":
                 return f"regrade<{t.xi}> {atom(t.subs[0])}"
             case "do":
-                x = _fresh(t.hints[0] if t.hints else "x", avoid)
-                avoid.add(x)
-                s = f"do {x} <- {go(t.subs[0])} in {go(open_binder(t.subs[1], x))}"
-                avoid.discard(x)
-                return s
+                x = fresh(t, 0, "x")
+                return f"do {x} <- {go(t.subs[0])} in {under(t.subs[1], x)}"
             case "lam" | "lamarrow":
-                x = _fresh(t.hints[0] if t.hints else "x", avoid)
-                avoid.add(x)
+                x = fresh(t, 0, "x")
                 head = f"lam ({x}:{type_to_text(t.tyann)})" if t.kind == "lam" \
                     else (f"lamarrow ({x}:{type_to_text(t.tyann)})"
                           if t.tyann is not None else f"lamarrow {x}")
-                s = f"{head}. {go(open_binder(t.subs[0], x))}"
-                avoid.discard(x)
-                return s
+                return f"{head}. {under(t.subs[0], x)}"
             case "app":
                 return f"app {atom(t.subs[0])} {atom(t.subs[1])}"
             case "aapp":
@@ -1041,22 +1074,14 @@ def term_to_text(t: Term, avoid: frozenset | None = None) -> str:
             case "letunit":
                 return f"let () = {go(t.subs[0])} in {go(t.subs[1])}"
             case "letpair":
-                hx = _fresh(t.hints[0] if t.hints else "x", avoid)
-                avoid.add(hx)
-                hy = _fresh(t.hints[1] if len(t.hints) > 1 else "y", avoid)
-                avoid.add(hy)
-                body = open_binder(open_binder(t.subs[1], hy), hx)
-                s = f"let ({hx},{hy}) = {go(t.subs[0])} in {go(body)}"
-                avoid.discard(hx)
-                avoid.discard(hy)
-                return s
+                hx, hy = fresh(t, 0, "x"), fresh(t, 1, "y")
+                return f"let ({hx},{hy}) = {go(t.subs[0])} in " \
+                       f"{under(t.subs[1], hx, hy)}"
             case "letj" | "letk":
-                a = _fresh(t.hints[0] if t.hints else "a", avoid)
-                avoid.add(a)
+                a = fresh(t, 0, "a")
                 tag = "J" if t.kind == "letj" else "K"
-                s = f"let {tag}({a}) = {go(t.subs[0])} in {go(open_binder(t.subs[1], a))}"
-                avoid.discard(a)
-                return s
+                return f"let {tag}({a}) = {go(t.subs[0])} in " \
+                       f"{under(t.subs[1], a)}"
             case "jterm" | "kterm" | "rterm":
                 tag = {"jterm": "J", "kterm": "K", "rterm": "R"}[t.kind]
                 return f"{tag}({go(t.subs[0])})"

@@ -7,7 +7,10 @@ calculus embeds into the three-zone language by A ~> B := A => T(B) and
 A -> B := A => J(B), with commands landing in an empty third zone.
 
 Both translations are compositional and derivation-driven (the programs
-need the types of subterms, which the checker already computed).
+need the types of subterms, which the checker already computed).  They
+read each node's term as the checker does, bvars and all: every source
+binder becomes one target binder (the arrow `do` two, hence its shift), so
+a variable translates to itself.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from dataclasses import dataclass, field
 
 from . import syntax
 from .signatures import Signature
-from .syntax import (GradeMor, Judgement, Term, TypeExpr, aabs, bv,
-                     close_binder, grty, gtensor, jt, lolli, prod, rt, shift,
-                     tt)
+from .syntax import (GradeMor, Judgement, Term, TypeExpr, aabs, bv, grty,
+                     gtensor, jt, lolli, prod, rt, shift, tt)
 from .typecheck import Derivation, check
 
 
@@ -103,16 +105,13 @@ def _tr_gmm(node: Derivation, trace: TranslationTrace, path=()) -> Term:
     t = node.judgement.term
     rule = node.rule
 
-    def kid(i, extra_close=None):
-        sub = _tr_gmm(node.children[i], trace, path + (i,))
-        if extra_close:
-            sub = close_binder(sub, extra_close)
-        return sub
+    def kid(i):
+        return _tr_gmm(node.children[i], trace, path + (i,))
 
     trace.node_map[path] = rule
     match rule:
         case "var":
-            return syntax.var(t.name)
+            return t
         case "unit":
             return syntax.UNIT
         case "pair":
@@ -135,8 +134,7 @@ def _tr_gmm(node: Derivation, trace: TranslationTrace, path=()) -> Term:
             prog = bind_program(uty.grade, bty.grade,
                                 ty_gmm_to_lnl(uty.subs[0]),
                                 ty_gmm_to_lnl(bty.subs[0]))
-            karg = syntax.lam(ty_gmm_to_lnl(uty.subs[0]),
-                              kid(1, extra_close=x), hint=x)
+            karg = syntax.lam(ty_gmm_to_lnl(uty.subs[0]), kid(1), hint=x)
             return syntax.app(syntax.app(prog, kid(0)), karg)
         case "regrade":
             uty = node.children[0].judgement.ty
@@ -194,16 +192,13 @@ def _tr_arrow(node: Derivation, trace: TranslationTrace, path=()) -> Term:
     t = node.judgement.term
     rule = node.rule
 
-    def kid(i, extra_close=None):
-        sub = _tr_arrow(node.children[i], trace, path + (i,))
-        if extra_close:
-            sub = close_binder(sub, extra_close)
-        return sub
+    def kid(i):
+        return _tr_arrow(node.children[i], trace, path + (i,))
 
     trace.node_map[path] = rule
     match rule:
         case "var":
-            return syntax.var(t.name)
+            return t
         case "unit":
             return syntax.UNIT
         case "pair":
@@ -217,24 +212,21 @@ def _tr_arrow(node: Derivation, trace: TranslationTrace, path=()) -> Term:
                                           for i in range(len(node.children))))
         case "lam":
             # lam (x:A). u  becomes  lamarrow (x:A'). J(u')
-            x = node.binders[0]
-            body = syntax.jterm(kid(0, extra_close=None))
             return syntax.lamarrow(ty_arrow_to_armm(t.tyann),
-                                   close_binder(body, x), hint=x)
+                                   syntax.jterm(kid(0)), hint=node.binders[0])
         case "app":
             return syntax.app(kid(0), kid(1))
         case "lamarrow":
-            x = node.binders[0]
-            return syntax.lamarrow(ty_arrow_to_armm(t.tyann),
-                                   kid(0, extra_close=x), hint=x)
+            return syntax.lamarrow(ty_arrow_to_armm(t.tyann), kid(0),
+                                   hint=node.binders[0])
         case "cmd-ret":
             return syntax.ret(syntax.jterm(kid(0)))
         case "cmd-app":
             return syntax.aapp(kid(0), kid(1))
         case "cmd-do":
-            x = node.binders[0]
-            body = kid(1, extra_close=x)
-            inner = syntax.letj(bv(0), shift(body, 1, 1), hint=x)
+            # do y <- u in let J(x) = y in t: indices past x shift over y
+            inner = syntax.letj(bv(0), shift(kid(1), 1, 1),
+                                hint=node.binders[0])
             return syntax.do(kid(0), inner, hint="y")
     raise TranslateError(f"no arrow translation clause for rule {rule}")
 

@@ -7,9 +7,13 @@ calculus use leftover-free splitting: each multiplicative node partitions
 the available linear variables by free occurrence, which is the unique
 valid split when one exists.
 
-The derivation is the one typing record: each node holds its judgement
-(zones, form, term and type) and, at a binding rule, the names it opened
-for the binding child.  The rewrite engine, the evaluator and the
+It reads the term as parsed: bvar i names the i-th binder from the top of
+a stack of the binders in force, each named once, by its hint made fresh
+for the root's names and those in force.  The derivation is the one typing
+record: each node holds its judgement (zones, form, type, and its term as
+it sits in the root term, bvars and all) and, at a binding rule, the names
+it gave the binding child's binders; printing and replay rebuild a node's
+names by walking from the root.  The rewrite engine, the evaluator and the
 translations read the derivation.
 """
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from . import syntax
 from .signatures import Signature, SignatureError
 from .syntax import (Judgement, Term, TypeExpr, base, free_vars, grty,
-                     jt, kt, open_binder, prod, tgr, tt, type_to_text)
+                     jt, kt, prod, tgr, tt, type_to_text, uses_bvar)
 
 
 @dataclass
@@ -28,12 +32,19 @@ class Derivation:
     rule: str
     judgement: Judgement
     children: tuple = ()
-    binders: tuple = ()  # names opened for the binding child, in slot order
+    binders: tuple = ()  # names of the binding child's binders, in slot order
 
     def walk(self):
         yield self
         for c in self.children:
             yield from c.walk()
+
+    def child_names(self, i, names):
+        """The names of the binders in force at child i, given `names`, the
+        binders in force at this node (innermost last)."""
+        if syntax.child_binders(self.judgement.term, i):
+            return names + self.binders
+        return names
 
 
 @dataclass
@@ -181,14 +192,16 @@ def validate_type(ty: TypeExpr, calculus: str, zone: str, sig: Signature,
 # ---------------------------------------------------------------------------
 # Linear splitting
 
-def split_linear(delta: dict, subterms) -> list[dict]:
-    """Partition the available linear context among ordered subterms by free
-    occurrence.  The split is unique when it exists; duplicated use raises.
-    Unused variables are left unclaimed (callers decide where emptiness is
-    required)."""
+def split_linear(delta: dict, t: Term, names=()) -> list[dict]:
+    """Partition the available linear context among the children of t by
+    free occurrence.  The split is unique when it exists; duplicated use
+    raises.  Unused variables are left unclaimed (callers decide where
+    emptiness is required).  `names` names the binders in force at t,
+    innermost last: a child's dangling bvar claims its binder's name, and
+    the binders t itself gives a child are not in the context yet."""
     claims = []
-    for t in subterms:
-        fv = free_vars(t)
+    for i, s in enumerate(t.subs):
+        fv = free_vars(s, (*names, *[None] * syntax.child_binders(t, i)))
         claims.append({x: ty for x, ty in delta.items() if x in fv})
     seen = {}
     for i, c in enumerate(claims):
@@ -204,15 +217,15 @@ def split_linear(delta: dict, subterms) -> list[dict]:
 # ---------------------------------------------------------------------------
 # The checker
 
-def _fresh(hint, used):
-    return syntax._fresh(hint or "x", used)
-
-
 class _Checker:
-    def __init__(self, sig: Signature, calculus: str):
+    def __init__(self, sig: Signature, calculus: str, names=()):
         self.sig = sig
         self.calculus = calculus
         self.grading = sig.grading
+        # the names of the binders in force, innermost last (bvar i is
+        # names[-1 - i]); avoid is them plus the root judgement's names
+        self.names = list(names)
+        self.avoid = set(names)
 
     # .. helpers ..........................................................
 
@@ -231,12 +244,28 @@ class _Checker:
             raise _Fail(path, "gen", str(e))
         return g.src, g.tgt
 
-    def open1(self, t, hint, used):
-        x = _fresh(hint, used)
-        return x, open_binder(t, x)
+    def push(self, t, i=0, default="x"):
+        """Name the binder of t's i-th hint, fresh for the names to avoid,
+        and put it in force."""
+        hint = t.hints[i] if len(t.hints) > i else default
+        x = syntax._fresh(hint or "x", self.avoid)
+        self.names.append(x)
+        self.avoid.add(x)
+        return x
+
+    def var_name(self, t):
+        """The name t refers to if it is a variable: its own, or the one
+        given to the binder its index points to; None otherwise."""
+        if t.kind == "bvar" and t.index < len(self.names):
+            return self.names[-1 - t.index]
+        return t.name if t.kind == "var" else None
 
     def deriv(self, rule, zones, term, ty, children=(), form="A",
               binders=()):
+        """The node of a rule; a binding rule's binders are the names its
+        body was checked under, which are released here."""
+        for _ in binders:
+            self.avoid.discard(self.names.pop())
         j = Judgement(self.calculus, form, tuple(tuple(z) for z in zones),
                       term, ty)
         return Derivation(rule, j, tuple(children), binders)
@@ -250,55 +279,31 @@ class _Checker:
                 validate_type(ty, self.calculus, zkind, self.sig)
         validate_type(j.ty, self.calculus,
                       "C" if j.form == "C" else "A", self.sig)
-        used = {x for x, _ in syntax.all_zone_vars(j)} | free_vars(j.term)
-        if self.calculus in ("urmm", "rmm", "gmm"):
-            if self.calculus == "urmm" and len(j.zones[0]) != 1:
-                self.fail((), "judgement",
-                          "the unary calculus takes exactly one context variable")
-            gamma = dict(j.zones[0])
-            d, ty = self.synth_a(j.term, (), gamma, used, expect=j.ty)
-            if not self.teq(ty, j.ty):
-                self.fail((), "judgement", "result type mismatch", j.ty, ty)
-            return d
-        if self.calculus == "lnl":
-            if j.form == "A":
-                gamma = dict(j.zones[0])
-                d, ty = self.synth_a(j.term, (), gamma, used, expect=j.ty)
-            else:
-                gamma, delta = dict(j.zones[0]), dict(j.zones[1])
-                unused = set(delta) - free_vars(j.term)
-                if unused:
-                    raise LinearityError(
-                        (), "linear", f"unused linear variable(s): "
-                        f"{', '.join(sorted(unused))}")
-                d, ty = self.synth_lnl_c(j.term, (), gamma, delta, used,
-                                         expect=j.ty)
-            if not self.teq(ty, j.ty):
-                self.fail((), "judgement", "result type mismatch", j.ty, ty)
-            return d
-        if self.calculus == "arrow":
-            gamma = dict(j.zones[0])
-            if j.form == "A":
-                d, ty = self.synth_a(j.term, (), gamma, used, expect=j.ty)
-            else:
-                delta = dict(j.zones[1])
-                d, ty = self.synth_command(j.term, (), gamma, delta,
-                                           list(j.zones[1]), used, expect=j.ty)
-            if not self.teq(ty, j.ty):
-                self.fail((), "judgement", "result type mismatch", j.ty, ty)
-            return d
-        if self.calculus == "armm":
-            gamma = dict(j.zones[0])
-            if j.form == "A":
-                d, ty = self.synth_a(j.term, (), gamma, used, expect=j.ty)
-            else:
-                delta, phi = dict(j.zones[1]), dict(j.zones[2])
-                d, ty = self.synth_armm_c(j.term, (), gamma, delta, phi, used,
-                                          expect=j.ty)
-            if not self.teq(ty, j.ty):
-                self.fail((), "judgement", "result type mismatch", j.ty, ty)
-            return d
-        self.fail((), "judgement", f"unknown calculus {self.calculus}")
+        self.avoid |= {x for zone in j.zones for x, _ in zone}
+        self.avoid |= free_vars(j.term)
+        if self.calculus == "urmm" and len(j.zones[0]) != 1:
+            self.fail((), "judgement",
+                      "the unary calculus takes exactly one context variable")
+        gamma = dict(j.zones[0])
+        if j.form == "A":
+            d, ty = self.synth_a(j.term, (), gamma, expect=j.ty)
+        elif self.calculus == "lnl":
+            delta = dict(j.zones[1])
+            unused = set(delta) - free_vars(j.term, self.names)
+            if unused:
+                raise LinearityError(
+                    (), "linear", f"unused linear variable(s): "
+                    f"{', '.join(sorted(unused))}")
+            d, ty = self.synth_lnl_c(j.term, (), gamma, delta, expect=j.ty)
+        elif self.calculus == "arrow":
+            d, ty = self.synth_command(j.term, (), gamma, dict(j.zones[1]),
+                                       list(j.zones[1]), expect=j.ty)
+        else:
+            d, ty = self.synth_armm_c(j.term, (), gamma, dict(j.zones[1]),
+                                      dict(j.zones[2]), expect=j.ty)
+        if not self.teq(ty, j.ty):
+            self.fail((), "judgement", "result type mismatch", j.ty, ty)
+        return d
 
     def zone_kind(self, form, zi):
         if self.calculus == "lnl":
@@ -309,71 +314,69 @@ class _Checker:
 
     # .. A-zone synthesis (Cartesian judgements of every calculus) ........
 
-    def synth_a(self, t: Term, path, gamma, used, expect=None):
+    def synth_a(self, t: Term, path, gamma, expect=None):
         calc = self.calculus
         k = t.kind
+        zs = (tuple(gamma.items()),)
+        x = self.var_name(t)
+        if x is not None:
+            if x not in gamma:
+                self.fail(path, "var", f"unbound variable {x!r}")
+            ty = gamma[x]
+            return self.deriv("var", zs, t, ty), ty
         match k:
-            case "var":
-                if t.name not in gamma:
-                    self.fail(path, "var", f"unbound variable {t.name!r}")
-                ty = gamma[t.name]
-                return self.deriv("var", (tuple(gamma.items()),), t, ty), ty
             case "unit":
                 ty = syntax.UNIT1
                 if calc in ("rmm", "urmm") and expect is not None and \
                         expect.kind == "jt" and expect.subs[0].kind == "unit1":
                     # () inhabits J(1): the terminal object's unique element
                     ty = expect
-                    return self.deriv("unit-j", (tuple(gamma.items()),), t, ty), ty
-                return self.deriv("unit", (tuple(gamma.items()),), t, ty), ty
+                    return self.deriv("unit-j", zs, t, ty), ty
+                return self.deriv("unit", zs, t, ty), ty
             case "pair":
                 e1 = e2 = None
                 if expect is not None and expect.kind == "prod":
                     e1, e2 = expect.subs
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used, e1)
-                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma, used, e2)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, e1)
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma, e2)
                 ty = prod(ty1, ty2)
-                return self.deriv("pair", (tuple(gamma.items()),), t, ty,
-                                  (d1, d2)), ty
+                return self.deriv("pair", zs, t, ty, (d1, d2)), ty
             case "pi1" | "pi2":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
                 if ty1.kind != "prod":
                     self.fail(path, k, "projection of a non-product",
                               actual=ty1)
                 ty = ty1.subs[0 if k == "pi1" else 1]
-                return self.deriv(k, (tuple(gamma.items()),), t, ty, (d1,)), ty
+                return self.deriv(k, zs, t, ty, (d1,)), ty
             case "gen":
                 src, tgt = self.gen_endpoints(t.name, path)
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used,
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma,
                                        expect=jt(base(src)))
                 if not self.teq(ty1, jt(base(src))):
                     self.fail(path, "gen", f"generator {t.name} expects",
                               jt(base(src)), ty1)
                 ty = jt(base(tgt))
-                return self.deriv("gen", (tuple(gamma.items()),), t, ty,
-                                  (d1,)), ty
+                return self.deriv("gen", zs, t, ty, (d1,)), ty
             case "ret":
                 if calc == "gmm":
-                    d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
+                    d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
                     ty = tgr(self.grading.unit(), ty1)
-                    return self.deriv("ret", (tuple(gamma.items()),), t, ty,
-                                      (d1,)), ty
+                    return self.deriv("ret", zs, t, ty, (d1,)), ty
                 ej = expect.subs[0] if expect is not None and \
                     expect.kind == "tt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used,
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma,
                                        expect=None if ej is None else jt(ej))
                 if ty1.kind != "jt":
                     self.fail(path, "ret", "ret expects a J-typed argument",
                               actual=ty1)
                 ty = tt(ty1.subs[0])
-                return self.deriv("ret", (tuple(gamma.items()),), t, ty,
-                                  (d1,)), ty
+                return self.deriv("ret", zs, t, ty, (d1,)), ty
             case "do":
-                return self.synth_do_a(t, path, gamma, used, expect)
+                return self.synth_do_a(t, path, gamma, expect)
             case "opapp":
-                return self.synth_opapp(t, path, gamma, used,
+                return self.synth_opapp(t, path, gamma,
                                         lambda s, p, e: self.synth_a(
-                                            s, p, gamma, used, e))
+                                            s, p, gamma, e))
             case "regrade":
                 if calc != "gmm":
                     self.fail(path, "regrade", "regrade is a graded-calculus term")
@@ -381,37 +384,34 @@ class _Checker:
                 if not self.grading.has_mor(xi):
                     self.fail(path, "regrade",
                               f"no grading morphism {t.xi}")
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
                 if ty1.kind != "tgr" or not self.grading.equal_grades(
                         ty1.grade, xi.tgt):
                     self.fail(path, "regrade",
                               f"regrade<{t.xi}> applies at grade {xi.tgt}",
                               tgr(xi.tgt, base("_")), ty1)
                 ty = tgr(xi.src, ty1.subs[0])
-                return self.deriv("regrade", (tuple(gamma.items()),), t, ty,
-                                  (d1,)), ty
+                return self.deriv("regrade", zs, t, ty, (d1,)), ty
             case "lam":
                 if calc not in ("lnl", "arrow"):
                     self.fail(path, "lam", f"lambda is not a term of {calc}")
-                x, body = self.open1(t.subs[0], t.hints[0] if t.hints else "x",
-                                     used)
+                x = self.push(t)
                 g2 = dict(gamma)
                 g2[x] = t.tyann
                 eb = expect.subs[1] if expect is not None and \
                     expect.kind == "fun" else None
-                d1, tyb = self.synth_a(body, path + (0,), g2, used | {x}, eb)
+                d1, tyb = self.synth_a(t.subs[0], path + (0,), g2, eb)
                 ty = syntax.fun(t.tyann, tyb)
-                return self.deriv("lam", (tuple(gamma.items()),), t, ty,
-                                  (d1,), binders=(x,)), ty
+                return self.deriv("lam", zs, t, ty, (d1,), binders=(x,)), ty
             case "app":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
                 if calc == "armm":
                     if ty1.kind != "aabs" or ty1.subs[1].kind != "jt":
                         self.fail(path, "app",
                                   "application expects u : A => J(B)",
                                   actual=ty1)
                     d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma,
-                                           used, expect=ty1.subs[0])
+                                           expect=ty1.subs[0])
                     if not self.teq(ty2, ty1.subs[0]):
                         self.fail(path, "app", "argument type mismatch",
                                   ty1.subs[0], ty2)
@@ -421,64 +421,59 @@ class _Checker:
                         self.fail(path, "app", "application of a non-function",
                                   actual=ty1)
                     d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma,
-                                           used, expect=ty1.subs[0])
+                                           expect=ty1.subs[0])
                     if not self.teq(ty2, ty1.subs[0]):
                         self.fail(path, "app", "argument type mismatch",
                                   ty1.subs[0], ty2)
                     ty = ty1.subs[1]
-                return self.deriv("app", (tuple(gamma.items()),), t, ty,
-                                  (d1, d2)), ty
+                return self.deriv("app", zs, t, ty, (d1, d2)), ty
             case "rterm":
                 if calc != "lnl":
                     self.fail(path, "rterm", "R(-) is an LNL term")
                 d1, ty1 = self.synth_lnl_c(
-                    t.subs[0], path + (0,), gamma, {}, used,
+                    t.subs[0], path + (0,), gamma, {},
                     expect=expect.subs[0] if expect is not None and
                     expect.kind == "rt" else None)
                 ty = syntax.rt(ty1)
-                return self.deriv("rterm", (tuple(gamma.items()),), t, ty,
-                                  (d1,)), ty
+                return self.deriv("rterm", zs, t, ty, (d1,)), ty
             case "lamarrow":
-                return self.synth_lamarrow(t, path, gamma, used, expect)
+                return self.synth_lamarrow(t, path, gamma, expect)
         self.fail(path, k, f"term former {k!r} cannot appear in an"
                            f" {calc} term judgement here")
 
-    def synth_do_a(self, t, path, gamma, used, expect):
+    def synth_do_a(self, t, path, gamma, expect):
         calc = self.calculus
-        d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
-        hint = t.hints[0] if t.hints else "x"
+        zs = (tuple(gamma.items()),)
+        d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
         if calc == "gmm":
             if ty1.kind != "tgr":
                 self.fail(path, "do", "do expects a graded computation",
                           actual=ty1)
-            x, body = self.open1(t.subs[1], hint, used)
+            x = self.push(t)
             g2 = dict(gamma)
             g2[x] = ty1.subs[0]
-            d2, ty2 = self.synth_a(body, path + (1,), g2, used | {x})
+            d2, ty2 = self.synth_a(t.subs[1], path + (1,), g2)
             if ty2.kind != "tgr":
                 self.fail(path, "do", "do body must be a graded computation",
                           actual=ty2)
             m = self.grading.norm(ty1.grade)
             n = self.grading.norm(ty2.grade)
             ty = tgr(self.grading.tensor(m, n), ty2.subs[0])
-            return self.deriv("do", (tuple(gamma.items()),), t, ty,
-                              (d1, d2), binders=(x,)), ty
+            return self.deriv("do", zs, t, ty, (d1, d2), binders=(x,)), ty
         if ty1.kind != "tt":
             self.fail(path, "do", "do expects a computation", actual=ty1)
-        x, body = self.open1(t.subs[1], hint, used)
+        x = self.push(t)
         if calc == "urmm":
             g2 = {x: jt(ty1.subs[0])}
         else:
             g2 = dict(gamma)
             g2[x] = jt(ty1.subs[0])
-        d2, ty2 = self.synth_a(body, path + (1,), g2, used | {x},
-                               expect=expect)
+        d2, ty2 = self.synth_a(t.subs[1], path + (1,), g2, expect=expect)
         if ty2.kind != "tt":
             self.fail(path, "do", "do body must be a computation", actual=ty2)
-        return self.deriv("do", (tuple(gamma.items()),), t, ty2,
-                          (d1, d2), binders=(x,)), ty2
+        return self.deriv("do", zs, t, ty2, (d1, d2), binders=(x,)), ty2
 
-    def synth_opapp(self, t, path, gamma, used, subcheck):
+    def synth_opapp(self, t, path, gamma, subcheck):
         try:
             decl = self.sig.op_decl(t.name)
         except SignatureError as e:
@@ -496,52 +491,41 @@ class _Checker:
         return self.deriv("op", (tuple(gamma.items()),), t, decl.result,
                           tuple(children)), decl.result
 
-    def synth_lamarrow(self, t, path, gamma, used, expect):
-        calc = self.calculus
-        hint = t.hints[0] if t.hints else "x"
+    def synth_lamarrow(self, t, path, gamma, expect):
+        calc, zs = self.calculus, (tuple(gamma.items()),)
+        if calc not in ("arrow", "armm"):
+            self.fail(path, "lamarrow",
+                      f"arrow abstraction is not a term of {calc}")
+        former = "arr" if calc == "arrow" else "aabs"
+        ann = t.tyann
+        if ann is None:
+            if expect is None or expect.kind != former:
+                self.fail(path, "lamarrow", "unannotated " + (
+                    "arrow abstraction needs an expected arrow type"
+                    if calc == "arrow" else
+                    "abstraction needs an expected =>-type"))
+            ann = expect.subs[0]
+        eb = expect.subs[1] if expect is not None and \
+            expect.kind == former else None
+        x = self.push(t)
         if calc == "arrow":
-            ann = t.tyann
-            if ann is None:
-                if expect is None or expect.kind != "arr":
-                    self.fail(path, "lamarrow",
-                              "unannotated arrow abstraction needs an expected"
-                              " arrow type")
-                ann = expect.subs[0]
-            x, body = self.open1(t.subs[0], hint, used)
-            d1, tyb = self.synth_command(
-                body, path + (0,), gamma, {x: ann}, [(x, ann)], used | {x},
-                expect=expect.subs[1] if expect is not None and
-                expect.kind == "arr" else None)
-            ty = syntax.arr(ann, tyb)
-            return self.deriv("lamarrow", (tuple(gamma.items()),), t, ty,
-                              (d1,), binders=(x,)), ty
-        if calc == "armm":
-            ann = t.tyann
-            if ann is None:
-                if expect is None or expect.kind != "aabs":
-                    self.fail(path, "lamarrow",
-                              "unannotated abstraction needs an expected"
-                              " =>-type")
-                ann = expect.subs[0]
-            x, body = self.open1(t.subs[0], hint, used)
-            d1, tyb = self.synth_armm_c(
-                body, path + (0,), gamma, {x: ann}, {}, used | {x},
-                expect=expect.subs[1] if expect is not None and
-                expect.kind == "aabs" else None)
-            ty = syntax.aabs(ann, tyb)
-            return self.deriv("lamarrow", (tuple(gamma.items()),), t, ty,
-                              (d1,), binders=(x,)), ty
-        self.fail(path, "lamarrow", f"arrow abstraction is not a term of {calc}")
+            d1, tyb = self.synth_command(t.subs[0], path + (0,), gamma,
+                                         {x: ann}, [(x, ann)], expect=eb)
+        else:
+            d1, tyb = self.synth_armm_c(t.subs[0], path + (0,), gamma,
+                                        {x: ann}, {}, expect=eb)
+        ty = TypeExpr(former, (ann, tyb))
+        return self.deriv("lamarrow", zs, t, ty, (d1,), binders=(x,)), ty
 
     # .. LNL linear judgements ............................................
 
-    def synth_lnl_c(self, t: Term, path, gamma, delta, used, expect=None):
+    def synth_lnl_c(self, t: Term, path, gamma, delta, expect=None):
         k = t.kind
         zs = (tuple(gamma.items()), tuple(delta.items()))
 
-        def split(*subterms):
+        def split():
             try:
-                return split_linear(delta, subterms)
+                return split_linear(delta, t, self.names)
             except LinearityError as e:
                 raise LinearityError(path, e.rule, e.message)
 
@@ -552,87 +536,80 @@ class _Checker:
                     path, rule, f"linear variable(s) "
                     f"{', '.join(sorted(delta))} cannot be used under {rule}")
 
+        x = self.var_name(t)
+        if x is not None:
+            if x in delta:
+                ty = delta[x]
+                return self.deriv("lvar", zs, t, ty, form="C"), ty
+            if x in gamma:
+                raise LinearityError(
+                    path, "lvar", f"nonlinear variable {x!r} used as"
+                    f" a linear term (use J(-)/derelict)")
+            self.fail(path, "lvar", f"unbound variable {x!r}")
         match k:
-            case "var":
-                if t.name in delta:
-                    ty = delta[t.name]
-                    return self.deriv("lvar", zs, t, ty, form="C"), ty
-                if t.name in gamma:
-                    raise LinearityError(
-                        path, "lvar", f"nonlinear variable {t.name!r} used as"
-                        f" a linear term (use J(-)/derelict)")
-                self.fail(path, "lvar", f"unbound variable {t.name!r}")
             case "unit":
                 require_empty_share("unit")
                 ty = syntax.LUNIT
                 return self.deriv("lunit", zs, t, ty, form="C"), ty
             case "pair":
-                c0, c1 = split(t.subs[0], t.subs[1])
+                c0, c1 = split()
                 e = expect if expect is not None and expect.kind == "prod" \
                     else None
                 d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
-                                           used, e.subs[0] if e else None)
+                                           e.subs[0] if e else None)
                 d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1,
-                                           used, e.subs[1] if e else None)
+                                           e.subs[1] if e else None)
                 ty = prod(ty1, ty2)
                 return self.deriv("tensor", zs, t, ty, (d1, d2), form="C"), ty
             case "letunit":
-                c0, c1 = split(t.subs[0], t.subs[1])
+                c0, c1 = split()
                 d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
-                                           used, syntax.LUNIT)
+                                           syntax.LUNIT)
                 if ty1.kind != "lunit":
                     self.fail(path, "letunit", "let () scrutinee must have"
                               " type I", syntax.LUNIT, ty1)
                 d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1,
-                                           used, expect)
+                                           expect)
                 return self.deriv("letunit", zs, t, ty2, (d1, d2), form="C"), ty2
             case "letpair":
-                c0, c1 = split(t.subs[0], t.subs[1])
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
-                                           used)
+                c0, c1 = split()
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0)
                 if ty1.kind != "prod":
                     self.fail(path, "letpair", "let (x,y) scrutinee must have"
                               " a tensor type", actual=ty1)
-                hx = t.hints[0] if t.hints else "x"
-                hy = t.hints[1] if len(t.hints) > 1 else "y"
-                x = _fresh(hx, used)
-                y = _fresh(hy, used | {x})
-                body = open_binder(open_binder(t.subs[1], y), x)
-                for v, vty in ((x, ty1.subs[0]), (y, ty1.subs[1])):
-                    if v not in free_vars(body):
+                x, y = self.push(t, 0, "x"), self.push(t, 1, "y")
+                for v, i in ((x, 1), (y, 0)):  # x is bvar 1, y is bvar 0
+                    if not uses_bvar(t.subs[1], i):
                         raise LinearityError(
                             path, "letpair", f"unused linear variable {v!r}")
                 c1b = dict(c1)
                 c1b[x] = ty1.subs[0]
                 c1b[y] = ty1.subs[1]
-                d2, ty2 = self.synth_lnl_c(body, path + (1,), gamma, c1b,
-                                           used | {x, y}, expect)
+                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1b,
+                                           expect)
                 return self.deriv("letpair", zs, t, ty2, (d1, d2), form="C",
                                   binders=(x, y)), ty2
             case "lam":
-                x, body = self.open1(t.subs[0], t.hints[0] if t.hints else "x",
-                                     used)
-                if x not in free_vars(body):
+                x = self.push(t)
+                if not uses_bvar(t.subs[0], 0):
                     raise LinearityError(
                         path, "limpl", f"unused linear variable {x!r}")
                 d2 = dict(delta)
                 d2[x] = t.tyann
-                d1, tyb = self.synth_lnl_c(body, path + (0,), gamma, d2,
-                                           used | {x},
+                d1, tyb = self.synth_lnl_c(t.subs[0], path + (0,), gamma, d2,
                                            expect.subs[1] if expect is not None
                                            and expect.kind == "lolli" else None)
                 ty = syntax.lolli(t.tyann, tyb)
                 return self.deriv("limpl", zs, t, ty, (d1,), form="C",
                                   binders=(x,)), ty
             case "app":
-                c0, c1 = split(t.subs[0], t.subs[1])
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
-                                           used)
+                c0, c1 = split()
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0)
                 if ty1.kind != "lolli":
                     self.fail(path, "lapp", "application of a non-(-o) term",
                               actual=ty1)
                 d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1,
-                                           used, ty1.subs[0])
+                                           ty1.subs[0])
                 if not self.teq(ty2, ty1.subs[0]):
                     self.fail(path, "lapp", "argument type mismatch",
                               ty1.subs[0], ty2)
@@ -640,7 +617,7 @@ class _Checker:
                 return self.deriv("lapp", zs, t, ty, (d1, d2), form="C"), ty
             case "ret":
                 d1, ty1 = self.synth_lnl_c(
-                    t.subs[0], path + (0,), gamma, delta, used,
+                    t.subs[0], path + (0,), gamma, delta,
                     jt(expect.subs[0]) if expect is not None and
                     expect.kind == "tt" else None)
                 if ty1.kind != "jt":
@@ -649,21 +626,19 @@ class _Checker:
                 ty = tt(ty1.subs[0])
                 return self.deriv("ret", zs, t, ty, (d1,), form="C"), ty
             case "do":
-                c0, c1 = split(t.subs[0], t.subs[1])
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
-                                           used)
+                c0, c1 = split()
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0)
                 if ty1.kind != "tt":
                     self.fail(path, "do", "do expects a computation",
                               actual=ty1)
-                x, body = self.open1(t.subs[1], t.hints[0] if t.hints else "x",
-                                     used)
-                if x not in free_vars(body):
+                x = self.push(t)
+                if not uses_bvar(t.subs[1], 0):
                     raise LinearityError(
                         path, "do", f"unused linear variable {x!r}")
                 c1b = dict(c1)
                 c1b[x] = jt(ty1.subs[0])
-                d2, ty2 = self.synth_lnl_c(body, path + (1,), gamma, c1b,
-                                           used | {x}, expect)
+                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1b,
+                                           expect)
                 if ty2.kind != "tt":
                     self.fail(path, "do", "do body must be a computation",
                               actual=ty2)
@@ -674,7 +649,7 @@ class _Checker:
                 if not self.grading.has_mor(xi):
                     self.fail(path, "regrade", f"no grading morphism {t.xi}")
                 d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                           delta, used, grty(xi.src))
+                                           delta, grty(xi.src))
                 if ty1.kind != "grty" or not self.grading.equal_grades(
                         ty1.grade, xi.src):
                     self.fail(path, "regrade",
@@ -684,7 +659,7 @@ class _Checker:
                 return self.deriv("regrade", zs, t, ty, (d1,), form="C"), ty
             case "merge":
                 d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                           delta, used)
+                                           delta)
                 if ty1.kind == "lunit":
                     ty = grty(self.grading.unit())
                 elif ty1.kind == "prod" and ty1.subs[0].kind == "grty" \
@@ -698,7 +673,7 @@ class _Checker:
             case "unmerge":
                 if expect is not None and expect.kind == "lunit":
                     d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                               delta, used,
+                                               delta,
                                                grty(self.grading.unit()))
                     if ty1.kind != "grty" or not self.grading.equal_grades(
                             ty1.grade, self.grading.unit()):
@@ -710,7 +685,7 @@ class _Checker:
                         expect.subs[1].kind == "grty":
                     m, n = expect.subs[0].grade, expect.subs[1].grade
                     d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                               delta, used,
+                                               delta,
                                                grty(syntax.gtensor(m, n)))
                     if ty1.kind != "grty" or not self.grading.equal_grades(
                             ty1.grade, syntax.gtensor(m, n)):
@@ -720,7 +695,7 @@ class _Checker:
                     ty = expect
                 else:
                     d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                               delta, used)
+                                               delta)
                     if ty1.kind != "grty":
                         self.fail(path, "unmerge", "unmerge expects a grade"
                                   " type", actual=ty1)
@@ -738,27 +713,25 @@ class _Checker:
                 require_empty_share("J(-)")
                 e = expect.subs[0] if expect is not None and \
                     expect.kind == "jt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used, e)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, e)
                 ty = jt(ty1)
                 return self.deriv("jterm", zs, t, ty, (d1,), form="C"), ty
             case "letj":
-                c0, c1 = split(t.subs[0], t.subs[1])
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
-                                           used)
+                c0, c1 = split()
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0)
                 if ty1.kind != "jt":
                     self.fail(path, "letj", "let J(a) scrutinee must be"
                               " J-typed", actual=ty1)
-                a, body = self.open1(t.subs[1], t.hints[0] if t.hints else "a",
-                                     used)
+                a = self.push(t, 0, "a")
                 g2 = dict(gamma)
                 g2[a] = ty1.subs[0]
-                d2, ty2 = self.synth_lnl_c(body, path + (1,), g2, c1,
-                                           used | {a}, expect)
+                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), g2, c1,
+                                           expect)
                 return self.deriv("letj", zs, t, ty2, (d1, d2), form="C",
                                   binders=(a,)), ty2
             case "derelict":
                 require_empty_share("derelict")
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
                 if ty1.kind != "rt":
                     self.fail(path, "derelict", "derelict expects an R-typed"
                               " term", actual=ty1)
@@ -767,28 +740,28 @@ class _Checker:
             case "opapp":
                 require_empty_share("op")
                 return self.synth_opapp(
-                    t, path, gamma, used,
-                    lambda s, p, e: self.synth_lnl_c(s, p, gamma, {}, used, e))
+                    t, path, gamma,
+                    lambda s, p, e: self.synth_lnl_c(s, p, gamma, {}, e))
         self.fail(path, k, f"term former {k!r} is not a linear-judgement term")
 
     # .. arrow-calculus commands ..........................................
 
-    def synth_command(self, t: Term, path, gamma, delta, delta_order, used,
+    def synth_command(self, t: Term, path, gamma, delta, delta_order,
                       expect=None):
         zs = (tuple(gamma.items()), tuple(delta_order))
         both = dict(gamma)
         both.update(delta)
         match t.kind:
             case "ret":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), both, used,
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), both,
                                        expect)
                 return self.deriv("cmd-ret", zs, t, ty1, (d1,), form="C"), ty1
             case "aapp":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
                 if ty1.kind != "arr":
                     self.fail(path, "cmd-app", "arrow application expects"
                               " u : A ~> B", actual=ty1)
-                d2, ty2 = self.synth_a(t.subs[1], path + (1,), both, used,
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,), both,
                                        ty1.subs[0])
                 if not self.teq(ty2, ty1.subs[0]):
                     self.fail(path, "cmd-app", "arrow argument type mismatch",
@@ -797,37 +770,38 @@ class _Checker:
                 return self.deriv("cmd-app", zs, t, ty, (d1, d2), form="C"), ty
             case "do":
                 d1, ty1 = self.synth_command(t.subs[0], path + (0,), gamma,
-                                             delta, delta_order, used)
-                x, body = self.open1(t.subs[1], t.hints[0] if t.hints else "x",
-                                     used)
+                                             delta, delta_order)
+                x = self.push(t)
                 dl2 = dict(delta)
                 dl2[x] = ty1
-                d2, ty2 = self.synth_command(body, path + (1,), gamma, dl2,
-                                             delta_order + [(x, ty1)],
-                                             used | {x}, expect)
+                d2, ty2 = self.synth_command(
+                    t.subs[1], path + (1,), gamma, dl2,
+                    delta_order + [(x, ty1)], expect)
                 return self.deriv("cmd-do", zs, t, ty2, (d1, d2), form="C",
                                   binders=(x,)), ty2
-        self.fail(path, t.kind,
-                  f"{t.kind!r} is not a command former (commands are"
+        k = "var" if self.var_name(t) is not None else t.kind
+        self.fail(path, k,
+                  f"{k!r} is not a command former (commands are"
                   f" ret / u . v / do)")
 
     # .. three-zone judgements ............................................
 
-    def synth_armm_c(self, t: Term, path, gamma, delta, phi, used,
+    def synth_armm_c(self, t: Term, path, gamma, delta, phi,
                      expect=None):
         zs = (tuple(gamma.items()), tuple(delta.items()), tuple(phi.items()))
         gd = dict(gamma)
         gd.update(delta)
         k = t.kind
+        x = self.var_name(t)
+        if x is not None:
+            if x not in phi:
+                if x in gd:
+                    self.fail(path, "cvar", f"variable {x!r} lives in"
+                              f" a nonlinear zone; use J(-)/K(-)")
+                self.fail(path, "cvar", f"unbound variable {x!r}")
+            ty = phi[x]
+            return self.deriv("cvar", zs, t, ty, form="C"), ty
         match k:
-            case "var":
-                if t.name not in phi:
-                    if t.name in gd:
-                        self.fail(path, "cvar", f"variable {t.name!r} lives in"
-                                  f" a nonlinear zone; use J(-)/K(-)")
-                    self.fail(path, "cvar", f"unbound variable {t.name!r}")
-                ty = phi[t.name]
-                return self.deriv("cvar", zs, t, ty, form="C"), ty
             case "unit":
                 ty = syntax.UNIT1
                 return self.deriv("cunit", zs, t, ty, form="C"), ty
@@ -835,16 +809,16 @@ class _Checker:
                 e = expect if expect is not None and expect.kind == "prod" \
                     else None
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi, used,
+                                            delta, phi,
                                             e.subs[0] if e else None)
                 d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma,
-                                            delta, phi, used,
+                                            delta, phi,
                                             e.subs[1] if e else None)
                 ty = prod(ty1, ty2)
                 return self.deriv("cpair", zs, t, ty, (d1, d2), form="C"), ty
             case "pi1" | "pi2":
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi, used)
+                                            delta, phi)
                 if ty1.kind != "prod":
                     self.fail(path, k, "projection of a non-product",
                               actual=ty1)
@@ -853,46 +827,44 @@ class _Checker:
             case "jterm":
                 e = expect.subs[0] if expect is not None and \
                     expect.kind == "jt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gd, used, e)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gd, e)
                 ty = jt(ty1)
                 return self.deriv("jterm", zs, t, ty, (d1,), form="C"), ty
             case "kterm":
                 e = expect.subs[0] if expect is not None and \
                     expect.kind == "kt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used, e)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, e)
                 ty = kt(ty1)
                 return self.deriv("kterm", zs, t, ty, (d1,), form="C"), ty
             case "letj":
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi, used)
+                                            delta, phi)
                 if ty1.kind != "jt":
                     self.fail(path, "letj", "let J(a) scrutinee must be"
                               " J-typed", actual=ty1)
-                a, body = self.open1(t.subs[1], t.hints[0] if t.hints else "a",
-                                     used)
+                a = self.push(t, 0, "a")
                 dl2 = dict(delta)
                 dl2[a] = ty1.subs[0]
-                d2, ty2 = self.synth_armm_c(body, path + (1,), gamma, dl2,
-                                            phi, used | {a}, expect)
+                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma, dl2,
+                                            phi, expect)
                 return self.deriv("letj", zs, t, ty2, (d1, d2), form="C",
                                   binders=(a,)), ty2
             case "letk":
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi, used)
+                                            delta, phi)
                 if ty1.kind != "kt":
                     self.fail(path, "letk", "let K(a) scrutinee must be"
                               " K-typed", actual=ty1)
-                a, body = self.open1(t.subs[1], t.hints[0] if t.hints else "a",
-                                     used)
+                a = self.push(t, 0, "a")
                 g2 = dict(gamma)
                 g2[a] = ty1.subs[0]
-                d2, ty2 = self.synth_armm_c(body, path + (1,), g2, delta,
-                                            phi, used | {a}, expect)
+                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), g2, delta,
+                                            phi, expect)
                 return self.deriv("letk", zs, t, ty2, (d1, d2), form="C",
                                   binders=(a,)), ty2
             case "ret":
                 d1, ty1 = self.synth_armm_c(
-                    t.subs[0], path + (0,), gamma, delta, phi, used,
+                    t.subs[0], path + (0,), gamma, delta, phi,
                     jt(expect.subs[0]) if expect is not None and
                     expect.kind == "tt" else None)
                 if ty1.kind != "jt":
@@ -902,14 +874,13 @@ class _Checker:
                 return self.deriv("ret", zs, t, ty, (d1,), form="C"), ty
             case "do":
                 d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi, used)
+                                            delta, phi)
                 if ty1.kind != "tt":
                     self.fail(path, "do", "do expects a computation",
                               actual=ty1)
-                x, body = self.open1(t.subs[1], t.hints[0] if t.hints else "x",
-                                     used)
-                d2, ty2 = self.synth_armm_c(body, path + (1,), gamma, delta,
-                                            {x: jt(ty1.subs[0])}, used | {x},
+                x = self.push(t)
+                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma,
+                                            delta, {x: jt(ty1.subs[0])},
                                             expect)
                 if ty2.kind != "tt":
                     self.fail(path, "do", "do body must be a computation",
@@ -917,11 +888,11 @@ class _Checker:
                 return self.deriv("do", zs, t, ty2, (d1, d2), form="C",
                                   binders=(x,)), ty2
             case "aapp":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, used)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
                 if ty1.kind != "aabs":
                     self.fail(path, "aapp", "arrow application expects"
                               " u : A => X", actual=ty1)
-                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gd, used,
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gd,
                                        ty1.subs[0])
                 if not self.teq(ty2, ty1.subs[0]):
                     self.fail(path, "aapp", "argument type mismatch",
@@ -930,9 +901,9 @@ class _Checker:
                 return self.deriv("aapp", zs, t, ty, (d1, d2), form="C"), ty
             case "opapp":
                 return self.synth_opapp(
-                    t, path, gamma, used,
+                    t, path, gamma,
                     lambda s, p, e: self.synth_armm_c(s, p, gamma, delta, phi,
-                                                      used, e))
+                                                      e))
         self.fail(path, k, f"term former {k!r} is not a three-zone term")
 
 
@@ -941,9 +912,8 @@ class _Checker:
 
 def check(j: Judgement, sig: Signature) -> CheckResult:
     """Decide the judgement; on acceptance return a replayable derivation."""
-    chk = _Checker(sig, j.calculus)
     try:
-        d = chk.check_judgement(j)
+        d = _Checker(sig, j.calculus).check_judgement(j)
     except _Fail as e:
         return CheckResult(False, message=e.message, path=e.path, rule=e.rule,
                            expected=e.expected, actual=e.actual)
@@ -977,27 +947,33 @@ def check_graded_arithmetic(derivation: Derivation, sig: Signature) -> bool:
 
 
 def replay(derivation: Derivation, sig: Signature) -> bool:
-    """Re-check every node's judgement locally; True if all accept."""
-    for node in derivation.walk():
-        res = check(node.judgement, sig)
-        if not res.ok:
+    """Re-check every node's judgement locally, under the names its
+    ancestors gave the binders in force; True if all accept."""
+    def go(node, names):
+        try:
+            _Checker(sig, node.judgement.calculus, names).check_judgement(
+                node.judgement)
+        except (_Fail, SignatureError):
             return False
-    return True
+        return all(go(c, node.child_names(i, names))
+                   for i, c in enumerate(node.children))
+
+    return go(derivation, ())
 
 
 def serialize_derivation(d: Derivation) -> str:
-    """One node per line: index, rule name, judgement, child indices."""
+    """One node per line, in preorder: index, rule name, judgement (its
+    term printed under the names of the binders in force), child indices."""
     lines = []
-    counter = [0]
 
-    def go(node):
-        idx = counter[0]
-        counter[0] += 1
-        kids = [go(c) for c in node.children]
-        lines.append((idx, node.rule, str(node.judgement), kids))
+    def go(node, names):
+        idx = len(lines)
+        lines.append(None)
+        kids = [go(c, node.child_names(i, names))
+                for i, c in enumerate(node.children)]
+        lines[idx] = f"{idx}: {node.rule} | {node.judgement.text(names)}" \
+                     f" | children={kids}"
         return idx
 
-    go(d)
-    lines.sort(key=lambda e: e[0])
-    return "\n".join(
-        f"{i}: {rule} | {j} | children={kids}" for i, rule, j, kids in lines)
+    go(d, ())
+    return "\n".join(lines)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from relmeta import gen as genmod
 from relmeta import syntax
 from relmeta.syntax import (SyntaxError_, alpha_eq, bv, close_binder,
-                            free_vars, judgement, open_binder, parse_term,
-                            parse_type, subst_free, term_to_text, var)
+                            free_vars, judgement, open_binder, parse_context,
+                            parse_term, parse_type, subst_free, term_to_text,
+                            var)
 
 
 def test_parse_simple(coin_sig):
@@ -22,6 +23,30 @@ def test_parse_positions(coin_sig):
     with pytest.raises(SyntaxError_) as e:
         parse_term("do x <- coin in\n ret $", "rmm", coin_sig)
     assert e.value.line == 2
+
+
+@pytest.mark.parametrize("text, calc, col", [
+    ("do ( <- coin in ret ()", "rmm", 4),
+    ("do\n  * <- coin in ret ()", "rmm", 3),
+    ("lam (in:A). ret ()", "lnl", 6),
+    ("lamarrow 2. ret ()", "arrow", 10),
+    ("let (x, 2) = p in x", "lnl", 9),
+    ("let J(<-) = t in ret ()", "lnl", 7),
+])
+def test_binder_must_be_a_name(text, calc, col, coin_sig):
+    with pytest.raises(SyntaxError_) as e:
+        parse_term(text, calc, coin_sig)
+    assert (e.value.line, e.value.col) == (text.count("\n") + 1, col)
+    assert "expected a variable name" in str(e.value)
+
+
+def test_context_entry_must_be_a_name():
+    with pytest.raises(SyntaxError_) as e:
+        parse_context("( : J(2), * : T(2)")
+    assert (e.value.line, e.value.col) == (1, 1)
+    with pytest.raises(SyntaxError_) as e:
+        parse_context("x : J(2), * : T(2)")
+    assert (e.value.line, e.value.col) == (1, 11)
 
 
 def test_unknown_op_arity(coin_sig):

@@ -2,9 +2,12 @@
 the zone disciplines, and the checkable metatheory (substitution,
 exchange, weakening)."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from conftest import accepted_golden_judgements
+from conftest import accepted_golden_judgements, fixture_text
 from relmeta import gen as genmod
 from relmeta import syntax
 from relmeta.signatures import load_signature
@@ -209,14 +212,32 @@ def test_rejection_reports_path(coin_sig):
     assert res.path == ()
 
 
+def test_bound_variable_is_not_a_command():
+    """A bound variable in command position is reported as a variable, as
+    a free one is."""
+    sig = _sig_for("arrow", None)
+    j = judgement("arrow", [()], parse_term("lamarrow (x:B). x", "arrow", sig),
+                  parse_type("B ~> B"), form="A")
+    res = check(j, sig)
+    assert (res.ok, res.rule, res.path) == (False, "var", (0,))
+    assert res.message.startswith("'var' is not a command former")
+
+
 def test_split_linear():
     delta = {"x": parse_type("J(A)"), "y": parse_type("J(B)")}
-    t1 = parse_term("ret x", "lnl")
-    t2 = parse_term("ret y", "lnl")
-    claims = split_linear(delta, [t1, t2])
+    claims = split_linear(delta, parse_term("(ret x, ret y)", "lnl"))
     assert set(claims[0]) == {"x"} and set(claims[1]) == {"y"}
     with pytest.raises(LinearityError):
-        split_linear(delta, [t1, t1])
+        split_linear(delta, parse_term("(ret x, ret x)", "lnl"))
+    # under a binder in force named y: the body's bvar 0 is the do's own
+    # binder, which claims nothing; its bvar 1 is y
+    t = syntax.do(syntax.var("x"),
+                  syntax.pair(syntax.bv(0), syntax.bv(1)))
+    claims = split_linear(delta, t, ("y",))
+    assert set(claims[0]) == {"x"} and set(claims[1]) == {"y"}
+    with pytest.raises(LinearityError):
+        split_linear(delta, syntax.pair(syntax.bv(0), syntax.var("y")),
+                     ("y",))
 
 
 def test_graded_arithmetic_audit(gmm_sig):
@@ -298,8 +319,8 @@ def test_substitution_lemma(sweep_sig, rng):
         # synthesize the type first
         from relmeta.typecheck import _Checker
         chk = _Checker(sweep_sig, "rmm")
-        d, tty = chk.synth_a(t, (), dict(ctx + (("xx", xty),)),
-                             {x for x, _ in ctx} | {"xx"})
+        chk.avoid = {x for x, _ in ctx} | {"xx"}
+        d, tty = chk.synth_a(t, (), dict(ctx + (("xx", xty),)))
         jt = judgement("rmm", [ctx + (("xx", xty),)], t, tty)
         assert check(jt, sweep_sig).ok
         js = judgement("rmm", [ctx], subst_free(t, "xx", u), tty)
@@ -346,3 +367,168 @@ def test_derivation_binders_are_the_new_zone_names():
                         if x not in mine)
             assert node.binders == new and new, (name, node.rule)
     assert seen == set(BINDING_CHILD)
+
+
+
+def _bind_chain(n, sig):
+    """do x0 <- coin in do x1 <- ret not x0 in ... in ret x(n-1)."""
+    text = f"ret x{n - 1}"
+    for i in reversed(range(n)):
+        text = f"do x{i} <- {f'ret not x{i - 1}' if i else 'coin'} in {text}"
+    return judgement("rmm", [()], parse_term(text, "rmm", sig),
+                     parse_type("T(2)"))
+
+
+def test_check_and_print_build_no_terms(monkeypatch, coin_sig):
+    """The checker, replay and the printer read the term as parsed, bvars
+    and all: they open no binder and so build no Term."""
+    cases = accepted_golden_judgements() + \
+        [("chain", _bind_chain(100, coin_sig), coin_sig)]
+    built = []
+    post_init = syntax.Term.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        post_init(self)
+
+    def refuse(*args):
+        raise AssertionError("a binder was opened")
+
+    monkeypatch.setattr(syntax.Term, "__post_init__", counting)
+    monkeypatch.setattr(syntax, "bsubst", refuse)
+    monkeypatch.setattr(syntax, "open_binder", refuse)
+    for name, j, sig in cases:
+        res = check(j, sig)
+        assert res.ok, (name, res.message)
+        assert replay(res.derivation, sig), name
+        serialize_derivation(res.derivation)
+        syntax.term_to_text(j.term)
+    assert built == []
+
+
+def test_replay_rejects_a_wrong_type_under_a_binder():
+    """Each node under one binder or more, given a wrong type, makes its
+    derivation fail to replay; untouched derivations replay."""
+    seen = set()
+    for name, j, sig in accepted_golden_judgements():
+        d = check(j, sig).derivation
+        assert replay(d, sig), name
+
+        def under_binders(node, names):
+            if names:
+                yield node
+            for i, c in enumerate(node.children):
+                yield from under_binders(c, node.child_names(i, names))
+
+        for node in list(under_binders(d, ())):
+            right = node.judgement
+            node.judgement = replace(right, ty=syntax.prod(right.ty, right.ty))
+            assert not replay(d, sig), (name, node.rule)
+            node.judgement = right
+            seen.add(j.calculus)
+        assert replay(d, sig), name
+    assert seen == set(syntax.CALCULI)
+
+# -- generated-judgement golden ---------------------------------------------
+
+GENERATED = Path(__file__).parent / "golden" / "generated" / "typecheck.txt"
+
+
+# raw-term judgements: the zone kinds of each judgement form (the last one
+# also types the result), and well-formed types of each kind
+RAW_ZONES = {("urmm", "A"): "A", ("rmm", "A"): "A", ("gmm", "A"): "A",
+             ("lnl", "A"): "A", ("lnl", "C"): "AC", ("arrow", "A"): "A",
+             ("arrow", "C"): "AA", ("armm", "A"): "A", ("armm", "C"): "AAC"}
+RAW_TYPES = {
+    ("urmm", "A"): ["J(2)", "T(2)", "J(4)", "T(4)"],
+    ("rmm", "A"): ["J(2)", "T(2)", "1", "J(2) * T(4)", "T(1)"],
+    ("gmm", "A"): ["A", "T_2(A)", "T_1(B)", "A * B", "T_6(A)"],
+    ("lnl", "A"): ["A", "A -> B", "R(gr(2) -o T(A))", "1"],
+    ("lnl", "C"): ["J(A)", "T(A)", "gr(2)", "I", "J(A) -o T(B)",
+                   "gr(2) * gr(3)"],
+    ("arrow", "A"): ["B", "C", "B ~> C", "B -> C", "B * C"],
+    ("armm", "A"): ["B", "C", "B => T(C)", "B => J(C)"],
+    ("armm", "C"): ["J(B)", "K(C)", "T(B)", "1", "J(B) * K(C)"],
+}
+
+# the graded laws whose linear translations are small enough to keep
+SMALL_GMM_TO_LNL = {"prod.eta", "prod.beta1", "regrade.id", "do.beta",
+                    "do.eta"}
+
+
+def _generated_corpus():
+    """(tag, judgement, signature) for a seeded corpus over all six calculi:
+    schema instances (and their translations) that check, and raw terms
+    over random contexts and types, most of which do not."""
+    import random
+    from relmeta import translate
+    coin = load_signature(fixture_text("coin.sig"))
+    gmm = load_signature("calculus gmm\nobject A\nobject B\n"
+                         "grading builtin mult\n")
+    lnl = load_signature(LNL_SIG)
+    arrow = load_signature("calculus arrow\nobject B\nobject C\n")
+    armm = load_signature(ARMM_SIG)
+    out = []
+    rng = random.Random(6)
+    for name, jl, jr in genmod.rmm_schema_instances(rng, coin, ["2", "4"]):
+        out += [(f"rmm {name} lhs", jl, coin), (f"rmm {name} rhs", jr, coin)]
+    for name, jl, jr in genmod.gmm_schema_instances(rng, gmm, ["A", "B"]):
+        for side, j in (("lhs", jl), ("rhs", jr)):
+            out.append((f"gmm {name} {side}", j, gmm))
+            if name in SMALL_GMM_TO_LNL:
+                out.append((f"lnl gmm_to_lnl {name} {side}",
+                            translate.gmm_to_lnl(j, gmm)[0], gmm))
+    for name, jl, jr in genmod.arrow_schema_instances(rng, arrow, ["B", "C"]):
+        for side, j in (("lhs", jl), ("rhs", jr)):
+            out.append((f"arrow {name} {side}", j, arrow))
+            out.append((f"armm arrow_to_armm {name} {side}",
+                        translate.arrow_to_armm(j, arrow)[0], arrow))
+    g = genmod.Gen(rng, coin, "urmm", ["2"])
+    ctx, ty = (("x", syntax.jt(syntax.base("2"))),), parse_type("T(2)")
+    for i in range(12):
+        out.append((f"urmm gen {i}",
+                    judgement("urmm", [ctx], g.gen_comp(ctx, ty, 5), ty),
+                    coin))
+    sigs = {"urmm": coin, "rmm": coin, "gmm": gmm, "lnl": lnl,
+            "arrow": arrow, "armm": armm}
+    for calc, sig in sigs.items():
+        for i in range(30):
+            form = rng.choice("AC") if (calc, "C") in syntax.ZONES else "A"
+            kinds = RAW_ZONES[calc, form]
+            zones = [tuple((f"v{k}", parse_type(rng.choice(
+                RAW_TYPES[calc, kinds[z]]))) for k in range(4)
+                if k % len(kinds) == z and rng.random() < 0.6)
+                for z in range(len(kinds))]
+            ty = parse_type(rng.choice(RAW_TYPES[calc, kinds[-1]]))
+            t = genmod.gen_raw_term(rng, calc, sig, depth=3)
+            out.append((f"{calc} raw {i}",
+                        judgement(calc, zones, t, ty, form=form), sig))
+    return out
+
+
+def generated_typecheck_report() -> str:
+    """One block per corpus judgement: the judgement, then its serialized
+    derivation or the rejection's rule, path, message and types."""
+    blocks = []
+    for tag, j, sig in _generated_corpus():
+        res = check(j, sig)
+        if res.ok:
+            body = serialize_derivation(res.derivation)
+        else:
+            body = (f"rejected: rule={res.rule} path={res.path}"
+                    f" expected={res.expected} actual={res.actual}\n"
+                    f"  {res.message}")
+        blocks.append(f"## {tag}\n{j}\n{body}")
+    return "\n".join(blocks) + "\n"
+
+
+def test_generated_typecheck_golden():
+    """Derivations and rejections of the generated corpus, byte for byte
+    (regenerate with `PYTHONPATH=src python tests/test_typecheck.py`)."""
+    assert generated_typecheck_report() == GENERATED.read_text(
+        encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GENERATED.parent.mkdir(exist_ok=True)
+    GENERATED.write_text(generated_typecheck_report(), encoding="utf-8")
