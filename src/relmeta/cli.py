@@ -418,7 +418,6 @@ def make_parser():
 
     def common(sp, with_model=False):
         sp.add_argument("--sig", help="signature file")
-        sp.add_argument("--calculus")
         if with_model:
             sp.add_argument("--model", action="append",
                             help="model binding file (name=path)")
@@ -460,6 +459,7 @@ def make_parser():
     sp.set_defaults(fn=cmd_lawcheck)
     sp = sub.add_parser("repl")
     common(sp, with_model=True)
+    sp.add_argument("--calculus")
     sp.set_defaults(fn=cmd_repl)
     return p
 

@@ -432,10 +432,7 @@ def carrier_values(ty: TypeExpr, binding: ModelBinding, sig: Signature,
                 for a in carrier_values(ty.subs[0], binding, sig, grid_exp)
                 for b in carrier_values(ty.subs[1], binding, sig, grid_exp)]
     if k == "jt":
-        if binding.calculus == "armm":
-            return [VJ(v) for v in
-                    carrier_values(ty.subs[0], binding, sig, grid_exp)]
-        if binding.calculus == "lnl":
+        if binding.calculus in ("armm", "lnl"):
             return [VJ(v) for v in
                     carrier_values(ty.subs[0], binding, sig, grid_exp)]
         return carrier_values(ty.subs[0], binding, sig, grid_exp)

@@ -9,12 +9,15 @@ valid split when one exists.
 
 It reads the term as parsed: bvar i names the i-th binder from the top of
 a stack of the binders in force, each named once, by its hint made fresh
-for the root's names and those in force.  The derivation is the one typing
-record: each node holds its judgement (zones, form, type, and its term as
-it sits in the root term, bvars and all) and, at a binding rule, the names
-it gave the binding child's binders; printing and replay rebuild a node's
-names by walking from the root.  The rewrite engine, the evaluator and the
-translations read the derivation.
+for the root's names and those in force.  A zone is an ordered tuple of
+(name, type) pairs; a binder extends it with `zone + ((x, ty),)`, and x is
+fresh for every name in force, so names stay unique.  The derivation is the
+one typing record: each node holds its judgement (zones, form, type, and
+its term as it sits in the root term, bvars and all) and, at a binding
+rule, the names it gave the binding child's binders.  Every node of a scope
+holds the same zone tuples, not copies of them.  Printing and replay
+rebuild a node's names by walking from the root.  The rewrite engine, the
+evaluator and the translations read the derivation.
 """
 
 from __future__ import annotations
@@ -192,20 +195,21 @@ def validate_type(ty: TypeExpr, calculus: str, zone: str, sig: Signature,
 # ---------------------------------------------------------------------------
 # Linear splitting
 
-def split_linear(delta: dict, t: Term, names=()) -> list[dict]:
-    """Partition the available linear context among the children of t by
-    free occurrence.  The split is unique when it exists; duplicated use
-    raises.  Unused variables are left unclaimed (callers decide where
-    emptiness is required).  `names` names the binders in force at t,
-    innermost last: a child's dangling bvar claims its binder's name, and
-    the binders t itself gives a child are not in the context yet."""
+def split_linear(delta: tuple, t: Term, names=()) -> list[tuple]:
+    """Partition the available linear zone among the children of t by
+    free occurrence, each share a sub-zone in the zone's order.  The split
+    is unique when it exists; duplicated use raises.  Unused variables are
+    left unclaimed (callers decide where emptiness is required).  `names`
+    names the binders in force at t, innermost last: a child's dangling
+    bvar claims its binder's name, and the binders t itself gives a child
+    are not in the zone yet."""
     claims = []
     for i, s in enumerate(t.subs):
         fv = free_vars(s, (*names, *[None] * syntax.child_binders(t, i)))
-        claims.append({x: ty for x, ty in delta.items() if x in fv})
+        claims.append(tuple((x, ty) for x, ty in delta if x in fv))
     seen = {}
     for i, c in enumerate(claims):
-        for x in c:
+        for x, _ in c:
             if x in seen:
                 raise LinearityError(
                     (), "linear-split",
@@ -216,6 +220,14 @@ def split_linear(delta: dict, t: Term, names=()) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # The checker
+
+def _find(zone, x):
+    """The type of x in a zone, or None if x is not in it."""
+    for y, ty in zone:
+        if y == x:
+            return ty
+    return None
+
 
 class _Checker:
     def __init__(self, sig: Signature, calculus: str, names=()):
@@ -260,15 +272,14 @@ class _Checker:
             return self.names[-1 - t.index]
         return t.name if t.kind == "var" else None
 
-    def deriv(self, rule, zones, term, ty, children=(), form="A",
-              binders=()):
-        """The node of a rule; a binding rule's binders are the names its
-        body was checked under, which are released here."""
+    def deriv(self, rule, zs, term, ty, children=(), form="A", binders=()):
+        """The node of a rule, holding its zones by reference; a binding
+        rule's binders are the names its body was checked under, which are
+        released here."""
         for _ in binders:
             self.avoid.discard(self.names.pop())
-        j = Judgement(self.calculus, form, tuple(tuple(z) for z in zones),
-                      term, ty)
-        return Derivation(rule, j, tuple(children), binders)
+        return Derivation(rule, Judgement(self.calculus, form, zs, term, ty),
+                          children, binders)
 
     # .. entry ............................................................
 
@@ -284,23 +295,20 @@ class _Checker:
         if self.calculus == "urmm" and len(j.zones[0]) != 1:
             self.fail((), "judgement",
                       "the unary calculus takes exactly one context variable")
-        gamma = dict(j.zones[0])
         if j.form == "A":
-            d, ty = self.synth_a(j.term, (), gamma, expect=j.ty)
+            d, ty = self.synth_a(j.term, (), *j.zones, expect=j.ty)
         elif self.calculus == "lnl":
-            delta = dict(j.zones[1])
-            unused = set(delta) - free_vars(j.term, self.names)
+            unused = {x for x, _ in j.zones[1]} - \
+                free_vars(j.term, self.names)
             if unused:
                 raise LinearityError(
                     (), "linear", f"unused linear variable(s): "
                     f"{', '.join(sorted(unused))}")
-            d, ty = self.synth_lnl_c(j.term, (), gamma, delta, expect=j.ty)
+            d, ty = self.synth_lnl_c(j.term, (), *j.zones, expect=j.ty)
         elif self.calculus == "arrow":
-            d, ty = self.synth_command(j.term, (), gamma, dict(j.zones[1]),
-                                       list(j.zones[1]), expect=j.ty)
+            d, ty = self.synth_command(j.term, (), *j.zones, expect=j.ty)
         else:
-            d, ty = self.synth_armm_c(j.term, (), gamma, dict(j.zones[1]),
-                                      dict(j.zones[2]), expect=j.ty)
+            d, ty = self.synth_armm_c(j.term, (), *j.zones, expect=j.ty)
         if not self.teq(ty, j.ty):
             self.fail((), "judgement", "result type mismatch", j.ty, ty)
         return d
@@ -317,12 +325,12 @@ class _Checker:
     def synth_a(self, t: Term, path, gamma, expect=None):
         calc = self.calculus
         k = t.kind
-        zs = (tuple(gamma.items()),)
+        zs = (gamma,)
         x = self.var_name(t)
         if x is not None:
-            if x not in gamma:
+            ty = _find(gamma, x)
+            if ty is None:
                 self.fail(path, "var", f"unbound variable {x!r}")
-            ty = gamma[x]
             return self.deriv("var", zs, t, ty), ty
         match k:
             case "unit":
@@ -374,7 +382,7 @@ class _Checker:
             case "do":
                 return self.synth_do_a(t, path, gamma, expect)
             case "opapp":
-                return self.synth_opapp(t, path, gamma,
+                return self.synth_opapp(t, path, zs, "A",
                                         lambda s, p, e: self.synth_a(
                                             s, p, gamma, e))
             case "regrade":
@@ -396,11 +404,10 @@ class _Checker:
                 if calc not in ("lnl", "arrow"):
                     self.fail(path, "lam", f"lambda is not a term of {calc}")
                 x = self.push(t)
-                g2 = dict(gamma)
-                g2[x] = t.tyann
                 eb = expect.subs[1] if expect is not None and \
                     expect.kind == "fun" else None
-                d1, tyb = self.synth_a(t.subs[0], path + (0,), g2, eb)
+                d1, tyb = self.synth_a(t.subs[0], path + (0,),
+                                       gamma + ((x, t.tyann),), eb)
                 ty = syntax.fun(t.tyann, tyb)
                 return self.deriv("lam", zs, t, ty, (d1,), binders=(x,)), ty
             case "app":
@@ -431,7 +438,7 @@ class _Checker:
                 if calc != "lnl":
                     self.fail(path, "rterm", "R(-) is an LNL term")
                 d1, ty1 = self.synth_lnl_c(
-                    t.subs[0], path + (0,), gamma, {},
+                    t.subs[0], path + (0,), gamma, (),
                     expect=expect.subs[0] if expect is not None and
                     expect.kind == "rt" else None)
                 ty = syntax.rt(ty1)
@@ -443,16 +450,15 @@ class _Checker:
 
     def synth_do_a(self, t, path, gamma, expect):
         calc = self.calculus
-        zs = (tuple(gamma.items()),)
+        zs = (gamma,)
         d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
         if calc == "gmm":
             if ty1.kind != "tgr":
                 self.fail(path, "do", "do expects a graded computation",
                           actual=ty1)
             x = self.push(t)
-            g2 = dict(gamma)
-            g2[x] = ty1.subs[0]
-            d2, ty2 = self.synth_a(t.subs[1], path + (1,), g2)
+            d2, ty2 = self.synth_a(t.subs[1], path + (1,),
+                                   gamma + ((x, ty1.subs[0]),))
             if ty2.kind != "tgr":
                 self.fail(path, "do", "do body must be a graded computation",
                           actual=ty2)
@@ -463,17 +469,15 @@ class _Checker:
         if ty1.kind != "tt":
             self.fail(path, "do", "do expects a computation", actual=ty1)
         x = self.push(t)
-        if calc == "urmm":
-            g2 = {x: jt(ty1.subs[0])}
-        else:
-            g2 = dict(gamma)
-            g2[x] = jt(ty1.subs[0])
+        g2 = ((x, jt(ty1.subs[0])),)
+        if calc != "urmm":
+            g2 = gamma + g2
         d2, ty2 = self.synth_a(t.subs[1], path + (1,), g2, expect=expect)
         if ty2.kind != "tt":
             self.fail(path, "do", "do body must be a computation", actual=ty2)
         return self.deriv("do", zs, t, ty2, (d1, d2), binders=(x,)), ty2
 
-    def synth_opapp(self, t, path, gamma, subcheck):
+    def synth_opapp(self, t, path, zs, form, subcheck):
         try:
             decl = self.sig.op_decl(t.name)
         except SignatureError as e:
@@ -488,11 +492,11 @@ class _Checker:
                 self.fail(path + (i,), "op", f"operation {t.name} argument"
                           f" {i + 1} type mismatch", pty, ty)
             children.append(d)
-        return self.deriv("op", (tuple(gamma.items()),), t, decl.result,
-                          tuple(children)), decl.result
+        return self.deriv("op", zs, t, decl.result, tuple(children),
+                          form=form), decl.result
 
     def synth_lamarrow(self, t, path, gamma, expect):
-        calc, zs = self.calculus, (tuple(gamma.items()),)
+        calc, zs = self.calculus, (gamma,)
         if calc not in ("arrow", "armm"):
             self.fail(path, "lamarrow",
                       f"arrow abstraction is not a term of {calc}")
@@ -510,10 +514,10 @@ class _Checker:
         x = self.push(t)
         if calc == "arrow":
             d1, tyb = self.synth_command(t.subs[0], path + (0,), gamma,
-                                         {x: ann}, [(x, ann)], expect=eb)
+                                         ((x, ann),), expect=eb)
         else:
             d1, tyb = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                        {x: ann}, {}, expect=eb)
+                                        ((x, ann),), (), expect=eb)
         ty = TypeExpr(former, (ann, tyb))
         return self.deriv("lamarrow", zs, t, ty, (d1,), binders=(x,)), ty
 
@@ -521,7 +525,7 @@ class _Checker:
 
     def synth_lnl_c(self, t: Term, path, gamma, delta, expect=None):
         k = t.kind
-        zs = (tuple(gamma.items()), tuple(delta.items()))
+        zs = (gamma, delta)
 
         def split():
             try:
@@ -534,14 +538,15 @@ class _Checker:
                 # the share routed here must be empty (subterm is nonlinear)
                 raise LinearityError(
                     path, rule, f"linear variable(s) "
-                    f"{', '.join(sorted(delta))} cannot be used under {rule}")
+                    f"{', '.join(sorted(x for x, _ in delta))} cannot be"
+                    f" used under {rule}")
 
         x = self.var_name(t)
         if x is not None:
-            if x in delta:
-                ty = delta[x]
+            ty = _find(delta, x)
+            if ty is not None:
                 return self.deriv("lvar", zs, t, ty, form="C"), ty
-            if x in gamma:
+            if _find(gamma, x) is not None:
                 raise LinearityError(
                     path, "lvar", f"nonlinear variable {x!r} used as"
                     f" a linear term (use J(-)/derelict)")
@@ -582,11 +587,9 @@ class _Checker:
                     if not uses_bvar(t.subs[1], i):
                         raise LinearityError(
                             path, "letpair", f"unused linear variable {v!r}")
-                c1b = dict(c1)
-                c1b[x] = ty1.subs[0]
-                c1b[y] = ty1.subs[1]
-                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1b,
-                                           expect)
+                d2, ty2 = self.synth_lnl_c(
+                    t.subs[1], path + (1,), gamma,
+                    c1 + ((x, ty1.subs[0]), (y, ty1.subs[1])), expect)
                 return self.deriv("letpair", zs, t, ty2, (d1, d2), form="C",
                                   binders=(x, y)), ty2
             case "lam":
@@ -594,9 +597,8 @@ class _Checker:
                 if not uses_bvar(t.subs[0], 0):
                     raise LinearityError(
                         path, "limpl", f"unused linear variable {x!r}")
-                d2 = dict(delta)
-                d2[x] = t.tyann
-                d1, tyb = self.synth_lnl_c(t.subs[0], path + (0,), gamma, d2,
+                d1, tyb = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
+                                           delta + ((x, t.tyann),),
                                            expect.subs[1] if expect is not None
                                            and expect.kind == "lolli" else None)
                 ty = syntax.lolli(t.tyann, tyb)
@@ -635,9 +637,8 @@ class _Checker:
                 if not uses_bvar(t.subs[1], 0):
                     raise LinearityError(
                         path, "do", f"unused linear variable {x!r}")
-                c1b = dict(c1)
-                c1b[x] = jt(ty1.subs[0])
-                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1b,
+                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma,
+                                           c1 + ((x, jt(ty1.subs[0])),),
                                            expect)
                 if ty2.kind != "tt":
                     self.fail(path, "do", "do body must be a computation",
@@ -723,9 +724,8 @@ class _Checker:
                     self.fail(path, "letj", "let J(a) scrutinee must be"
                               " J-typed", actual=ty1)
                 a = self.push(t, 0, "a")
-                g2 = dict(gamma)
-                g2[a] = ty1.subs[0]
-                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), g2, c1,
+                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,),
+                                           gamma + ((a, ty1.subs[0]),), c1,
                                            expect)
                 return self.deriv("letj", zs, t, ty2, (d1, d2), form="C",
                                   binders=(a,)), ty2
@@ -740,20 +740,17 @@ class _Checker:
             case "opapp":
                 require_empty_share("op")
                 return self.synth_opapp(
-                    t, path, gamma,
-                    lambda s, p, e: self.synth_lnl_c(s, p, gamma, {}, e))
+                    t, path, zs, "C",
+                    lambda s, p, e: self.synth_lnl_c(s, p, gamma, (), e))
         self.fail(path, k, f"term former {k!r} is not a linear-judgement term")
 
     # .. arrow-calculus commands ..........................................
 
-    def synth_command(self, t: Term, path, gamma, delta, delta_order,
-                      expect=None):
-        zs = (tuple(gamma.items()), tuple(delta_order))
-        both = dict(gamma)
-        both.update(delta)
+    def synth_command(self, t: Term, path, gamma, delta, expect=None):
+        zs = (gamma, delta)
         match t.kind:
             case "ret":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), both,
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma + delta,
                                        expect)
                 return self.deriv("cmd-ret", zs, t, ty1, (d1,), form="C"), ty1
             case "aapp":
@@ -761,7 +758,7 @@ class _Checker:
                 if ty1.kind != "arr":
                     self.fail(path, "cmd-app", "arrow application expects"
                               " u : A ~> B", actual=ty1)
-                d2, ty2 = self.synth_a(t.subs[1], path + (1,), both,
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma + delta,
                                        ty1.subs[0])
                 if not self.teq(ty2, ty1.subs[0]):
                     self.fail(path, "cmd-app", "arrow argument type mismatch",
@@ -770,13 +767,10 @@ class _Checker:
                 return self.deriv("cmd-app", zs, t, ty, (d1, d2), form="C"), ty
             case "do":
                 d1, ty1 = self.synth_command(t.subs[0], path + (0,), gamma,
-                                             delta, delta_order)
+                                             delta)
                 x = self.push(t)
-                dl2 = dict(delta)
-                dl2[x] = ty1
-                d2, ty2 = self.synth_command(
-                    t.subs[1], path + (1,), gamma, dl2,
-                    delta_order + [(x, ty1)], expect)
+                d2, ty2 = self.synth_command(t.subs[1], path + (1,), gamma,
+                                             delta + ((x, ty1),), expect)
                 return self.deriv("cmd-do", zs, t, ty2, (d1, d2), form="C",
                                   binders=(x,)), ty2
         k = "var" if self.var_name(t) is not None else t.kind
@@ -788,18 +782,16 @@ class _Checker:
 
     def synth_armm_c(self, t: Term, path, gamma, delta, phi,
                      expect=None):
-        zs = (tuple(gamma.items()), tuple(delta.items()), tuple(phi.items()))
-        gd = dict(gamma)
-        gd.update(delta)
+        zs = (gamma, delta, phi)
         k = t.kind
         x = self.var_name(t)
         if x is not None:
-            if x not in phi:
-                if x in gd:
+            ty = _find(phi, x)
+            if ty is None:
+                if _find(gamma + delta, x) is not None:
                     self.fail(path, "cvar", f"variable {x!r} lives in"
                               f" a nonlinear zone; use J(-)/K(-)")
                 self.fail(path, "cvar", f"unbound variable {x!r}")
-            ty = phi[x]
             return self.deriv("cvar", zs, t, ty, form="C"), ty
         match k:
             case "unit":
@@ -827,7 +819,8 @@ class _Checker:
             case "jterm":
                 e = expect.subs[0] if expect is not None and \
                     expect.kind == "jt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gd, e)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma + delta,
+                                       e)
                 ty = jt(ty1)
                 return self.deriv("jterm", zs, t, ty, (d1,), form="C"), ty
             case "kterm":
@@ -843,10 +836,9 @@ class _Checker:
                     self.fail(path, "letj", "let J(a) scrutinee must be"
                               " J-typed", actual=ty1)
                 a = self.push(t, 0, "a")
-                dl2 = dict(delta)
-                dl2[a] = ty1.subs[0]
-                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma, dl2,
-                                            phi, expect)
+                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma,
+                                            delta + ((a, ty1.subs[0]),), phi,
+                                            expect)
                 return self.deriv("letj", zs, t, ty2, (d1, d2), form="C",
                                   binders=(a,)), ty2
             case "letk":
@@ -856,9 +848,8 @@ class _Checker:
                     self.fail(path, "letk", "let K(a) scrutinee must be"
                               " K-typed", actual=ty1)
                 a = self.push(t, 0, "a")
-                g2 = dict(gamma)
-                g2[a] = ty1.subs[0]
-                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), g2, delta,
+                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,),
+                                            gamma + ((a, ty1.subs[0]),), delta,
                                             phi, expect)
                 return self.deriv("letk", zs, t, ty2, (d1, d2), form="C",
                                   binders=(a,)), ty2
@@ -880,7 +871,7 @@ class _Checker:
                               actual=ty1)
                 x = self.push(t)
                 d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma,
-                                            delta, {x: jt(ty1.subs[0])},
+                                            delta, ((x, jt(ty1.subs[0])),),
                                             expect)
                 if ty2.kind != "tt":
                     self.fail(path, "do", "do body must be a computation",
@@ -892,7 +883,7 @@ class _Checker:
                 if ty1.kind != "aabs":
                     self.fail(path, "aapp", "arrow application expects"
                               " u : A => X", actual=ty1)
-                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gd,
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma + delta,
                                        ty1.subs[0])
                 if not self.teq(ty2, ty1.subs[0]):
                     self.fail(path, "aapp", "argument type mismatch",
@@ -901,7 +892,7 @@ class _Checker:
                 return self.deriv("aapp", zs, t, ty, (d1, d2), form="C"), ty
             case "opapp":
                 return self.synth_opapp(
-                    t, path, gamma,
+                    t, path, zs, "C",
                     lambda s, p, e: self.synth_armm_c(s, p, gamma, delta, phi,
                                                       e))
         self.fail(path, k, f"term former {k!r} is not a three-zone term")

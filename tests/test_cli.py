@@ -314,6 +314,11 @@ def test_usage_errors():
     assert r3.returncode == 3
     r4 = run_cli("--carrier-cap", "5", "lawcheck", fixture_path("tiny.inst"))
     assert r4.returncode == 3
+    term = str(GOLDEN.parent / "typecheck" / "lnl_lam.term")
+    sig = ("--sig", golden_sig_path("lnl_lam"))
+    assert run_cli("typecheck", *sig, term).returncode == 0
+    r5 = run_cli("typecheck", *sig, "--calculus", "lnl", term)
+    assert r5.returncode == 3
 
 
 @pytest.mark.parametrize("drop, cell", [("ext A A eA = eA", "ext A A eA"),

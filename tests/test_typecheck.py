@@ -224,9 +224,13 @@ def test_bound_variable_is_not_a_command():
 
 
 def test_split_linear():
-    delta = {"x": parse_type("J(A)"), "y": parse_type("J(B)")}
+    x, y = ("x", parse_type("J(A)")), ("y", parse_type("J(B)"))
+    delta = (x, y)
     claims = split_linear(delta, parse_term("(ret x, ret y)", "lnl"))
-    assert set(claims[0]) == {"x"} and set(claims[1]) == {"y"}
+    assert claims == [(x,), (y,)]
+    # each share keeps the zone's order, not the order of use
+    assert split_linear(delta, parse_term("((y, x), ())", "lnl")) == \
+        [(x, y), ()]
     with pytest.raises(LinearityError):
         split_linear(delta, parse_term("(ret x, ret x)", "lnl"))
     # under a binder in force named y: the body's bvar 0 is the do's own
@@ -234,7 +238,7 @@ def test_split_linear():
     t = syntax.do(syntax.var("x"),
                   syntax.pair(syntax.bv(0), syntax.bv(1)))
     claims = split_linear(delta, t, ("y",))
-    assert set(claims[0]) == {"x"} and set(claims[1]) == {"y"}
+    assert claims == [(x,), (y,)]
     with pytest.raises(LinearityError):
         split_linear(delta, syntax.pair(syntax.bv(0), syntax.var("y")),
                      ("y",))
@@ -320,7 +324,7 @@ def test_substitution_lemma(sweep_sig, rng):
         from relmeta.typecheck import _Checker
         chk = _Checker(sweep_sig, "rmm")
         chk.avoid = {x for x, _ in ctx} | {"xx"}
-        d, tty = chk.synth_a(t, (), dict(ctx + (("xx", xty),)))
+        d, tty = chk.synth_a(t, (), ctx + (("xx", xty),))
         jt = judgement("rmm", [ctx + (("xx", xty),)], t, tty)
         assert check(jt, sweep_sig).ok
         js = judgement("rmm", [ctx], subst_free(t, "xx", u), tty)
@@ -428,6 +432,78 @@ def test_replay_rejects_a_wrong_type_under_a_binder():
             seen.add(j.calculus)
         assert replay(d, sig), name
     assert seen == set(syntax.CALCULI)
+
+
+@pytest.mark.parametrize("calc, sig_text, zones, term, ty", [
+    ("armm", ARMM_SIG + "op tick : (x : J(B)) -> T(B)\n",
+     ["", "", "x : J(B)"], "tick(x)", "T(B)"),
+    ("lnl", LNL_SIG + "op tick : (x : J(A)) -> T(A)\n",
+     ["a : A", ""], "tick(J(a))", "T(A)"),
+])
+def test_op_node_records_its_callers_judgement(calc, sig_text, zones, term,
+                                               ty):
+    """An operation inside a C judgement is recorded under the caller's
+    zones and form, so its derivation replays."""
+    sig = load_signature(sig_text)
+    j = judgement(calc, [parse_context(z, sig) for z in zones],
+                  parse_term(term, calc, sig), parse_type(ty, sig), form="C")
+    res = check(j, sig)
+    assert res.ok, res.message
+    assert (res.derivation.rule, res.derivation.judgement) == ("op", j)
+    assert replay(res.derivation, sig)
+
+
+# the LNL rules whose children each get a share of the linear zone
+LNL_SPLITS = {"tensor", "letunit", "letpair", "lapp", "do", "letj"}
+
+
+def _is_subsequence(sub, seq):
+    it = iter(seq)
+    return all(any(a == b for b in it) for a in sub)
+
+
+def test_nodes_share_their_parents_zones(coin_sig):
+    """A child holds its parent's zone tuples themselves, not copies.  A
+    binding child's zone is its parent's plus exactly the node's binders
+    (or the binders alone, where the rule starts the zone afresh); an LNL
+    split hands each child a share of the linear zone in its order; a
+    Cartesian child of a command or three-zone node sees the
+    concatenation of the first two zones."""
+    cases = accepted_golden_judgements() + \
+        [("chain", _bind_chain(30, coin_sig), coin_sig)]
+    shared = set()
+    for name, j, sig in cases:
+        d = check(j, sig).derivation
+        assert all(a is b for a, b in zip(d.judgement.zones, j.zones)), name
+        for node in d.walk():
+            pj = node.judgement
+            pz = pj.zones
+            for i, child in enumerate(node.children):
+                cz = child.judgement.zones
+                bound = set(node.binders) \
+                    if syntax.child_binders(pj.term, i) else set()
+                added = ()
+                for z, c in enumerate(cz):
+                    k = sum(1 for x, _ in c if x in bound)
+                    old, new = c[:len(c) - k], c[len(c) - k:]
+                    assert {x for x, _ in new} <= bound, (name, node.rule)
+                    added += tuple(x for x, _ in new)
+                    p = pz[z] if z < len(pz) else ()
+                    where = (name, node.rule, i, z)
+                    if pj.calculus == "lnl" and pj.form == "C" and z == 1 \
+                            and node.rule in LNL_SPLITS:
+                        assert _is_subsequence(old, p), where
+                    elif k:
+                        assert old in (p, ()), where
+                    elif len(cz) < len(pz) and old != p:
+                        assert z == 0 and old == pz[0] + pz[1], where
+                    else:
+                        assert old is p, where
+                        if p:
+                            shared.add(pj.calculus)
+                assert added == (node.binders if bound else ()), \
+                    (name, node.rule, i)
+    assert shared == set(syntax.CALCULI)
 
 # -- generated-judgement golden ---------------------------------------------
 
