@@ -203,23 +203,58 @@ def cmd_translate(args):
 LAW_SETS = (*lawcheck.LAW_SETS, "all")
 
 
+# builtin instance -> its arguments and their defaults.  The finite-set
+# sizes stay within lawcheck's object cap; with the builtin carriers, T_4 B
+# already exceeds the graded sweep's cap.
+BUILTIN_ARGS = {"exception-restriction": {"amax": "2", "cmax": "3"},
+                "identity": {"cmax": "2"},
+                "graded-list": {"grades": "1,2,3"}}
+MAX_SIZE = lawcheck.MAX_OBJECTS - 1
+MAX_GRADE = 3
+
+
+def _naturals(key, text):
+    """text read as comma-separated non-negative integers."""
+    parts = text.split(",")
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise CliError(f"{key}={text}: expected non-negative integers")
+    return tuple(int(p) for p in parts)
+
+
 def load_instance(path):
     kv = read_kv_file(path)
-    if "builtin" in kv:
-        parts = kv["builtin"][0].split()
-        name = parts[0]
-        kwargs = dict(p.split("=", 1) for p in parts[1:])
-        if name == "exception-restriction":
-            return lawcheck.exception_restriction_instance(
-                int(kwargs.get("amax", 2)), int(kwargs.get("cmax", 3)))
-        if name == "identity":
-            return lawcheck.identity_monad_instance(int(kwargs.get("cmax", 2)))
-        if name == "graded-list":
-            grades = tuple(int(g) for g in
-                           kwargs.get("grades", "1,2,3").split(","))
-            return lawcheck.bounded_list_instance(grades=grades)
+    if "builtin" not in kv:
+        return _explicit_instance(kv, path)
+    name, *parts = kv["builtin"][0].split() or [""]
+    if name not in BUILTIN_ARGS:
         raise CliError(f"unknown builtin instance {name!r}")
-    return _explicit_instance(kv, path)
+    args = dict(BUILTIN_ARGS[name])
+    for part in parts:
+        key, eq, val = part.partition("=")
+        if not eq or key not in args:
+            raise CliError(f"builtin {name} takes "
+                           f"{', '.join(k + '=' for k in args)}, not {part!r}")
+        args[key] = val
+    if name == "graded-list":
+        grades = _naturals("grades", args["grades"])
+        if len(set(grades)) < len(grades):
+            raise CliError(f"grades={args['grades']}: duplicate grade")
+        if max(grades) > MAX_GRADE:
+            raise CliError(f"grades={args['grades']}: grades above "
+                           f"{MAX_GRADE} exceed the graded sweep's cap")
+        return lawcheck.bounded_list_instance(grades=grades)
+    size = {k: _naturals(k, v) for k, v in args.items()}
+    if any(len(v) > 1 or v[0] > MAX_SIZE for v in size.values()):
+        raise CliError(f"builtin {name}: sizes are single integers up to"
+                       f" {MAX_SIZE}")
+    if name == "identity":
+        if size["cmax"][0] < 1:  # the skeleton needs its unit object 1
+            raise CliError("identity: cmax must be at least 1")
+        return lawcheck.identity_monad_instance(size["cmax"][0])
+    (amax,), (cmax,) = size["amax"], size["cmax"]
+    if amax >= cmax:  # T A = A + 1 must be an object
+        raise CliError("exception-restriction: amax must be below cmax")
+    return lawcheck.exception_restriction_instance(amax, cmax)
 
 
 def _explicit_instance(kv, path):

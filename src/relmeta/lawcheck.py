@@ -971,20 +971,30 @@ def mutations_of(d: FinRelMonadData, tables=("eta", "ext_plain",
 # The graded checks live over implicit finite sets (declared carriers with
 # computed function spaces) rather than an explicit FinCategory: the
 # quantification domains are astronomically larger than the 64-morphism cap
-# allows, so the heavy sweeps are vectorized (values are integer-coded and
-# the extension operator becomes table gathers).
+# allows, so the heavy sweeps are vectorized.  Values are integer-coded, the
+# extension operator of a combination of grades and carriers is tabulated
+# for all its maps at once, and the overrides are matched once per table.
+# The laws quantified over two function spaces (associativity's f and g,
+# context naturality's u and f) are decided in blocks of whole arrays of at
+# most GRADED_BLOCK_ELEMENTS elements; a block's first failing instance is
+# found in the order of the loops it replaces, outer row, then cell, then
+# inner row, so the witnesses do not depend on the block size.
 
 import numpy as _np
+
+# int32 elements per (outer, inner) block of the graded kernels.  It bounds
+# their transient arrays, and with them the checker's peak memory.
+GRADED_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
 class GradedMonadData:
-    """The bounded-list graded monad on declared carriers, with mutable unit
+    """The bounded-list graded monad on declared carriers, graded by the
+    multiplicative monoid (m (x) n = m * n, unit grade 1), with mutable unit
     and regrade tables and a cell-override map for the extension operator.
     """
 
     name: str
-    flavor: str                      # "mult" | "add"
     grades: tuple                    # the finite fragment, ascending
     carriers: dict                   # name -> tuple of element labels
     eta: dict = field(default_factory=dict)      # (X, elem) -> list value
@@ -993,7 +1003,8 @@ class GradedMonadData:
     _vals: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        cap = max(self.grades)
+        # eta's values live at the unit grade, in the fragment or not
+        cap = max(self.grades + (1,))
         for X, elems in self.carriers.items():
             for m in range(cap + 1):
                 self._vals.setdefault((m, X), self._lists(elems, m))
@@ -1016,12 +1027,11 @@ class GradedMonadData:
         import copy
         return copy.deepcopy(self)
 
-    def tensor(self, m, n):
-        return m * n if self.flavor == "mult" else m + n
+    @staticmethod
+    def tensor(m, n):
+        return m * n
 
-    @property
-    def unit_grade(self):
-        return 1 if self.flavor == "mult" else 0
+    unit_grade = 1
 
     def tvals(self, m, X):
         return self._vals[(m, X)]
@@ -1038,11 +1048,10 @@ class GradedMonadData:
         return tuple(out)
 
 
-def bounded_list_instance(carriers=None, grades=(1, 2, 3),
-                          flavor="mult") -> GradedMonadData:
+def bounded_list_instance(carriers=None, grades=(1, 2, 3)) -> GradedMonadData:
     if carriers is None:
         carriers = {"U": ("u",), "B": ("b0", "b1")}
-    return GradedMonadData("bounded-list", flavor, tuple(sorted(grades)),
+    return GradedMonadData("bounded-list", tuple(sorted(grades)),
                            dict(carriers))
 
 
@@ -1070,51 +1079,85 @@ def _all_maps_array(dom_size, n_codes):
     total = n_codes ** dom_size
     if total > 600000:
         raise LawError(f"graded sweep too large: {n_codes}^{dom_size}")
-    ar = _np.arange(total, dtype=_np.int64)
-    cols = []
+    ar = _np.arange(total, dtype=_np.int32)
+    out = _np.empty((total, dom_size), dtype=_np.int32)
     for i in range(dom_size):
-        cols.append((ar // (n_codes ** (dom_size - 1 - i))) % n_codes)
-    return _np.stack(cols, axis=1).astype(_np.int32)
+        out[:, i] = (ar // (n_codes ** (dom_size - 1 - i))) % n_codes
+    return out
+
+
+def _override_index(gd: GradedMonadData) -> dict:
+    """gd's extension overrides by (G, m, n, X, Y): lists of (table of f,
+    cell, value), in the order of gd.ext_overrides."""
+    index = {}
+    for (key, cell), val in gd.ext_overrides.items():
+        index.setdefault(key[:5], []).append((dict(key[5]), cell, val))
+    return index
+
+
+def _coded_overrides(overrides, fkeys, codec, cell_index) -> list:
+    """The overrides that can apply to maps on the domain fkeys (in column
+    order) coded in codec's space: (coded table, cell column, value code)
+    each."""
+    out = []
+    for ftab, cell, val in overrides:
+        try:
+            coded = _np.array([codec.code[ftab[k]] for k in fkeys],
+                              dtype=_np.int32)
+        except KeyError:
+            continue
+        if cell in cell_index and val in codec.code:
+            out.append((coded, cell_index[cell], codec.code[val]))
+    return out
+
+
+def _concat_plan(cells, key_index) -> list:
+    """How to fill the cells (g, xs) by concatenation: per list length k >=
+    1, the cells of that length, their prefixes (g, xs[:-1]), which are
+    cells of length k - 1, and the key (g, xs[-1]) of their last part."""
+    cell_index = {c: i for i, c in enumerate(cells)}
+    levels = {}
+    for ci, (g, xs) in enumerate(cells):
+        if xs:
+            levels.setdefault(len(xs), []).append(
+                (ci, cell_index[(g, xs[:-1])], key_index[(g, xs[-1])]))
+    return [tuple(_np.array(a, dtype=_np.intp) for a in zip(*level))
+            for _, level in sorted(levels.items())]
+
+
+def _concat(plan, codec, parts, ncells):
+    """out[:, c] = the concatenation of parts[:, key] over the keys of cell
+    c, by one cat gather per list length; the cells axis is axis 1."""
+    out = _np.full((parts.shape[0], ncells) + parts.shape[2:], codec.empty,
+                   dtype=_np.int32)
+    # flat[a * n + b] is cat[a, b] for every code b, and for a = -1 too
+    n, flat = len(codec.vals), codec.cat.ravel()
+    for idx, pre, key in plan:
+        out[:, idx] = flat[out[:, pre] * n + parts[:, key]]
+    return out
 
 
 class _ExtVec:
-    """Vectorized f*_{m,n} for every row of fmat at once, with extension
-    overrides applied by matching rows against the override's table."""
+    """Vectorized f*_{m,n} for every row of fmat at once: one column per
+    cell (g, xs), with the overrides of its (G, m, n, X, Y) applied by
+    matching rows against each override's coded table."""
 
-    def __init__(self, gd, G, m, n, X, Y, fmat, dom_index, codec_y):
-        # fmat: (Nf, |G x X|) codes of T_n Y values (in codec_y space)
-        gelems = gd.carriers[G]
-        xvals = gd.tvals(m, X)
-        Nf = fmat.shape[0]
-        out = _np.empty((Nf, len(gelems) * len(xvals)), dtype=_np.int32)
-        ci = 0
-        self.cell_index = {}
-        for g in gelems:
-            for xs in xvals:
-                acc = _np.full(Nf, codec_y.empty, dtype=_np.int32)
-                for x in xs:
-                    acc = codec_y.cat[acc, fmat[:, dom_index[(g, x)]]]
-                out[:, ci] = acc
-                self.cell_index[(g, xs)] = ci
-                ci += 1
-        if gd.ext_overrides:
-            fdomkeys = sorted(dom_index, key=lambda k: dom_index[k])
-            cols = [dom_index[k] for k in fdomkeys]
-            for (key, cell), val in gd.ext_overrides.items():
-                kG, km, kn, kX, kY, kf = key
-                if (kG, km, kn, kX, kY) != (G, m, n, X, Y):
-                    continue
-                ftab = dict(kf)
-                try:
-                    coded = _np.array([codec_y.code[ftab[k]]
-                                       for k in fdomkeys], dtype=_np.int32)
-                except KeyError:
-                    continue
-                if cell not in self.cell_index or val not in codec_y.code:
-                    continue
-                rows = _np.nonzero((fmat[:, cols] == coded).all(axis=1))[0]
-                out[rows, self.cell_index[cell]] = codec_y.code[val]
-        self.mat = out
+    def __init__(self, gd, overrides, G, m, X, fmat, dom_index, codec_y):
+        # fmat: (Nf, |G x X|) codes of T_n Y values (in codec_y space),
+        # its columns in the order of dom_index
+        self.cells = [(g, xs) for g in gd.carriers[G] for xs in gd.tvals(m, X)]
+        self.cell_index = {c: i for i, c in enumerate(self.cells)}
+        plan, width = _concat_plan(self.cells, dom_index), len(self.cells)
+        self.mat = _np.empty((fmat.shape[0], width), dtype=_np.int32)
+        # in row blocks, which bound _concat's temporaries
+        rows = max(1, GRADED_BLOCK_ELEMENTS // max(1, width))
+        for r in range(0, fmat.shape[0], rows):
+            self.mat[r:r + rows] = _concat(plan, codec_y, fmat[r:r + rows],
+                                           width)
+        fkeys = sorted(dom_index, key=dom_index.get)
+        for coded, ci, v in _coded_overrides(overrides, fkeys, codec_y,
+                                             self.cell_index):
+            self.mat[(fmat == coded).all(axis=1), ci] = v
 
     def col(self, cell):
         return self.mat[:, self.cell_index[cell]]
@@ -1138,6 +1181,48 @@ def _first_diff(lhs, rhs) -> int:
     return int(_np.nonzero(lhs != rhs)[0][0])
 
 
+def _block_gather(table, cols, outer, inner, outer_picks):
+    """out[o, c, i] = mat[row, cols[pick, c]] over one block, laid out
+    (outer, cell, inner).  Either the outer rows run over cols' rows and the
+    inner ones over mat's, and table is mat transposed, contiguous, or the
+    other way round, and table is mat."""
+    if outer_picks:
+        return table[cols[outer], inner]
+    return table[outer][:, cols[inner].T]
+
+
+def _first_hit(n_outer, n_inner, width, block):
+    """The first (outer, cell, inner) at which block's mask is True, or
+    None.  block(outer, inner) takes two slices and returns the mask of
+    that block laid out (outer, cell, inner); width is the number of int32
+    elements a block holds per (outer, inner) pair.  A block spans as many
+    whole outer rows as GRADED_BLOCK_ELEMENTS allows; when one outer row
+    is more than that, its inner axis is cut too, and the least failing
+    inner row of each cell is kept across the cuts before the first failing
+    cell is chosen."""
+    pairs = max(1, GRADED_BLOCK_ELEMENTS // max(1, width))
+    if pairs >= n_inner:
+        step = pairs // max(1, n_inner)
+        for o0 in range(0, n_outer, step):
+            mask = block(slice(o0, o0 + step), slice(0, n_inner))
+            if mask.any():
+                o, c, i = _np.unravel_index(mask.argmax(), mask.shape)
+                return o0 + int(o), int(c), int(i)
+        return None
+    for o in range(n_outer):
+        first = None
+        for i0 in range(0, n_inner, pairs):
+            mask = block(slice(o, o + 1), slice(i0, i0 + pairs))[0]
+            at = _np.where(mask.any(axis=1), i0 + mask.argmax(axis=1),
+                           n_inner)
+            first = at if first is None else _np.minimum(first, at)
+        hit = first < n_inner
+        if hit.any():
+            c = int(hit.argmax())
+            return o, c, int(first[c])
+    return None
+
+
 def graded_laws(gd: GradedMonadData) -> list[Law]:
     """The graded-monad laws over the declared fragment: unit laws,
     associativity, regrade functoriality and compatibility, and naturality
@@ -1148,6 +1233,7 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
                                   gd.tx, gd.tensor)
     names = sorted(car)
     codecs = {X: _GradedCodec(gd, X, max(grades)) for X in names}
+    ovr = _override_index(gd)
 
     def below(m):
         return [n for n in grades if m >= n]
@@ -1173,7 +1259,8 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
         # f*_{e,m} o (G x eta) = f, for every f
         cy = codecs[B]
         fmat, dom_index = _fmat_for(gd, G, A, m, cy)
-        extv = _ExtVec(gd, G, e, m, A, B, fmat, dom_index, cy)
+        extv = _ExtVec(gd, ovr.get((G, e, m, A, B), ()), G, e, A, fmat,
+                       dom_index, cy)
         for g in car[G]:
             for a in car[A]:
                 lhs = extv.col((g, gd.eta[(A, a)]))
@@ -1183,25 +1270,46 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
         return True
 
     def naturality(m, n, G2, G, A, B):
-        # f*_{m,n} o (u x T_m A) = (f o (u x A))*_{m,n} for u : G2 -> G
+        # f*_{m,n} o (u x T_m A) = (f o (u x A))*_{m,n} for u : G2 -> G.
+        # Without overrides (f o (u x A))* at (g2, xs) is f* at (u g2, xs),
+        # so both sides are columns of f*, before and after G's overrides,
+        # and the left one gets the overrides at G2 that match f o (u x A).
         cy = codecs[B]
         fmat, dom_index = _fmat_for(gd, G, A, n, cy)
-        extv = _ExtVec(gd, G, m, n, A, B, fmat, dom_index, cy)
-        for u in itertools.product(car[G], repeat=len(car[G2])):
-            utab = dict(zip(car[G2], u))
-            # f o (u x A) columns, then its extension
-            dom2 = {(g2, a): dom_index[(utab[g2], a)]
-                    for g2 in car[G2] for a in car[A]}
-            dom2_index = {k: i for i, k in enumerate(sorted(dom2))}
-            f2 = fmat[:, [dom2[k] for k in sorted(dom2)]]
-            extv2 = _ExtVec(gd, G2, m, n, A, B, f2, dom2_index, cy)
-            for g2 in car[G2]:
-                for xs in gd.tvals(m, A):
-                    lhs = extv2.col((g2, xs))
-                    rhs = extv.col((utab[g2], xs))
-                    if not _np.array_equal(lhs, rhs):
-                        return (u, g2, xs, f"f#{_first_diff(lhs, rhs)}")
-        return True
+        plain = _ExtVec(gd, (), G, m, A, fmat, dom_index, cy)
+        over = ovr.get((G, m, n, A, B), ())
+        extv = _ExtVec(gd, over, G, m, A, fmat, dom_index, cy) if over \
+            else plain
+        us = list(itertools.product(car[G], repeat=len(car[G2])))
+        utabs = [dict(zip(car[G2], u)) for u in us]
+        cells = [(g2, xs) for g2 in car[G2] for xs in gd.tvals(m, A)]
+        keys = sorted((g2, a) for g2 in car[G2] for a in car[A])
+        # per u: the f* column of (u g2, xs) for each cell (g2, xs), and
+        # the f column of (u g2, a) for each (g2, a) of f o (u x A)
+        ucells = _np.array([[extv.cell_index[(ut[g2], xs)] for g2, xs in cells]
+                            for ut in utabs], dtype=_np.intp)
+        ukeys = _np.array([[dom_index[(ut[g2], a)] for g2, a in keys]
+                           for ut in utabs], dtype=_np.intp)
+        over2 = _coded_overrides(ovr.get((G2, m, n, A, B), ()), keys, cy,
+                                 {c: i for i, c in enumerate(cells)})
+        if extv is plain and not over2:
+            return True  # both sides are the same columns of f*
+        ptab, etab = (_np.ascontiguousarray(t.mat.T) for t in (plain, extv))
+        ftab = _np.ascontiguousarray(fmat.T) if over2 else None
+
+        def block(outer, inner):
+            lhs = _block_gather(ptab, ucells, outer, inner, True)
+            if over2:
+                f2 = _block_gather(ftab, ukeys, outer, inner, True)
+                for coded, ci, v in over2:
+                    lhs[:, ci][(f2 == coded[:, None]).all(axis=1)] = v
+            return lhs != _block_gather(etab, ucells, outer, inner, True)
+
+        hit = _first_hit(len(us), len(fmat), len(cells) + len(keys), block)
+        if hit is None:
+            return True
+        o, c, i = hit
+        return (us[o], *cells[c], f"f#{i}")
 
     return [
         Law("graded-functor-identity", "tx-id",
@@ -1229,7 +1337,7 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
                    tensor(tensor(l, m), n) in grades),
              names, names, names, names),
             lambda l, m, n, G, A, B, Cc: _graded_assoc_combo(
-                gd, codecs, G, A, B, Cc, l, m, n)),
+                gd, codecs, ovr, G, A, B, Cc, l, m, n)),
         Law("graded-context-naturality", "naturality",
             (grades, grades, Guard(lambda m, n: tensor(m, n) in grades),
              names, names, names, names), naturality),
@@ -1239,7 +1347,7 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
                    tensor(m, n2) in grades),
              names, names, names),
             lambda m, n, n2, G, A, B: _graded_regrade_combo(
-                gd, codecs, G, A, B, m, n, n2)),
+                gd, codecs, ovr, G, A, B, m, n, n2)),
     ]
 
 
@@ -1252,68 +1360,72 @@ def check_graded_laws(gd: GradedMonadData, stop_early: bool = False
     return _report(f"{gd.name}/graded", graded_laws(gd), stop_early)
 
 
-def _graded_assoc_combo(gd, codecs, G, A, B, Cc, l, m, n):
+def _graded_assoc_combo(gd, codecs, ovr, G, A, B, Cc, l, m, n):
     """g*_{l (x) m, n} o f*_{l,m} vs (g*_{m,n} o f)*_{l, m (x) n} for all f,
-    g at once: True, or the evidence of the first failing cell."""
+    g at once: True, or the evidence of the first failing (f, g, cell).
+
+    Both sides are gathers from the tabulated g*s: the left one at the
+    column of f*_{l,m}'s value, the right one the extension of h = g*_{m,n}
+    o (pi, f), whose columns are those of f's values.  The outer loop runs
+    over the smaller of the f and g spaces."""
     lm, mn = gd.tensor(l, m), gd.tensor(m, n)
     cb, cc = codecs[B], codecs[Cc]
     fmat, fdom = _fmat_for(gd, G, A, m, cb)
     gmat, gdom = _fmat_for(gd, G, B, n, cc)
+    extF = _ExtVec(gd, ovr.get((G, l, m, A, B), ()), G, l, A, fmat, fdom, cb)
+    extG1 = _ExtVec(gd, ovr.get((G, lm, n, B, Cc), ()), G, lm, B, gmat, gdom,
+                    cc)
+    extG2 = _ExtVec(gd, ovr.get((G, m, n, B, Cc), ()), G, m, B, gmat, gdom,
+                    cc)
+    gpos = {g: i for i, g in enumerate(gd.carriers[G])}
+
+    def colmap(ext):
+        # (position of g, code of v) -> column of the cell (g, v) in ext
+        cm = _np.full((len(gpos), len(cb.vals)), len(ext.cells),
+                      dtype=_np.int32)
+        for (g, v), ci in ext.cell_index.items():
+            cm[gpos[g], cb.code[v]] = ci
+        return cm
+
+    # f*_{l,m} at each cell, and f at each (g, a) of h's domain (sorted, as
+    # the overrides of h are coded), as columns of extG1 and extG2
+    fcol1 = colmap(extG1)[[gpos[g] for g, _ in extF.cells], extF.mat]
+    hkeys = sorted(fdom)
+    fcol2 = colmap(extG2)[[gpos[g] for g, _ in hkeys],
+                          fmat[:, [fdom[k] for k in hkeys]]]
+    cells = extF.cells
+    plan = _concat_plan(cells, {k: i for i, k in enumerate(hkeys)})
+    hover = _coded_overrides(ovr.get((G, l, mn, A, Cc), ()), hkeys, cc,
+                             extF.cell_index)
     Nf, Ng = fmat.shape[0], gmat.shape[0]
-    extF = _ExtVec(gd, G, l, m, A, B, fmat, fdom, cb)
-    extG1 = _ExtVec(gd, G, lm, n, B, Cc, gmat, gdom, cc)
-    extG2 = _ExtVec(gd, G, m, n, B, Cc, gmat, gdom, cc)
     loop_f = Nf <= Ng
-    outer = range(Nf) if loop_f else range(Ng)
-    for oi in outer:
-        if loop_f:
-            frow = fmat[oi]
-            extF_row = extF.mat[oi]
-            # h = g*_{m,n} o (pi, f) for all g: columns over g-axis
-            hcols = {}
-            for (g, a), col in fdom.items():
-                hcols[(g, a)] = extG2.mat[:, extG2.cell_index[
-                    (g, cb.vals[frow[col]])]]
-            hdom_index = {k: i for i, k in enumerate(sorted(hcols))}
-            hmat = _np.stack([hcols[k] for k in sorted(hcols)], axis=1)
-            extH = _ExtVec(gd, G, l, mn, A, Cc, hmat, hdom_index, cc)
-            for g in gd.carriers[G]:
-                for xs in gd.tvals(l, A):
-                    fstar_v = cb.vals[extF_row[extF.cell_index[(g, xs)]]]
-                    lhs = extG1.mat[:, extG1.cell_index[(g, fstar_v)]]
-                    rhs = extH.col((g, xs))
-                    if not _np.array_equal(lhs, rhs):
-                        return (f"f#{oi}", f"g#{_first_diff(lhs, rhs)}",
-                                g, xs)
-        else:
-            extG1_row = extG1.mat[oi]
-            extG2_row = extG2.mat[oi]
+    # an override can give f*_{l,m} a value outside T_{l (x) m} B: its
+    # column is an appended one of -1s, which no value of g* equals
+    g1 = extG1.mat
+    if (fcol1 == len(extG1.cells)).any():
+        g1 = _np.concatenate([g1, _np.full((Ng, 1), -1, dtype=_np.int32)],
+                             axis=1)
+    g1, g2 = (_np.ascontiguousarray(t.T) if loop_f else t
+              for t in (g1, extG2.mat))
 
-            def row_lut(row, ext_cells, g, level):
-                lut = _np.full(len(cb.vals), -1, dtype=_np.int32)
-                for v in gd.tvals(level, B):
-                    lut[cb.code[v]] = row[ext_cells.cell_index[(g, v)]]
-                return lut
+    def block(outer, inner):
+        lhs = _block_gather(g1, fcol1, outer, inner, loop_f)
+        h = _block_gather(g2, fcol2, outer, inner, loop_f)
+        rhs = _concat(plan, cc, h, len(cells))
+        for coded, ci, v in hover:
+            rhs[:, ci][(h == coded[:, None]).all(axis=1)] = v
+        return lhs != rhs
 
-            hcols = {}
-            for (g, a), col in fdom.items():
-                hcols[(g, a)] = row_lut(extG2_row, extG2, g, m)[fmat[:, col]]
-            hdom_index = {k: i for i, k in enumerate(sorted(hcols))}
-            hmat = _np.stack([hcols[k] for k in sorted(hcols)], axis=1)
-            extH = _ExtVec(gd, G, l, mn, A, Cc, hmat, hdom_index, cc)
-            for g in gd.carriers[G]:
-                lutg = row_lut(extG1_row, extG1, g, lm)
-                for xs in gd.tvals(l, A):
-                    fstar_col = extF.col((g, xs))
-                    lhs = lutg[fstar_col]
-                    rhs = extH.col((g, xs))
-                    if not _np.array_equal(lhs, rhs):
-                        return (f"f#{_first_diff(lhs, rhs)}", f"g#{oi}",
-                                g, xs)
-    return True
+    hit = _first_hit(*((Nf, Ng) if loop_f else (Ng, Nf)),
+                     len(cells) + len(hkeys), block)
+    if hit is None:
+        return True
+    o, c, i = hit
+    fi, gi = (o, i) if loop_f else (i, o)
+    return (f"f#{fi}", f"g#{gi}", *cells[c])
 
 
-def _graded_regrade_combo(gd, codecs, G, A, B, m, n, n2):
+def _graded_regrade_combo(gd, codecs, ovr, G, A, B, m, n, n2):
     """ext_{m,n}(T_xi o f) vs T_{m (+) xi} o ext_{m,n2}(f) for xi : n >= n2,
     and the mirrored condition in the first index (evidence tagged "left"):
     True, or the evidence of the first failing cell."""
@@ -1324,8 +1436,9 @@ def _graded_regrade_combo(gd, codecs, G, A, B, m, n, n2):
     for v in gd.tvals(n2, B):
         lut[cy.code[v]] = cy.code[gd.tx[(n, n2, B, v)]]
     fmat_x = lut[fmat]
-    extL = _ExtVec(gd, G, m, n, A, B, fmat_x, fdom, cy)
-    extR = _ExtVec(gd, G, m, n2, A, B, fmat, fdom, cy)
+    extL = _ExtVec(gd, ovr.get((G, m, n, A, B), ()), G, m, A, fmat_x, fdom,
+                   cy)
+    extR = _ExtVec(gd, ovr.get((G, m, n2, A, B), ()), G, m, A, fmat, fdom, cy)
     mn, mn2 = gd.tensor(m, n), gd.tensor(m, n2)
     lut2 = _np.arange(len(cy.vals), dtype=_np.int32)
     for v in gd.tvals(mn2, B):
@@ -1340,7 +1453,8 @@ def _graded_regrade_combo(gd, codecs, G, A, B, m, n, n2):
     for m2 in gd.grades:
         if not (m >= m2) or gd.tensor(m2, n2) not in gd.grades:
             continue
-        extS = _ExtVec(gd, G, m2, n2, A, B, fmat, fdom, cy)
+        extS = _ExtVec(gd, ovr.get((G, m2, n2, A, B), ()), G, m2, A, fmat,
+                       fdom, cy)
         mn2b = gd.tensor(m2, n2)
         lut3 = _np.arange(len(cy.vals), dtype=_np.int32)
         for v in gd.tvals(mn2b, B):

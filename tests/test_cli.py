@@ -305,7 +305,21 @@ def test_form_term_is_form_a(tmp_path, capsys):
     assert (j.form, len(j.zones)) == ("C", 2)
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
+    # builtin instance arguments: non-integers, negative or duplicate
+    # grades, unknown keys and sizes past the caps are usage errors
+    for i, spec in enumerate([
+            "graded-list grades=-1", "graded-list grades=x",
+            "graded-list grades=1,1", "graded-list grades=4",
+            "graded-list grades", "graded-list foo=3",
+            "exception-restriction amax=x", "exception-restriction amax=-1",
+            "exception-restriction amax=3 cmax=3", "identity cmax=9",
+            "identity cmax=0", "nonesuch", ""]):
+        path = write(tmp_path, f"b{i}.inst", f"builtin {spec}\n")
+        assert cli.main(["lawcheck", path]) == 3, spec
+    # grade 0 alone is a fragment like any other
+    path = write(tmp_path, "g0.inst", "builtin graded-list grades=0\n")
+    assert cli.main(["lawcheck", path]) == 0
     r = run_cli("eq", "--theory", "/nonexistent.sig", "/nonexistent.eq")
     assert r.returncode == 3
     r2 = run_cli("frobnicate")

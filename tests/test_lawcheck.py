@@ -457,6 +457,186 @@ def test_graded_stop_early_keeps_first_witness(glist):
     assert all(l.status == "PASS" for l in early.lines[:-1])
 
 
+# -- graded witnesses against an independent scan -------------------------------
+
+def _maps(gd, G, X, n, Y):
+    """Every map G x X -> T_n Y as a dict, in the kernels' row order."""
+    dom = [(g, x) for g in gd.carriers[G] for x in gd.carriers[X]]
+    return [dict(zip(dom, vals))
+            for vals in itertools.product(gd.tvals(n, Y), repeat=len(dom))]
+
+
+def _scan_assoc(gd):
+    """graded-associativity by gd.ext_value alone: (witness, skips).  Per
+    combo the outer loop runs over the smaller of the f and g spaces, then
+    the cells, then the other space."""
+    car, grades, names = gd.carriers, gd.grades, sorted(gd.carriers)
+    skipped = 0
+    for l, m, n in itertools.product(grades, repeat=3):
+        lm, mn = l * m, m * n
+        if lm not in grades or mn not in grades or lm * n not in grades:
+            skipped += 1
+            continue
+        for G, A, B, C in itertools.product(names, repeat=4):
+            fs, gs = _maps(gd, G, A, m, B), _maps(gd, G, B, n, C)
+            cells = [(g, xs) for g in car[G] for xs in gd.tvals(l, A)]
+            loop_f = len(fs) <= len(gs)
+            outer, inner = (fs, gs) if loop_f else (gs, fs)
+            for o, ov in enumerate(outer):
+                pairs = [(ov, iv) if loop_f else (iv, ov) for iv in inner]
+                # h = g*_{m,n} o (pi, f)
+                hs = [{k: gd.ext_value(G, m, n, B, C, gm, (k[0], v))
+                       for k, v in f.items()} for f, gm in pairs]
+                for g, xs in cells:
+                    for i, ((f, gm), h) in enumerate(zip(pairs, hs)):
+                        fstar = gd.ext_value(G, l, m, A, B, f, (g, xs))
+                        if gd.ext_value(G, lm, n, B, C, gm, (g, fstar)) != \
+                                gd.ext_value(G, l, mn, A, C, h, (g, xs)):
+                            fi, gi = (o, i) if loop_f else (i, o)
+                            return (("assoc", l, m, n, G, A, B, C, f"f#{fi}",
+                                     f"g#{gi}", g, xs), skipped)
+    return None, skipped
+
+
+def _scan_naturality(gd):
+    """graded-context-naturality by gd.ext_value alone: (witness, skips),
+    in the order u, cell, f."""
+    car, grades, names = gd.carriers, gd.grades, sorted(gd.carriers)
+    skipped = 0
+    for m, n in itertools.product(grades, repeat=2):
+        if m * n not in grades:
+            skipped += 1
+            continue
+        for G2, G, A, B in itertools.product(names, repeat=4):
+            fs = _maps(gd, G, A, n, B)
+            for u in itertools.product(car[G], repeat=len(car[G2])):
+                ut = dict(zip(car[G2], u))
+                f2s = [{(g2, a): f[(ut[g2], a)] for g2 in car[G2]
+                        for a in car[A]} for f in fs]
+                for g2 in car[G2]:
+                    for xs in gd.tvals(m, A):
+                        for i, (f, f2) in enumerate(zip(fs, f2s)):
+                            if gd.ext_value(G2, m, n, A, B, f2, (g2, xs)) != \
+                                    gd.ext_value(G, m, n, A, B, f,
+                                                 (ut[g2], xs)):
+                                return (("naturality", m, n, G2, G, A, B, u,
+                                         g2, xs, f"f#{i}"), skipped)
+    return None, skipped
+
+
+def _ext_mutant(gd, G, m, n, A, B, fvals, cell):
+    """gd with f*_{m,n}(cell) moved to the next value of its space, for the
+    f : G x A -> T_n B whose values in domain order are fvals."""
+    f = dict(zip([(g, a) for g in gd.carriers[G] for a in gd.carriers[A]],
+                 fvals))
+    space = gd.tvals(m * n, B)
+    cur = gd.ext_value(G, m, n, A, B, f, cell)
+    mut = gd.copy()
+    mut.ext_overrides[((G, m, n, A, B, tuple(sorted(f.items()))), cell)] = \
+        space[(space.index(cur) + 1) % len(space)]
+    return mut
+
+
+def _oracle_mutants():
+    small = lc.bounded_list_instance(grades=(1, 2))
+    tiny = lc.bounded_list_instance(carriers={"U": ("u",), "V": ("v",)},
+                                    grades=(1, 2))
+    return {
+        # first failures in the first combo, where the f and g spaces are
+        # equal (f outer), and in the second, where g's is smaller (g outer)
+        "f-outer": _ext_mutant(small, "B", 1, 1, "B", "B",
+                               [("b0",), ("b1",), (), ("b0",)],
+                               ("b1", ("b0",))),
+        "g-outer": _ext_mutant(small, "B", 1, 1, "B", "U",
+                               [("u",), (), ("u",), ()], ("b0", ())),
+        "g-outer-late": _ext_mutant(small, "B", 1, 1, "B", "U",
+                                    [(), ("u",), ("u",), ()],
+                                    ("b1", ("b1",))),
+        # failures after an out-of-fragment grade triple, and a clean
+        # instance: every skip is counted
+        "after-skip": _ext_mutant(tiny, "U", 2, 1, "V", "U", [("u",)],
+                                  ("u", ("v", "v"))),
+        "grade-2": _ext_mutant(tiny, "V", 1, 2, "U", "V", [("v", "v")],
+                               ("v", ())),
+        "clean": tiny,
+    }
+
+
+# (associativity witness, skips, naturality witness, skips), as reported by
+# the per-row kernels the block kernels replaced
+ORACLE_EXPECTED = {
+    "f-outer": (("assoc", 1, 1, 1, "B", "B", "B", "B", "f#46", "g#3", "b1",
+                 ("b0",)), 0,
+                ("naturality", 1, 1, "B", "B", "B", "B", ("b1", "b0"), "b0",
+                 ("b0",), "f#46"), 0),
+    "g-outer": (("assoc", 1, 1, 1, "B", "B", "B", "U", "f#60", "g#5", "b0",
+                 ()), 0,
+                ("naturality", 1, 1, "B", "B", "B", "U", ("b0", "b0"), "b0",
+                 (), "f#8"), 0),
+    "g-outer-late": (("assoc", 1, 1, 1, "B", "B", "B", "U", "f#24", "g#5",
+                      "b1", ("b1",)), 0,
+                     ("naturality", 1, 1, "B", "B", "B", "U", ("b1", "b0"),
+                      "b0", ("b1",), "f#6"), 0),
+    "after-skip": (("assoc", 2, 1, 1, "U", "U", "V", "U", "f#1", "g#1", "u",
+                    ("u", "u")), 1,
+                   ("naturality", 2, 1, "U", "V", "V", "U", ("v",), "u",
+                    ("v", "v"), "f#1"), 0),
+    "grade-2": (("assoc", 1, 1, 2, "V", "U", "U", "V", "f#0", "g#2", "v", ()),
+                0,
+                ("naturality", 1, 2, "U", "V", "U", "V", ("v",), "u", (),
+                 "f#2"), 0),
+    "clean": (None, 4, None, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_EXPECTED))
+def test_graded_witnesses_match_an_independent_scan(name):
+    mut = _oracle_mutants()[name]
+    rep = lc.check_graded_laws(mut)
+    assoc = _line(rep, "graded-associativity")
+    nat = _line(rep, "graded-context-naturality")
+    got = (assoc.witness, assoc.skipped, nat.witness, nat.skipped)
+    assert got == (*_scan_assoc(mut), *_scan_naturality(mut))
+    assert got == ORACLE_EXPECTED[name]
+
+
+def test_graded_override_outside_its_grade(glist):
+    # f*_{1,1} of the map B x B -> T_1 B that is b0 everywhere, set to a
+    # list of length 3 at (b0, ()): where it is f, no column of g*
+    # matches, and the reports are the per-row kernels' ones
+    mut = glist.copy()
+    f = tuple(((g, b), ("b0",)) for g in ("b0", "b1") for b in ("b0", "b1"))
+    mut.ext_overrides[(("B", 1, 1, "B", "B", f), ("b0", ()))] = ("b0",) * 3
+    rep = lc.check_graded_laws(mut)
+    assert [l.witness for l in rep.lines if l.status == "FAIL"] == [
+        ("assoc", 1, 1, 1, "B", "B", "B", "B", "f#0", "g#40", "b0", ()),
+        ("naturality", 1, 1, "B", "B", "B", "B", ("b0", "b0"), "b0", (),
+         "f#36"),
+        ("regrade-compat", 1, 2, 1, "B", "B", "B", "b0", (), "f#40")]
+
+
+def test_graded_reports_do_not_depend_on_the_block_budget(monkeypatch, rng):
+    """Blocks of one (outer, inner) pair cut every combo at every row, so
+    the first witness must win across block edges.  The mutants are the
+    oracle test's (full reports) and criterion 4's graded ones (its
+    stop-early reports).  On the grades-(1,2,3) instance one pair per block
+    would take minutes; 4096 elements still cut each outer row of its
+    large combos into many inner blocks."""
+    small = lc.bounded_list_instance(grades=(1, 2))
+    cases = [(m, False) for m in _oracle_mutants().values()]
+    cases += [(m, True) for _, m in lc.graded_mutations(small)]
+    cases += [(m, True) for _, m in lc.graded_mutations(
+        lc.bounded_list_instance(), rng=rng, ext_samples=8)]
+    want = [lc.check_graded_laws(m, stop_early).render()
+            for m, stop_early in cases]
+    got = []
+    for m, stop_early in cases:
+        monkeypatch.setattr(lc, "GRADED_BLOCK_ELEMENTS",
+                            1 if max(m.grades) < 3 else 4096)
+        got.append(lc.check_graded_laws(m, stop_early).render())
+    assert got == want
+
+
 def test_replay_witness_reruns_the_reported_law_set(exc, glist):
     # a J-strong mutant: only the J-indexed tables are corrupted, so the
     # relative-monad laws still pass on it
