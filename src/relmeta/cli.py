@@ -47,35 +47,36 @@ def read_kv_file(path) -> dict:
     return out
 
 
+def _judgement_zones(calculus, form, given: dict) -> tuple:
+    """The zones of a calculus/form judgement from {zone key: context}, the
+    zones no key gives empty; a key the form has no zone for is a usage
+    error."""
+    kinds = syntax.FORMS.get((calculus, form))
+    if kinds is None:
+        raise CliError(f"judgement form {form!r} does not exist in {calculus}")
+    zones = [()] * len(kinds)
+    for key, ctx in given.items():
+        if ZONE_KEYS[key] >= len(kinds):
+            raise CliError(f"{key} is not a zone of {calculus}/{form}"
+                           f" judgements")
+        zones[ZONE_KEYS[key]] = ctx
+    return tuple(zones)
+
+
 def load_judgement(path, sig: Signature, term_key="term") -> Judgement:
     kv = read_kv_file(path)
     calculus = kv.get("calculus", ["rmm"])[0]
     if calculus not in syntax.CALCULI:
         raise CliError(f"unknown calculus {calculus!r}")
-    nzones = max(syntax.ZONES.get((calculus, "C"),
-                                  syntax.ZONES[(calculus, "A")]), 1)
-    zones = [() for _ in range(nzones)]
-    has_c_zone = False
-    for key, idx in ZONE_KEYS.items():
-        if key in kv:
-            if idx >= nzones:
-                raise CliError(f"{key} is not a zone of {calculus}")
-            zones[idx] = parse_context(kv[key][0], sig)
-            if idx > 0:
-                has_c_zone = True
-    form = kv.get("form", [None])[0]
+    form = kv.get("form", [syntax.default_form(calculus)])[0]
     form = {"command": "C", "term": "A"}.get(form, form)
-    if form is None:
-        form = "C" if ((calculus, "C") in syntax.ZONES and
-                       (has_c_zone or calculus in ("lnl", "arrow", "armm")))\
-            else "A"
-    if form == "A":
-        zones = zones[:1]
+    zones = _judgement_zones(calculus, form, {
+        key: parse_context(kv[key][0], sig) for key in ZONE_KEYS if key in kv})
     if term_key not in kv or "type" not in kv:
         raise CliError(f"file {path} needs `{term_key}` and `type` lines")
     term = parse_term(kv[term_key][0], calculus, sig)
     ty = parse_type(kv["type"][0], sig)
-    return Judgement(calculus, form, tuple(zones), term, ty)
+    return Judgement(calculus, form, zones, term, ty)
 
 
 def load_eq_file(path, sig: Signature):
@@ -385,10 +386,13 @@ def cmd_repl(args):
                 binding = models.load_binding(line[7:].strip(), sig)
                 print("model binding loaded")
             elif line.startswith(":calculus "):
-                calculus = line[10:].strip()
+                tag = line[10:].strip()
+                if tag not in syntax.CALCULI:
+                    raise CliError(f"unknown calculus {tag!r}")
+                calculus = tag
             elif any(line.startswith(f":{k} ") for k in ZONE_KEYS):
                 key, rest = line[1:].split(" ", 1)
-                zones[ZONE_KEYS[key]] = parse_context(rest, sig)
+                zones[key] = parse_context(rest, sig)
             elif line.startswith(":type "):
                 expected = parse_type(line[6:].strip(), sig)
             elif line.startswith((":check ", ":eval ", ":normalize ")):
@@ -427,15 +431,10 @@ def cmd_repl(args):
 def _repl_judgement(calculus, zones, term, expected, sig):
     if expected is None:
         raise CliError("set an expected type first (:type)")
-    n = max(i for (c, f), i in
-            [((calculus, "A"), syntax.ZONES[(calculus, "A")])] +
-            ([((calculus, "C"), syntax.ZONES[(calculus, "C")])]
-             if (calculus, "C") in syntax.ZONES else []))
-    zs = tuple(zones.get(i, ()) for i in range(n))
-    form = "C" if (calculus, "C") in syntax.ZONES else "A"
-    if form == "C" and n == 1:
-        form = "A"
-    return Judgement(calculus, form if n > 1 else "A", zs, term, expected)
+    form = syntax.default_form(calculus)
+    given = {key: ctx for key, ctx in zones.items() if ctx}  # `:lctx -` clears
+    return Judgement(calculus, form, _judgement_zones(calculus, form, given),
+                     term, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +493,7 @@ def make_parser():
     sp.set_defaults(fn=cmd_lawcheck)
     sp = sub.add_parser("repl")
     common(sp, with_model=True)
-    sp.add_argument("--calculus")
+    sp.add_argument("--calculus", choices=syntax.CALCULI)
     sp.set_defaults(fn=cmd_repl)
     return p
 

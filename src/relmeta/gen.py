@@ -508,8 +508,22 @@ def arrow_schema_instances(rng: random.Random, sig: Signature, objects,
 # ---------------------------------------------------------------------------
 # raw well-formed terms (syntactic round-trip corpora; no typing)
 
+# the type formers raw types draw on, by calculus, whatever zone they
+# belong to; raw types need not be well formed (`typecheck.TYPE_FORMERS`
+# says which are)
+_RAW_TYPE_KINDS = {
+    "urmm": {"jt", "tt", "base"},
+    "rmm": {"unit1", "prod", "jt", "tt", "base"},
+    "gmm": {"unit1", "prod", "tgr", "base"},
+    "lnl": {"unit1", "prod", "fun", "rt", "lunit", "grty", "lolli", "jt",
+            "tt", "base"},
+    "arrow": {"unit1", "prod", "fun", "arr", "base"},
+    "armm": {"unit1", "prod", "aabs", "jt", "kt", "tt", "base"},
+}
+
+
 def gen_raw_type(rng: random.Random, calculus: str, depth=2):
-    kinds = sorted(syntax.admissible_type_kinds(calculus))
+    kinds = sorted(_RAW_TYPE_KINDS[calculus])
     leafy = [k for k in kinds if k in ("unit1", "lunit", "base", "grty")]
     k = rng.choice(leafy if depth <= 0 else kinds)
     match k:

@@ -110,29 +110,46 @@ class FinCategory:
         return self.mor_tensor.get((f, g))
 
     def validate(self):
+        """Raise LawError naming the first table entry that is missing or
+        breaks the category laws."""
         if len(self.objects) > MAX_OBJECTS:
             raise LawError(f"instance exceeds the {MAX_OBJECTS}-object cap")
         nmor = sum(len(m) for m in self.homs.values())
         if nmor > MAX_MORPHISMS:
             raise LawError(f"instance exceeds the {MAX_MORPHISMS}-morphism cap")
+        for (a, b), ms in self.homs.items():
+            for x in (a, b):
+                if x not in self.objects:
+                    raise LawError(f"hom {a} {b}: {x} is not an object")
+            for f in ms:
+                if (self.dom[f], self.cod[f]) != (a, b):
+                    raise LawError(f"morphism {f} is in two homs")
         for a in self.objects:
-            i = self.ids[a]
-            assert self.dom[i] == a and self.cod[i] == a
+            if self.ids.get(a) not in self.hom(a, a):
+                raise LawError(f"id {a}: no identity in hom {a} {a}")
+        for a, b, c in itertools.product(self.objects, repeat=3):
+            for f in self.hom(a, b):
+                for g in self.hom(b, c):
+                    h = self.comp.get((g, f))
+                    if h is None:
+                        raise LawError(f"no `comp {g} {f}` entry")
+                    if h not in self.hom(a, c):
+                        raise LawError(f"comp {g} {f} = {h}: {h} is not in"
+                                       f" hom {a} {c}")
         for (a, b), ms in self.homs.items():
             for f in ms:
-                assert self.dom[f] == a and self.cod[f] == b
-                assert self.compose(self.ids[b], f) == f
-                assert self.compose(f, self.ids[a]) == f
-        for a, b in itertools.product(self.objects, repeat=2):
+                for g, h in ((self.ids[b], f), (f, self.ids[a])):
+                    if self.comp[g, h] != f:
+                        raise LawError(f"comp {g} {h} = {self.comp[g, h]}:"
+                                       f" an identity law needs {f}")
+        for a, b, c, d in itertools.product(self.objects, repeat=4):
             for f in self.hom(a, b):
-                for c in self.objects:
-                    for g in self.hom(b, c):
-                        h = self.compose(g, f)
-                        assert self.dom[h] == a and self.cod[h] == c
-                        for d in self.objects:
-                            for k in self.hom(c, d):
-                                assert self.compose(k, h) == \
-                                    self.compose(self.compose(k, g), f)
+                for g in self.hom(b, c):
+                    for k in self.hom(c, d):
+                        if self.comp[k, self.comp[g, f]] != \
+                                self.comp[self.comp[k, g], f]:
+                            raise LawError(f"composition is not associative"
+                                           f" at {k}, {g}, {f}")
         if self.unit is not None:
             self._validate_monoidal()
 
@@ -175,20 +192,6 @@ class FinFunctor:
     mmap: dict
     kappa: dict = field(default_factory=dict)  # (a,b) -> морфизм, partial
     iota: str | None = None
-
-    def validate(self):
-        if self.source is None:
-            return
-        for a in self.source.objects:
-            assert self.omap[a] in self.target.objects
-            assert self.mmap[self.source.ids[a]] == \
-                self.target.ids[self.omap[a]]
-        for f in self.source.morphisms():
-            for g in self.source.morphisms():
-                if self.source.dom[f] != self.source.cod[g]:
-                    continue
-                assert self.mmap[self.source.compose(f, g)] == \
-                    self.target.compose(self.mmap[f], self.mmap[g])
 
 
 def identity_functor(c: FinCategory) -> FinFunctor:

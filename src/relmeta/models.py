@@ -242,10 +242,6 @@ class ModelBinding:
     geninterp: dict
     opinterp: dict
 
-    @property
-    def backend_name(self):
-        return self.backend[0]
-
     def carrier(self, obj: str):
         if obj not in self.carriers:
             raise ModelError(f"no carrier declared for object {obj!r}")

@@ -30,7 +30,7 @@ class RuleCtx:
     sig: object
     calculus: str
     path: tuple
-    ann: dict  # position -> (zone, TypeExpr)
+    ann: dict  # position -> (judgement form, TypeExpr) of the node there
 
     @property
     def ty(self):
@@ -113,8 +113,6 @@ def rotate2(t: Term, nb1: int, nb2: int) -> Term:
     return map_bvar(t, fn)
 
 
-ALL = ("urmm", "rmm", "gmm", "lnl", "arrow", "armm")
-MONADIC = ("urmm", "rmm", "gmm", "lnl", "arrow", "armm")
 CARTESIAN = ("rmm", "gmm", "lnl", "arrow", "armm")
 
 LET_KINDS = {"letunit": 0, "letpair": 2, "letj": 1, "letk": 1}
@@ -198,7 +196,7 @@ def gen_word(t, ctx):
 # ---------------------------------------------------------------------------
 # monadic sequencing
 
-@rule("do.beta", MONADIC, heads=("do",),
+@rule("do.beta", syntax.CALCULI, heads=("do",),
       note="do x <- ret u in t  ~>  t[u/x]")
 def do_beta(t, ctx):
     u, body = t.subs
@@ -207,7 +205,7 @@ def do_beta(t, ctx):
     return None
 
 
-@rule("do.eta", MONADIC, heads=("do",),
+@rule("do.eta", syntax.CALCULI, heads=("do",),
       note="do x <- u in ret x  ~>  u")
 def do_eta(t, ctx):
     u, body = t.subs
@@ -217,7 +215,7 @@ def do_eta(t, ctx):
     return None
 
 
-@rule("do.assoc", MONADIC, heads=("do",),
+@rule("do.assoc", syntax.CALCULI, heads=("do",),
       note="nested binds reassociate to the right-nested form")
 def do_assoc(t, ctx):
     u, v = t.subs

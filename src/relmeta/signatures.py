@@ -551,13 +551,7 @@ def _parse_axiom(ln: str, sig: Signature, calculus: str, idx: int) -> Axiom:
     rhs = p.term()
     p.expect("in")
     p.expect("[")
-    ctx = []
-    while p.peek() != "]":
-        x = p.next()
-        p.expect(":")
-        ctx.append((x, p.type_()))
-        if p.peek() == ",":
-            p.next()
+    ctx = () if p.peek() == "]" else p.context()
     p.expect("]")
     p.expect(":")
     ty = p.type_()
@@ -565,7 +559,7 @@ def _parse_axiom(ln: str, sig: Signature, calculus: str, idx: int) -> Axiom:
         p.err("trailing input after axiom")
     for t in (lhs, rhs):
         syntax.check_admissible(t, calculus)
-    return Axiom(f"ax{idx + 1}", (tuple(ctx),), lhs, rhs, ty)
+    return Axiom(f"ax{idx + 1}", (ctx,), lhs, rhs, ty)
 
 
 def _validate_theory(sig: Signature, validate_axioms: bool):

@@ -7,7 +7,9 @@ structural equality of terms and substitution of a term for a free name can
 never capture.
 
 One Term/TypeExpr datatype serves every calculus; a calculus tag plus the
-admissibility tables below say which constructors a given language may use.
+term-former table below say which terms a given language may use, and
+FORMS gives each calculus's judgement forms and the kind of each of their
+zones.  Which types a zone kind admits is the checker's table.
 """
 
 from __future__ import annotations
@@ -186,7 +188,6 @@ def rt(x) -> TypeExpr:
 _TERM_KINDS = {
     "var": (0, ()),       # free variable, name
     "bvar": (0, ()),      # bound variable, de Bruijn index
-    "meta": (0, ()),      # pattern metavariable (rule patterns only)
     "unit": (0, ()),      # ()
     "pair": (2, (0, 0)),
     "pi1": (1, (0,)),
@@ -217,7 +218,7 @@ _TERM_KINDS = {
 class Term:
     kind: str
     subs: tuple["Term", ...] = ()
-    name: str | None = None          # var/meta name, gen/op symbol
+    name: str | None = None          # var name, gen/op symbol
     index: int | None = None         # bvar index
     xi: GradeMor | None = None       # regrade payload
     tyann: TypeExpr | None = None    # lam / lamarrow annotation
@@ -471,18 +472,6 @@ def term_key(t: Term):
 # ---------------------------------------------------------------------------
 # Admissibility
 
-_TYPES_BY_CALC = {
-    "urmm": {"jt", "tt", "base"},
-    "rmm": {"unit1", "prod", "jt", "tt", "base"},
-    "gmm": {"unit1", "prod", "tgr", "base"},
-    # lnl: A-zone and C-zone types, kept as one set; the checker enforces
-    # zone discipline.
-    "lnl": {"unit1", "prod", "fun", "rt", "lunit", "grty", "lolli", "jt",
-            "tt", "base"},
-    "arrow": {"unit1", "prod", "fun", "arr", "base"},
-    "armm": {"unit1", "prod", "aabs", "jt", "kt", "tt", "base"},
-}
-
 _TERMS_BY_CALC = {
     "urmm": {"var", "bvar", "gen", "ret", "do", "opapp", "unit"},
     "rmm": {"var", "bvar", "unit", "pair", "pi1", "pi2", "gen", "ret", "do",
@@ -503,27 +492,33 @@ def admissible_term_kinds(calculus: str) -> set:
     return _TERMS_BY_CALC[calculus]
 
 
-def admissible_type_kinds(calculus: str) -> set:
-    return _TYPES_BY_CALC[calculus]
-
-
 def check_admissible(t: Term, calculus: str):
     ok = _TERMS_BY_CALC[calculus]
     for p in positions(t):
         k = subterm_at(t, p).kind
-        if k not in ok and k != "meta":
+        if k not in ok:
             raise SyntaxError_(f"term former '{k}' is not part of {calculus}")
 
 
 # ---------------------------------------------------------------------------
 # Judgements
 
-ZONES = {
-    ("urmm", "A"): 1, ("rmm", "A"): 1, ("gmm", "A"): 1,
-    ("lnl", "A"): 1, ("lnl", "C"): 2,
-    ("arrow", "A"): 1, ("arrow", "C"): 2,
-    ("armm", "A"): 1, ("armm", "C"): 3,
+# The judgement forms: (calculus, form) -> the kind of each context zone,
+# "A" for a Cartesian zone and "C" for the linear zone of lnl or the third
+# zone of armm.  The last kind also types the result.
+FORMS = {
+    ("urmm", "A"): "A", ("rmm", "A"): "A", ("gmm", "A"): "A",
+    ("lnl", "A"): "A", ("lnl", "C"): "AC",
+    ("arrow", "A"): "A", ("arrow", "C"): "AA",
+    ("armm", "A"): "A", ("armm", "C"): "AAC",
 }
+
+
+def default_form(calculus: str) -> str:
+    """The form a judgement takes when none is written: C where the
+    calculus has one."""
+    return "C" if (calculus, "C") in FORMS else "A"
+
 
 Context = tuple  # tuple[tuple[str, TypeExpr], ...]
 
@@ -545,14 +540,14 @@ class Judgement:
     ty: TypeExpr
 
     def __post_init__(self):
-        n = ZONES.get((self.calculus, self.form))
-        if n is None:
+        kinds = FORMS.get((self.calculus, self.form))
+        if kinds is None:
             raise SyntaxError_(
                 f"judgement form {self.form!r} does not exist in {self.calculus}")
-        if len(self.zones) != n:
+        if len(self.zones) != len(kinds):
             raise SyntaxError_(
-                f"{self.calculus}/{self.form} judgements take {n} context zone(s),"
-                f" got {len(self.zones)}")
+                f"{self.calculus}/{self.form} judgements take {len(kinds)}"
+                f" context zone(s), got {len(self.zones)}")
         seen = set()
         for zone in self.zones:
             for name, _ in zone:
@@ -580,7 +575,7 @@ class Judgement:
 
 def judgement(calculus, zones, term, ty, form=None) -> Judgement:
     if form is None:
-        form = "A" if (calculus, "C") not in ZONES else "C"
+        form = default_form(calculus)
     return Judgement(calculus, form, tuple(tuple(z) for z in zones), term, ty)
 
 
@@ -653,6 +648,17 @@ class _P:
     def err(self, msg):
         _, line, col = self.toks[self.i]
         raise SyntaxError_(msg, line, col)
+
+    def context(self) -> Context:
+        """`x : T, y : U`: one entry or more."""
+        out = []
+        while True:
+            x = self.name()
+            self.expect(":")
+            out.append((x, self.type_()))
+            if self.peek() != ",":
+                return tuple(out)
+            self.next()
 
     def name(self):
         """A variable name, as a binder or a context entry declares it."""
@@ -939,17 +945,10 @@ def parse_context(text: str, sig=None) -> Context:
     if text in ("", "-"):
         return ()
     p = _P(tokenize(text), sig=sig)
-    out = []
-    while True:
-        x = p.name()
-        p.expect(":")
-        out.append((x, p.type_()))
-        if p.peek() != ",":
-            break
-        p.next()
+    out = p.context()
     if p.peek() is not None:
         p.err(f"trailing input starting at {p.peek()!r}")
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1041,8 +1040,6 @@ def term_to_text(t: Term, names=()) -> str:
                 if t.index < len(stack):
                     return stack[-1 - t.index]
                 return f"?b{t.index - len(stack)}"  # only on open terms
-            case "meta":
-                return f"?{t.name}"
             case "unit":
                 return "()"
             case "pair":

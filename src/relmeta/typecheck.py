@@ -7,6 +7,10 @@ calculus use leftover-free splitting: each multiplicative node partitions
 the available linear variables by free occurrence, which is the unique
 valid split when one exists.
 
+A judgement's form fixes the kind of each of its zones and of its result
+(`syntax.FORMS`); which types a zone kind admits in a calculus is one
+table, TYPE_FORMERS, that `validate_type` walks.
+
 It reads the term as parsed: bvar i names the i-th binder from the top of
 a stack of the binders in force, each named once, by its hint made fresh
 for the root's names and those in force.  A zone is an ordered tuple of
@@ -92,104 +96,65 @@ def types_equal(t1: TypeExpr, t2: TypeExpr, grading=None) -> bool:
     return all(types_equal(a, b, grading) for a, b in zip(t1.subs, t2.subs))
 
 
+_UNARY = "unary calculus types are J(A) | T(A)"
+
+# (calculus, zone kind) -> (each admissible type former -> the zone kind of
+# each of its arguments, "O" for an object of the base category; the
+# wording that rejects a former, by former, None for any other).  A
+# calculus whose zones are all Cartesian has its "A" row only.
+TYPE_FORMERS = {
+    ("urmm", "A"): ({"jt": "O", "tt": "O"},
+                    {None: "type former {} not admissible in urmm",
+                     "unit1": _UNARY, "prod": _UNARY}),
+    ("rmm", "A"): ({"unit1": "", "prod": "AA", "jt": "O", "tt": "O"},
+                   {None: "type former {} not admissible in rmm"}),
+    ("gmm", "A"): ({"unit1": "", "prod": "AA", "tgr": "A", "base": ""},
+                   {None: "type former {} not admissible in gmm"}),
+    ("lnl", "A"): ({"unit1": "", "prod": "AA", "fun": "AA", "rt": "C",
+                    "base": ""},
+                   {None: "type former {} not an A-zone type"}),
+    ("lnl", "C"): ({"lunit": "", "grty": "", "prod": "CC", "lolli": "CC",
+                    "jt": "A", "tt": "A"},
+                   {None: "type former {} not a linear-zone type"}),
+    ("arrow", "A"): ({"unit1": "", "prod": "AA", "fun": "AA", "arr": "AA",
+                      "base": ""},
+                     {None: "type former {} not admissible in the arrow"
+                            " calculus"}),
+    ("armm", "A"): ({"unit1": "", "prod": "AA", "aabs": "AC", "base": ""},
+                    {None: "type former {} not an A-zone type"}),
+    ("armm", "C"): ({"unit1": "", "prod": "CC", "jt": "A", "kt": "A",
+                     "tt": "A"},
+                    {None: "type former {} not a C-zone type"}),
+}
+
+
 def validate_type(ty: TypeExpr, calculus: str, zone: str, sig: Signature,
                   path=()):
     """Zone-discipline validation: which type formers may appear where, and
     whether named objects / grades are declared."""
-
-    def need(cond, msg):
-        if not cond:
-            raise _Fail(path, "type", msg)
-
+    formers, reject = TYPE_FORMERS.get((calculus, zone)) or \
+        TYPE_FORMERS[calculus, "A"]
     k = ty.kind
-    if calculus in ("urmm", "rmm"):
-        need(k in ("unit1", "prod", "jt", "tt"),
-             f"type former {k} not admissible in {calculus}")
-        if calculus == "urmm":
-            need(k in ("jt", "tt"), "unary calculus types are J(A) | T(A)")
-        if k in ("jt", "tt"):
-            inner = ty.subs[0]
+    args = formers.get(k)
+    if args is None:
+        msg = reject.get(k, reject[None]).format(k)
+    elif k == "base" and not sig.has_object(ty.name):
+        msg = f"base type {ty.name!r} is not a declared object"
+    elif k in ("tgr", "grty") and sig.grading is None:
+        msg = f"{'graded' if k == 'tgr' else 'grade'} types need a grading"
+    elif k in ("tgr", "grty") and not sig.grading.has_object(ty.grade):
+        msg = f"grade {ty.grade} not an object of the grading"
+    else:
+        for sub, z in zip(ty.subs, args):
+            if z != "O":
+                validate_type(sub, calculus, z, sig, path)
             # the terminal object may be written 1; other objects by name
-            need(inner.kind == "unit1" or
-                 (inner.kind == "base" and sig.has_object(inner.name)),
-                 f"{type_to_text(ty)}: argument must be a declared object")
-            return
-        for s in ty.subs:
-            validate_type(s, calculus, zone, sig, path)
+            elif sub.kind != "unit1" and not (
+                    sub.kind == "base" and sig.has_object(sub.name)):
+                raise _Fail(path, "type", f"{type_to_text(ty)}: argument"
+                            f" must be a declared object")
         return
-    if calculus == "gmm":
-        need(k in ("unit1", "prod", "tgr", "base"),
-             f"type former {k} not admissible in gmm")
-        if k == "base":
-            need(sig.has_object(ty.name),
-                 f"base type {ty.name!r} is not a declared object")
-            return
-        if k == "tgr":
-            need(sig.grading is not None, "graded types need a grading")
-            need(sig.grading.has_object(ty.grade),
-                 f"grade {ty.grade} not an object of the grading")
-            validate_type(ty.subs[0], calculus, zone, sig, path)
-            return
-        for s in ty.subs:
-            validate_type(s, calculus, zone, sig, path)
-        return
-    if calculus == "lnl":
-        if zone == "A":
-            need(k in ("unit1", "prod", "fun", "rt", "base"),
-                 f"type former {k} not an A-zone type")
-            if k == "base":
-                need(sig.has_object(ty.name),
-                     f"base type {ty.name!r} is not a declared object")
-                return
-            if k == "rt":
-                validate_type(ty.subs[0], calculus, "C", sig, path)
-                return
-        else:
-            need(k in ("lunit", "grty", "prod", "lolli", "jt", "tt"),
-                 f"type former {k} not a linear-zone type")
-            if k == "grty":
-                need(sig.grading is not None, "grade types need a grading")
-                need(sig.grading.has_object(ty.grade),
-                     f"grade {ty.grade} not an object of the grading")
-                return
-            if k in ("jt", "tt"):
-                validate_type(ty.subs[0], calculus, "A", sig, path)
-                return
-        for s in ty.subs:
-            validate_type(s, calculus, zone, sig, path)
-        return
-    if calculus == "arrow":
-        need(k in ("unit1", "prod", "fun", "arr", "base"),
-             f"type former {k} not admissible in the arrow calculus")
-        if k == "base":
-            need(sig.has_object(ty.name),
-                 f"base type {ty.name!r} is not a declared object")
-            return
-        for s in ty.subs:
-            validate_type(s, calculus, zone, sig, path)
-        return
-    if calculus == "armm":
-        if zone == "A":
-            need(k in ("unit1", "prod", "aabs", "base"),
-                 f"type former {k} not an A-zone type")
-            if k == "base":
-                need(sig.has_object(ty.name),
-                     f"base type {ty.name!r} is not a declared object")
-                return
-            if k == "aabs":
-                validate_type(ty.subs[0], calculus, "A", sig, path)
-                validate_type(ty.subs[1], calculus, "C", sig, path)
-                return
-        else:
-            need(k in ("unit1", "prod", "jt", "kt", "tt"),
-                 f"type former {k} not a C-zone type")
-            if k in ("jt", "kt", "tt"):
-                validate_type(ty.subs[0], calculus, "A", sig, path)
-                return
-        for s in ty.subs:
-            validate_type(s, calculus, zone, sig, path)
-        return
-    raise _Fail(path, "type", f"unknown calculus {calculus}")
+    raise _Fail(path, "type", msg)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +249,11 @@ class _Checker:
     # .. entry ............................................................
 
     def check_judgement(self, j: Judgement) -> Derivation:
-        for zi, zone in enumerate(j.zones):
-            zkind = self.zone_kind(j.form, zi)
+        kinds = syntax.FORMS[j.calculus, j.form]
+        for zone, kind in zip(j.zones, kinds):
             for x, ty in zone:
-                validate_type(ty, self.calculus, zkind, self.sig)
-        validate_type(j.ty, self.calculus,
-                      "C" if j.form == "C" else "A", self.sig)
+                validate_type(ty, self.calculus, kind, self.sig)
+        validate_type(j.ty, self.calculus, kinds[-1], self.sig)
         self.avoid |= {x for zone in j.zones for x, _ in zone}
         self.avoid |= free_vars(j.term)
         if self.calculus == "urmm" and len(j.zones[0]) != 1:
@@ -312,13 +276,6 @@ class _Checker:
         if not self.teq(ty, j.ty):
             self.fail((), "judgement", "result type mismatch", j.ty, ty)
         return d
-
-    def zone_kind(self, form, zi):
-        if self.calculus == "lnl":
-            return "A" if form == "A" or zi == 0 else "C"
-        if self.calculus == "armm":
-            return "C" if form == "C" and zi == 2 else "A"
-        return "A"
 
     # .. A-zone synthesis (Cartesian judgements of every calculus) ........
 

@@ -335,6 +335,50 @@ def test_usage_errors(tmp_path):
     assert r5.returncode == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    # a zone line the form has no zone for
+    ("calculus lnl\nform A\nlctx x : J(A)\nterm ()\ntype 1\n",
+     "lctx is not a zone of lnl/A judgements"),
+    ("calculus rmm\npctx x : J(2)\nterm ()\ntype 1\n",
+     "pctx is not a zone of rmm/A judgements"),
+    ("calculus lnl\nform B\nterm ()\ntype 1\n",
+     "judgement form 'B' does not exist in lnl"),
+    # a context variable declared twice, in one zone or in two
+    ("calculus rmm\nctx x : J(2), x : J(2)\nterm x\ntype J(2)\n",
+     "duplicate context variable 'x'"),
+    ("calculus lnl\nctx x : A\nlctx x : J(A)\nterm x\ntype J(A)\n",
+     "duplicate context variable 'x'"),
+])
+def test_malformed_judgement_file_is_a_usage_error(tmp_path, capsys, text,
+                                                   message):
+    path = write(tmp_path, "bad.term", text)
+    sig = golden_sig_path(text.split()[1])
+    assert cli.main(["typecheck", "--sig", sig, path]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("comp idA eA = eA", "comp idA eA = idA"),
+     "comp idA eA = idA: an identity law needs eA"),
+    (("comp idA idA = idA\ncomp idA eA = eA\ncomp eA idA = eA\n"
+      "comp eA eA = eA\n", ""), "no `comp idA idA` entry"),
+    (("hom A A = [idA, eA]", "hom A A = [idA, eA]\nhom A B = [f]"),
+     "hom A B: B is not an object"),
+    (("id A = idA", ""), "id A: no identity in hom A A"),
+])
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_malformed_instance_table_is_a_usage_error(tmp_path, edit, message,
+                                                    flags):
+    """The category tables of a .inst file are checked by code that raises,
+    so `python -O`, which drops asserts, reports them the same way."""
+    text = Path(fixture_path("tiny.inst")).read_text()
+    assert edit[0] in text
+    path = write(tmp_path, "bad.inst", text.replace(*edit))
+    r = subprocess.run([sys.executable, *flags, "-m", "relmeta.cli",
+                        "lawcheck", path], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (3, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("drop, cell", [("ext A A eA = eA", "ext A A eA"),
                                         ("eta A = idA", "eta A"),
                                         ("tmap A = A", "tmap A")])
@@ -392,3 +436,17 @@ def test_repl_session():
     assert "accepted" in r.stdout
     assert "{ff:1/2^1, tt:1/2^1}" in r.stdout
     assert "PROVEN" in r.stdout
+
+
+def test_repl_reports_bad_input_and_goes_on():
+    """An unknown calculus and a zone the judgement form lacks are reported
+    as errors, and the session goes on; an empty zone clears one."""
+    script = ":calculus foo\n:type T(2)\n:lctx y : J(2)\n:check ret y\n" \
+        ":lctx -\n:ctx y : J(2)\n:check ret y\n"
+    r = subprocess.run(RUN + ["repl", "--sig", fixture_path("coin.sig")],
+                       input=script, capture_output=True, text=True)
+    assert r.returncode == 0
+    assert r.stdout.split("relmeta> ")[1:] == [
+        "error: unknown calculus 'foo'\n", "", "",
+        "error: lctx is not a zone of rmm/A judgements\n", "", "",
+        "accepted\n", ""]

@@ -3,7 +3,7 @@ import pytest
 from relmeta.signatures import (SignatureError, all_functions,
                                 builtin_grading, finset_function_name,
                                 finset_skeleton_presentation, load_signature)
-from relmeta.syntax import gnat, gname, gtensor, GradeMor
+from relmeta.syntax import SyntaxError_, gnat, gname, gtensor, GradeMor
 
 
 def test_load_coin(coin_sig):
@@ -107,6 +107,18 @@ def test_axiom_type_error():
             "calculus rmm\nobject 2\nop coin : () -> T(2)\n"
             "axiom coin = ret () in [] : T(2)\n")
     assert "type-check" in str(e.value)
+
+
+@pytest.mark.parametrize("ctx, message", [
+    ("( : J(A)", "expected a variable name, found '('"),
+    ("do : J(A)", "expected a variable name, found 'do'"),
+    ("x : J(A) y : J(A)", "expected ']', found 'y'"),
+])
+def test_axiom_context_is_read_like_a_judgement_context(ctx, message):
+    with pytest.raises(SyntaxError_) as e:
+        load_signature("calculus rmm\nobject A\nop e : () -> T(A)\n"
+                       f"axiom e = e in [{ctx}] : T(A)\n")
+    assert message in str(e.value)
 
 
 def test_builtin_gradings():

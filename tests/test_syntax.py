@@ -169,11 +169,17 @@ def test_type_roundtrip():
 
 
 def test_judgement_zone_validation():
-    with pytest.raises(SyntaxError_):
-        judgement("rmm", [(), ()], var("x"), parse_type("1"))
-    with pytest.raises(SyntaxError_):
-        judgement("armm", [(("x", parse_type("1")), ("x", parse_type("1")))],
-                  var("x"), parse_type("1"), form="A")
+    one = ("x", parse_type("1"))
+    for args, form, message in [
+            (("rmm", [(), ()]), None,
+             "rmm/A judgements take 1 context zone(s), got 2"),
+            (("rmm", [()]), "C", "judgement form 'C' does not exist in rmm"),
+            (("armm", [(one, one)]), "A", "duplicate context variable 'x'"),
+            (("lnl", [(one,), (one,)]), None,
+             "duplicate context variable 'x'")]:
+        with pytest.raises(SyntaxError_) as e:
+            judgement(*args, var("x"), parse_type("1"), form=form)
+        assert str(e.value) == message
 
 
 names = st.sampled_from(["x", "y", "z", "w"])

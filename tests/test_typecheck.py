@@ -9,7 +9,7 @@ import pytest
 
 from conftest import accepted_golden_judgements, fixture_text
 from relmeta import gen as genmod
-from relmeta import syntax
+from relmeta import syntax, typecheck
 from relmeta.signatures import load_signature
 from relmeta.syntax import (judgement, parse_context, parse_term, parse_type,
                             subst_free)
@@ -176,6 +176,8 @@ def _sig_for(key, coin_sig):
         "lnl": LNL_SIG,
         "arrow": "calculus arrow\nobject B\nobject C\n",
         "armm": ARMM_SIG,
+        "ungraded gmm": "calculus gmm\nobject A\n",
+        "ungraded lnl": "calculus lnl\nobject A\n",
     }[key])
 
 
@@ -221,6 +223,52 @@ def test_bound_variable_is_not_a_command():
     res = check(j, sig)
     assert (res.ok, res.rule, res.path) == (False, "var", (0,))
     assert res.message.startswith("'var' is not a command former")
+
+
+# (calculus, form, type, signature key, message): one rejected type per
+# row of the type-former table, then each check the table leaves to code
+TYPE_REJECTIONS = [
+    ("urmm", "A", "1", None, "unary calculus types are J(A) | T(A)"),
+    ("urmm", "A", "2", None, "type former base not admissible in urmm"),
+    ("rmm", "A", "2", None, "type former base not admissible in rmm"),
+    ("gmm", "A", "J(A)", "gmm", "type former jt not admissible in gmm"),
+    ("lnl", "A", "I", "lnl", "type former lunit not an A-zone type"),
+    ("lnl", "C", "A", "lnl", "type former base not a linear-zone type"),
+    ("arrow", "C", "J(B)", "arrow",
+     "type former jt not admissible in the arrow calculus"),
+    ("armm", "A", "J(B)", "armm", "type former jt not an A-zone type"),
+    ("armm", "C", "B", "armm", "type former base not a C-zone type"),
+    # an argument takes the zone kind its row gives it
+    ("lnl", "A", "R(A)", "lnl", "type former base not a linear-zone type"),
+    ("armm", "A", "B => B", "armm", "type former base not a C-zone type"),
+    # the checks left to code
+    ("rmm", "A", "T(Z)", None, "T(Z): argument must be a declared object"),
+    ("gmm", "A", "Z", "gmm", "base type 'Z' is not a declared object"),
+    ("gmm", "A", "T_2(A)", "ungraded gmm", "graded types need a grading"),
+    ("lnl", "C", "gr(2)", "ungraded lnl", "grade types need a grading"),
+    ("gmm", "A", "T_g(A)", "gmm", "grade g not an object of the grading"),
+]
+
+
+def test_type_rejections_cover_every_table_row():
+    rows = {(calc, syntax.FORMS[calc, form][-1])
+            for calc, form, *_ in TYPE_REJECTIONS}
+    assert rows == set(typecheck.TYPE_FORMERS)
+
+
+@pytest.mark.parametrize("calc, form, ty_text, sigkey, message",
+                         TYPE_REJECTIONS)
+def test_type_rejection_message(calc, form, ty_text, sigkey, message,
+                                coin_sig):
+    """A type in the last zone of a form is rejected with the wording of
+    that zone kind's row."""
+    sig = _sig_for(sigkey, coin_sig)
+    ty = parse_type(ty_text, sig)
+    zones = [()] * (len(syntax.FORMS[calc, form]) - 1) + [(("x", ty),)]
+    j = judgement(calc, zones, syntax.var("x"), ty, form=form)
+    res = check(j, sig)
+    assert (res.ok, res.rule, res.path, res.message) == \
+        (False, "type", (), message)
 
 
 def test_split_linear():
@@ -510,11 +558,8 @@ def test_nodes_share_their_parents_zones(coin_sig):
 GENERATED = Path(__file__).parent / "golden" / "generated" / "typecheck.txt"
 
 
-# raw-term judgements: the zone kinds of each judgement form (the last one
-# also types the result), and well-formed types of each kind
-RAW_ZONES = {("urmm", "A"): "A", ("rmm", "A"): "A", ("gmm", "A"): "A",
-             ("lnl", "A"): "A", ("lnl", "C"): "AC", ("arrow", "A"): "A",
-             ("arrow", "C"): "AA", ("armm", "A"): "A", ("armm", "C"): "AAC"}
+# raw-term judgements: well-formed types of each zone kind (`syntax.FORMS`
+# gives the kinds of each judgement form's zones, the last also the result's)
 RAW_TYPES = {
     ("urmm", "A"): ["J(2)", "T(2)", "J(4)", "T(4)"],
     ("rmm", "A"): ["J(2)", "T(2)", "1", "J(2) * T(4)", "T(1)"],
@@ -569,8 +614,8 @@ def _generated_corpus():
             "arrow": arrow, "armm": armm}
     for calc, sig in sigs.items():
         for i in range(30):
-            form = rng.choice("AC") if (calc, "C") in syntax.ZONES else "A"
-            kinds = RAW_ZONES[calc, form]
+            form = rng.choice("AC") if (calc, "C") in syntax.FORMS else "A"
+            kinds = syntax.FORMS[calc, form]
             zones = [tuple((f"v{k}", parse_type(rng.choice(
                 RAW_TYPES[calc, kinds[z]]))) for k in range(4)
                 if k % len(kinds) == z and rng.random() < 0.6)
