@@ -2,15 +2,14 @@
 
 Exit codes: 0 accepted/Proven/pass, 1 rejected/Refuted/fail, 2 Unknown,
 3 usage or I/O error, 4 internal error (one `error: internal:` line on
-stderr, no traceback).  All randomized work is seeded and the seed prints
-in the report header; reports are byte-identical across runs.
+stderr, no traceback).  No subcommand draws random numbers, so reports
+are byte-identical across runs; the report header prints `--seed`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import equations, lawcheck, models, syntax, translate
@@ -28,23 +27,22 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # input files
 
-ZONE_KEYS = {"ctx": 0, "dctx": 1, "lctx": 1, "pctx": 2}
-
-
-def read_kv_file(path) -> dict:
+def read_input(path) -> str:
+    """The text of an input file, read as UTF-8 whatever its name (the one
+    place that opens one); a file not read or decoded is a usage error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode("utf-8")
+    except OSError as e:
         raise CliError(str(e))
-    out = {}
-    for raw in text.splitlines():
-        ln = raw.split("#", 1)[0].rstrip()
-        if not ln.strip():
-            continue
-        head, _, rest = ln.partition(" ")
-        out.setdefault(head, []).append(rest.strip())
-    return out
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise CliError(f"{path}: line {line} is not UTF-8 ({e.reason})")
+
+
+def _load_sig(path) -> Signature:
+    return load_signature(read_input(path)) if path else Signature()
 
 
 def _judgement_zones(calculus, form, given: dict) -> tuple:
@@ -54,28 +52,33 @@ def _judgement_zones(calculus, form, given: dict) -> tuple:
     kinds = syntax.FORMS.get((calculus, form))
     if kinds is None:
         raise CliError(f"judgement form {form!r} does not exist in {calculus}")
-    zones = [()] * len(kinds)
-    for key, ctx in given.items():
-        if ZONE_KEYS[key] >= len(kinds):
+    # `ctx`, then `lctx` for a linear (C) second zone, else `dctx`; `pctx`
+    keys = ("ctx", "lctx" if kinds[1:2] == "C" else "dctx", "pctx")
+    keys = keys[:len(kinds)]
+    for key in given:
+        if key not in keys:
             raise CliError(f"{key} is not a zone of {calculus}/{form}"
                            f" judgements")
-        zones[ZONE_KEYS[key]] = ctx
-    return tuple(zones)
+    return tuple(given.get(key, ()) for key in keys)
+
+
+ZONE_NAMES = ("ctx", "lctx", "dctx", "pctx")
+JUDGEMENT_KEYS = ("calculus", "form", *ZONE_NAMES, "term", "lhs", "rhs",
+                  "type")
 
 
 def load_judgement(path, sig: Signature, term_key="term") -> Judgement:
-    kv = read_kv_file(path)
-    calculus = kv.get("calculus", ["rmm"])[0]
-    if calculus not in syntax.CALCULI:
-        raise CliError(f"unknown calculus {calculus!r}")
-    form = kv.get("form", [syntax.default_form(calculus)])[0]
+    kv = syntax.read_keys(read_input(path), JUDGEMENT_KEYS)
+    calculus = syntax.calculus_of(kv)
+    form = kv.get("form", (None, syntax.default_form(calculus)))[1]
     form = {"command": "C", "term": "A"}.get(form, form)
     zones = _judgement_zones(calculus, form, {
-        key: parse_context(kv[key][0], sig) for key in ZONE_KEYS if key in kv})
+        key: syntax.on_line(*kv[key], parse_context, sig)
+        for key in ZONE_NAMES if key in kv})
     if term_key not in kv or "type" not in kv:
         raise CliError(f"file {path} needs `{term_key}` and `type` lines")
-    term = parse_term(kv[term_key][0], calculus, sig)
-    ty = parse_type(kv["type"][0], sig)
+    term = syntax.on_line(*kv[term_key], parse_term, calculus, sig)
+    ty = syntax.on_line(*kv["type"], parse_type, sig)
     return Judgement(calculus, form, zones, term, ty)
 
 
@@ -104,7 +107,7 @@ def header(args):
 # subcommands
 
 def cmd_typecheck(args):
-    sig = load_signature(args.sig) if args.sig else Signature()
+    sig = _load_sig(args.sig)
     j = load_judgement(args.file, sig)
     res = check(j, sig)
     header(args)
@@ -120,7 +123,7 @@ def cmd_typecheck(args):
 
 
 def cmd_normalize(args):
-    sig = load_signature(args.sig) if args.sig else Signature()
+    sig = _load_sig(args.sig)
     j = load_judgement(args.file, sig)
     header(args)
     try:
@@ -137,10 +140,10 @@ def cmd_normalize(args):
 
 
 def cmd_eval(args):
-    sig = load_signature(args.sig) if args.sig else Signature()
+    sig = _load_sig(args.sig)
     if not args.model:
         raise CliError("eval needs --model")
-    binding = models.load_binding(args.model[0].split("=", 1)[-1], sig)
+    binding = _load_models(args, sig)[0][1]
     j = load_judgement(args.file, sig)
     header(args)
     if any(zone for zone in j.zones):
@@ -156,12 +159,12 @@ def _load_models(args, sig):
         name, _, path = spec.rpartition("=")
         if not name:
             name, path = path.rsplit("/", 1)[-1].rsplit(".", 1)[0], path
-        out.append((name, models.load_binding(path, sig)))
+        out.append((name, models.load_binding(read_input(path), sig)))
     return out
 
 
 def cmd_eq(args):
-    sig = load_signature(args.theory or args.sig)
+    sig = _load_sig(args.theory or args.sig)
     jl, jr = load_eq_file(args.file, sig)
     header(args)
     verdict = equations.check_eq(jl, jr, sig, _load_models(args, sig),
@@ -177,10 +180,9 @@ def cmd_eq(args):
 
 
 def cmd_prove(args):
-    sig = load_signature(args.theory or args.sig)
+    sig = _load_sig(args.theory or args.sig)
     jl, jr = load_eq_file(args.file, sig)
-    with open(args.proof, "r", encoding="utf-8") as fh:
-        proof = equations.parse_proof(fh.read(), sig, jl.calculus)
+    proof = equations.parse_proof(read_input(args.proof), sig, jl.calculus)
     header(args)
     ok = equations.check_proof(proof, jl, jr, sig)
     emit(args, {"verdict": "checked" if ok else "step-mismatch"},
@@ -189,7 +191,7 @@ def cmd_prove(args):
 
 
 def cmd_translate(args):
-    sig = load_signature(args.sig)
+    sig = _load_sig(args.sig)
     j = load_judgement(args.file, sig)
     header(args)
     tgt, trace = translate.translate(j, sig, args.src, args.tgt)
@@ -222,11 +224,19 @@ def _naturals(key, text):
     return tuple(int(p) for p in parts)
 
 
+# the table lines of an explicit instance -> the numbers of keys they take
+INSTANCE_TABLES = {"hom": (2,), "comp": (2,), "id": (1,), "tensor": (2,),
+                   "tensormor": (2,), "jmap": (1,), "tmap": (1,), "eta": (1,),
+                   "ext": (3, 4)}
+
+
 def load_instance(path):
-    kv = read_kv_file(path)
+    kv = syntax.read_keys(read_input(path),
+                          ("builtin", "objects", "aobj", "unitobj"),
+                          INSTANCE_TABLES)
     if "builtin" not in kv:
         return _explicit_instance(kv, path)
-    name, *parts = kv["builtin"][0].split() or [""]
+    name, *parts = kv["builtin"][1].split() or [""]
     if name not in BUILTIN_ARGS:
         raise CliError(f"unknown builtin instance {name!r}")
     args = dict(BUILTIN_ARGS[name])
@@ -259,58 +269,32 @@ def load_instance(path):
 
 
 def _explicit_instance(kv, path):
-    objects = tuple(kv.get("objects", [""])[0].split())
-    homs, comp, ids, dom, cod = {}, {}, {}, {}, {}
-    for line in kv.get("hom", []):
-        lhs, _, rhs = line.partition("=")
-        a, b = lhs.split()
-        ms = tuple(rhs.strip().strip("[]").replace(",", " ").split())
-        homs[(a, b)] = ms
+    tables = {key: [syntax.split_entry(n, key, rest, *arity)
+                    for n, rest in kv.get(key, ())]
+              for key, arity in INSTANCE_TABLES.items()}
+    objects = tuple(kv.get("objects", (None, ""))[1].split())
+    homs, dom, cod = {}, {}, {}
+    for ab, value in tables["hom"]:
+        ms = tuple(value.strip("[]").replace(",", " ").split())
+        homs[ab] = ms
         for m in ms:
-            dom[m], cod[m] = a, b
-    for line in kv.get("comp", []):
-        lhs, _, rhs = line.partition("=")
-        g, f = lhs.split()
-        comp[(g, f)] = rhs.strip()
-    for line in kv.get("id", []):
-        a, _, m = line.partition("=")
-        ids[a.strip()] = m.strip()
-    cat = lawcheck.FinCategory(objects, homs, comp, ids, dom, cod)
-    for line in kv.get("unitobj", []):
-        cat.unit = line.strip()
-    for line in kv.get("tensor", []):
-        lhs, _, rhs = line.partition("=")
-        a, b = lhs.split()
-        cat.obj_tensor[(a, b)] = rhs.strip()
-    for line in kv.get("tensormor", []):
-        lhs, _, rhs = line.partition("=")
-        f, g = lhs.split()
-        cat.mor_tensor[(f, g)] = rhs.strip()
+            dom[m], cod[m] = ab
+    ids = {a: m for (a,), m in tables["id"]}
+    cat = lawcheck.FinCategory(
+        objects, homs, dict(tables["comp"]), ids, dom, cod,
+        unit=kv.get("unitobj", (None, None))[1],
+        obj_tensor=dict(tables["tensor"]),
+        mor_tensor=dict(tables["tensormor"]))
     cat.validate()
-    aobjs = tuple(kv.get("aobj", [" ".join(objects)])[0].split())
+    aobjs = tuple(kv.get("aobj", (None, " ".join(objects)))[1].split())
     jmap = {a: a for a in aobjs}
-    for line in kv.get("jmap", []):
-        a, _, x = line.partition("=")
-        jmap[a.strip()] = x.strip()
-    tmap, eta = {}, {}
-    for line in kv.get("tmap", []):
-        a, _, x = line.partition("=")
-        tmap[a.strip()] = x.strip()
-    for line in kv.get("eta", []):
-        a, _, m = line.partition("=")
-        eta[a.strip()] = m.strip()
-    d = lawcheck.FinRelMonadData(path, cat, aobjs, jmap, tmap, eta)
-    for line in kv.get("ext", []):
-        lhs, _, rhs = line.partition("=")
-        parts = lhs.split()
-        if len(parts) == 3:
-            a, b, f = parts
-            d.ext_plain = d.ext_plain or {}
-            d.ext_plain[(a, b, f)] = rhs.strip()
-        else:
-            g, a, b, f = parts
-            d.ext_strong = d.ext_strong or {}
-            d.ext_strong[(g, a, b, f)] = rhs.strip()
+    jmap.update((a, x) for (a,), x in tables["jmap"])
+    tmap = {a: x for (a,), x in tables["tmap"]}
+    eta = {a: m for (a,), m in tables["eta"]}
+    plain = {cell: g for cell, g in tables["ext"] if len(cell) == 3}
+    strong = {cell: g for cell, g in tables["ext"] if len(cell) == 4}
+    d = lawcheck.FinRelMonadData(path, cat, aobjs, jmap, tmap, eta,
+                                 plain or None, strong or None)
     _require_cells(d, path)
     return d
 
@@ -356,10 +340,10 @@ def cmd_lawcheck(args):
 
 
 def cmd_repl(args):
-    sig = load_signature(args.sig) if args.sig else Signature()
+    sig = _load_sig(args.sig)
     binding = None
     if args.model:
-        binding = models.load_binding(args.model[0].split("=", 1)[-1], sig)
+        binding = _load_models(args, sig)[0][1]
     calculus = args.calculus or "rmm"
     zones = {}
     expected = None
@@ -372,37 +356,35 @@ def cmd_repl(args):
         if not line:
             continue
         try:
-            if line in (":q", ":quit", "quit"):
+            cmd, rest = syntax.split_head(line)
+            if cmd in (":q", ":quit", "quit"):
                 return EXIT_OK
-            if line == ":help":
+            if cmd == ":help":
                 print("commands: :sig <path> | :model <path> |"
                       " :calculus <tag> | :ctx/:lctx/:dctx/:pctx <decls> |"
                       " :type <ty> | :check <t> | :eval <t> |"
                       " :normalize <t> | :eq <t> = <t> | :quit")
-            elif line.startswith(":sig "):
-                sig = load_signature(line[5:].strip())
+            elif cmd == ":sig":
+                sig = load_signature(read_input(rest))
                 print("signature loaded")
-            elif line.startswith(":model "):
-                binding = models.load_binding(line[7:].strip(), sig)
+            elif cmd == ":model":
+                binding = models.load_binding(read_input(rest), sig)
                 print("model binding loaded")
-            elif line.startswith(":calculus "):
-                tag = line[10:].strip()
-                if tag not in syntax.CALCULI:
-                    raise CliError(f"unknown calculus {tag!r}")
-                calculus = tag
-            elif any(line.startswith(f":{k} ") for k in ZONE_KEYS):
-                key, rest = line[1:].split(" ", 1)
-                zones[key] = parse_context(rest, sig)
-            elif line.startswith(":type "):
-                expected = parse_type(line[6:].strip(), sig)
-            elif line.startswith((":check ", ":eval ", ":normalize ")):
-                cmd, rest = line[1:].split(" ", 1)
+            elif cmd == ":calculus":
+                if rest not in syntax.CALCULI:
+                    raise CliError(f"unknown calculus {rest!r}")
+                calculus = rest
+            elif cmd.startswith(":") and cmd[1:] in ZONE_NAMES:
+                zones[cmd[1:]] = parse_context(rest, sig)
+            elif cmd == ":type":
+                expected = parse_type(rest, sig)
+            elif cmd in (":check", ":eval", ":normalize"):
                 t = parse_term(rest, calculus, sig)
                 j = _repl_judgement(calculus, zones, t, expected, sig)
-                if cmd == "check":
+                if cmd == ":check":
                     res = check(j, sig)
                     print("accepted" if res.ok else f"rejected: {res.message}")
-                elif cmd == "eval":
+                elif cmd == ":eval":
                     if binding is None:
                         print("load a model binding first (:model)")
                     else:
@@ -410,9 +392,8 @@ def cmd_repl(args):
                 else:
                     res = equations.normalize(j, sig)
                     print(syntax.term_to_text(res.term))
-            elif line.startswith(":eq "):
-                body = line[4:]
-                p = syntax._P(syntax.tokenize(body), sig=sig,
+            elif cmd == ":eq":
+                p = syntax._P(syntax.tokenize(rest), sig=sig,
                               calculus=calculus)
                 tl = p.term()
                 p.expect("=")
@@ -504,7 +485,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
-    random.seed(args.seed)
     try:
         return args.fn(args)
     except (CliError, SignatureError, SyntaxError_, models.ModelError,

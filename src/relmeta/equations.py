@@ -440,55 +440,50 @@ def parse_proof(text: str, sig: Signature, calculus: str) -> EqProof:
     """Parse the line-oriented proof format:
     `<name> at <path> [with {x := <term>, ...}] [lr|rl] <fwd|bwd>`."""
     steps = []
-    for raw in text.splitlines():
-        ln = raw.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        head, _, rest = ln.partition(" at ")
-        name = head.strip()
-        rest = rest.strip()
-        sigma = ()
-        if " with " in rest:
-            loc, _, with_part = rest.partition(" with ")
-            brace = with_part[with_part.index("{") + 1:with_part.rindex("}")]
-            binds = []
-            for item in _split_top(brace, ","):
-                x, _, tm = item.partition(":=")
-                binds.append((x.strip(),
-                              syntax.parse_term(tm.strip(), calculus, sig)))
-            sigma = tuple(sorted(binds))
-            tail = with_part[with_part.rindex("}") + 1:].split()
-        else:
-            parts = rest.split()
-            loc, tail = parts[0], parts[1:]
-        loc = loc.strip()
-        path = () if loc == "root" else tuple(int(c) for c in loc.split("."))
-        axdir, orient, kind = "lr", "fwd", "rule"
-        for tok in tail:
-            if tok in ("lr", "rl"):
-                axdir, kind = tok, "axiom"
-            elif tok in ("fwd", "bwd"):
-                orient = tok
-        steps.append(Step(name, path, orientation=orient, kind=kind,
-                          axdir=axdir, sigma=sigma))
+    for n, name, rest in syntax.read_lines(text):
+        steps.append(syntax.on_line(n, rest, _parse_step, name, sig,
+                                    calculus))
     return EqProof(tuple(steps))
 
 
-def _split_top(text, sep):
-    depth, parts, cur = 0, [], []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
+def _parse_step(text, name, sig, calculus) -> Step:
+    p = syntax._P(syntax.tokenize(text), sig=sig, calculus=calculus)
+    p.expect("at")
+    loc = [p.next()]
+    while p.peek() == ".":
+        p.next()
+        loc.append(p.next())
+    if loc != ["root"] and not all(tok and tok.isdigit() for tok in loc):
+        p.err(f"expected `root` or a path of indices, found "
+              f"{'.'.join(map(str, loc))!r}")
+    path = () if loc == ["root"] else tuple(map(int, loc))
+    sigma = {}
+    if p.peek() == "with":
+        p.next()
+        p.expect("{")
+        while True:
+            x = p.name()
+            if x in sigma:
+                p.err(f"{x} is bound twice")
+            p.expect(":")
+            p.expect("=")
+            sigma[x] = p.term()
+            syntax.check_admissible(sigma[x], calculus)
+            if p.peek() != ",":
+                break
+            p.next()
+        p.expect("}")
+    kind, axdir = "rule", "lr"
+    if p.peek() in ("lr", "rl"):
+        kind, axdir = "axiom", p.next()
+    orient = p.peek()
+    if orient not in ("fwd", "bwd"):
+        p.err(f"expected 'fwd' or 'bwd', found {orient!r}")
+    p.next()
+    if p.peek() is not None:
+        p.err(f"trailing input starting at {p.peek()!r}")
+    return Step(name, path, orientation=orient, kind=kind, axdir=axdir,
+                sigma=tuple(sorted(sigma.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -1434,18 +1434,21 @@ def _graded_regrade_combo(gd, codecs, ovr, G, A, B, m, n, n2):
     True, or the evidence of the first failing cell."""
     cy = codecs[B]
     fmat, fdom = _fmat_for(gd, G, A, n2, cy)
+
+    def regrade_lut(hi, lo):
+        # code of each value of T_lo B -> code of its regrade into T_hi B
+        lut = _np.arange(len(cy.vals), dtype=_np.int32)
+        for v in gd.tvals(lo, B):
+            lut[cy.code[v]] = cy.code[gd.tx[(hi, lo, B, v)]]
+        return lut
+
     # T_xi o f : recode every value through the (n, n2) regrade table
-    lut = _np.arange(len(cy.vals), dtype=_np.int32)
-    for v in gd.tvals(n2, B):
-        lut[cy.code[v]] = cy.code[gd.tx[(n, n2, B, v)]]
-    fmat_x = lut[fmat]
+    fmat_x = regrade_lut(n, n2)[fmat]
     extL = _ExtVec(gd, ovr.get((G, m, n, A, B), ()), G, m, A, fmat_x, fdom,
                    cy)
     extR = _ExtVec(gd, ovr.get((G, m, n2, A, B), ()), G, m, A, fmat, fdom, cy)
     mn, mn2 = gd.tensor(m, n), gd.tensor(m, n2)
-    lut2 = _np.arange(len(cy.vals), dtype=_np.int32)
-    for v in gd.tvals(mn2, B):
-        lut2[cy.code[v]] = cy.code[gd.tx[(mn, mn2, B, v)]]
+    lut2 = regrade_lut(mn, mn2)
     for g in gd.carriers[G]:
         for xs in gd.tvals(m, A):
             lhs = extL.col((g, xs))
@@ -1458,10 +1461,7 @@ def _graded_regrade_combo(gd, codecs, ovr, G, A, B, m, n, n2):
             continue
         extS = _ExtVec(gd, ovr.get((G, m2, n2, A, B), ()), G, m2, A, fmat,
                        fdom, cy)
-        mn2b = gd.tensor(m2, n2)
-        lut3 = _np.arange(len(cy.vals), dtype=_np.int32)
-        for v in gd.tvals(mn2b, B):
-            lut3[cy.code[v]] = cy.code[gd.tx[(mn2, mn2b, B, v)]]
+        lut3 = regrade_lut(mn2, gd.tensor(m2, n2))
         for g in gd.carriers[G]:
             for xs in gd.tvals(m2, A):
                 ys = gd.tx[(m, m2, A, xs)]

@@ -248,39 +248,24 @@ class ModelBinding:
         return self.carriers[obj]
 
 
-def load_binding(path_or_text, sig: Signature) -> ModelBinding:
-    text = path_or_text
-    if "\n" not in str(path_or_text) and str(path_or_text).endswith(".mb"):
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    calculus = "rmm"
-    backend = None
-    carriers, geninterp, opinterp = {}, {}, {}
-    for raw in text.splitlines():
-        ln = raw.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        head, _, rest = ln.partition(" ")
-        rest = rest.strip()
-        if head == "calculus":
-            calculus = rest
-        elif head == "backend":
-            backend = _parse_backend(rest)
-        elif head == "carrier":
-            name, _, elems = rest.partition("=")
-            labels = [e.strip() for e in
-                      elems.strip().strip("{}").split(",") if e.strip()]
-            carriers[name.strip()] = tuple(labels)
-        elif head == "interp":
-            name, _, table = rest.partition("=")
-            geninterp[name.strip()] = _parse_table(table.strip())
-        elif head == "opinterp":
-            name, _, val = rest.partition("=")
-            opinterp[name.strip()] = _parse_op_value(val.strip())
-        else:
-            raise ModelError(f"unrecognized binding line: {ln!r}")
-    if backend is None:
+def load_binding(text: str, sig: Signature) -> ModelBinding:
+    """A model binding from its text (see the file grammar in the README)."""
+    kv = syntax.read_keys(text, ("calculus", "backend"),
+                          ("carrier", "interp", "opinterp"))
+    calculus = syntax.calculus_of(kv)
+    if "backend" not in kv:
         raise ModelError("binding file declares no backend")
+    backend = _parse_backend(kv["backend"][1])
+    entries = {key: [syntax.split_entry(n, key, rest, 1)
+                     for n, rest in kv.get(key, ())]
+               for key in ("carrier", "interp", "opinterp")}
+    carriers = {name: tuple(e.strip() for e in elems.strip("{}").split(",")
+                            if e.strip())
+                for (name,), elems in entries["carrier"]}
+    geninterp = {name: _parse_table(table)
+                 for (name,), table in entries["interp"]}
+    opinterp = {name: _parse_op_value(val)
+                for (name,), val in entries["opinterp"]}
     binding = ModelBinding(calculus, backend, carriers, geninterp, opinterp)
     validate_binding(binding, sig)
     return binding

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import syntax
-from .syntax import (Grade, GradeMor, TypeExpr, gnat, gname,
-                     parse_context, parse_type, tokenize)
+from .syntax import (Grade, GradeMor, SyntaxError_, TypeExpr, gnat, gname,
+                     tokenize)
 
 
 class SignatureError(Exception):
@@ -156,23 +156,25 @@ def _parse_word(text: str) -> tuple[Word, str | None]:
     return tuple(names), None
 
 
-def pres_line(pres: CategoryPresentation, ln: str):
+def pres_line(pres: CategoryPresentation, n: int, head: str, rest: str):
+    """Add line n of a file, an `object`, `gen` or `rel` line, to pres."""
     pres.__dict__.pop("_ridx", None)  # the rewrite index is rebuilt lazily
-    parts = ln.split()
-    if parts[0] == "object":
-        pres.objects.append(parts[1])
-    elif parts[0] == "gen":
-        # gen f : A -> B
-        body = ln[len("gen"):].strip()
-        name, rest = body.split(":", 1)
-        src, tgt = rest.split("->")
+    if head == "object":
+        if len(rest.split()) != 1:
+            raise SyntaxError_("expected `object <name>`", n)
+        pres.objects.append(rest)
+    elif head == "gen":
+        name, colon, ends = rest.partition(":")
+        src, arrow, tgt = ends.partition("->")
+        if not (colon and arrow) or \
+                any(len(w.split()) != 1 for w in (name, src, tgt)):
+            raise SyntaxError_("expected `gen f : A -> B`", n)
         name = name.strip()
         if name in pres.generators:
             raise SignatureError(f"duplicate generator {name!r}")
         pres.generators[name] = GenDecl(name, src.strip(), tgt.strip())
-    elif parts[0] == "rel":
-        body = ln[len("rel"):].strip()
-        lhs, rhs = body.split("=")
+    else:
+        (lhs,), rhs = syntax.split_entry(n, "rel", rest, 1)
         w1, at1 = _parse_word(lhs)
         w2, at2 = _parse_word(rhs)
         pres.relations.append((w1, w2))
@@ -180,8 +182,6 @@ def pres_line(pres: CategoryPresentation, ln: str):
         for w, at in ((w1, at1), (w2, at2)):
             if not w and at is not None and at not in pres.objects:
                 raise SignatureError(f"id_{at}: undeclared object {at!r}")
-    else:
-        raise SignatureError(f"unrecognized presentation line: {ln!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +416,6 @@ class Signature:
         return len(self.op_decl(name).params)
 
 
-EMPTY_SIGNATURE = Signature()
-
-
 def builtin_grading(flavor: str) -> BuiltinGrading:
     return BuiltinGrading(flavor)
 
@@ -426,58 +423,41 @@ def builtin_grading(flavor: str) -> BuiltinGrading:
 # ---------------------------------------------------------------------------
 # Signature files
 
-def load_signature(path_or_text, validate_axioms: bool = True) -> Signature:
-    """Load a signature file (see the file grammar in the README).
+def load_signature(text: str, validate_axioms: bool = True) -> Signature:
+    """Load a signature from its text (see the file grammar in the README).
 
     Lines: `calculus <tag>`, `object <name>`, `gen f : A -> B`,
     `rel w = w`, `wordcap <n>`, `grading builtin add|mult`,
     `grading unit <obj>` / `grading tensor a b = c`,
     `op name : (x : T, ...) -> T`, `axiom <t> = <t> in [ctx] : T`.
     """
-    text = path_or_text
-    if "\n" not in str(path_or_text) and str(path_or_text).endswith(".sig"):
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    kv = syntax.read_keys(text, ("calculus", "wordcap"),
+                          ("object", "gen", "rel", "grading", "op", "axiom"))
+    calculus = syntax.calculus_of(kv)
     sig = Signature()
-    calculus = "rmm"
-    grading_lines = []
-    op_lines = []
-    axiom_lines = []
-    for raw in text.splitlines():
-        ln = raw.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        head = ln.split()[0]
-        if head == "calculus":
-            calculus = ln.split()[1]
-            if calculus not in syntax.CALCULI:
-                raise SignatureError(f"unknown calculus {calculus!r}")
-        elif head in ("object", "gen", "rel"):
-            pres_line(sig.category, ln)
-        elif head == "wordcap":
-            sig.category.word_cap = int(ln.split()[1])
-        elif head == "grading":
-            grading_lines.append(ln)
-        elif head == "op":
-            op_lines.append(ln)
-        elif head == "axiom":
-            axiom_lines.append(ln)
-        else:
-            raise SignatureError(f"unrecognized signature line: {ln!r}")
+    for head in ("object", "gen", "rel"):
+        for n, rest in kv.get(head, ()):
+            pres_line(sig.category, n, head, rest)
+    if "wordcap" in kv:
+        n, cap = kv["wordcap"]
+        if not (cap.isascii() and cap.isdigit()):
+            raise SyntaxError_("`wordcap` takes a natural number", n)
+        sig.category.word_cap = int(cap)
     sig.category.validate()
     _check_cap_closure(sig.category)
-    if grading_lines:
-        sig.grading = _load_grading(grading_lines)
-    if op_lines or axiom_lines:
+    if "grading" in kv:
+        sig.grading = _load_grading(kv["grading"])
+    if "op" in kv or "axiom" in kv:
         theory = EffectTheory(calculus=calculus)
         sig.theory = theory
-        for ln in op_lines:
-            decl = _parse_op(ln, sig)
+        for n, rest in kv.get("op", ()):
+            decl = syntax.on_line(n, rest, _parse_op, sig)
             if decl.name in theory.ops or sig.has_generator(decl.name):
                 raise SignatureError(f"duplicate symbol {decl.name!r}")
             theory.ops[decl.name] = decl
-        for i, ln in enumerate(axiom_lines):
-            theory.axioms.append(_parse_axiom(ln, sig, calculus, i))
+        for i, (n, rest) in enumerate(kv.get("axiom", ())):
+            theory.axioms.append(
+                syntax.on_line(n, rest, _parse_axiom, sig, calculus, i))
         _validate_theory(sig, validate_axioms)
     return sig
 
@@ -491,61 +471,52 @@ def _check_cap_closure(pres: CategoryPresentation):
 
 
 def _load_grading(lines) -> Grading:
-    if any(ln.startswith("grading builtin") for ln in lines):
+    """The grading of a signature's `grading` lines, (line number, rest)."""
+    entries = [(n, *syntax.split_head(rest)) for n, rest in lines]
+    if any(kind == "builtin" for _, kind, _ in entries):
         if len(lines) != 1:
             raise SignatureError("a built-in grading takes no further grading lines")
-        flavor = lines[0].split()[2]
+        n, _, flavor = entries[0]
         if flavor not in ("add", "mult"):
-            raise SignatureError(f"unknown built-in grading {flavor!r}")
+            raise SyntaxError_(f"unknown built-in grading {flavor!r}", n)
         return BuiltinGrading(flavor)
     pres = CategoryPresentation()
     unit_obj = None
     tensor = {}
-    for ln in lines:
-        parts = ln.split()
-        if parts[1] == "object":
-            pres.objects.append(parts[2])
-        elif parts[1] == "gen":
-            pres_line(pres, ln[len("grading"):].strip())
-        elif parts[1] == "rel":
-            pres_line(pres, ln[len("grading"):].strip())
-        elif parts[1] == "unit":
-            unit_obj = parts[2]
-        elif parts[1] == "tensor":
-            # grading tensor a b = c
-            a, b, eq, c = parts[2], parts[3], parts[4], parts[5]
-            if eq != "=":
-                raise SignatureError(f"bad tensor line: {ln!r}")
-            tensor[(a, b)] = c
+    for n, kind, body in entries:
+        if kind in ("object", "gen", "rel"):
+            pres_line(pres, n, kind, body)
+        elif kind == "unit":
+            unit_obj = body
+        elif kind == "tensor":
+            ab, c = syntax.split_entry(n, "grading tensor", body, 2)
+            tensor[ab] = c
         else:
-            raise SignatureError(f"unrecognized grading line: {ln!r}")
+            raise SyntaxError_(f"unknown `grading` key {kind!r}", n)
     pres.validate()
     if unit_obj is None:
         raise SignatureError("presented grading needs a unit object")
     return PresentedGrading(pres, unit_obj, tensor)
 
 
-def _parse_op(ln: str, sig: Signature) -> OpDecl:
-    # op name : (x : T, y : U) -> T2    |    op name : () -> T
-    body = ln[len("op"):].strip()
-    name, rest = body.split(":", 1)
-    name = name.strip()
-    if "->" not in rest:
-        raise SignatureError(f"operation {name!r} needs a result type")
-    params_text, result_text = rest.rsplit("->", 1)
-    params_text = params_text.strip()
-    if not (params_text.startswith("(") and params_text.endswith(")")):
-        raise SignatureError(f"operation {name!r}: parameters must be parenthesized")
-    inner = params_text[1:-1].strip()
-    params = parse_context(inner, sig) if inner else ()
-    result = parse_type(result_text.strip(), sig)
-    return OpDecl(name, tuple(params), result)
+def _parse_op(text: str, sig: Signature) -> OpDecl:
+    # name : (x : T, y : U) -> T2    |    name : () -> T
+    p = syntax._P(tokenize(text), sig=sig)
+    name = p.name()
+    p.expect(":")
+    p.expect("(")
+    params = () if p.peek() == ")" else p.context()
+    p.expect(")")
+    p.expect("->")
+    result = p.type_()
+    if p.peek() is not None:
+        p.err("trailing input after operation")
+    return OpDecl(name, params, result)
 
 
-def _parse_axiom(ln: str, sig: Signature, calculus: str, idx: int) -> Axiom:
-    # axiom <lhs> = <rhs> in [x : T, ...] : T
-    body = ln[len("axiom"):].strip()
-    p = syntax._P(tokenize(body), sig=sig, calculus=calculus)
+def _parse_axiom(text: str, sig: Signature, calculus: str, idx: int) -> Axiom:
+    # <lhs> = <rhs> in [x : T, ...] : T
+    p = syntax._P(tokenize(text), sig=sig, calculus=calculus)
     lhs = p.term()
     p.expect("=")
     rhs = p.term()

@@ -24,9 +24,11 @@ class SyntaxError_(Exception):
     """Parse or well-formedness error, with best-effort position info."""
 
     def __init__(self, msg, line=None, col=None):
-        self.line, self.col = line, col
-        if line is not None:
+        self.msg, self.line, self.col = msg, line, col
+        if col is not None:
             msg = f"{line}:{col}: {msg}"
+        elif line is not None:
+            msg = f"line {line}: {msg}"
         super().__init__(msg)
 
 
@@ -949,6 +951,72 @@ def parse_context(text: str, sig=None) -> Context:
     if p.peek() is not None:
         p.err(f"trailing input starting at {p.peek()!r}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Input files: signatures, model bindings, term and equation files, law
+# instances and proofs share one line format, and a malformed line is a
+# SyntaxError_ that names it.
+
+def split_head(line: str) -> tuple:
+    """A line's first word, empty on a blank line, and the rest, stripped."""
+    words = line.strip().split(None, 1)
+    return "".join(words[:1]), "".join(words[1:])
+
+
+def read_lines(text: str):
+    """(line number, head, rest) of each line of an input file, split by
+    split_head: `#` starts a comment and blank lines are skipped."""
+    for n, raw in enumerate(text.splitlines(), 1):
+        head, rest = split_head(raw.split("#", 1)[0])
+        if head:
+            yield n, head, rest
+
+
+def read_keys(text: str, single, multi=()) -> dict:
+    """A keyed input file's lines by head: (line number, rest) for a head in
+    `single`, a list of them for a head in `multi`.  A head in neither, or
+    a single head given twice, is an error."""
+    out = {}
+    for n, head, rest in read_lines(text):
+        if head in single:
+            if head in out:
+                raise SyntaxError_(f"repeats the `{head}` of line "
+                                   f"{out[head][0]}", n)
+            out[head] = (n, rest)
+        elif head in multi:
+            out.setdefault(head, []).append((n, rest))
+        else:
+            raise SyntaxError_(f"unknown key {head!r}", n)
+    return out
+
+
+def split_entry(n: int, head: str, rest: str, *arity) -> tuple:
+    """The keys and the value of line n, `head k1 ... kk = value` with k in
+    `arity`."""
+    lhs, eq, value = rest.partition("=")
+    keys = tuple(lhs.split())
+    if not eq or len(keys) not in arity or not value.strip():
+        count = " or ".join(map(str, arity))
+        raise SyntaxError_(f"expected `{head} <{count} key(s)> = <value>`", n)
+    return keys, value.strip()
+
+
+def calculus_of(kv: dict) -> str:
+    """The calculus a keyed file's `calculus` line names, rmm without one."""
+    n, calculus = kv.get("calculus", (None, "rmm"))
+    if calculus not in CALCULI:
+        raise SyntaxError_(f"unknown calculus {calculus!r}", n)
+    return calculus
+
+
+def on_line(n: int, text: str, parse, *args):
+    """parse(text, *args) for the value text of line n of a file; a
+    SyntaxError_ it raises is placed on that line, without a column."""
+    try:
+        return parse(text, *args)
+    except SyntaxError_ as e:
+        raise SyntaxError_(e.msg, n) from None
 
 
 # ---------------------------------------------------------------------------

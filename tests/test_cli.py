@@ -1,6 +1,7 @@
 """CLI exit codes, output determinism, and the machine-readable mode."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -450,3 +451,122 @@ def test_repl_reports_bad_input_and_goes_on():
         "error: unknown calculus 'foo'\n", "", "",
         "error: lctx is not a zone of rmm/A judgements\n", "", "",
         "accepted\n", ""]
+
+
+PROVE_GOLDEN = Path(__file__).parent / "golden" / "prove"
+
+
+@pytest.mark.parametrize("mode", ["txt", "json"])
+@pytest.mark.parametrize("name, code", [("valley", 0), ("valley_bad", 1)])
+def test_prove_golden(name, code, mode, monkeypatch, capsys):
+    """`prove` on a rule valley that replays and on one that lacks a step,
+    byte for byte."""
+    monkeypatch.chdir(PROVE_GOLDEN)
+    args = ["--json"] if mode == "json" else []
+    assert cli.main(args + ["prove", "--theory", fixture_path("coin.sig"),
+                            "valley.eq", f"{name}.proof"]) == code
+    assert capsys.readouterr().out.encode() == \
+        (PROVE_GOLDEN / f"{name}.{mode}").read_bytes()
+
+
+def _fixture(name):
+    return Path(fixture_path(name)).read_text()
+
+
+def _edit(text, old, new):
+    """text with its line `old` replaced by `new` (appended when old is
+    None), and the number of that line."""
+    lines = text.splitlines()
+    n = len(lines) if old is None else lines.index(old)
+    lines[n:n + 1] = [new]
+    return "\n".join(lines) + "\n", n + 1
+
+
+def _malformed_inputs():
+    """(kind, file contents, the line the error names or the text that
+    names it), with the malformed line as the case's id."""
+    def case(kind, text, where, bad):
+        return pytest.param(kind, text, where, id=f"{kind}:{bad!r}")
+
+    for old, new in [("hom A A = [idA, eA]", "hom A = [idA, eA]"),
+                     ("comp idA idA = idA", "comp idA = idA"),
+                     ("ext A A idA = idA", "ext A idA = idA"),
+                     ("tmap A = A", "tmap A")]:
+        yield case("inst", *_edit(_fixture("tiny.inst"), old, new), new)
+    yield case("sig", *_edit(_fixture("coin.sig"), "calculus rmm",
+                             "calculus"), "calculus")
+    for new in ["wordcap x", "grading tensor a b", "grading builtin",
+                "grading", "op coin T(2)", "gen not 2 2"]:
+        yield case("sig", *_edit(_fixture("coin.sig"), None, new), new)
+    for old, new in [("carrier 2 = {tt, ff}", "carrier 2"),
+                     ("calculus rmm", "calculus foo")]:
+        yield case("mb", *_edit(_fixture("dist.mb"), old, new), new)
+    for text in ["ax1\n", "ax1 at x.y lr fwd\n",
+                 "ax1 at root with {x := ret () lr fwd\n",
+                 "# a comment line\ndo.assoc at root sideways\n"]:
+        yield case("proof", text, text.count("\n"), text.split("\n")[-2])
+    for kind, data in [("sig", b"\xff\xfe"), ("mb", b"\xff"),
+                       ("proof", b"\xff")]:
+        yield case(kind, data, 1, data)
+    yield case("rmm", "calculus rmm\nctx x : J(2)\nctx y : J(2)\nterm y\n"
+               "type J(2)\n", 3, "ctx y : J(2)")
+    yield case("rmm", "calculus rmm\nterm ret ()\nterm ret x\ntype T(1)\n",
+               3, "term ret x")
+    yield case("rmm", "calculus rmm\ntermx ret ()\nterm ret ()\n"
+               "type T(1)\n", 2, "termx ret ()")
+    yield case("arrow", "calculus arrow\nform C\nctx f : B ~> C\n"
+               "dctx b : B\nlctx c : C\nterm f . b\ntype C\n",
+               "lctx is not a zone of arrow/C judgements", "lctx c : C")
+
+
+def _cli_args(kind, path):
+    """A command that reads the file at path as an input of this kind."""
+    coin, stone1 = fixture_path("coin.sig"), fixture_path("stone1.eq")
+    return {"inst": ["lawcheck", path],
+            "sig": ["eq", "--theory", path, stone1],
+            "mb": ["eq", "--theory", coin, "--model", f"m={path}", stone1],
+            "proof": ["prove", "--theory", coin,
+                      str(PROVE_GOLDEN / "valley.eq"), path],
+            }.get(kind) or ["typecheck", "--sig", golden_sig_path(kind), path]
+
+
+@pytest.mark.parametrize("kind, data, where", _malformed_inputs())
+def test_malformed_line_is_a_usage_error_naming_it(tmp_path, capsys, kind,
+                                                   data, where):
+    """A line of the wrong shape, a repeated single key, an unknown key or
+    a file that is not UTF-8 exits 3 with one error line that names the
+    line."""
+    path = tmp_path / f"bad.{kind}"
+    if isinstance(data, str):
+        data = data.encode()
+    path.write_bytes(data)
+    assert cli.main(_cli_args(kind, str(path))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    if isinstance(where, int):
+        assert re.search(rf"\bline {where}\b", err), err
+    else:
+        assert where in err
+
+
+def test_input_files_are_read_whatever_their_suffix(tmp_path, capsys):
+    """Signature and binding files named *.txt load like .sig and .mb."""
+    for name in ("coin.sig", "dist.mb"):
+        write(tmp_path, name.replace(".", "_") + ".txt", _fixture(name))
+    outs = []
+    for sig, model in [(fixture_path("coin.sig"), fixture_path("dist.mb")),
+                       (str(tmp_path / "coin_sig.txt"),
+                        str(tmp_path / "dist_mb.txt"))]:
+        for eq, code in [(fixture_path("stone1.eq"), 0),
+                         (str(EQ_GOLDEN / "refuted_dist.eq"), 1)]:
+            assert cli.main(["eq", "--theory", sig, "--model",
+                             f"dist={model}", eq]) == code
+            outs.append(capsys.readouterr().out)
+    assert outs[:2] == outs[2:]
+
+
+def test_eq_without_a_theory_uses_the_empty_signature(tmp_path, capsys):
+    path = write(tmp_path, "t.eq",
+                 "calculus rmm\nlhs ret ()\nrhs ret ()\ntype T(1)\n")
+    assert cli.main(["eq", path]) == 0
+    assert "PROVEN" in capsys.readouterr().out
