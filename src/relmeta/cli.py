@@ -236,6 +236,12 @@ def load_instance(path):
                           INSTANCE_TABLES)
     if "builtin" not in kv:
         return _explicit_instance(kv, path)
+    # (line, key) of the first line that is not the `builtin` one
+    other = min(((v[0][0] if k in INSTANCE_TABLES else v[0], k)
+                 for k, v in kv.items() if k != "builtin"), default=None)
+    if other is not None:
+        raise SyntaxError_(f"a `builtin` instance takes no `{other[1]}` line",
+                           other[0])
     name, *parts = kv["builtin"][1].split() or [""]
     if name not in BUILTIN_ARGS:
         raise CliError(f"unknown builtin instance {name!r}")
@@ -269,30 +275,28 @@ def load_instance(path):
 
 
 def _explicit_instance(kv, path):
-    tables = {key: [syntax.split_entry(n, key, rest, *arity)
-                    for n, rest in kv.get(key, ())]
+    tables = {key: syntax.split_entries(key, kv.get(key, ()), *arity)
               for key, arity in INSTANCE_TABLES.items()}
     objects = tuple(kv.get("objects", (None, ""))[1].split())
     homs, dom, cod = {}, {}, {}
-    for ab, value in tables["hom"]:
+    for ab, value in tables["hom"].items():
         ms = tuple(value.strip("[]").replace(",", " ").split())
         homs[ab] = ms
         for m in ms:
             dom[m], cod[m] = ab
-    ids = {a: m for (a,), m in tables["id"]}
+    ids = {a: m for (a,), m in tables["id"].items()}
     cat = lawcheck.FinCategory(
-        objects, homs, dict(tables["comp"]), ids, dom, cod,
+        objects, homs, tables["comp"], ids, dom, cod,
         unit=kv.get("unitobj", (None, None))[1],
-        obj_tensor=dict(tables["tensor"]),
-        mor_tensor=dict(tables["tensormor"]))
+        obj_tensor=tables["tensor"], mor_tensor=tables["tensormor"])
     cat.validate()
     aobjs = tuple(kv.get("aobj", (None, " ".join(objects)))[1].split())
     jmap = {a: a for a in aobjs}
-    jmap.update((a, x) for (a,), x in tables["jmap"])
-    tmap = {a: x for (a,), x in tables["tmap"]}
-    eta = {a: m for (a,), m in tables["eta"]}
-    plain = {cell: g for cell, g in tables["ext"] if len(cell) == 3}
-    strong = {cell: g for cell, g in tables["ext"] if len(cell) == 4}
+    jmap.update((a, x) for (a,), x in tables["jmap"].items())
+    tmap = {a: x for (a,), x in tables["tmap"].items()}
+    eta = {a: m for (a,), m in tables["eta"].items()}
+    plain = {cell: g for cell, g in tables["ext"].items() if len(cell) == 3}
+    strong = {cell: g for cell, g in tables["ext"].items() if len(cell) == 4}
     d = lawcheck.FinRelMonadData(path, cat, aobjs, jmap, tmap, eta,
                                  plain or None, strong or None)
     _require_cells(d, path)
@@ -398,6 +402,9 @@ def cmd_repl(args):
                 tl = p.term()
                 p.expect("=")
                 tr = p.term()
+                p.end()
+                for t in (tl, tr):
+                    syntax.check_admissible(t, calculus)
                 jl = _repl_judgement(calculus, zones, tl, expected, sig)
                 jr = _repl_judgement(calculus, zones, tr, expected, sig)
                 ms = [] if binding is None else [("repl", binding)]

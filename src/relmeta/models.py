@@ -256,16 +256,15 @@ def load_binding(text: str, sig: Signature) -> ModelBinding:
     if "backend" not in kv:
         raise ModelError("binding file declares no backend")
     backend = _parse_backend(kv["backend"][1])
-    entries = {key: [syntax.split_entry(n, key, rest, 1)
-                     for n, rest in kv.get(key, ())]
+    entries = {key: syntax.split_entries(key, kv.get(key, ()), 1)
                for key in ("carrier", "interp", "opinterp")}
     carriers = {name: tuple(e.strip() for e in elems.strip("{}").split(",")
                             if e.strip())
-                for (name,), elems in entries["carrier"]}
+                for (name,), elems in entries["carrier"].items()}
     geninterp = {name: _parse_table(table)
-                 for (name,), table in entries["interp"]}
+                 for (name,), table in entries["interp"].items()}
     opinterp = {name: _parse_op_value(val)
-                for (name,), val in entries["opinterp"]}
+                for (name,), val in entries["opinterp"].items()}
     binding = ModelBinding(calculus, backend, carriers, geninterp, opinterp)
     validate_binding(binding, sig)
     return binding

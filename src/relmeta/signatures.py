@@ -482,14 +482,16 @@ def _load_grading(lines) -> Grading:
         return BuiltinGrading(flavor)
     pres = CategoryPresentation()
     unit_obj = None
-    tensor = {}
+    tensor, first = {}, {}
     for n, kind, body in entries:
         if kind in ("object", "gen", "rel"):
             pres_line(pres, n, kind, body)
         elif kind == "unit":
+            syntax.once(first, kind, n, "grading unit")
             unit_obj = body
         elif kind == "tensor":
             ab, c = syntax.split_entry(n, "grading tensor", body, 2)
+            syntax.once(first, ab, n, " ".join(("grading tensor", *ab)))
             tensor[ab] = c
         else:
             raise SyntaxError_(f"unknown `grading` key {kind!r}", n)

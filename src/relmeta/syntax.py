@@ -186,7 +186,8 @@ def rt(x) -> TypeExpr:
 # ---------------------------------------------------------------------------
 # Terms
 
-# kind -> (n_children, binders-per-child)
+# kind -> (n_children, binders-per-child); an operation takes any number
+# of arguments and binds nothing
 _TERM_KINDS = {
     "var": (0, ()),       # free variable, name
     "bvar": (0, ()),      # bound variable, de Bruijn index
@@ -195,7 +196,7 @@ _TERM_KINDS = {
     "pi1": (1, (0,)),
     "pi2": (1, (0,)),
     "gen": (1, (0,)),     # base-category morphism applied to a J-term
-    "opapp": (-1, None),  # effect operation applied to its arguments
+    "opapp": (-1, ()),    # effect operation applied to its arguments
     "ret": (1, (0,)),
     "do": (2, (0, 1)),    # do x <- t0 in t1
     "lam": (1, (1,)),     # lam (x:X). t   (Cartesian or linear, by zone)
@@ -214,6 +215,9 @@ _TERM_KINDS = {
     "unmerge": (1, (0,)),
     "regrade": (1, (0,)),  # regrade<xi> t
 }
+
+# kind -> the number of binders each child is under, () where none is
+BINDERS = {k: b if any(b) else () for k, (_, b) in _TERM_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -234,13 +238,6 @@ class Term:
 
     def __str__(self):
         return term_to_text(self)
-
-
-def binder_spec(kind: str) -> tuple[int, ...]:
-    n, spec = _TERM_KINDS[kind]
-    if spec is None:
-        return None  # opapp: no binders, variable arity
-    return spec
 
 
 def var(x: str) -> Term:
@@ -351,8 +348,9 @@ def with_subs(t: Term, subs) -> Term:
 # Traversals
 
 def child_binders(t: Term, i: int) -> int:
-    spec = binder_spec(t.kind)
-    return 0 if spec is None else spec[i]
+    """The number of binders t puts its i-th child under."""
+    spec = BINDERS[t.kind]
+    return spec[i] if spec else 0
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -651,6 +649,11 @@ class _P:
         _, line, col = self.toks[self.i]
         raise SyntaxError_(msg, line, col)
 
+    def end(self):
+        """Reject input left after what was parsed."""
+        if self.peek() is not None:
+            self.err(f"trailing input starting at {self.peek()!r}")
+
     def context(self) -> Context:
         """`x : T, y : U`: one entry or more."""
         out = []
@@ -927,8 +930,7 @@ def parse_term(text: str, calculus: str = "rmm", sig=None) -> Term:
     """
     p = _P(tokenize(text), sig=sig, calculus=calculus)
     t = p.term()
-    if p.peek() is not None:
-        p.err(f"trailing input starting at {p.peek()!r}")
+    p.end()
     check_admissible(t, calculus)
     return t
 
@@ -936,8 +938,7 @@ def parse_term(text: str, calculus: str = "rmm", sig=None) -> Term:
 def parse_type(text: str, sig=None) -> TypeExpr:
     p = _P(tokenize(text), sig=sig)
     ty = p.type_()
-    if p.peek() is not None:
-        p.err(f"trailing input starting at {p.peek()!r}")
+    p.end()
     return ty
 
 
@@ -948,8 +949,7 @@ def parse_context(text: str, sig=None) -> Context:
         return ()
     p = _P(tokenize(text), sig=sig)
     out = p.context()
-    if p.peek() is not None:
-        p.err(f"trailing input starting at {p.peek()!r}")
+    p.end()
     return out
 
 
@@ -977,18 +977,24 @@ def read_keys(text: str, single, multi=()) -> dict:
     """A keyed input file's lines by head: (line number, rest) for a head in
     `single`, a list of them for a head in `multi`.  A head in neither, or
     a single head given twice, is an error."""
-    out = {}
+    out, first = {}, {}
     for n, head, rest in read_lines(text):
         if head in single:
-            if head in out:
-                raise SyntaxError_(f"repeats the `{head}` of line "
-                                   f"{out[head][0]}", n)
+            once(first, head, n, head)
             out[head] = (n, rest)
         elif head in multi:
             out.setdefault(head, []).append((n, rest))
         else:
             raise SyntaxError_(f"unknown key {head!r}", n)
     return out
+
+
+def once(first: dict, key, n: int, what: str):
+    """Note that line n gives `key`, which it writes as `what`; a key that
+    `first` holds the line of is given twice, an error naming both lines."""
+    if key in first:
+        raise SyntaxError_(f"repeats the `{what}` of line {first[key]}", n)
+    first[key] = n
 
 
 def split_entry(n: int, head: str, rest: str, *arity) -> tuple:
@@ -1000,6 +1006,17 @@ def split_entry(n: int, head: str, rest: str, *arity) -> tuple:
         count = " or ".join(map(str, arity))
         raise SyntaxError_(f"expected `{head} <{count} key(s)> = <value>`", n)
     return keys, value.strip()
+
+
+def split_entries(head: str, lines, *arity) -> dict:
+    """The keys -> value table of the `head` lines, (line number, rest)
+    each, read by split_entry; keys given twice are an error."""
+    table, first = {}, {}
+    for n, rest in lines:
+        keys, value = split_entry(n, head, rest, *arity)
+        once(first, keys, n, " ".join((head, *keys)))
+        table[keys] = value
+    return table
 
 
 def calculus_of(kv: dict) -> str:

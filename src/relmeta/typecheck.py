@@ -5,7 +5,10 @@ type, checking against an expected type otherwise), syntax-directed, and
 produces a full derivation tree on acceptance.  Linear contexts in the LNL
 calculus use leftover-free splitting: each multiplicative node partitions
 the available linear variables by free occurrence, which is the unique
-valid split when one exists.
+valid split when one exists.  Free occurrences come from one occurrence
+table per check (`occurrences`): each subterm's free names and dangling
+bvars, computed once bottom-up and read by the splits, the unused-variable
+tests and the root's names to avoid, so no question walks the term again.
 
 A judgement's form fixes the kind of each of its zones and of its result
 (`syntax.FORMS`); which types a zone kind admits in a calculus is one
@@ -18,7 +21,9 @@ for the root's names and those in force.  A zone is an ordered tuple of
 fresh for every name in force, so names stay unique.  The derivation is the
 one typing record: each node holds its judgement (zones, form, type, and
 its term as it sits in the root term, bvars and all) and, at a binding
-rule, the names it gave the binding child's binders.  Every node of a scope
+rule, the names it gave the binding child's binders.  Only the root
+judgement is validated; the nodes' judgements are built from its zones
+and fresh names, so they are valid by construction.  Every node of a scope
 holds the same zone tuples, not copies of them.  Printing and replay
 rebuild a node's names by walking from the root.  The rewrite engine, the
 evaluator and the translations read the derivation.
@@ -30,8 +35,8 @@ from dataclasses import dataclass
 
 from . import syntax
 from .signatures import Signature, SignatureError
-from .syntax import (Judgement, Term, TypeExpr, base, free_vars, grty,
-                     jt, kt, prod, tgr, tt, type_to_text, uses_bvar)
+from .syntax import (Judgement, SyntaxError_, Term, TypeExpr, base, grty,
+                     jt, kt, prod, tgr, tt, type_to_text)
 
 
 @dataclass
@@ -160,17 +165,65 @@ def validate_type(ty: TypeExpr, calculus: str, zone: str, sig: Signature,
 # ---------------------------------------------------------------------------
 # Linear splitting
 
-def split_linear(delta: tuple, t: Term, names=()) -> list[tuple]:
+_EMPTY = frozenset()
+_CLOSED = (_EMPTY, _EMPTY)
+
+
+def occurrences(t: Term, memo: dict) -> tuple:
+    """(free names, dangling bvar indices) of t, an index counted from t's
+    top.  Neither depends on where t sits, so `memo` keys them by node
+    identity and a term is walked once however often it is asked about;
+    the memo must not outlive the terms it holds."""
+    key = id(t)
+    r = memo.get(key)
+    if r is not None:
+        return r
+    subs = t.subs
+    binders = syntax.BINDERS[t.kind]
+    if not subs:
+        r = (frozenset((t.name,)), _EMPTY) if t.kind == "var" else \
+            (_EMPTY, frozenset((t.index,))) if t.kind == "bvar" else _CLOSED
+    elif len(subs) == 1 and not binders:
+        r = occurrences(subs[0], memo)
+    else:
+        names = bvars = _EMPTY
+        for i, s in enumerate(subs):
+            n, b = occurrences(s, memo)
+            c = binders[i] if binders else 0
+            if c and b:  # indices under the binders t puts s under
+                b = frozenset([j - c for j in b if j >= c])
+            if n:
+                names = names | n if names else n
+            if b:
+                bvars = bvars | b if bvars else b
+        r = (names, bvars)
+    memo[key] = r
+    return r
+
+
+def _free(occ: tuple, names, binders=0) -> frozenset:
+    """`syntax.free_vars` of a term from its occurrences: its free names and
+    the names of the binders in force (`names`, innermost last) that its
+    dangling bvars point to, past the `binders` the term is under."""
+    fv, bvars = occ
+    n = len(names) + binders
+    bound = [names[binders - 1 - k] for k in bvars if binders <= k < n]
+    return fv.union(bound) if bound else fv
+
+
+def split_linear(delta: tuple, t: Term, names=(), memo=None) -> list[tuple]:
     """Partition the available linear zone among the children of t by
     free occurrence, each share a sub-zone in the zone's order.  The split
     is unique when it exists; duplicated use raises.  Unused variables are
     left unclaimed (callers decide where emptiness is required).  `names`
     names the binders in force at t, innermost last: a child's dangling
     bvar claims its binder's name, and the binders t itself gives a child
-    are not in the zone yet."""
+    are not in the zone yet.  `memo` is an occurrence table (see
+    `occurrences`) shared with other questions about the same term."""
+    memo = {} if memo is None else memo
     claims = []
     for i, s in enumerate(t.subs):
-        fv = free_vars(s, (*names, *[None] * syntax.child_binders(t, i)))
+        fv = _free(occurrences(s, memo), names, syntax.child_binders(t, i))
         claims.append(tuple((x, ty) for x, ty in delta if x in fv))
     seen = {}
     for i, c in enumerate(claims):
@@ -185,6 +238,9 @@ def split_linear(delta: tuple, t: Term, names=()) -> list[tuple]:
 
 # ---------------------------------------------------------------------------
 # The checker
+
+_new = object.__new__
+
 
 def _find(zone, x):
     """The type of x in a zone, or None if x is not in it."""
@@ -203,6 +259,7 @@ class _Checker:
         # names[-1 - i]); avoid is them plus the root judgement's names
         self.names = list(names)
         self.avoid = set(names)
+        self.occ = {}  # the occurrence table of the root term's nodes
 
     # .. helpers ..........................................................
 
@@ -237,33 +294,44 @@ class _Checker:
             return self.names[-1 - t.index]
         return t.name if t.kind == "var" else None
 
+    def uses_bvar(self, t, j):
+        return j in occurrences(t, self.occ)[1]
+
     def deriv(self, rule, zs, term, ty, children=(), form="A", binders=()):
         """The node of a rule, holding its zones by reference; a binding
         rule's binders are the names its body was checked under, which are
-        released here."""
+        released here.  Its judgement is not validated again: the synth
+        function gives the form and its number of zones, and every name a
+        binder adds is fresh for the names to avoid."""
         for _ in binders:
             self.avoid.discard(self.names.pop())
-        return Derivation(rule, Judgement(self.calculus, form, zs, term, ty),
-                          children, binders)
+        j = _new(Judgement)
+        j.__dict__.update(calculus=self.calculus, form=form, zones=zs,
+                          term=term, ty=ty)
+        return Derivation(rule, j, children, binders)
 
     # .. entry ............................................................
 
     def check_judgement(self, j: Judgement) -> Derivation:
+        try:
+            j.__post_init__()  # the root's zones, which every node's share
+        except SyntaxError_ as e:
+            self.fail((), "judgement", e.msg)
         kinds = syntax.FORMS[j.calculus, j.form]
         for zone, kind in zip(j.zones, kinds):
             for x, ty in zone:
                 validate_type(ty, self.calculus, kind, self.sig)
         validate_type(j.ty, self.calculus, kinds[-1], self.sig)
         self.avoid |= {x for zone in j.zones for x, _ in zone}
-        self.avoid |= free_vars(j.term)
+        occ = occurrences(j.term, self.occ)
+        self.avoid |= occ[0]
         if self.calculus == "urmm" and len(j.zones[0]) != 1:
             self.fail((), "judgement",
                       "the unary calculus takes exactly one context variable")
         if j.form == "A":
             d, ty = self.synth_a(j.term, (), *j.zones, expect=j.ty)
         elif self.calculus == "lnl":
-            unused = {x for x, _ in j.zones[1]} - \
-                free_vars(j.term, self.names)
+            unused = {x for x, _ in j.zones[1]} - _free(occ, self.names)
             if unused:
                 raise LinearityError(
                     (), "linear", f"unused linear variable(s): "
@@ -486,7 +554,7 @@ class _Checker:
 
         def split():
             try:
-                return split_linear(delta, t, self.names)
+                return split_linear(delta, t, self.names, self.occ)
             except LinearityError as e:
                 raise LinearityError(path, e.rule, e.message)
 
@@ -541,7 +609,7 @@ class _Checker:
                               " a tensor type", actual=ty1)
                 x, y = self.push(t, 0, "x"), self.push(t, 1, "y")
                 for v, i in ((x, 1), (y, 0)):  # x is bvar 1, y is bvar 0
-                    if not uses_bvar(t.subs[1], i):
+                    if not self.uses_bvar(t.subs[1], i):
                         raise LinearityError(
                             path, "letpair", f"unused linear variable {v!r}")
                 d2, ty2 = self.synth_lnl_c(
@@ -551,7 +619,7 @@ class _Checker:
                                   binders=(x, y)), ty2
             case "lam":
                 x = self.push(t)
-                if not uses_bvar(t.subs[0], 0):
+                if not self.uses_bvar(t.subs[0], 0):
                     raise LinearityError(
                         path, "limpl", f"unused linear variable {x!r}")
                 d1, tyb = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
@@ -591,7 +659,7 @@ class _Checker:
                     self.fail(path, "do", "do expects a computation",
                               actual=ty1)
                 x = self.push(t)
-                if not uses_bvar(t.subs[1], 0):
+                if not self.uses_bvar(t.subs[1], 0):
                     raise LinearityError(
                         path, "do", f"unused linear variable {x!r}")
                 d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma,

@@ -453,6 +453,22 @@ def test_repl_reports_bad_input_and_goes_on():
         "accepted\n", ""]
 
 
+def test_repl_eq_rejects_trailing_input():
+    """`:eq` reads its two terms as parse_term does: input left after the
+    right-hand term, or a former the calculus lacks, is an error."""
+    script = ":type T(2)\n:eq coin = coin garbage\n:eq coin = coin\n" \
+        ":eq coin = let J(a) = coin in coin\n"
+    r = subprocess.run(RUN + ["repl", "--sig", fixture_path("coin.sig")],
+                       input=script, capture_output=True, text=True)
+    assert r.returncode == 0
+    replies = r.stdout.split("relmeta> ")[1:]
+    assert replies[1] == "error: 1:13: trailing input starting at " \
+        "'garbage'\n", replies
+    assert replies[2].startswith("PROVEN"), replies
+    assert replies[3] == "error: term former 'letj' is not part of rmm\n", \
+        replies
+
+
 PROVE_GOLDEN = Path(__file__).parent / "golden" / "prove"
 
 
@@ -547,6 +563,65 @@ def test_malformed_line_is_a_usage_error_naming_it(tmp_path, capsys, kind,
         assert re.search(rf"\bline {where}\b", err), err
     else:
         assert where in err
+
+
+PRESENTED_GRADING = ["grading object e", "grading unit e",
+                     "grading tensor e e = e"]
+
+
+def _repeated_entries():
+    """(kind, file contents, the repeated entry, its first line, the line
+    that repeats it): one table line of each kind written twice."""
+    tiny = _fixture("tiny.inst")
+    for line in ["hom A A = [idA, eA]", "id A = idA", "comp idA eA = eA",
+                 "tmap A = A", "eta A = idA", "ext A A eA = eA"]:
+        n = tiny.splitlines().index(line) + 1
+        yield pytest.param("inst", tiny + line + "\n",
+                           " ".join(line.split("=")[0].split()), n,
+                           len(tiny.splitlines()) + 1, id=f"inst:{line}")
+    dist = _fixture("dist.mb")
+    for line in ["carrier 2 = {tt}", "interp not = {tt -> tt, ff -> ff}",
+                 "opinterp coin = dist{tt:1/2, ff:1/2}"]:
+        head = " ".join(line.split("=")[0].split())
+        n = next(i for i, old in enumerate(dist.splitlines(), 1)
+                 if old.startswith(head + " "))
+        yield pytest.param("mb", dist + line + "\n", head, n,
+                           len(dist.splitlines()) + 1, id=f"mb:{line}")
+    coin = _fixture("coin.sig") + "\n".join(PRESENTED_GRADING) + "\n"
+    n = len(coin.splitlines())
+    for line, head, first in [("grading unit e", "grading unit", n - 1),
+                              ("grading tensor e e = e",
+                               "grading tensor e e", n)]:
+        yield pytest.param("sig", coin + line + "\n", head, first, n + 1,
+                           id=f"sig:{line}")
+
+
+@pytest.mark.parametrize("kind, data, entry, first, again",
+                         _repeated_entries())
+def test_repeated_table_entry_is_a_usage_error(tmp_path, capsys, kind, data,
+                                               entry, first, again):
+    """A table entry given twice, with the same value or another, exits 3
+    naming both lines; a file of each kind loads without the repeat."""
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(data.rsplit("\n", 2)[0] + "\n")
+    assert cli.main(_cli_args(kind, str(path))) == 0
+    path.write_text(data)
+    assert cli.main(_cli_args(kind, str(path))) == 3
+    assert capsys.readouterr().err.endswith(
+        f"error: line {again}: repeats the `{entry}` of line {first}\n")
+
+
+@pytest.mark.parametrize("extra", [["objects A"], ["hom A A = [x]"],
+                                   ["unitobj A", "objects A"]])
+def test_builtin_instance_takes_no_table_lines(tmp_path, capsys, extra):
+    """A `.inst` with a `builtin` line and a table or object line is a
+    usage error naming the first such line."""
+    path = write(tmp_path, "mixed.inst",
+                 "\n".join(["builtin identity cmax=2", *extra]) + "\n")
+    assert cli.main(["lawcheck", path]) == 3
+    head = extra[0].split()[0]
+    assert capsys.readouterr().err == \
+        f"error: line 2: a `builtin` instance takes no `{head}` line\n"
 
 
 def test_input_files_are_read_whatever_their_suffix(tmp_path, capsys):

@@ -553,6 +553,108 @@ def test_nodes_share_their_parents_zones(coin_sig):
                     (name, node.rule, i)
     assert shared == set(syntax.CALCULI)
 
+def test_check_validates_the_root_judgement_only(monkeypatch, coin_sig):
+    """`check` validates the zones of the judgement it is given, once; the
+    node judgements it builds from them are not validated again."""
+    cases = accepted_golden_judgements() + \
+        [("chain", _bind_chain(100, coin_sig), coin_sig)]
+    validated = []
+    post_init = syntax.Judgement.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(syntax.Judgement, "__post_init__", counting)
+    for name, j, sig in cases:
+        validated.clear()
+        assert check(j, sig).ok, name
+        assert len(validated) == 1 and validated[0] is j, name
+
+
+def _checked_corpus(coin_sig):
+    """(name, judgement, signature) for every accepted golden, the bind
+    chain and each judgement of the generated corpus that checks."""
+    cases = accepted_golden_judgements() + \
+        [("chain", _bind_chain(100, coin_sig), coin_sig)] + \
+        _generated_corpus()
+    return [(name, j, sig) for name, j, sig in cases if check(j, sig).ok]
+
+
+def test_node_judgements_are_valid_judgements(coin_sig):
+    """Every node judgement the checker builds without validation passes
+    it: rebuilt with `Judgement(...)`, none raises and each is equal."""
+    calculi = set()
+    for name, j, sig in _checked_corpus(coin_sig):
+        for node in check(j, sig).derivation.walk():
+            nj = node.judgement
+            assert syntax.Judgement(nj.calculus, nj.form, nj.zones, nj.term,
+                                    nj.ty) == nj, (name, node.rule)
+            calculi.add(nj.calculus)
+    assert calculi == set(syntax.CALCULI)
+
+
+def _lnl_judgements(lnl_sig):
+    """The accepted LNL rule goldens and typecheck goldens, and the linear
+    translation of one instance of each graded equation, both sides."""
+    from relmeta import translate
+    import random
+    gmm = load_signature("calculus gmm\nobject A\nobject B\n"
+                         "grading builtin mult\n")
+    out = [(name, j, sig) for name, j, sig in accepted_golden_judgements()
+           if j.calculus == "lnl"]
+    for name, calc, sigkey, form, zones, term, ty, accept in GOLDEN:
+        if calc == "lnl" and accept:
+            sig = _sig_for(sigkey, None)
+            out.append((name, judgement(
+                calc, [parse_context(z, sig) for z in zones],
+                parse_term(term, calc, sig), parse_type(ty, sig), form=form),
+                sig))
+    for name, jl, jr in genmod.gmm_schema_instances(random.Random(11), gmm,
+                                                    ["A", "B"]):
+        for side, j in (("lhs", jl), ("rhs", jr)):
+            out.append((f"{name} {side}", translate.gmm_to_lnl(j, gmm)[0],
+                        lnl_sig))
+    return out
+
+
+def _oracle_split(delta, t, names):
+    """split_linear's shares read off `free_vars`, each child walked anew."""
+    return [tuple((x, ty) for x, ty in delta if x in syntax.free_vars(
+        s, (*names, *[None] * syntax.child_binders(t, i))))
+        for i, s in enumerate(t.subs)]
+
+
+def test_occurrence_table_agrees_with_free_vars(lnl_sig):
+    """At every node of every LNL derivation, under the names in force:
+    the occurrence table gives `free_vars` and `uses_bvar` of the node's
+    term, and the linear split it gives, with one table for the whole
+    term or none, is the split `free_vars` gives."""
+    splits = set()
+    for name, j, sig in _lnl_judgements(lnl_sig):
+        res = check(j, sig)
+        assert res.ok, (name, res.message)
+        memo = {}
+
+        def go(node, names):
+            t, zones = node.judgement.term, node.judgement.zones
+            fv, bvars = typecheck.occurrences(t, memo)
+            assert fv | {names[-1 - k] for k in bvars if k < len(names)} \
+                == syntax.free_vars(t, names), (name, node.rule)
+            for k in range(max(bvars, default=0) + 2):
+                assert (k in bvars) == syntax.uses_bvar(t, k), (name, k)
+            if node.judgement.form == "C" and t.subs:
+                want = _oracle_split(zones[1], t, names)
+                assert split_linear(zones[1], t, names, memo) == want
+                assert split_linear(zones[1], t, tuple(names)) == want
+                splits.add(node.rule)
+            for i, c in enumerate(node.children):
+                go(c, node.child_names(i, names))
+
+        go(res.derivation, ())
+    assert LNL_SPLITS <= splits
+
+
 # -- generated-judgement golden ---------------------------------------------
 
 GENERATED = Path(__file__).parent / "golden" / "generated" / "typecheck.txt"
