@@ -977,16 +977,19 @@ def mutations_of(d: FinRelMonadData, tables=("eta", "ext_plain",
 # allows, so the heavy sweeps are vectorized.  Values are integer-coded, the
 # extension operator of a combination of grades and carriers is tabulated
 # for all its maps at once, and the overrides are matched once per table.
-# The laws quantified over two function spaces (associativity's f and g,
-# context naturality's u and f) are decided in blocks of whole arrays of at
-# most GRADED_BLOCK_ELEMENTS elements; a block's first failing instance is
-# found in the order of the loops it replaces, outer row, then cell, then
-# inner row, so the witnesses do not depend on the block size.
+# The laws quantified over two function spaces report their first failing
+# instance in the order of the loops outer row, then cell, then inner row.
+# Associativity (over f and g) is decided cell by cell, once per class of
+# the f that agree on all the cell's two sides read of f; context
+# naturality (over u and f) in blocks of whole arrays of at most
+# GRADED_BLOCK_ELEMENTS elements, whose first failing instance is found in
+# that order, so the witnesses do not depend on the block size.
 
 import numpy as _np
 
-# int32 elements per (outer, inner) block of the graded kernels.  It bounds
-# their transient arrays, and with them the checker's peak memory.
+# int32 elements per block of context naturality's (u, f) pairs and of the
+# extension tables' rows.  It bounds their transient arrays, and with them
+# the checker's peak memory.
 GRADED_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -1068,13 +1071,23 @@ class _GradedCodec:
         self.vals = gd.tvals(cap, X)
         self.code = {v: i for i, v in enumerate(self.vals)}
         n = len(self.vals)
-        self.cat = _np.full((n, n), -1, dtype=_np.int32)
+        # cat[a, b] codes a ++ b, or is -1 where that leaves the value
+        # space; its extra last row, all -1, is the one a = -1 reads
+        cat = _np.full((n + 1, n), -1, dtype=_np.int32)
         for i, a in enumerate(self.vals):
             for j, b in enumerate(self.vals):
                 c = a + b
                 if c in self.code:
-                    self.cat[i, j] = self.code[c]
+                    cat[i, j] = self.code[c]
+        self._flat = cat.ravel()
         self.empty = self.code[()]
+
+    def join(self, a, b):
+        """Codes of a ++ b, elementwise, for codes a (or -1, a list outside
+        the value space) and b: -1 where the list leaves the value space,
+        and wherever a is -1, also when b is the empty list."""
+        # a = -1 indexes from the end of the flat table: its last row
+        return self._flat[a * len(self.vals) + b]
 
 
 def _all_maps_array(dom_size, n_codes):
@@ -1131,12 +1144,9 @@ def _concat_plan(cells, key_index) -> list:
 def _concat(plan, codec, parts, ncells):
     """out[:, c] = the concatenation of parts[:, key] over the keys of cell
     c, by one cat gather per list length; the cells axis is axis 1."""
-    out = _np.full((parts.shape[0], ncells) + parts.shape[2:], codec.empty,
-                   dtype=_np.int32)
-    # flat[a * n + b] is cat[a, b] for every code b, and for a = -1 too
-    n, flat = len(codec.vals), codec.cat.ravel()
+    out = _np.full((parts.shape[0], ncells), codec.empty, dtype=_np.int32)
     for idx, pre, key in plan:
-        out[:, idx] = flat[out[:, pre] * n + parts[:, key]]
+        out[:, idx] = codec.join(out[:, pre], parts[:, key])
     return out
 
 
@@ -1367,10 +1377,16 @@ def _graded_assoc_combo(gd, codecs, ovr, G, A, B, Cc, l, m, n):
     """g*_{l (x) m, n} o f*_{l,m} vs (g*_{m,n} o f)*_{l, m (x) n} for all f,
     g at once: True, or the evidence of the first failing (f, g, cell).
 
-    Both sides are gathers from the tabulated g*s: the left one at the
-    column of f*_{l,m}'s value, the right one the extension of h = g*_{m,n}
-    o (pi, f), whose columns are those of f's values.  The outer loop runs
-    over the smaller of the f and g spaces."""
+    At a cell c = (g0, xs) both sides depend on f only through its
+    signature there: the column of g*_{l (x) m, n} at f*_{l,m}(c), and the
+    columns of g*_{m,n} at f's values at (g0, x), x in xs.  So a cell
+    compares the sides once per class of the f with one signature, for
+    every g: the left one a column of g*_{l (x) m, n}, the right one the
+    concatenation of g*_{m,n}'s columns.  The overrides of the extension of
+    h = g*_{m,n} o (pi, f) depend on the whole of h, so the (f, g) pairs
+    they apply to are matched and patched one by one.  The first failing
+    instance is the one of the loops outer row, cell, inner row, the outer
+    one over the smaller of the f and g spaces."""
     lm, mn = gd.tensor(l, m), gd.tensor(m, n)
     cb, cc = codecs[B], codecs[Cc]
     fmat, fdom = _fmat_for(gd, G, A, m, cb)
@@ -1394,38 +1410,111 @@ def _graded_assoc_combo(gd, codecs, ovr, G, A, B, Cc, l, m, n):
     # the overrides of h are coded), as columns of extG1 and extG2
     fcol1 = colmap(extG1)[[gpos[g] for g, _ in extF.cells], extF.mat]
     hkeys = sorted(fdom)
+    key_index = {k: i for i, k in enumerate(hkeys)}
     fcol2 = colmap(extG2)[[gpos[g] for g, _ in hkeys],
                           fmat[:, [fdom[k] for k in hkeys]]]
-    cells = extF.cells
-    plan = _concat_plan(cells, {k: i for i, k in enumerate(hkeys)})
-    hover = _coded_overrides(ovr.get((G, l, mn, A, Cc), ()), hkeys, cc,
-                             extF.cell_index)
-    Nf, Ng = fmat.shape[0], gmat.shape[0]
-    loop_f = Nf <= Ng
     # an override can give f*_{l,m} a value outside T_{l (x) m} B: its
     # column is an appended one of -1s, which no value of g* equals
-    g1 = extG1.mat
+    g1, g2 = extG1.mat, extG2.mat
     if (fcol1 == len(extG1.cells)).any():
-        g1 = _np.concatenate([g1, _np.full((Ng, 1), -1, dtype=_np.int32)],
+        g1 = _np.concatenate([g1, _np.full((len(g1), 1), -1, dtype=_np.int32)],
                              axis=1)
-    g1, g2 = (_np.ascontiguousarray(t.T) if loop_f else t
-              for t in (g1, extG2.mat))
-
-    def block(outer, inner):
-        lhs = _block_gather(g1, fcol1, outer, inner, loop_f)
-        h = _block_gather(g2, fcol2, outer, inner, loop_f)
-        rhs = _concat(plan, cc, h, len(cells))
-        for coded, ci, v in hover:
-            rhs[:, ci][(h == coded[:, None]).all(axis=1)] = v
-        return lhs != rhs
-
-    hit = _first_hit(*((Nf, Ng) if loop_f else (Ng, Nf)),
-                     len(cells) + len(hkeys), block)
-    if hit is None:
+    # the overrides of h's extension by cell and table: two that code the
+    # same table apply to the same pairs, and the later one wins
+    hover = {}
+    for coded, ci, v in _coded_overrides(ovr.get((G, l, mn, A, Cc), ()), hkeys,
+                                         cc, extF.cell_index):
+        hover[ci, coded.tobytes()] = coded, v
+    patches = {}
+    for (ci, _), (coded, v) in hover.items():
+        fs, gs = _h_matches(g2, fcol2, coded)
+        patches.setdefault(ci, []).append((fs, gs, _np.full(len(fs), v)))
+    # per cell: the f rows, g rows and values of its patched pairs
+    patches = {ci: [_np.concatenate(p) for p in zip(*ps)]
+               for ci, ps in patches.items()}
+    unpatched = [_np.empty(0, dtype=_np.intp)] * 3
+    loop_f = len(fmat) <= len(gmat)
+    best = None
+    for ci, (g0, xs) in enumerate(extF.cells):
+        keys = [key_index[(g0, x)] for x in xs]
+        rep, inv = _classes([fcol1[:, ci]] +
+                            [fcol2[:, k] for k in dict.fromkeys(keys)])
+        lhs = g1[:, fcol1[rep, ci]]
+        rhs = _np.full_like(lhs, cc.empty)
+        for k in keys:
+            rhs = cc.join(rhs, g2[:, fcol2[rep, k]])
+        fs, gs, vs = patches.get(ci, unpatched)
+        hit = _first_fail((lhs != rhs).T, inv,
+                          (fs, gs, g1[gs, fcol1[fs, ci]] != vs), loop_f)
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best = (hit[0], ci, hit[1])
+    if best is None:
         return True
-    o, c, i = hit
+    o, c, i = best
     fi, gi = (o, i) if loop_f else (i, o)
-    return (f"f#{fi}", f"g#{gi}", *cells[c])
+    return (f"f#{fi}", f"g#{gi}", *extF.cells[c])
+
+
+def _classes(cols):
+    """Rows grouped by their values in the int columns cols: one row of
+    each class, and the class of each row."""
+    key, size = _np.zeros(len(cols[0]), dtype=_np.intp), 1
+    for col in cols:
+        span = int(col.max()) + 1
+        key, size = key * span + col, size * span
+        # number the classes so far 0, 1, ..., which keeps size at most
+        # the number of rows times a span
+        seen = _np.zeros(size, dtype=bool)
+        seen[key] = True
+        present = _np.flatnonzero(seen)
+        key, size = _np.searchsorted(present, key), len(present)
+    rep = _np.empty(size, dtype=_np.intp)
+    rep[key] = _np.arange(len(key))
+    return rep, key
+
+
+def _h_matches(g2, fcol2, coded):
+    """The (f, g) rows at which h = g*_{m,n} o (pi, f) is the coded table,
+    for g*_{m,n}'s rows g2 and its columns fcol2 at f's values on h's
+    domain: (f rows, g rows)."""
+    fs, gs = [_np.empty(0, dtype=_np.intp)], [_np.empty(0, dtype=_np.intp)]
+    for g, row in enumerate(g2):
+        if not _np.isin(coded, row).all():
+            continue
+        rows = _np.arange(len(fcol2))
+        for k, want in enumerate(coded):
+            rows = rows[row[fcol2[rows, k]] == want]
+        fs.append(rows)
+        gs.append(_np.full(len(rows), g, dtype=_np.intp))
+    return _np.concatenate(fs), _np.concatenate(gs)
+
+
+def _first_fail(bad, inv, patch, loop_f):
+    """The first failing (outer, inner) pair of one cell, or None, the
+    outer one over f when loop_f, else over g.  bad[s, g] tells whether the
+    f of class s fail at g, and inv gives the class of each f; patch is
+    (f rows, g rows, whether they fail) at the pairs whose right side an
+    override sets, each pair at most once."""
+    fs, gs, pfail = patch
+    # the change the patches make to each pair's failure
+    delta = pfail.astype(_np.intp) - bad[inv[fs], gs]
+    if loop_f:
+        count = bad.sum(axis=1)[inv]
+        _np.add.at(count, fs, delta)
+        if not count.any():
+            return None
+        f = int(_np.flatnonzero(count)[0])
+        row = bad[inv[f]].copy()
+        row[gs[fs == f]] = pfail[fs == f]
+        return f, int(row.argmax())
+    count = _np.bincount(inv, minlength=len(bad)) @ bad
+    _np.add.at(count, gs, delta)
+    if not count.any():
+        return None
+    g = int(_np.flatnonzero(count)[0])
+    col = bad[inv, g]
+    col[fs[gs == g]] = pfail[gs == g]
+    return g, int(col.argmax())
 
 
 def _graded_regrade_combo(gd, codecs, ovr, G, A, B, m, n, n2):

@@ -3,6 +3,7 @@ conversions, induced structure, and mutation soundness."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 import relmeta.lawcheck as lc
@@ -467,35 +468,45 @@ def _maps(gd, G, X, n, Y):
 
 
 def _scan_assoc(gd):
-    """graded-associativity by gd.ext_value alone: (witness, skips).  Per
-    combo the outer loop runs over the smaller of the f and g spaces, then
-    the cells, then the other space."""
-    car, grades, names = gd.carriers, gd.grades, sorted(gd.carriers)
+    """graded-associativity by gd.ext_value alone: (witness, skips)."""
+    grades, names = gd.grades, sorted(gd.carriers)
     skipped = 0
     for l, m, n in itertools.product(grades, repeat=3):
-        lm, mn = l * m, m * n
-        if lm not in grades or mn not in grades or lm * n not in grades:
+        if not {l * m, m * n, l * m * n} <= set(grades):
             skipped += 1
             continue
         for G, A, B, C in itertools.product(names, repeat=4):
-            fs, gs = _maps(gd, G, A, m, B), _maps(gd, G, B, n, C)
-            cells = [(g, xs) for g in car[G] for xs in gd.tvals(l, A)]
-            loop_f = len(fs) <= len(gs)
-            outer, inner = (fs, gs) if loop_f else (gs, fs)
-            for o, ov in enumerate(outer):
-                pairs = [(ov, iv) if loop_f else (iv, ov) for iv in inner]
-                # h = g*_{m,n} o (pi, f)
-                hs = [{k: gd.ext_value(G, m, n, B, C, gm, (k[0], v))
-                       for k, v in f.items()} for f, gm in pairs]
-                for g, xs in cells:
-                    for i, ((f, gm), h) in enumerate(zip(pairs, hs)):
-                        fstar = gd.ext_value(G, l, m, A, B, f, (g, xs))
-                        if gd.ext_value(G, lm, n, B, C, gm, (g, fstar)) != \
-                                gd.ext_value(G, l, mn, A, C, h, (g, xs)):
-                            fi, gi = (o, i) if loop_f else (i, o)
-                            return (("assoc", l, m, n, G, A, B, C, f"f#{fi}",
-                                     f"g#{gi}", g, xs), skipped)
+            hit = _scan_assoc_combo(gd, l, m, n, G, A, B, C)
+            if hit is not None:
+                return ("assoc", l, m, n, G, A, B, C, *hit), skipped
     return None, skipped
+
+
+def _scan_assoc_combo(gd, l, m, n, G, A, B, C):
+    """The first failing (f, g, cell) of one associativity combo, or None.
+    The outer loop runs over the smaller of the f and g spaces, then the
+    cells, then the other space."""
+    lm, mn = l * m, m * n
+    fs, gs = _maps(gd, G, A, m, B), _maps(gd, G, B, n, C)
+    cells = [(g, xs) for g in gd.carriers[G] for xs in gd.tvals(l, A)]
+    loop_f = len(fs) <= len(gs)
+    outer, inner = (fs, gs) if loop_f else (gs, fs)
+    for o, ov in enumerate(outer):
+        pairs = [(ov, iv) if loop_f else (iv, ov) for iv in inner]
+        # h = g*_{m,n} o (pi, f)
+        hs = [{k: gd.ext_value(G, m, n, B, C, gm, (k[0], v))
+               for k, v in f.items()} for f, gm in pairs]
+        for g, xs in cells:
+            for i, ((f, gm), h) in enumerate(zip(pairs, hs)):
+                # g*_{l (x) m, n} is defined on T_{l (x) m} B only, so an
+                # f* value outside it fails the law
+                fstar = gd.ext_value(G, l, m, A, B, f, (g, xs))
+                lhs = gd.ext_value(G, lm, n, B, C, gm, (g, fstar)) \
+                    if len(fstar) <= lm else None
+                if lhs != gd.ext_value(G, l, mn, A, C, h, (g, xs)):
+                    fi, gi = (o, i) if loop_f else (i, o)
+                    return f"f#{fi}", f"g#{gi}", g, xs
+    return None
 
 
 def _scan_naturality(gd):
@@ -524,16 +535,19 @@ def _scan_naturality(gd):
     return None, skipped
 
 
-def _ext_mutant(gd, G, m, n, A, B, fvals, cell):
-    """gd with f*_{m,n}(cell) moved to the next value of its space, for the
-    f : G x A -> T_n B whose values in domain order are fvals."""
+def _ext_mutant(gd, G, m, n, A, B, fvals, cell, value=None):
+    """gd with f*_{m,n}(cell) set to value, by default the next value of
+    its space, for the f : G x A -> T_n B whose values in domain order are
+    fvals."""
     f = dict(zip([(g, a) for g in gd.carriers[G] for a in gd.carriers[A]],
                  fvals))
-    space = gd.tvals(m * n, B)
-    cur = gd.ext_value(G, m, n, A, B, f, cell)
+    if value is None:
+        space = gd.tvals(m * n, B)
+        cur = gd.ext_value(G, m, n, A, B, f, cell)
+        value = space[(space.index(cur) + 1) % len(space)]
     mut = gd.copy()
     mut.ext_overrides[((G, m, n, A, B, tuple(sorted(f.items()))), cell)] = \
-        space[(space.index(cur) + 1) % len(space)]
+        value
     return mut
 
 
@@ -541,6 +555,17 @@ def _oracle_mutants():
     small = lc.bounded_list_instance(grades=(1, 2))
     tiny = lc.bounded_list_instance(carriers={"U": ("u",), "V": ("v",)},
                                     grades=(1, 2))
+    tiny3 = lc.bounded_list_instance(carriers={"U": ("u",), "V": ("v",)},
+                                     grades=(1, 2, 3))
+    duo = lc.bounded_list_instance(carriers={"B": ("b0", "b1")}, grades=(1,))
+    # one table written twice at one cell, first with its entries reversed:
+    # the kernels read both as the same table, and the later entry, the
+    # one ext_value reads, restores the value the first one changes
+    shadow = _ext_mutant(duo, "B", 1, 1, "B", "B",
+                         [(), ("b0",), ("b1",), ("b0",)], ("b0", ()))
+    (key, cell), value = next(iter(shadow.ext_overrides.items()))
+    shadow.ext_overrides = {((*key[:5], key[5][::-1]), cell): value,
+                            (key, cell): ()}
     return {
         # first failures in the first combo, where the f and g spaces are
         # equal (f outer), and in the second, where g's is smaller (g outer)
@@ -559,11 +584,33 @@ def _oracle_mutants():
         "grade-2": _ext_mutant(tiny, "V", 1, 2, "U", "V", [("v", "v")],
                                ("v", ())),
         "clean": tiny,
+        # an override of h = g*_{m,n} o (pi, f) deciding the first failure
+        # with f outer (g-outer is one with g outer)
+        "h-override-f-outer": _ext_mutant(tiny, "V", 1, 2, "U", "V",
+                                          [("v", "v")], ("v", ()),
+                                          ("v", "v")),
+        "later-override-wins": shadow,
+        # two failing cells at the first failing outer row, the later one
+        # with the smaller inner row
+        "two-cells": _ext_mutant(
+            _ext_mutant(duo, "B", 1, 1, "B", "B",
+                        [("b0",), (), ("b0",), ("b0",)], ("b0", ("b1",)),
+                        ("b1",)),
+            "B", 1, 1, "B", "B", [("b1",), (), ("b1",), ("b1",)],
+            ("b0", ("b0",)), ("b0",)),
+        # a cell of length 3 whose element repeats
+        "repeated-element": _ext_mutant(tiny3, "U", 3, 1, "U", "V",
+                                        [("v",)], ("u", ("u", "u", "u"))),
+        # f*_{1,1} outside T_1 V: the appended column that no g* value
+        # equals
+        "outside-grade": _ext_mutant(tiny, "U", 1, 1, "U", "V", [("v",)],
+                                     ("u", ("u",)), ("v", "v")),
     }
 
 
 # (associativity witness, skips, naturality witness, skips), as reported by
-# the per-row kernels the block kernels replaced
+# the per-row kernels (the first six) and the block kernels (the rest),
+# which the per-cell associativity kernel replaced
 ORACLE_EXPECTED = {
     "f-outer": (("assoc", 1, 1, 1, "B", "B", "B", "B", "f#46", "g#3", "b1",
                  ("b0",)), 0,
@@ -586,6 +633,23 @@ ORACLE_EXPECTED = {
                 ("naturality", 1, 2, "U", "V", "U", "V", ("v",), "u", (),
                  "f#2"), 0),
     "clean": (None, 4, None, 1),
+    "h-override-f-outer": (("assoc", 1, 1, 2, "V", "U", "V", "V", "f#1", "g#2",
+                            "v", ()), 0,
+                           ("naturality", 1, 2, "U", "V", "U", "V", ("v",),
+                            "u", (), "f#2"), 0),
+    "later-override-wins": (None, 0, None, 0),
+    "two-cells": (("assoc", 1, 1, 1, "B", "B", "B", "B", "f#31", "g#60", "b0",
+                   ("b0",)), 0,
+                  ("naturality", 1, 1, "B", "B", "B", "B", ("b0", "b0"), "b0",
+                   ("b0",), "f#62"), 0),
+    "repeated-element": (("assoc", 3, 1, 1, "U", "U", "V", "U", "f#1", "g#1",
+                          "u", ("u", "u", "u")), 12,
+                         ("naturality", 3, 1, "U", "V", "U", "V", ("v",), "u",
+                          ("u", "u", "u"), "f#1"), 2),
+    "outside-grade": (("assoc", 1, 1, 1, "U", "U", "V", "U", "f#1", "g#0", "u",
+                       ("u",)), 0,
+                      ("naturality", 1, 1, "U", "V", "U", "V", ("v",), "u",
+                       ("u",), "f#1"), 0),
 }
 
 
@@ -598,6 +662,49 @@ def test_graded_witnesses_match_an_independent_scan(name):
     got = (assoc.witness, assoc.skipped, nat.witness, nat.skipped)
     assert got == (*_scan_assoc(mut), *_scan_naturality(mut))
     assert got == ORACLE_EXPECTED[name]
+
+
+def test_codec_join_of_a_list_outside_the_value_space(glist):
+    # carrier B at cap 3: -1 (a list longer than 3) stays -1 after every
+    # part, the empty list included
+    cb = lc._GradedCodec(glist, "B", 3)
+    codes = np.arange(len(cb.vals), dtype=np.int32)
+    a, b = (x.ravel() for x in np.meshgrid(codes, codes, indexing="ij"))
+    want = [cb.code.get(cb.vals[i] + cb.vals[j], -1) for i, j in zip(a, b)]
+    assert cb.join(a, b).tolist() == want
+    assert cb.join(np.full(len(codes), -1), codes).tolist() == \
+        [-1] * len(codes)
+    assert cb.join(np.int32(-1), np.int32(cb.empty)) == -1
+
+
+def test_graded_assoc_overflowed_prefix_then_empty_part():
+    """A combo with cells of length 3 against the independent scan, where
+    the right side's first two parts leave T_3 A and the third is empty.
+
+    An override of g*_{1,1} at (u, (a0,)) longer than its grade makes h =
+    g*_{1,1} o (pi, f) at (u, a1) the list (a1, a1) for f = [(), (a0,)],
+    so h's extension at (u, (a1, a1, a0)) is longer than 3, while the left
+    side there is (a1, a1, a1), set at g*_{3,1}(u, (a0, a0)).  The other
+    overrides keep the instances before it from failing first: the cells of
+    the same f and g whose parts already leave T_3 A come earlier.  The
+    whole law fails earlier, at l = 1, where the first override is an f*
+    value outside its grade, so the combo is checked on its own."""
+    gd = lc.bounded_list_instance(carriers={"A": ("a0", "a1"), "U": ("u",)},
+                                  grades=(1, 3))
+    g, h = [("a1",), ()], [(), ("a1", "a1")]
+    for m, table, xs, value in (
+            (1, g, ("a0",), ("a1", "a1")),
+            (3, g, ("a0",), ("a1", "a1")),
+            (3, g, ("a0", "a0"), ("a1", "a1", "a1")),
+            (3, h, ("a1", "a1"), ("a1", "a1", "a1")),
+            (3, h, ("a0", "a1", "a1"), ("a1", "a1", "a1")),
+            (3, h, ("a1", "a0", "a1"), ("a1", "a1", "a1"))):
+        gd = _ext_mutant(gd, "U", m, 1, "A", "A", table, ("u", xs), value)
+    codecs = {X: lc._GradedCodec(gd, X, 3) for X in gd.carriers}
+    got = lc._graded_assoc_combo(gd, codecs, lc._override_index(gd),
+                                 "U", "A", "A", "A", 3, 1, 1)
+    want = ("f#1", "g#6", "u", ("a1", "a1", "a0"))
+    assert got == _scan_assoc_combo(gd, 3, 1, 1, "U", "A", "A", "A") == want
 
 
 def test_graded_override_outside_its_grade(glist):
@@ -616,23 +723,24 @@ def test_graded_override_outside_its_grade(glist):
 
 
 def test_graded_reports_do_not_depend_on_the_block_budget(monkeypatch, rng):
-    """Blocks of one (outer, inner) pair cut every combo at every row, so
-    the first witness must win across block edges.  The mutants are the
-    oracle test's (full reports) and criterion 4's graded ones (its
-    stop-early reports).  On the grades-(1,2,3) instance one pair per block
-    would take minutes; 4096 elements still cut each outer row of its
-    large combos into many inner blocks."""
+    """Blocks of one (outer, inner) pair cut every combo of context
+    naturality, and every extension table, at every row, so the first
+    witness must win across block edges.  The mutants are the oracle
+    test's (full reports) and criterion 4's graded ones (its stop-early
+    reports).  On the grades-(1,2,3) instance's mutants one pair per block
+    takes about 40 times as long as the default budget; 32 elements take
+    about 9 times as long and still cut each outer row of its wide combos,
+    and each extension table of more than 16 cells, into one-row blocks."""
     small = lc.bounded_list_instance(grades=(1, 2))
-    cases = [(m, False) for m in _oracle_mutants().values()]
-    cases += [(m, True) for _, m in lc.graded_mutations(small)]
-    cases += [(m, True) for _, m in lc.graded_mutations(
+    cases = [(m, False, 1) for m in _oracle_mutants().values()]
+    cases += [(m, True, 1) for _, m in lc.graded_mutations(small)]
+    cases += [(m, True, 32) for _, m in lc.graded_mutations(
         lc.bounded_list_instance(), rng=rng, ext_samples=8)]
     want = [lc.check_graded_laws(m, stop_early).render()
-            for m, stop_early in cases]
+            for m, stop_early, _ in cases]
     got = []
-    for m, stop_early in cases:
-        monkeypatch.setattr(lc, "GRADED_BLOCK_ELEMENTS",
-                            1 if max(m.grades) < 3 else 4096)
+    for m, stop_early, budget in cases:
+        monkeypatch.setattr(lc, "GRADED_BLOCK_ELEMENTS", budget)
         got.append(lc.check_graded_laws(m, stop_early).render())
     assert got == want
 
