@@ -401,9 +401,10 @@ def identity_monad_instance(c_max: int = 2) -> FinRelMonadData:
 # the quantifier engine
 #
 # Every law is data: its quantifier domains in enumeration order, the
-# guards that cut out-of-fragment instances, and a predicate on the bound
-# values.  One engine enumerates every law set, so they all share one
-# order, one stop rule, one skip counter and one witness construction.
+# guards that cut out-of-fragment instances, the values computed once for
+# the instances below them, and a predicate on the bound values.  One
+# engine enumerates every law set, so they all share one order, one stop
+# rule, one skip counter and one witness construction.
 
 @dataclass(frozen=True)
 class Guard:
@@ -415,15 +416,25 @@ class Guard:
 
 
 @dataclass(frozen=True)
+class Let:
+    """A value computed once from the values bound so far, for every
+    instance below it: the steps below take it as one more bound value,
+    but it is not part of the witness.  None puts the instances below out
+    of the fragment, as a failing Guard does."""
+
+    value: Callable
+
+
+@dataclass(frozen=True)
 class Law:
     """One law as data.
 
     domains lists the quantifiers outermost first; each is a sequence, or
-    a function of the values bound before it that returns one.  Guards may
-    sit between them; the innermost step is a quantifier.  pred takes
-    every bound value and returns True when the instance holds, None when
-    it is out of the fragment (one skip), otherwise False or a tuple of
-    evidence.  The witness is (tag, *bound values, *evidence)."""
+    a function of the values bound before it that returns one.  Guards and
+    Lets may sit between them; the innermost step is a quantifier.  pred
+    takes every bound value and returns True when the instance holds, None
+    when it is out of the fragment (one skip), otherwise False or a tuple
+    of evidence.  The witness is (tag, *quantified values, *evidence)."""
 
     name: str
     tag: str
@@ -433,7 +444,9 @@ class Law:
 
 def _forall(law: Law):
     """Enumerate law's instances in the order of its domains and stop at
-    the first failing one: (witness or None, skips counted on the way)."""
+    the first failing one: (witness or None, skips counted on the way).
+    A Let's value is computed once per instance of the steps above it, and
+    left out of the witness."""
     skipped = 0
 
     def values(dom):
@@ -458,6 +471,15 @@ def _forall(law: Law):
             skipped += 1
         return run
 
+    def let(value, inner):
+        def run(env):
+            nonlocal skipped
+            v = value(*env)
+            if v is not None:
+                return inner(env + (v,))
+            skipped += 1
+        return run
+
     def quantify(dom, inner):
         def run(env):
             for v in dom(*env):
@@ -471,9 +493,16 @@ def _forall(law: Law):
     run = innermost(values(last), law.pred)
     for step in reversed(outer):
         run = guard(step.test, run) if isinstance(step, Guard) else \
+            let(step.value, run) if isinstance(step, Let) else \
             quantify(values(step), run)
     w = run(())
-    return (None if w is None else (law.tag,) + w), skipped
+    if w is None:
+        return None, skipped
+    # the positions of the Lets' values among the bound ones
+    bound = [s for s in law.domains if not isinstance(s, Guard)]
+    hidden = {i for i, s in enumerate(bound) if isinstance(s, Let)}
+    return (law.tag, *(v for i, v in enumerate(w) if i not in hidden)), \
+        skipped
 
 
 def _report(name, laws, stop_early=False) -> LawReport:
@@ -614,26 +643,36 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
         return None not in (tj[g, a], tt[g, a], C.tensor_obj(dg[g, e], J[a]),
                             C.tensor_obj(dg[g, e], T[a]), tj[e, b])
 
-    def assoc(g, e, a, b, c, f, h):
+    def assoc_mids(g, e, a, b, c, f):
+        # W(Delta) (x) f* and W(Delta) (x) f, which every h shares; either
+        # may be undefined, which puts each h out of the fragment
+        if (g, a, b, f) not in ext:
+            return None
+        return (_tensor_id_mor(C, wobj(e), ext[(g, a, b, f)]),
+                _tensor_id_mor(C, wobj(e), f))
+
+    def assoc(g, e, a, b, c, f, mids, h):
         gstar = ext.get((e, b, c, h))
-        mid_t = _tensor_id_mor(C, wobj(e), ext[(g, a, b, f)])
-        mid_j = _tensor_id_mor(C, wobj(e), f)
+        mid_t, mid_j = mids
         if gstar is None or mid_t is None or mid_j is None:
             return None
         rhs = ext.get((comp_idx[g, e], a, c, C.compose(gstar, mid_j)))
         return None if rhs is None else C.compose(gstar, mid_t) == rhs
 
-    def nat_defined(gp, g, h, a, b):
-        return None not in (tj[g, a], tj[gp, a], tt[gp, a], tt[g, a],
-                            _tensor_mor_id(C, h, J[a]),
-                            _tensor_mor_id(C, h, T[a]))
+    def nat_lifts(gp, g, h, a, b):
+        # h (x) JA and h (x) TA, or None where a tensor is undefined
+        hj, ht = _tensor_mor_id(C, h, J[a]), _tensor_mor_id(C, h, T[a])
+        if None in (tj[g, a], tj[gp, a], tt[gp, a], tt[g, a], hj, ht):
+            return None
+        return hj, ht
 
-    def naturality(gp, g, h, a, b, f):
+    def naturality(gp, g, h, a, b, lifts, f):
+        hj, ht = lifts
         fstar = ext.get((g, a, b, f))
-        lhs = ext.get((gp, a, b, C.compose(f, _tensor_mor_id(C, h, J[a]))))
+        lhs = ext.get((gp, a, b, C.compose(f, hj)))
         if fstar is None or lhs is None:
             return None
-        return lhs == C.compose(fstar, _tensor_mor_id(C, h, T[a]))
+        return lhs == C.compose(fstar, ht)
 
     return [
         Law("strong-unit", "strong-unit", (A,), unit),
@@ -646,12 +685,12 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
             (indices, indices,
              Guard(lambda g, e: comp_idx[g, e] is not None),
              A, A, A, Guard(assoc_defined),
-             lambda g, e, a, b, c: C.hom(tj[g, a], T[b]),
-             Guard(lambda g, e, a, b, c, f: (g, a, b, f) in ext),
-             lambda g, e, a, b, c, f: C.hom(tj[e, b], T[c])), assoc),
+             lambda g, e, a, b, c: C.hom(tj[g, a], T[b]), Let(assoc_mids),
+             lambda g, e, a, b, c, f, mids: C.hom(tj[e, b], T[c])), assoc),
         Law("strong-naturality", "strong-naturality",
-            (indices, indices, nat_mors, A, A, Guard(nat_defined),
-             lambda gp, g, h, a, b: C.hom(tj[g, a], T[b])), naturality),
+            (indices, indices, nat_mors, A, A, Let(nat_lifts),
+             lambda gp, g, h, a, b, lifts: C.hom(tj[g, a], T[b])),
+            naturality),
     ]
 
 
@@ -889,13 +928,17 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
             return None
         return C.compose(ext[(g, e, a, b, f)], ge) == f
 
-    def assoc(g1, d1, a, b, f, g2, d2, c, g):
+    def assoc_lifts(g1, d1, a, b, f, g2, d2):
+        # the two cells' contexts tensored, and f* and f lifted to them,
+        # which every (c, g) shares; None where undefined
         og, od = C.tensor_obj(g2, g1), C.tensor_obj(d1, d2)
         if og is None or od is None:
-            return None
-        m2 = lift(g2, d2, ext[(g1, d1, a, b, f)])
-        m2j = lift(g2, d2, f)
-        if m2 is None or m2j is None:
+            return og, od, None, None
+        return og, od, lift(g2, d2, ext[(g1, d1, a, b, f)]), lift(g2, d2, f)
+
+    def assoc(g1, d1, a, b, f, g2, d2, lifts, c, g):
+        og, od, m2, m2j = lifts
+        if None in lifts:
             return None
         gstar = ext[(g2, d2, b, c, g)]
         rhs = ext.get((og, od, a, c, C.compose(gstar, m2j)))
@@ -929,8 +972,10 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
             (keys, keys, keys, keys, keys, t,
              lambda g1, d1, a, b, f, g2: [d2 for d2 in t[g2]
                                           if b in t[g2][d2]],
-             lambda g1, d1, a, b, f, g2, d2: t[g2][d2][b],
-             lambda g1, d1, a, b, f, g2, d2, c: t[g2][d2][b][c]), assoc),
+             Let(assoc_lifts),
+             lambda g1, d1, a, b, f, g2, d2, lifts: t[g2][d2][b],
+             lambda g1, d1, a, b, f, g2, d2, lifts, c: t[g2][d2][b][c]),
+            assoc),
         Law("bistrong-symmetric", "bi-symmetric",
             (C.objects if C.sigma else (),
              lambda g: [e for e in C.objects if C.tensor_obj(g, e) in t],
@@ -977,19 +1022,21 @@ def mutations_of(d: FinRelMonadData, tables=("eta", "ext_plain",
 # allows, so the heavy sweeps are vectorized.  Values are integer-coded, the
 # extension operator of a combination of grades and carriers is tabulated
 # for all its maps at once, and the overrides are matched once per table.
-# The laws quantified over two function spaces report their first failing
-# instance in the order of the loops outer row, then cell, then inner row.
-# Associativity (over f and g) is decided cell by cell, once per class of
-# the f that agree on all the cell's two sides read of f; context
-# naturality (over u and f) in blocks of whole arrays of at most
-# GRADED_BLOCK_ELEMENTS elements, whose first failing instance is found in
-# that order, so the witnesses do not depend on the block size.
+# One check builds each such table once, in a store (_Tables) that its laws
+# share and that goes with them, so its memory is the distinct tables of
+# that check.  The laws quantified over two function spaces report their
+# first failing instance in the order of the loops outer row, then cell,
+# then inner row.  Associativity (over f and g) is decided cell by cell,
+# once per class of the f that agree on all the cell's two sides read of
+# f; context naturality (over u and f) in blocks of whole arrays of at
+# most GRADED_BLOCK_ELEMENTS elements, whose first failing instance is
+# found in that order, so the witnesses do not depend on the block size.
 
 import numpy as _np
 
 # int32 elements per block of context naturality's (u, f) pairs and of the
-# extension tables' rows.  It bounds their transient arrays, and with them
-# the checker's peak memory.
+# rows in which an extension table is built.  It bounds those transient
+# arrays; the tables themselves stay until the check ends.
 GRADED_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -1042,11 +1089,23 @@ class GradedMonadData:
     def tvals(self, m, X):
         return self._vals[(m, X)]
 
+    def overrides(self) -> dict:
+        """The extension overrides by (G, m, n, X, Y): lists of (table of f
+        as a dict, cell, value), in the order of ext_overrides.  A key lists
+        f's table as (element, value) pairs in any order; this is the one
+        place that reads it, for ext_value and the kernels alike."""
+        index = {}
+        for (key, cell), val in self.ext_overrides.items():
+            index.setdefault(key[:5], []).append((dict(key[5]), cell, val))
+        return index
+
     def ext_value(self, G, m, n, X, Y, f: dict, cell):
-        """f : G x X -> T_n Y as a dict; one output cell of f*_{m,n}."""
-        key = (G, m, n, X, Y, tuple(sorted(f.items())))
-        if (key, cell) in self.ext_overrides:
-            return self.ext_overrides[(key, cell)]
+        """f : G x X -> T_n Y as a dict; one output cell of f*_{m,n}.  Of
+        two overrides of one table and cell, the later one wins."""
+        for ftab, c, val in reversed(self.overrides().get((G, m, n, X, Y),
+                                                          ())):
+            if c == cell and ftab == f:
+                return val
         g, xs = cell
         out = []
         for x in xs:
@@ -1102,15 +1161,6 @@ def _all_maps_array(dom_size, n_codes):
     return out
 
 
-def _override_index(gd: GradedMonadData) -> dict:
-    """gd's extension overrides by (G, m, n, X, Y): lists of (table of f,
-    cell, value), in the order of gd.ext_overrides."""
-    index = {}
-    for (key, cell), val in gd.ext_overrides.items():
-        index.setdefault(key[:5], []).append((dict(key[5]), cell, val))
-    return index
-
-
 def _coded_overrides(overrides, fkeys, codec, cell_index) -> list:
     """The overrides that can apply to maps on the domain fkeys (in column
     order) coded in codec's space: (coded table, cell column, value code)
@@ -1155,10 +1205,13 @@ class _ExtVec:
     cell (g, xs), with the overrides of its (G, m, n, X, Y) applied by
     matching rows against each override's coded table."""
 
-    def __init__(self, gd, overrides, G, m, X, fmat, dom_index, codec_y):
+    def __init__(self, gd, overrides, G, m, X, fmat, dom_index, codec_y,
+                 codec_x):
         # fmat: (Nf, |G x X|) codes of T_n Y values (in codec_y space),
         # its columns in the order of dom_index
-        self.cells = [(g, xs) for g in gd.carriers[G] for xs in gd.tvals(m, X)]
+        self.gs = gd.carriers[G]
+        self.codec_x = codec_x
+        self.cells = [(g, xs) for g in self.gs for xs in gd.tvals(m, X)]
         self.cell_index = {c: i for i, c in enumerate(self.cells)}
         plan, width = _concat_plan(self.cells, dom_index), len(self.cells)
         self.mat = _np.empty((fmat.shape[0], width), dtype=_np.int32)
@@ -1175,6 +1228,17 @@ class _ExtVec:
     def col(self, cell):
         return self.mat[:, self.cell_index[cell]]
 
+    @functools.cached_property
+    def colmap(self):
+        """(position of g in G, code of v in X's space) -> the column of
+        the cell (g, v), or the number of cells where v is no cell's."""
+        gpos = {g: i for i, g in enumerate(self.gs)}
+        cm = _np.full((len(gpos), len(self.codec_x.vals)), len(self.cells),
+                      dtype=_np.int32)
+        for (g, v), ci in self.cell_index.items():
+            cm[gpos[g], self.codec_x.code[v]] = ci
+        return cm
+
 
 def _fmat_for(gd, G, X, n, codec_y):
     """All maps G x X -> T_n Y coded in codec_y's space, plus the domain
@@ -1188,6 +1252,75 @@ def _fmat_for(gd, G, X, n, codec_y):
                             dtype=_np.int32)
     raw = _all_maps_array(len(dom), len(level_vals))
     return level_codes[raw], dom_index
+
+
+class _Tables:
+    """The coded function spaces and extension tables of one graded check.
+
+    Each is built on its first use and kept until the check ends, so the
+    combos of every law that read one table share it.  An extension table
+    is keyed by what fixes its contents: (G, m, n, X, Y), whether that
+    key's overrides are applied, and the regrade its maps are recoded
+    through."""
+
+    def __init__(self, gd: GradedMonadData):
+        self.gd = gd
+        self.codecs = {X: _GradedCodec(gd, X, max(gd.grades))
+                       for X in sorted(gd.carriers)}
+        self.ovr = gd.overrides()
+        self._built = {}
+
+    def _once(self, key, build):
+        """The value stored under key, built by build() on first use."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def fmat(self, G, X, n, Y):
+        """Every map G x X -> T_n Y coded in Y's space, and the index of
+        the domain's columns."""
+        return self._once(("fmat", G, X, n, Y), lambda: _fmat_for(
+            self.gd, G, X, n, self.codecs[Y]))
+
+    def ext(self, G, m, n, X, Y):
+        """f*_{m,n} of every f : G x X -> T_n Y, with the overrides."""
+        return self._ext((G, m, n, X, Y), True, None)
+
+    def plain(self, G, m, n, X, Y):
+        """f*_{m,n} of every f : G x X -> T_n Y, without the overrides."""
+        return self._ext((G, m, n, X, Y), False, None)
+
+    def regraded(self, G, m, n, n2, X, Y):
+        """(T_xi o f)*_{m,n} of every f : G x X -> T_n2 Y, xi : n >= n2,
+        with the overrides of (G, m, n, X, Y): its rows are the f.  The
+        identity regrade gives the table ext gives."""
+        lut = self.regrade_lut(n, n2, Y)
+        if n == n2 and (lut == _np.arange(len(lut))).all():
+            return self.ext(G, m, n, X, Y)
+        return self._ext((G, m, n, X, Y), True, n2)
+
+    def _ext(self, gkey, applied, regrade):
+        G, m, n, X, Y = gkey
+        over = self.ovr.get(gkey, ()) if applied else ()
+
+        def build():
+            if regrade is None:
+                fmat, dom = self.fmat(G, X, n, Y)
+            else:
+                fmat, dom = self.fmat(G, X, regrade, Y)
+                fmat = self.regrade_lut(n, regrade, Y)[fmat]
+            return _ExtVec(self.gd, over, G, m, X, fmat, dom, self.codecs[Y],
+                           self.codecs[X])
+        return self._once(("ext", gkey, bool(over), regrade), build)
+
+    def regrade_lut(self, hi, lo, Y):
+        """The code of each value of T_lo Y -> the code of its regrade into
+        T_hi Y (other codes map to themselves)."""
+        cy = self.codecs[Y]
+        lut = _np.arange(len(cy.vals), dtype=_np.int32)
+        for v in self.gd.tvals(lo, Y):
+            lut[cy.code[v]] = cy.code[self.gd.tx[(hi, lo, Y, v)]]
+        return lut
 
 
 def _first_diff(lhs, rhs) -> int:
@@ -1241,12 +1374,12 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
     associativity, regrade functoriality and compatibility, and naturality
     in the context; out-of-fragment tensors are reported as skips.  The
     engine quantifies over grades and carriers; the vectorized kernels
-    sweep the function spaces."""
+    sweep the function spaces.  The laws share one store of tables, which
+    lives as long as the list returned."""
     grades, e, car, tx, tensor = (gd.grades, gd.unit_grade, gd.carriers,
                                   gd.tx, gd.tensor)
     names = sorted(car)
-    codecs = {X: _GradedCodec(gd, X, max(grades)) for X in names}
-    ovr = _override_index(gd)
+    tables = _Tables(gd)
 
     def below(m):
         return [n for n in grades if m >= n]
@@ -1270,10 +1403,8 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
 
     def unit_left(G, m, A, B):
         # f*_{e,m} o (G x eta) = f, for every f
-        cy = codecs[B]
-        fmat, dom_index = _fmat_for(gd, G, A, m, cy)
-        extv = _ExtVec(gd, ovr.get((G, e, m, A, B), ()), G, e, A, fmat,
-                       dom_index, cy)
+        fmat, dom_index = tables.fmat(G, A, m, B)
+        extv = tables.ext(G, e, m, A, B)
         for g in car[G]:
             for a in car[A]:
                 lhs = extv.col((g, gd.eta[(A, a)]))
@@ -1287,12 +1418,9 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
         # Without overrides (f o (u x A))* at (g2, xs) is f* at (u g2, xs),
         # so both sides are columns of f*, before and after G's overrides,
         # and the left one gets the overrides at G2 that match f o (u x A).
-        cy = codecs[B]
-        fmat, dom_index = _fmat_for(gd, G, A, n, cy)
-        plain = _ExtVec(gd, (), G, m, A, fmat, dom_index, cy)
-        over = ovr.get((G, m, n, A, B), ())
-        extv = _ExtVec(gd, over, G, m, A, fmat, dom_index, cy) if over \
-            else plain
+        fmat, dom_index = tables.fmat(G, A, n, B)
+        plain, extv = (tables.plain(G, m, n, A, B),
+                       tables.ext(G, m, n, A, B))
         us = list(itertools.product(car[G], repeat=len(car[G2])))
         utabs = [dict(zip(car[G2], u)) for u in us]
         cells = [(g2, xs) for g2 in car[G2] for xs in gd.tvals(m, A)]
@@ -1303,7 +1431,8 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
                             for ut in utabs], dtype=_np.intp)
         ukeys = _np.array([[dom_index[(ut[g2], a)] for g2, a in keys]
                            for ut in utabs], dtype=_np.intp)
-        over2 = _coded_overrides(ovr.get((G2, m, n, A, B), ()), keys, cy,
+        over2 = _coded_overrides(tables.ovr.get((G2, m, n, A, B), ()), keys,
+                                 tables.codecs[B],
                                  {c: i for i, c in enumerate(cells)})
         if extv is plain and not over2:
             return True  # both sides are the same columns of f*
@@ -1350,7 +1479,7 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
                    tensor(tensor(l, m), n) in grades),
              names, names, names, names),
             lambda l, m, n, G, A, B, Cc: _graded_assoc_combo(
-                gd, codecs, ovr, G, A, B, Cc, l, m, n)),
+                tables, G, A, B, Cc, l, m, n)),
         Law("graded-context-naturality", "naturality",
             (grades, grades, Guard(lambda m, n: tensor(m, n) in grades),
              names, names, names, names), naturality),
@@ -1360,7 +1489,7 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
                    tensor(m, n2) in grades),
              names, names, names),
             lambda m, n, n2, G, A, B: _graded_regrade_combo(
-                gd, codecs, ovr, G, A, B, m, n, n2)),
+                tables, G, A, B, m, n, n2)),
     ]
 
 
@@ -1373,7 +1502,7 @@ def check_graded_laws(gd: GradedMonadData, stop_early: bool = False
     return _report(f"{gd.name}/graded", graded_laws(gd), stop_early)
 
 
-def _graded_assoc_combo(gd, codecs, ovr, G, A, B, Cc, l, m, n):
+def _graded_assoc_combo(tables, G, A, B, Cc, l, m, n):
     """g*_{l (x) m, n} o f*_{l,m} vs (g*_{m,n} o f)*_{l, m (x) n} for all f,
     g at once: True, or the evidence of the first failing (f, g, cell).
 
@@ -1387,32 +1516,22 @@ def _graded_assoc_combo(gd, codecs, ovr, G, A, B, Cc, l, m, n):
     they apply to are matched and patched one by one.  The first failing
     instance is the one of the loops outer row, cell, inner row, the outer
     one over the smaller of the f and g spaces."""
+    gd = tables.gd
     lm, mn = gd.tensor(l, m), gd.tensor(m, n)
-    cb, cc = codecs[B], codecs[Cc]
-    fmat, fdom = _fmat_for(gd, G, A, m, cb)
-    gmat, gdom = _fmat_for(gd, G, B, n, cc)
-    extF = _ExtVec(gd, ovr.get((G, l, m, A, B), ()), G, l, A, fmat, fdom, cb)
-    extG1 = _ExtVec(gd, ovr.get((G, lm, n, B, Cc), ()), G, lm, B, gmat, gdom,
-                    cc)
-    extG2 = _ExtVec(gd, ovr.get((G, m, n, B, Cc), ()), G, m, B, gmat, gdom,
-                    cc)
+    cc = tables.codecs[Cc]
+    fmat, fdom = tables.fmat(G, A, m, B)
+    gmat = tables.fmat(G, B, n, Cc)[0]
+    extF = tables.ext(G, l, m, A, B)
+    extG1 = tables.ext(G, lm, n, B, Cc)
+    extG2 = tables.ext(G, m, n, B, Cc)
     gpos = {g: i for i, g in enumerate(gd.carriers[G])}
-
-    def colmap(ext):
-        # (position of g, code of v) -> column of the cell (g, v) in ext
-        cm = _np.full((len(gpos), len(cb.vals)), len(ext.cells),
-                      dtype=_np.int32)
-        for (g, v), ci in ext.cell_index.items():
-            cm[gpos[g], cb.code[v]] = ci
-        return cm
-
     # f*_{l,m} at each cell, and f at each (g, a) of h's domain (sorted, as
     # the overrides of h are coded), as columns of extG1 and extG2
-    fcol1 = colmap(extG1)[[gpos[g] for g, _ in extF.cells], extF.mat]
+    fcol1 = extG1.colmap[[gpos[g] for g, _ in extF.cells], extF.mat]
     hkeys = sorted(fdom)
     key_index = {k: i for i, k in enumerate(hkeys)}
-    fcol2 = colmap(extG2)[[gpos[g] for g, _ in hkeys],
-                          fmat[:, [fdom[k] for k in hkeys]]]
+    fcol2 = extG2.colmap[[gpos[g] for g, _ in hkeys],
+                         fmat[:, [fdom[k] for k in hkeys]]]
     # an override can give f*_{l,m} a value outside T_{l (x) m} B: its
     # column is an appended one of -1s, which no value of g* equals
     g1, g2 = extG1.mat, extG2.mat
@@ -1422,8 +1541,8 @@ def _graded_assoc_combo(gd, codecs, ovr, G, A, B, Cc, l, m, n):
     # the overrides of h's extension by cell and table: two that code the
     # same table apply to the same pairs, and the later one wins
     hover = {}
-    for coded, ci, v in _coded_overrides(ovr.get((G, l, mn, A, Cc), ()), hkeys,
-                                         cc, extF.cell_index):
+    for coded, ci, v in _coded_overrides(tables.ovr.get((G, l, mn, A, Cc), ()),
+                                         hkeys, cc, extF.cell_index):
         hover[ci, coded.tobytes()] = coded, v
     patches = {}
     for (ci, _), (coded, v) in hover.items():
@@ -1517,27 +1636,16 @@ def _first_fail(bad, inv, patch, loop_f):
     return g, int(col.argmax())
 
 
-def _graded_regrade_combo(gd, codecs, ovr, G, A, B, m, n, n2):
+def _graded_regrade_combo(tables, G, A, B, m, n, n2):
     """ext_{m,n}(T_xi o f) vs T_{m (+) xi} o ext_{m,n2}(f) for xi : n >= n2,
     and the mirrored condition in the first index (evidence tagged "left"):
     True, or the evidence of the first failing cell."""
-    cy = codecs[B]
-    fmat, fdom = _fmat_for(gd, G, A, n2, cy)
-
-    def regrade_lut(hi, lo):
-        # code of each value of T_lo B -> code of its regrade into T_hi B
-        lut = _np.arange(len(cy.vals), dtype=_np.int32)
-        for v in gd.tvals(lo, B):
-            lut[cy.code[v]] = cy.code[gd.tx[(hi, lo, B, v)]]
-        return lut
-
-    # T_xi o f : recode every value through the (n, n2) regrade table
-    fmat_x = regrade_lut(n, n2)[fmat]
-    extL = _ExtVec(gd, ovr.get((G, m, n, A, B), ()), G, m, A, fmat_x, fdom,
-                   cy)
-    extR = _ExtVec(gd, ovr.get((G, m, n2, A, B), ()), G, m, A, fmat, fdom, cy)
+    gd = tables.gd
+    # T_xi o f : every value recoded through the (n, n2) regrade table
+    extL = tables.regraded(G, m, n, n2, A, B)
+    extR = tables.ext(G, m, n2, A, B)
     mn, mn2 = gd.tensor(m, n), gd.tensor(m, n2)
-    lut2 = regrade_lut(mn, mn2)
+    lut2 = tables.regrade_lut(mn, mn2, B)
     for g in gd.carriers[G]:
         for xs in gd.tvals(m, A):
             lhs = extL.col((g, xs))
@@ -1548,9 +1656,8 @@ def _graded_regrade_combo(gd, codecs, ovr, G, A, B, m, n, n2):
     for m2 in gd.grades:
         if not (m >= m2) or gd.tensor(m2, n2) not in gd.grades:
             continue
-        extS = _ExtVec(gd, ovr.get((G, m2, n2, A, B), ()), G, m2, A, fmat,
-                       fdom, cy)
-        lut3 = regrade_lut(mn2, gd.tensor(m2, n2))
+        extS = tables.ext(G, m2, n2, A, B)
+        lut3 = tables.regrade_lut(mn2, gd.tensor(m2, n2), B)
         for g in gd.carriers[G]:
             for xs in gd.tvals(m2, A):
                 ys = gd.tx[(m, m2, A, xs)]

@@ -1,7 +1,13 @@
 """Categorical law checking on tabulated data: ground-truth instances,
 conversions, induced structure, and mutation soundness."""
 
+import collections
+import gc
 import itertools
+import pickle
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -335,20 +341,27 @@ def _next_cell(d, table, key):
 
 def _declared_instances(law):
     """The instances of law's declared domains in order, walked without
-    the engine; None stands for a subtree cut by a failing guard."""
-    def walk(env, steps):
+    the engine: (every bound value, the quantified ones), or None for a
+    subtree cut by a failing guard or a Let whose value is None."""
+    def walk(env, shown, steps):
         if not steps:
-            yield env
+            yield env, shown
         elif isinstance(steps[0], lc.Guard):
             if steps[0].test(*env):
-                yield from walk(env, steps[1:])
+                yield from walk(env, shown, steps[1:])
             else:
                 yield None
+        elif isinstance(steps[0], lc.Let):
+            v = steps[0].value(*env)
+            if v is None:
+                yield None
+            else:
+                yield from walk(env + (v,), shown, steps[1:])
         else:
             dom = steps[0](*env) if callable(steps[0]) else steps[0]
             for v in dom:
-                yield from walk(env + (v,), steps[1:])
-    return walk((), law.domains)
+                yield from walk(env + (v,), shown + (v,), steps[1:])
+    return walk((), (), law.domains)
 
 
 def _assert_first_witness(law, line):
@@ -356,14 +369,14 @@ def _assert_first_witness(law, line):
     does, and the skip count covers exactly the instances before it."""
     assert line.law == law.name
     skips = 0
-    for env in _declared_instances(law):
-        r = None if env is None else law.pred(*env)
+    for inst in _declared_instances(law):
+        r = None if inst is None else law.pred(*inst[0])
         if r is None:
             skips += 1
         elif r is not True:
             evidence = () if r is False else r
             assert (line.status, line.witness, line.skipped) == \
-                ("FAIL", (law.tag, *env, *evidence), skips)
+                ("FAIL", (law.tag, *inst[1], *evidence), skips)
             return
     assert (line.status, line.witness, line.skipped) == ("PASS", None, skips)
 
@@ -427,6 +440,55 @@ def test_paired_mutation_reports_first_witness(exc, law_set, table, cells):
     assert len(laws) == len(rep.lines)
     for law, line in zip(laws, rep.lines):
         _assert_first_witness(law, line)
+
+
+def _scan_strong_assoc(d):
+    """strong-associativity of the full strong tables by plain loops:
+    (witness, skips)."""
+    C, A, J, T, ext = d.C, d.aobjs, d.jmap, d.tmap, d.ext_strong
+    skipped = 0
+    for g, e in itertools.product(C.objects, repeat=2):
+        eg = C.tensor_obj(e, g)
+        if eg is None:
+            skipped += 1
+            continue
+        for a, b, c in itertools.product(A, repeat=3):
+            ga = C.tensor_obj(g, J[a])
+            if None in (ga, C.tensor_obj(g, T[a]), C.tensor_obj(eg, J[a]),
+                        C.tensor_obj(eg, T[a]), C.tensor_obj(e, J[b])):
+                skipped += 1
+                continue
+            for f in C.hom(ga, T[b]):
+                if (g, a, b, f) not in ext:
+                    skipped += 1
+                    continue
+                for h in C.hom(C.tensor_obj(e, J[b]), T[c]):
+                    gstar = ext.get((e, b, c, h))
+                    mid_t = C.tensor_mor(C.ids[e], ext[(g, a, b, f)])
+                    mid_j = C.tensor_mor(C.ids[e], f)
+                    rhs = None if None in (gstar, mid_t, mid_j) else \
+                        ext.get((eg, a, c, C.compose(gstar, mid_j)))
+                    if rhs is None:
+                        skipped += 1
+                    elif C.compose(gstar, mid_t) != rhs:
+                        return ("strong-assoc", g, e, a, b, c, f, h), skipped
+    return None, skipped
+
+
+def test_strong_associativity_matches_an_independent_scan(exc, ident):
+    """The engine computes the two lifts of f once for every h; its
+    witness and skip count are those of the plain loops, on the clean
+    instances and on every single-cell mutant of their strong tables."""
+    cases = [exc, ident]
+    for d in (exc, ident):
+        cases += [m for _, m in lc.mutations_of(d, tables=("ext_strong",))]
+    failing = 0
+    for d in cases:
+        line = _line(lc.check_strong_laws(d), "strong-associativity")
+        witness, skipped = _scan_strong_assoc(d)
+        assert (line.witness, line.skipped) == (witness, skipped)
+        failing += witness is not None
+    assert failing > 0
 
 
 def test_clean_instances_count_every_skip(exc, ident):
@@ -559,13 +621,14 @@ def _oracle_mutants():
                                      grades=(1, 2, 3))
     duo = lc.bounded_list_instance(carriers={"B": ("b0", "b1")}, grades=(1,))
     # one table written twice at one cell, first with its entries reversed:
-    # the kernels read both as the same table, and the later entry, the
-    # one ext_value reads, restores the value the first one changes
+    # the kernels and ext_value read both as the same table, and the later
+    # entry restores the value the first one changes
     shadow = _ext_mutant(duo, "B", 1, 1, "B", "B",
                          [(), ("b0",), ("b1",), ("b0",)], ("b0", ()))
     (key, cell), value = next(iter(shadow.ext_overrides.items()))
-    shadow.ext_overrides = {((*key[:5], key[5][::-1]), cell): value,
-                            (key, cell): ()}
+    reversed_key = duo.copy()
+    reversed_key.ext_overrides = {((*key[:5], key[5][::-1]), cell): value}
+    shadow.ext_overrides = {**reversed_key.ext_overrides, (key, cell): ()}
     return {
         # first failures in the first combo, where the f and g spaces are
         # equal (f outer), and in the second, where g's is smaller (g outer)
@@ -590,6 +653,9 @@ def _oracle_mutants():
                                           [("v", "v")], ("v", ()),
                                           ("v", "v")),
         "later-override-wins": shadow,
+        # the first of those entries alone: it applies, to the kernels and
+        # to ext_value alike
+        "reversed-key": reversed_key,
         # two failing cells at the first failing outer row, the later one
         # with the smaller inner row
         "two-cells": _ext_mutant(
@@ -609,8 +675,9 @@ def _oracle_mutants():
 
 
 # (associativity witness, skips, naturality witness, skips), as reported by
-# the per-row kernels (the first six) and the block kernels (the rest),
-# which the per-cell associativity kernel replaced
+# the per-row kernels (the first six), the block kernels (the rest but the
+# last), which the per-cell associativity kernel replaced, and the per-cell
+# kernel ("reversed-key")
 ORACLE_EXPECTED = {
     "f-outer": (("assoc", 1, 1, 1, "B", "B", "B", "B", "f#46", "g#3", "b1",
                  ("b0",)), 0,
@@ -650,6 +717,10 @@ ORACLE_EXPECTED = {
                        ("u",)), 0,
                       ("naturality", 1, 1, "U", "V", "U", "V", ("v",), "u",
                        ("u",), "f#1"), 0),
+    "reversed-key": (("assoc", 1, 1, 1, "B", "B", "B", "B", "f#0", "g#16", "b0",
+                      ()), 0,
+                     ("naturality", 1, 1, "B", "B", "B", "B", ("b0", "b0"),
+                      "b0", (), "f#16"), 0),
 }
 
 
@@ -700,9 +771,7 @@ def test_graded_assoc_overflowed_prefix_then_empty_part():
             (3, h, ("a0", "a1", "a1"), ("a1", "a1", "a1")),
             (3, h, ("a1", "a0", "a1"), ("a1", "a1", "a1"))):
         gd = _ext_mutant(gd, "U", m, 1, "A", "A", table, ("u", xs), value)
-    codecs = {X: lc._GradedCodec(gd, X, 3) for X in gd.carriers}
-    got = lc._graded_assoc_combo(gd, codecs, lc._override_index(gd),
-                                 "U", "A", "A", "A", 3, 1, 1)
+    got = lc._graded_assoc_combo(lc._Tables(gd), "U", "A", "A", "A", 3, 1, 1)
     want = ("f#1", "g#6", "u", ("a1", "a1", "a0"))
     assert got == _scan_assoc_combo(gd, 3, 1, 1, "U", "A", "A", "A") == want
 
@@ -743,6 +812,118 @@ def test_graded_reports_do_not_depend_on_the_block_budget(monkeypatch, rng):
         monkeypatch.setattr(lc, "GRADED_BLOCK_ELEMENTS", budget)
         got.append(lc.check_graded_laws(m, stop_early).render())
     assert got == want
+
+
+def _ext_override_mutants(gd, rng, count):
+    return [m for d, m in lc.graded_mutations(gd, rng=rng, ext_samples=count)
+            if d.startswith("ext[")]
+
+
+def test_graded_tables_are_built_once_per_check(monkeypatch, glist, rng):
+    """Every coded function space and extension table of a check is built
+    through the check's store, once per store key."""
+    built, made = [], collections.Counter()
+    once, fmat_for = lc._Tables._once, lc._fmat_for
+
+    def counted_once(self, key, build):
+        def counted():
+            built.append(key)
+            return build()
+        return once(self, key, counted)
+
+    def counted_fmat(*args):
+        made["fmat"] += 1
+        return fmat_for(*args)
+
+    class ExtVec(lc._ExtVec):
+        def __init__(self, *args):
+            made["ext"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(lc._Tables, "_once", counted_once)
+    monkeypatch.setattr(lc, "_fmat_for", counted_fmat)
+    monkeypatch.setattr(lc, "_ExtVec", ExtVec)
+    mutant, = _ext_override_mutants(glist, rng, 1)
+    for gd in (glist, mutant):
+        built.clear()
+        made.clear()
+        lc.check_graded_laws(gd)
+        assert len(built) == len(set(built))
+        assert made == collections.Counter(key[0] for key in built)
+        # only the mutant has tables with overrides applied
+        assert any(key[0] == "ext" and key[2] for key in built) == \
+            (gd is mutant)
+
+
+def test_graded_tables_are_freed_when_the_check_ends(monkeypatch, glist):
+    """No table outlives its check: not after a full report, one that
+    stops at the first failing law (associativity, after tables were
+    built), or a check that raises.  The cycle collector is off, so the
+    tables must go as the check's last reference to its store does."""
+    refs = []
+
+    class ExtVec(lc._ExtVec):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    def raising(*args):
+        raise lc.LawError("stop")
+
+    monkeypatch.setattr(lc, "_ExtVec", ExtVec)
+    mutant = _ext_mutant(glist, "U", 1, 1, "U", "U", [()], ("u", ()))
+    gc.disable()
+    try:
+        for gd, stop_early in ((glist, False), (mutant, False),
+                               (mutant, True)):
+            refs.clear()
+            lc.check_graded_laws(gd, stop_early)
+            assert refs and not any(r() for r in refs)
+        refs.clear()
+        monkeypatch.setattr(lc, "_graded_regrade_combo", raising)
+        with pytest.raises(lc.LawError):
+            lc.check_graded_laws(glist)
+        assert refs and not any(r() for r in refs)
+    finally:
+        gc.enable()
+
+
+def _reports_alone(insts):
+    """The graded report of each instance, each from a process that checks
+    nothing else (run side by side)."""
+    code = ("import pickle, sys; from relmeta import lawcheck as lc; "
+            "print(lc.check_graded_laws(pickle.load(sys.stdin.buffer))"
+            ".render(), end='')")
+    procs = [subprocess.Popen([sys.executable, "-c", code],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+             for _ in insts]
+    outs = [p.communicate(pickle.dumps(gd))[0].decode()
+            for p, gd in zip(procs, insts)]
+    assert all(p.returncode == 0 for p in procs)
+    return outs
+
+
+def test_graded_checks_are_isolated(glist, rng):
+    """Checks share no tables: back to back in one process, in either
+    order, each instance gets the report it gets alone.  Besides the
+    builtin instance and override mutants of it, the instances include
+    one with other grades (another value coding), two overrides of one
+    table key (one store key, other contents) and a regrade mutant (other
+    regraded tables)."""
+    small = lc.bounded_list_instance(grades=(1, 2))
+    regrade = small.copy()
+    regrade.tx[(2, 1, "B", ("b0",))] = ("b0", "b0")
+    insts = [glist, *_ext_override_mutants(glist, rng, 2), small,
+             _ext_mutant(small, "U", 1, 1, "U", "U", [()], ("u", ())),
+             _ext_mutant(small, "U", 1, 1, "U", "U", [()], ("u", ("u",))),
+             regrade]
+    alone = _reports_alone(insts)
+    assert [r.endswith(" 8/8 laws pass") for r in alone] == \
+        [True, False, False, True, False, False, False]
+    assert len(set(alone[4:])) == 3
+    assert [lc.check_graded_laws(gd).render() for gd in insts] == alone
+    assert [lc.check_graded_laws(gd).render() for gd in insts[::-1]] == \
+        alone[::-1]
 
 
 def test_replay_witness_reruns_the_reported_law_set(exc, glist):
