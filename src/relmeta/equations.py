@@ -6,6 +6,20 @@ rewrite system plus a bounded bidirectional axiom search joined the two
 sides; Refuted means a registered finite model separates them under some
 environment (with a replayable witness); otherwise the verdict is Unknown
 and carries both normal forms.
+
+Subject reduction is re-checked after every rewrite, never assumed.  A
+judgement entering the engine is checked in full, and its typing index
+(`typecheck.typings`) records at each position what the checker found and
+what it was given there.  A rule step, an axiom move or a search-only move
+replaces one subterm, and `typecheck.check_at` checks that subterm alone
+under the inputs recorded at its position, splicing the result into the
+index.  Where that cannot be shown to equal a full check (the subterm's
+free names or dangling bound variables changed, its type is not the
+recorded one, or it fails to check) the whole term is checked again,
+which also words any failure.  The checks of one engine call are kept by
+term, so none is repeated, and the call's shared judgement shape is
+validated once.  `check_proof` replays with full checks only, so it stays
+an independent check of what the engine found.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from .rules import Rule, RuleCtx, RULES_BY_HEAD
 from .signatures import Axiom, Signature
 from .syntax import (Judgement, Term, alpha_eq, positions, replace_at, shift,
                      subterm_at, term_to_text)
-from .typecheck import Derivation, check
+from .typecheck import check, check_at, typings
 
 
 class RewriteError(Exception):
@@ -98,45 +112,74 @@ class NormalizeResult:
 # checked judgements, redex enumeration and single steps
 
 class _Checked(NamedTuple):
-    """A judgement with the typing index of a `check` this module ran on
-    it (`_typings`), and the checks of the engine call it belongs to; each
-    rewrite step hands its own on."""
+    """A judgement with its typing index (`typecheck.typings`) from a check
+    this module ran on it, and the checks of the engine call it belongs to;
+    each rewrite step hands its own on."""
     j: Judgement
     ann: dict
     checks: "_Checks"
 
 
-def _typings(node: Derivation, path=(), out=None) -> dict:
-    """position -> (form, type) of each node of a derivation, read in
-    step with its term (child i of a node types sub-term i), in
-    `positions` order."""
-    out = {} if out is None else out
-    out[path] = (node.judgement.form, node.judgement.ty)
-    for i, child in enumerate(node.children):
-        _typings(child, path + (i,), out)
-    return out
-
-
 class _Checks:
     """The typechecks of one engine call, by term.  Every judgement one call
     visits has the same shape (check_eq's two sides share it), so a term is
-    checked once however often the call reaches it.  Only each check's
-    typing index is kept, not its derivation."""
+    checked once however often the call reaches it, and the shape's zones
+    and type are validated once.  Only each check's typing index is kept,
+    not its derivation.  A rewrite step's result is checked locally where
+    `check_at` can show that gives a full check's index, and in full
+    otherwise."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.results = {}   # term -> typing index, or the failure message
+        self.shape = None   # the judgement shape a check here accepted
+
+    def _full(self, j: Judgement):
+        """Check j in full and keep its typing index, or its failure
+        message: (the check's result, what was kept)."""
+        shape = (j.calculus, j.form, j.zones, j.ty)
+        res = check(j, self.sig, validated=shape == self.shape)
+        if res.ok:
+            self.shape = shape
+        out = self.results[j.term] = \
+            typings(res.derivation) if res.ok else res.message
+        return res, out
+
+    def _out(self, j: Judgement, out):
+        if isinstance(out, str):
+            return None, out
+        return _Checked(j, out, self), ""
 
     def __call__(self, j: Judgement):
         """(_Checked, "") for a well-typed j, else (None, message)."""
         out = self.results.get(j.term)
         if out is None:
-            res = check(j, self.sig)
-            out = self.results[j.term] = \
-                _typings(res.derivation) if res.ok else res.message
-        if isinstance(out, str):
-            return None, out
-        return _Checked(j, out, self), ""
+            _, out = self._full(j)
+        return self._out(j, out)
+
+    def at(self, cj: _Checked, path: tuple, new: Term):
+        """What __call__ gives for cj's judgement with `new` at `path`."""
+        j = replace(cj.j, term=replace_at(cj.j.term, path, new))
+        out = self.results.get(j.term)
+        if out is None:
+            out = check_at(cj.j, cj.ann, path, new, self.sig)
+            if out is None:
+                _, out = self._full(j)
+            else:
+                self.results[j.term] = out
+        return self._out(j, out)
+
+    def root(self, j: Judgement):
+        """(_Checked, derivation) for a judgement entering the engine,
+        checked in full, or with derivation None if this call has checked
+        its term already; raises if ill-typed."""
+        res, out = None, self.results.get(j.term)
+        if out is None:
+            res, out = self._full(j)
+        cj, msg = self._out(j, out)
+        if cj is None:
+            raise RewriteError(f"term does not type-check: {msg}")
+        return cj, None if res is None else res.derivation
 
 
 def _enter(j, sig: Signature, checks: _Checks | None = None) -> _Checked:
@@ -163,14 +206,13 @@ def _fire(cj: _Checked, sig: Signature, path: tuple, keep):
 
 
 def redexes(cj: _Checked, sig: Signature, include_search=False):
-    """The (rule, path, result) triples on a checked judgement, lazily,
-    leftmost-outermost and then in rule registration order."""
+    """The (rule, path, new subterm) triples on a checked judgement,
+    lazily, leftmost-outermost and then in rule registration order."""
     keep = lambda r: include_search or not r.search_only
-    t = cj.j.term
     for path in cj.ann:
         for r, sub, new in _fire(cj, sig, path, keep):
             if new != sub:
-                yield r, path, replace_at(t, path, new)
+                yield r, path, new
 
 
 def apply_rule_at(cj: _Checked, sig: Signature, rule_name: str,
@@ -192,7 +234,10 @@ def normalize(j, sig: Signature, *, budget: int = 10000,
     (unless it is a `_Checked` this module made) and every step's result
     is checked, and that check's typing index drives the next step, so n
     steps make at most n+1 checks (fewer when the input's engine call has
-    already checked a term on the way).
+    already checked a term on the way).  A step's check covers the
+    rewritten subterm alone where `typecheck.check_at` can show that this
+    gives what a full check would, and the whole term otherwise; a step
+    that breaks typing always ends in a full check, which words the error.
     """
     cur = _enter(j, sig)
     steps: list[Step] = []
@@ -204,13 +249,13 @@ def normalize(j, sig: Signature, *, budget: int = 10000,
             rd = rds[rng.randrange(len(rds))] if rds else None
         if rd is None:
             return NormalizeResult(cur.j.term, steps)
-        r, path, new_term = rd
-        nxt, msg = cur.checks(replace(cur.j, term=new_term))
+        r, path, new = rd
+        nxt, msg = cur.checks.at(cur, path, new)
         if nxt is None:
             raise SubjectReductionError(
                 f"rule {r.name} at {path} broke typing: {msg}\n"
                 f"  before: {term_to_text(cur.j.term)}\n"
-                f"  after:  {term_to_text(new_term)}")
+                f"  after:  {term_to_text(replace_at(cur.j.term, path, new))}")
         cur = nxt
         steps.append(Step(r.name, path))
     raise BudgetExceeded(budget, cur.j.term)
@@ -263,9 +308,10 @@ def _ainst(pat: Term, sigma: dict, depth: int = 0) -> Term:
 def axiom_moves(j, sig: Signature, axioms):
     """All single axiom rewrites (either direction, any position) that keep
     the judgement well-typed, each as (step, checked result).  j may be a
-    `_Checked` this module made; its engine call's checks then serve."""
-    checks = j.checks if isinstance(j, _Checked) else _Checks(sig)
-    j = j.j if isinstance(j, _Checked) else j
+    `_Checked` this module made; its engine call's checks then serve.
+    Raises if j is ill-typed."""
+    cj = _enter(j, sig)
+    j = cj.j
     out = []
     for ax in axioms:
         axvars = {x for x, _ in ax.zones[0]}
@@ -277,13 +323,12 @@ def axiom_moves(j, sig: Signature, axioms):
                 # a var only on the other side cannot be guessed
                 if sigma is None or axvars - set(sigma):
                     continue
-                cj, _ = checks(replace(j, term=replace_at(
-                    j.term, path, _ainst(tgt, sigma))))
-                if cj is not None:
+                nxt, _ = cj.checks.at(cj, path, _ainst(tgt, sigma))
+                if nxt is not None:
                     out.append((Step(ax.name, path, kind="axiom",
                                      axdir=axdir,
                                      sigma=tuple(sorted(sigma.items()))),
-                                cj))
+                                nxt))
     return out
 
 
@@ -319,9 +364,11 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     if (jl.calculus, jl.form, jl.zones, jl.ty) != \
             (jr.calculus, jr.form, jr.zones, jr.ty):
         raise RewriteError("the two sides are not judgements of one shape")
-    cl = _enter(jl, sig)
+    cl, dl = _Checks(sig).root(jl)
     nl = normalize(cl, sig, budget=budget)
-    cr = _enter(jr, sig, cl.checks)
+    # dr is None only if jl's normalization reached jr, which then has
+    # jl's normal form: the sweep that reads dr is not reached
+    cr, dr = cl.checks.root(jr)
     nr = normalize(cr, sig, budget=budget)
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN",
@@ -332,7 +379,7 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
         return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
     from . import models as models_mod
     for name, binding in models:
-        eq, witness = models_mod.semantic_eq(jl, jr, binding, sig)
+        eq, witness = models_mod._sweep(jl, jr, dl, dr, binding, sig)
         if not eq:
             return EqVerdict("REFUTED", model=name, witness=witness)
     return EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
@@ -346,13 +393,17 @@ def _backward(steps):
 def _expand(cj, sig, axioms, budget):
     """One search layer: (move, NormalizeResult) for each axiom or
     search-only rule move, followed by renormalization."""
-    moves = axiom_moves(cj, sig, axioms)
+    out = [(step, normalize(nxt, sig, budget=budget))
+           for step, nxt in axiom_moves(cj, sig, axioms)]
     # search-only rules participate in both orientations
-    moves += [(Step(r.name, path), replace(cj.j, term=new_term))
-              for r, path, new_term in redexes(cj, sig, include_search=True)
-              if r.search_only]
-    return [(step, normalize(_enter(nxt, sig, cj.checks), sig, budget=budget))
-            for step, nxt in moves]
+    for r, path, new in redexes(cj, sig, include_search=True):
+        if r.search_only:
+            nxt, msg = cj.checks.at(cj, path, new)
+            if nxt is None:
+                raise RewriteError(f"term does not type-check: {msg}")
+            out.append((Step(r.name, path), normalize(nxt, sig,
+                                                      budget=budget)))
+    return out
 
 
 def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):

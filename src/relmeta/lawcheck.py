@@ -1093,10 +1093,18 @@ class GradedMonadData:
         """The extension overrides by (G, m, n, X, Y): lists of (table of f
         as a dict, cell, value), in the order of ext_overrides.  A key lists
         f's table as (element, value) pairs in any order; this is the one
-        place that reads it, for ext_value and the kernels alike."""
+        place that reads it, for ext_value and the kernels alike.  A table
+        with an entry outside f's domain G x X raises LawError."""
         index = {}
         for (key, cell), val in self.ext_overrides.items():
-            index.setdefault(key[:5], []).append((dict(key[5]), cell, val))
+            G, X, ftab = key[0], key[3], dict(key[5])
+            domain = set(itertools.product(self.carriers.get(G, ()),
+                                           self.carriers.get(X, ())))
+            outside = [e for e in ftab if e not in domain]
+            if outside:
+                raise LawError(f"extension override {key[:5]}: table entry"
+                               f" {outside[0]!r} is outside {G} x {X}")
+            index.setdefault(key[:5], []).append((ftab, cell, val))
         return index
 
     def ext_value(self, G, m, n, X, Y, f: dict, cell):

@@ -881,14 +881,21 @@ def semantic_eq(j1: Judgement, j2: Judgement, binding: ModelBinding,
     """
     if (j1.zones, j1.ty, j1.form) != (j2.zones, j2.ty, j2.form):
         raise ModelError("semantic equality needs a shared judgement shape")
-    grid = _grid_exp_for(j1, j2)
     r1 = check(j1, sig)
     r2 = check(j2, sig)
     if not (r1.ok and r2.ok):
         raise ModelError("semantic equality on ill-typed judgements")
+    return _sweep(j1, j2, r1.derivation, r2.derivation, binding, sig, cap)
+
+
+def _sweep(j1: Judgement, j2: Judgement, d1: Derivation, d2: Derivation,
+           binding: ModelBinding, sig: Signature, cap: int = 10 ** 6):
+    """semantic_eq of two judgements of one shape, from their checks'
+    derivations."""
+    grid = _grid_exp_for(j1, j2)
     names = _root_names(j1)
-    run1 = compile_derivation(r1.derivation, names, binding, sig)
-    run2 = compile_derivation(r2.derivation, names, binding, sig)
+    run1 = compile_derivation(d1, names, binding, sig)
+    run2 = compile_derivation(d2, names, binding, sig)
     for env in env_space(j1, binding, sig, grid, cap):
         slots = tuple(env[x] for x in names)
         if run1(slots) != run2(slots):

@@ -27,6 +27,14 @@ and fresh names, so they are valid by construction.  Every node of a scope
 holds the same zone tuples, not copies of them.  Printing and replay
 rebuild a node's names by walking from the root.  The rewrite engine, the
 evaluator and the translations read the derivation.
+
+Each node also holds the expected type the checker was given there (every
+synth_* entry pushes it, and the node's `deriv` pops it).  `typings` reads
+a derivation into the rewrite engine's typing index: per position, the
+form and type found and the zones, expected type and names in force given.
+Those inputs and the root's names to avoid fix how a subterm is checked, so
+`check_at` checks a rewritten subterm on its own and splices its nodes into
+the index, where it can show that a full check would give the same.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass
 from . import syntax
 from .signatures import Signature, SignatureError
 from .syntax import (Judgement, SyntaxError_, Term, TypeExpr, base, grty,
-                     jt, kt, prod, tgr, tt, type_to_text)
+                     jt, kt, prod, subterm_at, tgr, tt, type_to_text)
 
 
 @dataclass
@@ -45,6 +53,7 @@ class Derivation:
     judgement: Judgement
     children: tuple = ()
     binders: tuple = ()  # names of the binding child's binders, in slot order
+    expect: TypeExpr | None = None  # the expected type the checker was given
 
     def walk(self):
         yield self
@@ -260,6 +269,9 @@ class _Checker:
         self.names = list(names)
         self.avoid = set(names)
         self.occ = {}  # the occurrence table of the root term's nodes
+        # the expected types of the nodes being checked, outermost first:
+        # each synth_* entry pushes its own, and its node's `deriv` pops it
+        self.expects = []
 
     # .. helpers ..........................................................
 
@@ -308,39 +320,42 @@ class _Checker:
         j = _new(Judgement)
         j.__dict__.update(calculus=self.calculus, form=form, zones=zs,
                           term=term, ty=ty)
-        return Derivation(rule, j, children, binders)
+        return Derivation(rule, j, children, binders, self.expects.pop())
+
+    def synth(self, form):
+        """The synthesis function of the judgements of a form."""
+        if form == "A":
+            return self.synth_a
+        return {"lnl": self.synth_lnl_c,
+                "arrow": self.synth_command}.get(self.calculus,
+                                                 self.synth_armm_c)
 
     # .. entry ............................................................
 
-    def check_judgement(self, j: Judgement) -> Derivation:
-        try:
-            j.__post_init__()  # the root's zones, which every node's share
-        except SyntaxError_ as e:
-            self.fail((), "judgement", e.msg)
-        kinds = syntax.FORMS[j.calculus, j.form]
-        for zone, kind in zip(j.zones, kinds):
-            for x, ty in zone:
-                validate_type(ty, self.calculus, kind, self.sig)
-        validate_type(j.ty, self.calculus, kinds[-1], self.sig)
+    def check_judgement(self, j: Judgement, validated=False) -> Derivation:
+        if not validated:
+            try:
+                j.__post_init__()  # the root's zones, which every node's share
+            except SyntaxError_ as e:
+                self.fail((), "judgement", e.msg)
+            kinds = syntax.FORMS[j.calculus, j.form]
+            for zone, kind in zip(j.zones, kinds):
+                for x, ty in zone:
+                    validate_type(ty, self.calculus, kind, self.sig)
+            validate_type(j.ty, self.calculus, kinds[-1], self.sig)
         self.avoid |= {x for zone in j.zones for x, _ in zone}
         occ = occurrences(j.term, self.occ)
         self.avoid |= occ[0]
         if self.calculus == "urmm" and len(j.zones[0]) != 1:
             self.fail((), "judgement",
                       "the unary calculus takes exactly one context variable")
-        if j.form == "A":
-            d, ty = self.synth_a(j.term, (), *j.zones, expect=j.ty)
-        elif self.calculus == "lnl":
+        if j.form == "C" and self.calculus == "lnl":
             unused = {x for x, _ in j.zones[1]} - _free(occ, self.names)
             if unused:
                 raise LinearityError(
                     (), "linear", f"unused linear variable(s): "
                     f"{', '.join(sorted(unused))}")
-            d, ty = self.synth_lnl_c(j.term, (), *j.zones, expect=j.ty)
-        elif self.calculus == "arrow":
-            d, ty = self.synth_command(j.term, (), *j.zones, expect=j.ty)
-        else:
-            d, ty = self.synth_armm_c(j.term, (), *j.zones, expect=j.ty)
+        d, ty = self.synth(j.form)(j.term, (), *j.zones, expect=j.ty)
         if not self.teq(ty, j.ty):
             self.fail((), "judgement", "result type mismatch", j.ty, ty)
         return d
@@ -348,6 +363,7 @@ class _Checker:
     # .. A-zone synthesis (Cartesian judgements of every calculus) ........
 
     def synth_a(self, t: Term, path, gamma, expect=None):
+        self.expects.append(expect)
         calc = self.calculus
         k = t.kind
         zs = (gamma,)
@@ -549,6 +565,7 @@ class _Checker:
     # .. LNL linear judgements ............................................
 
     def synth_lnl_c(self, t: Term, path, gamma, delta, expect=None):
+        self.expects.append(expect)
         k = t.kind
         zs = (gamma, delta)
 
@@ -772,6 +789,7 @@ class _Checker:
     # .. arrow-calculus commands ..........................................
 
     def synth_command(self, t: Term, path, gamma, delta, expect=None):
+        self.expects.append(expect)
         zs = (gamma, delta)
         match t.kind:
             case "ret":
@@ -807,6 +825,7 @@ class _Checker:
 
     def synth_armm_c(self, t: Term, path, gamma, delta, phi,
                      expect=None):
+        self.expects.append(expect)
         zs = (gamma, delta, phi)
         k = t.kind
         x = self.var_name(t)
@@ -926,16 +945,80 @@ class _Checker:
 # ---------------------------------------------------------------------------
 # Public API
 
-def check(j: Judgement, sig: Signature) -> CheckResult:
-    """Decide the judgement; on acceptance return a replayable derivation."""
+def check(j: Judgement, sig: Signature, *, validated=False) -> CheckResult:
+    """Decide the judgement; on acceptance return a replayable derivation.
+    `validated` says that a check accepted a judgement of j's shape (its
+    calculus, form, zones and type) before, so its zones and type are not
+    validated again."""
     try:
-        d = _Checker(sig, j.calculus).check_judgement(j)
+        d = _Checker(sig, j.calculus).check_judgement(j, validated)
     except _Fail as e:
         return CheckResult(False, message=e.message, path=e.path, rule=e.rule,
                            expected=e.expected, actual=e.actual)
     except SignatureError as e:
         return CheckResult(False, message=str(e), path=(), rule="signature")
     return CheckResult(True, derivation=d)
+
+
+def typings(d: Derivation, path=(), names=(), out=None) -> dict:
+    """The typing index of a derivation: position -> (form, type, zones,
+    expected type, names) of each node, in `positions` order (child i of a
+    node types sub-term i).  The form and type are what the checker found
+    at the node; the zones, the expected type and the names of the binders
+    in force (innermost last) are what it was given there, so `check_at`
+    can check the node's position again on its own."""
+    out = {} if out is None else out
+    j = d.judgement
+    out[path] = (j.form, j.ty, j.zones, d.expect, names)
+    for i, c in enumerate(d.children):
+        typings(c, path + (i,), d.child_names(i, names), out)
+    return out
+
+
+def check_at(j: Judgement, index: dict, path: tuple, new: Term,
+             sig: Signature) -> dict | None:
+    """The typing index of j with its subterm at `path` replaced by `new`,
+    from a check of `new` alone; `index` is j's (see `typings`).
+
+    `new` is checked under the inputs the index records at `path` and the
+    names j's check avoided, which for a well-typed j are its zones' names
+    (every free name of j is one of them).  The result is j's index with
+    the subtree at `path` replaced by the new one, in `positions` order.
+    That is what a full check of the new judgement gives when `new` has the
+    old subterm's occurrences (free names and dangling bvars: the linear
+    splits, the unused-variable tests and the names to avoid above it read
+    only those) and its type is `==` the recorded one (the nodes above read
+    it as is: equality up to the grading could still change their types).
+    None when either differs or the check of `new` fails: a full check
+    then decides, and words the failure."""
+    memo = {}
+    if occurrences(new, memo) != occurrences(subterm_at(j.term, path), memo):
+        return None
+    form, ty, zones, expect, names = index[path]
+    c = _Checker(sig, j.calculus, names)
+    c.occ = memo
+    c.avoid.update(x for zone in j.zones for x, _ in zone)
+    try:
+        d, got = c.synth(form)(new, path, *zones, expect=expect)
+    except (_Fail, SignatureError):
+        return None
+    if got != ty:
+        return None
+    # the positions under `path` are one run of the preorder
+    out = {}
+    rest = iter(index.items())
+    for p, typing in rest:
+        if p == path:
+            break
+        out[p] = typing
+    typings(d, path, names, out)
+    n = len(path)
+    for p, typing in rest:
+        if p[:n] != path:
+            out[p] = typing
+            break
+    out.update(rest)
+    return out
 
 
 def check_graded_arithmetic(derivation: Derivation, sig: Signature) -> bool:

@@ -1,18 +1,23 @@
 """Normalization, the three-valued equality procedure, and proof replay."""
 
+import collections
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import accepted_golden_judgements
-from relmeta import equations, gen as genmod
+from relmeta import equations, gen as genmod, typecheck
 from relmeta.equations import (BudgetExceeded, EqProof, Step, check_eq,
                                check_proof, derive_local_store, normalize,
                                parse_proof)
+from relmeta.rules import rules_for
 from relmeta.signatures import load_signature
-from relmeta.syntax import (alpha_eq, judgement, parse_context, parse_term,
-                            parse_type, positions, subterm_at, term_to_text)
-from relmeta.typecheck import check
+from relmeta.syntax import (alpha_eq, base, judgement, parse_context,
+                            parse_term, parse_type, positions, replace_at,
+                            subterm_at, term_to_text)
+from relmeta.translate import arrow_to_armm, gmm_to_lnl
+from relmeta.typecheck import check, check_at, typings
 
 
 def _j(calc, sig, ctx, term, ty, form=None):
@@ -281,15 +286,27 @@ def test_subject_reduction_enforced(coin_sig):
 
 # -- one typecheck per rewrite step --------------------------------------------
 
-def _count_checks(monkeypatch):
-    """Record the term of every judgement the step engine type-checks."""
+def _count_checks(monkeypatch, local=None):
+    """Record the term of every judgement the step engine type-checks: in
+    full, and locally where the local check decides (a local check that
+    leaves the decision to a full check counts as that full check).  The
+    terms decided locally also go to `local`, if given."""
     seen = []
 
-    def counting(j, sig):
+    def counting(j, sig, **kw):
         seen.append(j.term)
-        return check(j, sig)
+        return check(j, sig, **kw)
+
+    def counting_at(j, index, path, new, sig):
+        out = check_at(j, index, path, new, sig)
+        if out is not None:
+            seen.append(replace_at(j.term, path, new))
+            if local is not None:
+                local.append(seen[-1])
+        return out
 
     monkeypatch.setattr(equations, "check", counting)
+    monkeypatch.setattr(equations, "check_at", counting_at)
     return seen
 
 
@@ -297,11 +314,13 @@ def test_normalize_checks_each_judgement_once(coin_sig, monkeypatch):
     j = _j("rmm", coin_sig, "y : J(2), u : T(2)",
            "do z <- (do x <- ret y in do w <- u in ret not not x) in ret z",
            "T(2)")
-    seen = _count_checks(monkeypatch)
+    local = []
+    seen = _count_checks(monkeypatch, local)
     res = normalize(j, coin_sig)
     assert len(res.steps) >= 3
     assert len(seen) == len(res.steps) + 1
     assert len(set(seen)) == len(seen)
+    assert local  # the steps' checks are local where they can be
 
 
 def test_check_proof_threads_checks(coin_sig, monkeypatch):
@@ -313,9 +332,11 @@ def test_check_proof_threads_checks(coin_sig, monkeypatch):
     assert len(proof.steps) >= 3
     assert {s.kind for s in proof.steps} == {"rule"}
     assert {s.orientation for s in proof.steps} == {"fwd", "bwd"}
-    seen = _count_checks(monkeypatch)
+    local = []
+    seen = _count_checks(monkeypatch, local)
     assert check_proof(proof, jl, jr, coin_sig)
     assert len(seen) <= len(proof.steps) + 2
+    assert not local  # proof replay checks every term in full
 
 
 @pytest.mark.parametrize("lhs, rhs", [
@@ -337,18 +358,187 @@ def test_check_eq_checks_each_term_once(coin_sig, monkeypatch, lhs, rhs):
 
 def test_typing_index_has_exactly_the_term_positions():
     """The engine's typing index of a checked judgement has one entry per
-    term position, in `positions` order, each the form and type of the
-    derivation node at that position; for all six calculi."""
+    term position, in `positions` order, each the form, type, zones and
+    expected type of the derivation node at that position and the names of
+    the binders in force there; for all six calculi."""
     calculi = set()
     for name, j, sig in accepted_golden_judgements():
         cj = equations._enter(j, sig)
         assert list(cj.ann) == positions(j.term), name
         d = check(j, sig).derivation
-        for path, (form, ty) in cj.ann.items():
-            node = d
+        for path, (form, ty, zones, expect, names) in cj.ann.items():
+            node, in_force = d, ()
             for i in path:
-                node = node.children[i]
+                node, in_force = node.children[i], \
+                    node.child_names(i, in_force)
             assert len(node.children) == len(subterm_at(j.term, path).subs)
-            assert (form, ty) == (node.judgement.form, node.judgement.ty)
+            assert (form, ty, zones, expect, names) == \
+                (node.judgement.form, node.judgement.ty,
+                 node.judgement.zones, node.expect, in_force)
+        assert cj.ann[()][3] == j.ty  # the root is checked against its type
         calculi.add(j.calculus)
     assert calculi == {"urmm", "rmm", "gmm", "lnl", "arrow", "armm"}
+
+
+# -- local subject-reduction checks --------------------------------------------
+
+def _differential(monkeypatch):
+    """Check every step result the engine checks locally in full as well:
+    where the local check decides, its spliced index must be the full
+    check's, entry for entry and in order, and the full check must accept.
+    Returns the count of (calculus, decided locally) over the calls."""
+    counts = collections.Counter()
+
+    def both(j, index, path, new, sig):
+        out = check_at(j, index, path, new, sig)
+        full = check(replace(j, term=replace_at(j.term, path, new)), sig)
+        if out is not None:
+            assert full.ok, full.message
+            assert list(out.items()) == \
+                list(typings(full.derivation).items())
+        counts[j.calculus, out is not None] += 1
+        return out
+
+    monkeypatch.setattr(equations, "check_at", both)
+    return counts
+
+
+def _rewrite_everything(j, sig):
+    """The engine's rewrites from j: its normalization, and one search layer
+    (axiom and search-only moves, each renormalized) from j and from its
+    normal form."""
+    axioms = sig.theory.axioms if sig.theory else []
+    cj = equations._enter(j, sig)
+    nf = normalize(cj, sig)
+    equations._expand(cj, sig, axioms, 10000)
+    equations._expand(equations._enter(replace(j, term=nf.term), sig,
+                                       cj.checks), sig, axioms, 10000)
+
+
+def _generated(rng, sig, calc, objects, n):
+    g = genmod.Gen(rng, sig, calc, objects)
+    out = []
+    while len(out) < n:
+        ctx = genmod.seeded_context(calc, objects, g.gen_context(1))
+        if calc == "arrow" and rng.random() < 0.5:
+            delta = (("w", base(objects[0])),)
+            ty = base(rng.choice(objects))
+            t = g.gen_command(ctx, delta, ty, rng.randint(1, 8))
+            out.append(judgement(calc, [ctx, delta], t, ty, form="C"))
+            continue
+        ty = g.gen_type(2 if calc != "rmm" else 1)
+        try:
+            t = g.gen_term(ctx, ty, rng.randint(2, 10))
+        except ValueError:
+            continue
+        out.append(judgement(calc, [ctx], t, ty,
+                             form="A" if calc == "arrow" else None))
+    return out
+
+
+def test_spliced_index_equals_a_full_checks(coin_sig, sweep_sig,
+                                            gmm_plain_sig, lnl_sig,
+                                            arrow_sig, monkeypatch):
+    """Every local check of an engine rewrite gives the index a full check
+    of the result gives: on the accepted goldens, on generated terms and on
+    their gmm -> lnl and arrow -> armm translations, in all six calculi
+    (`gen.Gen` makes no unary terms, so those are written out, as is an
+    LNL step that writes a grade another way: regrade.id turns
+    `regrade<6>=6> w` of type gr(6) into w of type gr(2 * 3))."""
+    rng = random.Random(20240811)
+    corpus = [(j, sig) for _, j, sig in accepted_golden_judgements()]
+    corpus += [(_j("urmm", coin_sig, "z : J(2)", t, "T(2)"), coin_sig)
+               for t in ("do x <- (do y <- ret z in ret not y) in ret x",
+                         "do x <- ret not not z in do y <- ret x in ret y",
+                         "do x <- (do y <- coin in ret not y) in"
+                         " ret not x")]
+    corpus.append((_j("lnl", lnl_sig, ["", "w : gr(2 * 3), u : I"],
+                      "(regrade<6>=6> w, u)", "gr(6) * I", form="C"),
+                   lnl_sig))
+    for calc, sig, objects in (("rmm", sweep_sig, ["1o", "2"]),
+                               ("gmm", gmm_plain_sig, ["A", "B"]),
+                               ("arrow", arrow_sig, ["B", "C"])):
+        tr = {"gmm": gmm_to_lnl, "arrow": arrow_to_armm}.get(calc)
+        for j in _generated(rng, sig, calc, objects, 40):
+            corpus.append((j, sig))
+            if tr is not None:
+                corpus.append((tr(j, sig)[0], sig))
+    # instances of the core equations: a redex at every depth
+    for _ in range(3):
+        corpus += [(j, coin_sig) for _, jl, jr in genmod.rmm_schema_instances(
+            rng, coin_sig, ["2", "4"]) for j in (jl, jr)]
+        corpus += [(j, gmm_plain_sig) for _, jl, jr in
+                   genmod.gmm_schema_instances(rng, gmm_plain_sig, ["A", "B"])
+                   for j in (jl, jr)]
+    counts = _differential(monkeypatch)
+    for j, sig in corpus:
+        _rewrite_everything(j, sig)
+    calculi = {"urmm", "rmm", "gmm", "lnl", "arrow", "armm"}
+    assert {c for c, local in counts if local} == calculi, counts
+    assert any(not local for _, local in counts), counts
+
+
+def _break(monkeypatch, calc, name, broken):
+    """Make a rule return broken(t) wherever it fires on t."""
+    r = next(r for r in rules_for(calc, True) if r.name == name)
+    orig = r.rewrite
+    monkeypatch.setattr(r, "rewrite", lambda t, ctx: None
+                        if orig(t, ctx) is None else broken(t))
+
+
+@pytest.mark.parametrize("case", ["broken-rule", "lnl-drops-a-variable"])
+def test_a_step_that_breaks_typing_is_worded_by_a_full_check(
+        case, coin_sig, lnl_sig, monkeypatch):
+    """A step whose local check cannot vouch for it falls back to a full
+    check, so its error reads as when every step was checked in full:
+    do.beta returning the bound value itself (same occurrences, another
+    type), and an LNL do.eta that drops the `let () = v in` of its
+    scrutinee (one linear variable fewer)."""
+    if case == "broken-rule":
+        _break(monkeypatch, "rmm", "do.beta", lambda t: t.subs[0].subs[0])
+        j = _j("rmm", coin_sig, "y : J(2), u : T(2)",
+               "do w <- u in (do x <- ret y in ret not x)", "T(2)")
+        sig, text = coin_sig, (
+            "rule do.beta at (1,) broke typing: do body must be a"
+            " computation\n"
+            "  before: do w <- u in do x <- ret y in ret not x\n"
+            "  after:  do w <- u in y")
+    else:
+        _break(monkeypatch, "lnl", "do.eta", lambda t: t.subs[0].subs[1])
+        j = _j("lnl", lnl_sig, ["", "u : I, v : I, x : J(A)"],
+               "let () = u in (do y <- (let () = v in ret x) in ret y)",
+               "T(A)", form="C")
+        sig, text = lnl_sig, (
+            "rule do.eta at (1,) broke typing: unused linear variable(s):"
+            " v\n"
+            "  before: let () = u in do y <- let () = v in ret x in ret y\n"
+            "  after:  let () = u in ret x")
+    counts = _differential(monkeypatch)
+    with pytest.raises(equations.SubjectReductionError) as e:
+        normalize(j, sig)
+    assert str(e.value) == text
+    assert counts == {(j.calculus, False): 1}
+
+
+def test_check_eq_validates_the_shape_once(coin_sig, dist_binding,
+                                           monkeypatch):
+    """The two sides of check_eq share one judgement shape: its zones and
+    type are validated by the first check alone, and the model sweep reads
+    the sides' derivations instead of checking them again."""
+    jl = _j("rmm", coin_sig, "z : J(2), u : T(2)",
+            "do x <- coin in do w <- u in ret x", "T(2)")
+    jr = _j("rmm", coin_sig, "z : J(2), u : T(2)", "do w <- u in ret z",
+            "T(2)")
+    calls = []
+    orig = typecheck.validate_type
+    monkeypatch.setattr(typecheck, "validate_type",
+                        lambda *a, **k: calls.append(a) or orig(*a, **k))
+    assert check(jl, coin_sig).ok
+    once = len(calls)
+    assert once >= 3  # the two zone types and the result type
+    del calls[:]
+    seen = _count_checks(monkeypatch)
+    v = check_eq(jl, jr, coin_sig, [("dist", dist_binding)])
+    assert v.status == "REFUTED"
+    assert len(seen) >= 2
+    assert len(calls) == once

@@ -5,6 +5,7 @@ import collections
 import gc
 import itertools
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -733,6 +734,21 @@ def test_graded_witnesses_match_an_independent_scan(name):
     got = (assoc.witness, assoc.skipped, nat.witness, nat.skipped)
     assert got == (*_scan_assoc(mut), *_scan_naturality(mut))
     assert got == ORACLE_EXPECTED[name]
+
+
+def test_override_table_outside_the_domain_is_rejected():
+    # the reversed-key override with one more table entry, outside B x B:
+    # the kernels read only the domain's entries and ext_value the whole
+    # table, so the key is rejected where both read it
+    mut = _oracle_mutants()["reversed-key"]
+    (key, cell), value = next(iter(mut.ext_overrides.items()))
+    mut.ext_overrides = {
+        ((*key[:5], key[5] + ((("zz", "b0"), ()),)), cell): value}
+    msg = "table entry ('zz', 'b0') is outside B x B"
+    with pytest.raises(lc.LawError, match=re.escape(msg)):
+        lc.check_graded_laws(mut)
+    with pytest.raises(lc.LawError, match=re.escape(msg)):
+        mut.ext_value("B", 1, 1, "B", "B", dict(key[5]), cell)
 
 
 def test_codec_join_of_a_list_outside_the_value_space(glist):
