@@ -1,0 +1,576 @@
+"""The vectorized kernels of the graded-monad laws (numpy).
+
+lawcheck imports this module on the first graded check, so that no other
+law set, and no other subcommand, loads numpy.
+
+The graded checks live over implicit finite sets (declared carriers with
+computed function spaces) rather than an explicit FinCategory: the
+quantification domains are astronomically larger than the 64-morphism cap
+allows, so the heavy sweeps are vectorized.  Values are integer-coded, the
+extension operator of a combination of grades and carriers is tabulated
+for all its maps at once, and the overrides are matched once per table.
+One check builds each such table once, in a store (_Tables) that its laws
+share and that goes with them, so its memory is the distinct tables of
+that check.  The laws quantified over two function spaces report their
+first failing instance in the order of the loops outer row, then cell,
+then inner row.  Associativity (over f and g) is decided cell by cell,
+once per class of the f that agree on all the cell's two sides read of
+f; context naturality (over u and f) in blocks of whole arrays of at
+most GRADED_BLOCK_ELEMENTS elements, whose first failing instance is
+found in that order, so the witnesses do not depend on the block size.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+import numpy as _np
+
+from .lawcheck import GradedMonadData, Guard, Law, LawError
+
+
+# int32 elements per block of context naturality's (u, f) pairs and of the
+# rows in which an extension table is built.  It bounds those transient
+# arrays; the tables themselves stay until the check ends.
+GRADED_BLOCK_ELEMENTS = 1 << 16
+
+
+class _GradedCodec:
+    """Integer coding of one combo's value spaces plus the vectorized
+    extension operator."""
+
+    def __init__(self, gd: GradedMonadData, X, cap):
+        self.gd = gd
+        self.X = X
+        self.vals = gd.tvals(cap, X)
+        self.code = {v: i for i, v in enumerate(self.vals)}
+        n = len(self.vals)
+        # cat[a, b] codes a ++ b, or is -1 where that leaves the value
+        # space; its extra last row, all -1, is the one a = -1 reads
+        cat = _np.full((n + 1, n), -1, dtype=_np.int32)
+        for i, a in enumerate(self.vals):
+            for j, b in enumerate(self.vals):
+                c = a + b
+                if c in self.code:
+                    cat[i, j] = self.code[c]
+        self._flat = cat.ravel()
+        self.empty = self.code[()]
+
+    def join(self, a, b):
+        """Codes of a ++ b, elementwise, for codes a (or -1, a list outside
+        the value space) and b: -1 where the list leaves the value space,
+        and wherever a is -1, also when b is the empty list."""
+        # a = -1 indexes from the end of the flat table: its last row
+        return self._flat[a * len(self.vals) + b]
+
+
+def _all_maps_array(dom_size, n_codes):
+    """All functions dom -> codes as an int array (N, dom_size)."""
+    total = n_codes ** dom_size
+    if total > 600000:
+        raise LawError(f"graded sweep too large: {n_codes}^{dom_size}")
+    ar = _np.arange(total, dtype=_np.int32)
+    out = _np.empty((total, dom_size), dtype=_np.int32)
+    for i in range(dom_size):
+        out[:, i] = (ar // (n_codes ** (dom_size - 1 - i))) % n_codes
+    return out
+
+
+def _coded_overrides(overrides, fkeys, codec, cell_index) -> list:
+    """The overrides that can apply to maps on the domain fkeys (in column
+    order) coded in codec's space: (coded table, cell column, value code)
+    each."""
+    out = []
+    for ftab, cell, val in overrides:
+        try:
+            coded = _np.array([codec.code[ftab[k]] for k in fkeys],
+                              dtype=_np.int32)
+        except KeyError:
+            continue
+        if cell in cell_index and val in codec.code:
+            out.append((coded, cell_index[cell], codec.code[val]))
+    return out
+
+
+def _concat_plan(cells, key_index) -> list:
+    """How to fill the cells (g, xs) by concatenation: per list length k >=
+    1, the cells of that length, their prefixes (g, xs[:-1]), which are
+    cells of length k - 1, and the key (g, xs[-1]) of their last part."""
+    cell_index = {c: i for i, c in enumerate(cells)}
+    levels = {}
+    for ci, (g, xs) in enumerate(cells):
+        if xs:
+            levels.setdefault(len(xs), []).append(
+                (ci, cell_index[(g, xs[:-1])], key_index[(g, xs[-1])]))
+    return [tuple(_np.array(a, dtype=_np.intp) for a in zip(*level))
+            for _, level in sorted(levels.items())]
+
+
+def _concat(plan, codec, parts, ncells):
+    """out[:, c] = the concatenation of parts[:, key] over the keys of cell
+    c, by one cat gather per list length; the cells axis is axis 1."""
+    out = _np.full((parts.shape[0], ncells), codec.empty, dtype=_np.int32)
+    for idx, pre, key in plan:
+        out[:, idx] = codec.join(out[:, pre], parts[:, key])
+    return out
+
+
+class _ExtVec:
+    """Vectorized f*_{m,n} for every row of fmat at once: one column per
+    cell (g, xs), with the overrides of its (G, m, n, X, Y) applied by
+    matching rows against each override's coded table."""
+
+    def __init__(self, gd, overrides, G, m, X, fmat, dom_index, codec_y,
+                 codec_x):
+        # fmat: (Nf, |G x X|) codes of T_n Y values (in codec_y space),
+        # its columns in the order of dom_index
+        self.gs = gd.carriers[G]
+        self.codec_x = codec_x
+        self.cells = [(g, xs) for g in self.gs for xs in gd.tvals(m, X)]
+        self.cell_index = {c: i for i, c in enumerate(self.cells)}
+        plan, width = _concat_plan(self.cells, dom_index), len(self.cells)
+        self.mat = _np.empty((fmat.shape[0], width), dtype=_np.int32)
+        # in row blocks, which bound _concat's temporaries
+        rows = max(1, GRADED_BLOCK_ELEMENTS // max(1, width))
+        for r in range(0, fmat.shape[0], rows):
+            self.mat[r:r + rows] = _concat(plan, codec_y, fmat[r:r + rows],
+                                           width)
+        fkeys = sorted(dom_index, key=dom_index.get)
+        for coded, ci, v in _coded_overrides(overrides, fkeys, codec_y,
+                                             self.cell_index):
+            self.mat[(fmat == coded).all(axis=1), ci] = v
+
+    def col(self, cell):
+        return self.mat[:, self.cell_index[cell]]
+
+    @functools.cached_property
+    def colmap(self):
+        """(position of g in G, code of v in X's space) -> the column of
+        the cell (g, v), or the number of cells where v is no cell's."""
+        gpos = {g: i for i, g in enumerate(self.gs)}
+        cm = _np.full((len(gpos), len(self.codec_x.vals)), len(self.cells),
+                      dtype=_np.int32)
+        for (g, v), ci in self.cell_index.items():
+            cm[gpos[g], self.codec_x.code[v]] = ci
+        return cm
+
+
+def _fmat_for(gd, G, X, n, codec_y):
+    """All maps G x X -> T_n Y coded in codec_y's space, plus the domain
+    index."""
+    gelems = gd.carriers[G]
+    xelems = gd.carriers[X]
+    dom = [(g, x) for g in gelems for x in xelems]
+    dom_index = {k: i for i, k in enumerate(dom)}
+    level_vals = gd.tvals(n, codec_y.X)
+    level_codes = _np.array([codec_y.code[v] for v in level_vals],
+                            dtype=_np.int32)
+    raw = _all_maps_array(len(dom), len(level_vals))
+    return level_codes[raw], dom_index
+
+
+class _Tables:
+    """The coded function spaces and extension tables of one graded check.
+
+    Each is built on its first use and kept until the check ends, so the
+    combos of every law that read one table share it.  An extension table
+    is keyed by what fixes its contents: (G, m, n, X, Y), whether that
+    key's overrides are applied, and the regrade its maps are recoded
+    through."""
+
+    def __init__(self, gd: GradedMonadData):
+        self.gd = gd
+        self.codecs = {X: _GradedCodec(gd, X, max(gd.grades))
+                       for X in sorted(gd.carriers)}
+        self.ovr = gd.overrides()
+        self._built = {}
+
+    def _once(self, key, build):
+        """The value stored under key, built by build() on first use."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def fmat(self, G, X, n, Y):
+        """Every map G x X -> T_n Y coded in Y's space, and the index of
+        the domain's columns."""
+        return self._once(("fmat", G, X, n, Y), lambda: _fmat_for(
+            self.gd, G, X, n, self.codecs[Y]))
+
+    def ext(self, G, m, n, X, Y):
+        """f*_{m,n} of every f : G x X -> T_n Y, with the overrides."""
+        return self._ext((G, m, n, X, Y), True, None)
+
+    def plain(self, G, m, n, X, Y):
+        """f*_{m,n} of every f : G x X -> T_n Y, without the overrides."""
+        return self._ext((G, m, n, X, Y), False, None)
+
+    def regraded(self, G, m, n, n2, X, Y):
+        """(T_xi o f)*_{m,n} of every f : G x X -> T_n2 Y, xi : n >= n2,
+        with the overrides of (G, m, n, X, Y): its rows are the f.  The
+        identity regrade gives the table ext gives."""
+        lut = self.regrade_lut(n, n2, Y)
+        if n == n2 and (lut == _np.arange(len(lut))).all():
+            return self.ext(G, m, n, X, Y)
+        return self._ext((G, m, n, X, Y), True, n2)
+
+    def _ext(self, gkey, applied, regrade):
+        G, m, n, X, Y = gkey
+        over = self.ovr.get(gkey, ()) if applied else ()
+
+        def build():
+            if regrade is None:
+                fmat, dom = self.fmat(G, X, n, Y)
+            else:
+                fmat, dom = self.fmat(G, X, regrade, Y)
+                fmat = self.regrade_lut(n, regrade, Y)[fmat]
+            return _ExtVec(self.gd, over, G, m, X, fmat, dom, self.codecs[Y],
+                           self.codecs[X])
+        return self._once(("ext", gkey, bool(over), regrade), build)
+
+    def regrade_lut(self, hi, lo, Y):
+        """The code of each value of T_lo Y -> the code of its regrade into
+        T_hi Y (other codes map to themselves)."""
+        cy = self.codecs[Y]
+        lut = _np.arange(len(cy.vals), dtype=_np.int32)
+        for v in self.gd.tvals(lo, Y):
+            lut[cy.code[v]] = cy.code[self.gd.tx[(hi, lo, Y, v)]]
+        return lut
+
+
+def _first_diff(lhs, rhs) -> int:
+    return int(_np.nonzero(lhs != rhs)[0][0])
+
+
+def _block_gather(table, cols, outer, inner, outer_picks):
+    """out[o, c, i] = mat[row, cols[pick, c]] over one block, laid out
+    (outer, cell, inner).  Either the outer rows run over cols' rows and the
+    inner ones over mat's, and table is mat transposed, contiguous, or the
+    other way round, and table is mat."""
+    if outer_picks:
+        return table[cols[outer], inner]
+    return table[outer][:, cols[inner].T]
+
+
+def _first_hit(n_outer, n_inner, width, block):
+    """The first (outer, cell, inner) at which block's mask is True, or
+    None.  block(outer, inner) takes two slices and returns the mask of
+    that block laid out (outer, cell, inner); width is the number of int32
+    elements a block holds per (outer, inner) pair.  A block spans as many
+    whole outer rows as GRADED_BLOCK_ELEMENTS allows; when one outer row
+    is more than that, its inner axis is cut too, and the least failing
+    inner row of each cell is kept across the cuts before the first failing
+    cell is chosen."""
+    pairs = max(1, GRADED_BLOCK_ELEMENTS // max(1, width))
+    if pairs >= n_inner:
+        step = pairs // max(1, n_inner)
+        for o0 in range(0, n_outer, step):
+            mask = block(slice(o0, o0 + step), slice(0, n_inner))
+            if mask.any():
+                o, c, i = _np.unravel_index(mask.argmax(), mask.shape)
+                return o0 + int(o), int(c), int(i)
+        return None
+    for o in range(n_outer):
+        first = None
+        for i0 in range(0, n_inner, pairs):
+            mask = block(slice(o, o + 1), slice(i0, i0 + pairs))[0]
+            at = _np.where(mask.any(axis=1), i0 + mask.argmax(axis=1),
+                           n_inner)
+            first = at if first is None else _np.minimum(first, at)
+        hit = first < n_inner
+        if hit.any():
+            c = int(hit.argmax())
+            return o, c, int(first[c])
+    return None
+
+
+def graded_laws(gd: GradedMonadData) -> list[Law]:
+    """The graded-monad laws over the declared fragment: unit laws,
+    associativity, regrade functoriality and compatibility, and naturality
+    in the context; out-of-fragment tensors are reported as skips.  The
+    engine quantifies over grades and carriers; the vectorized kernels
+    sweep the function spaces.  The laws share one store of tables, which
+    lives as long as the list returned."""
+    grades, e, car, tx, tensor = (gd.grades, gd.unit_grade, gd.carriers,
+                                  gd.tx, gd.tensor)
+    names = sorted(car)
+    tables = _Tables(gd)
+
+    def below(m):
+        return [n for n in grades if m >= n]
+
+    def lifts(m, n, X, Y):
+        # every carrier map h : X -> Y as a table
+        return [dict(zip(car[X], h))
+                for h in itertools.product(car[Y], repeat=len(car[X]))]
+
+    def regrade_natural(m, n, X, Y, htab, v):
+        # regrades commute with the lifted action of every carrier map
+        return tx[(m, n, Y, tuple(htab[x] for x in v))] == \
+            tuple(htab[x] for x in tx[(m, n, X, v)])
+
+    def unit_right(G, m, A, g, xs):
+        # (eta o pi)*_{m,e} agrees with the projection
+        f = {(g2, a): gd.eta[(A, a)] for g2 in car[G] for a in car[A]}
+        got = gd.ext_value(G, m, e, A, A, f, (g, xs))
+        me = tensor(m, e)
+        return got == (tx[(me, m, A, xs)] if me != m else xs) or (got,)
+
+    def unit_left(G, m, A, B):
+        # f*_{e,m} o (G x eta) = f, for every f
+        fmat, dom_index = tables.fmat(G, A, m, B)
+        extv = tables.ext(G, e, m, A, B)
+        for g in car[G]:
+            for a in car[A]:
+                lhs = extv.col((g, gd.eta[(A, a)]))
+                rhs = fmat[:, dom_index[(g, a)]]
+                if not _np.array_equal(lhs, rhs):
+                    return (g, a, f"f#{_first_diff(lhs, rhs)}")
+        return True
+
+    def naturality(m, n, G2, G, A, B):
+        # f*_{m,n} o (u x T_m A) = (f o (u x A))*_{m,n} for u : G2 -> G.
+        # Without overrides (f o (u x A))* at (g2, xs) is f* at (u g2, xs),
+        # so both sides are columns of f*, before and after G's overrides,
+        # and the left one gets the overrides at G2 that match f o (u x A).
+        fmat, dom_index = tables.fmat(G, A, n, B)
+        plain, extv = (tables.plain(G, m, n, A, B),
+                       tables.ext(G, m, n, A, B))
+        us = list(itertools.product(car[G], repeat=len(car[G2])))
+        utabs = [dict(zip(car[G2], u)) for u in us]
+        cells = [(g2, xs) for g2 in car[G2] for xs in gd.tvals(m, A)]
+        keys = sorted((g2, a) for g2 in car[G2] for a in car[A])
+        # per u: the f* column of (u g2, xs) for each cell (g2, xs), and
+        # the f column of (u g2, a) for each (g2, a) of f o (u x A)
+        ucells = _np.array([[extv.cell_index[(ut[g2], xs)] for g2, xs in cells]
+                            for ut in utabs], dtype=_np.intp)
+        ukeys = _np.array([[dom_index[(ut[g2], a)] for g2, a in keys]
+                           for ut in utabs], dtype=_np.intp)
+        over2 = _coded_overrides(tables.ovr.get((G2, m, n, A, B), ()), keys,
+                                 tables.codecs[B],
+                                 {c: i for i, c in enumerate(cells)})
+        if extv is plain and not over2:
+            return True  # both sides are the same columns of f*
+        ptab, etab = (_np.ascontiguousarray(t.mat.T) for t in (plain, extv))
+        ftab = _np.ascontiguousarray(fmat.T) if over2 else None
+
+        def block(outer, inner):
+            lhs = _block_gather(ptab, ucells, outer, inner, True)
+            if over2:
+                f2 = _block_gather(ftab, ukeys, outer, inner, True)
+                for coded, ci, v in over2:
+                    lhs[:, ci][(f2 == coded[:, None]).all(axis=1)] = v
+            return lhs != _block_gather(etab, ucells, outer, inner, True)
+
+        hit = _first_hit(len(us), len(fmat), len(cells) + len(keys), block)
+        if hit is None:
+            return True
+        o, c, i = hit
+        return (us[o], *cells[c], f"f#{i}")
+
+    return [
+        Law("graded-functor-identity", "tx-id",
+            (grades, names, lambda m, X: gd.tvals(m, X)),
+            lambda m, X, v: tx[(m, m, X, v)] == v),
+        Law("graded-functor-composition", "tx-comp",
+            (grades, below, lambda m, n: below(n), names,
+             lambda m, n, l, X: gd.tvals(l, X)),
+            lambda m, n, l, X, v:
+                tx[(m, l, X, v)] == tx[(m, n, X, tx[(n, l, X, v)])]),
+        Law("graded-regrade-naturality", "tx-naturality",
+            (grades, below, names, names, lifts,
+             lambda m, n, X, Y, htab: gd.tvals(n, X)), regrade_natural),
+        Law("graded-unit-right", "unit-right",
+            (names, grades, Guard(lambda G, m: tensor(m, e) in grades),
+             names, lambda G, m, A: car[G],
+             lambda G, m, A, g: gd.tvals(m, A)), unit_right),
+        Law("graded-unit-left", "unit-left",
+            (names, grades, Guard(lambda G, m: tensor(e, m) in grades),
+             names, names), unit_left),
+        Law("graded-associativity", "assoc",
+            (grades, grades, grades,
+             Guard(lambda l, m, n: tensor(l, m) in grades and
+                   tensor(m, n) in grades and
+                   tensor(tensor(l, m), n) in grades),
+             names, names, names, names),
+            lambda l, m, n, G, A, B, Cc: _graded_assoc_combo(
+                tables, G, A, B, Cc, l, m, n)),
+        Law("graded-context-naturality", "naturality",
+            (grades, grades, Guard(lambda m, n: tensor(m, n) in grades),
+             names, names, names, names), naturality),
+        Law("graded-regrade-compatibility", "regrade-compat",
+            (grades, grades, grades,
+             Guard(lambda m, n, n2: n >= n2 and tensor(m, n) in grades and
+                   tensor(m, n2) in grades),
+             names, names, names),
+            lambda m, n, n2, G, A, B: _graded_regrade_combo(
+                tables, G, A, B, m, n, n2)),
+    ]
+
+
+
+def _graded_assoc_combo(tables, G, A, B, Cc, l, m, n):
+    """g*_{l (x) m, n} o f*_{l,m} vs (g*_{m,n} o f)*_{l, m (x) n} for all f,
+    g at once: True, or the evidence of the first failing (f, g, cell).
+
+    At a cell c = (g0, xs) both sides depend on f only through its
+    signature there: the column of g*_{l (x) m, n} at f*_{l,m}(c), and the
+    columns of g*_{m,n} at f's values at (g0, x), x in xs.  So a cell
+    compares the sides once per class of the f with one signature, for
+    every g: the left one a column of g*_{l (x) m, n}, the right one the
+    concatenation of g*_{m,n}'s columns.  The overrides of the extension of
+    h = g*_{m,n} o (pi, f) depend on the whole of h, so the (f, g) pairs
+    they apply to are matched and patched one by one.  The first failing
+    instance is the one of the loops outer row, cell, inner row, the outer
+    one over the smaller of the f and g spaces."""
+    gd = tables.gd
+    lm, mn = gd.tensor(l, m), gd.tensor(m, n)
+    cc = tables.codecs[Cc]
+    fmat, fdom = tables.fmat(G, A, m, B)
+    gmat = tables.fmat(G, B, n, Cc)[0]
+    extF = tables.ext(G, l, m, A, B)
+    extG1 = tables.ext(G, lm, n, B, Cc)
+    extG2 = tables.ext(G, m, n, B, Cc)
+    gpos = {g: i for i, g in enumerate(gd.carriers[G])}
+    # f*_{l,m} at each cell, and f at each (g, a) of h's domain (sorted, as
+    # the overrides of h are coded), as columns of extG1 and extG2
+    fcol1 = extG1.colmap[[gpos[g] for g, _ in extF.cells], extF.mat]
+    hkeys = sorted(fdom)
+    key_index = {k: i for i, k in enumerate(hkeys)}
+    fcol2 = extG2.colmap[[gpos[g] for g, _ in hkeys],
+                         fmat[:, [fdom[k] for k in hkeys]]]
+    # an override can give f*_{l,m} a value outside T_{l (x) m} B: its
+    # column is an appended one of -1s, which no value of g* equals
+    g1, g2 = extG1.mat, extG2.mat
+    if (fcol1 == len(extG1.cells)).any():
+        g1 = _np.concatenate([g1, _np.full((len(g1), 1), -1, dtype=_np.int32)],
+                             axis=1)
+    # the overrides of h's extension by cell and table: two that code the
+    # same table apply to the same pairs, and the later one wins
+    hover = {}
+    for coded, ci, v in _coded_overrides(tables.ovr.get((G, l, mn, A, Cc), ()),
+                                         hkeys, cc, extF.cell_index):
+        hover[ci, coded.tobytes()] = coded, v
+    patches = {}
+    for (ci, _), (coded, v) in hover.items():
+        fs, gs = _h_matches(g2, fcol2, coded)
+        patches.setdefault(ci, []).append((fs, gs, _np.full(len(fs), v)))
+    # per cell: the f rows, g rows and values of its patched pairs
+    patches = {ci: [_np.concatenate(p) for p in zip(*ps)]
+               for ci, ps in patches.items()}
+    unpatched = [_np.empty(0, dtype=_np.intp)] * 3
+    loop_f = len(fmat) <= len(gmat)
+    best = None
+    for ci, (g0, xs) in enumerate(extF.cells):
+        keys = [key_index[(g0, x)] for x in xs]
+        rep, inv = _classes([fcol1[:, ci]] +
+                            [fcol2[:, k] for k in dict.fromkeys(keys)])
+        lhs = g1[:, fcol1[rep, ci]]
+        rhs = _np.full_like(lhs, cc.empty)
+        for k in keys:
+            rhs = cc.join(rhs, g2[:, fcol2[rep, k]])
+        fs, gs, vs = patches.get(ci, unpatched)
+        hit = _first_fail((lhs != rhs).T, inv,
+                          (fs, gs, g1[gs, fcol1[fs, ci]] != vs), loop_f)
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best = (hit[0], ci, hit[1])
+    if best is None:
+        return True
+    o, c, i = best
+    fi, gi = (o, i) if loop_f else (i, o)
+    return (f"f#{fi}", f"g#{gi}", *extF.cells[c])
+
+
+def _classes(cols):
+    """Rows grouped by their values in the int columns cols: one row of
+    each class, and the class of each row."""
+    key, size = _np.zeros(len(cols[0]), dtype=_np.intp), 1
+    for col in cols:
+        span = int(col.max()) + 1
+        key, size = key * span + col, size * span
+        # number the classes so far 0, 1, ..., which keeps size at most
+        # the number of rows times a span
+        seen = _np.zeros(size, dtype=bool)
+        seen[key] = True
+        present = _np.flatnonzero(seen)
+        key, size = _np.searchsorted(present, key), len(present)
+    rep = _np.empty(size, dtype=_np.intp)
+    rep[key] = _np.arange(len(key))
+    return rep, key
+
+
+def _h_matches(g2, fcol2, coded):
+    """The (f, g) rows at which h = g*_{m,n} o (pi, f) is the coded table,
+    for g*_{m,n}'s rows g2 and its columns fcol2 at f's values on h's
+    domain: (f rows, g rows)."""
+    fs, gs = [_np.empty(0, dtype=_np.intp)], [_np.empty(0, dtype=_np.intp)]
+    for g, row in enumerate(g2):
+        if not _np.isin(coded, row).all():
+            continue
+        rows = _np.arange(len(fcol2))
+        for k, want in enumerate(coded):
+            rows = rows[row[fcol2[rows, k]] == want]
+        fs.append(rows)
+        gs.append(_np.full(len(rows), g, dtype=_np.intp))
+    return _np.concatenate(fs), _np.concatenate(gs)
+
+
+def _first_fail(bad, inv, patch, loop_f):
+    """The first failing (outer, inner) pair of one cell, or None, the
+    outer one over f when loop_f, else over g.  bad[s, g] tells whether the
+    f of class s fail at g, and inv gives the class of each f; patch is
+    (f rows, g rows, whether they fail) at the pairs whose right side an
+    override sets, each pair at most once."""
+    fs, gs, pfail = patch
+    # the change the patches make to each pair's failure
+    delta = pfail.astype(_np.intp) - bad[inv[fs], gs]
+    if loop_f:
+        count = bad.sum(axis=1)[inv]
+        _np.add.at(count, fs, delta)
+        if not count.any():
+            return None
+        f = int(_np.flatnonzero(count)[0])
+        row = bad[inv[f]].copy()
+        row[gs[fs == f]] = pfail[fs == f]
+        return f, int(row.argmax())
+    count = _np.bincount(inv, minlength=len(bad)) @ bad
+    _np.add.at(count, gs, delta)
+    if not count.any():
+        return None
+    g = int(_np.flatnonzero(count)[0])
+    col = bad[inv, g]
+    col[fs[gs == g]] = pfail[gs == g]
+    return g, int(col.argmax())
+
+
+def _graded_regrade_combo(tables, G, A, B, m, n, n2):
+    """ext_{m,n}(T_xi o f) vs T_{m (+) xi} o ext_{m,n2}(f) for xi : n >= n2,
+    and the mirrored condition in the first index (evidence tagged "left"):
+    True, or the evidence of the first failing cell."""
+    gd = tables.gd
+    # T_xi o f : every value recoded through the (n, n2) regrade table
+    extL = tables.regraded(G, m, n, n2, A, B)
+    extR = tables.ext(G, m, n2, A, B)
+    mn, mn2 = gd.tensor(m, n), gd.tensor(m, n2)
+    lut2 = tables.regrade_lut(mn, mn2, B)
+    for g in gd.carriers[G]:
+        for xs in gd.tvals(m, A):
+            lhs = extL.col((g, xs))
+            rhs = lut2[extR.col((g, xs))]
+            if not _np.array_equal(lhs, rhs):
+                return (g, xs, f"f#{_first_diff(lhs, rhs)}")
+    # first index: ext(f) o (G x T_xi) vs T_{xi (+) n2} o ext at m
+    for m2 in gd.grades:
+        if not (m >= m2) or gd.tensor(m2, n2) not in gd.grades:
+            continue
+        extS = tables.ext(G, m2, n2, A, B)
+        lut3 = tables.regrade_lut(mn2, gd.tensor(m2, n2), B)
+        for g in gd.carriers[G]:
+            for xs in gd.tvals(m2, A):
+                ys = gd.tx[(m, m2, A, xs)]
+                lhs = extR.col((g, ys))
+                rhs = lut3[extS.col((g, xs))]
+                if not _np.array_equal(lhs, rhs):
+                    return ("left", m2, g, xs, f"f#{_first_diff(lhs, rhs)}")
+    return True

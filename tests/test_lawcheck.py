@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import relmeta.lawcheck as lc
+from relmeta import graded
 
 
 @pytest.fixture(scope="module")
@@ -754,7 +755,7 @@ def test_override_table_outside_the_domain_is_rejected():
 def test_codec_join_of_a_list_outside_the_value_space(glist):
     # carrier B at cap 3: -1 (a list longer than 3) stays -1 after every
     # part, the empty list included
-    cb = lc._GradedCodec(glist, "B", 3)
+    cb = graded._GradedCodec(glist, "B", 3)
     codes = np.arange(len(cb.vals), dtype=np.int32)
     a, b = (x.ravel() for x in np.meshgrid(codes, codes, indexing="ij"))
     want = [cb.code.get(cb.vals[i] + cb.vals[j], -1) for i, j in zip(a, b)]
@@ -787,7 +788,8 @@ def test_graded_assoc_overflowed_prefix_then_empty_part():
             (3, h, ("a0", "a1", "a1"), ("a1", "a1", "a1")),
             (3, h, ("a1", "a0", "a1"), ("a1", "a1", "a1"))):
         gd = _ext_mutant(gd, "U", m, 1, "A", "A", table, ("u", xs), value)
-    got = lc._graded_assoc_combo(lc._Tables(gd), "U", "A", "A", "A", 3, 1, 1)
+    got = graded._graded_assoc_combo(graded._Tables(gd), "U", "A", "A", "A",
+                                     3, 1, 1)
     want = ("f#1", "g#6", "u", ("a1", "a1", "a0"))
     assert got == _scan_assoc_combo(gd, 3, 1, 1, "U", "A", "A", "A") == want
 
@@ -825,7 +827,7 @@ def test_graded_reports_do_not_depend_on_the_block_budget(monkeypatch, rng):
             for m, stop_early, _ in cases]
     got = []
     for m, stop_early, budget in cases:
-        monkeypatch.setattr(lc, "GRADED_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(graded, "GRADED_BLOCK_ELEMENTS", budget)
         got.append(lc.check_graded_laws(m, stop_early).render())
     assert got == want
 
@@ -839,7 +841,7 @@ def test_graded_tables_are_built_once_per_check(monkeypatch, glist, rng):
     """Every coded function space and extension table of a check is built
     through the check's store, once per store key."""
     built, made = [], collections.Counter()
-    once, fmat_for = lc._Tables._once, lc._fmat_for
+    once, fmat_for = graded._Tables._once, graded._fmat_for
 
     def counted_once(self, key, build):
         def counted():
@@ -851,14 +853,14 @@ def test_graded_tables_are_built_once_per_check(monkeypatch, glist, rng):
         made["fmat"] += 1
         return fmat_for(*args)
 
-    class ExtVec(lc._ExtVec):
+    class ExtVec(graded._ExtVec):
         def __init__(self, *args):
             made["ext"] += 1
             super().__init__(*args)
 
-    monkeypatch.setattr(lc._Tables, "_once", counted_once)
-    monkeypatch.setattr(lc, "_fmat_for", counted_fmat)
-    monkeypatch.setattr(lc, "_ExtVec", ExtVec)
+    monkeypatch.setattr(graded._Tables, "_once", counted_once)
+    monkeypatch.setattr(graded, "_fmat_for", counted_fmat)
+    monkeypatch.setattr(graded, "_ExtVec", ExtVec)
     mutant, = _ext_override_mutants(glist, rng, 1)
     for gd in (glist, mutant):
         built.clear()
@@ -878,7 +880,7 @@ def test_graded_tables_are_freed_when_the_check_ends(monkeypatch, glist):
     tables must go as the check's last reference to its store does."""
     refs = []
 
-    class ExtVec(lc._ExtVec):
+    class ExtVec(graded._ExtVec):
         def __init__(self, *args):
             super().__init__(*args)
             refs.append(weakref.ref(self))
@@ -886,7 +888,7 @@ def test_graded_tables_are_freed_when_the_check_ends(monkeypatch, glist):
     def raising(*args):
         raise lc.LawError("stop")
 
-    monkeypatch.setattr(lc, "_ExtVec", ExtVec)
+    monkeypatch.setattr(graded, "_ExtVec", ExtVec)
     mutant = _ext_mutant(glist, "U", 1, 1, "U", "U", [()], ("u", ()))
     gc.disable()
     try:
@@ -896,7 +898,7 @@ def test_graded_tables_are_freed_when_the_check_ends(monkeypatch, glist):
             lc.check_graded_laws(gd, stop_early)
             assert refs and not any(r() for r in refs)
         refs.clear()
-        monkeypatch.setattr(lc, "_graded_regrade_combo", raising)
+        monkeypatch.setattr(graded, "_graded_regrade_combo", raising)
         with pytest.raises(lc.LawError):
             lc.check_graded_laws(glist)
         assert refs and not any(r() for r in refs)
