@@ -404,7 +404,9 @@ def identity_monad_instance(c_max: int = 2) -> FinRelMonadData:
 # guards that cut out-of-fragment instances, the values computed once for
 # the instances below them, and a predicate on the bound values.  One
 # engine enumerates every law set, so they all share one order, one stop
-# rule, one skip counter and one witness construction.
+# rule, one skip counter and one witness construction.  The engine is
+# staged: the nest of steps of each shape is written out once as nested
+# Python loops, so enumerating an instance interprets nothing.
 
 @dataclass(frozen=True)
 class Guard:
@@ -431,10 +433,13 @@ class Law:
 
     domains lists the quantifiers outermost first; each is a sequence, or
     a function of the values bound before it that returns one.  Guards and
-    Lets may sit between them; the innermost step is a quantifier.  pred
-    takes every bound value and returns True when the instance holds, None
-    when it is out of the fragment (one skip), otherwise False or a tuple
-    of evidence.  The witness is (tag, *quantified values, *evidence)."""
+    Lets may sit between them; the innermost step is a quantifier, or the
+    law is rejected (LawError) when checked.  pred takes every bound value
+    and returns True when the instance holds, None when it is out of the
+    fragment (one skip), otherwise False or a tuple of evidence.  The
+    witness is (tag, *quantified values, *evidence).  Laws whose steps
+    have the same kinds in the same order share one compiled enumerator
+    (_forall)."""
 
     name: str
     tag: str
@@ -442,67 +447,74 @@ class Law:
     pred: Callable
 
 
+# step shape (one letter per step: c a constant domain, d a dependent one,
+# g a Guard, l a Let) -> its enumerator, compiled on the shape's first use
+_ENGINES: dict = {}
+
+
+def _engine_source(shape: str) -> str:
+    """The source of the enumerator of one step shape: a function of the
+    law's tag, predicate and steps (a domain, or a Guard's test or a Let's
+    value) that runs one nested loop per quantifier and one if per Guard
+    or Let, and returns (witness or None, skips)."""
+    steps = [f"s{i}" for i in range(len(shape))]
+    lines = [f"def forall(tag, pred, {', '.join(steps)}):",
+             "    skipped = 0"]
+    bound, shown, pad = [], [], "    "
+    for i, kind in enumerate(shape):
+        call = f"s{i}({', '.join(bound)})"
+        if kind == "g":
+            lines += [f"{pad}if not {call}:", f"{pad}    skipped += 1",
+                      f"{pad}else:"]
+        elif kind == "l":
+            lines += [f"{pad}v{i} = {call}", f"{pad}if v{i} is None:",
+                      f"{pad}    skipped += 1", f"{pad}else:"]
+        else:
+            domain = call if kind == "d" else steps[i]
+            lines.append(f"{pad}for v{i} in {domain}:")
+            shown.append(f"v{i}")
+        if kind != "g":
+            bound.append(f"v{i}")
+        pad += "    "
+    lines += [f"{pad}r = pred({', '.join(bound)})",
+              f"{pad}if r is None:",
+              f"{pad}    skipped += 1",
+              f"{pad}elif r is not True:",
+              f"{pad}    return (tag, {', '.join(shown)}) + "
+              f"(() if r is False else r), skipped",
+              "    return None, skipped"]
+    return "\n".join(lines) + "\n"
+
+
 def _forall(law: Law):
     """Enumerate law's instances in the order of its domains and stop at
     the first failing one: (witness or None, skips counted on the way).
-    A Let's value is computed once per instance of the steps above it, and
-    left out of the witness."""
-    skipped = 0
-
-    def values(dom):
-        return dom if callable(dom) else lambda *env: dom
-
-    def innermost(dom, pred):
-        def run(env):
-            nonlocal skipped
-            for v in dom(*env):
-                r = pred(*env, v)
-                if r is None:
-                    skipped += 1
-                elif r is not True:
-                    return env + (v,) + (() if r is False else r)
-        return run
-
-    def guard(test, inner):
-        def run(env):
-            nonlocal skipped
-            if test(*env):
-                return inner(env)
-            skipped += 1
-        return run
-
-    def let(value, inner):
-        def run(env):
-            nonlocal skipped
-            v = value(*env)
-            if v is not None:
-                return inner(env + (v,))
-            skipped += 1
-        return run
-
-    def quantify(dom, inner):
-        def run(env):
-            for v in dom(*env):
-                w = inner(env + (v,))
-                if w is not None:
-                    return w
-        return run
-
-    # one closure per step, built from the innermost quantifier outwards
-    *outer, last = law.domains
-    run = innermost(values(last), law.pred)
-    for step in reversed(outer):
-        run = guard(step.test, run) if isinstance(step, Guard) else \
-            let(step.value, run) if isinstance(step, Let) else \
-            quantify(values(step), run)
-    w = run(())
-    if w is None:
-        return None, skipped
-    # the positions of the Lets' values among the bound ones
-    bound = [s for s in law.domains if not isinstance(s, Guard)]
-    hidden = {i for i, s in enumerate(bound) if isinstance(s, Let)}
-    return (law.tag, *(v for i, v in enumerate(w) if i not in hidden)), \
-        skipped
+    A failing Guard, a Let whose value is None and a predicate that
+    returns None count one skip each; a Let's value is computed once per
+    instance of the steps above it, and left out of the witness.  The
+    enumerator is the compiled one of the law's step shape."""
+    shape, args = [], []
+    for step in law.domains:
+        if isinstance(step, Guard):
+            shape.append("g")
+            args.append(step.test)
+        elif isinstance(step, Let):
+            shape.append("l")
+            args.append(step.value)
+        else:
+            shape.append("d" if callable(step) else "c")
+            args.append(step)
+    shape = "".join(shape)
+    if shape[-1:] not in ("c", "d"):
+        raise LawError(f"law {law.name}: the innermost step must be a"
+                       f" quantifier")
+    run = _ENGINES.get(shape)
+    if run is None:
+        namespace = {}
+        exec(compile(_engine_source(shape), f"<law engine {shape}>", "exec"),
+             namespace)
+        run = _ENGINES[shape] = namespace["forall"]
+    return run(law.tag, law.pred, *args)
 
 
 def _report(name, laws, stop_early=False) -> LawReport:
