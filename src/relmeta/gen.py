@@ -184,7 +184,11 @@ class Gen:
         u = self.gen_comp(ctx, tt(mid), size // 2)
         used = {x for x, _ in ctx}
         x = _fresh_name(used, "x")
-        body = self.gen_comp(ctx + ((x, jt(mid)),), ty, size // 2)
+        # the unary calculus's body context is its binder alone
+        inner = ((x, jt(mid)),)
+        if self.calculus != "urmm":
+            inner = ctx + inner
+        body = self.gen_comp(inner, ty, size // 2)
         return syntax.do(u, close_binder(body, x), hint=x)
 
     def gen_graded(self, ctx, ty, size):
