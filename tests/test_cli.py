@@ -645,3 +645,47 @@ def test_eq_without_a_theory_uses_the_empty_signature(tmp_path, capsys):
                  "calculus rmm\nlhs ret ()\nrhs ret ()\ntype T(1)\n")
     assert cli.main(["eq", path]) == 0
     assert "PROVEN" in capsys.readouterr().out
+
+
+# a fresh interpreter that runs cli.main on each argument list of argv[2]
+# (JSON), numpy blocked when argv[1] is "blocked": prints, as JSON, each
+# run's exit code and output, and the numpy modules then loaded
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from relmeta import cli
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([cli.main(argv), out.getvalue()])
+loaded = [m for m, mod in sys.modules.items()
+          if m.split(".")[0] == "numpy" and mod is not None]
+print(json.dumps([runs, loaded]))
+"""
+
+
+def test_ungraded_subcommands_run_without_numpy():
+    """Only a graded law check imports numpy: with numpy blocked, the
+    other subcommands give the same exit codes and output, and without the
+    block none of them loads it."""
+    term = str(Path(__file__).parent / "golden" / "typecheck" /
+               "rmm_shadow.term")
+    coin = fixture_path("coin.sig")
+    argvs = [["typecheck", "--sig", coin, term],
+             ["normalize", "--sig", coin, term],
+             ["eq", "--theory", coin, "--model",
+              "dist=" + fixture_path("dist.mb"), fixture_path("stone1.eq")],
+             ["lawcheck", "--laws", "strong", fixture_path("exception.inst")]]
+    got = {}
+    for mode in ("blocked", "open"):
+        r = subprocess.run([sys.executable, "-c", NUMPY_PROBE, mode,
+                            json.dumps(argvs)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        got[mode] = json.loads(r.stdout)
+    runs, loaded = got["open"]
+    assert [code for code, _ in runs] == [0, 0, 0, 0]
+    assert loaded == []
+    assert got["blocked"] == got["open"]

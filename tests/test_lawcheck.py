@@ -4,6 +4,7 @@ conversions, induced structure, and mutation soundness."""
 import collections
 import gc
 import itertools
+import os
 import pickle
 import re
 import subprocess
@@ -510,6 +511,147 @@ def test_clean_instances_count_every_skip(exc, ident):
                            lc.check_strength_map_laws(theta, d))):
             for law, line in zip(laws, rep.lines):
                 _assert_first_witness(law, line)
+
+
+def _wstrong(d):
+    indices = tuple(d.wfun.source.objects)
+    return (lc.strong_laws(d, "ext_w", indices, d.wfun),
+            lc.check_w_strong_laws(d, d.wfun))
+
+
+def _strengthmap(d):
+    theta, _ = lc.strength_from_extension(d)
+    return lc.strength_map_laws(theta, d), lc.check_strength_map_laws(theta, d)
+
+
+# law set -> its laws and report on an instance, and the tables that its
+# single-cell mutants change
+ENGINE_SETS = {
+    "relmonad": (_relmonad, ("eta", "ext_plain")),
+    "strong": (_strong, ("eta", "ext_strong")),
+    "jstrong": (_jstrong, ("eta", "ext_j")),
+    "wstrong": (_wstrong, ("eta", "ext_w")),
+    "bistrong": (_bistrong, ("eta", "ext_bi")),
+    "strengthmap": (_strengthmap, ("eta", "ext_plain", "ext_j")),
+}
+
+
+@pytest.mark.parametrize("name", ENGINE_SETS)
+def test_every_law_reports_its_first_witness(exc, ident, name):
+    """Every law of the set reports the first failing instance of its
+    declared domains and the skips before it, on both builtin instances
+    (with bistrong tables induced from the strong ones and W-strong tables
+    along the identity functor) and on every single-cell mutant of the
+    tables the set reads."""
+    law_set, tables = ENGINE_SETS[name]
+    failing = 0
+    for d in (exc, ident):
+        d = d.copy()
+        d.ext_bi = lc.bistrong_from_strong(d)
+        d.ext_w, d.wfun = dict(d.ext_strong), lc.identity_functor(d.C)
+        for mut in [d] + [m for _, m in lc.mutations_of(d, tables)]:
+            laws, rep = law_set(mut)
+            assert [law.name for law in laws] == [l.law for l in rep.lines]
+            for law, line in zip(laws, rep.lines):
+                _assert_first_witness(law, line)
+            failing += not rep.ok
+    assert failing > 0
+
+
+def test_every_graded_law_reports_its_first_witness(rng):
+    """The graded laws on the grades-(1,2) instance, its every unit and
+    regrade cell mutant and a sample of extension cell mutants: the engine
+    quantifies over grades and carriers, the kernels decide each combo."""
+    small = lc.bounded_list_instance(grades=(1, 2))
+    cases = [small] + [m for _, m in lc.graded_mutations(small, rng=rng,
+                                                         ext_samples=6)]
+    for gd in cases:
+        laws, rep = graded.graded_laws(gd), lc.check_graded_laws(gd)
+        assert [law.name for law in laws] == [l.law for l in rep.lines]
+        for law, line in zip(laws, rep.lines):
+            _assert_first_witness(law, line)
+    assert len(cases) > 20
+
+
+@pytest.mark.parametrize("domains", [
+    (), ((0, 1), lc.Guard(lambda a: a)), ((0, 1), lc.Let(lambda a: a))])
+def test_a_law_without_an_innermost_quantifier_is_rejected(monkeypatch,
+                                                            domains):
+    """Rejected before any code is generated for its shape."""
+    def no_source(shape):
+        raise AssertionError(f"source generated for {shape!r}")
+
+    monkeypatch.setattr(lc, "_ENGINES", {})
+    monkeypatch.setattr(lc, "_engine_source", no_source)
+    with pytest.raises(lc.LawError, match="innermost step"):
+        lc._forall(lc.Law("bad", "bad", domains, lambda *v: True))
+
+
+def _every_law_set(exc, ident):
+    for d in (exc, ident):
+        d = d.copy()
+        d.ext_bi = lc.bistrong_from_strong(d)
+        d.ext_w, d.wfun = dict(d.ext_strong), lc.identity_functor(d.C)
+        for law_set, _ in ENGINE_SETS.values():
+            law_set(d)
+    lc.check_graded_laws(lc.bounded_list_instance(grades=(1, 2)))
+
+
+def test_each_step_shape_is_compiled_once(monkeypatch, exc, ident):
+    """The engine compiles each step shape on its first use and reuses it:
+    checking every law set again compiles nothing."""
+    made = collections.Counter()
+    source = lc._engine_source
+
+    def counted(shape):
+        made[shape] += 1
+        return source(shape)
+
+    monkeypatch.setattr(lc, "_ENGINES", {})
+    monkeypatch.setattr(lc, "_engine_source", counted)
+    _every_law_set(exc, ident)
+    first = dict(made)
+    _every_law_set(exc, ident)
+    assert made == first and set(first.values()) == {1}
+    assert set(lc._ENGINES) == set(first)
+    # the shipped laws' shapes, 18 of them, at most 10 steps deep
+    assert len(first) == 18 and max(map(len, first)) == 10
+
+
+def test_engine_source(exc, ident):
+    """The generated source is a function of the shape alone: the same in
+    processes with other hash seeds.  One shape, written out."""
+    assert lc._engine_source("cgcld") == """\
+def forall(tag, pred, s0, s1, s2, s3, s4):
+    skipped = 0
+    for v0 in s0:
+        if not s1(v0):
+            skipped += 1
+        else:
+            for v2 in s2:
+                v3 = s3(v0, v2)
+                if v3 is None:
+                    skipped += 1
+                else:
+                    for v4 in s4(v0, v2, v3):
+                        r = pred(v0, v2, v3, v4)
+                        if r is None:
+                            skipped += 1
+                        elif r is not True:
+                            return (tag, v0, v2, v4) + \
+(() if r is False else r), skipped
+    return None, skipped
+"""
+    _every_law_set(exc, ident)
+    shapes = sorted(lc._ENGINES)
+    code = ("import sys; from relmeta import lawcheck as lc; "
+            "print(repr([lc._engine_source(s) for s in sys.argv[1:]]))")
+    for seed in ("0", "1"):
+        out = subprocess.run([sys.executable, "-c", code, *shapes],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+        assert out.stdout == repr([lc._engine_source(s) for s in shapes]) + \
+            "\n"
 
 
 def test_graded_stop_early_keeps_first_witness(glist):
