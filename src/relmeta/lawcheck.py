@@ -3,11 +3,16 @@
 Everything here is tables: a finite category is explicit hom-sets with a
 composition table, a relative monad is an object map plus unit and
 extension tables, and each law is data (a Law): quantifier domains in
-enumeration order, guards and a predicate.  One engine (_forall) sweeps
-every law's instances in the order of its declared domains, outermost
-first, and stops at the first failing one: that instance is the law's
-replayable witness, and the skip count of a failing law covers the
-instances enumerated before it.
+enumeration order, guards, values bound once (Let) and a predicate.  One
+engine (_forall) sweeps every law's instances in the order of its
+declared domains, outermost first, and stops at the first failing one:
+that instance is the law's replayable witness, and the skip count of a
+failing law covers the instances enumerated before it.  The engine
+compiles each step shape once into nested loops, and every law of that
+shape runs through them.
+
+The graded laws' vectorized kernels are in relmeta.graded, the one
+module that imports numpy; check_graded_laws imports it on first use.
 
 Monoidal structure on explicit categories may be *partial* (tensors whose
 result leaves the declared object set are simply absent); law instances
