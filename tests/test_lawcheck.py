@@ -536,19 +536,24 @@ ENGINE_SETS = {
 }
 
 
+def _with_every_table(d):
+    """A copy of d with bistrong tables induced from its strong ones and
+    W-strong tables along the identity functor."""
+    d = d.copy()
+    d.ext_bi = lc.bistrong_from_strong(d)
+    d.ext_w, d.wfun = dict(d.ext_strong), lc.identity_functor(d.C)
+    return d
+
+
 @pytest.mark.parametrize("name", ENGINE_SETS)
 def test_every_law_reports_its_first_witness(exc, ident, name):
     """Every law of the set reports the first failing instance of its
     declared domains and the skips before it, on both builtin instances
-    (with bistrong tables induced from the strong ones and W-strong tables
-    along the identity functor) and on every single-cell mutant of the
-    tables the set reads."""
+    with every table and on every single-cell mutant of the tables the set
+    reads."""
     law_set, tables = ENGINE_SETS[name]
     failing = 0
-    for d in (exc, ident):
-        d = d.copy()
-        d.ext_bi = lc.bistrong_from_strong(d)
-        d.ext_w, d.wfun = dict(d.ext_strong), lc.identity_functor(d.C)
+    for d in (_with_every_table(exc), _with_every_table(ident)):
         for mut in [d] + [m for _, m in lc.mutations_of(d, tables)]:
             laws, rep = law_set(mut)
             assert [law.name for law in laws] == [l.law for l in rep.lines]
@@ -588,10 +593,7 @@ def test_a_law_without_an_innermost_quantifier_is_rejected(monkeypatch,
 
 
 def _every_law_set(exc, ident):
-    for d in (exc, ident):
-        d = d.copy()
-        d.ext_bi = lc.bistrong_from_strong(d)
-        d.ext_w, d.wfun = dict(d.ext_strong), lc.identity_functor(d.C)
+    for d in (_with_every_table(exc), _with_every_table(ident)):
         for law_set, _ in ENGINE_SETS.values():
             law_set(d)
     lc.check_graded_laws(lc.bounded_list_instance(grades=(1, 2)))
