@@ -13,11 +13,11 @@ One check builds each such table once, in a store (_Tables) that its laws
 share and that goes with them, so its memory is the distinct tables of
 that check.  The laws quantified over two function spaces report their
 first failing instance in the order of the loops outer row, then cell,
-then inner row.  Associativity (over f and g) is decided cell by cell,
-once per class of the f that agree on all the cell's two sides read of
-f; context naturality (over u and f) in blocks of whole arrays of at
-most GRADED_BLOCK_ELEMENTS elements, whose first failing instance is
-found in that order, so the witnesses do not depend on the block size.
+then inner row, and are decided in blocks of at most GRADED_BLOCK_ELEMENTS
+elements, so the witnesses do not depend on the block size: associativity
+(over f and g) in blocks of whole cells, once per class of the (f, cell)
+pairs whose two sides read the same of f; context naturality (over u and
+f) in blocks of whole arrays.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ class _ExtVec:
         # fmat: (Nf, |G x X|) codes of T_n Y values (in codec_y space),
         # its columns in the order of dom_index
         self.gs = gd.carriers[G]
-        self.codec_x = codec_x
+        self.gpos = {g: i for i, g in enumerate(self.gs)}
+        self.codec_x, self.dom_index = codec_x, dom_index
         self.cells = [(g, xs) for g in self.gs for xs in gd.tvals(m, X)]
         self.cell_index = {c: i for i, c in enumerate(self.cells)}
         plan, width = _concat_plan(self.cells, dom_index), len(self.cells)
@@ -136,24 +137,31 @@ class _ExtVec:
         for r in range(0, fmat.shape[0], rows):
             self.mat[r:r + rows] = _concat(plan, codec_y, fmat[r:r + rows],
                                            width)
-        fkeys = sorted(dom_index, key=dom_index.get)
-        for coded, ci, v in _coded_overrides(overrides, fkeys, codec_y,
-                                             self.cell_index):
+        for coded, ci, v in _coded_overrides(overrides, list(dom_index),
+                                             codec_y, self.cell_index):
             self.mat[(fmat == coded).all(axis=1), ci] = v
-
-    def col(self, cell):
-        return self.mat[:, self.cell_index[cell]]
 
     @functools.cached_property
     def colmap(self):
         """(position of g in G, code of v in X's space) -> the column of
-        the cell (g, v), or the number of cells where v is no cell's."""
-        gpos = {g: i for i, g in enumerate(self.gs)}
-        cm = _np.full((len(gpos), len(self.codec_x.vals)), len(self.cells),
-                      dtype=_np.int32)
+        the cell (g, v), or the number of cells where v is no cell's or g
+        is the padding position len(G)."""
+        cm = _np.full((len(self.gs) + 1, len(self.codec_x.vals)),
+                      len(self.cells), dtype=_np.int32)
         for (g, v), ci in self.cell_index.items():
-            cm[gpos[g], self.codec_x.code[v]] = ci
+            cm[self.gpos[g], self.codec_x.code[v]] = ci
         return cm
+
+    @functools.cached_property
+    def parts(self):
+        """Per cell (g, xs) and x in xs, padded to the longest cell (the
+        empty list has one part), two arrays: the domain's column at (g, x)
+        and g's row of colmap, or at the padding 0 and the padding row."""
+        width = max(1, *(len(xs) for _, xs in self.cells))
+        pad = [(0, len(self.gs))] * width
+        return _np.array([([(self.dom_index[g, x], self.gpos[g]) for x in xs]
+                           + pad)[:width]
+                          for g, xs in self.cells]).transpose(2, 0, 1)
 
 
 def _fmat_for(gd, G, X, n, codec_y):
@@ -239,8 +247,12 @@ class _Tables:
         return lut
 
 
-def _first_diff(lhs, rhs) -> int:
-    return int(_np.nonzero(lhs != rhs)[0][0])
+def _first_diff(lhs, rhs):
+    """The first column in which the arrays lhs and rhs differ and its
+    first differing row, or None."""
+    bad = lhs != rhs
+    cols = _np.flatnonzero(bad.any(axis=0))
+    return (int(cols[0]), int(bad[:, cols[0]].argmax())) if cols.size else None
 
 
 def _block_gather(table, cols, outer, inner, outer_picks):
@@ -318,16 +330,13 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
         return got == (tx[(me, m, A, xs)] if me != m else xs) or (got,)
 
     def unit_left(G, m, A, B):
-        # f*_{e,m} o (G x eta) = f, for every f
+        # f*_{e,m} o (G x eta) = f for every f, at each (g, a) in loop order
         fmat, dom_index = tables.fmat(G, A, m, B)
         extv = tables.ext(G, e, m, A, B)
-        for g in car[G]:
-            for a in car[A]:
-                lhs = extv.col((g, gd.eta[(A, a)]))
-                rhs = fmat[:, dom_index[(g, a)]]
-                if not _np.array_equal(lhs, rhs):
-                    return (g, a, f"f#{_first_diff(lhs, rhs)}")
-        return True
+        keys = list(dom_index)
+        hit = _first_diff(extv.mat[:, [extv.cell_index[(g, gd.eta[(A, a)])]
+                                       for g, a in keys]], fmat)
+        return True if hit is None else (*keys[hit[0]], f"f#{hit[1]}")
 
     def naturality(m, n, G2, G, A, B):
         # f*_{m,n} o (u x T_m A) = (f o (u x A))*_{m,n} for u : G2 -> G.
@@ -409,72 +418,123 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
     ]
 
 
-
 def _graded_assoc_combo(tables, G, A, B, Cc, l, m, n):
     """g*_{l (x) m, n} o f*_{l,m} vs (g*_{m,n} o f)*_{l, m (x) n} for all f,
     g at once: True, or the evidence of the first failing (f, g, cell).
 
-    At a cell c = (g0, xs) both sides depend on f only through its
-    signature there: the column of g*_{l (x) m, n} at f*_{l,m}(c), and the
-    columns of g*_{m,n} at f's values at (g0, x), x in xs.  So a cell
-    compares the sides once per class of the f with one signature, for
-    every g: the left one a column of g*_{l (x) m, n}, the right one the
+    At a cell c = (g0, xs) both sides depend on f only through its key
+    there: the column of g*_{l (x) m, n} at f*_{l,m}(c), and the columns of
+    g*_{m,n} at f's values at (g0, x), x in xs, padded to the longest cell
+    with a last g*_{m,n} column of empty lists, which the concatenation
+    leaves unchanged.  In blocks of whole cells whose arrays stay within
+    GRADED_BLOCK_ELEMENTS elements (one cell at least), the (f, cell) pairs
+    are numbered by their keys, and the sides are compared once per class
+    of one key, for every g: a column of g*_{l (x) m, n} against the
     concatenation of g*_{m,n}'s columns.  The overrides of the extension of
     h = g*_{m,n} o (pi, f) depend on the whole of h, so the (f, g) pairs
     they apply to are matched and patched one by one.  The first failing
     instance is the one of the loops outer row, cell, inner row, the outer
-    one over the smaller of the f and g spaces."""
+    one over the smaller of the f and g spaces: each block's least (outer,
+    cell) pair and its first inner row, the block with the least outer row
+    winning, the earlier one on a tie."""
     gd = tables.gd
     lm, mn = gd.tensor(l, m), gd.tensor(m, n)
     cc = tables.codecs[Cc]
     fmat, fdom = tables.fmat(G, A, m, B)
-    gmat = tables.fmat(G, B, n, Cc)[0]
     extF = tables.ext(G, l, m, A, B)
     extG1 = tables.ext(G, lm, n, B, Cc)
     extG2 = tables.ext(G, m, n, B, Cc)
-    gpos = {g: i for i, g in enumerate(gd.carriers[G])}
-    # f*_{l,m} at each cell, and f at each (g, a) of h's domain (sorted, as
-    # the overrides of h are coded), as columns of extG1 and extG2
-    fcol1 = extG1.colmap[[gpos[g] for g, _ in extF.cells], extF.mat]
-    hkeys = sorted(fdom)
-    key_index = {k: i for i, k in enumerate(hkeys)}
-    fcol2 = extG2.colmap[[gpos[g] for g, _ in hkeys],
-                         fmat[:, [fdom[k] for k in hkeys]]]
-    # an override can give f*_{l,m} a value outside T_{l (x) m} B: its
-    # column is an appended one of -1s, which no value of g* equals
-    g1, g2 = extG1.mat, extG2.mat
-    if (fcol1 == len(extG1.cells)).any():
-        g1 = _np.concatenate([g1, _np.full((len(g1), 1), -1, dtype=_np.int32)],
-                             axis=1)
+    nf, ng = len(fmat), len(extG2.mat)
+    cm1, cm2 = extG1.colmap, extG2.colmap
+    # the offset in colmap of each cell's row, and each part's column of f
+    # and row offset, where the padding row gives g2's last column
+    off1 = _np.arange(len(extF.cells)) // len(gd.tvals(l, A)) * cm1.shape[1]
+    parts, rows = extF.parts
+    off2, span2 = rows * cm2.shape[1], len(extG2.cells) + 1
+    g1 = extG1.mat
+    g2 = _np.concatenate(
+        [extG2.mat, _np.full((ng, 1), cc.empty, dtype=_np.int32)], axis=1)
     # the overrides of h's extension by cell and table: two that code the
     # same table apply to the same pairs, and the later one wins
     hover = {}
     for coded, ci, v in _coded_overrides(tables.ovr.get((G, l, mn, A, Cc), ()),
-                                         hkeys, cc, extF.cell_index):
+                                         list(fdom), cc, extF.cell_index):
         hover[ci, coded.tobytes()] = coded, v
-    patches = {}
-    for (ci, _), (coded, v) in hover.items():
-        fs, gs = _h_matches(g2, fcol2, coded)
-        patches.setdefault(ci, []).append((fs, gs, _np.full(len(fs), v)))
-    # per cell: the f rows, g rows and values of its patched pairs
-    patches = {ci: [_np.concatenate(p) for p in zip(*ps)]
-               for ci, ps in patches.items()}
-    unpatched = [_np.empty(0, dtype=_np.intp)] * 3
-    loop_f = len(fmat) <= len(gmat)
-    best = None
-    for ci, (g0, xs) in enumerate(extF.cells):
-        keys = [key_index[(g0, x)] for x in xs]
-        rep, inv = _classes([fcol1[:, ci]] +
-                            [fcol2[:, k] for k in dict.fromkeys(keys)])
-        lhs = g1[:, fcol1[rep, ci]]
-        rhs = _np.full_like(lhs, cc.empty)
-        for k in keys:
-            rhs = cc.join(rhs, g2[:, fcol2[rep, k]])
-        fs, gs, vs = patches.get(ci, unpatched)
-        hit = _first_fail((lhs != rhs).T, inv,
-                          (fs, gs, g1[gs, fcol1[fs, ci]] != vs), loop_f)
-        if hit is not None and (best is None or hit[0] < best[0]):
-            best = (hit[0], ci, hit[1])
+    # per override: its cell, the f rows and g rows of the pairs it
+    # patches, and its value
+    fcol2 = cm2[_np.arange(len(fdom)) // len(gd.carriers[A]), fmat] \
+        if hover else None
+    patches = [(ci, *_h_matches(extG2.mat, fcol2, coded), v)
+               for (ci, _), (coded, v) in hover.items()]
+    # f* at a cell is the concatenation of f's values at its elements but
+    # where an override of f* sets it: a cell has at most one class per
+    # value of f at each of its distinct elements, and one per override
+    nvals, novr = len(gd.tvals(m, B)), len(tables.ovr.get((G, l, m, A, B), ()))
+    blocks, size = [0], 0
+    for ci, (_, xs) in enumerate(extF.cells):
+        # a pair's key, columns and count, and the cell's classes, each
+        # against every g
+        cost = (7 + parts.shape[1]) * nf + \
+            3 * ng * min(nf, nvals ** len(set(xs)) + novr)
+        if ci > blocks[-1] and size + cost > GRADED_BLOCK_ELEMENTS:
+            blocks, size = blocks + [ci], 0
+        size += cost
+    blocks.append(len(extF.cells))
+    loop_f, best = nf <= ng, None
+    for c0, c1 in zip(blocks, blocks[1:]):
+        # the block's (f, cell) pairs, f-major: their columns of g1 and g2,
+        # and their key, renumbered before it outgrows the block's budget
+        w = c1 - c0
+        col1 = cm1.take(extF.mat[:, c0:c1] + off1[c0:c1])
+        col2 = cm2.take(fmat[:, parts[c0:c1]] + off2[c0:c1])
+        key, size = col1.astype(_np.intp), len(extG1.cells) + 1
+        for col in col2.transpose(2, 0, 1):
+            if size * span2 > GRADED_BLOCK_ELEMENTS:
+                key, size = _number(key, size)
+            key, size = key * span2 + col, size * span2
+        inv, size = _number(key.ravel(), size)
+        # the sides of one pair of each class, for every g
+        rep = _np.empty(size, dtype=_np.intp)
+        rep[inv] = _np.arange(len(inv))
+        rf, rc = _np.divmod(rep, w)
+        cols, left = col2[rf, rc].T, col1[rf, rc]
+        rhs = g2[:, cols[0]]
+        for col in cols[1:]:
+            rhs = cc.join(rhs, g2[:, col])
+        # an override can give f*_{l,m} a value outside T_{l (x) m} B: its
+        # column is an appended one of -1s, which no value of g* equals
+        if g1 is extG1.mat and (left == len(extG1.cells)).any():
+            g1 = _np.concatenate(
+                [g1, _np.full((ng, 1), -1, dtype=_np.int32)], axis=1)
+        bad = g1[:, left] != rhs
+        # the block's patched pairs, and the change they make to each one's
+        # failure
+        ps = [(fs * w + ci - c0, gs, _np.full(len(fs), v))
+              for ci, fs, gs, v in patches if c0 <= ci < c1]
+        pp, pg, pv = map(_np.concatenate, zip(*ps)) if ps else \
+            [_np.empty(0, dtype=_np.intp)] * 3
+        pfail = g1[pg, col1.ravel()[pp]] != pv
+        delta = pfail.astype(_np.intp) - bad[pg, inv[pp]]
+        # the failing g of each pair, or the failing pairs at each g
+        count = bad.sum(axis=0)[inv] if loop_f else \
+            _np.einsum("gk,k->g", bad, _np.bincount(inv))
+        _np.add.at(count, pp if loop_f else pg, delta)
+        first = _np.flatnonzero(count)
+        if not first.size:
+            continue
+        o = int(first[0])
+        if loop_f:
+            # the least (f, cell) pair with a failing g, and its first one
+            fails = bad[:, inv[o]].copy()
+            fails[pg[pp == o]] = pfail[pp == o]
+            (o, c), i = divmod(o, w), int(fails.argmax())
+        else:
+            # the first g with a failing pair, and its least (cell, f) one
+            fails = bad[o, inv]
+            fails[pp[pg == o]] = pfail[pg == o]
+            c, i = divmod(int(fails.reshape(nf, w).T.argmax()), nf)
+        if best is None or o < best[0]:
+            best = (o, c0 + c, i)
     if best is None:
         return True
     o, c, i = best
@@ -482,22 +542,15 @@ def _graded_assoc_combo(tables, G, A, B, Cc, l, m, n):
     return (f"f#{fi}", f"g#{gi}", *extF.cells[c])
 
 
-def _classes(cols):
-    """Rows grouped by their values in the int columns cols: one row of
-    each class, and the class of each row."""
-    key, size = _np.zeros(len(cols[0]), dtype=_np.intp), 1
-    for col in cols:
-        span = int(col.max()) + 1
-        key, size = key * span + col, size * span
-        # number the classes so far 0, 1, ..., which keeps size at most
-        # the number of rows times a span
-        seen = _np.zeros(size, dtype=bool)
-        seen[key] = True
-        present = _np.flatnonzero(seen)
-        key, size = _np.searchsorted(present, key), len(present)
-    rep = _np.empty(size, dtype=_np.intp)
-    rep[key] = _np.arange(len(key))
-    return rep, key
+def _number(key, size):
+    """The int keys below size numbered 0, 1, ... in their order, and the
+    number of distinct keys."""
+    seen = _np.zeros(size, dtype=bool)
+    seen[key] = True
+    present = _np.flatnonzero(seen)
+    number = _np.empty(size, dtype=_np.intp)
+    number[present] = _np.arange(len(present))
+    return number.take(key), len(present)
 
 
 def _h_matches(g2, fcol2, coded):
@@ -516,61 +569,28 @@ def _h_matches(g2, fcol2, coded):
     return _np.concatenate(fs), _np.concatenate(gs)
 
 
-def _first_fail(bad, inv, patch, loop_f):
-    """The first failing (outer, inner) pair of one cell, or None, the
-    outer one over f when loop_f, else over g.  bad[s, g] tells whether the
-    f of class s fail at g, and inv gives the class of each f; patch is
-    (f rows, g rows, whether they fail) at the pairs whose right side an
-    override sets, each pair at most once."""
-    fs, gs, pfail = patch
-    # the change the patches make to each pair's failure
-    delta = pfail.astype(_np.intp) - bad[inv[fs], gs]
-    if loop_f:
-        count = bad.sum(axis=1)[inv]
-        _np.add.at(count, fs, delta)
-        if not count.any():
-            return None
-        f = int(_np.flatnonzero(count)[0])
-        row = bad[inv[f]].copy()
-        row[gs[fs == f]] = pfail[fs == f]
-        return f, int(row.argmax())
-    count = _np.bincount(inv, minlength=len(bad)) @ bad
-    _np.add.at(count, gs, delta)
-    if not count.any():
-        return None
-    g = int(_np.flatnonzero(count)[0])
-    col = bad[inv, g]
-    col[fs[gs == g]] = pfail[gs == g]
-    return g, int(col.argmax())
-
-
 def _graded_regrade_combo(tables, G, A, B, m, n, n2):
     """ext_{m,n}(T_xi o f) vs T_{m (+) xi} o ext_{m,n2}(f) for xi : n >= n2,
     and the mirrored condition in the first index (evidence tagged "left"):
-    True, or the evidence of the first failing cell."""
+    True, or the evidence of the first failing cell.  Each condition
+    compares all its cells (g, xs), in loop order, in one gather."""
     gd = tables.gd
     # T_xi o f : every value recoded through the (n, n2) regrade table
     extL = tables.regraded(G, m, n, n2, A, B)
     extR = tables.ext(G, m, n2, A, B)
     mn, mn2 = gd.tensor(m, n), gd.tensor(m, n2)
-    lut2 = tables.regrade_lut(mn, mn2, B)
-    for g in gd.carriers[G]:
-        for xs in gd.tvals(m, A):
-            lhs = extL.col((g, xs))
-            rhs = lut2[extR.col((g, xs))]
-            if not _np.array_equal(lhs, rhs):
-                return (g, xs, f"f#{_first_diff(lhs, rhs)}")
+    hit = _first_diff(extL.mat, tables.regrade_lut(mn, mn2, B)[extR.mat])
+    if hit is not None:
+        return (*extL.cells[hit[0]], f"f#{hit[1]}")
     # first index: ext(f) o (G x T_xi) vs T_{xi (+) n2} o ext at m
     for m2 in gd.grades:
         if not (m >= m2) or gd.tensor(m2, n2) not in gd.grades:
             continue
         extS = tables.ext(G, m2, n2, A, B)
         lut3 = tables.regrade_lut(mn2, gd.tensor(m2, n2), B)
-        for g in gd.carriers[G]:
-            for xs in gd.tvals(m2, A):
-                ys = gd.tx[(m, m2, A, xs)]
-                lhs = extR.col((g, ys))
-                rhs = lut3[extS.col((g, xs))]
-                if not _np.array_equal(lhs, rhs):
-                    return ("left", m2, g, xs, f"f#{_first_diff(lhs, rhs)}")
+        cols = [extR.cell_index[(g, gd.tx[(m, m2, A, xs)])]
+                for g, xs in extS.cells]
+        hit = _first_diff(extR.mat[:, cols], lut3[extS.mat])
+        if hit is not None:
+            return ("left", m2, *extS.cells[hit[0]], f"f#{hit[1]}")
     return True

@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -938,6 +939,96 @@ def test_graded_assoc_overflowed_prefix_then_empty_part():
     assert got == _scan_assoc_combo(gd, 3, 1, 1, "U", "A", "A", "A") == want
 
 
+# the combos of at most this many (f, g) pairs are scanned: the scan visits
+# every pair at every cell, 2.9 million on the grades-(1,2) instance, nine
+# tenths of them in its four larger combos
+SCAN_PAIRS = 81 * 81
+
+
+def _scanned_assoc_combos(gd):
+    """The associativity combos (l, m, n, G, A, B, C) of gd inside its
+    fragment with at most SCAN_PAIRS (f, g) pairs."""
+    car, names = gd.carriers, sorted(gd.carriers)
+    for l, m, n in itertools.product(gd.grades, repeat=3):
+        if not {l * m, m * n, l * m * n} <= set(gd.grades):
+            continue
+        for G, A, B, C in itertools.product(names, repeat=4):
+            nf = len(gd.tvals(m, B)) ** (len(car[G]) * len(car[A]))
+            ng = len(gd.tvals(n, C)) ** (len(car[G]) * len(car[B]))
+            if nf * ng <= SCAN_PAIRS:
+                yield l, m, n, G, A, B, C
+
+
+def _h(gd, l, m, n, G, A, B, C, fi, gi):
+    """h = g*_{m,n} o (pi, f) for the f and g of rows fi and gi."""
+    f, gm = _maps(gd, G, A, m, B)[fi], _maps(gd, G, B, n, C)[gi]
+    return {k: gd.ext_value(G, m, n, B, C, gm, (k[0], v))
+            for k, v in f.items()}
+
+
+def _h_override_mutants(small):
+    """Overrides of the extension of h = g*_{m,n} o (pi, f), for the f and
+    g of a third of each space and the combo's last cell.  Each key is
+    none of the combo's f* and g* keys, so the pairs it patches are the
+    combo's only failing ones: two with f outer (4 f rows against 7 g
+    rows; 9 against 16, over cells of lengths 0 to 2) and two with g outer
+    (16 against 9; 16 against 9, over 14 cells)."""
+    out = {}
+    for combo in ((1, 1, 2, "U", "B", "U", "B"), (2, 1, 1, "B", "U", "B", "U"),
+                  (1, 1, 2, "B", "B", "U", "U"), (2, 1, 1, "B", "B", "U", "B")):
+        l, m, n, G, A, B, C = combo
+        fi = len(_maps(small, G, A, m, B)) // 3
+        gi = len(_maps(small, G, B, n, C)) // 3
+        cell = (small.carriers[G][-1], small.tvals(l, A)[-1])
+        out[combo] = _ext_mutant(small, G, l, m * n, A, C,
+                                 list(_h(small, *combo, fi, gi).values()),
+                                 cell)
+    return out
+
+
+def test_graded_assoc_combos_match_the_scan(monkeypatch):
+    """Every associativity combo of up to SCAN_PAIRS (f, g) pairs, not only
+    the first failing one: the kernel reports what the independent scan
+    does, at block budgets of one element (a block per cell), 2,000 (blocks
+    of a few cells, short ones padded), the default and 2**40 (a block per
+    combo).  The instances are the grades-(1,2) instance, its unit and
+    regrade mutants, and overrides of h's extension (_h_override_mutants),
+    whose combo fails first at a pair the override patches.  The scan of a
+    combo reads the carriers, the grades and the overrides of its four
+    extensions alone, so it runs once per combo and set of those."""
+    small = lc.bounded_list_instance(grades=(1, 2))
+    patched = _h_override_mutants(small)
+    assert [(len(_maps(small, G, A, m, B)), len(_maps(small, G, B, n, C)))
+            for l, m, n, G, A, B, C in patched] == \
+        [(4, 7), (9, 16), (16, 9), (16, 9)]
+    cases = [small, *(m for _, m in lc.graded_mutations(small)),
+             *patched.values()]
+    budgets = (1, 2000, graded.GRADED_BLOCK_ELEMENTS, 1 << 40)
+    scans, compared = {}, 0
+    for gd in cases:
+        tables = graded._Tables(gd)
+        for combo in _scanned_assoc_combos(gd):
+            l, m, n, G, A, B, C = combo
+            reads = {(G, l, m, A, B), (G, l * m, n, B, C), (G, m, n, B, C),
+                     (G, l, m * n, A, C)}
+            key = (combo, tuple(o for o in gd.ext_overrides.items()
+                                if o[0][0][:5] in reads))
+            if key not in scans:
+                scans[key] = _scan_assoc_combo(gd, *combo)
+            for budget in budgets:
+                monkeypatch.setattr(graded, "GRADED_BLOCK_ELEMENTS", budget)
+                got = graded._graded_assoc_combo(tables, G, A, B, C, l, m, n)
+                assert got == (scans[key] or True), (combo, budget)
+            compared += 1
+    assert compared == 60 * len(cases)
+    for combo, gd in patched.items():
+        # the witness is a pair whose h is the overridden table, at its cell
+        (key, cell), _ = next(iter(gd.ext_overrides.items()))
+        fi, gi, *wcell = scans[combo, tuple(gd.ext_overrides.items())]
+        assert _h(small, *combo, int(fi[2:]), int(gi[2:])) == dict(key[5])
+        assert tuple(wcell) == cell
+
+
 def test_graded_override_outside_its_grade(glist):
     # f*_{1,1} of the map B x B -> T_1 B that is b0 everywhere, set to a
     # list of length 3 at (b0, ()): where it is f, no column of g*
@@ -955,13 +1046,15 @@ def test_graded_override_outside_its_grade(glist):
 
 def test_graded_reports_do_not_depend_on_the_block_budget(monkeypatch, rng):
     """Blocks of one (outer, inner) pair cut every combo of context
-    naturality, and every extension table, at every row, so the first
-    witness must win across block edges.  The mutants are the oracle
-    test's (full reports) and criterion 4's graded ones (its stop-early
-    reports).  On the grades-(1,2,3) instance's mutants one pair per block
-    takes about 40 times as long as the default budget; 32 elements take
-    about 9 times as long and still cut each outer row of its wide combos,
-    and each extension table of more than 16 cells, into one-row blocks."""
+    naturality, and every extension table, at every row, and blocks of
+    associativity hold one cell each, so the first witness must win across
+    block edges; a budget of 2**40 makes every combo one block.  The
+    mutants are the oracle test's (full reports) and criterion 4's graded
+    ones (its stop-early reports).  On the grades-(1,2,3) instance's
+    mutants one pair per block takes about 40 times as long as the default
+    budget; 32 elements take about 9 times as long and still cut each outer
+    row of its wide combos, and each extension table of more than 16 cells,
+    into one-row blocks."""
     small = lc.bounded_list_instance(grades=(1, 2))
     cases = [(m, False, 1) for m in _oracle_mutants().values()]
     cases += [(m, True, 1) for _, m in lc.graded_mutations(small)]
@@ -969,11 +1062,28 @@ def test_graded_reports_do_not_depend_on_the_block_budget(monkeypatch, rng):
         lc.bounded_list_instance(), rng=rng, ext_samples=8)]
     want = [lc.check_graded_laws(m, stop_early).render()
             for m, stop_early, _ in cases]
-    got = []
-    for m, stop_early, budget in cases:
-        monkeypatch.setattr(graded, "GRADED_BLOCK_ELEMENTS", budget)
-        got.append(lc.check_graded_laws(m, stop_early).render())
-    assert got == want
+    for small_budget in (False, True):
+        got = []
+        for m, stop_early, budget in cases:
+            monkeypatch.setattr(graded, "GRADED_BLOCK_ELEMENTS",
+                                budget if small_budget else 1 << 40)
+            got.append(lc.check_graded_laws(m, stop_early).render())
+        assert got == want
+
+
+def test_graded_check_memory_peak(glist):
+    """The traced allocation peak of a check of the builtin instance, its
+    tables and the transient arrays of its kernels: 5.56 MB before
+    associativity was decided in blocks of cells, 5.16 MB after; the bound
+    is the former with a tenth to spare."""
+    lc.check_graded_laws(glist)  # numpy loaded, the law engines compiled
+    tracemalloc.start()
+    try:
+        lc.check_graded_laws(glist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.56e6 * 1.1
 
 
 def _ext_override_mutants(gd, rng, count):
