@@ -544,6 +544,15 @@ def _trie(table: dict) -> dict:
     return root
 
 
+def _composer(C: FinCategory):
+    """C.compose reading C's tables directly; raises as C.compose does."""
+    comp, dom, cod = C.comp, C.dom, C.cod
+
+    def compose(g, f):
+        return comp[g, f] if cod[f] == dom[g] else C.compose(g, f)
+    return compose
+
+
 # ---------------------------------------------------------------------------
 # law sets
 
@@ -552,23 +561,24 @@ def relmonad_laws(d: FinRelMonadData) -> list[Law]:
     C, A, ext, eta = d.C, d.aobjs, d.ext_plain, d.eta
     if ext is None:
         raise LawError("plain extension tables absent")
+    compose, homs, J, T = _composer(C), C.homs.get, d.jmap, d.tmap
 
     def kleisli(a, b):
-        return C.hom(d.jmap[a], d.tmap[b])
+        return homs((J[a], T[b]), ())
 
     def unit_ext(a):
         got = ext.get((a, a, eta[a]))
-        return got == C.ids[d.tmap[a]] or (eta[a], got)
+        return got == C.ids[T[a]] or (eta[a], got)
 
     def ext_comp(a, b, c, f, g):
         gstar = ext[(b, c, g)]
-        return C.compose(gstar, ext[(a, b, f)]) == \
-            ext[(a, c, C.compose(gstar, f))]
+        return compose(gstar, ext[(a, b, f)]) == \
+            ext[(a, c, compose(gstar, f))]
 
     return [
         Law("unit-extension", "eta-ext", (A,), unit_ext),
         Law("extension-unit", "ext-unit", (A, A, kleisli),
-            lambda a, b, f: C.compose(ext[(a, b, f)], eta[a]) == f),
+            lambda a, b, f: compose(ext[(a, b, f)], eta[a]) == f),
         Law("extension-composition", "ext-comp",
             (A, A, A, lambda a, b, c: kleisli(a, b),
              lambda a, b, c, f: kleisli(b, c)), ext_comp),
@@ -579,29 +589,27 @@ def check_rel_monad_laws(d: FinRelMonadData) -> LawReport:
     return _report(f"{d.name}/relmonad", relmonad_laws(d))
 
 
-def check_monad_morphism(gamma: dict, d1: FinRelMonadData,
-                         d2: FinRelMonadData) -> LawReport:
+def monad_morphism_laws(gamma: dict, d1: FinRelMonadData,
+                        d2: FinRelMonadData) -> list[Law]:
     """gamma_A : T1 A -> T2 A a morphism of relative monads."""
-    C, A = d1.C, d1.aobjs
+    C, A, ext1, ext2 = d1.C, d1.aobjs, d1.ext_plain, d2.ext_plain
+    compose, homs, J, T = _composer(C), C.homs.get, d1.jmap, d1.tmap
 
     def extension(a, b, f):
-        return C.compose(gamma[b], d1.ext_plain[(a, b, f)]) == C.compose(
-            d2.ext_plain[(a, b, C.compose(gamma[b], f))], gamma[a])
+        return compose(gamma[b], ext1[(a, b, f)]) == compose(
+            ext2[(a, b, compose(gamma[b], f))], gamma[a])
 
-    return _report("monad-morphism", [
+    return [
         Law("morphism-unit", "unit", (A,),
-            lambda a: C.compose(gamma[a], d1.eta[a]) == d2.eta[a]),
+            lambda a: compose(gamma[a], d1.eta[a]) == d2.eta[a]),
         Law("morphism-extension", "extension",
-            (A, A, lambda a, b: C.hom(d1.jmap[a], d1.tmap[b])), extension),
-    ])
+            (A, A, lambda a, b: homs((J[a], T[b]), ())), extension),
+    ]
 
 
-def _tensor_id_mor(C, obj, f):
-    return C.tensor_mor(C.ids[obj], f)
-
-
-def _tensor_mor_id(C, f, obj):
-    return C.tensor_mor(f, C.ids[obj])
+def check_monad_morphism(gamma: dict, d1: FinRelMonadData,
+                         d2: FinRelMonadData) -> LawReport:
+    return _report("monad-morphism", monad_morphism_laws(gamma, d1, d2))
 
 
 def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
@@ -619,6 +627,8 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
     if indices is None:
         indices = C.objects
     w_omap = (wfun.omap if wfun else None)
+    compose, homs, tensor = _composer(C), C.homs.get, C.mor_tensor.get
+    ids, ext_get = C.ids, ext.get
 
     def wobj(g):
         return w_omap[g] if w_omap else g
@@ -642,19 +652,20 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
         def nat_mors(gp, g):
             return ()
     else:
-        nat_mors = C.hom
+        def nat_mors(gp, g):
+            return homs((gp, g), ())
 
     def unit(a):
         if unit_idx is None:
             return None
-        got = ext.get((unit_idx, a, a, eta[a]))
-        return got == C.ids[T[a]] or (got,)
+        got = ext_get((unit_idx, a, a, eta[a]))
+        return got == ids[T[a]] or (got,)
 
     def ext_unit(g, a, b, f):
-        fstar = ext.get((g, a, b, f))
+        fstar = ext_get((g, a, b, f))
         if fstar is None:
             return None
-        return C.compose(fstar, _tensor_id_mor(C, wobj(g), eta[a])) == f
+        return compose(fstar, tensor((ids[wobj(g)], eta[a]))) == f
 
     def assoc_defined(g, e, a, b, c):
         return None not in (tj[g, a], tt[g, a], C.tensor_obj(dg[g, e], J[a]),
@@ -665,31 +676,31 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
         # may be undefined, which puts each h out of the fragment
         if (g, a, b, f) not in ext:
             return None
-        return (_tensor_id_mor(C, wobj(e), ext[(g, a, b, f)]),
-                _tensor_id_mor(C, wobj(e), f))
+        we = ids[wobj(e)]
+        return tensor((we, ext[(g, a, b, f)])), tensor((we, f))
 
     def assoc(g, e, a, b, c, f, mids, h):
-        gstar = ext.get((e, b, c, h))
+        gstar = ext_get((e, b, c, h))
         mid_t, mid_j = mids
         if gstar is None or mid_t is None or mid_j is None:
             return None
-        rhs = ext.get((comp_idx[g, e], a, c, C.compose(gstar, mid_j)))
-        return None if rhs is None else C.compose(gstar, mid_t) == rhs
+        rhs = ext_get((comp_idx[g, e], a, c, compose(gstar, mid_j)))
+        return None if rhs is None else compose(gstar, mid_t) == rhs
 
     def nat_lifts(gp, g, h, a, b):
         # h (x) JA and h (x) TA, or None where a tensor is undefined
-        hj, ht = _tensor_mor_id(C, h, J[a]), _tensor_mor_id(C, h, T[a])
+        hj, ht = tensor((h, ids[J[a]])), tensor((h, ids[T[a]]))
         if None in (tj[g, a], tj[gp, a], tt[gp, a], tt[g, a], hj, ht):
             return None
         return hj, ht
 
     def naturality(gp, g, h, a, b, lifts, f):
         hj, ht = lifts
-        fstar = ext.get((g, a, b, f))
-        lhs = ext.get((gp, a, b, C.compose(f, hj)))
+        fstar = ext_get((g, a, b, f))
+        lhs = ext_get((gp, a, b, compose(f, hj)))
         if fstar is None or lhs is None:
             return None
-        return lhs == C.compose(fstar, ht)
+        return lhs == compose(fstar, ht)
 
     return [
         Law("strong-unit", "strong-unit", (A,), unit),
@@ -697,16 +708,18 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
             (indices, A, A,
              Guard(lambda g, a, b: tj[g, a] is not None and
                    tt[g, a] is not None),
-             lambda g, a, b: C.hom(tj[g, a], T[b])), ext_unit),
+             lambda g, a, b: homs((tj[g, a], T[b]), ())), ext_unit),
         Law("strong-associativity", "strong-assoc",
             (indices, indices,
              Guard(lambda g, e: comp_idx[g, e] is not None),
              A, A, A, Guard(assoc_defined),
-             lambda g, e, a, b, c: C.hom(tj[g, a], T[b]), Let(assoc_mids),
-             lambda g, e, a, b, c, f, mids: C.hom(tj[e, b], T[c])), assoc),
+             lambda g, e, a, b, c: homs((tj[g, a], T[b]), ()),
+             Let(assoc_mids),
+             lambda g, e, a, b, c, f, mids: homs((tj[e, b], T[c]), ())),
+            assoc),
         Law("strong-naturality", "strong-naturality",
             (indices, indices, nat_mors, A, A, Let(nat_lifts),
-             lambda gp, g, h, a, b, lifts: C.hom(tj[g, a], T[b])),
+             lambda gp, g, h, a, b, lifts: homs((tj[g, a], T[b]), ())),
             naturality),
     ]
 
@@ -792,22 +805,24 @@ def strength_map_laws(theta: dict, d: FinRelMonadData) -> list[Law]:
     C, A, J, T, eta = d.C, d.aobjs, d.jmap, d.tmap, d.eta
     if d.jfun is None:
         raise LawError("J witnesses absent")
-    iota, kappa = d.jfun.iota, d.jfun.kappa
+    iota, kappa, plain = d.jfun.iota, d.jfun.kappa, d.ext_plain
+    compose, homs, tensor, ids = (_composer(C), C.homs.get,
+                                  C.mor_tensor.get, C.ids)
     unit_a = next((a for a in reversed(A) if J[a] == C.unit), None)
 
     def unitor(b):
         # T(lambda) o theta_{I,B} o (iota (x) TB) = lambda, strict unitors
         if unit_a is None or (unit_a, b) not in theta:
             return None
-        lhs = C.compose(theta[(unit_a, b)], _tensor_mor_id(C, iota, T[b]))
-        return lhs == C.ids[T[b]] or (lhs,)
+        lhs = compose(theta[(unit_a, b)], tensor((iota, ids[T[b]])))
+        return lhs == ids[T[b]] or (lhs,)
 
     def eta_compat(a, b):
         # theta o (JA (x) eta_B) = eta_{AxB} o kappa
         if (a, b) not in theta:
             return None
-        return C.compose(theta[(a, b)], _tensor_id_mor(C, J[a], eta[b])) \
-            == C.compose(eta[C.tensor_obj(a, b)], kappa[(a, b)])
+        return compose(theta[(a, b)], tensor((ids[J[a]], eta[b]))) \
+            == compose(eta[C.tensor_obj(a, b)], kappa[(a, b)])
 
     def assoc(a, b, c):
         ab, bc = C.tensor_obj(a, b), C.tensor_obj(b, c)
@@ -815,22 +830,20 @@ def strength_map_laws(theta: dict, d: FinRelMonadData) -> list[Law]:
                 (a, bc) not in theta or (b, c) not in theta or \
                 C.tensor_obj(J[a], J[b]) is None:
             return None
-        lhs = C.compose(theta[(ab, c)],
-                        _tensor_mor_id(C, kappa[(a, b)], T[c]))
-        return lhs == C.compose(theta[(a, bc)],
-                                _tensor_id_mor(C, J[a], theta[(b, c)]))
+        lhs = compose(theta[(ab, c)], tensor((kappa[(a, b)], ids[T[c]])))
+        return lhs == compose(theta[(a, bc)],
+                              tensor((ids[J[a]], theta[(b, c)])))
 
     @functools.cache
     def kappa_inv(a, b):
         return _kappa_inv(C, kappa[(a, b)])
 
     def extension(a, b, c, f):
-        lhs = C.compose(theta[(a, c)],
-                        _tensor_id_mor(C, J[a], d.ext_plain[(b, c, f)]))
-        inner = C.compose(theta[(a, c)], C.compose(
-            _tensor_id_mor(C, J[a], f), kappa_inv(a, b)))
-        return lhs == C.compose(
-            d.ext_plain[(C.tensor_obj(a, b), C.tensor_obj(a, c), inner)],
+        lhs = compose(theta[(a, c)], tensor((ids[J[a]], plain[(b, c, f)])))
+        inner = compose(theta[(a, c)], compose(tensor((ids[J[a]], f)),
+                                               kappa_inv(a, b)))
+        return lhs == compose(
+            plain[(C.tensor_obj(a, b), C.tensor_obj(a, c), inner)],
             theta[(a, b)])
 
     return [
@@ -840,7 +853,7 @@ def strength_map_laws(theta: dict, d: FinRelMonadData) -> list[Law]:
         Law("strength-extension", "theta-ext",
             (A, A, A, Guard(lambda a, b, c: (a, b) in theta and
                             (a, c) in theta),
-             lambda a, b, c: C.hom(J[b], T[c])), extension),
+             lambda a, b, c: homs((J[b], T[c]), ())), extension),
     ]
 
 
@@ -921,6 +934,7 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
     if ext is None:
         raise LawError("bistrong tables absent")
     t = _trie(ext)
+    compose, tensor, ids = _composer(C), C.mor_tensor.get, C.ids
 
     def keys(*prefix):
         node = t
@@ -932,18 +946,18 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
         got = ext.get((U, U, a, a, d.eta[a]))
         if got is None:
             return None
-        return got == C.ids[d.tmap[a]] or (got,)
+        return got == ids[d.tmap[a]] or (got,)
 
     def lift(g, e, m):
         # Gamma (x) (m (x) Delta), None where the tensor is undefined
-        mid = C.tensor_mor(m, C.ids[e])
-        return None if mid is None else _tensor_id_mor(C, g, mid)
+        mid = tensor((m, ids[e]))
+        return None if mid is None else tensor((ids[g], mid))
 
     def ext_unit(g, e, a, b, f):
         ge = lift(g, e, d.eta[a])
         if ge is None:
             return None
-        return C.compose(ext[(g, e, a, b, f)], ge) == f
+        return compose(ext[(g, e, a, b, f)], ge) == f
 
     def assoc_lifts(g1, d1, a, b, f, g2, d2):
         # the two cells' contexts tensored, and f* and f lifted to them,
@@ -958,9 +972,10 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
         if None in lifts:
             return None
         gstar = ext[(g2, d2, b, c, g)]
-        rhs = ext.get((og, od, a, c, C.compose(gstar, m2j)))
-        return None if rhs is None else C.compose(gstar, m2) == rhs
+        rhs = ext.get((og, od, a, c, compose(gstar, m2j)))
+        return None if rhs is None else compose(gstar, m2) == rhs
 
+    @functools.cache
     def shuffle(g, e, p, x):
         # sigma~ at the object x, None if its domain leaves the category
         n = int(g) * int(x) * int(e) * int(p)
@@ -974,9 +989,9 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
         sj, st = shuffle(g, e, p, d.jmap[a]), shuffle(g, e, p, d.tmap[a])
         if dgp is None or sj is None or st is None:
             return None
-        rhs = ext.get((g, dgp, a, b, C.compose(f, sj)))
+        rhs = ext.get((g, dgp, a, b, compose(f, sj)))
         return None if rhs is None else \
-            C.compose(ext[(C.tensor_obj(g, e), p, a, b, f)], st) == rhs
+            compose(ext[(C.tensor_obj(g, e), p, a, b, f)], st) == rhs
 
     def at_gd(g, e, *rest):
         return keys(C.tensor_obj(g, e), *rest)

@@ -3,6 +3,7 @@ conversions, induced structure, and mutation soundness."""
 
 import collections
 import gc
+import hashlib
 import itertools
 import os
 import pickle
@@ -579,6 +580,85 @@ def test_every_law_reports_its_first_witness(exc, ident, name):
                 _assert_first_witness(law, line)
             failing += not rep.ok
     assert failing > 0
+
+
+def _gammas(d):
+    """gamma = the identities of T, and every single-component mutant of
+    it: one component replaced by another morphism of its hom-set."""
+    ids = {a: d.C.ids[d.tmap[a]] for a in d.aobjs}
+    yield "id", ids
+    for a, mor in ids.items():
+        for alt in d.C.hom(d.C.dom[mor], d.C.cod[mor]):
+            if alt != mor:
+                yield f"gamma[{a}] := {alt}", {**ids, a: alt}
+
+
+def test_monad_morphism_reports_its_first_witness(ident):
+    """The monad morphism laws of the identity instance to itself, along
+    the identities and along every single-component mutant of them."""
+    failing = 0
+    for _, gamma in _gammas(ident):
+        laws = lc.monad_morphism_laws(gamma, ident, ident)
+        rep = lc.check_monad_morphism(gamma, ident, ident)
+        assert [law.name for law in laws] == [l.law for l in rep.lines]
+        for law, line in zip(laws, rep.lines):
+            _assert_first_witness(law, line)
+        failing += not rep.ok
+    assert failing == 3
+
+
+def _ungraded_reports(exc, ident):
+    """The rendered reports of every ungraded law set on both builtin
+    instances with every table and on every single-cell mutant of the
+    tables the set reads; for the monad morphism, every single-component
+    mutant of gamma and every mutant of the target's unit and extension."""
+    out = []
+    for d in (_with_every_table(exc), _with_every_table(ident)):
+        for name, (law_set, tables) in ENGINE_SETS.items():
+            for desc, mut in [("clean", d), *lc.mutations_of(d, tables)]:
+                out.append(f"{name} {desc}\n{law_set(mut)[1].render()}")
+        ids = dict(next(_gammas(d))[1])
+        cases = [(desc, gamma, d) for desc, gamma in _gammas(d)]
+        cases += [(desc, ids, mut) for desc, mut in
+                  lc.mutations_of(d, ("eta", "ext_plain"))]
+        for desc, gamma, d2 in cases:
+            rep = lc.check_monad_morphism(gamma, d, d2)
+            out.append(f"morphism {desc}\n{rep.render()}")
+    return out
+
+
+def test_ungraded_reports_digest(exc, ident):
+    """Every ungraded report, witnesses and skip counts included, is the
+    one pinned here.  The first-witness tests compare the engine with a
+    walk of the same predicates, so a predicate whose meaning changed
+    passes them; it does not pass this."""
+    reports = _ungraded_reports(exc, ident)
+    digest = hashlib.sha256("\n\n".join(reports).encode()).hexdigest()
+    assert len(reports) == 319
+    assert digest == \
+        "b4c1ebf0d5a9ad3fe5ec94ecf37dfe3f30781debbf8f3a2e30f1c4cdd796c51b"
+
+
+@pytest.mark.parametrize("check, table, key, value, after", [
+    (lambda d: lc.check_rel_monad_laws(d), "ext_plain",
+     ("1", "2", "f1_3_2"), "f1_3_2", "f1_2_0"),
+    (lambda d: lc.check_strong_laws(d), "ext_strong",
+     ("1", "1", "2", "f1_3_1"), "f1_3_0", "f1_2_0"),
+    (lambda d: lc.check_bistrong_laws(d), "ext_bi",
+     ("1", "1", "2", "1", "f2_2_01"), "f2_2_10", "f2_3_01"),
+])
+def test_a_non_composable_pair_is_an_error(exc, check, table, key, value,
+                                           after):
+    """A table cell whose value lies in the wrong hom-set makes a law
+    compose two morphisms that do not meet: LawError names them, the
+    value after the first morphism it meets."""
+    d = _with_every_table(exc)
+    tab = getattr(d, table)
+    assert key in tab and d.C.dom[tab[key]] != d.C.dom[value]
+    tab[key] = value
+    with pytest.raises(lc.LawError) as err:
+        check(d)
+    assert str(err.value) == f"not composable: {value} after {after}"
 
 
 def test_every_graded_law_reports_its_first_witness(rng):
