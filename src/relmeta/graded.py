@@ -556,16 +556,26 @@ def _number(key, size):
 def _h_matches(g2, fcol2, coded):
     """The (f, g) rows at which h = g*_{m,n} o (pi, f) is the coded table,
     for g*_{m,n}'s rows g2 and its columns fcol2 at f's values on h's
-    domain: (f rows, g rows)."""
+    domain: (f rows, g rows), g-major.  Each position of the domain
+    compares every g row with its coded value once per distinct column;
+    the g rows that match at each position somewhere are then matched
+    against every f in blocks of whole g rows, one gather per position."""
+    eqs, live = [], _np.ones(len(g2), dtype=bool)
+    for k, want in enumerate(coded):
+        cols, inv = _np.unique(fcol2[:, k], return_inverse=True)
+        eqs.append((g2[:, cols] == want, inv.ravel()))
+        live &= eqs[-1][0].any(axis=1)
+    live = _np.flatnonzero(live)
     fs, gs = [_np.empty(0, dtype=_np.intp)], [_np.empty(0, dtype=_np.intp)]
-    for g, row in enumerate(g2):
-        if not _np.isin(coded, row).all():
-            continue
-        rows = _np.arange(len(fcol2))
-        for k, want in enumerate(coded):
-            rows = rows[row[fcol2[rows, k]] == want]
-        fs.append(rows)
-        gs.append(_np.full(len(rows), g, dtype=_np.intp))
+    rows = max(1, GRADED_BLOCK_ELEMENTS // max(1, len(fcol2)))
+    for r in range(0, len(live), rows):
+        block = live[r:r + rows]
+        match = _np.ones((len(block), len(fcol2)), dtype=bool)
+        for eq, inv in eqs:
+            match &= eq[block][:, inv]
+        g, f = _np.nonzero(match)
+        fs.append(f)
+        gs.append(block[g])
     return _np.concatenate(fs), _np.concatenate(gs)
 
 

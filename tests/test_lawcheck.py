@@ -1127,6 +1127,60 @@ def test_graded_assoc_combos_match_the_scan(monkeypatch):
         assert tuple(wcell) == cell
 
 
+def _h_matches_by_row(g2, fcol2, coded):
+    """graded._h_matches one g row at a time, with one isin per row: the
+    reference the kernel must equal."""
+    fs, gs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for g, row in enumerate(g2):
+        if not np.isin(coded, row).all():
+            continue
+        rows = np.arange(len(fcol2))
+        for k, want in enumerate(coded):
+            rows = rows[row[fcol2[rows, k]] == want]
+        fs.append(rows)
+        gs.append(np.full(len(rows), g, dtype=np.intp))
+    return np.concatenate(fs), np.concatenate(gs)
+
+
+def test_h_matches_equal_the_row_loop(monkeypatch, rng):
+    """The (f, g) pairs an override of h's extension patches are the row
+    loop's, in its order, at the default block budget and at 100 elements
+    (one g row per block wherever f has 100 rows or more).  The overrides
+    are one of ext[B,1,3,B,B] on the grades-(1,2,3) instance, whose combo
+    has 50,625 g rows, and the extension-override mutants this module
+    builds on the grades-(1,2) instance, with 40 sampled ones."""
+    calls = []
+    kernel = graded._h_matches
+
+    def recorded(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(graded, "_h_matches", recorded)
+    small = lc.bounded_list_instance(grades=(1, 2))
+    oracle = _oracle_mutants()
+    cases = [_ext_mutant(lc.bounded_list_instance(), "B", 1, 3, "B", "B",
+                         [("b0",), ("b1",), (), ("b0",)], ("b0", ("b1",))),
+             *_h_override_mutants(small).values(),
+             *(oracle[k] for k in ("f-outer", "g-outer", "g-outer-late")),
+             *(m for _, m in lc.graded_mutations(small, rng=rng,
+                                                 ext_samples=40)
+               if m.ext_overrides)]
+    for gd in cases:
+        lc.check_graded_laws(gd)
+    assert len(calls) == 33 and len(calls[0][0]) == 50625
+    matched = 0
+    for g2, fcol2, coded in calls:
+        want = _h_matches_by_row(g2, fcol2, coded)
+        for budget in (graded.GRADED_BLOCK_ELEMENTS, 100):
+            monkeypatch.setattr(graded, "GRADED_BLOCK_ELEMENTS", budget)
+            got = kernel(g2, fcol2, coded)
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        matched += len(want[0])
+    assert matched > 0
+
+
 def test_graded_override_outside_its_grade(glist):
     # f*_{1,1} of the map B x B -> T_1 B that is b0 everywhere, set to a
     # list of length 3 at (b0, ()): where it is f, no column of g*
