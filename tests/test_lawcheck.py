@@ -1145,7 +1145,7 @@ def _h_matches_by_row(g2, fcol2, coded):
 def test_h_matches_equal_the_row_loop(monkeypatch, rng):
     """The (f, g) pairs an override of h's extension patches are the row
     loop's, in its order, at the default block budget and at 100 elements
-    (one g row per block wherever f has 100 rows or more).  The overrides
+    (one g row per block wherever f has more than 50 rows).  The overrides
     are one of ext[B,1,3,B,B] on the grades-(1,2,3) instance, whose combo
     has 50,625 g rows, and the extension-override mutants this module
     builds on the grades-(1,2) instance, with 40 sampled ones."""
