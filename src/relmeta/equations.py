@@ -5,7 +5,11 @@ checkEq is sound but deliberately incomplete: Proven means the oriented
 rewrite system plus a bounded bidirectional axiom search joined the two
 sides; Refuted means a registered finite model separates them under some
 environment (with a replayable witness); otherwise the verdict is Unknown
-and carries both normal forms.
+and carries both normal forms.  The models are swept before the search,
+and a separating binding that is a model of the signature's theory
+refutes without one: what the theory derives holds in each of its models.
+A separating binding that is not a model, or a sweep that raises, waits
+for the search, which may still prove the pair.
 
 Subject reduction is re-checked after every rewrite, never assumed.  A
 judgement entering the engine is checked in full, and its typing index
@@ -360,6 +364,17 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     models is a list of (name, ModelBinding) used for refutation.  Both
     sides and the axiom search share one set of checks, so the rewriting
     engine checks no term twice in one call.
+
+    When the normal forms differ, the models are swept in order before the
+    axiom search, stopping at the first that separates the sides or
+    raises.  If that first separating binding is a model of the
+    signature's theory (`ModelBinding.theory_model`) and the pair is of
+    the theory's calculus, the pair is REFUTED without a search: an
+    equation derivable from the theory holds in every model of it, so no
+    search can join the sides.  Otherwise the search runs, and a proof
+    gives PROVEN; failing that, the sweep's refutation is returned, or
+    its ModelError raised, or the verdict is UNKNOWN.  So the verdict is
+    the one a search followed by the sweep would give.
     """
     if (jl.calculus, jl.form, jl.zones, jl.ty) != \
             (jr.calculus, jr.form, jr.zones, jr.ty):
@@ -373,16 +388,27 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN",
                          proof=EqProof(tuple(nl.steps + _backward(nr.steps))))
-    axioms = sig.theory.axioms if sig.theory else []
+    from . import models as models_mod
+    refuted = error = None
+    theory = sig.theory
+    try:
+        for name, binding in models:
+            eq, witness = models_mod._sweep(jl, jr, dl, dr, binding, sig)
+            if not eq:
+                refuted = EqVerdict("REFUTED", model=name, witness=witness)
+                if binding.theory_model and (
+                        theory is None or theory.calculus == jl.calculus):
+                    return refuted
+                break
+    except models_mod.ModelError as e:
+        error = e
+    axioms = theory.axioms if theory else []
     mid = _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget)
     if mid is not None:
         return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
-    from . import models as models_mod
-    for name, binding in models:
-        eq, witness = models_mod._sweep(jl, jr, dl, dr, binding, sig)
-        if not eq:
-            return EqVerdict("REFUTED", model=name, witness=witness)
-    return EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
+    if error is not None:
+        raise error
+    return refuted or EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
 
 
 def _backward(steps):

@@ -241,6 +241,9 @@ class ModelBinding:
     carriers: dict
     geninterp: dict
     opinterp: dict
+    # whether the binding satisfies every axiom of the theory of the
+    # signature it was loaded with (see `load_binding`)
+    theory_model: bool = False
 
     def carrier(self, obj: str):
         if obj not in self.carriers:
@@ -267,7 +270,24 @@ def load_binding(text: str, sig: Signature) -> ModelBinding:
                 for (name,), val in entries["opinterp"].items()}
     binding = ModelBinding(calculus, backend, carriers, geninterp, opinterp)
     validate_binding(binding, sig)
+    binding.theory_model = _satisfies_theory(binding, sig)
     return binding
+
+
+def _satisfies_theory(binding: ModelBinding, sig: Signature) -> bool:
+    """True iff both sides of every axiom of sig's theory are equal under
+    the binding in every environment (vacuously for no theory).  A sweep
+    that raises counts as not satisfied; loading does not fail for it."""
+    theory = sig.theory
+    for ax in theory.axioms if theory else ():
+        sides = [Judgement(theory.calculus, ax.form, ax.zones, t, ax.ty)
+                 for t in (ax.lhs, ax.rhs)]
+        try:
+            if not semantic_eq(*sides, binding, sig)[0]:
+                return False
+        except ModelError:
+            return False
+    return True
 
 
 def _parse_backend(text: str):
