@@ -54,19 +54,35 @@ def dist_binding(coin_sig):
     return load_binding(fixture_text("dist.mb"), coin_sig)
 
 
+# the coin theory's operations with coin raising boom: not a model of the
+# theory, since it breaks `do x <- coin in ret () = ret ()`
+EXC_MB = """\
+calculus rmm
+backend exception(boom)
+carrier 2 = {tt, ff}
+carrier 4 = {p00, p01, p10, p11}
+interp not = {tt -> ff, ff -> tt}
+opinterp coin = exc(boom)
+opinterp pair2 = {(tt,tt) -> p11, (tt,ff) -> p10, (ff,tt) -> p01, (ff,ff) -> p00}
+opinterp and2 = {(tt,tt) -> tt, (tt,ff) -> ff, (ff,tt) -> ff, (ff,ff) -> ff}
+"""
+
+
+# the coin theory's distribution backend without pair2 and and2: a sweep
+# that reaches either raises
+BARE_DIST_MB = """\
+calculus rmm
+backend distribution
+carrier 2 = {tt, ff}
+carrier 4 = {p00, p01, p10, p11}
+interp not = {tt -> ff, ff -> tt}
+opinterp coin = dist{tt:1/2, ff:1/2}
+"""
+
+
 @pytest.fixture(scope="session")
 def exc_binding(coin_sig):
-    return load_binding(
-        """
-        calculus rmm
-        backend exception(boom)
-        carrier 2 = {tt, ff}
-        carrier 4 = {p00, p01, p10, p11}
-        interp not = {tt -> ff, ff -> tt}
-        opinterp coin = exc(boom)
-        opinterp pair2 = {(tt,tt) -> p11, (tt,ff) -> p10, (ff,tt) -> p01, (ff,ff) -> p00}
-        opinterp and2 = {(tt,tt) -> tt, (tt,ff) -> ff, (ff,tt) -> ff, (ff,ff) -> ff}
-        """, coin_sig)
+    return load_binding(EXC_MB, coin_sig)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path, golden_sig_path
+from conftest import BARE_DIST_MB, EXC_MB, fixture_path, golden_sig_path
 from relmeta import cli
 from relmeta.signatures import load_signature
 
@@ -227,6 +227,31 @@ def test_eq_golden_refuted(monkeypatch, capsys):
                                 "refuted_dist.eq"]) == 1
         assert capsys.readouterr().out.encode() == \
             (EQ_GOLDEN / f"refuted_dist.{mode}").read_bytes()
+
+
+@pytest.mark.parametrize("binding, name, code, err", [
+    # not a model of the coin theory, and separates the sides of its ax1
+    (EXC_MB, "stone1", 0, ""),
+    # no pair2 and no and2: every sweep that reaches them raises
+    (BARE_DIST_MB, "stone2", 0, ""),
+    (BARE_DIST_MB, "refuted_dist", 3,
+     "error: binding has no interpretation for operation and2\n"),
+])
+def test_eq_with_a_binding_that_is_not_a_model(binding, name, code, err,
+                                               tmp_path, capsys):
+    """A binding that is not a model of the theory refutes nothing the
+    search proves, and a sweep's error is reported only when the search
+    fails as well: the verdicts and errors of the search-then-sweep
+    order."""
+    mb = write(tmp_path, "m.mb", binding)
+    local = EQ_GOLDEN / f"{name}.eq"
+    eq = str(local) if local.exists() else fixture_path(f"{name}.eq")
+    assert cli.main(["eq", "--theory", fixture_path("coin.sig"),
+                     "--model", f"m={mb}", eq]) == code
+    out = capsys.readouterr()
+    if code == 0:
+        assert out.out == (EQ_GOLDEN / f"{name}.txt").read_text()
+    assert out.err == err
 
 
 EVAL_GOLDEN = Path(__file__).parent / "golden" / "eval"

@@ -3,14 +3,17 @@
 import collections
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from conftest import accepted_golden_judgements
-from relmeta import equations, gen as genmod, typecheck
-from relmeta.equations import (BudgetExceeded, EqProof, Step, check_eq,
-                               check_proof, derive_local_store, normalize,
-                               parse_proof)
+from conftest import (BARE_DIST_MB, accepted_golden_judgements,
+                      fixture_path)
+from relmeta import equations, gen as genmod, models, typecheck
+from relmeta.cli import load_eq_file
+from relmeta.equations import (BudgetExceeded, EqProof, EqVerdict, Step,
+                               check_eq, check_proof, derive_local_store,
+                               normalize, parse_proof)
 from relmeta.rules import rules_for
 from relmeta.signatures import load_signature
 from relmeta.syntax import (alpha_eq, base, judgement, parse_context,
@@ -542,3 +545,201 @@ def test_check_eq_validates_the_shape_once(coin_sig, dist_binding,
     assert v.status == "REFUTED"
     assert len(seen) >= 2
     assert len(calls) == once
+
+
+# -- the model sweep ahead of the axiom search --------------------------------
+
+def _check_eq_search_first(jl, jr, sig, bindings=(), *, depth=6,
+                           breadth=400, budget=10000):
+    """check_eq with the axiom search before the model sweep: the order it
+    had before a model of the theory refuted ahead of the search, kept as
+    the reference its verdicts must equal."""
+    if (jl.calculus, jl.form, jl.zones, jl.ty) != \
+            (jr.calculus, jr.form, jr.zones, jr.ty):
+        raise equations.RewriteError(
+            "the two sides are not judgements of one shape")
+    cl, dl = equations._Checks(sig).root(jl)
+    nl = normalize(cl, sig, budget=budget)
+    cr, dr = cl.checks.root(jr)
+    nr = normalize(cr, sig, budget=budget)
+    if alpha_eq(nl.term, nr.term):
+        return EqVerdict("PROVEN", proof=EqProof(
+            tuple(nl.steps + equations._backward(nr.steps))))
+    axioms = sig.theory.axioms if sig.theory else []
+    mid = equations._bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth,
+                              budget)
+    if mid is not None:
+        return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
+    for name, binding in bindings:
+        eq, witness = models._sweep(jl, jr, dl, dr, binding, sig)
+        if not eq:
+            return EqVerdict("REFUTED", model=name, witness=witness)
+    return EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
+
+
+def _rendered(decide, jl, jr, sig, bindings):
+    """The verdict as rendered (status and proof, or model and witness, or
+    normal forms), or the model error raised."""
+    try:
+        return decide(jl, jr, sig, bindings).render()
+    except models.ModelError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _coin_pairs(rng, coin_sig):
+    """Closed coin programs as the `equations` workload draws them: k = 1-3
+    binds of coin in order on the left and shuffled on the right, and a
+    continuation (a pair2, or a boolean of not and and2 over the bound
+    names) that on the right is the left's, the left's with and2's
+    arguments swapped, or drawn afresh."""
+    def expr(names, depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.4:
+            return ("var", rng.choice(names))
+        if r < 0.65:
+            return ("not", expr(names, depth - 1))
+        return ("and2", expr(names, depth - 1), expr(names, depth - 1))
+
+    def commuted(e):
+        if e[0] == "and2":
+            return ("and2", commuted(e[2]), commuted(e[1]))
+        return ("not", commuted(e[1])) if e[0] == "not" else e
+
+    def text(e):
+        if e[0] == "var":
+            return e[1]
+        if e[0] == "not":
+            return "not " + (e[1][1] if e[1][0] == "var"
+                             else f"({text(e[1])})")
+        return f"and2({text(e[1])}, {text(e[2])})"
+
+    def program(order, cont):
+        body = "ret " + (f"pair2({text(cont[0])}, {text(cont[1])})"
+                         if len(cont) == 2 else text(cont[0]))
+        for x in reversed(order):
+            body = f"do {x} <- coin in {body}"
+        return body
+
+    out = []
+    for k in (1, 2, 3):
+        names = [f"x{i}" for i in range(1, k + 1)]
+        for relation in ("same", "commuted", "fresh"):
+            for i in range(4):
+                width = 1 + i % 2   # a boolean, or a pair2 of two
+                cont = tuple(expr(names, 2) for _ in range(width))
+                other = {"same": cont,
+                         "commuted": tuple(map(commuted, cont)),
+                         "fresh": tuple(expr(names, 2)
+                                        for _ in range(width))}[relation]
+                rorder = rng.sample(names, k)
+                ty = "T(4)" if width == 2 else "T(2)"
+                out.append((_j("rmm", coin_sig, "", program(names, cont), ty),
+                            _j("rmm", coin_sig, "", program(rorder, other),
+                               ty)))
+    return out
+
+
+EQ_GOLDEN = Path(__file__).parent / "golden" / "eq"
+
+
+def _golden_eq_pairs(coin_sig, store_sig, dist_binding):
+    """(jl, jr, sig, models) of every equation file with an `eq` golden,
+    with the theory and models its golden was made with."""
+    out = []
+    for golden in sorted(EQ_GOLDEN.glob("*.txt")):
+        local = EQ_GOLDEN / f"{golden.stem}.eq"
+        path = local if local.exists() else fixture_path(f"{golden.stem}.eq")
+        sig, bindings = ((store_sig, []) if golden.stem.startswith("store")
+                         else (coin_sig, [("dist", dist_binding)]))
+        out.append((*load_eq_file(str(path), sig), sig, bindings))
+    return out
+
+
+def test_sweep_first_gives_the_search_first_verdicts(coin_sig, store_sig,
+                                                     dist_binding,
+                                                     exc_binding):
+    """Sweeping the models before the search changes no verdict, proof,
+    model or witness: on the stone suite, every `eq` golden's pair, and
+    closed coin programs of 1-3 binds under dist.mb, alone and after
+    exc_binding (not a model of the theory)."""
+    stone = [("do x <- coin in ret ()", "ret ()", "T(1)"),
+             ("do x <- coin in do y <- coin in ret pair2(x,y)",
+              "do y <- coin in do x <- coin in ret pair2(x,y)", "T(4)"),
+             ("do x <- coin in ret not x", "coin", "T(2)")]
+    dist = [("dist", dist_binding)]
+    cases = [(_j("rmm", coin_sig, "", lhs, ty),
+              _j("rmm", coin_sig, "", rhs, ty), coin_sig, dist)
+             for lhs, rhs, ty in stone]
+    cases += _golden_eq_pairs(coin_sig, store_sig, dist_binding)
+    coin = _coin_pairs(random.Random(20240811), coin_sig)
+    cases += [(jl, jr, coin_sig, dist) for jl, jr in coin]
+    cases += [(jl, jr, coin_sig, [("e", exc_binding)] + dist)
+              for jl, jr in coin]
+    statuses = collections.Counter()
+    for jl, jr, sig, bindings in cases:
+        got = _rendered(check_eq, jl, jr, sig, bindings)
+        assert got == _rendered(_check_eq_search_first, jl, jr, sig,
+                                bindings), term_to_text(jl.term)
+        statuses[got.split()[0]] += 1
+    assert set(statuses) == {"PROVEN", "REFUTED", "UNKNOWN"}, statuses
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    real = equations._bisearch
+    monkeypatch.setattr(equations, "_bisearch",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_only_a_model_of_the_theory_refutes_before_the_search(
+        coin_sig, dist_binding, exc_binding, monkeypatch):
+    """dist.mb is a model of the coin theory and refutes an rmm pair
+    without a search; exc_binding, which breaks `do x <- coin in ret () =
+    ret ()`, refutes only after a failed search, and never replaces the
+    search's proof of that axiom."""
+    searches = _count_searches(monkeypatch)
+    jl = _j("rmm", coin_sig, "z : J(2)", "do x <- coin in ret x", "T(2)")
+    jr = _j("rmm", coin_sig, "z : J(2)", "ret z", "T(2)")
+    v = check_eq(jl, jr, coin_sig, [("dist", dist_binding)])
+    assert v.render() == "REFUTED model=dist witness=[z=tt]"
+    assert not searches
+    v = check_eq(jl, jr, coin_sig, [("e", exc_binding),
+                                    ("dist", dist_binding)])
+    assert v.render() == "REFUTED model=e witness=[z=tt]"
+    assert len(searches) == 1
+    ax1 = [_j("rmm", coin_sig, "", t, "T(1)")
+           for t in ("do x <- coin in ret ()", "ret ()")]
+    assert not models.semantic_eq(*ax1, exc_binding, coin_sig)[0]
+    v = check_eq(*ax1, coin_sig, [("e", exc_binding)])
+    assert v.render() == "PROVEN\nax1 at root lr fwd"
+    assert len(searches) == 2
+    # the theory's axioms were swept as judgements of its calculus (rmm),
+    # so a pair of another calculus waits for the search
+    ul, ur = (replace(j, calculus="urmm") for j in (jl, jr))
+    v = check_eq(ul, ur, coin_sig, [("dist", dist_binding)])
+    assert v.render() == "REFUTED model=dist witness=[z=tt]"
+    assert len(searches) == 3
+
+
+def test_a_sweep_error_waits_for_the_search(coin_sig, monkeypatch):
+    """A distribution binding without pair2 and and2 raises in the sweep; a
+    pair the search proves is still PROVEN, and the error is raised only
+    when the search fails too."""
+    bare = models.load_binding(BARE_DIST_MB, coin_sig)
+    assert not bare.theory_model
+    searches = _count_searches(monkeypatch)
+    jl = _j("rmm", coin_sig, "", "do x <- coin in do y <- coin in"
+            " ret pair2(x,y)", "T(4)")
+    jr = _j("rmm", coin_sig, "", "do y <- coin in do x <- coin in"
+            " ret pair2(x,y)", "T(4)")
+    with pytest.raises(models.ModelError):
+        models.semantic_eq(jl, jr, bare, coin_sig)
+    v = check_eq(jl, jr, coin_sig, [("bare", bare)])
+    assert v.render() == "PROVEN\nax2 at root lr fwd"
+    jl, jr = load_eq_file(str(EQ_GOLDEN / "refuted_dist.eq"), coin_sig)
+    with pytest.raises(models.ModelError,
+                       match="^binding has no interpretation for operation"
+                             " and2$"):
+        check_eq(jl, jr, coin_sig, [("bare", bare)])
+    assert len(searches) == 2
