@@ -252,7 +252,8 @@ class ModelBinding:
 
 
 def load_binding(text: str, sig: Signature) -> ModelBinding:
-    """A model binding from its text (see the file grammar in the README)."""
+    """A model binding from its text (see the file grammar in the README),
+    checked against sig's relations and swept over its theory's axioms."""
     kv = syntax.read_keys(text, ("calculus", "backend"),
                           ("carrier", "interp", "opinterp"))
     calculus = syntax.calculus_of(kv)
