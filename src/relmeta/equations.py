@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import rules as rules_mod
 from . import syntax
 from .rules import Rule, RuleCtx, RULES_BY_HEAD
-from .signatures import Axiom, Signature
+from .signatures import Axiom, Signature, SignatureError
 from .syntax import (Judgement, Term, alpha_eq, positions, replace_at, shift,
                      subterm_at, term_to_text)
 from .typecheck import check, check_at, typings
@@ -367,14 +367,14 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
 
     When the normal forms differ, the models are swept in order before the
     axiom search, stopping at the first that separates the sides or
-    raises.  If that first separating binding is a model of the
-    signature's theory (`ModelBinding.theory_model`) and the pair is of
-    the theory's calculus, the pair is REFUTED without a search: an
-    equation derivable from the theory holds in every model of it, so no
-    search can join the sides.  Otherwise the search runs, and a proof
-    gives PROVEN; failing that, the sweep's refutation is returned, or
-    its ModelError raised, or the verdict is UNKNOWN.  So the verdict is
-    the one a search followed by the sweep would give.
+    raises.  If that first separating binding is a model of sig's theory
+    (`_models_theory`) and the pair is of the theory's calculus, the pair
+    is REFUTED without a search: an equation derivable from the theory
+    holds in every model of it, so no search can join the sides.
+    Otherwise the search runs, and a proof gives PROVEN; failing that, the
+    sweep's refutation is returned, or its ModelError raised, or the
+    verdict is UNKNOWN.  So the verdict is the one a search followed by the
+    sweep would give.
     """
     if (jl.calculus, jl.form, jl.zones, jl.ty) != \
             (jr.calculus, jr.form, jr.zones, jr.ty):
@@ -396,8 +396,8 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
             eq, witness = models_mod._sweep(jl, jr, dl, dr, binding, sig)
             if not eq:
                 refuted = EqVerdict("REFUTED", model=name, witness=witness)
-                if binding.theory_model and (
-                        theory is None or theory.calculus == jl.calculus):
+                if (theory is None or theory.calculus == jl.calculus) \
+                        and _models_theory(binding, sig):
                     return refuted
                 break
     except models_mod.ModelError as e:
@@ -409,6 +409,30 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     if error is not None:
         raise error
     return refuted or EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
+
+
+def _models_theory(binding, sig: Signature) -> bool:
+    """Whether binding is a model of sig: it respects sig's relations, and
+    both sides of every axiom of sig's theory are equal under it in every
+    environment (vacuously for no theory).  A check that raises counts as
+    not a model.  Decided once per (binding, sig), comparing sig by
+    identity, since a binding may be used with a signature other than the
+    one it was loaded with."""
+    for known, ok in binding.theory_memo:
+        if known is sig:
+            return ok
+    from . import models as models_mod
+    theory = sig.theory
+    try:
+        models_mod.validate_binding(binding, sig)
+        ok = all(models_mod.semantic_eq(
+            *(Judgement(theory.calculus, ax.form, ax.zones, t, ax.ty)
+              for t in (ax.lhs, ax.rhs)), binding, sig)[0]
+            for ax in (theory.axioms if theory else ()))
+    except (models_mod.ModelError, SignatureError):
+        ok = False
+    binding.theory_memo.append((sig, ok))
+    return ok
 
 
 def _backward(steps):

@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import syntax
 from .signatures import Signature, SignatureError
@@ -241,9 +241,10 @@ class ModelBinding:
     carriers: dict
     geninterp: dict
     opinterp: dict
-    # whether the binding satisfies every axiom of the theory of the
-    # signature it was loaded with (see `load_binding`)
-    theory_model: bool = False
+    # (signature, whether the binding is a model of it) for each signature
+    # `equations.check_eq` has asked about, compared by identity
+    theory_memo: list = field(default_factory=list, init=False, repr=False,
+                              compare=False)
 
     def carrier(self, obj: str):
         if obj not in self.carriers:
@@ -252,8 +253,7 @@ class ModelBinding:
 
 
 def load_binding(text: str, sig: Signature) -> ModelBinding:
-    """A model binding from its text (see the file grammar in the README),
-    checked against sig's relations and swept over its theory's axioms."""
+    """A model binding from its text (see the file grammar in the README)."""
     kv = syntax.read_keys(text, ("calculus", "backend"),
                           ("carrier", "interp", "opinterp"))
     calculus = syntax.calculus_of(kv)
@@ -271,24 +271,7 @@ def load_binding(text: str, sig: Signature) -> ModelBinding:
                 for (name,), val in entries["opinterp"].items()}
     binding = ModelBinding(calculus, backend, carriers, geninterp, opinterp)
     validate_binding(binding, sig)
-    binding.theory_model = _satisfies_theory(binding, sig)
     return binding
-
-
-def _satisfies_theory(binding: ModelBinding, sig: Signature) -> bool:
-    """True iff both sides of every axiom of sig's theory are equal under
-    the binding in every environment (vacuously for no theory).  A sweep
-    that raises counts as not satisfied; loading does not fail for it."""
-    theory = sig.theory
-    for ax in theory.axioms if theory else ():
-        sides = [Judgement(theory.calculus, ax.form, ax.zones, t, ax.ty)
-                 for t in (ax.lhs, ax.rhs)]
-        try:
-            if not semantic_eq(*sides, binding, sig)[0]:
-                return False
-        except ModelError:
-            return False
-    return True
 
 
 def _parse_backend(text: str):

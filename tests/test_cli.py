@@ -464,6 +464,23 @@ def test_repl_session():
     assert "PROVEN" in r.stdout
 
 
+def test_repl_model_loaded_under_another_signature(tmp_path):
+    """A binding loaded under a signature without a theory and then used
+    under the coin theory is judged against the coin theory: exc's coin
+    breaks ax1, so the search's proof of ax1 stands."""
+    free = write(tmp_path, "free.sig", "calculus rmm\nobject 2\nobject 4\n"
+                 "gen not : 2 -> 2\nrel not;not = id_2\n")
+    mb = write(tmp_path, "exc.mb", EXC_MB)
+    script = f":sig {free}\n:model {mb}\n:sig {fixture_path('coin.sig')}\n" \
+        ":type T(1)\n:eq do x <- coin in ret () = ret ()\n"
+    r = subprocess.run(RUN + ["repl", "--sig", fixture_path("coin.sig")],
+                       input=script, capture_output=True, text=True)
+    assert r.returncode == 0
+    assert r.stdout.split("relmeta> ")[1:] == [
+        "signature loaded\n", "model binding loaded\n", "signature loaded\n",
+        "", "PROVEN\nax1 at root lr fwd\n", ""]
+
+
 def test_repl_reports_bad_input_and_goes_on():
     """An unknown calculus and a zone the judgement form lacks are reported
     as errors, and the session goes on; an empty zone clears one."""

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (BARE_DIST_MB, accepted_golden_judgements,
+from conftest import (BARE_DIST_MB, EXC_MB, accepted_golden_judgements,
                       fixture_path)
 from relmeta import equations, gen as genmod, models, typecheck
 from relmeta.cli import load_eq_file
@@ -722,12 +722,58 @@ def test_only_a_model_of_the_theory_refutes_before_the_search(
     assert len(searches) == 3
 
 
+def test_whether_a_binding_models_the_theory(
+        coin_sig, gmm_sig, arrow_sig, dist_binding, exc_binding,
+        glist_binding, karr_binding):
+    """dist.mb is a model of the coin theory; exc_binding, whose coin
+    raises, is not; a binding whose axiom sweep raises (it has no pair2) is
+    not, and loads all the same; any binding satisfies a signature with no
+    theory.  A binding that breaks a relation of the signature asked about
+    is not a model of it."""
+    assert equations._models_theory(dist_binding, coin_sig)
+    assert not equations._models_theory(exc_binding, coin_sig)
+    bare = models.load_binding(BARE_DIST_MB, coin_sig)
+    assert not equations._models_theory(bare, coin_sig)
+    no_theory = replace(coin_sig, theory=None)
+    for b in (dist_binding, exc_binding, bare):
+        assert equations._models_theory(b, no_theory)
+    assert equations._models_theory(glist_binding, gmm_sig)
+    assert equations._models_theory(karr_binding, arrow_sig)
+    free = load_signature("calculus rmm\nobject 2\nobject 4\n"
+                          "gen not : 2 -> 2\n")
+    broken = models.load_binding(EXC_MB.replace(
+        "interp not = {tt -> ff, ff -> tt}",
+        "interp not = {tt -> tt, ff -> tt}"), free)
+    assert equations._models_theory(broken, free)
+    assert not equations._models_theory(broken, no_theory)
+
+
+def test_a_model_of_the_theory_is_judged_against_the_signature_asked(
+        coin_sig, monkeypatch):
+    """A binding loaded under a signature without a theory, where it is a
+    model, and then used with the coin theory is judged against the coin
+    theory: exc's coin breaks ax1, so ax1 stays PROVEN by the search.  The
+    judgement is made once per binding and signature."""
+    exc = models.load_binding(EXC_MB, replace(coin_sig, theory=None))
+    searches = _count_searches(monkeypatch)
+    sweeps = []
+    real = models.semantic_eq
+    monkeypatch.setattr(models, "semantic_eq",
+                        lambda *a: sweeps.append(a) or real(*a))
+    ax1 = [_j("rmm", coin_sig, "", t, "T(1)")
+           for t in ("do x <- coin in ret ()", "ret ()")]
+    for _ in range(2):
+        v = check_eq(*ax1, coin_sig, [("e", exc)])
+        assert v.render() == "PROVEN\nax1 at root lr fwd"
+    assert len(searches) == 2 and len(sweeps) == 1
+
+
 def test_a_sweep_error_waits_for_the_search(coin_sig, monkeypatch):
     """A distribution binding without pair2 and and2 raises in the sweep; a
     pair the search proves is still PROVEN, and the error is raised only
     when the search fails too."""
     bare = models.load_binding(BARE_DIST_MB, coin_sig)
-    assert not bare.theory_model
+    assert not equations._models_theory(bare, coin_sig)
     searches = _count_searches(monkeypatch)
     jl = _j("rmm", coin_sig, "", "do x <- coin in do y <- coin in"
             " ret pair2(x,y)", "T(4)")

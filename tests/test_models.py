@@ -130,19 +130,6 @@ def test_stone_semantic_equalities(coin_sig, dist_binding):
         assert eq, (lhs, w)
 
 
-def test_load_records_whether_a_binding_models_the_theory(
-        coin_sig, dist_binding, exc_binding, glist_binding, karr_binding):
-    """load_binding sweeps both sides of each axiom of the signature's
-    theory: dist.mb is a model of the coin theory; exc_binding, whose coin
-    raises, is not; a binding whose sweep raises (it has no pair2) is not,
-    and loads all the same; any binding satisfies a signature with no
-    theory."""
-    assert dist_binding.theory_model
-    assert not exc_binding.theory_model
-    assert not load_binding(BARE_DIST_MB, coin_sig).theory_model
-    assert glist_binding.theory_model and karr_binding.theory_model
-
-
 def test_semantic_refutation_first_witness(coin_sig, dist_binding):
     jl = _j("rmm", coin_sig, "z : J(2)", "ret z", "T(2)")
     jr = _j("rmm", coin_sig, "z : J(2)", "ret not z", "T(2)")
