@@ -397,8 +397,7 @@ def cmd_repl(args):
                     res = equations.normalize(j, sig)
                     print(syntax.term_to_text(res.term))
             elif cmd == ":eq":
-                p = syntax._P(syntax.tokenize(rest), sig=sig,
-                              calculus=calculus)
+                p = syntax._P(rest, sig=sig, calculus=calculus)
                 tl = p.term()
                 p.expect("=")
                 tr = p.term()

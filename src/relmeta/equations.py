@@ -209,10 +209,19 @@ def _fire(cj: _Checked, sig: Signature, path: tuple, keep):
                 yield r, sub, new
 
 
-def redexes(cj: _Checked, sig: Signature, include_search=False):
+# the calculi that register search-only rules
+_SEARCH_CALCULI = frozenset(
+    c for c in syntax.CALCULI
+    if any(r.search_only for r in rules_mod.rules_for(c, True)))
+
+
+def redexes(cj: _Checked, sig: Signature, search_only=False):
     """The (rule, path, new subterm) triples on a checked judgement,
-    lazily, leftmost-outermost and then in rule registration order."""
-    keep = lambda r: include_search or not r.search_only
+    lazily, leftmost-outermost and then in rule registration order: of the
+    normalizing rules, or with search_only of the search-only ones alone."""
+    if search_only and cj.j.calculus not in _SEARCH_CALCULI:
+        return
+    keep = lambda r: r.search_only == search_only
     for path in cj.ann:
         for r, sub, new in _fire(cj, sig, path, keep):
             if new != sub:
@@ -446,19 +455,16 @@ def _expand(cj, sig, axioms, budget):
     out = [(step, normalize(nxt, sig, budget=budget))
            for step, nxt in axiom_moves(cj, sig, axioms)]
     # search-only rules participate in both orientations
-    for r, path, new in redexes(cj, sig, include_search=True):
-        if r.search_only:
-            nxt, msg = cj.checks.at(cj, path, new)
-            if nxt is None:
-                raise RewriteError(f"term does not type-check: {msg}")
-            out.append((Step(r.name, path), normalize(nxt, sig,
-                                                      budget=budget)))
+    for r, path, new in redexes(cj, sig, search_only=True):
+        nxt, msg = cj.checks.at(cj, path, new)
+        if nxt is None:
+            raise RewriteError(f"term does not type-check: {msg}")
+        out.append((Step(r.name, path), normalize(nxt, sig, budget=budget)))
     return out
 
 
 def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
-    if not axioms and not any(
-            r.search_only for r in rules_mod.rules_for(cl.j.calculus, True)):
+    if not axioms and cl.j.calculus not in _SEARCH_CALCULI:
         return None
     # seed with the originals too: an axiom redex may only exist before
     # normalization reshapes the term
@@ -548,7 +554,7 @@ def parse_proof(text: str, sig: Signature, calculus: str) -> EqProof:
 
 
 def _parse_step(text, name, sig, calculus) -> Step:
-    p = syntax._P(syntax.tokenize(text), sig=sig, calculus=calculus)
+    p = syntax._P(text, sig=sig, calculus=calculus)
     p.expect("at")
     loc = [p.next()]
     while p.peek() == ".":

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import syntax
-from .syntax import (Grade, GradeMor, SyntaxError_, TypeExpr, gnat, gname,
-                     tokenize)
+from .syntax import Grade, GradeMor, SyntaxError_, TypeExpr, gnat, gname
 
 
 class SignatureError(Exception):
@@ -503,7 +502,7 @@ def _load_grading(lines) -> Grading:
 
 def _parse_op(text: str, sig: Signature) -> OpDecl:
     # name : (x : T, y : U) -> T2    |    name : () -> T
-    p = syntax._P(tokenize(text), sig=sig)
+    p = syntax._P(text, sig=sig)
     name = p.name()
     p.expect(":")
     p.expect("(")
@@ -518,7 +517,7 @@ def _parse_op(text: str, sig: Signature) -> OpDecl:
 
 def _parse_axiom(text: str, sig: Signature, calculus: str, idx: int) -> Axiom:
     # <lhs> = <rhs> in [x : T, ...] : T
-    p = syntax._P(tokenize(text), sig=sig, calculus=calculus)
+    p = syntax._P(text, sig=sig, calculus=calculus)
     lhs = p.term()
     p.expect("=")
     rhs = p.term()

@@ -14,6 +14,7 @@ zones.  Which types a zone kind admits is the checker's table.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -408,19 +409,17 @@ def subst_free(t: Term, x: str, u: Term) -> Term:
 def free_vars(t: Term, names=()) -> frozenset:
     """The free names of t.  `names` names the binders around t, innermost
     last; the names its dangling bvars refer to are free in t too."""
-    out = set()
-
-    def go(t, depth):
+    out, todo = set(), [(t, 0)]
+    while todo:
+        t, depth = todo.pop()
         if t.kind == "var":
             out.add(t.name)
         elif t.kind == "bvar":
             if 0 <= t.index - depth < len(names):
                 out.add(names[depth - 1 - t.index])
         else:
-            for i, s in enumerate(t.subs):
-                go(s, depth + child_binders(t, i))
-
-    go(t, 0)
+            todo.extend((s, depth + child_binders(t, i))
+                        for i, s in enumerate(t.subs))
     return frozenset(out)
 
 
@@ -493,11 +492,15 @@ def admissible_term_kinds(calculus: str) -> set:
 
 
 def check_admissible(t: Term, calculus: str):
+    """Reject the first term former, in preorder, that the calculus lacks."""
     ok = _TERMS_BY_CALC[calculus]
-    for p in positions(t):
-        k = subterm_at(t, p).kind
-        if k not in ok:
-            raise SyntaxError_(f"term former '{k}' is not part of {calculus}")
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t.kind not in ok:
+            raise SyntaxError_(
+                f"term former '{t.kind}' is not part of {calculus}")
+        todo.extend(reversed(t.subs))
 
 
 # ---------------------------------------------------------------------------
@@ -582,72 +585,87 @@ def judgement(calculus, zones, term, ty, form=None) -> Judgement:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow2>=>|->|-o|~>|<-|>=)
-  | (?P<lp>\()|(?P<rp>\))
-  | (?P<sym>[,.:;<>*=\[\]{}])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*|[0-9]+)
-""", re.VERBOSE)
+_TOKEN = r"=>|->|-o|~>|<-|>=|[(),.:;<>*=\[\]{}]|[A-Za-z_][A-Za-z0-9_']*|[0-9]+"
+# one token after the whitespace and comments before it, or the end of the
+# text after them; a comment takes its whole line, so that backtracking
+# never finds a token inside one
+_TOKEN_RE = re.compile(rf"\s*(?:\#[^\n]*(?![^\n])\s*)*({_TOKEN}|\Z)")
+# the longest prefix made of tokens, whitespace and comments
+_TEXT_RE = re.compile(rf"(?:\s|\#[^\n]*|{_TOKEN})*")
 
 KEYWORDS = {"do", "in", "let", "lam", "lamarrow", "app", "ret", "pi1", "pi2",
             "derelict", "merge", "unmerge", "regrade", "J", "K", "R", "T",
             "gr", "I"}
 
 
-def tokenize(text: str):
-    toks, line, col, i = [], 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise SyntaxError_(f"unexpected character {text[i]!r}", line, col)
-        kind = m.lastgroup
-        val = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append((val, line, col))
-        nl = val.count("\n")
-        if nl:
-            line += nl
-            col = len(val) - val.rfind("\n")
-        else:
-            col += len(val)
-        i = m.end()
-    toks.append((None, line, col))
+def tokenize(text: str) -> list:
+    """The token values of `text`, followed by None for its end.
+
+    One regex match checks that the text is made of tokens, whitespace and
+    `#` comments, and one regex scan returns the tokens, skipping the rest.
+    Neither tracks lines: `_line_col` finds a position again only when a
+    SyntaxError_ needs it."""
+    end = _TEXT_RE.match(text).end()
+    if end < len(text):
+        raise SyntaxError_(f"unexpected character {text[end]!r}",
+                           *_line_col(text, end))
+    toks = _TOKEN_RE.findall(text)
+    k = toks.index("")  # the end of the text, matched once or twice
+    del toks[k + 1:]
+    toks[k] = None
     return toks
 
 
-class _P:
-    """Recursive-descent parser over the token list."""
+def _line_col(text: str, pos: int) -> tuple:
+    """The 1-based line and column of offset `pos` of `text`."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
-    def __init__(self, toks, sig=None, calculus="rmm"):
-        self.toks = toks
+
+class _P:
+    """Recursive-descent parser over the tokens of a text.
+
+    A bound name is resolved to its de Bruijn index as it is read, from the
+    binders in force (`scope`: name -> the depths that bind it, innermost
+    last), so a term is built once, in time linear in the text.  An
+    operation or generator name is never a variable, bound or free.  A
+    do/let/lam/lamarrow spine is read in a loop, so its length costs no
+    Python frames; what nests inside a spine's heads or atoms still
+    recurses."""
+
+    def __init__(self, text, sig=None, calculus="rmm"):
+        self.text = text
+        self.toks = tokenize(text)
         self.i = 0
         self.sig = sig
         self.calculus = calculus
+        self.scope = {}
+        self.depth = 0
 
     def peek(self):
-        return self.toks[self.i][0]
+        return self.toks[self.i]
 
     def peek2(self):
-        return self.toks[self.i + 1][0] if self.i + 1 < len(self.toks) else None
+        return self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
 
     def next(self):
         """The next token; None, without advancing, at the end."""
         t = self.toks[self.i]
-        if t[0] is not None:
+        if t is not None:
             self.i += 1
-        return t[0]
+        return t
 
     def expect(self, tok):
-        got, line, col = self.toks[self.i]
+        got = self.toks[self.i]
         if got != tok:
-            raise SyntaxError_(f"expected {tok!r}, found {got!r}", line, col)
+            self.err(f"expected {tok!r}, found {got!r}")
         self.i += 1
 
     def err(self, msg):
-        _, line, col = self.toks[self.i]
-        raise SyntaxError_(msg, line, col)
+        """Raise msg at the current token, found again in the text (at the
+        end, for the -1 that `atom` steps back to from an empty text)."""
+        i = self.i % len(self.toks)
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None))
+        raise SyntaxError_(msg, *_line_col(self.text, m.start(1)))
 
     def end(self):
         """Reject input left after what was parsed."""
@@ -672,6 +690,22 @@ class _P:
                 tok in KEYWORDS:
             self.err(f"expected a variable name, found {tok!r}")
         return self.next()
+
+    # -- the binders in force -------------------------------------------
+
+    def bind(self, names):
+        """Put a binder's names in force; the last is bvar 0.  Of two equal
+        names in one pattern the first wins, as closing the body over
+        each name in turn made it."""
+        d = self.depth
+        for k in range(len(names) - 1, -1, -1):
+            self.scope.setdefault(names[k], []).append(d + k)
+        self.depth = d + len(names)
+
+    def unbind(self, names):
+        for x in names:
+            self.scope[x].pop()
+        self.depth -= len(names)
 
     # -- helpers over the signature ------------------------------------
 
@@ -781,47 +815,46 @@ class _P:
 
     def term(self) -> Term:
         tok = self.peek()
-        if tok == "do":
-            self.next()
-            x = self.name()
-            self.expect("<-")
-            u = self.term()
-            self.expect("in")
-            t = self.term()
-            return do(u, close_binder(t, x), hint=x)
-        if tok == "let":
-            return self.let_()
-        if tok == "lam":
-            self.next()
-            self.expect("(")
-            x = self.name()
-            self.expect(":")
-            ty = self.type_()
-            self.expect(")")
-            self.expect(".")
-            t = self.term()
-            return lam(ty, close_binder(t, x), hint=x)
-        if tok == "lamarrow":
-            self.next()
-            if self.peek() == "(":
+        spine = []  # (kind, subs before the body, tyann, binder names)
+        while True:
+            if tok == "do":
                 self.next()
                 x = self.name()
-                self.expect(":")
-                ty = self.type_()
-                self.expect(")")
+                self.expect("<-")
+                u = self.term()
+                self.expect("in")
+                spine.append(("do", (u,), None, (x,)))
+            elif tok == "let":
+                spine.append(self.let_())
+            elif tok in ("lam", "lamarrow"):
+                self.next()
+                if tok == "lam" or self.peek() == "(":
+                    self.expect("(")
+                    x = self.name()
+                    self.expect(":")
+                    ty = self.type_()
+                    self.expect(")")
+                else:
+                    x, ty = self.name(), None
+                self.expect(".")
+                spine.append((tok, (), ty, (x,)))
             else:
-                x, ty = self.name(), None
-            self.expect(".")
-            t = self.term()
-            return lamarrow(ty, close_binder(t, x), hint=x)
+                break
+            self.bind(spine[-1][3])
+            tok = self.peek()
         if tok == "app":
             self.next()
             u = self.dotterm()
-            v = self.dotterm()
-            return app(u, v)
-        return self.dotterm()
+            t = app(u, self.dotterm())
+        else:
+            t = self.dotterm()
+        for kind, subs, ty, names in reversed(spine):
+            self.unbind(names)
+            t = Term(kind, (*subs, t), tyann=ty, hints=names)
+        return t
 
-    def let_(self) -> Term:
+    def let_(self) -> tuple:
+        """`let <pattern> = t in`, as a spine entry of term."""
         self.expect("let")
         tok = self.next()
         if tok == "(":
@@ -830,8 +863,7 @@ class _P:
                 self.expect("=")
                 t = self.term()
                 self.expect("in")
-                s = self.term()
-                return letunit(t, s)
+                return "letunit", (t,), None, ()
             x = self.name()
             self.expect(",")
             y = self.name()
@@ -839,8 +871,7 @@ class _P:
             self.expect("=")
             t = self.term()
             self.expect("in")
-            s = self.term()
-            return letpair(t, close_binder(close_binder(s, x), y), hx=x, hy=y)
+            return "letpair", (t,), None, (x, y)
         if tok in ("J", "K"):
             self.expect("(")
             a = self.name()
@@ -848,9 +879,7 @@ class _P:
             self.expect("=")
             t = self.term()
             self.expect("in")
-            s = self.term()
-            mk = letj if tok == "J" else letk
-            return mk(t, close_binder(s, a), hint=a)
+            return ("letj" if tok == "J" else "letk"), (t,), None, (a,)
         self.err("expected a let pattern: (), (x,y), J(a), or K(a)")
 
     def dotterm(self) -> Term:
@@ -919,6 +948,9 @@ class _P:
                 self.err(f"operation {tok} expects {arity} argument(s),"
                          f" got {len(args)}")
             return opapp(tok, *args)
+        depths = self.scope.get(tok)
+        if depths:
+            return bv(self.depth - 1 - depths[-1])
         return var(tok)
 
 
@@ -926,9 +958,12 @@ def parse_term(text: str, calculus: str = "rmm", sig=None) -> Term:
     """Parse surface syntax into a locally nameless Term.
 
     Raises SyntaxError_ with line/column info on lex or grammar errors;
-    also rejects term formers that the calculus does not admit.
+    also rejects term formers that the calculus does not admit.  Binders
+    are resolved as they are read, so parsing takes time linear in the
+    text, and a do/let/lam/lamarrow spine of any length parses under the
+    default recursion limit (see `_P`).
     """
-    p = _P(tokenize(text), sig=sig, calculus=calculus)
+    p = _P(text, sig=sig, calculus=calculus)
     t = p.term()
     p.end()
     check_admissible(t, calculus)
@@ -936,7 +971,7 @@ def parse_term(text: str, calculus: str = "rmm", sig=None) -> Term:
 
 
 def parse_type(text: str, sig=None) -> TypeExpr:
-    p = _P(tokenize(text), sig=sig)
+    p = _P(text, sig=sig)
     ty = p.type_()
     p.end()
     return ty
@@ -947,7 +982,7 @@ def parse_context(text: str, sig=None) -> Context:
     text = text.strip()
     if text in ("", "-"):
         return ()
-    p = _P(tokenize(text), sig=sig)
+    p = _P(text, sig=sig)
     out = p.context()
     p.end()
     return out
@@ -1085,13 +1120,19 @@ def _fresh(hint: str, avoid: set) -> str:
     return f"{hint}{k}"
 
 
+# the formers whose last child is a body under their binders, printed in a
+# loop by term_to_text
+_SPINE = {"do", "lam", "lamarrow", "letunit", "letpair", "letj", "letk"}
+
+
 def term_to_text(t: Term, names=()) -> str:
     """Pretty-print in the surface grammar; parse(print(t)) is alpha-equal.
 
     A bvar prints as the name of the binder it points to: one of t's, or,
     for a subterm, one of `names`, the binders around t (innermost last).
     Each binder of t prints as its hint, made fresh for the free names t
-    refers to and the binders of t around it."""
+    refers to and the binders of t around it.  A do/let/lam/lamarrow spine
+    is printed in a loop, so its length costs no Python frames."""
     avoid = set(free_vars(t, names))
     stack = list(names)
 
@@ -1109,13 +1150,42 @@ def term_to_text(t: Term, names=()) -> str:
         avoid.add(x)
         return x
 
-    def under(body, *xs):
-        """Print body with the binders xs in force, and release them."""
-        stack.extend(xs)
-        s = go(body)
-        del stack[-len(xs):]
-        avoid.difference_update(xs)
-        return s
+    def spine(t):
+        """A do/let/lam/lamarrow spine, its heads printed in a loop and its
+        binders released after its body."""
+        parts, bound = [], []
+        while t.kind in _SPINE:
+            match t.kind:
+                case "do":
+                    xs = (fresh(t, 0, "x"),)
+                    parts.append(f"do {xs[0]} <- {go(t.subs[0])} in ")
+                case "lam" | "lamarrow":
+                    xs = (fresh(t, 0, "x"),)
+                    if t.kind == "lamarrow" and t.tyann is None:
+                        parts.append(f"lamarrow {xs[0]}. ")
+                    else:
+                        parts.append(f"{t.kind} ({xs[0]}:"
+                                     f"{type_to_text(t.tyann)}). ")
+                case "letunit":
+                    xs = ()
+                    parts.append(f"let () = {go(t.subs[0])} in ")
+                case "letpair":
+                    xs = (fresh(t, 0, "x"), fresh(t, 1, "y"))
+                    parts.append(f"let ({xs[0]},{xs[1]}) = {go(t.subs[0])}"
+                                 " in ")
+                case "letj" | "letk":
+                    xs = (fresh(t, 0, "a"),)
+                    tag = "J" if t.kind == "letj" else "K"
+                    parts.append(f"let {tag}({xs[0]}) = {go(t.subs[0])} in ")
+            stack.extend(xs)
+            bound.append(xs)
+            t = t.subs[-1]
+        parts.append(go(t))
+        for xs in reversed(bound):
+            if xs:
+                del stack[-len(xs):]
+                avoid.difference_update(xs)
+        return "".join(parts)
 
     def go(t):
         match t.kind:
@@ -1139,31 +1209,13 @@ def term_to_text(t: Term, names=()) -> str:
                 return f"{t.name}({', '.join(go(s) for s in t.subs)})"
             case "regrade":
                 return f"regrade<{t.xi}> {atom(t.subs[0])}"
-            case "do":
-                x = fresh(t, 0, "x")
-                return f"do {x} <- {go(t.subs[0])} in {under(t.subs[1], x)}"
-            case "lam" | "lamarrow":
-                x = fresh(t, 0, "x")
-                head = f"lam ({x}:{type_to_text(t.tyann)})" if t.kind == "lam" \
-                    else (f"lamarrow ({x}:{type_to_text(t.tyann)})"
-                          if t.tyann is not None else f"lamarrow {x}")
-                return f"{head}. {under(t.subs[0], x)}"
+            case kind if kind in _SPINE:
+                return spine(t)
             case "app":
                 return f"app {atom(t.subs[0])} {atom(t.subs[1])}"
             case "aapp":
                 lhs = atom(t.subs[0]) if t.subs[0].kind != "aapp" else go(t.subs[0])
                 return f"{lhs} . {atom(t.subs[1])}"
-            case "letunit":
-                return f"let () = {go(t.subs[0])} in {go(t.subs[1])}"
-            case "letpair":
-                hx, hy = fresh(t, 0, "x"), fresh(t, 1, "y")
-                return f"let ({hx},{hy}) = {go(t.subs[0])} in " \
-                       f"{under(t.subs[1], hx, hy)}"
-            case "letj" | "letk":
-                a = fresh(t, 0, "a")
-                tag = "J" if t.kind == "letj" else "K"
-                return f"let {tag}({a}) = {go(t.subs[0])} in " \
-                       f"{under(t.subs[1], a)}"
             case "jterm" | "kterm" | "rterm":
                 tag = {"jterm": "J", "kterm": "K", "rterm": "R"}[t.kind]
                 return f"{tag}({go(t.subs[0])})"

@@ -789,3 +789,77 @@ def test_a_sweep_error_waits_for_the_search(coin_sig, monkeypatch):
                              " and2$"):
         check_eq(jl, jr, coin_sig, [("bare", bare)])
     assert len(searches) == 2
+
+
+def _expand_every_rule(cj, sig, axioms, budget):
+    """`_expand` as it was: every rule fired at every position, and the
+    search-only ones kept."""
+    out = [(step, normalize(nxt, sig, budget=budget))
+           for step, nxt in equations.axiom_moves(cj, sig, axioms)]
+    for path in cj.ann:
+        for r, sub, new in equations._fire(cj, sig, path, lambda r: True):
+            if new != sub and r.search_only:
+                nxt, msg = cj.checks.at(cj, path, new)
+                if nxt is None:
+                    raise equations.RewriteError(
+                        f"term does not type-check: {msg}")
+                out.append((Step(r.name, path),
+                            normalize(nxt, sig, budget=budget)))
+    return out
+
+
+def _moves(expand, *args):
+    """What `expand` returns, as comparable values, or the error it raises."""
+    try:
+        return [(step, norm.term, norm.steps)
+                for step, norm in expand(*args)]
+    except equations.RewriteError as e:
+        return f"RewriteError: {e}"
+
+
+def test_search_moves_ask_only_the_search_only_rules(coin_sig, lnl_sig,
+                                                     dist_binding,
+                                                     monkeypatch):
+    """Asking the search-only rules alone, and none in a calculus without
+    them, gives every search layer the moves that firing every rule and
+    keeping the search-only ones gave: on the stone suite, closed coin
+    programs of 1-3 binds, and an lnl pair where grade.assoc fires."""
+    expanded = collections.Counter()
+    real = equations._expand
+
+    def both(cj, sig, axioms, budget):
+        got = _moves(real, cj, sig, axioms, budget)
+        assert got == _moves(_expand_every_rule, cj, sig, axioms, budget)
+        expanded[cj.j.calculus, isinstance(got, str)] += 1
+        return real(cj, sig, axioms, budget)
+
+    monkeypatch.setattr(equations, "_expand", both)
+    stone = [("do x <- coin in ret ()", "ret ()", "T(1)"),
+             ("do x <- coin in do y <- coin in ret pair2(x,y)",
+              "do y <- coin in do x <- coin in ret pair2(x,y)", "T(4)"),
+             ("do x <- coin in ret not x", "coin", "T(2)")]
+    pairs = [(_j("rmm", coin_sig, "", lhs, ty),
+              _j("rmm", coin_sig, "", rhs, ty)) for lhs, rhs, ty in stone]
+    pairs += _coin_pairs(random.Random(20240811), coin_sig)
+    for jl, jr in pairs:
+        check_eq(jl, jr, coin_sig, [("dist", dist_binding)])
+    # grade.assoc rewrites the left side at the root; its result does not
+    # type-check, which both bodies report alike
+    zones = ["", "w : gr(2 * (2 * 2))"]
+    jl = _j("lnl", lnl_sig, zones, "let (x,r) = unmerge w in let (y,z) = "
+            "unmerge r in (x, (y, z))", "gr(2) * (gr(2) * gr(2))", form="C")
+    jr = _j("lnl", lnl_sig, zones, "let (x,r) = unmerge w in let (y,z) = "
+            "unmerge r in (y, (x, z))", "gr(2) * (gr(2) * gr(2))", form="C")
+    cj = equations._enter(jl, lnl_sig)
+    assert [(r.name, path) for r, path, _ in equations.redexes(
+        cj, lnl_sig, search_only=True)] == [("grade.assoc", ())]
+    with pytest.raises(equations.RewriteError):
+        check_eq(jl, jr, lnl_sig)
+    # letpairs of unmerges that grade.assoc is asked about and declines
+    zones = ["", "w : gr(2 * 3), v : gr(2 * 3)"]
+    jl, jr = (_j("lnl", lnl_sig, zones, "let (x,y) = unmerge w in let (a,b) "
+                 f"= unmerge v in {body}", "(gr(2) * gr(3)) * (gr(2) * gr(3))",
+                 form="C") for body in ("((x, b), (a, y))", "((a, y), (x, b))"))
+    assert check_eq(jl, jr, lnl_sig).status == "UNKNOWN"
+    assert expanded[("rmm", False)] > 100 and expanded[("lnl", True)] == 1 \
+        and expanded[("lnl", False)] >= 4, expanded

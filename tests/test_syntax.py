@@ -1,11 +1,16 @@
+import io
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_path, fixture_text
+from relmeta import cli, equations
 from relmeta import gen as genmod
 from relmeta import syntax
+from relmeta.signatures import load_signature
 from relmeta.syntax import (SyntaxError_, alpha_eq, bv, close_binder,
                             free_vars, judgement, open_binder, parse_context,
                             parse_term, parse_type, subst_free, term_to_text,
@@ -219,3 +224,216 @@ def test_subst_free_var_lemma(t, x, u):
         assert fv_s == (fv_t - {x}) | fv_u
     else:
         assert s == t
+
+
+# str() of the SyntaxError_ each input raises, as the token-at-a-time
+# tokenizer and the close_binder parser worded and placed it
+SYNTAX_ERRORS = [
+    ("char mid-line", lambda c, l: parse_term("do x <- coin in ret $ x",
+                                              "rmm", c),
+     "1:21: unexpected character '$'"),
+    ("char at end", lambda c, l: parse_term("do x <- coin in ret x?", "rmm",
+                                            c),
+     "1:22: unexpected character '?'"),
+    ("char after comment", lambda c, l: parse_term(
+        "# a comment\ndo x <- coin in\n  ret @x", "rmm", c),
+     "3:7: unexpected character '@'"),
+    ("char after crlf", lambda c, l: parse_term("do x <- coin in\r\n\tret !",
+                                                "rmm", c),
+     "2:6: unexpected character '!'"),
+    ("trailing", lambda c, l: parse_term("coin coin", "rmm", c),
+     "1:6: trailing input starting at 'coin'"),
+    ("trailing on line 2", lambda c, l: parse_term("ret x\n  ret y", "rmm"),
+     "2:3: trailing input starting at 'ret'"),
+    ("let", lambda c, l: parse_term("let", "lnl", l),
+     "1:4: expected a let pattern: (), (x,y), J(a), or K(a)"),
+    ("let and newline", lambda c, l: parse_term("let\n", "lnl", l),
+     "2:1: expected a let pattern: (), (x,y), J(a), or K(a)"),
+    ("J(", lambda c, l: parse_type("J("), "1:3: expected a type, found None"),
+    ("x :", lambda c, l: parse_context("x :"),
+     "1:4: expected a type, found None"),
+    ("empty", lambda c, l: parse_term(""), "1:1: expected a term, found None"),
+    ("blank", lambda c, l: parse_term("   "),
+     "1:4: expected a term, found None"),
+    ("only a comment", lambda c, l: parse_term("# only a comment"),
+     "1:17: expected a term, found None"),
+    ("empty type", lambda c, l: parse_type(""),
+     "1:1: expected a type, found None"),
+    ("do without a body", lambda c, l: parse_term("do x <- coin in  ", "rmm",
+                                                  c),
+     "1:14: expected a term, found None"),
+    ("keyword as a variable", lambda c, l: parse_term(
+        "do x <- coin in pi1 in", "rmm", c),
+     "1:21: keyword 'in' cannot be used as a variable"),
+    ("keyword as a binder", lambda c, l: parse_term(
+        "do in <- coin in ret ()", "rmm", c),
+     "1:4: expected a variable name, found 'in'"),
+    ("arity", lambda c, l: parse_term("do x <- coin in ret pair2(x)", "rmm",
+                                      c),
+     "1:29: operation pair2 expects 2 argument(s), got 1"),
+    ("arity 0", lambda c, l: parse_term("coin(x)", "rmm", c),
+     "1:5: trailing input starting at '('"),
+    ("lam without parentheses", lambda c, l: parse_term("lam x. x", "lnl", l),
+     "1:5: expected '(', found 'x'"),
+    ("lam without a dot", lambda c, l: parse_term("lam (x:A) x", "lnl", l),
+     "1:11: expected '.', found 'x'"),
+    ("let without in", lambda c, l: parse_term("let (x,y) = p x", "lnl", l),
+     "1:15: expected 'in', found 'x'"),
+    ("let pattern", lambda c, l: parse_term("let [x] = p in x", "lnl", l),
+     "1:6: expected a let pattern: (), (x,y), J(a), or K(a)"),
+    ("admissible", lambda c, l: parse_term(
+        "do x <- coin in let J(a) = coin in (lam (y:2). y)", "rmm", c),
+     "term former 'letj' is not part of rmm"),
+    ("proof orientation", lambda c, l: equations.parse_proof(
+        "ax1 at root lr sideways\n", c, "rmm"),
+     "line 1: expected 'fwd' or 'bwd', found 'sideways'"),
+    ("proof path", lambda c, l: equations.parse_proof(
+        "# c\nax1 at 0.x fwd\n", c, "rmm"),
+     "line 2: expected `root` or a path of indices, found '0.x'"),
+    ("proof substitution", lambda c, l: equations.parse_proof(
+        "ax1 at 1 with {x := ret $} fwd\n", c, "rmm"),
+     "line 1: unexpected character '$'"),
+    ("proof trailing", lambda c, l: equations.parse_proof(
+        "ax1 at root fwd fwd\n", c, "rmm"),
+     "line 1: trailing input starting at 'fwd'"),
+    ("sig axiom", lambda c, l: load_signature(
+        fixture_text("coin.sig")
+        + "axiom do x <- coin in ret ( = ret () in [] : T(1)\n"),
+     "line 15: expected a term, found '='"),
+    ("sig axiom trailing", lambda c, l: load_signature(
+        fixture_text("coin.sig") + "axiom coin = coin in [] : T(2) T\n"),
+     "line 15: trailing input after axiom"),
+    ("sig op", lambda c, l: load_signature(
+        fixture_text("coin.sig") + "op flip : (x : J(2) -> T(2)\n"),
+     "line 15: expected ')', found None"),
+]
+
+
+@pytest.mark.parametrize("make, message",
+                         [pytest.param(m, msg, id=name)
+                          for name, m, msg in SYNTAX_ERRORS])
+def test_syntax_error_messages(make, message, coin_sig, lnl_sig):
+    with pytest.raises(SyntaxError_) as e:
+        make(coin_sig, lnl_sig)
+    assert str(e.value) == message
+
+
+def test_repl_syntax_error_messages(monkeypatch, capsys):
+    script = ":type T(2)\n:eq coin = coin garbage\n:eq do x <- coin in\n" \
+        ":eq coin = coin )\n:eq coin = coin $\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+    assert cli.main(["repl", "--sig", fixture_path("coin.sig")]) == 0
+    assert capsys.readouterr().out.split("relmeta> ")[1:] == [
+        "", "error: 1:13: trailing input starting at 'garbage'\n",
+        "error: 1:14: expected a term, found None\n",
+        "error: 1:13: trailing input starting at ')'\n",
+        "error: 1:13: unexpected character '$'\n", ""]
+
+
+def _same(t, u) -> bool:
+    """t == u with the hints compared too, walked in a loop: `==` on terms
+    recurses once per level."""
+    todo = [(t, u)]
+    while todo:
+        a, b = todo.pop()
+        if (a.kind, a.name, a.index, a.xi, a.tyann, a.hints, len(a.subs)) != \
+                (b.kind, b.name, b.index, b.xi, b.tyann, b.hints, len(b.subs)):
+            return False
+        todo.extend(zip(a.subs, b.subs))
+    return True
+
+
+def _do_chain(n):
+    return "".join(f"do x{i} <- coin in " for i in range(n)) + "ret x0"
+
+
+def _closed_do_chain(n, coin):
+    """The do chain built as the parser once did, closing each body over
+    its binder."""
+    t = syntax.ret(var("x0"))
+    for i in reversed(range(n)):
+        t = syntax.do(coin, close_binder(t, f"x{i}"), hint=f"x{i}")
+    return t
+
+
+CHAINS = {
+    "do": ("rmm", _do_chain),
+    "letpair": ("lnl", lambda n: "let (x0,y0) = p in " + "".join(
+        f"let (x{i},y{i}) = y{i - 1} in " for i in range(1, n)) + "(x0, y1)"),
+    "lam": ("lnl", lambda n: "".join(f"lam (x{i}:A). " for i in range(n))
+            + "x0"),
+    "lamarrow": ("arrow", lambda n: "".join(f"lamarrow x{i}. "
+                                            for i in range(n)) + "x0"),
+    "lam arrow": ("arrow", lambda n: "".join(f"lam (x{i}:B). "
+                                             for i in range(n)) + "x0"),
+}
+
+
+@pytest.mark.parametrize("former", sorted(CHAINS))
+def test_deep_spines_parse_and_print(former, coin_sig, lnl_sig, arrow_sig):
+    """A spine of 5,000 binders parses, prints and parses back under the
+    default recursion limit."""
+    assert sys.getrecursionlimit() <= 1000
+    calc, text_of = CHAINS[former]
+    sig = {"rmm": coin_sig, "lnl": lnl_sig, "arrow": arrow_sig}[calc]
+    text = text_of(5000)
+    t = parse_term(text, calc, sig)
+    printed = term_to_text(t)
+    assert printed == text
+    assert _same(parse_term(printed, calc, sig), t)
+    # x0, the outermost binder, seen from the innermost body
+    body = t
+    while body.kind == t.kind:
+        body = body.subs[-1]
+    depth = 5000 * (2 if former == "letpair" else 1)
+    assert bv(depth - 1) in (body, *body.subs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
+def test_a_do_chain_parses_as_closing_each_body_did(n, coin_sig):
+    coin = syntax.opapp("coin")
+    t = parse_term(_do_chain(n), "rmm", coin_sig)
+    assert t == _closed_do_chain(n, coin)
+    assert repr(t) == repr(_closed_do_chain(n, coin))
+
+
+def test_binders_resolve_as_closing_each_body_did(coin_sig, lnl_sig):
+    """The inner of two equal binders wins; a scrutinee sees the binders
+    around it only; of two equal names in one pattern the first wins; an
+    operation or generator name is never a variable."""
+    coin, x, y = syntax.opapp("coin"), var("x"), var("y")
+    do, ret = syntax.do, syntax.ret
+    for text, sig, calc, expected in [
+        ("do x <- coin in do x <- coin in ret x", coin_sig, "rmm",
+         do(coin, close_binder(do(coin, close_binder(ret(x), "x")), "x"))),
+        ("do x <- coin in do x <- ret x in ret x", coin_sig, "rmm",
+         do(coin, close_binder(do(ret(x), close_binder(ret(x), "x")), "x"))),
+        ("do x <- coin in do y <- coin in ret pair2(x, y)", coin_sig, "rmm",
+         do(coin, close_binder(do(coin, close_binder(
+             ret(syntax.opapp("pair2", x, y)), "y")), "x"))),
+        ("do coin <- coin in coin", coin_sig, "rmm",
+         do(coin, close_binder(coin, "coin"))),
+        ("do not <- coin in ret not y", coin_sig, "rmm",
+         do(coin, close_binder(ret(syntax.gen("not", y)), "not"))),
+        ("let (x,x) = p in x", lnl_sig, "lnl",
+         syntax.letpair(var("p"), close_binder(close_binder(x, "x"), "x"))),
+        ("let (x,y) = p in let J(x) = y in (x, y)", lnl_sig, "lnl",
+         syntax.letpair(var("p"), close_binder(close_binder(syntax.letj(
+             y, close_binder(syntax.pair(x, y), "x")), "x"), "y"))),
+    ]:
+        assert parse_term(text, calc, sig) == expected, text
+    assert parse_term("let (x,x) = p in x", "lnl", lnl_sig).subs[1] == bv(1)
+    assert parse_term("do x <- coin in do x <- coin in ret x", "rmm",
+                      coin_sig).subs[1].subs[1] == syntax.ret(bv(0))
+
+
+def test_admissibility_reports_the_first_former_in_preorder(lnl_sig):
+    for text, first in [
+            ("(let J(a) = c in a, lam (x:A). x)", "letj"),
+            ("(lam (x:A). x, let J(a) = c in a)", "lam"),
+            ("((u, app f x), let J(a) = c in a)", "app"),
+            ("(ret (y, R(z)), lam (x:A). let () = x in x)", "rterm")]:
+        t = parse_term(text, "lnl", lnl_sig)
+        with pytest.raises(SyntaxError_) as e:
+            syntax.check_admissible(t, "rmm")
+        assert str(e.value) == f"term former '{first}' is not part of rmm"
