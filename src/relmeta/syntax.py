@@ -587,9 +587,8 @@ def judgement(calculus, zones, term, ty, form=None) -> Judgement:
 
 _TOKEN = r"=>|->|-o|~>|<-|>=|[(),.:;<>*=\[\]{}]|[A-Za-z_][A-Za-z0-9_']*|[0-9]+"
 # one token after the whitespace and comments before it, or the end of the
-# text after them; a comment takes its whole line, so that backtracking
-# never finds a token inside one
-_TOKEN_RE = re.compile(rf"\s*(?:\#[^\n]*(?![^\n])\s*)*({_TOKEN}|\Z)")
+# text after them
+_TOKEN_RE = re.compile(rf"\s*(?:\#[^\n]*\s*)*({_TOKEN}|\Z)")
 # the longest prefix made of tokens, whitespace and comments
 _TEXT_RE = re.compile(rf"(?:\s|\#[^\n]*|{_TOKEN})*")
 

@@ -318,6 +318,15 @@ def test_syntax_error_messages(make, message, coin_sig, lnl_sig):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("text, tokens", [
+    ("a # foo", ["a"]), ("a # foo\n", ["a"]), ("   ", []), ("x #y z", ["x"]),
+    ("# x\nab # c\n(x)#", ["ab", "(", "x", ")"]), ("a\n#c\n  b", ["a", "b"]),
+    ("f(x)->y~>z", ["f", "(", "x", ")", "->", "y", "~>", "z"]),
+    ("12ab x' _1", ["12", "ab", "x'", "_1"])])
+def test_tokenize_skips_whitespace_and_comments(text, tokens):
+    assert syntax.tokenize(text) == tokens + [None]
+
+
 def test_repl_syntax_error_messages(monkeypatch, capsys):
     script = ":type T(2)\n:eq coin = coin garbage\n:eq do x <- coin in\n" \
         ":eq coin = coin )\n:eq coin = coin $\n"
