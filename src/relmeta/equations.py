@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from . import rules as rules_mod
 from . import syntax
-from .rules import Rule, RuleCtx, RULES_BY_HEAD
+from .rules import RuleCtx, RULES_BY_HEAD, instantiate, match, rules_for
 from .signatures import Axiom, Signature, SignatureError
-from .syntax import (Judgement, Term, alpha_eq, positions, replace_at, shift,
+from .syntax import (Judgement, Term, alpha_eq, positions, replace_at,
                      subterm_at, term_to_text)
 from .typecheck import check, check_at, typings
 
@@ -212,7 +211,7 @@ def _fire(cj: _Checked, sig: Signature, path: tuple, keep):
 # the calculi that register search-only rules
 _SEARCH_CALCULI = frozenset(
     c for c in syntax.CALCULI
-    if any(r.search_only for r in rules_mod.rules_for(c, True)))
+    if any(r.search_only for r in rules_for(c, True)))
 
 
 def redexes(cj: _Checked, sig: Signature, search_only=False):
@@ -277,47 +276,6 @@ def normalize(j, sig: Signature, *, budget: int = 10000,
 # ---------------------------------------------------------------------------
 # axiom application
 
-def _min_free_ok(t: Term, depth: int) -> bool:
-    """True iff t references no binder below `depth` (relative indices)."""
-    if t.kind == "bvar":
-        return t.index >= depth
-    ok = True
-    for i, s in enumerate(t.subs):
-        ok = ok and _min_free_ok(s, depth + syntax.child_binders(t, i))
-    return ok
-
-
-def _amatch(pat: Term, subj: Term, axvars: set, depth: int, sigma: dict):
-    if pat.kind == "var" and pat.name in axvars:
-        if not _min_free_ok(subj, depth):
-            return None
-        cand = shift(subj, -depth, 0) if depth else subj
-        if pat.name in sigma:
-            return sigma if alpha_eq(sigma[pat.name], cand) else None
-        sigma[pat.name] = cand
-        return sigma
-    if (pat.kind != subj.kind or pat.name != subj.name
-            or pat.index != subj.index or pat.xi != subj.xi
-            or pat.tyann != subj.tyann or len(pat.subs) != len(subj.subs)):
-        return None
-    for i, (p, s) in enumerate(zip(pat.subs, subj.subs)):
-        sigma = _amatch(p, s, axvars, depth + syntax.child_binders(pat, i),
-                        sigma)
-        if sigma is None:
-            return None
-    return sigma
-
-
-def _ainst(pat: Term, sigma: dict, depth: int = 0) -> Term:
-    if pat.kind == "var" and pat.name in sigma:
-        return shift(sigma[pat.name], depth) if depth else sigma[pat.name]
-    if not pat.subs:
-        return pat
-    return syntax.with_subs(
-        pat, (_ainst(s, sigma, depth + syntax.child_binders(pat, i))
-              for i, s in enumerate(pat.subs)))
-
-
 def axiom_moves(j, sig: Signature, axioms):
     """All single axiom rewrites (either direction, any position) that keep
     the judgement well-typed, each as (step, checked result).  j may be a
@@ -332,11 +290,11 @@ def axiom_moves(j, sig: Signature, axioms):
                                   ("rl", (ax.rhs, ax.lhs))):
             for path in positions(j.term):
                 sub = subterm_at(j.term, path)
-                sigma = _amatch(src, sub, axvars, 0, {})
+                sigma = match(src, sub, axvars, {})
                 # a var only on the other side cannot be guessed
                 if sigma is None or axvars - set(sigma):
                     continue
-                nxt, _ = cj.checks.at(cj, path, _ainst(tgt, sigma))
+                nxt, _ = cj.checks.at(cj, path, instantiate(tgt, sigma))
                 if nxt is not None:
                     out.append((Step(ax.name, path, kind="axiom",
                                      axdir=axdir,
@@ -347,19 +305,17 @@ def axiom_moves(j, sig: Signature, axioms):
 
 def apply_axiom_at(j: Judgement, sig: Signature, ax: Axiom, path: tuple,
                    axdir: str, sigma: dict | None = None) -> Term:
-    axvars = {x for x, _ in ax.zones[0]}
     src, tgt = (ax.lhs, ax.rhs) if axdir == "lr" else (ax.rhs, ax.lhs)
     sub = subterm_at(j.term, path)
     if sigma is None:
-        sigma = _amatch(src, sub, axvars, 0, {})
+        sigma = match(src, sub, {x for x, _ in ax.zones[0]}, {})
         if sigma is None:
             raise RewriteError(f"axiom {ax.name} does not match at {path}")
-    else:
-        if not alpha_eq(_ainst(src, sigma), sub):
-            raise RewriteError(
-                f"axiom {ax.name} with the given substitution does not match"
-                f" at {path}")
-    return replace_at(j.term, path, _ainst(tgt, sigma))
+    elif not alpha_eq(instantiate(src, sigma), sub):
+        raise RewriteError(
+            f"axiom {ax.name} with the given substitution does not match"
+            f" at {path}")
+    return replace_at(j.term, path, instantiate(tgt, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,30 @@
 """The oriented rewrite rules of the four equational theories.
 
-Each rule is a function from a subterm (plus position info) to a
-replacement, or None when it does not fire.  Orientation follows the usual
-discipline: beta, unit, projection and let-beta laws left to right; eta
-laws as contractions guarded by occurrence side conditions; do-associativity
+Orientation follows the usual discipline: beta, unit, projection and
+let-beta laws left to right; eta laws as contractions; do-associativity
 toward right nesting; commuting conversions hoist lets outward, with
 ret/merge/unmerge popping outward through lets; symmetric exchange pairs
 are broken by a fixed priority on let kinds and, between equal kinds, by a
 canonical term ordering.
+
+`RULES` is the table of every rule, in registration order, which fixes the
+order in which rules are tried at a position.  Most rules are schemas:
+rows `lhs ~> rhs` in the term syntax, no two of one rule matching one term
+(a rule has a row per let kind it moves).  A free name in a row is a
+metavariable, `t` or `t[x, y]`, applied to the binders around it that it
+may mention: on a left side distinct bound names (a Miller pattern), on a
+right side any terms, which are substituted for them.  So
+`do x <- ret u in t[x] ~> t[u]` substitutes, and in
+`lam (x:X). app t x ~> t` the eta side condition, x not free in t, is t's
+binder set.  A name repeated on a left side matches alpha-equal terms.  A
+binder's annotation is a type metavariable, which the right side carries
+over or drops.  A right-side binder prints as the left-side binder of the
+same schema name did (with the constructor's names if that had none).
+The rules that read types, the grading, a payload or an order are
+functions.
+
+`match` and `instantiate` serve the schemas and the theory axioms alike;
+an axiom's variables are metavariables that may mention no binder.
 
 Rules marked search_only are sound equations that do not participate in
 normalization (their two orientations are registered separately for the
@@ -17,11 +34,11 @@ bounded equality search).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .syntax import (GradeMor, Term, bv, child_binders, jterm, kterm,
-                     letj, letk, letpair, letunit, pair, regrade, ret,
-                     shift, term_key, unmerge, uses_bvar, with_subs)
+from .syntax import (BINDERS, GradeMor, SyntaxError_, Term, bv, child_binders,
+                     gtensor, jterm, kterm, letpair, pair, regrade, shift,
+                     term_key, unmerge, uses_bvar, with_subs)
 from . import syntax
 
 
@@ -41,9 +58,15 @@ class RuleCtx:
         info = self.ann.get(self.path + tuple(rel))
         return info[1] if info else None
 
-    @property
-    def grading(self):
-        return self.sig.grading
+
+class Row(NamedTuple):
+    """A parsed schema `lhs ~> rhs`, tried first on the kind of its head
+    and of each child of it that is not a metavariable (`guard`: (child
+    index, kind) pairs)."""
+    head: str
+    guard: tuple
+    lhs: Term
+    rhs: Term
 
 
 @dataclass
@@ -53,91 +76,220 @@ class Rule:
     heads: tuple  # term kinds the rule can fire on
     rewrite: Callable[[Term, RuleCtx], Term | None]
     search_only: bool = False
-    note: str = ""
-
-
-_RULES: list[Rule] = []
-
-
-def rule(name, calculi, heads, search_only=False, note=""):
-    def deco(fn):
-        _RULES.append(Rule(name, tuple(calculi), tuple(heads), fn,
-                           search_only, note))
-        return fn
-    return deco
-
-
-def rules_for(calculus: str, include_search=False) -> list[Rule]:
-    return [r for r in _RULES
-            if calculus in r.calculi and (include_search or not r.search_only)]
+    rows: tuple = ()  # a schema rule's rows, in table order
 
 
 # ---------------------------------------------------------------------------
-# small de Bruijn helpers
+# matching and instantiating schemas
 
-def unshift(t: Term, by: int = 1, cutoff: int = 0) -> Term:
-    return shift(t, -by, cutoff)
+class _Escape(Exception):
+    """A term mentions a binder its metavariable may not."""
 
 
-def map_bvar(t: Term, fn, depth: int = 0) -> Term:
+def _reindex(t: Term, fn, depth: int = 0) -> Term:
+    """t with each bvar that points out of it, to the j-th binder outside
+    it, replaced by fn(j, e), where e is the number of t's own binders
+    around that bvar."""
     if t.kind == "bvar":
-        if t.index >= depth:
-            return bv(depth + fn(t.index - depth))
-        return t
+        return t if t.index < depth else fn(t.index - depth, depth)
     if not t.subs:
         return t
-    return with_subs(t, (map_bvar(s, fn, depth + child_binders(t, i))
+    return with_subs(t, (_reindex(s, fn, depth + child_binders(t, i))
                          for i, s in enumerate(t.subs)))
 
 
-def rotate_out(t: Term, nb: int) -> Term:
-    """Frame [lets(nb), b] -> [b, lets(nb)]: the single outer binder moves
-    innermost."""
-    def fn(i):
-        if i < nb:
-            return i + 1
-        if i == nb:
-            return 0
-        return i
-    return map_bvar(t, fn)
+def _rebind(t: Term, outer: list, depth: int) -> Term | None:
+    """t with the binders just outside it replaced: a bvar pointing to the
+    j-th of them by outer[j], a term under `depth` binders (None where t
+    may not mention it: the result is then None), and a bvar pointing m
+    binders past them by one pointing m past the `depth` binders.  No walk
+    where that is the identity."""
+    n = len(outer)
+    if n == depth and all(a is not None and a.kind == "bvar" and a.index == j
+                          for j, a in enumerate(outer)):
+        return t
+
+    def fn(j, e):
+        if j >= n:
+            return bv(j - n + depth + e)
+        if outer[j] is None:
+            raise _Escape
+        return shift(outer[j], e) if e else outer[j]
+
+    try:
+        return _reindex(t, fn)
+    except _Escape:
+        return None
 
 
-def rotate2(t: Term, nb1: int, nb2: int) -> Term:
-    """Frame [k2(nb2), k1(nb1)] -> [k1(nb1), k2(nb2)]."""
-    def fn(i):
-        if i < nb2:
-            return i + nb1
-        if i < nb1 + nb2:
-            return i - nb2
-        return i
-    return map_bvar(t, fn)
+def match(pat: Term, t: Term, metas, sigma: dict, hints: dict | None = None,
+          depth: int = 0) -> dict | None:
+    """sigma extended so that t, found under `depth` of pat's binders, is
+    an instance of the schema pat, or None.  A metavariable is a `meta`
+    node or a `var` named in `metas` (an axiom's variables); sigma maps
+    each, and each type metavariable, to what it matched.  With `hints`,
+    each binder of pat records its names -> the names t's binder there
+    prints."""
+    kind = pat.kind
+    if kind == "meta" or kind == "var" and pat.name in metas:
+        # the p-th of k arguments is bvar k-1-p of what it binds
+        k = len(pat.subs)
+        if depth and (depth != k or any(a.index != k - 1 - p
+                                        for p, a in enumerate(pat.subs))):
+            outer = [None] * depth
+            for p, a in enumerate(pat.subs):
+                outer[a.index] = bv(k - 1 - p)
+            t = _rebind(t, outer, k)
+            if t is None:
+                return None
+        old = sigma.setdefault(pat.name, t)
+        return sigma if old is t or old == t else None
+    if (kind != t.kind or pat.name != t.name or pat.index != t.index
+            or pat.xi != t.xi or len(pat.subs) != len(t.subs)):
+        return None
+    ty = pat.tyann
+    if ty is not None and ty.kind == "meta":
+        if sigma.setdefault(ty.name, t.tyann) != t.tyann:
+            return None
+    elif ty != t.tyann:
+        return None
+    if hints is not None and pat.hints:
+        hints[pat.hints] = t.hints
+    binders = BINDERS[kind]
+    # the last child first: a binder's body, which holds a row's shape, and
+    # an eta row's bound argument; so most failing matches fail before a
+    # metavariable walks what it matched
+    for i in range(len(pat.subs) - 1, -1, -1):
+        if match(pat.subs[i], t.subs[i], metas, sigma, hints,
+                 depth + binders[i] if binders else depth) is None:
+            return None
+    return sigma
 
 
-CARTESIAN = ("rmm", "gmm", "lnl", "arrow", "armm")
+# the names a right-side binder prints when its left-side namesake had none
+_DEFAULT_HINTS = {"do": ("x",), "lam": ("x",), "lamarrow": ("x",),
+                  "letpair": ("x", "y"), "letj": ("a",), "letk": ("a",)}
 
-LET_KINDS = {"letunit": 0, "letpair": 2, "letj": 1, "letk": 1}
-LET_PRIORITY = {"letunit": 1, "letpair": 2, "letj": 3, "letk": 4}
 
-
-def mklet(kind, scrut, body, proto: Term | None = None) -> Term:
-    hints = proto.hints if proto is not None and proto.kind == kind else None
-    if kind == "letunit":
-        return letunit(scrut, body)
-    if kind == "letpair":
-        return letpair(scrut, body, *(hints or ("x", "y")))
-    if kind == "letj":
-        return letj(scrut, body, *(hints or ("a",)))
-    return letk(scrut, body, *(hints or ("a",)))
+def instantiate(pat: Term, sigma: dict, hints: dict | None = None,
+                depth: int = 0) -> Term:
+    """The instance of the schema pat under sigma (from `match`), at
+    `depth` of pat's binders.  With `hints`, each binder of pat prints as
+    the one the names it records were matched to; without, as pat's."""
+    kind = pat.kind
+    if kind == "meta" or kind == "var" and pat.name in sigma:
+        if not (depth or pat.subs):
+            return sigma[pat.name]
+        args = [instantiate(a, sigma, hints, depth) for a in pat.subs]
+        return _rebind(sigma[pat.name], args[::-1], depth)
+    if not pat.subs:
+        return pat
+    ty, names, binders = pat.tyann, pat.hints, BINDERS[kind]
+    if ty is not None and ty.kind == "meta":
+        ty = sigma[ty.name]
+    if hints is not None and names:
+        names = hints.get(names) or _DEFAULT_HINTS[kind]
+    return Term(kind, tuple(instantiate(s, sigma, hints,
+                                        depth + binders[i] if binders
+                                        else depth)
+                            for i, s in enumerate(pat.subs)),
+                name=pat.name, index=pat.index, xi=pat.xi, tyann=ty,
+                hints=names)
 
 
 # ---------------------------------------------------------------------------
-# unit / product laws
+# loading schemas
 
-@rule("unit.eta", CARTESIAN, heads=("var", "pair", "pi1", "pi2", "app",
-                                    "aapp", "letj", "letk", "opapp", "gen",
-                                    "jterm", "kterm", "lam", "do"),
-      note="terms of unit type collapse to ()")
+def _side(text: str) -> Term:
+    p = syntax._P(text, schema=True)
+    t = p.term()
+    p.end()
+    return t
+
+
+def _metas(t: Term):
+    """The metavariable nodes of a schema side, terms and types."""
+    if t.kind == "meta":
+        yield t
+    if t.tyann is not None and t.tyann.kind == "meta":
+        yield t.tyann
+    for s in t.subs:
+        yield from _metas(s)
+
+
+def _row(name: str, heads, text: str) -> Row:
+    """Parse and check one row of rule `name`."""
+    def fail(msg):
+        raise SyntaxError_(f"rule {name}: {msg}: {text}")
+
+    lhs_text, arrow, rhs_text = text.partition("~>")
+    if not arrow:
+        fail("expected `lhs ~> rhs`")
+    lhs, rhs = _side(lhs_text), _side(rhs_text)
+    if lhs.kind not in heads:
+        fail(f"the head {lhs.kind} is not among the rule's heads")
+    arity = {}
+    for m in _metas(lhs):
+        k = len(m.subs)  # 0 for a type metavariable
+        if len({a.index for a in m.subs if a.kind == "bvar"}) != k:
+            fail(f"the arguments of {m.name} are not distinct binders in"
+                 " scope")
+        if arity.setdefault(m.name, k) != k:
+            fail(f"{m.name} takes different arguments")
+    for m in _metas(rhs):
+        if arity.get(m.name) != len(m.subs):
+            fail(f"{m.name} is not on the left side with {len(m.subs)}"
+                 " argument(s)")
+    return Row(lhs.kind, tuple((i, s.kind) for i, s in enumerate(lhs.subs)
+                               if s.kind != "meta"), lhs, rhs)
+
+
+def rule(name: str, calculi, heads, *body, search_only=False) -> Rule:
+    """A rule: `body` is its rewrite function, or its schema rows, each
+    `lhs ~> rhs`, no two matching one term."""
+    if len(body) == 1 and callable(body[0]):
+        return Rule(name, tuple(calculi), tuple(heads), body[0], search_only)
+    rows = tuple(_row(name, heads, text) for text in body)
+
+    def rewrite(t, ctx):
+        for head, guard, lhs, rhs in rows:
+            if head != t.kind:
+                continue
+            for i, kind in guard:
+                if t.subs[i].kind != kind:
+                    break
+            else:
+                hints = {}
+                sigma = match(lhs, t, (), {}, hints)
+                if sigma is not None:
+                    return instantiate(rhs, sigma, hints)
+        return None
+
+    return Rule(name, tuple(calculi), tuple(heads), rewrite, search_only,
+                rows)
+
+
+# ---------------------------------------------------------------------------
+# the rules written as functions
+
+ALL = syntax.CALCULI
+CARTESIAN = ("rmm", "gmm", "lnl", "arrow", "armm")
+LNL, ARMM = ("lnl",), ("armm",)
+
+LET_KINDS = {"letunit": 0, "letpair": 2, "letj": 1, "letk": 1}
+LET_PRIORITY = {"letunit": 1, "letpair": 2, "letj": 3, "letk": 4}
+LETS = ("letunit", "letpair", "letj")  # the lets of lnl
+JK = ("letj", "letk")
+
+
+def _rebuilt(proto: Term, *subs: Term) -> Term:
+    """A binder of proto's kind and names over subs."""
+    return Term(proto.kind, subs,
+                hints=proto.hints or _DEFAULT_HINTS.get(proto.kind, ()))
+
+
 def unit_eta(t, ctx):
+    """Terms of unit type collapse to ()."""
     ty = ctx.ty
     if ty is None or ty.kind != "unit1" or t.kind == "unit":
         return None
@@ -148,34 +300,8 @@ def unit_eta(t, ctx):
     return syntax.UNIT
 
 
-@rule("prod.beta1", CARTESIAN, heads=("pi1",))
-def prod_beta1(t, ctx):
-    if t.subs[0].kind == "pair":
-        return t.subs[0].subs[0]
-    return None
-
-
-@rule("prod.beta2", CARTESIAN, heads=("pi2",))
-def prod_beta2(t, ctx):
-    if t.subs[0].kind == "pair":
-        return t.subs[0].subs[1]
-    return None
-
-
-@rule("prod.eta", CARTESIAN, heads=("pair",))
-def prod_eta(t, ctx):
-    a, b = t.subs
-    if a.kind == "pi1" and b.kind == "pi2" and a.subs[0] == b.subs[0]:
-        return a.subs[0]
-    return None
-
-
-# ---------------------------------------------------------------------------
-# base-category morphism words
-
-@rule("gen.word", ("urmm", "rmm"), heads=("gen",),
-      note="collapse generator chains to normal composition words")
 def gen_word(t, ctx):
+    """Collapse generator chains to normal composition words."""
     word = []
     inner = t
     while inner.kind == "gen":
@@ -193,59 +319,20 @@ def gen_word(t, ctx):
     return out
 
 
-# ---------------------------------------------------------------------------
-# monadic sequencing
-
-@rule("do.beta", syntax.CALCULI, heads=("do",),
-      note="do x <- ret u in t  ~>  t[u/x]")
-def do_beta(t, ctx):
-    u, body = t.subs
-    if u.kind == "ret":
-        return syntax.bsubst(body, 0, u.subs[0])
-    return None
-
-
-@rule("do.eta", syntax.CALCULI, heads=("do",),
-      note="do x <- u in ret x  ~>  u")
-def do_eta(t, ctx):
-    u, body = t.subs
-    if body.kind == "ret" and body.subs[0].kind == "bvar" \
-            and body.subs[0].index == 0:
-        return u
-    return None
-
-
-@rule("do.assoc", syntax.CALCULI, heads=("do",),
-      note="nested binds reassociate to the right-nested form")
-def do_assoc(t, ctx):
-    u, v = t.subs
-    if u.kind != "do":
-        return None
-    u0, t0 = u.subs
-    v2 = shift(v, 1, 1)
-    inner = syntax.do(t0, v2, hint=t.hints[0] if t.hints else "x")
-    return syntax.do(u0, inner, hint=u.hints[0] if u.hints else "x")
-
-
-# ---------------------------------------------------------------------------
 # graded regrading (strict gradings: structural morphisms are identities)
 
-@rule("regrade.id", ("gmm", "lnl"), heads=("regrade",))
 def regrade_id(t, ctx):
     # only syntactically written identities: an identity morphism between
     # differently written grades (say 2 and 1*2) is a factorization cast
     # that an enclosing unmerge may rely on
-    if t.xi.word:
-        return None
-    if t.xi.src == t.xi.tgt:
+    if not t.xi.word and t.xi.src == t.xi.tgt:
         return t.subs[0]
     return None
 
 
-@rule("regrade.comp", ("gmm", "lnl"), heads=("regrade",),
-      note="stacked grade actions compose")
 def regrade_comp(t, ctx):
-    g = ctx.grading
+    """Stacked grade actions compose."""
+    g = ctx.sig.grading
     inner = t.subs[0]
     if g is None or inner.kind != "regrade":
         return None
@@ -259,46 +346,26 @@ def regrade_comp(t, ctx):
     return regrade(composite, inner.subs[0])
 
 
-@rule("do.regrade.body", ("gmm",), heads=("do",),
-      note="regrades hoist out of a bind body")
-def do_regrade_body(t, ctx):
-    g = ctx.grading
-    u, body = t.subs
-    if g is None or body.kind != "regrade":
-        return None
-    uty = ctx.typeof((0,))
-    if uty is None or uty.kind != "tgr":
-        return None
-    l = g.norm(uty.grade)
-    xi = g.norm_mor(body.xi)
-    new_xi = g.tensor_mor(GradeMor(l, l), xi)
-    return regrade(new_xi, syntax.do(u, body.subs[0],
-                                     hint=t.hints[0] if t.hints else "x"))
+def _do_regrade(side):
+    """Regrades hoist out of a bind's scrutinee (side 0) or body (1)."""
+    def rewrite(t, ctx):
+        g, inner = ctx.sig.grading, t.subs[side]
+        if g is None or inner.kind != "regrade":
+            return None
+        other = ctx.typeof((1 - side,))
+        if other is None or other.kind != "tgr":
+            return None
+        l = g.norm(other.grade)
+        xis = [g.norm_mor(inner.xi)]
+        xis.insert(1 - side, GradeMor(l, l))
+        subs = list(t.subs)
+        subs[side] = inner.subs[0]
+        return regrade(g.tensor_mor(*xis), _rebuilt(t, *subs))
+    return rewrite
 
 
-@rule("do.regrade.scrutinee", ("gmm",), heads=("do",),
-      note="regrades hoist out of a bind scrutinee")
-def do_regrade_scrutinee(t, ctx):
-    g = ctx.grading
-    u, body = t.subs
-    if g is None or u.kind != "regrade":
-        return None
-    bty = ctx.typeof((1,))
-    if bty is None or bty.kind != "tgr":
-        return None
-    l = g.norm(bty.grade)
-    xi = g.norm_mor(u.xi)
-    new_xi = g.tensor_mor(xi, GradeMor(l, l))
-    return regrade(new_xi, syntax.do(u.subs[0], body,
-                                     hint=t.hints[0] if t.hints else "x"))
-
-
-# ---------------------------------------------------------------------------
-# lambda calculi
-
-@rule("fun.beta", ("lnl", "arrow"), heads=("app",),
-      note="(lam (x:X). t) u  ~>  t[u/x]  (Cartesian and linear)")
 def fun_beta(t, ctx):
+    """(lam (x:X). t) u  ~>  t[u/x]  (Cartesian and linear)."""
     f, a = t.subs
     if f.kind != "lam":
         return None
@@ -313,333 +380,63 @@ def fun_beta(t, ctx):
     return syntax.bsubst(f.subs[0], 0, a)
 
 
-@rule("fun.eta", ("lnl", "arrow"), heads=("lam",),
-      note="lam (x:X). (t x)  ~>  t  when x not free in t")
-def fun_eta(t, ctx):
-    body = t.subs[0]
-    if body.kind == "app" and body.subs[1].kind == "bvar" \
-            and body.subs[1].index == 0 and not uses_bvar(body.subs[0], 0):
-        return unshift(body.subs[0], 1, 0)
-    return None
-
-
-@rule("arr.beta", ("arrow", "armm"), heads=("aapp",),
-      note="(lamarrow x. t) . u  ~>  t[u/x]")
-def arr_beta(t, ctx):
-    f, a = t.subs
-    if f.kind == "lamarrow":
-        return syntax.bsubst(f.subs[0], 0, a)
-    return None
-
-
-@rule("arr.eta", ("arrow", "armm"), heads=("lamarrow",),
-      note="lamarrow x. (u . x)  ~>  u  when x not free in u")
-def arr_eta(t, ctx):
-    body = t.subs[0]
-    if body.kind == "aapp" and body.subs[1].kind == "bvar" \
-            and body.subs[1].index == 0 and not uses_bvar(body.subs[0], 0):
-        return unshift(body.subs[0], 1, 0)
-    return None
-
-
-@rule("fun.beta.j", ("armm",), heads=("app",),
-      note="(lamarrow a. J(u)) v  ~>  u[v/a]")
-def fun_beta_j(t, ctx):
-    f, a = t.subs
-    if f.kind == "lamarrow" and f.subs[0].kind == "jterm":
-        return syntax.bsubst(f.subs[0].subs[0], 0, a)
-    return None
-
-
-@rule("fun.eta.j", ("armm",), heads=("lamarrow",),
-      note="lamarrow a. J(u a)  ~>  u  when a not free in u")
-def fun_eta_j(t, ctx):
-    body = t.subs[0]
-    if body.kind == "jterm" and body.subs[0].kind == "app":
-        f, a = body.subs[0].subs
-        if a.kind == "bvar" and a.index == 0 and not uses_bvar(f, 0):
-            return unshift(f, 1, 0)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# let laws (linear and three-zone calculi)
-
-@rule("letunit.beta", ("lnl",), heads=("letunit",))
-def letunit_beta(t, ctx):
-    if t.subs[0].kind == "unit":
-        return t.subs[1]
-    return None
-
-
-@rule("letunit.eta", ("lnl",), heads=("letunit",))
-def letunit_eta(t, ctx):
-    if t.subs[1].kind == "unit":
-        return t.subs[0]
-    return None
-
-
-@rule("letpair.beta", ("lnl",), heads=("letpair",))
-def letpair_beta(t, ctx):
-    scrut, body = t.subs
-    if scrut.kind != "pair":
-        return None
-    a, b = scrut.subs
-    step1 = syntax.bsubst(body, 0, shift(b, 1))
-    return syntax.bsubst(step1, 0, a)
-
-
-@rule("letpair.eta", ("lnl",), heads=("letpair",))
-def letpair_eta(t, ctx):
-    body = t.subs[1]
-    if body.kind == "pair" and body.subs[0] == bv(1) and body.subs[1] == bv(0):
-        return t.subs[0]
-    return None
-
-
-@rule("letj.beta", ("lnl", "armm"), heads=("letj",))
-def letj_beta(t, ctx):
-    if t.subs[0].kind == "jterm":
-        return syntax.bsubst(t.subs[1], 0, t.subs[0].subs[0])
-    return None
-
-
-@rule("letj.eta", ("lnl", "armm"), heads=("letj",))
-def letj_eta(t, ctx):
-    body = t.subs[1]
-    if body.kind == "jterm" and body.subs[0] == bv(0):
-        return t.subs[0]
-    return None
-
-
-@rule("letk.beta", ("armm",), heads=("letk",))
-def letk_beta(t, ctx):
-    if t.subs[0].kind == "kterm":
-        return syntax.bsubst(t.subs[1], 0, t.subs[0].subs[0])
-    return None
-
-
-@rule("letk.eta", ("armm",), heads=("letk",))
-def letk_eta(t, ctx):
-    body = t.subs[1]
-    if body.kind == "kterm" and body.subs[0] == bv(0):
-        return t.subs[0]
-    return None
-
-
-@rule("derelict.beta", ("lnl",), heads=("derelict",))
-def derelict_beta(t, ctx):
-    if t.subs[0].kind == "rterm":
-        return t.subs[0].subs[0]
-    return None
-
-
-@rule("derelict.eta", ("lnl",), heads=("rterm",))
-def derelict_eta(t, ctx):
-    if t.subs[0].kind == "derelict":
-        return t.subs[0].subs[0]
-    return None
-
-
-@rule("jk.unit.eta", ("armm",), heads=("var", "letj", "letk", "pi1", "pi2",
-                                       "aapp", "do"),
-      note="terms of type J(1) / K(1) are the canonical injections")
 def jk_unit_eta(t, ctx):
+    """Terms of type J(1) / K(1) are the canonical injections (J(..) and
+    K(..) are not its heads: the inner unit.eta gets there)."""
     ty = ctx.ty
     if ty is None or ty.kind not in ("jt", "kt") or ty.subs[0].kind != "unit1":
         return None
-    canon = jterm(syntax.UNIT) if ty.kind == "jt" else kterm(syntax.UNIT)
-    if t == canon:
-        return None
-    if t.kind in ("jterm", "kterm"):
-        return None  # inner unit.eta gets there
-    return canon
+    return jterm(syntax.UNIT) if ty.kind == "jt" else kterm(syntax.UNIT)
 
 
-@rule("letjk.dead", ("armm",), heads=("letj", "letk"),
-      note="drop a let whose binder is unused (Cartesian zones)")
-def letjk_dead(t, ctx):
-    if not uses_bvar(t.subs[1], 0):
-        return unshift(t.subs[1], 1, 0)
-    return None
+# commuting conversions between lets; armm has them for J and K lets only
+
+def _lets(t, inner, ctx):
+    """Whether t and the let inner next to it have a conversion."""
+    return inner.kind in LET_KINDS and (
+        ctx.calculus != "armm" or t.kind in JK and inner.kind in JK)
 
 
-@rule("letjk.contract", ("armm",), heads=("letj", "letk"),
-      note="two lets of one scrutinee collapse")
-def letjk_contract(t, ctx):
-    body = t.subs[1]
-    if body.kind != t.kind:
-        return None
-    if body.subs[0] == shift(t.subs[0], 1, 0):
-        return mklet(t.kind, t.subs[0], syntax.bsubst(body.subs[1], 0, bv(0)),
-                     proto=t)
-    return None
-
-
-@rule("letjk.pair", ("armm",), heads=("letj", "letk"),
-      note="lets distribute over pairs")
-def letjk_pair(t, ctx):
-    scrut, body = t.subs
-    if body.kind != "pair":
-        return None
-    return pair(mklet(t.kind, scrut, body.subs[0], proto=t),
-                mklet(t.kind, scrut, body.subs[1], proto=t))
-
-
-# -- commuting conversions: hoisting families -------------------------------
-
-def _is_let(t):
-    return t.kind in LET_KINDS
-
-
-@rule("let.hoist.scrut", ("lnl", "armm"), heads=tuple(LET_KINDS),
-      note="a let nested in a let scrutinee hoists out")
 def let_hoist_scrut(t, ctx):
+    """A let nested in a let scrutinee hoists out."""
     inner = t.subs[0]
-    if not _is_let(inner):
+    if not _lets(t, inner, ctx):
         return None
-    if ctx.calculus == "armm" and (t.kind not in ("letj", "letk")
-                                   or inner.kind not in ("letj", "letk")):
-        return None
-    nb1 = LET_KINDS[inner.kind]
-    nb2 = LET_KINDS[t.kind]
-    body2 = shift(t.subs[1], nb1, nb2)
-    return mklet(inner.kind, inner.subs[0],
-                 mklet(t.kind, inner.subs[1], body2, proto=t), proto=inner)
+    body = shift(t.subs[1], LET_KINDS[inner.kind], LET_KINDS[t.kind])
+    return _rebuilt(inner, inner.subs[0], _rebuilt(t, inner.subs[1], body))
 
 
-@rule("let.exchange", ("lnl", "armm"), heads=tuple(LET_KINDS),
-      note="independent adjacent lets sort by kind priority, then term order")
 def let_exchange(t, ctx):
+    """Independent adjacent lets sort by kind priority, then term order."""
     inner = t.subs[1]
-    if not _is_let(inner):
-        return None
-    if ctx.calculus == "armm" and (t.kind not in ("letj", "letk")
-                                   or inner.kind not in ("letj", "letk")):
+    if not _lets(t, inner, ctx):
         return None
     nb1 = LET_KINDS[t.kind]
     nb2 = LET_KINDS[inner.kind]
     s = inner.subs[0]
-    for j in range(nb1):
-        if uses_bvar(s, j):
-            return None
-    s0 = unshift(s, nb1, 0)
+    if any(uses_bvar(s, j) for j in range(nb1)):
+        return None
+    s0 = shift(s, -nb1)
     p1, p2 = LET_PRIORITY[t.kind], LET_PRIORITY[inner.kind]
     if not (p2 < p1 or (p2 == p1 and term_key(s0) < term_key(t.subs[0]))):
         return None
-    r2 = shift(t.subs[0], nb2, 0)
-    body = rotate2(inner.subs[1], nb1, nb2)
-    return mklet(inner.kind, s0, mklet(t.kind, r2, body, proto=t),
-                 proto=inner)
+    # the body's frame [t's binders, inner's] becomes [inner's, t's]
+    body = _reindex(inner.subs[1], lambda j, e: bv(e + (
+        j + nb1 if j < nb2 else j - nb2 if j < nb1 + nb2 else j)))
+    return _rebuilt(inner, s0, _rebuilt(t, shift(t.subs[0], nb2), body))
 
 
-@rule("let.hoist.appfun", ("lnl",), heads=("app",))
-def let_hoist_appfun(t, ctx):
-    f, a = t.subs
-    if not _is_let(f):
-        return None
-    nb = LET_KINDS[f.kind]
-    return mklet(f.kind, f.subs[0],
-                 syntax.app(f.subs[1], shift(a, nb, 0)), proto=f)
-
-
-@rule("let.hoist.apparg", ("lnl",), heads=("app",))
-def let_hoist_apparg(t, ctx):
-    f, a = t.subs
-    if not _is_let(a):
-        return None
-    nb = LET_KINDS[a.kind]
-    return mklet(a.kind, a.subs[0],
-                 syntax.app(shift(f, nb, 0), a.subs[1]), proto=a)
-
-
-@rule("let.hoist.lam", ("lnl",), heads=("lam",),
-      note="a let under a lambda hoists out when independent of the binder")
-def let_hoist_lam(t, ctx):
-    body = t.subs[0]
-    if not _is_let(body):
-        return None
-    s = body.subs[0]
-    if uses_bvar(s, 0):
-        return None
-    nb = LET_KINDS[body.kind]
-    lam2 = syntax.lam(t.tyann, rotate_out(body.subs[1], nb),
-                      hint=t.hints[0] if t.hints else "x")
-    return mklet(body.kind, unshift(s, 1, 0), lam2, proto=body)
-
-
-@rule("let.hoist.doscrut", ("lnl",), heads=("do",))
-def let_hoist_doscrut(t, ctx):
-    u, v = t.subs
-    if not _is_let(u):
-        return None
-    nb = LET_KINDS[u.kind]
-    inner = syntax.do(u.subs[1], shift(v, nb, 1),
-                      hint=t.hints[0] if t.hints else "x")
-    return mklet(u.kind, u.subs[0], inner, proto=u)
-
-
-@rule("let.hoist.dobody", ("lnl",), heads=("do",))
-def let_hoist_dobody(t, ctx):
-    u, body = t.subs
-    if not _is_let(body):
-        return None
-    s = body.subs[0]
-    if uses_bvar(s, 0):
-        return None
-    nb = LET_KINDS[body.kind]
-    do2 = syntax.do(shift(u, nb, 0), rotate_out(body.subs[1], nb),
-                    hint=t.hints[0] if t.hints else "x")
-    return mklet(body.kind, unshift(s, 1, 0), do2, proto=body)
-
-
-@rule("let.push.ret", ("lnl",), heads=("letunit", "letpair", "letj"),
-      note="ret pops outward through lets")
-def let_push_ret(t, ctx):
-    body = t.subs[1]
-    if body.kind != "ret":
-        return None
-    return ret(mklet(t.kind, t.subs[0], body.subs[0], proto=t))
-
-
-@rule("let.push.grade", ("lnl",), heads=("letunit", "letpair", "letj"),
-      note="merge/unmerge pop outward through lets")
-def let_push_grade(t, ctx):
-    body = t.subs[1]
-    if body.kind not in ("merge", "unmerge"):
-        return None
-    inner = mklet(t.kind, t.subs[0], body.subs[0], proto=t)
-    return syntax.merge(inner) if body.kind == "merge" \
-        else unmerge(inner)
-
-
-# ---------------------------------------------------------------------------
 # grade-type structure
 
-@rule("grade.merge.unmerge", ("lnl",), heads=("merge",))
-def merge_unmerge(t, ctx):
-    if t.subs[0].kind == "unmerge":
-        return t.subs[0].subs[0]
-    return None
-
-
-@rule("grade.unmerge.merge", ("lnl",), heads=("unmerge",))
-def unmerge_merge(t, ctx):
-    if t.subs[0].kind == "merge":
-        return t.subs[0].subs[0]
-    return None
-
-
-@rule("grade.dist", ("lnl",), heads=("unmerge",),
-      note="unmerge distributes over a tensor grade action")
 def grade_dist(t, ctx):
+    """Unmerge distributes over a tensor grade action."""
     inner = t.subs[0]
     if inner.kind != "regrade":
         return None
     xi = inner.xi
     if xi.src.kind != "tensor" or xi.tgt.kind != "tensor" or xi.word is not None:
         return None
-    g = ctx.grading
+    g = ctx.sig.grading
     xi1 = GradeMor(xi.src.subs[0], xi.tgt.subs[0])
     xi2 = GradeMor(xi.src.subs[1], xi.tgt.subs[1])
     if g is None or not (g.has_mor(g.norm_mor(xi1)) and
@@ -650,82 +447,162 @@ def grade_dist(t, ctx):
                    "s", "r")
 
 
-@rule("grade.unitl", ("lnl",), heads=("letpair",),
-      note="splitting off a unit grade on the left is the identity")
-def grade_unitl(t, ctx):
-    scrut, body = t.subs
-    if scrut.kind != "unmerge":
-        return None
-    if body.kind == "letunit" and body.subs[0] == unmerge(bv(1)) \
-            and body.subs[1] == bv(0):
-        return scrut.subs[0]
-    return None
+# grade associativity, each way: the schema's outer unmerge splits w, once
+# w is regraded from its grade (read at (0, 0)) to the regrouped one, as
+# its inner unmerge needs; the right side's binders print as it names them
+_ASSOC = ("let (x,r) = unmerge w in let (y,z) = unmerge r in u[x,y,z]",
+          "let (s,z) = unmerge w in let (x,y) = unmerge s in u[x,y,z]")
 
 
-@rule("grade.unitr", ("lnl",), heads=("letpair",),
-      note="splitting off a unit grade on the right is the identity")
-def grade_unitr(t, ctx):
-    scrut, body = t.subs
-    if scrut.kind != "unmerge":
-        return None
-    if body.kind == "letunit" and body.subs[0] == unmerge(bv(0)) \
-            and body.subs[1] == bv(1):
-        return scrut.subs[0]
-    return None
+def _regrouped(lhs, rhs, right):
+    """m * (n * k) -> (m * n) * k, or with `right` false the reverse."""
+    row = _row("grade.assoc", ("letpair",), f"{lhs} ~> {rhs}")
+
+    def rewrite(t, ctx):
+        g, ty = ctx.sig.grading, ctx.typeof((0, 0))
+        m = ty.grade if g and ty and ty.kind == "grty" else None
+        if m is None or m.kind != "tensor" or m.subs[right].kind != "tensor":
+            return None
+        sigma = match(row.lhs, t, (), {})
+        if sigma is None:
+            return None
+        a, b, c = (m.subs[0], *m.subs[1].subs) if right else \
+            (*m.subs[0].subs, m.subs[1])
+        tgt = gtensor(gtensor(a, b), c) if right else gtensor(a, gtensor(b, c))
+        sigma["w"] = regrade(GradeMor(m, tgt, g.id_mor(m).word), sigma["w"])
+        return instantiate(row.rhs, sigma)
+
+    return rewrite
 
 
-@rule("grade.sym", ("lnl",), heads=("letpair",),
-      note="swapping an unmerged pair is unmerging at the symmetric grade")
-def grade_sym(t, ctx):
-    scrut, body = t.subs
-    if scrut.kind != "unmerge":
-        return None
-    if body.kind == "pair" and body.subs[0] == bv(0) and body.subs[1] == bv(1):
-        return unmerge(scrut.subs[0])
-    return None
+# ---------------------------------------------------------------------------
+# the table
 
 
-def _unmerge_assoc_l2r(t, ctx):
-    # let (x,r) = unmerge w in (let (y,z) = unmerge r in u)
-    #   ~> let (s,z) = unmerge w in (let (x,y) = unmerge s in u)
-    scrut, body = t.subs
-    if scrut.kind != "unmerge" or body.kind != "letpair":
-        return None
-    if body.subs[0] != unmerge(bv(0)):
-        return None
-    u = body.subs[1]
-    if uses_bvar(u, 2):  # the consumed middle binder cannot occur
-        return None
-    # u frame: [y=1, z=0] inside [x=1, r=0]  ->  overall x=3, r=2, y=1, z=0
-    # target: [x=1, y=0] inside [s=1, z=0]   ->  s=3, z=2, x=1, y=0
-    u2 = map_bvar(u, lambda i: {0: 2, 1: 0, 3: 1}.get(i, i))
-    return letpair(unmerge(scrut.subs[0]),
-                   letpair(unmerge(bv(1)), u2, "x", "y"), "s", "z")
+RULES = (
+    rule("unit.eta", CARTESIAN,
+         ("var", "pair", "pi1", "pi2", "app", "aapp", "letj", "letk",
+          "opapp", "gen", "jterm", "kterm", "lam", "do"), unit_eta),
+    # unit / product laws
+    rule("prod.beta1", CARTESIAN, ("pi1",), "pi1 (u, v) ~> u"),
+    rule("prod.beta2", CARTESIAN, ("pi2",), "pi2 (u, v) ~> v"),
+    rule("prod.eta", CARTESIAN, ("pair",), "(pi1 u, pi2 u) ~> u"),
+    # base-category morphism words
+    rule("gen.word", ("urmm", "rmm"), ("gen",), gen_word),
+    # monadic sequencing
+    rule("do.beta", ALL, ("do",), "do x <- ret u in t[x] ~> t[u]"),
+    rule("do.eta", ALL, ("do",), "do x <- u in ret x ~> u"),
+    rule("do.assoc", ALL, ("do",), "do y <- (do x <- u in t[x]) in v[y]"
+         " ~> do x <- u in do y <- t[x] in v[y]"),
+    rule("regrade.id", ("gmm", "lnl"), ("regrade",), regrade_id),
+    rule("regrade.comp", ("gmm", "lnl"), ("regrade",), regrade_comp),
+    rule("do.regrade.body", ("gmm",), ("do",), _do_regrade(1)),
+    rule("do.regrade.scrutinee", ("gmm",), ("do",), _do_regrade(0)),
+    # lambda calculi
+    rule("fun.beta", ("lnl", "arrow"), ("app",), fun_beta),
+    rule("fun.eta", ("lnl", "arrow"), ("lam",), "lam (x:X). app t x ~> t"),
+    rule("arr.beta", ("arrow", "armm"), ("aapp",),
+         "(lamarrow (x:X). t[x]) . u ~> t[u]"),
+    rule("arr.eta", ("arrow", "armm"), ("lamarrow",),
+         "lamarrow (x:X). u . x ~> u"),
+    rule("fun.beta.j", ARMM, ("app",),
+         "app (lamarrow (a:X). J(u[a])) v ~> u[v]"),
+    rule("fun.eta.j", ARMM, ("lamarrow",), "lamarrow (a:X). J(app u a) ~> u"),
+    # let laws (linear and three-zone calculi)
+    rule("letunit.beta", LNL, ("letunit",), "let () = () in t ~> t"),
+    rule("letunit.eta", LNL, ("letunit",), "let () = s in () ~> s"),
+    rule("letpair.beta", LNL, ("letpair",),
+         "let (x,y) = (u, v) in t[x,y] ~> t[u, v]"),
+    rule("letpair.eta", LNL, ("letpair",), "let (x,y) = s in (x, y) ~> s"),
+    rule("letj.beta", ("lnl", "armm"), ("letj",),
+         "let J(a) = J(u) in t[a] ~> t[u]"),
+    rule("letj.eta", ("lnl", "armm"), ("letj",), "let J(a) = s in J(a) ~> s"),
+    rule("letk.beta", ARMM, ("letk",), "let K(a) = K(u) in t[a] ~> t[u]"),
+    rule("letk.eta", ARMM, ("letk",), "let K(a) = s in K(a) ~> s"),
+    rule("derelict.beta", LNL, ("derelict",), "derelict R(t) ~> t"),
+    rule("derelict.eta", LNL, ("rterm",), "R(derelict u) ~> u"),
+    rule("jk.unit.eta", ARMM,
+         ("var", "letj", "letk", "pi1", "pi2", "aapp", "do"), jk_unit_eta),
+    # Cartesian zones: a let whose binder is unused goes, two lets of one
+    # scrutinee collapse, lets distribute over pairs
+    rule("letjk.dead", ARMM, JK,
+         "let J(a) = s in t ~> t", "let K(a) = s in t ~> t"),
+    rule("letjk.contract", ARMM, JK,
+         "let J(a) = s in let J(b) = s in t[a,b] ~> let J(a) = s in t[a,a]",
+         "let K(a) = s in let K(b) = s in t[a,b] ~> let K(a) = s in t[a,a]"),
+    rule("letjk.pair", ARMM, JK,
+         "let J(a) = s in (t[a], v[a])"
+         " ~> (let J(a) = s in t[a], let J(a) = s in v[a])",
+         "let K(a) = s in (t[a], v[a])"
+         " ~> (let K(a) = s in t[a], let K(a) = s in v[a])"),
+    # commuting conversions: lets hoist outward
+    rule("let.hoist.scrut", ("lnl", "armm"), tuple(LET_KINDS),
+         let_hoist_scrut),
+    rule("let.exchange", ("lnl", "armm"), tuple(LET_KINDS), let_exchange),
+    rule("let.hoist.appfun", LNL, ("app",),
+         "app (let () = s in f) u ~> let () = s in app f u",
+         "app (let (x,y) = s in f[x,y]) u ~> let (x,y) = s in app f[x,y] u",
+         "app (let J(a) = s in f[a]) u ~> let J(a) = s in app f[a] u"),
+    rule("let.hoist.apparg", LNL, ("app",),
+         "app f (let () = s in u) ~> let () = s in app f u",
+         "app f (let (x,y) = s in u[x,y]) ~> let (x,y) = s in app f u[x,y]",
+         "app f (let J(a) = s in u[a]) ~> let J(a) = s in app f u[a]"),
+    rule("let.hoist.lam", LNL, ("lam",),
+         "lam (x:X). let () = s in t[x] ~> let () = s in lam (x:X). t[x]",
+         "lam (x:X). let (y,z) = s in t[x,y,z]"
+         " ~> let (y,z) = s in lam (x:X). t[x,y,z]",
+         "lam (x:X). let J(a) = s in t[x,a]"
+         " ~> let J(a) = s in lam (x:X). t[x,a]"),
+    rule("let.hoist.doscrut", LNL, ("do",),
+         "do w <- (let () = s in u) in t[w] ~> let () = s in do w <- u in t[w]",
+         "do w <- (let (x,y) = s in u[x,y]) in t[w]"
+         " ~> let (x,y) = s in do w <- u[x,y] in t[w]",
+         "do w <- (let J(a) = s in u[a]) in t[w]"
+         " ~> let J(a) = s in do w <- u[a] in t[w]"),
+    rule("let.hoist.dobody", LNL, ("do",),
+         "do w <- u in let () = s in t[w] ~> let () = s in do w <- u in t[w]",
+         "do w <- u in let (x,y) = s in t[w,x,y]"
+         " ~> let (x,y) = s in do w <- u in t[w,x,y]",
+         "do w <- u in let J(a) = s in t[w,a]"
+         " ~> let J(a) = s in do w <- u in t[w,a]"),
+    # ret, merge and unmerge pop outward through lets
+    rule("let.push.ret", LNL, LETS,
+         "let () = s in ret t ~> ret (let () = s in t)",
+         "let (x,y) = s in ret t[x,y] ~> ret (let (x,y) = s in t[x,y])",
+         "let J(a) = s in ret t[a] ~> ret (let J(a) = s in t[a])"),
+    rule("let.push.grade", LNL, LETS,
+         "let () = s in merge t ~> merge (let () = s in t)",
+         "let () = s in unmerge t ~> unmerge (let () = s in t)",
+         "let (x,y) = s in merge t[x,y] ~> merge (let (x,y) = s in t[x,y])",
+         "let (x,y) = s in unmerge t[x,y] ~> unmerge (let (x,y) = s in t[x,y])",
+         "let J(a) = s in merge t[a] ~> merge (let J(a) = s in t[a])",
+         "let J(a) = s in unmerge t[a] ~> unmerge (let J(a) = s in t[a])"),
+    # grade-type structure
+    rule("grade.merge.unmerge", LNL, ("merge",), "merge unmerge t ~> t"),
+    rule("grade.unmerge.merge", LNL, ("unmerge",), "unmerge merge t ~> t"),
+    rule("grade.dist", LNL, ("unmerge",), grade_dist),
+    # splitting off a unit grade on either side is the identity, and
+    # swapping an unmerged pair is unmerging at the symmetric grade
+    rule("grade.unitl", LNL, ("letpair",),
+         "let (x,y) = unmerge w in let () = unmerge x in y ~> w"),
+    rule("grade.unitr", LNL, ("letpair",),
+         "let (x,y) = unmerge w in let () = unmerge y in x ~> w"),
+    rule("grade.sym", LNL, ("letpair",),
+         "let (x,y) = unmerge w in (y, x) ~> unmerge w"),
+    rule("grade.assoc", LNL, ("letpair",),
+         _regrouped(*_ASSOC, True), search_only=True),
+    rule("grade.assoc.rev", LNL, ("letpair",),
+         _regrouped(*reversed(_ASSOC), False), search_only=True),
+)
 
 
-def _unmerge_assoc_r2l(t, ctx):
-    scrut, body = t.subs
-    if scrut.kind != "unmerge" or body.kind != "letpair":
-        return None
-    if body.subs[0] != unmerge(bv(1)):
-        return None
-    u = body.subs[1]
-    if uses_bvar(u, 3):  # the consumed outer binder cannot occur
-        return None
-    # inverse of the map above
-    u2 = map_bvar(u, lambda i: {2: 0, 0: 1, 1: 3}.get(i, i))
-    return letpair(unmerge(scrut.subs[0]),
-                   letpair(unmerge(bv(0)), u2, "y", "z"), "x", "r")
-
-
-rule("grade.assoc", ("lnl",), heads=("letpair",), search_only=True)(
-    _unmerge_assoc_l2r)
-rule("grade.assoc.rev", ("lnl",), heads=("letpair",), search_only=True)(
-    _unmerge_assoc_r2l)
+def rules_for(calculus: str, include_search=False) -> list[Rule]:
+    return [r for r in RULES
+            if calculus in r.calculi and (include_search or not r.search_only)]
 
 
 RULES_BY_HEAD: dict[tuple[str, str], list[Rule]] = {}
-for _r in _RULES:
+for _r in RULES:
     for _c in _r.calculi:
         for _h in _r.heads:
             RULES_BY_HEAD.setdefault((_c, _h), []).append(_r)

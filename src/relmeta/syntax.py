@@ -114,6 +114,7 @@ _TYPE_KINDS = {
     "tgr": 1,     # T_m(A)
     "grty": 0,    # gr(m)
     "rt": 1,      # R(X)
+    "meta": 0,    # a rewrite-rule schema's type metavariable, by name
 }
 
 
@@ -215,6 +216,7 @@ _TERM_KINDS = {
     "merge": (1, (0,)),
     "unmerge": (1, (0,)),
     "regrade": (1, (0,)),  # regrade<xi> t
+    "meta": (-1, ()),     # a rule schema's metavariable applied to binders
 }
 
 # kind -> the number of binders each child is under, () where none is
@@ -629,14 +631,19 @@ class _P:
     operation or generator name is never a variable, bound or free.  A
     do/let/lam/lamarrow spine is read in a loop, so its length costs no
     Python frames; what nests inside a spine's heads or atoms still
-    recurses."""
+    recurses.
 
-    def __init__(self, text, sig=None, calculus="rmm"):
+    With `schema`, the text is a side of a rule schema (`rules.py`): a
+    free name is a metavariable, `t` or `t[x, y]` (a `meta` node over its
+    arguments), and a binder's annotation a type metavariable's name."""
+
+    def __init__(self, text, sig=None, calculus="rmm", schema=False):
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
         self.sig = sig
         self.calculus = calculus
+        self.schema = schema
         self.scope = {}
         self.depth = 0
 
@@ -831,7 +838,8 @@ class _P:
                     self.expect("(")
                     x = self.name()
                     self.expect(":")
-                    ty = self.type_()
+                    ty = TypeExpr("meta", name=self.name()) if self.schema \
+                        else self.type_()
                     self.expect(")")
                 else:
                     x, ty = self.name(), None
@@ -913,6 +921,16 @@ class _P:
             return gen(tok, self.prefixterm())
         return self.atom()
 
+    def terms(self, open_, close) -> list:
+        """`open_ t, ..., t close`: one term or more."""
+        self.expect(open_)
+        out = [self.term()]
+        while self.peek() == ",":
+            self.next()
+            out.append(self.term())
+        self.expect(close)
+        return out
+
     def atom(self) -> Term:
         tok = self.next()
         if tok == "(":
@@ -937,12 +955,7 @@ class _P:
             arity = self.sig.op_arity(tok)
             if arity == 0:
                 return opapp(tok)
-            self.expect("(")
-            args = [self.term()]
-            while self.peek() == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")")
+            args = self.terms("(", ")")
             if len(args) != arity:
                 self.err(f"operation {tok} expects {arity} argument(s),"
                          f" got {len(args)}")
@@ -950,7 +963,10 @@ class _P:
         depths = self.scope.get(tok)
         if depths:
             return bv(self.depth - 1 - depths[-1])
-        return var(tok)
+        if not self.schema:
+            return var(tok)
+        args = self.terms("[", "]") if self.peek() == "[" else ()
+        return Term("meta", tuple(args), name=tok)
 
 
 def parse_term(text: str, calculus: str = "rmm", sig=None) -> Term:
