@@ -34,6 +34,7 @@ bounded equality search).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, NamedTuple
 
 from .syntax import (BINDERS, GradeMor, SyntaxError_, Term, bv, child_binders,
@@ -86,40 +87,24 @@ class _Escape(Exception):
     """A term mentions a binder its metavariable may not."""
 
 
-def _reindex(t: Term, fn, depth: int = 0) -> Term:
-    """t with each bvar that points out of it, to the j-th binder outside
-    it, replaced by fn(j, e), where e is the number of t's own binders
-    around that bvar."""
+def _rebind(t: Term, outer: list, depth: int, e: int = 0) -> Term:
+    """t, under e of its own binders, with the binders just outside it
+    replaced: a bvar pointing to the j-th of them by outer[j], a term under
+    `depth` binders (raising _Escape where that is None), and one pointing
+    m binders past them by one pointing m past the `depth` binders.  Nodes
+    that do not change are kept."""
     if t.kind == "bvar":
-        return t if t.index < depth else fn(t.index - depth, depth)
-    if not t.subs:
-        return t
-    return with_subs(t, (_reindex(s, fn, depth + child_binders(t, i))
-                         for i, s in enumerate(t.subs)))
-
-
-def _rebind(t: Term, outer: list, depth: int) -> Term | None:
-    """t with the binders just outside it replaced: a bvar pointing to the
-    j-th of them by outer[j], a term under `depth` binders (None where t
-    may not mention it: the result is then None), and a bvar pointing m
-    binders past them by one pointing m past the `depth` binders.  No walk
-    where that is the identity."""
-    n = len(outer)
-    if n == depth and all(a is not None and a.kind == "bvar" and a.index == j
-                          for j, a in enumerate(outer)):
-        return t
-
-    def fn(j, e):
-        if j >= n:
-            return bv(j - n + depth + e)
+        j = t.index - e
+        if j < 0:
+            return t
+        if j >= len(outer):
+            return bv(j - len(outer) + depth + e)
         if outer[j] is None:
             raise _Escape
         return shift(outer[j], e) if e else outer[j]
-
-    try:
-        return _reindex(t, fn)
-    except _Escape:
-        return None
+    subs = tuple(_rebind(s, outer, depth, e + child_binders(t, i))
+                 for i, s in enumerate(t.subs))
+    return t if all(map(is_, subs, t.subs)) else with_subs(t, subs)
 
 
 def match(pat: Term, t: Term, metas, sigma: dict, hints: dict | None = None,
@@ -139,8 +124,9 @@ def match(pat: Term, t: Term, metas, sigma: dict, hints: dict | None = None,
             outer = [None] * depth
             for p, a in enumerate(pat.subs):
                 outer[a.index] = bv(k - 1 - p)
-            t = _rebind(t, outer, k)
-            if t is None:
+            try:
+                t = _rebind(t, outer, k)
+            except _Escape:
                 return None
         old = sigma.setdefault(pat.name, t)
         return sigma if old is t or old == t else None
@@ -178,9 +164,11 @@ def instantiate(pat: Term, sigma: dict, hints: dict | None = None,
     the one the names it records were matched to; without, as pat's."""
     kind = pat.kind
     if kind == "meta" or kind == "var" and pat.name in sigma:
-        if not (depth or pat.subs):
-            return sigma[pat.name]
+        k = len(pat.subs)
         args = [instantiate(a, sigma, hints, depth) for a in pat.subs]
+        if depth == k and all(a.kind == "bvar" and a.index == k - 1 - p
+                              for p, a in enumerate(args)):
+            return sigma[pat.name]  # the identity: no walk
         return _rebind(sigma[pat.name], args[::-1], depth)
     if not pat.subs:
         return pat
@@ -421,8 +409,8 @@ def let_exchange(t, ctx):
     if not (p2 < p1 or (p2 == p1 and term_key(s0) < term_key(t.subs[0]))):
         return None
     # the body's frame [t's binders, inner's] becomes [inner's, t's]
-    body = _reindex(inner.subs[1], lambda j, e: bv(e + (
-        j + nb1 if j < nb2 else j - nb2 if j < nb1 + nb2 else j)))
+    body = _rebind(inner.subs[1], [bv(j + nb1) for j in range(nb2)]
+                   + [bv(j) for j in range(nb1)], nb1 + nb2)
     return _rebuilt(inner, s0, _rebuilt(t, shift(t.subs[0], nb2), body))
 
 

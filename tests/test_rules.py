@@ -8,7 +8,7 @@ from relmeta import rules
 from relmeta.rules import RULES, RULES_BY_HEAD, RuleCtx, match, rule
 from relmeta.signatures import load_signature
 from relmeta.syntax import (SyntaxError_, Term, base, bv, do, lam, letpair,
-                            opapp, parse_term, ret, var)
+                            opapp, parse_term, ret, shift, var)
 
 BY_NAME = {r.name: r for r in RULES}
 
@@ -124,11 +124,15 @@ def test_the_rules_tried_at_each_head_are_pinned():
 
 def _instance(t: Term) -> Term:
     """A schema side with each metavariable made a fresh free variable,
-    applied (as an operation) to its arguments where it has any, and each
-    type metavariable a base type of its name."""
+    applied (as an operation) to its arguments where it has any, and to
+    them once more under a binder, and each type metavariable a base type
+    of its name."""
     if t.kind == "meta":
         args = tuple(map(_instance, t.subs))
-        return Term("opapp", args, name=t.name) if args else var(t.name)
+        if not args:
+            return var(t.name)
+        return opapp(t.name, *args, do(var(t.name), opapp(
+            t.name, *(shift(a, 1) for a in args))))
     ty = t.tyann
     if ty is not None and ty.kind == "meta":
         ty = base(ty.name)
@@ -145,8 +149,9 @@ ROWS = [(r, row) for r in RULES for row in r.rows]
 def test_each_row_rewrites_an_instance_of_its_left_side(r, row):
     """Each row fires on its left side's instance and gives its right
     side's instance, binder names included: the metavariables' arguments
-    are the binders themselves, so every substitution and re-indexing is
-    seen, also in rows no corpus reaches."""
+    are the binders themselves, also under a binder of their own, so every
+    substitution, shift and re-indexing is seen, also in rows no corpus
+    reaches."""
     ctx = RuleCtx(None, r.calculi[0], (), {})
     assert repr(r.rewrite(_instance(row.lhs), ctx)) == \
         repr(_instance(row.rhs))
