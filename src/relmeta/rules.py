@@ -443,7 +443,8 @@ _ASSOC = ("let (x,r) = unmerge w in let (y,z) = unmerge r in u[x,y,z]",
 
 
 def _regrouped(lhs, rhs, right):
-    """m * (n * k) -> (m * n) * k, or with `right` false the reverse."""
+    """grade.assoc one way: w's grade m * (n * k) regrouped as
+    (m * n) * k, or with `right` false the reverse."""
     row = _row("grade.assoc", ("letpair",), f"{lhs} ~> {rhs}")
 
     def rewrite(t, ctx):
