@@ -32,10 +32,10 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import syntax
-from .rules import RuleCtx, RULES_BY_HEAD, instantiate, match, rules_for
+from .rules import INDEX, RuleCtx, instantiate, match
 from .signatures import Axiom, Signature, SignatureError
-from .syntax import (Judgement, Term, alpha_eq, positions, replace_at,
-                     subterm_at, term_to_text)
+from .syntax import (Judgement, Term, alpha_eq, replace_at, subterm_at,
+                     term_to_text)
 from .typecheck import check, check_at, typings
 
 
@@ -145,7 +145,7 @@ class _Checks:
         if res.ok:
             self.shape = shape
         out = self.results[j.term] = \
-            typings(res.derivation) if res.ok else res.message
+            typings(res.derivation, memo=res.occ) if res.ok else res.message
         return res, out
 
     def _out(self, j: Judgement, out):
@@ -196,42 +196,41 @@ def _enter(j, sig: Signature, checks: _Checks | None = None) -> _Checked:
     return cj
 
 
-def _fire(cj: _Checked, sig: Signature, path: tuple, keep):
-    """(rule, subterm, result) for each rule `keep` admits that fires at
-    the position, in registration order."""
-    sub = subterm_at(cj.j.term, path)
-    ctx = RuleCtx(sig, cj.j.calculus, path, cj.ann)
-    for r in RULES_BY_HEAD.get((cj.j.calculus, sub.kind), ()):
-        if keep(r):
-            new = r.rewrite(sub, ctx)
-            if new is not None:
-                yield r, sub, new
-
-
-# the calculi that register search-only rules
-_SEARCH_CALCULI = frozenset(
-    c for c in syntax.CALCULI
-    if any(r.search_only for r in rules_for(c, True)))
-
-
 def redexes(cj: _Checked, sig: Signature, search_only=False):
     """The (rule, path, new subterm) triples on a checked judgement,
     lazily, leftmost-outermost and then in rule registration order: of the
-    normalizing rules, or with search_only of the search-only ones alone."""
-    if search_only and cj.j.calculus not in _SEARCH_CALCULI:
+    normalizing rules, or with search_only of the search-only ones alone.
+    At each position only the rules `rules.INDEX` gives for its kinds are
+    tried."""
+    calculus = cj.j.calculus
+    if (calculus, search_only) not in INDEX.trees:
         return
-    keep = lambda r: r.search_only == search_only
-    for path in cj.ann:
-        for r, sub, new in _fire(cj, sig, path, keep):
-            if new != sub:
-                yield r, path, new
+    # the typing index is in `positions` order: walk the term in preorder
+    stack = [cj.j.term]
+    for path, typing in cj.ann.items():
+        sub = stack.pop()
+        if sub.subs:
+            stack.extend(reversed(sub.subs))
+        cands = INDEX.candidates(calculus, search_only, sub, typing[1])
+        if cands:
+            ctx = RuleCtx(sig, calculus, path, cj.ann)
+            for r, rewrite in cands:
+                new = rewrite(sub, ctx)
+                if new is not None and new != sub:
+                    yield r, path, new
 
 
 def apply_rule_at(cj: _Checked, sig: Signature, rule_name: str,
                   path: tuple) -> Term:
     """Replay a single named rule at a position; raises if it does not fire."""
-    for _, _, new in _fire(cj, sig, path, lambda r: r.name == rule_name):
-        return replace_at(cj.j.term, path, new)
+    sub = subterm_at(cj.j.term, path)
+    r = INDEX.by_name.get(rule_name)
+    if r is not None:
+        ctx = RuleCtx(sig, cj.j.calculus, path, cj.ann)
+        for cand, rewrite in INDEX.candidates(cj.j.calculus, r.search_only,
+                                              sub, ctx.ty):
+            if cand is r and (new := rewrite(sub, ctx)) is not None:
+                return replace_at(cj.j.term, path, new)
     raise RewriteError(f"rule {rule_name} does not apply at {path}")
 
 
@@ -278,18 +277,26 @@ def normalize(j, sig: Signature, *, budget: int = 10000,
 
 def axiom_moves(j, sig: Signature, axioms):
     """All single axiom rewrites (either direction, any position) that keep
-    the judgement well-typed, each as (step, checked result).  j may be a
-    `_Checked` this module made; its engine call's checks then serve.
-    Raises if j is ill-typed."""
+    the judgement well-typed, each as (step, checked result), by axiom,
+    direction and position.  j may be a `_Checked` this module made; its
+    engine call's checks then serve.  Raises if j is ill-typed."""
     cj = _enter(j, sig)
-    j = cj.j
+    if not axioms:
+        return []
+    everywhere = [(path, subterm_at(cj.j.term, path)) for path in cj.ann]
+    at_kind = {}
+    for path, sub in everywhere:
+        at_kind.setdefault(sub.kind, []).append((path, sub))
     out = []
     for ax in axioms:
         axvars = {x for x, _ in ax.zones[0]}
         for axdir, (src, tgt) in (("lr", (ax.lhs, ax.rhs)),
                                   ("rl", (ax.rhs, ax.lhs))):
-            for path in positions(j.term):
-                sub = subterm_at(j.term, path)
+            # a side matches only where its head's kind is, unless it is
+            # one of the axiom's variables
+            for path, sub in (everywhere if src.kind == "var" and
+                              src.name in axvars else
+                              at_kind.get(src.kind, ())):
                 sigma = match(src, sub, axvars, {})
                 # a var only on the other side cannot be guessed
                 if sigma is None or axvars - set(sigma):
@@ -420,7 +427,7 @@ def _expand(cj, sig, axioms, budget):
 
 
 def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
-    if not axioms and cl.j.calculus not in _SEARCH_CALCULI:
+    if not axioms and (cl.j.calculus, True) not in INDEX.trees:
         return None
     # seed with the originals too: an axiom redex may only exist before
     # normalization reshapes the term

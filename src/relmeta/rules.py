@@ -9,11 +9,12 @@ canonical term ordering.
 
 `RULES` is the table of every rule, in registration order, which fixes the
 order in which rules are tried at a position.  Most rules are schemas:
-rows `lhs ~> rhs` in the term syntax, no two of one rule matching one term
-(a rule has a row per let kind it moves).  A free name in a row is a
-metavariable, `t` or `t[x, y]`, applied to the binders around it that it
-may mention: on a left side distinct bound names (a Miller pattern), on a
-right side any terms, which are substituted for them.  So
+rows `lhs ~> rhs` in the term syntax, no two of one rule matching one term:
+two with one head differ in the kind of a child (a rule has a row per let
+kind it moves).  A free name in a row is a metavariable, `t` or
+`t[x, y]`, applied to the binders around it that it may mention: on a
+left side distinct bound names (a Miller pattern), on a right side any
+terms, which are substituted for them.  So
 `do x <- ret u in t[x] ~> t[u]` substitutes, and in
 `lam (x:X). app t x ~> t` the eta side condition, x not free in t, is t's
 binder set.  A name repeated on a left side matches alpha-equal terms.  A
@@ -21,7 +22,15 @@ binder's annotation is a type metavariable, which the right side carries
 over or drops.  A right-side binder prints as the left-side binder of the
 same schema name did (with the constructor's names if that had none).
 The rules that read types, the grading, a payload or an order are
-functions.
+functions, each declaring the kinds it can fire on: of the type recorded
+at its position, or of children of its head.
+
+`INDEX` is built once from the table.  For a position (calculus, node
+kind, the kinds of its children and of its recorded type) it gives the
+rows and functions that can fire there: those of the head whose kinds fit,
+a subset of the head's rules in registration order, so the redex order is
+the one trying every rule of the head gives.  Per head it is a decision
+tree on those kinds, built on the head's first lookup.
 
 `match` and `instantiate` serve the schemas and the theory axioms alike;
 an axiom's variables are metavariables that may mention no binder.
@@ -33,13 +42,13 @@ bounded equality search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import is_
 from typing import Callable, NamedTuple
 
-from .syntax import (BINDERS, GradeMor, SyntaxError_, Term, bv, child_binders,
-                     gtensor, jterm, kterm, letpair, pair, regrade, shift,
-                     term_key, unmerge, uses_bvar, with_subs)
+from .syntax import (BINDERS, GradeMor, SyntaxError_, Term, bv, gtensor,
+                     jterm, kterm, letpair, pair, regrade, shift, term_key,
+                     unmerge, uses_bvar, with_subs)
 from . import syntax
 
 
@@ -61,13 +70,15 @@ class RuleCtx:
 
 
 class Row(NamedTuple):
-    """A parsed schema `lhs ~> rhs`, tried first on the kind of its head
-    and of each child of it that is not a metavariable (`guard`: (child
-    index, kind) pairs)."""
-    head: str
-    guard: tuple
+    """A parsed schema `lhs ~> rhs`."""
     lhs: Term
     rhs: Term
+
+    def rewrite(self, t: Term, ctx: RuleCtx | None = None) -> Term | None:
+        """The right side's instance where t is one of the left side's."""
+        hints = {}
+        sigma = match(self.lhs, t, (), {}, hints)
+        return None if sigma is None else instantiate(self.rhs, sigma, hints)
 
 
 @dataclass
@@ -75,36 +86,46 @@ class Rule:
     name: str
     calculi: tuple
     heads: tuple  # term kinds the rule can fire on
-    rewrite: Callable[[Term, RuleCtx], Term | None]
+    rewrite: Callable[[Term, RuleCtx], Term | None] | None  # None: rows
     search_only: bool = False
     rows: tuple = ()  # a schema rule's rows, in table order
+    needs: dict = field(default_factory=dict)  # a function's, see `rule`
 
 
 # ---------------------------------------------------------------------------
 # matching and instantiating schemas
 
-class _Escape(Exception):
-    """A term mentions a binder its metavariable may not."""
-
-
 def _rebind(t: Term, outer: list, depth: int, e: int = 0) -> Term:
     """t, under e of its own binders, with the binders just outside it
     replaced: a bvar pointing to the j-th of them by outer[j], a term under
-    `depth` binders (raising _Escape where that is None), and one pointing
-    m binders past them by one pointing m past the `depth` binders.  Nodes
-    that do not change are kept."""
+    `depth` binders (t points to none whose outer[j] is None), and one
+    pointing m binders past them by one pointing m past the `depth`
+    binders.  Nodes that do not change are kept."""
     if t.kind == "bvar":
         j = t.index - e
         if j < 0:
             return t
         if j >= len(outer):
             return bv(j - len(outer) + depth + e)
-        if outer[j] is None:
-            raise _Escape
         return shift(outer[j], e) if e else outer[j]
-    subs = tuple(_rebind(s, outer, depth, e + child_binders(t, i))
-                 for i, s in enumerate(t.subs))
+    if not t.subs:
+        return t
+    binders = BINDERS[t.kind]
+    subs = [_rebind(s, outer, depth, e + binders[i] if binders else e)
+            for i, s in enumerate(t.subs)]
     return t if all(map(is_, subs, t.subs)) else with_subs(t, subs)
+
+
+def _mentions(t: Term, barred: set, e: int = 0) -> bool:
+    """Whether t, under e of its own binders, has a bvar pointing to one of
+    the binders just outside it that `barred` holds (counted from t)."""
+    if t.kind == "bvar":
+        return t.index - e in barred
+    binders = BINDERS[t.kind]
+    for i, s in enumerate(t.subs):
+        if _mentions(s, barred, e + binders[i] if binders else e):
+            return True
+    return False
 
 
 def match(pat: Term, t: Term, metas, sigma: dict, hints: dict | None = None,
@@ -124,10 +145,10 @@ def match(pat: Term, t: Term, metas, sigma: dict, hints: dict | None = None,
             outer = [None] * depth
             for p, a in enumerate(pat.subs):
                 outer[a.index] = bv(k - 1 - p)
-            try:
-                t = _rebind(t, outer, k)
-            except _Escape:
-                return None
+            if depth != k and _mentions(
+                    t, {j for j, a in enumerate(outer) if a is None}):
+                return None  # a binder the metavariable may not mention
+            t = _rebind(t, outer, k)
         old = sigma.setdefault(pat.name, t)
         return sigma if old is t or old == t else None
     if (kind != t.kind or pat.name != t.name or pat.index != t.index
@@ -228,33 +249,39 @@ def _row(name: str, heads, text: str) -> Row:
         if arity.get(m.name) != len(m.subs):
             fail(f"{m.name} is not on the left side with {len(m.subs)}"
                  " argument(s)")
-    return Row(lhs.kind, tuple((i, s.kind) for i, s in enumerate(lhs.subs)
-                               if s.kind != "meta"), lhs, rhs)
+    return Row(lhs, rhs)
 
 
-def rule(name: str, calculi, heads, *body, search_only=False) -> Rule:
+# what a need reads at a position: the recorded type's kind, or child i's
+TYPE = -1
+
+
+def _row_needs(row: Row) -> dict:
+    """The kinds a row needs: of each child of its head that is not a
+    metavariable."""
+    return {i: (s.kind,) for i, s in enumerate(row.lhs.subs)
+            if s.kind != "meta"}
+
+
+def rule(name: str, calculi, heads, *body, search_only=False,
+         needs=None) -> Rule:
     """A rule: `body` is its rewrite function, or its schema rows, each
-    `lhs ~> rhs`, no two matching one term."""
+    `lhs ~> rhs`, no two of one head that their kinds do not tell apart.
+    A function declares in `needs` the kinds it can fire on, {TYPE or
+    child index: kinds}."""
     if len(body) == 1 and callable(body[0]):
-        return Rule(name, tuple(calculi), tuple(heads), body[0], search_only)
+        return Rule(name, tuple(calculi), tuple(heads), body[0], search_only,
+                    needs=needs or {})
     rows = tuple(_row(name, heads, text) for text in body)
-
-    def rewrite(t, ctx):
-        for head, guard, lhs, rhs in rows:
-            if head != t.kind:
-                continue
-            for i, kind in guard:
-                if t.subs[i].kind != kind:
-                    break
-            else:
-                hints = {}
-                sigma = match(lhs, t, (), {}, hints)
-                if sigma is not None:
-                    return instantiate(rhs, sigma, hints)
-        return None
-
-    return Rule(name, tuple(calculi), tuple(heads), rewrite, search_only,
-                rows)
+    for k, row in enumerate(rows):
+        a = _row_needs(row)
+        for other in rows[:k]:
+            b = _row_needs(other)
+            if row.lhs.kind == other.lhs.kind and \
+                    all(a[i] == b[i] for i in a.keys() & b.keys()):
+                raise SyntaxError_(f"rule {name}: its kinds do not tell the"
+                                   f" row apart from an earlier one: {body[k]}")
+    return Rule(name, tuple(calculi), tuple(heads), None, search_only, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +498,8 @@ def _regrouped(lhs, rhs, right):
 RULES = (
     rule("unit.eta", CARTESIAN,
          ("var", "pair", "pi1", "pi2", "app", "aapp", "letj", "letk",
-          "opapp", "gen", "jterm", "kterm", "lam", "do"), unit_eta),
+          "opapp", "gen", "jterm", "kterm", "lam", "do"), unit_eta,
+         needs={TYPE: ("unit1",)}),
     # unit / product laws
     rule("prod.beta1", CARTESIAN, ("pi1",), "pi1 (u, v) ~> u"),
     rule("prod.beta2", CARTESIAN, ("pi2",), "pi2 (u, v) ~> v"),
@@ -484,11 +512,15 @@ RULES = (
     rule("do.assoc", ALL, ("do",), "do y <- (do x <- u in t[x]) in v[y]"
          " ~> do x <- u in do y <- t[x] in v[y]"),
     rule("regrade.id", ("gmm", "lnl"), ("regrade",), regrade_id),
-    rule("regrade.comp", ("gmm", "lnl"), ("regrade",), regrade_comp),
-    rule("do.regrade.body", ("gmm",), ("do",), _do_regrade(1)),
-    rule("do.regrade.scrutinee", ("gmm",), ("do",), _do_regrade(0)),
+    rule("regrade.comp", ("gmm", "lnl"), ("regrade",), regrade_comp,
+         needs={0: ("regrade",)}),
+    rule("do.regrade.body", ("gmm",), ("do",), _do_regrade(1),
+         needs={1: ("regrade",)}),
+    rule("do.regrade.scrutinee", ("gmm",), ("do",), _do_regrade(0),
+         needs={0: ("regrade",)}),
     # lambda calculi
-    rule("fun.beta", ("lnl", "arrow"), ("app",), fun_beta),
+    rule("fun.beta", ("lnl", "arrow"), ("app",), fun_beta,
+         needs={0: ("lam",)}),
     rule("fun.eta", ("lnl", "arrow"), ("lam",), "lam (x:X). app t x ~> t"),
     rule("arr.beta", ("arrow", "armm"), ("aapp",),
          "(lamarrow (x:X). t[x]) . u ~> t[u]"),
@@ -511,7 +543,8 @@ RULES = (
     rule("derelict.beta", LNL, ("derelict",), "derelict R(t) ~> t"),
     rule("derelict.eta", LNL, ("rterm",), "R(derelict u) ~> u"),
     rule("jk.unit.eta", ARMM,
-         ("var", "letj", "letk", "pi1", "pi2", "aapp", "do"), jk_unit_eta),
+         ("var", "letj", "letk", "pi1", "pi2", "aapp", "do"), jk_unit_eta,
+         needs={TYPE: ("jt", "kt")}),
     # Cartesian zones: a let whose binder is unused goes, two lets of one
     # scrutinee collapse, lets distribute over pairs
     rule("letjk.dead", ARMM, JK,
@@ -526,8 +559,9 @@ RULES = (
          " ~> (let K(a) = s in t[a], let K(a) = s in v[a])"),
     # commuting conversions: lets hoist outward
     rule("let.hoist.scrut", ("lnl", "armm"), tuple(LET_KINDS),
-         let_hoist_scrut),
-    rule("let.exchange", ("lnl", "armm"), tuple(LET_KINDS), let_exchange),
+         let_hoist_scrut, needs={0: tuple(LET_KINDS)}),
+    rule("let.exchange", ("lnl", "armm"), tuple(LET_KINDS), let_exchange,
+         needs={1: tuple(LET_KINDS)}),
     rule("let.hoist.appfun", LNL, ("app",),
          "app (let () = s in f) u ~> let () = s in app f u",
          "app (let (x,y) = s in f[x,y]) u ~> let (x,y) = s in app f[x,y] u",
@@ -569,7 +603,8 @@ RULES = (
     # grade-type structure
     rule("grade.merge.unmerge", LNL, ("merge",), "merge unmerge t ~> t"),
     rule("grade.unmerge.merge", LNL, ("unmerge",), "unmerge merge t ~> t"),
-    rule("grade.dist", LNL, ("unmerge",), grade_dist),
+    rule("grade.dist", LNL, ("unmerge",), grade_dist,
+         needs={0: ("regrade",)}),
     # splitting off a unit grade on either side is the identity, and
     # swapping an unmerged pair is unmerging at the symmetric grade
     rule("grade.unitl", LNL, ("letpair",),
@@ -578,20 +613,83 @@ RULES = (
          "let (x,y) = unmerge w in let () = unmerge y in x ~> w"),
     rule("grade.sym", LNL, ("letpair",),
          "let (x,y) = unmerge w in (y, x) ~> unmerge w"),
-    rule("grade.assoc", LNL, ("letpair",),
-         _regrouped(*_ASSOC, True), search_only=True),
+    rule("grade.assoc", LNL, ("letpair",), _regrouped(*_ASSOC, True),
+         search_only=True, needs={0: ("unmerge",), 1: ("letpair",)}),
     rule("grade.assoc.rev", LNL, ("letpair",),
-         _regrouped(*reversed(_ASSOC), False), search_only=True),
+         _regrouped(*reversed(_ASSOC), False), search_only=True,
+         needs={0: ("unmerge",), 1: ("letpair",)}),
 )
 
 
-def rules_for(calculus: str, include_search=False) -> list[Rule]:
-    return [r for r in RULES
-            if calculus in r.calculi and (include_search or not r.search_only)]
+class _Switch(NamedTuple):
+    """An inner node of an index tree: the subtree for the kind read at
+    `where` (TYPE or a child index), or `default` for a kind no candidate
+    below needs."""
+    where: int
+    branches: dict
+    default: object
 
 
-RULES_BY_HEAD: dict[tuple[str, str], list[Rule]] = {}
-for _r in RULES:
-    for _c in _r.calculi:
-        for _h in _r.heads:
-            RULES_BY_HEAD.setdefault((_c, _h), []).append(_r)
+def _tree(cands: list, wheres: tuple):
+    """The index tree over cands, (rule, rewrite, needs) triples in
+    registration order, switching on the kinds at `wheres` in turn; a leaf
+    holds the (rule, rewrite) pairs whose needs the kinds read meet, in
+    the same order."""
+    if not wheres:
+        return tuple((r, rewrite) for r, rewrite, _ in cands)
+    where, rest = wheres[0], wheres[1:]
+
+    def fit(kind):
+        return [c for c in cands if kind in c[2].get(where, (kind,))]
+
+    kinds = {k for c in cands for k in c[2].get(where, ())}
+    if not kinds:
+        return _tree(cands, rest)
+    return _Switch(where, {k: _tree(fit(k), rest) for k in kinds},
+                   _tree(fit(None), rest))
+
+
+class RuleIndex:
+    """The rules a position can fire, by (calculus, node kind, the kinds of
+    its children and of its recorded type), each rule or row once, in
+    registration order: a subset of the rules of the position's head, so
+    redex order is as if every one were tried.
+
+    `heads` holds, per (calculus, head), the (rule, rewrite, needs) triples
+    of every row and function rule with that head; `trees`, per
+    (calculus, search_only) that has rules, the tree of each head that
+    `candidates` walks, built on the head's first lookup."""
+
+    def __init__(self, rules):
+        self.by_name = {r.name: r for r in rules}
+        self.heads, self.trees = {}, {}
+        for r in rules:
+            cases = [(row.lhs.kind, row.rewrite, _row_needs(row))
+                     for row in r.rows] or \
+                [(h, r.rewrite, r.needs) for h in r.heads]
+            for c in r.calculi:
+                self.trees.setdefault((c, r.search_only), {})
+                for head, rewrite, needs in cases:
+                    self.heads.setdefault((c, head), []).append(
+                        (r, rewrite, needs))
+
+    def candidates(self, calculus: str, search_only: bool, t: Term, ty):
+        """The (rule, rewrite) pairs that can fire on t, whose recorded
+        type is ty, in registration order."""
+        trees = self.trees.get((calculus, search_only))
+        if trees is None:
+            return ()
+        node = trees.get(t.kind)
+        if node is None:  # the head's first lookup
+            mine = [x for x in self.heads.get((calculus, t.kind), ())
+                    if x[0].search_only == search_only]
+            node = trees[t.kind] = _tree(
+                mine, tuple(sorted({w for x in mine for w in x[2]})))
+        while node.__class__ is _Switch:
+            where, branches, default = node
+            node = branches.get((ty if where < 0 else t.subs[where]).kind,
+                                default)
+        return node
+
+
+INDEX = RuleIndex(RULES)

@@ -31,7 +31,8 @@ evaluator and the translations read the derivation.
 Each node also holds the expected type the checker was given there (every
 synth_* entry pushes it, and the node's `deriv` pops it).  `typings` reads
 a derivation into the rewrite engine's typing index: per position, the
-form and type found and the zones, expected type and names in force given.
+form and type found, the zones, expected type and names in force given,
+and the occurrences of the subterm there.
 Those inputs and the root's names to avoid fix how a subterm is checked, so
 `check_at` checks a rewritten subterm on its own and splices its nodes into
 the index, where it can show that a full check would give the same.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from . import syntax
 from .signatures import Signature, SignatureError
 from .syntax import (Judgement, SyntaxError_, Term, TypeExpr, base, grty,
-                     jt, kt, prod, subterm_at, tgr, tt, type_to_text)
+                     jt, kt, prod, tgr, tt, type_to_text)
 
 
 @dataclass
@@ -77,6 +78,7 @@ class CheckResult:
     expected: str | None = None
     actual: str | None = None
     derivation: Derivation | None = None
+    occ: dict | None = None  # the check's occurrence table (`occurrences`)
 
     def __bool__(self):
         return self.ok
@@ -950,28 +952,32 @@ def check(j: Judgement, sig: Signature, *, validated=False) -> CheckResult:
     `validated` says that a check accepted a judgement of j's shape (its
     calculus, form, zones and type) before, so its zones and type are not
     validated again."""
+    c = _Checker(sig, j.calculus)
     try:
-        d = _Checker(sig, j.calculus).check_judgement(j, validated)
+        d = c.check_judgement(j, validated)
     except _Fail as e:
         return CheckResult(False, message=e.message, path=e.path, rule=e.rule,
                            expected=e.expected, actual=e.actual)
     except SignatureError as e:
         return CheckResult(False, message=str(e), path=(), rule="signature")
-    return CheckResult(True, derivation=d)
+    return CheckResult(True, derivation=d, occ=c.occ)
 
 
-def typings(d: Derivation, path=(), names=(), out=None) -> dict:
+def typings(d: Derivation, path=(), names=(), out=None, memo=None) -> dict:
     """The typing index of a derivation: position -> (form, type, zones,
-    expected type, names) of each node, in `positions` order (child i of a
-    node types sub-term i).  The form and type are what the checker found
-    at the node; the zones, the expected type and the names of the binders
-    in force (innermost last) are what it was given there, so `check_at`
-    can check the node's position again on its own."""
+    expected type, names, occurrences) of each node, in `positions` order
+    (child i of a node types sub-term i).  The form and type are what the
+    checker found at the node; the zones, the expected type and the names
+    of the binders in force (innermost last) are what it was given there,
+    so `check_at` can check the node's position again on its own; the
+    occurrences are its term's (`occurrences`, through `memo`)."""
     out = {} if out is None else out
+    memo = {} if memo is None else memo
     j = d.judgement
-    out[path] = (j.form, j.ty, j.zones, d.expect, names)
+    out[path] = (j.form, j.ty, j.zones, d.expect, names,
+                 memo.get(id(j.term)) or occurrences(j.term, memo))
     for i, c in enumerate(d.children):
-        typings(c, path + (i,), d.child_names(i, names), out)
+        typings(c, path + (i,), d.child_names(i, names), out, memo)
     return out
 
 
@@ -985,16 +991,16 @@ def check_at(j: Judgement, index: dict, path: tuple, new: Term,
     (every free name of j is one of them).  The result is j's index with
     the subtree at `path` replaced by the new one, in `positions` order.
     That is what a full check of the new judgement gives when `new` has the
-    old subterm's occurrences (free names and dangling bvars: the linear
-    splits, the unused-variable tests and the names to avoid above it read
-    only those) and its type is `==` the recorded one (the nodes above read
-    it as is: equality up to the grading could still change their types).
-    None when either differs or the check of `new` fails: a full check
-    then decides, and words the failure."""
+    old subterm's occurrences (free names and dangling bvars, recorded in
+    the index: the linear splits, the unused-variable tests and the names
+    to avoid above it read only those) and its type is `==` the recorded
+    one (the nodes above read it as is: equality up to the grading could
+    still change their types).  None when either differs or the check of
+    `new` fails: a full check then decides, and words the failure."""
+    form, ty, zones, expect, names, occ = index[path]
     memo = {}
-    if occurrences(new, memo) != occurrences(subterm_at(j.term, path), memo):
+    if occurrences(new, memo) != occ:
         return None
-    form, ty, zones, expect, names = index[path]
     c = _Checker(sig, j.calculus, names)
     c.occ = memo
     c.avoid.update(x for zone in j.zones for x, _ in zone)
@@ -1011,7 +1017,7 @@ def check_at(j: Judgement, index: dict, path: tuple, new: Term,
         if p == path:
             break
         out[p] = typing
-    typings(d, path, names, out)
+    typings(d, path, names, out, memo)
     n = len(path)
     for p, typing in rest:
         if p[:n] != path:

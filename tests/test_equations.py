@@ -9,12 +9,12 @@ import pytest
 
 from conftest import (BARE_DIST_MB, EXC_MB, accepted_golden_judgements,
                       fixture_path)
-from relmeta import equations, gen as genmod, models, typecheck
+from relmeta import equations, gen as genmod, models, rules, typecheck
 from relmeta.cli import load_eq_file
 from relmeta.equations import (BudgetExceeded, EqProof, EqVerdict, Step,
                                check_eq, check_proof, derive_local_store,
                                normalize, parse_proof)
-from relmeta.rules import rules_for
+from relmeta.rules import RULES, RuleCtx, RuleIndex
 from relmeta.signatures import load_signature
 from relmeta.syntax import (alpha_eq, base, judgement, parse_context,
                             parse_term, parse_type, positions, replace_at,
@@ -362,22 +362,25 @@ def test_check_eq_checks_each_term_once(coin_sig, monkeypatch, lhs, rhs):
 def test_typing_index_has_exactly_the_term_positions():
     """The engine's typing index of a checked judgement has one entry per
     term position, in `positions` order, each the form, type, zones and
-    expected type of the derivation node at that position and the names of
-    the binders in force there; for all six calculi."""
+    expected type of the derivation node at that position, the names of
+    the binders in force there and the occurrences of the subterm there;
+    for all six calculi."""
     calculi = set()
     for name, j, sig in accepted_golden_judgements():
         cj = equations._enter(j, sig)
         assert list(cj.ann) == positions(j.term), name
         d = check(j, sig).derivation
-        for path, (form, ty, zones, expect, names) in cj.ann.items():
+        for path, (form, ty, zones, expect, names, occ) in cj.ann.items():
             node, in_force = d, ()
             for i in path:
                 node, in_force = node.children[i], \
                     node.child_names(i, in_force)
-            assert len(node.children) == len(subterm_at(j.term, path).subs)
-            assert (form, ty, zones, expect, names) == \
+            sub = subterm_at(j.term, path)
+            assert len(node.children) == len(sub.subs)
+            assert (form, ty, zones, expect, names, occ) == \
                 (node.judgement.form, node.judgement.ty,
-                 node.judgement.zones, node.expect, in_force)
+                 node.judgement.zones, node.expect, in_force,
+                 typecheck.occurrences(sub, {}))
         assert cj.ann[()][3] == j.ty  # the root is checked against its type
         calculi.add(j.calculus)
     assert calculi == {"urmm", "rmm", "gmm", "lnl", "arrow", "armm"}
@@ -481,12 +484,24 @@ def test_spliced_index_equals_a_full_checks(coin_sig, sweep_sig,
     assert any(not local for _, local in counts), counts
 
 
-def _break(monkeypatch, calc, name, broken):
+def _rewrite_by_rows(r, t, ctx):
+    """Rule r's rewrite of t as the table rule's own loop over its rows
+    gave it: the first row that matches, or the rule's function."""
+    if r.rewrite is not None:
+        return r.rewrite(t, ctx)
+    return next((new for row in r.rows
+                 if (new := row.rewrite(t, ctx)) is not None), None)
+
+
+def _break(monkeypatch, name, broken):
     """Make a rule return broken(t) wherever it fires on t."""
-    r = next(r for r in rules_for(calc, True) if r.name == name)
-    orig = r.rewrite
-    monkeypatch.setattr(r, "rewrite", lambda t, ctx: None
-                        if orig(t, ctx) is None else broken(t))
+    def patched(r):
+        return r if r.name != name else replace(
+            r, rows=(), rewrite=lambda t, ctx: None
+            if _rewrite_by_rows(r, t, ctx) is None else broken(t))
+
+    monkeypatch.setattr(equations, "INDEX",
+                        RuleIndex([patched(r) for r in RULES]))
 
 
 @pytest.mark.parametrize("case", ["broken-rule", "lnl-drops-a-variable"])
@@ -498,7 +513,7 @@ def test_a_step_that_breaks_typing_is_worded_by_a_full_check(
     type), and an LNL do.eta that drops the `let () = v in` of its
     scrutinee (one linear variable fewer)."""
     if case == "broken-rule":
-        _break(monkeypatch, "rmm", "do.beta", lambda t: t.subs[0].subs[0])
+        _break(monkeypatch, "do.beta", lambda t: t.subs[0].subs[0])
         j = _j("rmm", coin_sig, "y : J(2), u : T(2)",
                "do w <- u in (do x <- ret y in ret not x)", "T(2)")
         sig, text = coin_sig, (
@@ -507,7 +522,7 @@ def test_a_step_that_breaks_typing_is_worded_by_a_full_check(
             "  before: do w <- u in do x <- ret y in ret not x\n"
             "  after:  do w <- u in y")
     else:
-        _break(monkeypatch, "lnl", "do.eta", lambda t: t.subs[0].subs[1])
+        _break(monkeypatch, "do.eta", lambda t: t.subs[0].subs[1])
         j = _j("lnl", lnl_sig, ["", "u : I, v : I, x : J(A)"],
                "let () = u in (do y <- (let () = v in ret x) in ret y)",
                "T(A)", form="C")
@@ -641,6 +656,12 @@ def _coin_pairs(rng, coin_sig):
 
 EQ_GOLDEN = Path(__file__).parent / "golden" / "eq"
 
+# the stone suite: the coin theory's three axioms as equation pairs
+STONE = [("do x <- coin in ret ()", "ret ()", "T(1)"),
+         ("do x <- coin in do y <- coin in ret pair2(x,y)",
+          "do y <- coin in do x <- coin in ret pair2(x,y)", "T(4)"),
+         ("do x <- coin in ret not x", "coin", "T(2)")]
+
 
 def _golden_eq_pairs(coin_sig, store_sig, dist_binding):
     """(jl, jr, sig, models) of every equation file with an `eq` golden,
@@ -662,14 +683,10 @@ def test_sweep_first_gives_the_search_first_verdicts(coin_sig, store_sig,
     model or witness: on the stone suite, every `eq` golden's pair, and
     closed coin programs of 1-3 binds under dist.mb, alone and after
     exc_binding (not a model of the theory)."""
-    stone = [("do x <- coin in ret ()", "ret ()", "T(1)"),
-             ("do x <- coin in do y <- coin in ret pair2(x,y)",
-              "do y <- coin in do x <- coin in ret pair2(x,y)", "T(4)"),
-             ("do x <- coin in ret not x", "coin", "T(2)")]
     dist = [("dist", dist_binding)]
     cases = [(_j("rmm", coin_sig, "", lhs, ty),
               _j("rmm", coin_sig, "", rhs, ty), coin_sig, dist)
-             for lhs, rhs, ty in stone]
+             for lhs, rhs, ty in STONE]
     cases += _golden_eq_pairs(coin_sig, store_sig, dist_binding)
     coin = _coin_pairs(random.Random(20240811), coin_sig)
     cases += [(jl, jr, coin_sig, dist) for jl, jr in coin]
@@ -796,15 +813,14 @@ def _expand_every_rule(cj, sig, axioms, budget):
     search-only ones kept."""
     out = [(step, normalize(nxt, sig, budget=budget))
            for step, nxt in equations.axiom_moves(cj, sig, axioms)]
-    for path in cj.ann:
-        for r, sub, new in equations._fire(cj, sig, path, lambda r: True):
-            if new != sub and r.search_only:
-                nxt, msg = cj.checks.at(cj, path, new)
-                if nxt is None:
-                    raise equations.RewriteError(
-                        f"term does not type-check: {msg}")
-                out.append((Step(r.name, path),
-                            normalize(nxt, sig, budget=budget)))
+    for r, path, new in _redexes_by_head(cj, sig, lambda r: True):
+        if r.search_only:
+            nxt, msg = cj.checks.at(cj, path, new)
+            if nxt is None:
+                raise equations.RewriteError(
+                    f"term does not type-check: {msg}")
+            out.append((Step(r.name, path),
+                        normalize(nxt, sig, budget=budget)))
     return out
 
 
@@ -834,12 +850,8 @@ def test_search_moves_ask_only_the_search_only_rules(coin_sig, lnl_sig,
         return real(cj, sig, axioms, budget)
 
     monkeypatch.setattr(equations, "_expand", both)
-    stone = [("do x <- coin in ret ()", "ret ()", "T(1)"),
-             ("do x <- coin in do y <- coin in ret pair2(x,y)",
-              "do y <- coin in do x <- coin in ret pair2(x,y)", "T(4)"),
-             ("do x <- coin in ret not x", "coin", "T(2)")]
     pairs = [(_j("rmm", coin_sig, "", lhs, ty),
-              _j("rmm", coin_sig, "", rhs, ty)) for lhs, rhs, ty in stone]
+              _j("rmm", coin_sig, "", rhs, ty)) for lhs, rhs, ty in STONE]
     pairs += _coin_pairs(random.Random(20240811), coin_sig)
     for jl, jr in pairs:
         check_eq(jl, jr, coin_sig, [("dist", dist_binding)])
@@ -883,3 +895,188 @@ def test_grade_assoc_regroups_through_a_regrade(lnl_sig, grade, lhs, rhs,
     v = check_eq(jl, jr, lnl_sig)
     assert v.render() == f"PROVEN\n{step}"
     assert check_proof(v.proof, jl, jr, lnl_sig)
+
+
+# -- the rule firings of a fixed corpus ---------------------------------------
+
+def _record_firings(monkeypatch):
+    """Record each redex the engine takes, and each rule step a proof
+    replays, as (rule, calculus, path, `repr` with binder names, the
+    rewritten term's text) lines."""
+    lines = []
+    real_redexes, real_apply = equations.redexes, equations.apply_rule_at
+
+    def line(name, cj, path, new, term):
+        lines.append(f"{name} {cj.j.calculus} {path} {new!r} "
+                     f"{term_to_text(term)}")
+
+    def redexes(cj, sig, search_only=False):
+        for r, path, new in real_redexes(cj, sig, search_only):
+            line(r.name, cj, path, new, replace_at(cj.j.term, path, new))
+            yield r, path, new
+
+    def apply_rule_at(cj, sig, name, path):
+        term = real_apply(cj, sig, name, path)
+        line(name, cj, path, subterm_at(term, path), term)
+        return term
+
+    monkeypatch.setattr(equations, "redexes", redexes)
+    monkeypatch.setattr(equations, "apply_rule_at", apply_rule_at)
+    return lines
+
+
+def test_the_rule_firings_of_a_fixed_corpus_are_pinned(
+        coin_sig, gmm_plain_sig, lnl_sig, dist_binding, monkeypatch):
+    """Every rule firing the engine takes, and replays, on the stone suite,
+    closed coin programs, rmm and gmm schema instances and the lnl pairs
+    that grade.assoc is asked about is pinned by one SHA-256: redex order,
+    binder names and results all stay as they are."""
+    import hashlib
+    dist = [("dist", dist_binding)]
+    cases = [(_j("rmm", coin_sig, "", lhs, ty),
+              _j("rmm", coin_sig, "", rhs, ty), coin_sig, dist)
+             for lhs, rhs, ty in STONE]
+    cases += [(jl, jr, coin_sig, dist)
+              for jl, jr in _coin_pairs(random.Random(20240811), coin_sig)]
+    rng = random.Random(20241019)
+    for _ in range(3):
+        cases += [(jl, jr, coin_sig, dist) for _, jl, jr in
+                  genmod.rmm_schema_instances(rng, coin_sig, ["2", "4"])]
+        cases += [(jl, jr, gmm_plain_sig, []) for _, jl, jr in
+                  genmod.gmm_schema_instances(rng, gmm_plain_sig,
+                                              ["A", "B"])]
+    left = "let (x,r) = unmerge w in let (y,z) = unmerge r in "
+    right = "let (s,z) = unmerge {}w in let (x,y) = unmerge s in "
+    for grade, lhs, rhs in (
+            ("2 * (2 * 2)", left + "(x, (y, z))", left + "(y, (x, z))"),
+            ("2 * (2 * 2)", left + "(x, (y, z))", right.format(
+                "regrade<2 * (2 * 2)>=(2 * 2) * 2> ") + "(x, (y, z))"),
+            ("(2 * 2) * 2", right.format("") + "(x, (y, z))",
+             left.replace("w", "regrade<(2 * 2) * 2>=2 * (2 * 2)> w")
+             + "(x, (y, z))")):
+        cases.append((*(_j("lnl", lnl_sig, ["", f"w : gr({grade})"], t,
+                           "gr(2) * (gr(2) * gr(2))", form="C")
+                        for t in (lhs, rhs)), lnl_sig, []))
+    zones = ["", "w : gr(2 * 3), v : gr(2 * 3)"]
+    jl, jr = (_j("lnl", lnl_sig, zones, "let (x,y) = unmerge w in let (a,b) "
+                 f"= unmerge v in {body}", "(gr(2) * gr(3)) * (gr(2) * gr(3))",
+                 form="C") for body in ("((x, b), (a, y))", "((a, y), (x, b))"))
+    cases.append((jl, jr, lnl_sig, []))
+    lines = _record_firings(monkeypatch)
+    statuses = collections.Counter()
+    for jl, jr, sig, bindings in cases:
+        v = check_eq(jl, jr, sig, bindings)
+        statuses[v.status] += 1
+        lines.append(v.render())
+        if v.proven:
+            assert check_proof(v.proof, jl, jr, sig)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), dict(statuses)) == \
+        (1289, {"PROVEN": 69, "UNKNOWN": 18, "REFUTED": 7})
+    assert sum("grade.assoc" in line for line in lines) == 10
+    assert digest == \
+        "48ede7f8c0434d91cd48e0d4d4419f21c926013956a713f38659aa47ab1078b6"
+
+
+# -- the rule and axiom index against trying everything ------------------------
+
+def _redexes_by_head(cj, sig, keep):
+    """The (rule, path, new subterm) triples that trying every rule `keep`
+    admits at every position gives, in position and then registration
+    order: the engine's search before the rule index."""
+    for path in cj.ann:
+        sub = subterm_at(cj.j.term, path)
+        ctx = RuleCtx(sig, cj.j.calculus, path, cj.ann)
+        for r in RULES:
+            if cj.j.calculus in r.calculi and sub.kind in r.heads and keep(r):
+                new = _rewrite_by_rows(r, sub, ctx)
+                if new is not None and new != sub:
+                    yield r, path, new
+
+
+def _axiom_moves_everywhere(cj, sig, axioms):
+    """`axiom_moves` before its position index: each axiom, each way, tried
+    at every position."""
+    out = []
+    for ax in axioms:
+        axvars = {x for x, _ in ax.zones[0]}
+        for axdir, (src, tgt) in (("lr", (ax.lhs, ax.rhs)),
+                                  ("rl", (ax.rhs, ax.lhs))):
+            for path in positions(cj.j.term):
+                sigma = rules.match(src, subterm_at(cj.j.term, path), axvars,
+                                    {})
+                if sigma is None or axvars - set(sigma):
+                    continue
+                nxt, _ = cj.checks.at(cj, path, rules.instantiate(tgt, sigma))
+                if nxt is not None:
+                    out.append((Step(ax.name, path, kind="axiom", axdir=axdir,
+                                     sigma=tuple(sorted(sigma.items()))),
+                                nxt))
+    return out
+
+
+def _shown(triples):
+    return [(r.name, path, repr(new)) for r, path, new in triples]
+
+
+def test_the_index_tries_what_trying_everything_finds(
+        coin_sig, gmm_plain_sig, lnl_sig, arrow_sig, store_sig,
+        dist_binding):
+    """At every term a normalization passes through, `redexes` (normalizing
+    and search-only) and `axiom_moves` give exactly what trying every rule
+    of the head and every axiom at every position gives, in its order:
+    on the stone suite, closed coin programs, rmm and gmm schema instances,
+    generated gmm and arrow terms and their lnl and armm translations, the
+    accepted goldens and terms where the type-reading rules fire."""
+    rng = random.Random(20241019)
+    corpus = [(_j("rmm", coin_sig, "", t, ty), coin_sig)
+              for lhs, rhs, ty in STONE for t in (lhs, rhs)]
+    corpus += [(j, coin_sig) for pair in _coin_pairs(rng, coin_sig)
+               for j in pair]
+    for _ in range(2):
+        corpus += [(j, coin_sig) for _, jl, jr in genmod.rmm_schema_instances(
+            rng, coin_sig, ["2", "4"]) for j in (jl, jr)]
+        corpus += [(j, gmm_plain_sig) for _, jl, jr in
+                   genmod.gmm_schema_instances(rng, gmm_plain_sig, ["A", "B"])
+                   for j in (jl, jr)]
+    for calc, sig, objects, tr in (("gmm", gmm_plain_sig, ["A", "B"],
+                                    gmm_to_lnl),
+                                   ("arrow", arrow_sig, ["B", "C"],
+                                    arrow_to_armm)):
+        for j in _generated(rng, sig, calc, objects, 30):
+            corpus += [(j, sig), (tr(j, sig)[0], sig)]
+    corpus += [(j, sig) for _, j, sig in accepted_golden_judgements()]
+    for name in ("store_d1", "store_d2"):
+        corpus += [(j, store_sig) for j in
+                   load_eq_file(fixture_path(f"{name}.eq"), store_sig)]
+    corpus += [
+        (_j("rmm", coin_sig, "p : 1 * 1", "pi1 p", "1"), coin_sig),
+        (_j("armm", arrow_sig, ["", "", "k : K(1) * K(B)"], "pi1 k", "K(1)",
+            form="C"), arrow_sig),
+        (_j("lnl", lnl_sig, ["", "w : gr(2 * (2 * 2))"],
+            "let (x,r) = unmerge w in let (y,z) = unmerge r in (x, (y, z))",
+            "gr(2) * (gr(2) * gr(2))", form="C"), lnl_sig)]
+    fired, moved, terms = collections.Counter(), 0, 0
+    for j, sig in corpus:
+        axioms = sig.theory.axioms if sig.theory else []
+        cj = equations._enter(j, sig)
+        for _ in range(100):
+            terms += 1
+            for search_only in (False, True):
+                got = _shown(equations.redexes(cj, sig, search_only))
+                assert got == _shown(_redexes_by_head(
+                    cj, sig, lambda r: r.search_only == search_only)), \
+                    term_to_text(cj.j.term)
+                fired.update(name for name, _, _ in got)
+            moves = [(step, nxt.j.term) for step, nxt in
+                     equations.axiom_moves(cj, sig, axioms)]
+            assert moves == [(step, nxt.j.term) for step, nxt in
+                             _axiom_moves_everywhere(cj, sig, axioms)]
+            moved += len(moves)
+            rd = next(equations.redexes(cj, sig), None)
+            if rd is None:
+                break
+            cj, _ = cj.checks.at(cj, rd[1], rd[2])
+    assert {"unit.eta", "jk.unit.eta", "grade.assoc", "fun.beta",
+            "let.exchange", "do.regrade.body"} <= set(fired), fired
+    assert moved > 100 and terms > 500, (moved, terms)

@@ -5,15 +5,15 @@ import pytest
 
 from conftest import fixture_path
 from relmeta import rules
-from relmeta.rules import RULES, RULES_BY_HEAD, RuleCtx, match, rule
+from relmeta.rules import INDEX, RULES, RuleCtx, match, rule
 from relmeta.signatures import load_signature
 from relmeta.syntax import (SyntaxError_, Term, base, bv, do, lam, letpair,
                             opapp, parse_term, ret, shift, var)
 
 BY_NAME = {r.name: r for r in RULES}
 
-# RULES_BY_HEAD as the rules written as functions registered it: the
-# rules tried at a (calculus, head), in order
+# the rules tried at a (calculus, head), in order, as the rules written as
+# functions registered them
 PINNED = """
 urmm gen gen.word
 urmm do do.beta do.eta do.assoc
@@ -116,8 +116,8 @@ def test_the_rules_tried_at_each_head_are_pinned():
     for line in PINNED.replace("\n    ", " ").strip().splitlines():
         calc, head, *names = line.split()
         pinned[calc, head] = names
-    assert {key: [r.name for r in rs] for key, rs in RULES_BY_HEAD.items()} \
-        == pinned
+    assert {key: list(dict.fromkeys(r.name for r, _, _ in cands))
+            for key, cands in INDEX.heads.items()} == pinned
     assert [r.name for r in RULES if r.search_only] == \
         ["grade.assoc", "grade.assoc.rev"]
 
@@ -140,6 +140,18 @@ def _instance(t: Term) -> Term:
                 index=t.index, xi=t.xi, tyann=ty, hints=t.hints)
 
 
+def _fire(name, calc, t):
+    """Rule `name` fired on t as the engine fires it: through the index
+    (t's recorded type a base type), one row or function at most."""
+    t = parse_term(t, calc) if isinstance(t, str) else t
+    r = BY_NAME[name]
+    ctx = RuleCtx(None, calc, (), {})
+    news = [rewrite(t, ctx) for cand, rewrite in
+            INDEX.candidates(calc, r.search_only, t, base("A")) if cand is r]
+    assert len(news) <= 1
+    return news[0] if news else None
+
+
 ROWS = [(r, row) for r in RULES for row in r.rows]
 
 
@@ -152,19 +164,13 @@ def test_each_row_rewrites_an_instance_of_its_left_side(r, row):
     are the binders themselves, also under a binder of their own, so every
     substitution, shift and re-indexing is seen, also in rows no corpus
     reaches."""
-    ctx = RuleCtx(None, r.calculi[0], (), {})
-    assert repr(r.rewrite(_instance(row.lhs), ctx)) == \
+    assert repr(_fire(r.name, r.calculi[0], _instance(row.lhs))) == \
         repr(_instance(row.rhs))
 
 
 def test_the_table_has_one_row_per_let_kind_and_rule():
     assert len(ROWS) == 56
     assert sum(1 for r in RULES if r.rows) == 36
-
-
-def _fire(name, calc, t):
-    t = parse_term(t, calc) if isinstance(t, str) else t
-    return BY_NAME[name].rewrite(t, RuleCtx(None, calc, (), {}))
 
 
 @pytest.mark.parametrize("name, calc, text, result", [
@@ -252,3 +258,19 @@ def test_a_malformed_row_is_an_error(heads, row, msg):
     with pytest.raises(SyntaxError_) as e:
         rule("bad", ("rmm",), heads, row)
     assert str(e.value) == f"rule bad: {msg}: {row}"
+
+
+def test_rows_of_one_rule_are_told_apart_by_their_kinds():
+    """The index tries every row whose kinds fit a position, so two rows of
+    one rule must differ in the kind of one child of their head."""
+    rows = ("do x <- u in ret x ~> u", "do x <- u in t[x] ~> u")
+    with pytest.raises(SyntaxError_) as e:
+        rule("bad", ("rmm",), ("do",), *rows)
+    assert str(e.value) == ("rule bad: its kinds do not tell the row apart"
+                            f" from an earlier one: {rows[1]}")
+    # each would match `do x <- ret u in ret x`
+    with pytest.raises(SyntaxError_):
+        rule("bad", ("rmm",), ("do",), rows[0],
+             "do x <- ret u in t[x] ~> t[u]")
+    rule("good", ("rmm",), ("pi1", "pi2"), "pi1 (u, v) ~> u",
+         "pi2 (u, v) ~> v")
