@@ -179,6 +179,7 @@ def _sig_for(key, coin_sig):
         "armm": ARMM_SIG,
         "ungraded gmm": "calculus gmm\nobject A\n",
         "ungraded lnl": "calculus lnl\nobject A\n",
+        "lnl tick": LNL_SIG + "op tick : (x : J(A)) -> T(A)\n",
     }[key])
 
 
@@ -270,6 +271,81 @@ def test_type_rejection_message(calc, form, ty_text, sigkey, message,
     res = check(j, sig)
     assert (res.ok, res.rule, res.path, res.message) == \
         (False, "type", (), message)
+
+
+# (calculus, signature key, form, zones, term, type, rule, path, message,
+# expected, actual): a rule several forms share rejects each form's
+# judgement with the same wording
+RULE_REJECTIONS = [
+    # the scrutinee and the body of an ungraded do
+    ("rmm", None, "A", ["x : J(2)"], "do y <- x in ret y", "T(2)",
+     "do", (), "do expects a computation", None, "J(2)"),
+    ("lnl", "lnl", "C", ["", "x : J(A)"], "do y <- x in ret y", "T(A)",
+     "do", (), "do expects a computation", None, "J(A)"),
+    ("armm", "armm", "C", ["", "", "x : J(B)"], "do y <- x in ret y", "T(B)",
+     "do", (), "do expects a computation", None, "J(B)"),
+    ("rmm", None, "A", ["x : T(2)"], "do y <- x in y", "T(2)",
+     "do", (), "do body must be a computation", None, "J(2)"),
+    ("lnl", "lnl", "C", ["", "u : T(A)"], "do x <- u in x", "T(A)",
+     "do", (), "do body must be a computation", None, "J(A)"),
+    ("armm", "armm", "C", ["", "", "u : T(B)"], "do x <- u in x", "T(B)",
+     "do", (), "do body must be a computation", None, "J(B)"),
+    # ret of an argument that is not J-typed
+    ("rmm", None, "A", [""], "ret coin", "T(2)",
+     "ret", (), "ret expects a J-typed argument", None, "T(2)"),
+    ("lnl", "lnl", "C", ["", "u : T(A)"], "ret u", "T(A)",
+     "ret", (), "ret expects a J-typed argument", None, "T(A)"),
+    ("armm", "armm", "C", ["", "", "u : T(B)"], "ret u", "T(B)",
+     "ret", (), "ret expects a J-typed argument", None, "T(B)"),
+    # projections
+    ("rmm", None, "A", ["x : J(2)"], "pi1 x", "J(2)",
+     "pi1", (), "projection of a non-product", None, "J(2)"),
+    ("armm", "armm", "C", ["", "", "x : J(B)"], "pi2 x", "J(B)",
+     "pi2", (), "projection of a non-product", None, "J(B)"),
+    # let J(a) / let K(a) scrutinees
+    ("lnl", "lnl", "C", ["", "u : T(A)"], "let J(a) = u in ret J(a)", "T(A)",
+     "letj", (), "let J(a) scrutinee must be J-typed", None, "T(A)"),
+    ("armm", "armm", "C", ["", "", "u : T(B)"], "let J(a) = u in ret J(a)",
+     "T(B)", "letj", (), "let J(a) scrutinee must be J-typed", None, "T(B)"),
+    ("armm", "armm", "C", ["", "", "u : J(B)"], "let K(a) = u in K(a)",
+     "K(B)", "letk", (), "let K(a) scrutinee must be K-typed", None, "J(B)"),
+    # arguments of the wrong type
+    ("arrow", "arrow", "A", ["f : B -> C, c : C"], "app f c", "C",
+     "app", (), "argument type mismatch", "B", "C"),
+    ("armm", "armm", "A", ["u : B => J(C), c : C"], "app u c", "C",
+     "app", (), "argument type mismatch", "B", "C"),
+    ("arrow", "arrow", "C", ["f : B ~> C", "c : C"], "f . c", "C",
+     "cmd-app", (), "arrow argument type mismatch", "B", "C"),
+    ("armm", "armm", "C", ["u : B => T(C)", "c : C", ""], "u . c", "T(C)",
+     "aapp", (), "argument type mismatch", "B", "C"),
+    ("lnl", "lnl", "C", ["", "f : J(A) -o T(A), y : J(B)"], "app f y", "T(A)",
+     "lapp", (), "argument type mismatch", "J(A)", "J(B)"),
+    # a linear variable where only nonlinear ones may go, and the converse
+    ("lnl", "lnl", "C", ["", "x : J(A)"], "J(x)", "J(A)",
+     "J(-)", (), "linear variable(s) x cannot be used under J(-)", None,
+     None),
+    ("lnl", "lnl", "C", ["", "x : J(A)"], "derelict x", "J(A)",
+     "derelict", (), "linear variable(s) x cannot be used under derelict",
+     None, None),
+    ("lnl", "lnl tick", "C", ["", "x : J(A)"], "tick(x)", "T(A)",
+     "op", (), "linear variable(s) x cannot be used under op", None, None),
+    ("lnl", "lnl", "C", ["a : A", ""], "ret a", "T(A)",
+     "lvar", (0,), "nonlinear variable 'a' used as a linear term"
+     " (use J(-)/derelict)", None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "calc, sigkey, form, zones, term, ty, rule, path, message, expected,"
+    " actual", RULE_REJECTIONS)
+def test_rule_rejection(calc, sigkey, form, zones, term, ty, rule, path,
+                        message, expected, actual, coin_sig):
+    sig = _sig_for(sigkey, coin_sig)
+    j = judgement(calc, [parse_context(z, sig) for z in zones],
+                  parse_term(term, calc, sig), parse_type(ty, sig), form=form)
+    res = check(j, sig)
+    assert (res.ok, res.rule, res.path, res.message, res.expected,
+            res.actual) == (False, rule, path, message, expected, actual)
 
 
 def test_split_linear():
