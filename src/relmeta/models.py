@@ -817,7 +817,7 @@ def _command_table(node, scope, n, binding, sig, sub):
         def entry(env, dvals, inner):
             return fun_lookup(f(env), a(with_delta(env, dvals)))
     else:
-        # the body's Delta is this Delta followed by its binder (see
+        # the body's Delta is this Delta then its binder (`cmd-do` in
         # typecheck.synth_command), so its table is keyed by (*dvals, b)
         left, right = sub(0), sub(1, bound=dslots)
 

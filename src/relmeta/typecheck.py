@@ -14,6 +14,16 @@ A judgement's form fixes the kind of each of its zones and of its result
 (`syntax.FORMS`); which types a zone kind admits in a calculus is one
 table, TYPE_FORMERS, that `validate_type` walks.
 
+Each form has one synthesis function (`synth_a`, `synth_lnl_c`,
+`synth_command`, `synth_armm_c`), and all four take (term, path, zones,
+expected type), the zones being the judgement's tuple of zones, handed on
+unchanged to a child whose zones are its parent's.  A function holds its
+form's dispatch, variable lookup and own formers.  A rule that several
+forms share is written once and takes the children's synthesis function:
+pair, projection, `ret`, the ungraded `do`, `let J(a)`/`let K(a)`, `J(-)`/
+`K(-)` and operation application; the caller gives the children's zones
+where they are not the node's, and which zone a binder joins.
+
 It reads the term as parsed: bvar i names the i-th binder from the top of
 a stack of the binders in force, each named once, by its hint made fresh
 for the root's names and those in force.  A zone is an ordered tuple of
@@ -45,7 +55,7 @@ from dataclasses import dataclass
 from . import syntax
 from .signatures import Signature, SignatureError
 from .syntax import (Judgement, SyntaxError_, Term, TypeExpr, base, grty,
-                     jt, kt, prod, tgr, tt, type_to_text)
+                     jt, prod, tgr, tt, type_to_text)
 
 
 @dataclass
@@ -261,6 +271,18 @@ def _find(zone, x):
     return None
 
 
+def _part(expect, former, i=0):
+    """Argument i of the expected type if its former is `former`, else
+    None."""
+    return expect.subs[i] if expect is not None and expect.kind == former \
+        else None
+
+
+def _extend(zs, z, x, ty):
+    """The zones zs with (x, ty) appended to zone z."""
+    return zs[:z] + (zs[z] + ((x, ty),),) + zs[z + 1:]
+
+
 class _Checker:
     def __init__(self, sig: Signature, calculus: str, names=()):
         self.sig = sig
@@ -284,6 +306,13 @@ class _Checker:
         raise _Fail(path, rule, msg,
                     None if expected is None else type_to_text(expected),
                     None if actual is None else type_to_text(actual))
+
+    def graded(self, path, rule):
+        """The grading, which the rule needs: without one, the node is
+        rejected."""
+        if self.grading is None:
+            self.fail(path, rule, f"{rule} needs a grading")
+        return self.grading
 
     def gen_endpoints(self, name, path):
         try:
@@ -311,16 +340,33 @@ class _Checker:
     def uses_bvar(self, t, j):
         return j in occurrences(t, self.occ)[1]
 
-    def deriv(self, rule, zs, term, ty, children=(), form="A", binders=()):
+    def split(self, t, path, delta):
+        """The shares of the linear zone delta that t's children get."""
+        try:
+            return split_linear(delta, t, self.names, self.occ)
+        except LinearityError as e:
+            raise LinearityError(path, e.rule, e.message)
+
+    def nonlinear(self, path, delta, rule):
+        """Reject a nonempty share delta of the linear zone routed to a
+        subterm under `rule`, which is nonlinear."""
+        if delta:
+            raise LinearityError(
+                path, rule, f"linear variable(s) "
+                f"{', '.join(sorted(x for x, _ in delta))} cannot be"
+                f" used under {rule}")
+
+    def deriv(self, rule, zs, term, ty, children=(), binders=()):
         """The node of a rule, holding its zones by reference; a binding
         rule's binders are the names its body was checked under, which are
-        released here.  Its judgement is not validated again: the synth
-        function gives the form and its number of zones, and every name a
+        released here.  Its judgement is not validated again: its form is A
+        for one zone and C for more (`syntax.FORMS`), and every name a
         binder adds is fresh for the names to avoid."""
         for _ in binders:
             self.avoid.discard(self.names.pop())
         j = _new(Judgement)
-        j.__dict__.update(calculus=self.calculus, form=form, zones=zs,
+        j.__dict__.update(calculus=self.calculus,
+                          form="A" if len(zs) == 1 else "C", zones=zs,
                           term=term, ty=ty)
         return Derivation(rule, j, children, binders, self.expects.pop())
 
@@ -357,170 +403,77 @@ class _Checker:
                 raise LinearityError(
                     (), "linear", f"unused linear variable(s): "
                     f"{', '.join(sorted(unused))}")
-        d, ty = self.synth(j.form)(j.term, (), *j.zones, expect=j.ty)
+        d, ty = self.synth(j.form)(j.term, (), j.zones, j.ty)
         if not self.teq(ty, j.ty):
             self.fail((), "judgement", "result type mismatch", j.ty, ty)
         return d
 
-    # .. A-zone synthesis (Cartesian judgements of every calculus) ........
+    # .. rules several forms share ........................................
+    # Each takes the node's zones zs and `synth`, the synthesis function of
+    # its children; where a child's zones are not zs, the caller gives them.
 
-    def synth_a(self, t: Term, path, gamma, expect=None):
-        self.expects.append(expect)
-        calc = self.calculus
-        k = t.kind
-        zs = (gamma,)
-        x = self.var_name(t)
-        if x is not None:
-            ty = _find(gamma, x)
-            if ty is None:
-                self.fail(path, "var", f"unbound variable {x!r}")
-            return self.deriv("var", zs, t, ty), ty
-        match k:
-            case "unit":
-                ty = syntax.UNIT1
-                if calc in ("rmm", "urmm") and expect is not None and \
-                        expect.kind == "jt" and expect.subs[0].kind == "unit1":
-                    # () inhabits J(1): the terminal object's unique element
-                    ty = expect
-                    return self.deriv("unit-j", zs, t, ty), ty
-                return self.deriv("unit", zs, t, ty), ty
-            case "pair":
-                e1 = e2 = None
-                if expect is not None and expect.kind == "prod":
-                    e1, e2 = expect.subs
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, e1)
-                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma, e2)
-                ty = prod(ty1, ty2)
-                return self.deriv("pair", zs, t, ty, (d1, d2)), ty
-            case "pi1" | "pi2":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
-                if ty1.kind != "prod":
-                    self.fail(path, k, "projection of a non-product",
-                              actual=ty1)
-                ty = ty1.subs[0 if k == "pi1" else 1]
-                return self.deriv(k, zs, t, ty, (d1,)), ty
-            case "gen":
-                src, tgt = self.gen_endpoints(t.name, path)
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma,
-                                       expect=jt(base(src)))
-                if not self.teq(ty1, jt(base(src))):
-                    self.fail(path, "gen", f"generator {t.name} expects",
-                              jt(base(src)), ty1)
-                ty = jt(base(tgt))
-                return self.deriv("gen", zs, t, ty, (d1,)), ty
-            case "ret":
-                if calc == "gmm":
-                    d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
-                    ty = tgr(self.grading.unit(), ty1)
-                    return self.deriv("ret", zs, t, ty, (d1,)), ty
-                ej = expect.subs[0] if expect is not None and \
-                    expect.kind == "tt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma,
-                                       expect=None if ej is None else jt(ej))
-                if ty1.kind != "jt":
-                    self.fail(path, "ret", "ret expects a J-typed argument",
-                              actual=ty1)
-                ty = tt(ty1.subs[0])
-                return self.deriv("ret", zs, t, ty, (d1,)), ty
-            case "do":
-                return self.synth_do_a(t, path, gamma, expect)
-            case "opapp":
-                return self.synth_opapp(t, path, zs, "A",
-                                        lambda s, p, e: self.synth_a(
-                                            s, p, gamma, e))
-            case "regrade":
-                if calc != "gmm":
-                    self.fail(path, "regrade", "regrade is a graded-calculus term")
-                xi = self.grading.norm_mor(t.xi)
-                if not self.grading.has_mor(xi):
-                    self.fail(path, "regrade",
-                              f"no grading morphism {t.xi}")
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
-                if ty1.kind != "tgr" or not self.grading.equal_grades(
-                        ty1.grade, xi.tgt):
-                    self.fail(path, "regrade",
-                              f"regrade<{t.xi}> applies at grade {xi.tgt}",
-                              tgr(xi.tgt, base("_")), ty1)
-                ty = tgr(xi.src, ty1.subs[0])
-                return self.deriv("regrade", zs, t, ty, (d1,)), ty
-            case "lam":
-                if calc not in ("lnl", "arrow"):
-                    self.fail(path, "lam", f"lambda is not a term of {calc}")
-                x = self.push(t)
-                eb = expect.subs[1] if expect is not None and \
-                    expect.kind == "fun" else None
-                d1, tyb = self.synth_a(t.subs[0], path + (0,),
-                                       gamma + ((x, t.tyann),), eb)
-                ty = syntax.fun(t.tyann, tyb)
-                return self.deriv("lam", zs, t, ty, (d1,), binders=(x,)), ty
-            case "app":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
-                if calc == "armm":
-                    if ty1.kind != "aabs" or ty1.subs[1].kind != "jt":
-                        self.fail(path, "app",
-                                  "application expects u : A => J(B)",
-                                  actual=ty1)
-                    d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma,
-                                           expect=ty1.subs[0])
-                    if not self.teq(ty2, ty1.subs[0]):
-                        self.fail(path, "app", "argument type mismatch",
-                                  ty1.subs[0], ty2)
-                    ty = ty1.subs[1].subs[0]
-                else:
-                    if ty1.kind != "fun":
-                        self.fail(path, "app", "application of a non-function",
-                                  actual=ty1)
-                    d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma,
-                                           expect=ty1.subs[0])
-                    if not self.teq(ty2, ty1.subs[0]):
-                        self.fail(path, "app", "argument type mismatch",
-                                  ty1.subs[0], ty2)
-                    ty = ty1.subs[1]
-                return self.deriv("app", zs, t, ty, (d1, d2)), ty
-            case "rterm":
-                if calc != "lnl":
-                    self.fail(path, "rterm", "R(-) is an LNL term")
-                d1, ty1 = self.synth_lnl_c(
-                    t.subs[0], path + (0,), gamma, (),
-                    expect=expect.subs[0] if expect is not None and
-                    expect.kind == "rt" else None)
-                ty = syntax.rt(ty1)
-                return self.deriv("rterm", zs, t, ty, (d1,)), ty
-            case "lamarrow":
-                return self.synth_lamarrow(t, path, gamma, expect)
-        self.fail(path, k, f"term former {k!r} cannot appear in an"
-                           f" {calc} term judgement here")
+    def synth_pair(self, t, path, zs, expect, synth, rule, zs0, zs1):
+        d1, ty1 = synth(t.subs[0], path + (0,), zs0, _part(expect, "prod"))
+        d2, ty2 = synth(t.subs[1], path + (1,), zs1, _part(expect, "prod", 1))
+        ty = prod(ty1, ty2)
+        return self.deriv(rule, zs, t, ty, (d1, d2)), ty
 
-    def synth_do_a(self, t, path, gamma, expect):
-        calc = self.calculus
-        zs = (gamma,)
-        d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
-        if calc == "gmm":
-            if ty1.kind != "tgr":
-                self.fail(path, "do", "do expects a graded computation",
-                          actual=ty1)
-            x = self.push(t)
-            d2, ty2 = self.synth_a(t.subs[1], path + (1,),
-                                   gamma + ((x, ty1.subs[0]),))
-            if ty2.kind != "tgr":
-                self.fail(path, "do", "do body must be a graded computation",
-                          actual=ty2)
-            m = self.grading.norm(ty1.grade)
-            n = self.grading.norm(ty2.grade)
-            ty = tgr(self.grading.tensor(m, n), ty2.subs[0])
-            return self.deriv("do", zs, t, ty, (d1, d2), binders=(x,)), ty
+    def synth_proj(self, t, path, zs, synth, rule):
+        d1, ty1 = synth(t.subs[0], path + (0,), zs, None)
+        if ty1.kind != "prod":
+            self.fail(path, t.kind, "projection of a non-product", actual=ty1)
+        ty = ty1.subs[0 if t.kind == "pi1" else 1]
+        return self.deriv(rule, zs, t, ty, (d1,)), ty
+
+    def synth_ret(self, t, path, zs, expect, synth):
+        ej = _part(expect, "tt")
+        d1, ty1 = synth(t.subs[0], path + (0,), zs,
+                        None if ej is None else jt(ej))
+        if ty1.kind != "jt":
+            self.fail(path, "ret", "ret expects a J-typed argument",
+                      actual=ty1)
+        ty = tt(ty1.subs[0])
+        return self.deriv("ret", zs, t, ty, (d1,)), ty
+
+    def synth_do(self, t, path, zs, expect, synth, zs0, zs1, z):
+        """The ungraded do: its scrutinee, of a type T(A), under zs0; its
+        body under zs1 with the binder, of type J(A), last in zone z."""
+        d1, ty1 = synth(t.subs[0], path + (0,), zs0, None)
         if ty1.kind != "tt":
             self.fail(path, "do", "do expects a computation", actual=ty1)
         x = self.push(t)
-        g2 = ((x, jt(ty1.subs[0])),)
-        if calc != "urmm":
-            g2 = gamma + g2
-        d2, ty2 = self.synth_a(t.subs[1], path + (1,), g2, expect=expect)
+        if self.calculus == "lnl" and z == 1 and \
+                not self.uses_bvar(t.subs[1], 0):
+            raise LinearityError(path, "do", f"unused linear variable {x!r}")
+        d2, ty2 = synth(t.subs[1], path + (1,),
+                        _extend(zs1, z, x, jt(ty1.subs[0])), expect)
         if ty2.kind != "tt":
             self.fail(path, "do", "do body must be a computation", actual=ty2)
         return self.deriv("do", zs, t, ty2, (d1, d2), binders=(x,)), ty2
 
-    def synth_opapp(self, t, path, zs, form, subcheck):
+    def synth_let(self, t, path, zs, expect, synth, zs0, zs1, z):
+        """let J(a) / let K(a): its scrutinee, of a type J(A) / K(A), under
+        zs0; its body under zs1 with a, of type A, last in zone z."""
+        k = t.kind
+        former, f = ("jt", "J") if k == "letj" else ("kt", "K")
+        d1, ty1 = synth(t.subs[0], path + (0,), zs0, None)
+        if ty1.kind != former:
+            self.fail(path, k, f"let {f}(a) scrutinee must be {f}-typed",
+                      actual=ty1)
+        a = self.push(t, 0, "a")
+        d2, ty2 = synth(t.subs[1], path + (1,),
+                        _extend(zs1, z, a, ty1.subs[0]), expect)
+        return self.deriv(k, zs, t, ty2, (d1, d2), binders=(a,)), ty2
+
+    def synth_intro(self, t, path, zs, expect, zone):
+        """J(a) / K(a), a checked as an A-judgement under `zone`."""
+        former = "jt" if t.kind == "jterm" else "kt"
+        d1, ty1 = self.synth_a(t.subs[0], path + (0,), (zone,),
+                               _part(expect, former))
+        ty = TypeExpr(former, (ty1,))
+        return self.deriv(t.kind, zs, t, ty, (d1,)), ty
+
+    def synth_opapp(self, t, path, zs, synth):
         try:
             decl = self.sig.op_decl(t.name)
         except SignatureError as e:
@@ -530,16 +483,129 @@ class _Checker:
                       f" {len(decl.params)} argument(s), got {len(t.subs)}")
         children = []
         for i, (s, (_, pty)) in enumerate(zip(t.subs, decl.params)):
-            d, ty = subcheck(s, path + (i,), pty)
+            d, ty = synth(s, path + (i,), zs, pty)
             if not self.teq(ty, pty):
                 self.fail(path + (i,), "op", f"operation {t.name} argument"
                           f" {i + 1} type mismatch", pty, ty)
             children.append(d)
-        return self.deriv("op", zs, t, decl.result, tuple(children),
-                          form=form), decl.result
+        return self.deriv("op", zs, t, decl.result, tuple(children)), \
+            decl.result
 
-    def synth_lamarrow(self, t, path, gamma, expect):
-        calc, zs = self.calculus, (gamma,)
+    # .. A-zone synthesis (Cartesian judgements of every calculus) ........
+
+    def synth_a(self, t: Term, path, zs, expect=None):
+        self.expects.append(expect)
+        calc = self.calculus
+        k = t.kind
+        x = self.var_name(t)
+        if x is not None:
+            ty = _find(zs[0], x)
+            if ty is None:
+                self.fail(path, "var", f"unbound variable {x!r}")
+            return self.deriv("var", zs, t, ty), ty
+        match k:
+            case "unit":
+                if calc in ("rmm", "urmm") and expect is not None and \
+                        expect.kind == "jt" and expect.subs[0].kind == "unit1":
+                    # () inhabits J(1): the terminal object's unique element
+                    return self.deriv("unit-j", zs, t, expect), expect
+                return self.deriv("unit", zs, t, syntax.UNIT1), syntax.UNIT1
+            case "pair":
+                return self.synth_pair(t, path, zs, expect, self.synth_a,
+                                       "pair", zs, zs)
+            case "pi1" | "pi2":
+                return self.synth_proj(t, path, zs, self.synth_a, k)
+            case "gen":
+                src, tgt = self.gen_endpoints(t.name, path)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), zs,
+                                       expect=jt(base(src)))
+                if not self.teq(ty1, jt(base(src))):
+                    self.fail(path, "gen", f"generator {t.name} expects",
+                              jt(base(src)), ty1)
+                ty = jt(base(tgt))
+                return self.deriv("gen", zs, t, ty, (d1,)), ty
+            case "ret" if calc != "gmm":
+                return self.synth_ret(t, path, zs, expect, self.synth_a)
+            case "do" if calc != "gmm":
+                # the unary calculus's body has the binder alone
+                return self.synth_do(t, path, zs, expect, self.synth_a, zs,
+                                     ((),) if calc == "urmm" else zs, 0)
+            case "ret":
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), zs)
+                ty = tgr(self.graded(path, "ret").unit(), ty1)
+                return self.deriv("ret", zs, t, ty, (d1,)), ty
+            case "do":
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), zs)
+                if ty1.kind != "tgr":
+                    self.fail(path, "do", "do expects a graded computation",
+                              actual=ty1)
+                x = self.push(t)
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,),
+                                       _extend(zs, 0, x, ty1.subs[0]))
+                if ty2.kind != "tgr":
+                    self.fail(path, "do", "do body must be a graded"
+                              " computation", actual=ty2)
+                g = self.graded(path, "do")
+                ty = tgr(g.tensor(g.norm(ty1.grade), g.norm(ty2.grade)),
+                         ty2.subs[0])
+                return self.deriv("do", zs, t, ty, (d1, d2), binders=(x,)), ty
+            case "opapp":
+                return self.synth_opapp(t, path, zs, self.synth_a)
+            case "regrade":
+                if calc != "gmm":
+                    self.fail(path, "regrade", "regrade is a graded-calculus term")
+                g = self.graded(path, "regrade")
+                xi = g.norm_mor(t.xi)
+                if not g.has_mor(xi):
+                    self.fail(path, "regrade",
+                              f"no grading morphism {t.xi}")
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), zs)
+                if ty1.kind != "tgr" or not g.equal_grades(ty1.grade, xi.tgt):
+                    self.fail(path, "regrade",
+                              f"regrade<{t.xi}> applies at grade {xi.tgt}",
+                              tgr(xi.tgt, base("_")), ty1)
+                ty = tgr(xi.src, ty1.subs[0])
+                return self.deriv("regrade", zs, t, ty, (d1,)), ty
+            case "lam":
+                if calc not in ("lnl", "arrow"):
+                    self.fail(path, "lam", f"lambda is not a term of {calc}")
+                x = self.push(t)
+                d1, tyb = self.synth_a(t.subs[0], path + (0,),
+                                       _extend(zs, 0, x, t.tyann),
+                                       _part(expect, "fun", 1))
+                ty = syntax.fun(t.tyann, tyb)
+                return self.deriv("lam", zs, t, ty, (d1,), binders=(x,)), ty
+            case "app":
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), zs)
+                if calc == "armm":
+                    if ty1.kind != "aabs" or ty1.subs[1].kind != "jt":
+                        self.fail(path, "app",
+                                  "application expects u : A => J(B)",
+                                  actual=ty1)
+                elif ty1.kind != "fun":
+                    self.fail(path, "app", "application of a non-function",
+                              actual=ty1)
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,), zs,
+                                       expect=ty1.subs[0])
+                if not self.teq(ty2, ty1.subs[0]):
+                    self.fail(path, "app", "argument type mismatch",
+                              ty1.subs[0], ty2)
+                ty = ty1.subs[1].subs[0] if calc == "armm" else ty1.subs[1]
+                return self.deriv("app", zs, t, ty, (d1, d2)), ty
+            case "rterm":
+                if calc != "lnl":
+                    self.fail(path, "rterm", "R(-) is an LNL term")
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,),
+                                           (zs[0], ()), _part(expect, "rt"))
+                ty = syntax.rt(ty1)
+                return self.deriv("rterm", zs, t, ty, (d1,)), ty
+            case "lamarrow":
+                return self.synth_lamarrow(t, path, zs, expect)
+        self.fail(path, k, f"term former {k!r} cannot appear in an"
+                           f" {calc} term judgement here")
+
+    def synth_lamarrow(self, t, path, zs, expect):
+        calc = self.calculus
         if calc not in ("arrow", "armm"):
             self.fail(path, "lamarrow",
                       f"arrow abstraction is not a term of {calc}")
@@ -552,44 +618,25 @@ class _Checker:
                     if calc == "arrow" else
                     "abstraction needs an expected =>-type"))
             ann = expect.subs[0]
-        eb = expect.subs[1] if expect is not None and \
-            expect.kind == former else None
         x = self.push(t)
-        if calc == "arrow":
-            d1, tyb = self.synth_command(t.subs[0], path + (0,), gamma,
-                                         ((x, ann),), expect=eb)
-        else:
-            d1, tyb = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                        ((x, ann),), (), expect=eb)
+        # the binder is the command's Delta, or the three-zone Delta
+        body = (zs[0], ((x, ann),)) + (() if calc == "arrow" else ((),))
+        d1, tyb = self.synth("C")(t.subs[0], path + (0,), body,
+                                  _part(expect, former, 1))
         ty = TypeExpr(former, (ann, tyb))
         return self.deriv("lamarrow", zs, t, ty, (d1,), binders=(x,)), ty
 
     # .. LNL linear judgements ............................................
 
-    def synth_lnl_c(self, t: Term, path, gamma, delta, expect=None):
+    def synth_lnl_c(self, t: Term, path, zs, expect=None):
         self.expects.append(expect)
         k = t.kind
-        zs = (gamma, delta)
-
-        def split():
-            try:
-                return split_linear(delta, t, self.names, self.occ)
-            except LinearityError as e:
-                raise LinearityError(path, e.rule, e.message)
-
-        def require_empty_share(rule):
-            if delta:
-                # the share routed here must be empty (subterm is nonlinear)
-                raise LinearityError(
-                    path, rule, f"linear variable(s) "
-                    f"{', '.join(sorted(x for x, _ in delta))} cannot be"
-                    f" used under {rule}")
-
+        gamma, delta = zs
         x = self.var_name(t)
         if x is not None:
             ty = _find(delta, x)
             if ty is not None:
-                return self.deriv("lvar", zs, t, ty, form="C"), ty
+                return self.deriv("lvar", zs, t, ty), ty
             if _find(gamma, x) is not None:
                 raise LinearityError(
                     path, "lvar", f"nonlinear variable {x!r} used as"
@@ -597,32 +644,26 @@ class _Checker:
             self.fail(path, "lvar", f"unbound variable {x!r}")
         match k:
             case "unit":
-                require_empty_share("unit")
-                ty = syntax.LUNIT
-                return self.deriv("lunit", zs, t, ty, form="C"), ty
+                self.nonlinear(path, delta, "unit")
+                return self.deriv("lunit", zs, t, syntax.LUNIT), syntax.LUNIT
             case "pair":
-                c0, c1 = split()
-                e = expect if expect is not None and expect.kind == "prod" \
-                    else None
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
-                                           e.subs[0] if e else None)
-                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1,
-                                           e.subs[1] if e else None)
-                ty = prod(ty1, ty2)
-                return self.deriv("tensor", zs, t, ty, (d1, d2), form="C"), ty
+                c0, c1 = self.split(t, path, delta)
+                return self.synth_pair(t, path, zs, expect, self.synth_lnl_c,
+                                       "tensor", (gamma, c0), (gamma, c1))
             case "letunit":
-                c0, c1 = split()
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0,
-                                           syntax.LUNIT)
+                c0, c1 = self.split(t, path, delta)
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,),
+                                           (gamma, c0), syntax.LUNIT)
                 if ty1.kind != "lunit":
                     self.fail(path, "letunit", "let () scrutinee must have"
                               " type I", syntax.LUNIT, ty1)
-                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1,
-                                           expect)
-                return self.deriv("letunit", zs, t, ty2, (d1, d2), form="C"), ty2
+                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,),
+                                           (gamma, c1), expect)
+                return self.deriv("letunit", zs, t, ty2, (d1, d2)), ty2
             case "letpair":
-                c0, c1 = split()
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0)
+                c0, c1 = self.split(t, path, delta)
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,),
+                                           (gamma, c0))
                 if ty1.kind != "prod":
                     self.fail(path, "letpair", "let (x,y) scrutinee must have"
                               " a tensor type", actual=ty1)
@@ -632,81 +673,60 @@ class _Checker:
                         raise LinearityError(
                             path, "letpair", f"unused linear variable {v!r}")
                 d2, ty2 = self.synth_lnl_c(
-                    t.subs[1], path + (1,), gamma,
-                    c1 + ((x, ty1.subs[0]), (y, ty1.subs[1])), expect)
-                return self.deriv("letpair", zs, t, ty2, (d1, d2), form="C",
+                    t.subs[1], path + (1,),
+                    (gamma, c1 + ((x, ty1.subs[0]), (y, ty1.subs[1]))),
+                    expect)
+                return self.deriv("letpair", zs, t, ty2, (d1, d2),
                                   binders=(x, y)), ty2
             case "lam":
                 x = self.push(t)
                 if not self.uses_bvar(t.subs[0], 0):
                     raise LinearityError(
                         path, "limpl", f"unused linear variable {x!r}")
-                d1, tyb = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                           delta + ((x, t.tyann),),
-                                           expect.subs[1] if expect is not None
-                                           and expect.kind == "lolli" else None)
+                d1, tyb = self.synth_lnl_c(t.subs[0], path + (0,),
+                                           _extend(zs, 1, x, t.tyann),
+                                           _part(expect, "lolli", 1))
                 ty = syntax.lolli(t.tyann, tyb)
-                return self.deriv("limpl", zs, t, ty, (d1,), form="C",
+                return self.deriv("limpl", zs, t, ty, (d1,),
                                   binders=(x,)), ty
             case "app":
-                c0, c1 = split()
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0)
+                c0, c1 = self.split(t, path, delta)
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,),
+                                           (gamma, c0))
                 if ty1.kind != "lolli":
                     self.fail(path, "lapp", "application of a non-(-o) term",
                               actual=ty1)
-                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma, c1,
-                                           ty1.subs[0])
+                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,),
+                                           (gamma, c1), ty1.subs[0])
                 if not self.teq(ty2, ty1.subs[0]):
                     self.fail(path, "lapp", "argument type mismatch",
                               ty1.subs[0], ty2)
                 ty = ty1.subs[1]
-                return self.deriv("lapp", zs, t, ty, (d1, d2), form="C"), ty
+                return self.deriv("lapp", zs, t, ty, (d1, d2)), ty
             case "ret":
-                d1, ty1 = self.synth_lnl_c(
-                    t.subs[0], path + (0,), gamma, delta,
-                    jt(expect.subs[0]) if expect is not None and
-                    expect.kind == "tt" else None)
-                if ty1.kind != "jt":
-                    self.fail(path, "ret", "ret expects a J-typed argument",
-                              actual=ty1)
-                ty = tt(ty1.subs[0])
-                return self.deriv("ret", zs, t, ty, (d1,), form="C"), ty
+                return self.synth_ret(t, path, zs, expect, self.synth_lnl_c)
             case "do":
-                c0, c1 = split()
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0)
-                if ty1.kind != "tt":
-                    self.fail(path, "do", "do expects a computation",
-                              actual=ty1)
-                x = self.push(t)
-                if not self.uses_bvar(t.subs[1], 0):
-                    raise LinearityError(
-                        path, "do", f"unused linear variable {x!r}")
-                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,), gamma,
-                                           c1 + ((x, jt(ty1.subs[0])),),
-                                           expect)
-                if ty2.kind != "tt":
-                    self.fail(path, "do", "do body must be a computation",
-                              actual=ty2)
-                return self.deriv("do", zs, t, ty2, (d1, d2), form="C",
-                                  binders=(x,)), ty2
+                c0, c1 = self.split(t, path, delta)
+                return self.synth_do(t, path, zs, expect, self.synth_lnl_c,
+                                     (gamma, c0), (gamma, c1), 1)
             case "regrade":
-                xi = self.grading.norm_mor(t.xi)
-                if not self.grading.has_mor(xi):
+                g = self.graded(path, "regrade")
+                xi = g.norm_mor(t.xi)
+                if not g.has_mor(xi):
                     self.fail(path, "regrade", f"no grading morphism {t.xi}")
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                           delta, grty(xi.src))
-                if ty1.kind != "grty" or not self.grading.equal_grades(
-                        ty1.grade, xi.src):
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), zs,
+                                           grty(xi.src))
+                if ty1.kind != "grty" or not g.equal_grades(ty1.grade,
+                                                            xi.src):
                     self.fail(path, "regrade",
                               f"grade action <{t.xi}> applies at {xi.src}",
                               grty(xi.src), ty1)
                 ty = grty(t.xi.tgt)  # the written target keeps factorizations
-                return self.deriv("regrade", zs, t, ty, (d1,), form="C"), ty
+                return self.deriv("regrade", zs, t, ty, (d1,)), ty
             case "merge":
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                           delta)
+                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), zs)
                 if ty1.kind == "lunit":
-                    ty = grty(self.grading.unit())
+                    ty = grty(self.graded(path, "merge").unit())
                 elif ty1.kind == "prod" and ty1.subs[0].kind == "grty" \
                         and ty1.subs[1].kind == "grty":
                     ty = grty(syntax.gtensor(ty1.subs[0].grade,
@@ -714,109 +734,93 @@ class _Checker:
                 else:
                     self.fail(path, "merge", "merge expects I or a tensor of"
                               " grade types", actual=ty1)
-                return self.deriv("merge", zs, t, ty, (d1,), form="C"), ty
+                return self.deriv("merge", zs, t, ty, (d1,)), ty
             case "unmerge":
+                g = self.grading
                 if expect is not None and expect.kind == "lunit":
-                    d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                               delta,
-                                               grty(self.grading.unit()))
-                    if ty1.kind != "grty" or not self.grading.equal_grades(
-                            ty1.grade, self.grading.unit()):
+                    u = grty(self.graded(path, "unmerge").unit())
+                    d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), zs, u)
+                    if ty1.kind != "grty" or not g.equal_grades(ty1.grade,
+                                                                u.grade):
                         self.fail(path, "unmerge", "unmerge to I expects the"
-                                  " unit grade", grty(self.grading.unit()), ty1)
+                                  " unit grade", u, ty1)
                     ty = syntax.LUNIT
                 elif expect is not None and expect.kind == "prod" and \
                         expect.subs[0].kind == "grty" and \
                         expect.subs[1].kind == "grty":
-                    m, n = expect.subs[0].grade, expect.subs[1].grade
-                    d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                               delta,
-                                               grty(syntax.gtensor(m, n)))
-                    if ty1.kind != "grty" or not self.grading.equal_grades(
-                            ty1.grade, syntax.gtensor(m, n)):
+                    mn = syntax.gtensor(expect.subs[0].grade,
+                                        expect.subs[1].grade)
+                    d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), zs,
+                                               grty(mn))
+                    if ty1.kind != "grty" or not g.equal_grades(ty1.grade,
+                                                                mn):
                         self.fail(path, "unmerge", "unmerge target grades do"
-                                  " not multiply to the source",
-                                  grty(syntax.gtensor(m, n)), ty1)
+                                  " not multiply to the source", grty(mn),
+                                  ty1)
                     ty = expect
                 else:
-                    d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma,
-                                               delta)
+                    d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), zs)
                     if ty1.kind != "grty":
                         self.fail(path, "unmerge", "unmerge expects a grade"
                                   " type", actual=ty1)
-                    g = ty1.grade
-                    if g.kind == "tensor":
-                        ty = prod(grty(g.subs[0]), grty(g.subs[1]))
-                    elif self.grading.equal_grades(g, self.grading.unit()):
+                    m = ty1.grade
+                    if m.kind == "tensor":
+                        ty = prod(grty(m.subs[0]), grty(m.subs[1]))
+                    elif g.equal_grades(m, g.unit()):
                         ty = syntax.LUNIT
                     else:
                         self.fail(path, "unmerge",
-                                  f"cannot infer a factorization of grade {g};"
+                                  f"cannot infer a factorization of grade {m};"
                                   f" annotate via the expected type")
-                return self.deriv("unmerge", zs, t, ty, (d1,), form="C"), ty
+                return self.deriv("unmerge", zs, t, ty, (d1,)), ty
             case "jterm":
-                require_empty_share("J(-)")
-                e = expect.subs[0] if expect is not None and \
-                    expect.kind == "jt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, e)
-                ty = jt(ty1)
-                return self.deriv("jterm", zs, t, ty, (d1,), form="C"), ty
+                self.nonlinear(path, delta, "J(-)")
+                return self.synth_intro(t, path, zs, expect, gamma)
             case "letj":
-                c0, c1 = split()
-                d1, ty1 = self.synth_lnl_c(t.subs[0], path + (0,), gamma, c0)
-                if ty1.kind != "jt":
-                    self.fail(path, "letj", "let J(a) scrutinee must be"
-                              " J-typed", actual=ty1)
-                a = self.push(t, 0, "a")
-                d2, ty2 = self.synth_lnl_c(t.subs[1], path + (1,),
-                                           gamma + ((a, ty1.subs[0]),), c1,
-                                           expect)
-                return self.deriv("letj", zs, t, ty2, (d1, d2), form="C",
-                                  binders=(a,)), ty2
+                c0, c1 = self.split(t, path, delta)
+                return self.synth_let(t, path, zs, expect, self.synth_lnl_c,
+                                      (gamma, c0), (gamma, c1), 0)
             case "derelict":
-                require_empty_share("derelict")
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
+                self.nonlinear(path, delta, "derelict")
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), (gamma,))
                 if ty1.kind != "rt":
                     self.fail(path, "derelict", "derelict expects an R-typed"
                               " term", actual=ty1)
                 ty = ty1.subs[0]
-                return self.deriv("derelict", zs, t, ty, (d1,), form="C"), ty
+                return self.deriv("derelict", zs, t, ty, (d1,)), ty
             case "opapp":
-                require_empty_share("op")
-                return self.synth_opapp(
-                    t, path, zs, "C",
-                    lambda s, p, e: self.synth_lnl_c(s, p, gamma, (), e))
+                self.nonlinear(path, delta, "op")
+                return self.synth_opapp(t, path, zs, self.synth_lnl_c)
         self.fail(path, k, f"term former {k!r} is not a linear-judgement term")
 
     # .. arrow-calculus commands ..........................................
 
-    def synth_command(self, t: Term, path, gamma, delta, expect=None):
+    def synth_command(self, t: Term, path, zs, expect=None):
         self.expects.append(expect)
-        zs = (gamma, delta)
+        gamma, delta = zs
         match t.kind:
             case "ret":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma + delta,
-                                       expect)
-                return self.deriv("cmd-ret", zs, t, ty1, (d1,), form="C"), ty1
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,),
+                                       (gamma + delta,), expect)
+                return self.deriv("cmd-ret", zs, t, ty1, (d1,)), ty1
             case "aapp":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), (gamma,))
                 if ty1.kind != "arr":
                     self.fail(path, "cmd-app", "arrow application expects"
                               " u : A ~> B", actual=ty1)
-                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma + delta,
-                                       ty1.subs[0])
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,),
+                                       (gamma + delta,), ty1.subs[0])
                 if not self.teq(ty2, ty1.subs[0]):
                     self.fail(path, "cmd-app", "arrow argument type mismatch",
                               ty1.subs[0], ty2)
                 ty = ty1.subs[1]
-                return self.deriv("cmd-app", zs, t, ty, (d1, d2), form="C"), ty
+                return self.deriv("cmd-app", zs, t, ty, (d1, d2)), ty
             case "do":
-                d1, ty1 = self.synth_command(t.subs[0], path + (0,), gamma,
-                                             delta)
+                d1, ty1 = self.synth_command(t.subs[0], path + (0,), zs)
                 x = self.push(t)
-                d2, ty2 = self.synth_command(t.subs[1], path + (1,), gamma,
-                                             delta + ((x, ty1),), expect)
-                return self.deriv("cmd-do", zs, t, ty2, (d1, d2), form="C",
+                d2, ty2 = self.synth_command(t.subs[1], path + (1,),
+                                             _extend(zs, 1, x, ty1), expect)
+                return self.deriv("cmd-do", zs, t, ty2, (d1, d2),
                                   binders=(x,)), ty2
         k = "var" if self.var_name(t) is not None else t.kind
         self.fail(path, k,
@@ -825,10 +829,9 @@ class _Checker:
 
     # .. three-zone judgements ............................................
 
-    def synth_armm_c(self, t: Term, path, gamma, delta, phi,
-                     expect=None):
+    def synth_armm_c(self, t: Term, path, zs, expect=None):
         self.expects.append(expect)
-        zs = (gamma, delta, phi)
+        gamma, delta, phi = zs
         k = t.kind
         x = self.var_name(t)
         if x is not None:
@@ -838,109 +841,44 @@ class _Checker:
                     self.fail(path, "cvar", f"variable {x!r} lives in"
                               f" a nonlinear zone; use J(-)/K(-)")
                 self.fail(path, "cvar", f"unbound variable {x!r}")
-            return self.deriv("cvar", zs, t, ty, form="C"), ty
+            return self.deriv("cvar", zs, t, ty), ty
         match k:
             case "unit":
-                ty = syntax.UNIT1
-                return self.deriv("cunit", zs, t, ty, form="C"), ty
+                return self.deriv("cunit", zs, t, syntax.UNIT1), syntax.UNIT1
             case "pair":
-                e = expect if expect is not None and expect.kind == "prod" \
-                    else None
-                d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi,
-                                            e.subs[0] if e else None)
-                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma,
-                                            delta, phi,
-                                            e.subs[1] if e else None)
-                ty = prod(ty1, ty2)
-                return self.deriv("cpair", zs, t, ty, (d1, d2), form="C"), ty
+                return self.synth_pair(t, path, zs, expect, self.synth_armm_c,
+                                       "cpair", zs, zs)
             case "pi1" | "pi2":
-                d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi)
-                if ty1.kind != "prod":
-                    self.fail(path, k, "projection of a non-product",
-                              actual=ty1)
-                ty = ty1.subs[0 if k == "pi1" else 1]
-                return self.deriv("c" + k, zs, t, ty, (d1,), form="C"), ty
+                return self.synth_proj(t, path, zs, self.synth_armm_c,
+                                       "c" + k)
             case "jterm":
-                e = expect.subs[0] if expect is not None and \
-                    expect.kind == "jt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma + delta,
-                                       e)
-                ty = jt(ty1)
-                return self.deriv("jterm", zs, t, ty, (d1,), form="C"), ty
+                return self.synth_intro(t, path, zs, expect, gamma + delta)
             case "kterm":
-                e = expect.subs[0] if expect is not None and \
-                    expect.kind == "kt" else None
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma, e)
-                ty = kt(ty1)
-                return self.deriv("kterm", zs, t, ty, (d1,), form="C"), ty
-            case "letj":
-                d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi)
-                if ty1.kind != "jt":
-                    self.fail(path, "letj", "let J(a) scrutinee must be"
-                              " J-typed", actual=ty1)
-                a = self.push(t, 0, "a")
-                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma,
-                                            delta + ((a, ty1.subs[0]),), phi,
-                                            expect)
-                return self.deriv("letj", zs, t, ty2, (d1, d2), form="C",
-                                  binders=(a,)), ty2
-            case "letk":
-                d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi)
-                if ty1.kind != "kt":
-                    self.fail(path, "letk", "let K(a) scrutinee must be"
-                              " K-typed", actual=ty1)
-                a = self.push(t, 0, "a")
-                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,),
-                                            gamma + ((a, ty1.subs[0]),), delta,
-                                            phi, expect)
-                return self.deriv("letk", zs, t, ty2, (d1, d2), form="C",
-                                  binders=(a,)), ty2
+                return self.synth_intro(t, path, zs, expect, gamma)
+            case "letj" | "letk":
+                # a of let J(a) joins Delta, a of let K(a) Gamma
+                return self.synth_let(t, path, zs, expect, self.synth_armm_c,
+                                      zs, zs, 1 if k == "letj" else 0)
             case "ret":
-                d1, ty1 = self.synth_armm_c(
-                    t.subs[0], path + (0,), gamma, delta, phi,
-                    jt(expect.subs[0]) if expect is not None and
-                    expect.kind == "tt" else None)
-                if ty1.kind != "jt":
-                    self.fail(path, "ret", "ret expects a J-typed argument",
-                              actual=ty1)
-                ty = tt(ty1.subs[0])
-                return self.deriv("ret", zs, t, ty, (d1,), form="C"), ty
+                return self.synth_ret(t, path, zs, expect, self.synth_armm_c)
             case "do":
-                d1, ty1 = self.synth_armm_c(t.subs[0], path + (0,), gamma,
-                                            delta, phi)
-                if ty1.kind != "tt":
-                    self.fail(path, "do", "do expects a computation",
-                              actual=ty1)
-                x = self.push(t)
-                d2, ty2 = self.synth_armm_c(t.subs[1], path + (1,), gamma,
-                                            delta, ((x, jt(ty1.subs[0])),),
-                                            expect)
-                if ty2.kind != "tt":
-                    self.fail(path, "do", "do body must be a computation",
-                              actual=ty2)
-                return self.deriv("do", zs, t, ty2, (d1, d2), form="C",
-                                  binders=(x,)), ty2
+                # the body's third zone is the binder alone
+                return self.synth_do(t, path, zs, expect, self.synth_armm_c,
+                                     zs, (gamma, delta, ()), 2)
             case "aapp":
-                d1, ty1 = self.synth_a(t.subs[0], path + (0,), gamma)
+                d1, ty1 = self.synth_a(t.subs[0], path + (0,), (gamma,))
                 if ty1.kind != "aabs":
                     self.fail(path, "aapp", "arrow application expects"
                               " u : A => X", actual=ty1)
-                d2, ty2 = self.synth_a(t.subs[1], path + (1,), gamma + delta,
-                                       ty1.subs[0])
+                d2, ty2 = self.synth_a(t.subs[1], path + (1,),
+                                       (gamma + delta,), ty1.subs[0])
                 if not self.teq(ty2, ty1.subs[0]):
                     self.fail(path, "aapp", "argument type mismatch",
                               ty1.subs[0], ty2)
                 ty = ty1.subs[1]
-                return self.deriv("aapp", zs, t, ty, (d1, d2), form="C"), ty
+                return self.deriv("aapp", zs, t, ty, (d1, d2)), ty
             case "opapp":
-                return self.synth_opapp(
-                    t, path, zs, "C",
-                    lambda s, p, e: self.synth_armm_c(s, p, gamma, delta, phi,
-                                                      e))
+                return self.synth_opapp(t, path, zs, self.synth_armm_c)
         self.fail(path, k, f"term former {k!r} is not a three-zone term")
 
 
@@ -1005,7 +943,7 @@ def check_at(j: Judgement, index: dict, path: tuple, new: Term,
     c.occ = memo
     c.avoid.update(x for zone in j.zones for x, _ in zone)
     try:
-        d, got = c.synth(form)(new, path, *zones, expect=expect)
+        d, got = c.synth(form)(new, path, zones, expect)
     except (_Fail, SignatureError):
         return None
     if got != ty:

@@ -75,6 +75,19 @@ type gr(2) * gr(2)
     assert "linear" in r.stdout
 
 
+@pytest.mark.parametrize("sig, term", [
+    ("calculus gmm\nobject A\n",
+     "calculus gmm\nctx x : A\nterm ret x\ntype A\n"),
+    ("calculus lnl\nobject A\n",
+     "calculus lnl\nform C\nterm merge ()\ntype I\n"),
+], ids=["gmm-ret", "lnl-merge"])
+def test_graded_former_without_a_grading_is_rejected(tmp_path, capsys, sig,
+                                                     term):
+    assert cli.main(["typecheck", "--sig", write(tmp_path, "g.sig", sig),
+                     write(tmp_path, "g.term", term)]) == 1
+    assert "needs a grading" in capsys.readouterr().out
+
+
 def test_typecheck_accept_prints_derivation(tmp_path):
     path = write(tmp_path, "ok.term", """
 calculus rmm

@@ -180,6 +180,8 @@ def _sig_for(key, coin_sig):
         "ungraded gmm": "calculus gmm\nobject A\n",
         "ungraded lnl": "calculus lnl\nobject A\n",
         "lnl tick": LNL_SIG + "op tick : (x : J(A)) -> T(A)\n",
+        "ungraded gmm op":
+            "calculus gmm\nobject A\nop tk : (x : A) -> T_2(A)\n",
     }[key])
 
 
@@ -348,6 +350,34 @@ def test_rule_rejection(calc, sigkey, form, zones, term, ty, rule, path,
             res.actual) == (False, rule, path, message, expected, actual)
 
 
+# (calculus, signature key, form, zones, term, type, rule): a former that
+# needs a grading, under a signature without one
+GRADELESS = [
+    ("gmm", "ungraded gmm", "A", ["x : A"], "ret x", "A", "ret"),
+    ("gmm", "ungraded gmm op", "A", ["x : A"], "do y <- tk(x) in tk(y)", "A",
+     "do"),
+    ("gmm", "ungraded gmm op", "A", ["x : A"], "regrade<2>=3> tk(x)", "A",
+     "regrade"),
+    ("lnl", "ungraded lnl", "C", ["", ""], "merge ()", "I", "merge"),
+    ("lnl", "ungraded lnl", "C", ["", "u : I"], "unmerge u", "I", "unmerge"),
+    ("lnl", "ungraded lnl", "C", ["", "u : I"], "regrade<2>=3> u", "I",
+     "regrade"),
+]
+
+
+@pytest.mark.parametrize("calc, sigkey, form, zones, term, ty, rule",
+                         GRADELESS)
+def test_graded_former_needs_a_grading(calc, sigkey, form, zones, term, ty,
+                                       rule):
+    """The former is rejected at its node, not by an internal error."""
+    sig = _sig_for(sigkey, None)
+    j = judgement(calc, [parse_context(z, sig) for z in zones],
+                  parse_term(term, calc, sig), parse_type(ty, sig), form=form)
+    res = check(j, sig)
+    assert (res.ok, res.rule, res.path, res.message) == \
+        (False, rule, (), f"{rule} needs a grading")
+
+
 def test_split_linear():
     x, y = ("x", parse_type("J(A)")), ("y", parse_type("J(B)"))
     delta = (x, y)
@@ -449,7 +479,7 @@ def test_substitution_lemma(sweep_sig, rng):
         from relmeta.typecheck import _Checker
         chk = _Checker(sweep_sig, "rmm")
         chk.avoid = {x for x, _ in ctx} | {"xx"}
-        d, tty = chk.synth_a(t, (), ctx + (("xx", xty),))
+        d, tty = chk.synth_a(t, (), (ctx + (("xx", xty),),))
         jt = judgement("rmm", [ctx + (("xx", xty),)], t, tty)
         assert check(jt, sweep_sig).ok
         js = judgement("rmm", [ctx], subst_free(t, "xx", u), tty)
