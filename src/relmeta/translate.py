@@ -10,7 +10,9 @@ Both translations are compositional and derivation-driven (the programs
 need the types of subterms, which the checker already computed).  They
 read each node's term as the checker does, bvars and all: every source
 binder becomes one target binder (the arrow `do` two, hence its shift), so
-a variable translates to itself.
+a variable translates to itself.  One driver (`_translate`) and one fold
+over the derivation (`_fold`) serve both; a direction gives only the
+clauses of its own formers, of types and of terms.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class TranslationTrace:
     target: Judgement
     node_map: dict = field(default_factory=dict)  # source path -> clause name
     typing_preserved: bool | None = None
-    equation_pairs_tested: int = 0
 
     def render(self) -> str:
         lines = [f"source: {self.source}", f"target: {self.target}",
@@ -46,19 +47,78 @@ class TranslationTrace:
 
 
 # ---------------------------------------------------------------------------
+# the shared driver
+
+def _ty_shared(ty: TypeExpr, tr, source: str) -> TypeExpr:
+    """A type of a former both source calculi have (1, base types and
+    products), its parts translated by `tr`."""
+    match ty.kind:
+        case "unit1" | "base":
+            return ty
+        case "prod":
+            return prod(tr(ty.subs[0]), tr(ty.subs[1]))
+    raise TranslateError(f"{ty} is not a type of the {source} calculus")
+
+
+def _fold(node: Derivation, trace: TranslationTrace, own, source: str,
+          path=()) -> Term:
+    """The term of a derivation node translated: the clauses both
+    directions share, else `own(node, translated children)`."""
+    t, rule = node.judgement.term, node.rule
+    trace.node_map[path] = rule
+    kids = [_fold(c, trace, own, source, path + (i,))
+            for i, c in enumerate(node.children)]
+    match rule:
+        case "var":
+            return t
+        case "unit":
+            return syntax.UNIT
+        case "pair" | "pi1" | "pi2":
+            return Term(rule, tuple(kids))
+        case "op":
+            return syntax.opapp(t.name, *kids)
+    out = own(node, kids)
+    if out is None:
+        raise TranslateError(f"no {source} translation clause for rule {rule}")
+    return out
+
+
+def _translate(j: Judgement, sig: Signature, tgt_sig: Signature | None,
+               source: str, target: str, own, ty):
+    """Check j, a `source` judgement; fold its derivation with the
+    direction's clauses `own`; translate its zones and type by `ty`; check
+    the `target` judgement, under `tgt_sig` if given.  Returns (target
+    judgement, trace)."""
+    if j.calculus != source:
+        raise TranslateError(
+            f"the source judgement is {j.calculus}, not {source}")
+    res = check(j, sig)
+    if not res.ok:
+        raise TranslateError(f"source judgement fails checking: {res.message}")
+    trace = TranslationTrace(j, None)
+    term = _fold(res.derivation, trace, own, source)
+    zones = tuple(tuple((x, ty(a)) for x, a in z) for z in j.zones)
+    result = ty(j.ty)
+    if j.form == "C":  # a command lands in an empty third zone, at T(-)
+        zones, result = zones + ((),), tt(result)
+    tgt = Judgement(target, j.form, zones, term, result)
+    trace.target = tgt
+    tres = check(tgt, tgt_sig if tgt_sig is not None else sig)
+    trace.typing_preserved = bool(tres.ok)
+    if not tres.ok:
+        raise TranslateError(
+            f"translation produced an ill-typed judgement: {tres.message}\n"
+            f"  {tgt}")
+    return tgt, trace
+
+
+# ---------------------------------------------------------------------------
 # graded -> linear-non-linear
 
 def ty_gmm_to_lnl(ty: TypeExpr) -> TypeExpr:
-    match ty.kind:
-        case "unit1":
-            return ty
-        case "base":
-            return ty
-        case "prod":
-            return prod(ty_gmm_to_lnl(ty.subs[0]), ty_gmm_to_lnl(ty.subs[1]))
-        case "tgr":
-            return rt(lolli(grty(ty.grade), tt(ty_gmm_to_lnl(ty.subs[0]))))
-    raise TranslateError(f"not a graded-calculus type: {ty}")
+    if ty.kind == "tgr":
+        return rt(lolli(grty(ty.grade), tt(ty_gmm_to_lnl(ty.subs[0]))))
+    return _ty_shared(ty, ty_gmm_to_lnl, "gmm")
 
 
 def unit_program(x_ty: TypeExpr, e) -> Term:
@@ -101,162 +161,76 @@ def regrade_program(xi: GradeMor, x_ty: TypeExpr) -> Term:
     return syntax.lam(tn_x, syntax.rterm(inner), hint="f")
 
 
-def _tr_gmm(node: Derivation, trace: TranslationTrace, path=()) -> Term:
-    t = node.judgement.term
-    rule = node.rule
-
-    def kid(i):
-        return _tr_gmm(node.children[i], trace, path + (i,))
-
-    trace.node_map[path] = rule
-    match rule:
-        case "var":
-            return t
-        case "unit":
-            return syntax.UNIT
-        case "pair":
-            return syntax.pair(kid(0), kid(1))
-        case "pi1":
-            return syntax.pi1(kid(0))
-        case "pi2":
-            return syntax.pi2(kid(0))
-        case "op":
-            return syntax.opapp(t.name, *(kid(i)
-                                          for i in range(len(node.children))))
+def _tr_gmm(node: Derivation, kids) -> Term | None:
+    """The graded formers' clauses: each applies its program."""
+    ty = node.judgement.ty
+    match node.rule:
         case "ret":
-            ty = node.judgement.ty
             prog = unit_program(ty_gmm_to_lnl(ty.subs[0]), ty.grade)
-            return syntax.app(prog, kid(0))
+            return syntax.app(prog, kids[0])
         case "do":
-            uty = node.children[0].judgement.ty
-            bty = node.children[1].judgement.ty
-            x = node.binders[0]
+            uty, bty = (c.judgement.ty for c in node.children)
             prog = bind_program(uty.grade, bty.grade,
                                 ty_gmm_to_lnl(uty.subs[0]),
                                 ty_gmm_to_lnl(bty.subs[0]))
-            karg = syntax.lam(ty_gmm_to_lnl(uty.subs[0]), kid(1), hint=x)
-            return syntax.app(syntax.app(prog, kid(0)), karg)
+            karg = syntax.lam(ty_gmm_to_lnl(uty.subs[0]), kids[1],
+                              hint=node.binders[0])
+            return syntax.app(syntax.app(prog, kids[0]), karg)
         case "regrade":
             uty = node.children[0].judgement.ty
-            prog = regrade_program(syntax.GradeMor(node.judgement.ty.grade,
-                                                   uty.grade),
+            prog = regrade_program(GradeMor(ty.grade, uty.grade),
                                    ty_gmm_to_lnl(uty.subs[0]))
-            return syntax.app(prog, kid(0))
-    raise TranslateError(f"no graded translation clause for rule {rule}")
+            return syntax.app(prog, kids[0])
+    return None
 
 
 def gmm_to_lnl(j: Judgement, sig: Signature,
                tgt_sig: Signature | None = None):
     """Translate a graded judgement; returns (target judgement, trace)."""
-    if j.calculus != "gmm":
-        raise TranslateError("source judgement is not graded")
-    res = check(j, sig)
-    if not res.ok:
-        raise TranslateError(f"source judgement fails checking: {res.message}")
-    trace = TranslationTrace(j, None)
-    term = _tr_gmm(res.derivation, trace)
-    zones = (tuple((x, ty_gmm_to_lnl(ty)) for x, ty in j.zones[0]),)
-    tgt = Judgement("lnl", "A", zones, term, ty_gmm_to_lnl(j.ty))
-    trace.target = tgt
-    tres = check(tgt, tgt_sig if tgt_sig is not None else sig)
-    trace.typing_preserved = bool(tres.ok)
-    if not tres.ok:
-        raise TranslateError(
-            f"translation produced an ill-typed judgement: {tres.message}\n"
-            f"  {tgt}")
-    return tgt, trace
+    return _translate(j, sig, tgt_sig, "gmm", "lnl", _tr_gmm, ty_gmm_to_lnl)
 
 
 # ---------------------------------------------------------------------------
 # arrow calculus -> three-zone calculus
 
 def ty_arrow_to_armm(ty: TypeExpr) -> TypeExpr:
-    match ty.kind:
-        case "unit1":
-            return ty
-        case "base":
-            return ty
-        case "prod":
-            return prod(ty_arrow_to_armm(ty.subs[0]),
-                        ty_arrow_to_armm(ty.subs[1]))
-        case "fun":
-            return aabs(ty_arrow_to_armm(ty.subs[0]),
-                        jt(ty_arrow_to_armm(ty.subs[1])))
-        case "arr":
-            return aabs(ty_arrow_to_armm(ty.subs[0]),
-                        tt(ty_arrow_to_armm(ty.subs[1])))
-    raise TranslateError(f"not an arrow-calculus type: {ty}")
+    if ty.kind in ("fun", "arr"):
+        res = (jt if ty.kind == "fun" else tt)(ty_arrow_to_armm(ty.subs[1]))
+        return aabs(ty_arrow_to_armm(ty.subs[0]), res)
+    return _ty_shared(ty, ty_arrow_to_armm, "arrow")
 
 
-def _tr_arrow(node: Derivation, trace: TranslationTrace, path=()) -> Term:
+def _tr_arrow(node: Derivation, kids) -> Term | None:
+    """The arrow formers' and commands' clauses."""
     t = node.judgement.term
-    rule = node.rule
-
-    def kid(i):
-        return _tr_arrow(node.children[i], trace, path + (i,))
-
-    trace.node_map[path] = rule
-    match rule:
-        case "var":
-            return t
-        case "unit":
-            return syntax.UNIT
-        case "pair":
-            return syntax.pair(kid(0), kid(1))
-        case "pi1":
-            return syntax.pi1(kid(0))
-        case "pi2":
-            return syntax.pi2(kid(0))
-        case "op":
-            return syntax.opapp(t.name, *(kid(i)
-                                          for i in range(len(node.children))))
+    match node.rule:
         case "lam":
             # lam (x:A). u  becomes  lamarrow (x:A'). J(u')
             return syntax.lamarrow(ty_arrow_to_armm(t.tyann),
-                                   syntax.jterm(kid(0)), hint=node.binders[0])
+                                   syntax.jterm(kids[0]), hint=node.binders[0])
         case "app":
-            return syntax.app(kid(0), kid(1))
+            return syntax.app(*kids)
         case "lamarrow":
-            return syntax.lamarrow(ty_arrow_to_armm(t.tyann), kid(0),
+            return syntax.lamarrow(ty_arrow_to_armm(t.tyann), kids[0],
                                    hint=node.binders[0])
         case "cmd-ret":
-            return syntax.ret(syntax.jterm(kid(0)))
+            return syntax.ret(syntax.jterm(kids[0]))
         case "cmd-app":
-            return syntax.aapp(kid(0), kid(1))
+            return syntax.aapp(*kids)
         case "cmd-do":
             # do y <- u in let J(x) = y in t: indices past x shift over y
-            inner = syntax.letj(bv(0), shift(kid(1), 1, 1),
+            inner = syntax.letj(bv(0), shift(kids[1], 1, 1),
                                 hint=node.binders[0])
-            return syntax.do(kid(0), inner, hint="y")
-    raise TranslateError(f"no arrow translation clause for rule {rule}")
+            return syntax.do(kids[0], inner, hint="y")
+    return None
 
 
 def arrow_to_armm(j: Judgement, sig: Signature,
                   tgt_sig: Signature | None = None):
     """Translate an arrow-calculus judgement or command; returns
     (target judgement, trace)."""
-    if j.calculus != "arrow":
-        raise TranslateError("source judgement is not arrow-calculus")
-    res = check(j, sig)
-    if not res.ok:
-        raise TranslateError(f"source judgement fails checking: {res.message}")
-    trace = TranslationTrace(j, None)
-    term = _tr_arrow(res.derivation, trace)
-    gamma = tuple((x, ty_arrow_to_armm(ty)) for x, ty in j.zones[0])
-    if j.form == "A":
-        tgt = Judgement("armm", "A", (gamma,), term, ty_arrow_to_armm(j.ty))
-    else:
-        delta = tuple((x, ty_arrow_to_armm(ty)) for x, ty in j.zones[1])
-        tgt = Judgement("armm", "C", (gamma, delta, ()), term,
-                        tt(ty_arrow_to_armm(j.ty)))
-    trace.target = tgt
-    tres = check(tgt, tgt_sig if tgt_sig is not None else sig)
-    trace.typing_preserved = bool(tres.ok)
-    if not tres.ok:
-        raise TranslateError(
-            f"translation produced an ill-typed judgement: {tres.message}\n"
-            f"  {tgt}")
-    return tgt, trace
+    return _translate(j, sig, tgt_sig, "arrow", "armm", _tr_arrow,
+                      ty_arrow_to_armm)
 
 
 def translate(j: Judgement, sig: Signature, src: str, tgt: str,
