@@ -43,12 +43,11 @@ bounded equality search).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
 from typing import Callable, NamedTuple
 
 from .syntax import (BINDERS, GradeMor, SyntaxError_, Term, bv, gtensor,
-                     jterm, kterm, letpair, pair, regrade, shift, term_key,
-                     unmerge, uses_bvar, with_subs)
+                     jterm, kterm, letpair, pair, rebind, regrade, shift,
+                     term_key, unmerge, uses_bvar)
 from . import syntax
 
 
@@ -95,27 +94,6 @@ class Rule:
 # ---------------------------------------------------------------------------
 # matching and instantiating schemas
 
-def _rebind(t: Term, outer: list, depth: int, e: int = 0) -> Term:
-    """t, under e of its own binders, with the binders just outside it
-    replaced: a bvar pointing to the j-th of them by outer[j], a term under
-    `depth` binders (t points to none whose outer[j] is None), and one
-    pointing m binders past them by one pointing m past the `depth`
-    binders.  Nodes that do not change are kept."""
-    if t.kind == "bvar":
-        j = t.index - e
-        if j < 0:
-            return t
-        if j >= len(outer):
-            return bv(j - len(outer) + depth + e)
-        return shift(outer[j], e) if e else outer[j]
-    if not t.subs:
-        return t
-    binders = BINDERS[t.kind]
-    subs = [_rebind(s, outer, depth, e + binders[i] if binders else e)
-            for i, s in enumerate(t.subs)]
-    return t if all(map(is_, subs, t.subs)) else with_subs(t, subs)
-
-
 def _mentions(t: Term, barred: set, e: int = 0) -> bool:
     """Whether t, under e of its own binders, has a bvar pointing to one of
     the binders just outside it that `barred` holds (counted from t)."""
@@ -148,7 +126,7 @@ def match(pat: Term, t: Term, metas, sigma: dict, hints: dict | None = None,
             if depth != k and _mentions(
                     t, {j for j, a in enumerate(outer) if a is None}):
                 return None  # a binder the metavariable may not mention
-            t = _rebind(t, outer, k)
+            t = rebind(t, outer, k)
         old = sigma.setdefault(pat.name, t)
         return sigma if old is t or old == t else None
     if (kind != t.kind or pat.name != t.name or pat.index != t.index
@@ -190,7 +168,7 @@ def instantiate(pat: Term, sigma: dict, hints: dict | None = None,
         if depth == k and all(a.kind == "bvar" and a.index == k - 1 - p
                               for p, a in enumerate(args)):
             return sigma[pat.name]  # the identity: no walk
-        return _rebind(sigma[pat.name], args[::-1], depth)
+        return rebind(sigma[pat.name], args[::-1], depth)
     if not pat.subs:
         return pat
     ty, names, binders = pat.tyann, pat.hints, BINDERS[kind]
@@ -436,8 +414,8 @@ def let_exchange(t, ctx):
     if not (p2 < p1 or (p2 == p1 and term_key(s0) < term_key(t.subs[0]))):
         return None
     # the body's frame [t's binders, inner's] becomes [inner's, t's]
-    body = _rebind(inner.subs[1], [bv(j + nb1) for j in range(nb2)]
-                   + [bv(j) for j in range(nb1)], nb1 + nb2)
+    body = rebind(inner.subs[1], [bv(j + nb1) for j in range(nb2)]
+                  + [bv(j) for j in range(nb1)], nb1 + nb2)
     return _rebuilt(inner, s0, _rebuilt(t, shift(t.subs[0], nb2), body))
 
 

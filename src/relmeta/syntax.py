@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from operator import is_
 
 CALCULI = ("urmm", "rmm", "gmm", "lnl", "arrow", "armm")
 
@@ -356,26 +357,35 @@ def child_binders(t: Term, i: int) -> int:
     return spec[i] if spec else 0
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Shift free de Bruijn indices >= cutoff by `by`."""
+def rebind(t: Term, outer: list, depth: int, e: int = 0) -> Term:
+    """t, under e of its own binders, with the binders just outside it
+    replaced: a bvar pointing to the j-th of them by outer[j], a term under
+    `depth` binders (t points to none whose outer[j] is None), and one
+    pointing m binders past them by one pointing m past the `depth`
+    binders.  Nodes that do not change are kept."""
     if t.kind == "bvar":
-        return bv(t.index + by) if t.index >= cutoff else t
+        j = t.index - e
+        if j < 0:
+            return t
+        if j >= len(outer):
+            return bv(j - len(outer) + depth + e)
+        return shift(outer[j], e) if e else outer[j]
     if not t.subs:
         return t
-    return with_subs(t, (shift(s, by, cutoff + child_binders(t, i))
-                         for i, s in enumerate(t.subs)))
+    binders = BINDERS[t.kind]
+    subs = [rebind(s, outer, depth, e + binders[i] if binders else e)
+            for i, s in enumerate(t.subs)]
+    return t if all(map(is_, subs, t.subs)) else with_subs(t, subs)
+
+
+def shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    """Shift free de Bruijn indices >= cutoff by `by`."""
+    return rebind(t, [], by, cutoff)
 
 
 def bsubst(t: Term, j: int, u: Term) -> Term:
     """Substitute `u` for bvar j in t, lowering indices above j."""
-    if t.kind == "bvar":
-        if t.index == j:
-            return shift(u, j)
-        return bv(t.index - 1) if t.index > j else t
-    if not t.subs:
-        return t
-    return with_subs(t, (bsubst(s, j + child_binders(t, i), u)
-                         for i, s in enumerate(t.subs)))
+    return rebind(t, [u], 0, j)
 
 
 def open_binder(body: Term, name: str) -> Term:
