@@ -38,8 +38,8 @@ holds the same zone tuples, not copies of them.  Printing and replay
 rebuild a node's names by walking from the root.  The rewrite engine, the
 evaluator and the translations read the derivation.
 
-Each node also holds the expected type the checker was given there (every
-synth_* entry pushes it, and the node's `deriv` pops it).  `typings` reads
+Each node also holds the expected type the checker was given there (the
+synthesis function pushes it, and the node's `deriv` pops it).  `typings` reads
 a derivation into the rewrite engine's typing index: per position, the
 form and type found, the zones, expected type and names in force given,
 and the occurrences of the subterm there.
@@ -294,7 +294,8 @@ class _Checker:
         self.avoid = set(names)
         self.occ = {}  # the occurrence table of the root term's nodes
         # the expected types of the nodes being checked, outermost first:
-        # each synth_* entry pushes its own, and its node's `deriv` pops it
+        # each synthesis function pushes its own, and its node's `deriv`
+        # pops it
         self.expects = []
 
     # .. helpers ..........................................................
@@ -437,7 +438,8 @@ class _Checker:
 
     def synth_do(self, t, path, zs, expect, synth, zs0, zs1, z):
         """The ungraded do: its scrutinee, of a type T(A), under zs0; its
-        body under zs1 with the binder, of type J(A), last in zone z."""
+        body under zs1 with the binder, of type J(A), last in zone z.  In
+        LNL's linear zone (z = 1) the binder must be used."""
         d1, ty1 = synth(t.subs[0], path + (0,), zs0, None)
         if ty1.kind != "tt":
             self.fail(path, "do", "do expects a computation", actual=ty1)
