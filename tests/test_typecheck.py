@@ -277,7 +277,8 @@ def test_type_rejection_message(calc, form, ty_text, sigkey, message,
 
 # (calculus, signature key, form, zones, term, type, rule, path, message,
 # expected, actual): a rule several forms share rejects each form's
-# judgement with the same wording
+# judgement with the same wording, and a graded former with no grading is
+# rejected at its node
 RULE_REJECTIONS = [
     # the scrutinee and the body of an ungraded do
     ("rmm", None, "A", ["x : J(2)"], "do y <- x in ret y", "T(2)",
@@ -334,6 +335,19 @@ RULE_REJECTIONS = [
     ("lnl", "lnl", "C", ["a : A", ""], "ret a", "T(A)",
      "lvar", (0,), "nonlinear variable 'a' used as a linear term"
      " (use J(-)/derelict)", None, None),
+    # a former that needs a grading, under a signature without one
+    ("gmm", "ungraded gmm", "A", ["x : A"], "ret x", "A",
+     "ret", (), "ret needs a grading", None, None),
+    ("gmm", "ungraded gmm op", "A", ["x : A"], "do y <- tk(x) in tk(y)", "A",
+     "do", (), "do needs a grading", None, None),
+    ("gmm", "ungraded gmm op", "A", ["x : A"], "regrade<2>=3> tk(x)", "A",
+     "regrade", (), "regrade needs a grading", None, None),
+    ("lnl", "ungraded lnl", "C", ["", ""], "merge ()", "I",
+     "merge", (), "merge needs a grading", None, None),
+    ("lnl", "ungraded lnl", "C", ["", "u : I"], "unmerge u", "I",
+     "unmerge", (), "unmerge needs a grading", None, None),
+    ("lnl", "ungraded lnl", "C", ["", "u : I"], "regrade<2>=3> u", "I",
+     "regrade", (), "regrade needs a grading", None, None),
 ]
 
 
@@ -348,34 +362,6 @@ def test_rule_rejection(calc, sigkey, form, zones, term, ty, rule, path,
     res = check(j, sig)
     assert (res.ok, res.rule, res.path, res.message, res.expected,
             res.actual) == (False, rule, path, message, expected, actual)
-
-
-# (calculus, signature key, form, zones, term, type, rule): a former that
-# needs a grading, under a signature without one
-GRADELESS = [
-    ("gmm", "ungraded gmm", "A", ["x : A"], "ret x", "A", "ret"),
-    ("gmm", "ungraded gmm op", "A", ["x : A"], "do y <- tk(x) in tk(y)", "A",
-     "do"),
-    ("gmm", "ungraded gmm op", "A", ["x : A"], "regrade<2>=3> tk(x)", "A",
-     "regrade"),
-    ("lnl", "ungraded lnl", "C", ["", ""], "merge ()", "I", "merge"),
-    ("lnl", "ungraded lnl", "C", ["", "u : I"], "unmerge u", "I", "unmerge"),
-    ("lnl", "ungraded lnl", "C", ["", "u : I"], "regrade<2>=3> u", "I",
-     "regrade"),
-]
-
-
-@pytest.mark.parametrize("calc, sigkey, form, zones, term, ty, rule",
-                         GRADELESS)
-def test_graded_former_needs_a_grading(calc, sigkey, form, zones, term, ty,
-                                       rule):
-    """The former is rejected at its node, not by an internal error."""
-    sig = _sig_for(sigkey, None)
-    j = judgement(calc, [parse_context(z, sig) for z in zones],
-                  parse_term(term, calc, sig), parse_type(ty, sig), form=form)
-    res = check(j, sig)
-    assert (res.ok, res.rule, res.path, res.message) == \
-        (False, rule, (), f"{rule} needs a grading")
 
 
 def test_split_linear():
