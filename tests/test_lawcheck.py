@@ -52,6 +52,49 @@ def test_symmetry_tables():
     assert c.compose(s2, s) == c.ids["3"]
 
 
+_CATEGORY_TABLES = ("homs", "comp", "ids", "dom", "cod", "obj_tensor",
+                    "mor_tensor", "sigma")
+_MONAD_TABLES = ("name", "aobjs", "jmap", "tmap", "eta", "ext_plain",
+                 "ext_strong", "ext_j", "jfun.kappa", "jfun.iota")
+
+
+@pytest.mark.parametrize("build, args, tables, digest", [
+    ("finset_category", (1,), _CATEGORY_TABLES,
+     "c972b6faa452d2b8c8dda0c693af2f76fff916635e2a777270f3d9322f44fbc7"),
+    ("finset_category", (2,), _CATEGORY_TABLES,
+     "5a558e2d407b85ae13cee1a468b9165f458d9b63a29cabd3ae624bca2a43ddb6"),
+    ("finset_category", (3,), _CATEGORY_TABLES,
+     "e693da5872d5931eab12707c54ef97528fcb086d073c0cf38c274d9d909cd2cf"),
+    ("exception_restriction_instance", (0, 1), _MONAD_TABLES,
+     "159bb60d8dc995b6d41415ea23ad1f0ddc1ba1e26646f4891a5f34cfab45484d"),
+    ("exception_restriction_instance", (1, 2), _MONAD_TABLES,
+     "6df33bddb094aa1550e6f0def980ac59c074876928c7f4018601245c3b881402"),
+    ("exception_restriction_instance", (1, 3), _MONAD_TABLES,
+     "16bc0c3b9ea662dd19bc1a2da497d02aae9f985cc58b78aa3c79e9d85d5d5a7c"),
+    ("exception_restriction_instance", (2, 3), _MONAD_TABLES,
+     "8727242255c4728b6b245ab78931246d73667218a8dcdb27a5b2e40a300a9582"),
+    ("identity_monad_instance", (1,), _MONAD_TABLES,
+     "2b159c1eacf4645e5dd85b70c38677eadc1d82722cbf4b67c565aac38beaef09"),
+    ("identity_monad_instance", (2,), _MONAD_TABLES,
+     "c8af6a2a6a8a34f4fb4a66e68536fdd710be240da6bc2cad858495f3b0d65355"),
+    ("identity_monad_instance", (3,), _MONAD_TABLES,
+     "6c2d8807f2f7f55facf6a5891a94295cd5562855068f785d0b9af5c715b63140"),
+])
+def test_builtin_tables_are_pinned(build, args, tables, digest):
+    """The skeleton's and the builtin instances' tables, entries and dict
+    order both, hash as they did when the strong tables were written out
+    by hand for each instance."""
+    obj = getattr(lc, build)(*args)
+    parts = []
+    for name in tables:
+        value = obj
+        for attr in name.split("."):
+            value = getattr(value, attr)
+        parts.append(repr(list(value.items())) if isinstance(value, dict)
+                     else repr(value))
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == digest
+
+
 def test_rel_monad_laws_pass(exc, ident):
     assert lc.check_rel_monad_laws(exc).ok
     assert lc.check_rel_monad_laws(ident).ok
