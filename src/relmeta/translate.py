@@ -202,17 +202,15 @@ def ty_arrow_to_armm(ty: TypeExpr) -> TypeExpr:
 
 def _tr_arrow(node: Derivation, kids) -> Term | None:
     """The arrow formers' and commands' clauses."""
-    t = node.judgement.term
     match node.rule:
-        case "lam":
-            # lam (x:A). u  becomes  lamarrow (x:A'). J(u')
-            return syntax.lamarrow(ty_arrow_to_armm(t.tyann),
-                                   syntax.jterm(kids[0]), hint=node.binders[0])
+        case "lam" | "lamarrow":
+            # lam (x:A). u  becomes  lamarrow (x:A'). J(u'); A is read off
+            # the node's type, as the term may leave it to the checker
+            dom = ty_arrow_to_armm(node.judgement.ty.subs[0])
+            body = syntax.jterm(kids[0]) if node.rule == "lam" else kids[0]
+            return syntax.lamarrow(dom, body, hint=node.binders[0])
         case "app":
             return syntax.app(*kids)
-        case "lamarrow":
-            return syntax.lamarrow(ty_arrow_to_armm(t.tyann), kids[0],
-                                   hint=node.binders[0])
         case "cmd-ret":
             return syntax.ret(syntax.jterm(kids[0]))
         case "cmd-app":

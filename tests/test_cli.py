@@ -165,6 +165,25 @@ type T_2(A)
     assert "typing preserved: True" in r.stdout
 
 
+def test_translate_unannotated_arrow_abstraction(tmp_path):
+    """An arrow abstraction without a binder annotation, which the checker
+    types against the expected arrow type, translates with the domain of
+    that type."""
+    sig = write(tmp_path, "a.sig", "calculus arrow\nobject B\nobject C\n")
+    path = write(tmp_path, "a.term", """
+calculus arrow
+ctx f : B ~> C
+form A
+term lamarrow x. f . x
+type B ~> C
+""")
+    r = run_cli("translate", "--sig", sig, "--from", "arrow", "--to",
+                "armm", path)
+    assert r.returncode == 0, r.stderr
+    assert "target: [armm/A] f : B => T(C) |- : lamarrow (x:B). f . x" \
+        " : B => T(C)\n" in r.stdout
+
+
 def test_prove_cli(tmp_path):
     eq = write(tmp_path, "p.eq", """
 calculus rmm
