@@ -21,6 +21,12 @@ never silently dropped.  Structural isomorphisms are strict: the shipped
 finite-set skeleton uses lexicographic pairing, under which the
 associators and unitors really are identities (the symmetry is not, and is
 carried as an explicit table).
+
+finset_category is the one construction of that skeleton, finset_mor and
+finset_table the one codec of its morphism names.  The builtin instances
+restrict a monad's tables along an object inclusion (restrict_monad); their
+strong and J-indexed tables come from the plain extension by the skeleton's
+canonical strength f+(g, u) = (f(g, -))*(u) (Kock 1972).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .signatures import all_functions
+from .signatures import CategoryPresentation, GenDecl
 
 
 class LawError(Exception):
@@ -195,7 +201,7 @@ class FinFunctor:
     target: FinCategory
     omap: dict
     mmap: dict
-    kappa: dict = field(default_factory=dict)  # (a,b) -> морфизм, partial
+    kappa: dict = field(default_factory=dict)  # (a,b) -> morphism, partial
     iota: str | None = None
 
 
@@ -211,8 +217,16 @@ def identity_functor(c: FinCategory) -> FinFunctor:
 # ---------------------------------------------------------------------------
 # the FinSet skeleton with lexicographic tensor
 
-def _fname(n, m, images):
+def finset_mor(n, m, images):
+    """The name of the function {0..n-1} -> {0..m-1} with these images."""
     return f"f{n}_{m}_" + ("".join(str(i) for i in images) or "e")
+
+
+def finset_table(name):
+    """(n, m, images) of a finset_mor name."""
+    n, m, rest = name[1:].split("_", 2)
+    images = () if rest == "e" else tuple(int(c) for c in rest)
+    return int(n), int(m), images
 
 
 def finset_category(max_size: int = 3) -> FinCategory:
@@ -222,49 +236,52 @@ def finset_category(max_size: int = 3) -> FinCategory:
     for n in range(max_size + 1):
         for m in range(max_size + 1):
             ms = []
-            for images in all_functions(n, m):
-                name = _fname(n, m, images)
+            for images in itertools.product(range(m), repeat=n):
+                name = finset_mor(n, m, images)
                 ms.append(name)
                 tabs[name] = (n, m, images)
                 dom[name], cod[name] = str(n), str(m)
             homs[(str(n), str(m))] = tuple(ms)
-        ids[str(n)] = _fname(n, n, tuple(range(n)))
+        ids[str(n)] = finset_mor(n, n, range(n))
     for g, (n1, m1, im1) in tabs.items():
         for f, (n0, m0, im0) in tabs.items():
             if m0 != n1:
                 continue
-            comp[(g, f)] = _fname(n0, m1, tuple(im1[i] for i in im0))
+            comp[(g, f)] = finset_mor(n0, m1, (im1[i] for i in im0))
     obj_tensor, mor_tensor, sigma = {}, {}, {}
     for a in range(max_size + 1):
         for b in range(max_size + 1):
             if a * b <= max_size or a == 0 or b == 0:
                 obj_tensor[(str(a), str(b))] = str(a * b)
+                images = ((i % b) * a + (i // b) for i in range(a * b))
+                sigma[(str(a), str(b))] = finset_mor(a * b, b * a, images)
     for f, (n0, m0, im0) in tabs.items():
         for g, (n1, m1, im1) in tabs.items():
             if (str(n0), str(n1)) in obj_tensor and \
                     (str(m0), str(m1)) in obj_tensor:
-                images = tuple(im0[i // n1] * m1 + im1[i % n1]
-                               for i in range(n0 * n1))
-                mor_tensor[(f, g)] = _fname(n0 * n1, m0 * m1, images)
-    for a in range(max_size + 1):
-        for b in range(max_size + 1):
-            if (str(a), str(b)) in obj_tensor:
-                images = tuple((i % b) * a + (i // b) for i in range(a * b))
-                sigma[(str(a), str(b))] = _fname(a * b, b * a, images)
-    cat = FinCategory(objects, homs, comp, ids, dom, cod, unit="1",
-                      obj_tensor=obj_tensor, mor_tensor=mor_tensor,
-                      sigma=sigma)
-    return cat
+                images = (im0[i // n1] * m1 + im1[i % n1]
+                          for i in range(n0 * n1))
+                mor_tensor[(f, g)] = finset_mor(n0 * n1, m0 * m1, images)
+    return FinCategory(objects, homs, comp, ids, dom, cod, unit="1",
+                       obj_tensor=obj_tensor, mor_tensor=mor_tensor,
+                       sigma=sigma)
 
 
-def finset_table(name):
-    n, m, rest = name[1:].split("_", 2)
-    images = () if rest == "e" else tuple(int(c) for c in rest)
-    return int(n), int(m), images
-
-
-def finset_mor(n, m, images):
-    return _fname(n, m, tuple(images))
+def finset_skeleton_presentation(max_size: int = 3, word_cap: int = 16
+                                 ) -> CategoryPresentation:
+    """The skeleton of finset_category(max_size) as a presentation: its
+    morphisms are the generators, and its composition table and its
+    identities are the relations."""
+    C = finset_category(max_size)
+    identities = set(C.ids.values())
+    pres = CategoryPresentation(list(C.objects), word_cap=word_cap)
+    for f in C.morphisms():
+        pres.generators[f] = GenDecl(f, C.dom[f], C.cod[f])
+    pres.relations = [((g, f), () if h in identities else (h,))
+                      for (g, f), h in C.comp.items()]
+    pres.relations += [((i,), ()) for i in C.ids.values()]
+    pres.validate()
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -335,71 +352,50 @@ def exception_restriction_instance(a_max: int = 2, c_max: int = 3
     jmap = {a: a for a in aobjs}
     d = restrict_monad("exception-restriction", C, tmap_full, eta_full,
                        ext_full, aobjs, jmap)
-    _add_exception_strength(d)
+    _add_canonical_strength(d)
     return d
-
-
-def _add_exception_strength(d: FinRelMonadData):
-    """Canonical strength of a finite-set relative monad:
-    f+(g, u) = (f(g, -))*(u), here with explicit error propagation."""
-    C = d.C
-    d.ext_strong = {}
-    for gamma in C.objects:
-        gn = int(gamma)
-        for a in d.aobjs:
-            for b in d.aobjs:
-                ja, tb = d.jmap[a], d.tmap[b]
-                gja = C.tensor_obj(gamma, ja)
-                gta = C.tensor_obj(gamma, d.tmap[a])
-                if gja is None or gta is None:
-                    continue
-                an, tbn = int(ja), int(tb)
-                tan = int(d.tmap[a])
-                for f in C.hom(gja, tb):
-                    _, _, ftab = finset_table(f)
-                    images = []
-                    for i in range(gn * tan):
-                        g, u = divmod(i, tan)
-                        if u == tan - 1:  # the error point of TA
-                            images.append(tbn - 1)
-                        else:
-                            images.append(ftab[g * an + u])
-                    d.ext_strong[(gamma, a, b, f)] = finset_mor(
-                        gn * tan, tbn, images)
-    # the J-indexed fragment and J's monoidal witnesses
-    d.ext_j = {(g, a, b, f): v for (g, a, b, f), v in d.ext_strong.items()
-               if g in d.aobjs}
-    kappa = {}
-    for a in d.aobjs:
-        for b in d.aobjs:
-            t = C.tensor_obj(a, b)
-            if t is not None and t in d.aobjs:
-                kappa[(a, b)] = C.ids[t]
-    d.jfun = FinFunctor(None, C, dict(d.jmap), {}, kappa=kappa,
-                        iota=C.ids["1"])
 
 
 def identity_monad_instance(c_max: int = 2) -> FinRelMonadData:
     """T = J = id on the finite-set skeleton: the trivial relative monad."""
     C = finset_category(c_max)
-    aobjs = C.objects
-    d = FinRelMonadData(
-        "identity", C, aobjs, {a: a for a in aobjs}, {a: a for a in aobjs},
-        {a: C.ids[a] for a in aobjs},
-        ext_plain={(a, b, f): f for a in aobjs for b in aobjs
-                   for f in C.hom(a, b)})
+    same = {a: a for a in C.objects}
+    d = restrict_monad("identity", C, same, C.ids, lambda x, y, f: f,
+                       C.objects, same)
+    _add_canonical_strength(d)
+    return d
+
+
+def _add_canonical_strength(d: FinRelMonadData):
+    """The canonical strength of a relative monad on the finite-set
+    skeleton, f+(g, u) = (f(g, -))*(u): a cell f : Gamma (x) JA -> TB is
+    cut at each g in Gamma into f(g, -) : JA -> TB, which ext_plain
+    extends.  Also sets the J-indexed fragment ext_j and J's monoidal
+    witnesses, which are identities since the tensor is strict."""
+    C, J, T = d.C, d.jmap, d.tmap
     d.ext_strong = {}
     for gamma in C.objects:
-        for a in aobjs:
-            for b in aobjs:
-                gja = C.tensor_obj(gamma, a)
-                if gja is None:
+        for a in d.aobjs:
+            for b in d.aobjs:
+                gja = C.tensor_obj(gamma, J[a])
+                gta = C.tensor_obj(gamma, T[a])
+                if gja is None or gta is None:
                     continue
-                for f in C.hom(gja, b):
-                    d.ext_strong[(gamma, a, b, f)] = f
-    d.ext_j = {k: v for k, v in d.ext_strong.items() if k[0] in aobjs}
-    d.jfun = identity_functor(C)
-    return d
+                an, tbn = int(J[a]), int(T[b])
+                for f in C.hom(gja, T[b]):
+                    _, _, ftab = finset_table(f)
+                    images = []
+                    for g in range(int(gamma)):
+                        fg = finset_mor(an, tbn, ftab[g * an:(g + 1) * an])
+                        images += finset_table(d.ext_plain[(a, b, fg)])[2]
+                    d.ext_strong[(gamma, a, b, f)] = finset_mor(
+                        int(gta), tbn, images)
+    d.ext_j = {(g, a, b, f): v for (g, a, b, f), v in d.ext_strong.items()
+               if g in d.aobjs}
+    kappa = {(a, b): C.ids[t] for a in d.aobjs for b in d.aobjs
+             if (t := C.tensor_obj(a, b)) in d.aobjs}
+    d.jfun = FinFunctor(None, C, dict(J), {}, kappa=kappa,
+                        iota=C.ids[C.unit])
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +863,6 @@ def check_strength_map_laws(theta: dict, d: FinRelMonadData) -> LawReport:
 # reassociations in the two-sided laws are identity permutations, so the
 # checks compose only the genuinely non-trivial block permutations.
 
-def _perm_mor(size, perm):
-    return finset_mor(size, size, perm)
-
-
 def _swap_blocks(g_n, x_n, d_n):
     """Gamma x (X x Delta) -> Gamma x (Delta x X) as a function table on the
     lex encodings (this is Gamma (x) sigma_{X,Delta})."""
@@ -907,10 +899,10 @@ def bistrong_from_strong(d: FinRelMonadData) -> dict:
                     # q : Gamma x (TA x Delta) -> Gamma x (Delta x TA)
                     q = _swap_blocks(g_n, t_n, d_n)
                     for f in C.hom(str(src_j), d.tmap[b]):
-                        fp = C.compose(f, _perm_mor(src_j, p))
+                        fp = C.compose(f, finset_mor(src_j, src_j, p))
                         fstar = d.ext_strong[(gd, a, b, fp)]
                         out[(gamma, delta, a, b, f)] = C.compose(
-                            fstar, _perm_mor(src_t, q))
+                            fstar, finset_mor(src_t, src_t, q))
     return out
 
 
@@ -981,7 +973,7 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
         n = int(g) * int(x) * int(e) * int(p)
         if str(n) not in C.objects:
             return None
-        return _perm_mor(n, _sym_perm(int(g), int(x), int(e), int(p)))
+        return finset_mor(n, n, _sym_perm(int(g), int(x), int(e), int(p)))
 
     def symmetric(g, e, p, a, b, f):
         # the (Gamma x Delta, Gamma') cell against (Gamma, Delta x Gamma')

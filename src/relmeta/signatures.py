@@ -275,11 +275,10 @@ class PresentedGrading(Grading):
     """A finitely presented strict symmetric monoidal grading category."""
 
     def __init__(self, pres: CategoryPresentation, unit_obj: str,
-                 tensor_table: dict, tensor_gens: dict | None = None):
+                 tensor_table: dict):
         self.pres = pres
         self.unit_obj = unit_obj
         self.tensor_table = tensor_table  # (a, b) -> c
-        self.tensor_gens = tensor_gens or {}  # (gen|'id_obj', gen|'id_obj') -> word
         self.name = "presented"
         self._validate()
 
@@ -422,7 +421,7 @@ def builtin_grading(flavor: str) -> BuiltinGrading:
 # ---------------------------------------------------------------------------
 # Signature files
 
-def load_signature(text: str, validate_axioms: bool = True) -> Signature:
+def load_signature(text: str) -> Signature:
     """Load a signature from its text (see the file grammar in the README).
 
     Lines: `calculus <tag>`, `object <name>`, `gen f : A -> B`,
@@ -457,7 +456,7 @@ def load_signature(text: str, validate_axioms: bool = True) -> Signature:
         for i, (n, rest) in enumerate(kv.get("axiom", ())):
             theory.axioms.append(
                 syntax.on_line(n, rest, _parse_axiom, sig, calculus, i))
-        _validate_theory(sig, validate_axioms)
+        _validate_theory(sig)
     return sig
 
 
@@ -534,7 +533,7 @@ def _parse_axiom(text: str, sig: Signature, calculus: str, idx: int) -> Axiom:
     return Axiom(f"ax{idx + 1}", (ctx,), lhs, rhs, ty)
 
 
-def _validate_theory(sig: Signature, validate_axioms: bool):
+def _validate_theory(sig: Signature):
     from .typecheck import check  # local import: typecheck depends on signatures
 
     theory = sig.theory
@@ -545,8 +544,6 @@ def _validate_theory(sig: Signature, validate_axioms: bool):
             raise SignatureError(
                 f"operation {decl.name}: result must be a computation or base type,"
                 f" got {decl.result}")
-    if not validate_axioms:
-        return
     for ax in theory.axioms:
         for side, t in (("left", ax.lhs), ("right", ax.rhs)):
             j = syntax.Judgement(calculus, ax.form, ax.zones, t, ax.ty)
@@ -554,50 +551,3 @@ def _validate_theory(sig: Signature, validate_axioms: bool):
             if not res.ok:
                 raise SignatureError(
                     f"axiom {ax.name}: {side} side does not type-check: {res.message}")
-
-
-# ---------------------------------------------------------------------------
-# FinSet-skeleton presentations (used by tests and shipped instances)
-
-def finset_function_name(n: int, m: int, images: tuple[int, ...]) -> str:
-    return f"f{n}_{m}_" + "".join(str(i) for i in images)
-
-
-def all_functions(n: int, m: int):
-    """All functions {0..n-1} -> {0..m-1} as image tuples."""
-    if n == 0:
-        return [()]
-    out = [()]
-    for _ in range(n):
-        out = [t + (i,) for t in out for i in range(m)]
-    return out
-
-
-def finset_skeleton_presentation(max_size: int = 3, word_cap: int = 16
-                                 ) -> CategoryPresentation:
-    """Small FinSet skeleton: objects 0..max_size, all functions as
-    generators, composition table as relations."""
-    pres = CategoryPresentation(word_cap=word_cap)
-    pres.objects = [str(k) for k in range(max_size + 1)]
-    table = {}
-    for n in range(max_size + 1):
-        for m in range(max_size + 1):
-            for images in all_functions(n, m):
-                name = finset_function_name(n, m, images)
-                pres.generators[name] = GenDecl(name, str(n), str(m))
-                table[name] = (n, m, images)
-    for g, (n1, m1, im1) in table.items():
-        for f, (n0, m0, im0) in table.items():
-            if m0 != n1:
-                continue
-            comp = tuple(im1[i] for i in im0)
-            if comp == tuple(range(n0)) and n0 == m1:
-                pres.relations.append(((g, f), ()))
-            else:
-                pres.relations.append(((g, f), (finset_function_name(n0, m1, comp),)))
-    # identity generators collapse to identity words
-    for n in range(max_size + 1):
-        idname = finset_function_name(n, n, tuple(range(n)))
-        pres.relations.append(((idname,), ()))
-    pres.validate()
-    return pres

@@ -369,9 +369,8 @@ def test_underlying_extraction_passes_plain_laws(exc):
 def test_finset_skeleton_signature_loads():
     """The finite-set skeleton renders to signature text and loads back:
     objects 0..3, functions as generators, composites as relations."""
-    from relmeta.signatures import (finset_skeleton_presentation,
-                                    load_signature)
-    pres = finset_skeleton_presentation(2)
+    from relmeta.signatures import load_signature
+    pres = lc.finset_skeleton_presentation(2)
     lines = [f"object {o}" for o in pres.objects]
     lines += [f"gen {g.name} : {g.src} -> {g.tgt}"
               for g in pres.generators.values()]

@@ -1,8 +1,9 @@
+import itertools
+
 import pytest
 
-from relmeta.signatures import (SignatureError, all_functions,
-                                builtin_grading, finset_function_name,
-                                finset_skeleton_presentation, load_signature)
+from relmeta.lawcheck import finset_mor, finset_skeleton_presentation
+from relmeta.signatures import SignatureError, builtin_grading, load_signature
 from relmeta.syntax import SyntaxError_, gnat, gname, gtensor, GradeMor
 
 
@@ -30,13 +31,13 @@ def test_finset_skeleton_counts():
 def test_compose_word_identity():
     pres = finset_skeleton_presentation(2)
     assert pres.normalize_word((), at="1") == ()
-    swap = finset_function_name(2, 2, (1, 0))
+    swap = finset_mor(2, 2, (1, 0))
     assert pres.normalize_word((swap, swap)) == ()
 
 
 def test_compose_word_mismatch():
     pres = finset_skeleton_presentation(2)
-    f = finset_function_name(1, 2, (0,))
+    f = finset_mor(1, 2, (0,))
     with pytest.raises(SignatureError):
         pres.word_endpoints((f, f))
 
@@ -66,8 +67,8 @@ def test_finset_oracle_composition():
     tables = {}
     for n in range(4):
         for m in range(4):
-            for images in all_functions(n, m):
-                tables[finset_function_name(n, m, images)] = (n, m, images)
+            for images in itertools.product(range(m), repeat=n):
+                tables[finset_mor(n, m, images)] = (n, m, images)
     checked = 0
     for g, (n1, m1, im1) in tables.items():
         for f, (n0, m0, im0) in tables.items():
@@ -75,7 +76,7 @@ def test_finset_oracle_composition():
                 continue
             comp = tuple(im1[i] for i in im0)
             expect = () if (comp == tuple(range(n0)) and n0 == m1) else \
-                (finset_function_name(n0, m1, comp),)
+                (finset_mor(n0, m1, comp),)
             got = pres.compose_word((g,), (f,))
             assert got == expect or \
                 pres.normalize_word(expect, at=str(n0)) == got
