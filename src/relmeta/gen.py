@@ -17,6 +17,7 @@ from . import syntax
 from .signatures import Signature
 from .syntax import (GradeMor, Term, TypeExpr, base, bv, close_binder,
                      gnat, jt, judgement, prod, tgr, tt)
+from .typecheck import TYPE_FORMERS
 
 
 def _fresh_name(used, stem="v"):
@@ -512,18 +513,12 @@ def arrow_schema_instances(rng: random.Random, sig: Signature, objects,
 # ---------------------------------------------------------------------------
 # raw well-formed terms (syntactic round-trip corpora; no typing)
 
-# the type formers raw types draw on, by calculus, whatever zone they
-# belong to; raw types need not be well formed (`typecheck.TYPE_FORMERS`
-# says which are)
-_RAW_TYPE_KINDS = {
-    "urmm": {"jt", "tt", "base"},
-    "rmm": {"unit1", "prod", "jt", "tt", "base"},
-    "gmm": {"unit1", "prod", "tgr", "base"},
-    "lnl": {"unit1", "prod", "fun", "rt", "lunit", "grty", "lolli", "jt",
-            "tt", "base"},
-    "arrow": {"unit1", "prod", "fun", "arr", "base"},
-    "armm": {"unit1", "prod", "aabs", "jt", "kt", "tt", "base"},
-}
+# the type formers raw types draw on, by calculus: those of any of its
+# zones in `typecheck.TYPE_FORMERS`, and base types.  Raw types need not be
+# well formed: a former may sit in a zone that does not admit it
+_RAW_TYPE_KINDS = {}
+for (_calculus, _zone), (_formers, _) in TYPE_FORMERS.items():
+    _RAW_TYPE_KINDS.setdefault(_calculus, {"base"}).update(_formers)
 
 
 def gen_raw_type(rng: random.Random, calculus: str, depth=2):

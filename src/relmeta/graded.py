@@ -256,16 +256,6 @@ def _first_diff(lhs, rhs):
     return (int(cols[0]), int(bad[:, cols[0]].argmax())) if cols.size else None
 
 
-def _block_gather(table, cols, outer, inner, outer_picks):
-    """out[o, c, i] = mat[row, cols[pick, c]] over one block, laid out
-    (outer, cell, inner).  Either the outer rows run over cols' rows and the
-    inner ones over mat's, and table is mat transposed, contiguous, or the
-    other way round, and table is mat."""
-    if outer_picks:
-        return table[cols[outer], inner]
-    return table[outer][:, cols[inner].T]
-
-
 def _first_hit(n_outer, n_inner, width, block):
     """The first (outer, cell, inner) at which block's mask is True, or
     None.  block(outer, inner) takes two slices and returns the mask of
@@ -365,13 +355,14 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
         ptab, etab = (_np.ascontiguousarray(t.mat.T) for t in (plain, extv))
         ftab = _np.ascontiguousarray(fmat.T) if over2 else None
 
+        # a block laid out (u, cell, f): table.T[ucells[u, c], f]
         def block(outer, inner):
-            lhs = _block_gather(ptab, ucells, outer, inner, True)
+            lhs = ptab[ucells[outer], inner]
             if over2:
-                f2 = _block_gather(ftab, ukeys, outer, inner, True)
+                f2 = ftab[ukeys[outer], inner]
                 for coded, ci, v in over2:
                     lhs[:, ci][(f2 == coded[:, None]).all(axis=1)] = v
-            return lhs != _block_gather(etab, ucells, outer, inner, True)
+            return lhs != etab[ucells[outer], inner]
 
         hit = _first_hit(len(us), len(fmat), len(cells) + len(keys), block)
         if hit is None:

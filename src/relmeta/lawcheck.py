@@ -23,18 +23,25 @@ associators and unitors really are identities (the symmetry is not, and is
 carried as an explicit table).
 
 finset_category is the one construction of that skeleton, finset_mor and
-finset_table the one codec of its morphism names.  The builtin instances
-restrict a monad's tables along an object inclusion (restrict_monad); their
-strong and J-indexed tables come from the plain extension by the skeleton's
-canonical strength f+(g, u) = (f(g, -))*(u) (Kock 1972).
+finset_table the one codec of its morphism names, and _lex_perm the one
+construction of its block permutations (the symmetry and the bistrong
+laws' shuffles).  The builtin instances restrict a monad's tables along an
+object inclusion (restrict_monad); their strong and J-indexed tables come
+from the plain extension by the skeleton's canonical strength
+f+(g, u) = (f(g, -))*(u) (Kock 1972).  J's strong monoidal witnesses are a
+JWitnesses (kappa, iota), and the W of W-strong tables a FinFunctor from
+its source category.  A copy of an instance has tables of its own and
+shares the category, which nothing writes once it is built.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
+import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .signatures import CategoryPresentation, GenDecl
 
@@ -53,7 +60,7 @@ MAX_MORPHISMS = 64
 @dataclass
 class LawLine:
     law: str
-    status: str  # PASS | FAIL | SKIP-note
+    status: str  # PASS | FAIL
     witness: tuple | None = None
     skipped: int = 0
 
@@ -197,21 +204,24 @@ class FinCategory:
 
 @dataclass
 class FinFunctor:
-    source: FinCategory | None
-    target: FinCategory
+    """W of the W-strong tables: a functor from source into the instance's
+    category, by its object and morphism maps."""
+    source: FinCategory
     omap: dict
     mmap: dict
-    kappa: dict = field(default_factory=dict)  # (a,b) -> morphism, partial
-    iota: str | None = None
+
+
+@dataclass
+class JWitnesses:
+    """J's strong monoidal witnesses kappa_{A,B} : JA (x) JB -> J(A (x) B)
+    and iota : I -> J(I)."""
+    kappa: dict            # (a, b) -> morphism, partial
+    iota: str
 
 
 def identity_functor(c: FinCategory) -> FinFunctor:
-    kappa = {}
-    for (a, b), t in c.obj_tensor.items():
-        kappa[(a, b)] = c.ids[t]
-    return FinFunctor(c, c, {a: a for a in c.objects},
-                      {m: m for m in c.morphisms()},
-                      kappa=kappa, iota=c.ids[c.unit] if c.unit else None)
+    return FinFunctor(c, {a: a for a in c.objects},
+                      {m: m for m in c.morphisms()})
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +237,20 @@ def finset_table(name):
     n, m, rest = name[1:].split("_", 2)
     images = () if rest == "e" else tuple(int(c) for c in rest)
     return int(n), int(m), images
+
+
+def _lex_perm(sizes, order):
+    """The permutation of a product of blocks of these sizes that puts its
+    blocks in this order, both sides lexicographically encoded: its
+    finset_mor name.  The skeleton's symmetry is _lex_perm((a, b), (1, 0))."""
+    images = []
+    for digits in itertools.product(*(range(n) for n in sizes)):
+        k = 0
+        for j in order:
+            k = k * sizes[j] + digits[j]
+        images.append(k)
+    n = math.prod(sizes)
+    return finset_mor(n, n, images)
 
 
 def finset_category(max_size: int = 3) -> FinCategory:
@@ -253,8 +277,7 @@ def finset_category(max_size: int = 3) -> FinCategory:
         for b in range(max_size + 1):
             if a * b <= max_size or a == 0 or b == 0:
                 obj_tensor[(str(a), str(b))] = str(a * b)
-                images = ((i % b) * a + (i // b) for i in range(a * b))
-                sigma[(str(a), str(b))] = finset_mor(a * b, b * a, images)
+                sigma[(str(a), str(b))] = _lex_perm((a, b), (1, 0))
     for f, (n0, m0, im0) in tabs.items():
         for g, (n1, m1, im1) in tabs.items():
             if (str(n0), str(n1)) in obj_tensor and \
@@ -300,12 +323,13 @@ class FinRelMonadData:
     ext_j: dict | None = None          # (GammaA, A, B, f) -> g, GammaA in aobjs
     ext_w: dict | None = None          # (M-obj, A, B, f) -> g
     ext_bi: dict | None = None         # (Gamma, Delta, A, B, f) -> g
-    jfun: FinFunctor | None = None     # J with kappa/iota (strong monoidal)
+    jfun: JWitnesses | None = None     # J's strong monoidal witnesses
     wfun: FinFunctor | None = None     # W for the W-strong tables
 
     def copy(self):
-        import copy
-        return copy.deepcopy(self)
+        """A copy whose tables are its own; it shares the category, which
+        nothing writes once it is built."""
+        return copy.deepcopy(self, {id(self.C): self.C})
 
 
 # -- constructions -----------------------------------------------------------
@@ -326,7 +350,7 @@ def restrict_monad(name, C: FinCategory, tmap_full: dict, eta_full: dict,
                            ext_plain=ext_plain)
 
 
-def exception_monad_tables(C: FinCategory, max_source: int):
+def exception_monad_tables(max_source: int):
     """The exception monad X |-> X + 1 on the finite-set skeleton, tabulated
     on sources of size <= max_source (so T stays inside the category)."""
     tmap, eta = {}, {}
@@ -347,7 +371,7 @@ def exception_restriction_instance(a_max: int = 2, c_max: int = 3
     """Ex-restriction ground truth: the exception monad on sets of size <=
     c_max restricted along the inclusion of sizes <= a_max."""
     C = finset_category(c_max)
-    tmap_full, eta_full, ext_full = exception_monad_tables(C, a_max)
+    tmap_full, eta_full, ext_full = exception_monad_tables(a_max)
     aobjs = tuple(str(k) for k in range(a_max + 1))
     jmap = {a: a for a in aobjs}
     d = restrict_monad("exception-restriction", C, tmap_full, eta_full,
@@ -394,8 +418,7 @@ def _add_canonical_strength(d: FinRelMonadData):
                if g in d.aobjs}
     kappa = {(a, b): C.ids[t] for a in d.aobjs for b in d.aobjs
              if (t := C.tensor_obj(a, b)) in d.aobjs}
-    d.jfun = FinFunctor(None, C, dict(J), {}, kappa=kappa,
-                        iota=C.ids[C.unit])
+    d.jfun = JWitnesses(kappa, C.ids[C.unit])
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +664,9 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
                 if w_omap else v for k, v in dg.items()}
     # naturality is quantified over the morphisms h : Gamma' -> Gamma of
     # the index category, taken to C through W
-    if w_omap and wfun.source is not None:
+    if w_omap:
         def nat_mors(gp, g):
             return [wfun.mmap[m] for m in wfun.source.hom(gp, g)]
-    elif w_omap:
-        def nat_mors(gp, g):
-            return ()
     else:
         def nat_mors(gp, g):
             return homs((gp, g), ())
@@ -727,9 +747,8 @@ def check_strong_laws(d: FinRelMonadData, table: str = "ext_strong",
 
 
 def check_w_strong_laws(d: FinRelMonadData, wfun: FinFunctor) -> LawReport:
-    indices = tuple(wfun.source.objects) if wfun.source is not None \
-        else tuple(wfun.omap)
-    return check_strong_laws(d, table="ext_w", indices=indices, wfun=wfun)
+    return check_strong_laws(d, table="ext_w",
+                             indices=tuple(wfun.source.objects), wfun=wfun)
 
 
 def check_j_strong_laws(d: FinRelMonadData) -> LawReport:
@@ -863,17 +882,6 @@ def check_strength_map_laws(theta: dict, d: FinRelMonadData) -> LawReport:
 # reassociations in the two-sided laws are identity permutations, so the
 # checks compose only the genuinely non-trivial block permutations.
 
-def _swap_blocks(g_n, x_n, d_n):
-    """Gamma x (X x Delta) -> Gamma x (Delta x X) as a function table on the
-    lex encodings (this is Gamma (x) sigma_{X,Delta})."""
-    out = []
-    for i in range(g_n * x_n * d_n):
-        g_i, xd = divmod(i, x_n * d_n)
-        x_i, d_i = divmod(xd, d_n)
-        out.append(g_i * (d_n * x_n) + d_i * x_n + x_i)
-    return out
-
-
 def bistrong_from_strong(d: FinRelMonadData) -> dict:
     """Induce (Gamma, Delta)-indexed tables from the strong ones through the
     symmetry: shuffle Delta past the monadic slot, extend at context
@@ -887,34 +895,19 @@ def bistrong_from_strong(d: FinRelMonadData) -> dict:
                 continue
             g_n, d_n = int(gamma), int(delta)
             for a in d.aobjs:
+                a_n, t_n = int(d.jmap[a]), int(d.tmap[a])
+                src_j = g_n * a_n * d_n
+                if str(src_j) not in C.objects or \
+                        str(g_n * t_n * d_n) not in C.objects:
+                    continue
+                # p : Gamma x (Delta x JA) -> Gamma x (JA x Delta)
+                p = _lex_perm((g_n, d_n, a_n), (0, 2, 1))
+                # q : Gamma x (TA x Delta) -> Gamma x (Delta x TA)
+                q = _lex_perm((g_n, t_n, d_n), (0, 2, 1))
                 for b in d.aobjs:
-                    a_n, t_n = int(d.jmap[a]), int(d.tmap[a])
-                    src_j = g_n * a_n * d_n
-                    src_t = g_n * t_n * d_n
-                    if str(src_j) not in C.objects or \
-                            str(src_t) not in C.objects:
-                        continue
-                    # p : Gamma x (Delta x JA) -> Gamma x (JA x Delta)
-                    p = _swap_blocks(g_n, d_n, a_n)
-                    # q : Gamma x (TA x Delta) -> Gamma x (Delta x TA)
-                    q = _swap_blocks(g_n, t_n, d_n)
                     for f in C.hom(str(src_j), d.tmap[b]):
-                        fp = C.compose(f, finset_mor(src_j, src_j, p))
-                        fstar = d.ext_strong[(gd, a, b, fp)]
-                        out[(gamma, delta, a, b, f)] = C.compose(
-                            fstar, finset_mor(src_t, src_t, q))
-    return out
-
-
-def _sym_perm(g_n, x_n, d_n, p_n):
-    """sigma~ : Gamma x (X x (Delta x Gamma')) -> (Gamma x Delta) x
-    (X x Gamma') as a function table on the lex encodings."""
-    out = []
-    for i in range(g_n * x_n * d_n * p_n):
-        g_i, rest = divmod(i, x_n * d_n * p_n)
-        x_i, rest2 = divmod(rest, d_n * p_n)
-        d_i, p_i = divmod(rest2, p_n)
-        out.append(((g_i * d_n + d_i) * x_n + x_i) * p_n + p_i)
+                        fstar = d.ext_strong[(gd, a, b, C.compose(f, p))]
+                        out[(gamma, delta, a, b, f)] = C.compose(fstar, q)
     return out
 
 
@@ -969,11 +962,12 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
 
     @functools.cache
     def shuffle(g, e, p, x):
-        # sigma~ at the object x, None if its domain leaves the category
-        n = int(g) * int(x) * int(e) * int(p)
-        if str(n) not in C.objects:
+        # sigma~ : Gamma x (X x (Delta x Gamma')) -> (Gamma x Delta) x
+        # (X x Gamma') at the object x, None if its domain leaves the category
+        sizes = (int(g), int(x), int(e), int(p))
+        if str(math.prod(sizes)) not in C.objects:
             return None
-        return finset_mor(n, n, _sym_perm(int(g), int(x), int(e), int(p)))
+        return _lex_perm(sizes, (0, 2, 1, 3))
 
     def symmetric(g, e, p, a, b, f):
         # the (Gamma x Delta, Gamma') cell against (Gamma, Delta x Gamma')
@@ -1081,7 +1075,6 @@ class GradedMonadData:
         return out
 
     def copy(self):
-        import copy
         return copy.deepcopy(self)
 
     @staticmethod
@@ -1199,8 +1192,10 @@ def _rel(cond):
 
 
 def _check_bistrong_set(d: FinRelMonadData) -> LawReport:
+    # induced tables go on a shallow copy: stored on d, they would outlive
+    # a later change to its strong tables
     if d.ext_bi is None:
-        d.ext_bi = bistrong_from_strong(d)
+        d = replace(d, ext_bi=bistrong_from_strong(d))
     return check_bistrong_laws(d)
 
 

@@ -118,7 +118,7 @@ def test_corrupted_eta_fails_with_witness(exc):
 
 def test_restrict_monad_identity_is_noop():
     C = lc.finset_category(2)
-    tmap, eta, ext = lc.exception_monad_tables(C, 1)
+    tmap, eta, ext = lc.exception_monad_tables(1)
     aobjs = ("0", "1")
     d = lc.restrict_monad("idrestrict", C, tmap, eta, ext, aobjs,
                           {a: a for a in aobjs})
@@ -364,6 +364,57 @@ def test_underlying_extraction_passes_plain_laws(exc):
         for f in exc.C.hom(exc.jmap[a], exc.tmap[b])}
     assert d2.ext_plain == exc.ext_plain
     assert lc.check_rel_monad_laws(d2).ok
+
+
+_TABLES = ("eta", "ext_plain", "ext_strong", "ext_j", "ext_w", "ext_bi")
+
+
+def test_copy_shares_the_category_and_no_table(exc):
+    """A copy shares the category (W's source too) with its original and
+    holds its own tables: a cell changed in the copy is not changed in the
+    original."""
+    d = _with_every_table(exc)
+    before = {name: dict(getattr(d, name)) for name in _TABLES}
+    for name in _TABLES:
+        c = d.copy()
+        assert c.C is d.C and c.wfun.source is d.C
+        for table in _TABLES + ("jmap", "tmap"):
+            assert getattr(c, table) is not getattr(d, table)
+        assert c.jfun.kappa is not d.jfun.kappa
+        key = next(k for k, mor in getattr(c, name).items()
+                   if len(d.C.hom(d.C.dom[mor], d.C.cod[mor])) > 1)
+        _next_cell(c, name, key)
+        assert getattr(c, name) != before[name]
+        assert {t: getattr(d, t) for t in _TABLES} == before
+
+
+def test_law_set_checks_leave_the_instance_unchanged(exc, ident):
+    """No law set's check writes to the instance it checks, whichever
+    tables it has."""
+    small = lc.bounded_list_instance(grades=(1, 2))
+    insts = [exc, ident, _with_every_table(exc), _with_every_table(ident),
+             small]
+    ran = 0
+    for name, law_set in lc.LAW_SETS.items():
+        for inst in insts:
+            if law_set.applies(inst):
+                d = inst.copy()
+                law_set.check(d)
+                assert d == inst, name
+                ran += 1
+    assert ran == 23
+
+
+def test_bistrong_set_reads_the_strong_tables_it_is_given(exc):
+    """The bistrong set induces its tables from the strong ones of the
+    instance it is given, so every single-cell mutant of the strong tables,
+    copied after a check of the clean instance, fails it."""
+    d = exc.copy()
+    bistrong = lc.LAW_SETS["bistrong"]
+    assert bistrong.check(d).ok
+    muts = [m for _, m in lc.mutations_of(d, ("ext_strong",))]
+    assert len(muts) == 24
+    assert not any(bistrong.check(m).ok for m in muts)
 
 
 def test_finset_skeleton_signature_loads():
