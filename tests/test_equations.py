@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (BARE_DIST_MB, EXC_MB, accepted_golden_judgements,
-                      fixture_path)
+                      fixture_path, fixture_text)
 from relmeta import equations, gen as genmod, models, rules, typecheck
 from relmeta.cli import load_eq_file
 from relmeta.equations import (BudgetExceeded, EqProof, EqVerdict, Step,
@@ -806,6 +806,127 @@ def test_a_sweep_error_waits_for_the_search(coin_sig, monkeypatch):
                              " and2$"):
         check_eq(jl, jr, coin_sig, [("bare", bare)])
     assert len(searches) == 2
+
+
+# -- the sweep over the normal forms ------------------------------------------
+
+GL_MB = ("calculus {}\nbackend gradedlist\ncarrier A = {{a1, a2}}\n"
+         "carrier B = {{b1}}\n")
+
+
+def _translated_pairs(gmm_sig, arrow_sig, karmm_binding, n):
+    """(jl, jr, sig, models) of n seeded schema pairs of each direction,
+    translated (gmm->lnl and arrow->armm), with the target's models as the
+    conservativity workload sweeps them."""
+    rng = random.Random(20251019)
+    lnl = [("lnl", models.load_binding(GL_MB.format("lnl"), gmm_sig))]
+    out = []
+    for tr, draw, sig, bindings in (
+            (gmm_to_lnl, lambda: genmod.gmm_schema_instances(
+                rng, gmm_sig, ["A", "B"], ctx_size=1, size=2, max_grade=2),
+             gmm_sig, lnl),
+            (arrow_to_armm, lambda: genmod.arrow_schema_instances(
+                rng, arrow_sig, ["B", "C"], size=2),
+             arrow_sig, [("karmm", karmm_binding)])):
+        pairs = []
+        while len(pairs) < n:
+            pairs.extend(draw())
+        out += [(tr(jl, sig)[0], tr(jr, sig)[0], sig, bindings)
+                for _, jl, jr in pairs[:n]]
+    return out
+
+
+def _normal_forms_differ(jl, jr, sig):
+    """Whether check_eq sweeps the pair: its normal forms differ.  Also
+    whether normalization took a step on either side."""
+    nl, nr = normalize(jl, sig), normalize(jr, sig)
+    return not alpha_eq(nl.term, nr.term), bool(nl.steps or nr.steps)
+
+
+def test_the_sweep_gives_the_originals_verdicts(coin_sig, gmm_plain_sig,
+                                                arrow_sig, dist_binding,
+                                                exc_binding, karmm_binding):
+    """Every pair check_eq sweeps, from the stone suite, closed coin
+    programs (under dist.mb, alone and after exc_binding) and 100 seeded
+    translated schema pairs of each direction, gets the verdict, model and
+    witness of a sweep of the originals, binding by binding in order."""
+    dist = [("dist", dist_binding)]
+    cases = [(_j("rmm", coin_sig, "", lhs, ty),
+              _j("rmm", coin_sig, "", rhs, ty), coin_sig, dist)
+             for lhs, rhs, ty in STONE]
+    coin = _coin_pairs(random.Random(25), coin_sig)
+    cases += [(jl, jr, coin_sig, dist) for jl, jr in coin]
+    cases += [(jl, jr, coin_sig, [("e", exc_binding)] + dist)
+              for jl, jr in coin]
+    cases += _translated_pairs(gmm_plain_sig, arrow_sig, karmm_binding, 100)
+    swept = stepped = 0
+    statuses = collections.Counter()
+    for jl, jr, sig, bindings in cases:
+        differ, steps = _normal_forms_differ(jl, jr, sig)
+        if not differ:
+            continue
+        swept += 1
+        stepped += steps
+        got = _rendered(check_eq, jl, jr, sig, bindings)
+        assert got == _rendered(_check_eq_search_first, jl, jr, sig,
+                                bindings), term_to_text(jl.term)
+        statuses[got.split()[0]] += 1
+    assert swept >= 100 and stepped >= 60, (swept, stepped)
+    assert set(statuses) == {"PROVEN", "REFUTED", "UNKNOWN"}, statuses
+
+
+# `not` interpreted as the constant tt: it breaks `rel not;not = id_2`
+NOT_TT = "interp not = {tt -> tt, ff -> tt}"
+
+
+def test_a_binding_that_breaks_a_relation_is_swept_over_the_originals(
+        coin_sig):
+    """Normalization collapses `not not z` to z (`gen.word` reads the
+    relation not;not = id_2), so under a binding that breaks the relation
+    the normal forms, `ret z` and `ret and2(z, z)`, are equal everywhere
+    while the originals differ at z = ff: the binding is swept over the
+    originals, and refutes after the failed search."""
+    free = load_signature("calculus rmm\nobject 2\nobject 4\n"
+                          "gen not : 2 -> 2\nop coin : () -> T(2)\n"
+                          "op pair2 : (x : J(2), y : J(2)) -> J(4)\n"
+                          "op and2 : (x : J(2), y : J(2)) -> J(2)\n")
+    broken = models.load_binding(
+        fixture_text("dist.mb").replace("interp not = {tt -> ff, ff -> tt}",
+                                        NOT_TT), free)
+    jl = _j("rmm", coin_sig, "z : J(2)", "ret not (not z)", "T(2)")
+    jr = _j("rmm", coin_sig, "z : J(2)", "ret and2(z, z)", "T(2)")
+    assert _normal_forms_differ(jl, jr, coin_sig) == (True, True)
+    assert not models.semantic_eq(jl, jr, broken, coin_sig)[0]
+    v = check_eq(jl, jr, coin_sig, [("broken", broken)])
+    assert v.render() == "REFUTED model=broken witness=[z=ff]"
+    assert _rendered(check_eq, jl, jr, coin_sig, [("broken", broken)]) == \
+        _rendered(_check_eq_search_first, jl, jr, coin_sig,
+                  [("broken", broken)])
+
+
+def test_a_normal_form_the_models_separate_does_not_change_the_verdict(
+        coin_sig, dist_binding, monkeypatch):
+    """A normalization that returned a wrong normal form, one a model
+    separates from its original, gives the verdict a sweep of the
+    originals gives: `ret not (not z)` normalizes to `ret z`, but a
+    `normalize` that answers `ret not z` makes it differ from `ret and2(z,
+    z)` at every z; the originals are equal under dist.mb, so the pair is
+    UNKNOWN, not REFUTED."""
+    jl = _j("rmm", coin_sig, "z : J(2)", "ret not (not z)", "T(2)")
+    jr = _j("rmm", coin_sig, "z : J(2)", "ret and2(z, z)", "T(2)")
+    wrong = parse_term("ret not z", "rmm", coin_sig)
+    real = equations.normalize
+
+    def normalize_wrongly(j, sig, **kw):
+        out = real(j, sig, **kw)
+        if isinstance(j, equations._Checked) and j.j.term == jl.term:
+            return equations.NormalizeResult(wrong, out.steps)
+        return out
+    monkeypatch.setattr(equations, "normalize", normalize_wrongly)
+    assert models.semantic_eq(jl, jr, dist_binding, coin_sig) == (True, None)
+    v = check_eq(jl, jr, coin_sig, [("dist", dist_binding)])
+    assert v.render() == ("UNKNOWN\n  lhs normal form: ret not z\n"
+                          "  rhs normal form: ret and2(z, z)")
 
 
 def _expand_every_rule(cj, sig, axioms, budget):
