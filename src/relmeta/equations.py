@@ -9,7 +9,11 @@ and carries both normal forms.  The models are swept before the search,
 and a separating binding that is a model of the signature's theory
 refutes without one: what the theory derives holds in each of its models.
 A separating binding that is not a model, or a sweep that raises, waits
-for the search, which may still prove the pair.
+for the search, which may still prove the pair.  A sweep evaluates the
+normal forms rather than the originals, over the originals' environments,
+when the binding respects the signature's relations (so the rules hold in
+it), and every witness it finds is confirmed on the originals; otherwise it
+evaluates the originals.
 
 Subject reduction is re-checked after every rewrite, never assumed.  A
 judgement entering the engine is checked in full, and its typing index
@@ -28,6 +32,7 @@ an independent check of what the engine found.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -162,7 +167,7 @@ class _Checks:
 
     def at(self, cj: _Checked, path: tuple, new: Term):
         """What __call__ gives for cj's judgement with `new` at `path`."""
-        j = replace(cj.j, term=replace_at(cj.j.term, path, new))
+        j = cj.j.with_term(replace_at(cj.j.term, path, new))
         out = self.results.get(j.term)
         if out is None:
             out = check_at(cj.j, cj.ann, path, new, self.sig)
@@ -335,7 +340,8 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
 
     models is a list of (name, ModelBinding) used for refutation.  Both
     sides and the axiom search share one set of checks, so the rewriting
-    engine checks no term twice in one call.
+    engine checks no term twice in one call; a sweep checks a normal form
+    that took a step once more, in full, for its derivation.
 
     When the normal forms differ, the models are swept in order before the
     axiom search, stopping at the first that separates the sides or
@@ -347,6 +353,12 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     sweep's refutation is returned, or its ModelError raised, or the
     verdict is UNKNOWN.  So the verdict is the one a search followed by the
     sweep would give.
+
+    A sweep evaluates the normal forms, which are smaller (a translated
+    pair loses its administrative redexes), over the originals'
+    environments, when the binding respects sig's relations, and confirms
+    every witness on the originals; `_sweep_binding` says why the verdict
+    and witness are the originals'.
     """
     if (jl.calculus, jl.form, jl.zones, jl.ty) != \
             (jr.calculus, jr.form, jr.zones, jr.ty):
@@ -363,9 +375,13 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     from . import models as models_mod
     refuted = error = None
     theory = sig.theory
+    # the normal forms' derivations, made when a sweep first needs them
+    nf = functools.cache(lambda: (_derivation(jl, nl, dl, sig),
+                                  _derivation(jr, nr, dr, sig))) \
+        if nl.steps or nr.steps else None
     try:
         for name, binding in models:
-            eq, witness = models_mod._sweep(jl, jr, dl, dr, binding, sig)
+            eq, witness = _sweep_binding(jl, jr, dl, dr, nf, binding, sig)
             if not eq:
                 refuted = EqVerdict("REFUTED", model=name, witness=witness)
                 if (theory is None or theory.calculus == jl.calculus) \
@@ -383,28 +399,84 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     return refuted or EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
 
 
+def _derivation(j: Judgement, n: NormalizeResult, d, sig: Signature):
+    """The derivation of j's normal form n: d, j's own, if n took no step,
+    else one check (j's shape was validated by j's)."""
+    if not n.steps:
+        return d
+    return check(j.with_term(n.term), sig, validated=True).derivation
+
+
+def _sweep_binding(jl, jr, dl, dr, nf, binding, sig: Signature):
+    """`models._sweep` of jl against jr, whose derivations are dl and dr:
+    (True, None) or (False, the first separating environment), or a
+    ModelError raised.
+
+    Where nf is given (either side took a rewrite step) and binding
+    respects sig's relations, the sweep runs over nf(), the normal forms'
+    derivations, with the originals' environments, order and grid.  The
+    rules hold in such a binding (`gen.word` reads the relations), so each
+    normal form takes its original's value everywhere and the answer is
+    the originals'.  A separating environment is evaluated on the
+    originals before it is returned; if they do not differ there, or the
+    normal forms' sweep raises, the originals are swept."""
+    from . import models as models_mod
+    if nf is not None and _respects_relations(binding, sig):
+        try:
+            eq, witness = models_mod._sweep(jl, jr, *nf(), binding, sig)
+            if eq or models_mod._differ_at(jl, jr, dl, dr, binding, sig,
+                                           witness):
+                return eq, witness
+        except models_mod.ModelError:
+            pass
+    return models_mod._sweep(jl, jr, dl, dr, binding, sig)
+
+
+def _once(memo: list, sig: Signature, decide) -> bool:
+    """decide(), kept in memo, a binding's list of (signature, answer),
+    comparing sig by identity: a binding may be used with a signature
+    other than the one it was loaded with."""
+    for known, ok in memo:
+        if known is sig:
+            return ok
+    ok = decide()
+    memo.append((sig, ok))
+    return ok
+
+
+def _respects_relations(binding, sig: Signature) -> bool:
+    """Whether binding interprets sig's generators totally and respects
+    its relations (`models.validate_binding`); decided once per (binding,
+    sig)."""
+    from . import models as models_mod
+
+    def decide():
+        try:
+            models_mod.validate_binding(binding, sig)
+        except (models_mod.ModelError, SignatureError):
+            return False
+        return True
+    return _once(binding.relations_memo, sig, decide)
+
+
 def _models_theory(binding, sig: Signature) -> bool:
     """Whether binding is a model of sig: it respects sig's relations, and
     both sides of every axiom of sig's theory are equal under it in every
     environment (vacuously for no theory).  A check that raises counts as
-    not a model.  Decided once per (binding, sig), comparing sig by
-    identity, since a binding may be used with a signature other than the
-    one it was loaded with."""
-    for known, ok in binding.theory_memo:
-        if known is sig:
-            return ok
+    not a model.  Decided once per (binding, sig)."""
     from . import models as models_mod
     theory = sig.theory
-    try:
-        models_mod.validate_binding(binding, sig)
-        ok = all(models_mod.semantic_eq(
-            *(Judgement(theory.calculus, ax.form, ax.zones, t, ax.ty)
-              for t in (ax.lhs, ax.rhs)), binding, sig)[0]
-            for ax in (theory.axioms if theory else ()))
-    except (models_mod.ModelError, SignatureError):
-        ok = False
-    binding.theory_memo.append((sig, ok))
-    return ok
+
+    def decide():
+        try:
+            return _respects_relations(binding, sig) and all(
+                models_mod.semantic_eq(
+                    *(Judgement(theory.calculus, ax.form, ax.zones, t, ax.ty)
+                      for t in (ax.lhs, ax.rhs)), binding, sig)[0]
+                for ax in (theory.axioms if theory else ()))
+        except (models_mod.ModelError, SignatureError):
+            return False
+    return _once(binding.theory_memo, sig, decide)
 
 
 def _backward(steps):
@@ -442,7 +514,7 @@ def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
                             else (rfront, right, left))
         nxt_front = {}
         for term, steps in list(src.items()):
-            cj = _enter(replace(cl.j, term=term), sig, cl.checks)
+            cj = _enter(cl.j.with_term(term), sig, cl.checks)
             for step, norm in _expand(cj, sig, axioms, budget):
                 nt, new_steps = norm.term, [step] + norm.steps
                 if nt in seen:
@@ -497,7 +569,7 @@ def check_proof(proof: EqProof, jl: Judgement, jr: Judgement,
                 new_term = apply_axiom_at(
                     cj.j, sig, axioms[step.name], step.path, step.axdir,
                     dict(step.sigma) if step.sigma else None)
-            cj = _enter(replace(cj.j, term=new_term), sig, cj.checks)
+            cj = _enter(cj.j.with_term(new_term), sig, cj.checks)
         return cj.j.term
 
     try:

@@ -241,10 +241,13 @@ class ModelBinding:
     carriers: dict
     geninterp: dict
     opinterp: dict
-    # (signature, whether the binding is a model of it) for each signature
+    # (signature, whether the binding is a model of it) and (signature,
+    # whether it respects the signature's relations) for each signature
     # `equations.check_eq` has asked about, compared by identity
     theory_memo: list = field(default_factory=list, init=False, repr=False,
                               compare=False)
+    relations_memo: list = field(default_factory=list, init=False,
+                                 repr=False, compare=False)
 
     def carrier(self, obj: str):
         if obj not in self.carriers:
@@ -906,3 +909,18 @@ def _sweep(j1: Judgement, j2: Judgement, d1: Derivation, d2: Derivation,
             witness = {k: str(v) for k, v in env.items()}
             return False, witness
     return True, None
+
+
+def _differ_at(j1: Judgement, j2: Judgement, d1: Derivation, d2: Derivation,
+               binding: ModelBinding, sig: Signature, witness: dict) -> bool:
+    """Whether two derivations of j1's shape evaluate differently under
+    the environment that `_sweep(j1, j2, ...)` printed as witness: each
+    name takes the first value of its carrier at the sweep's grid that
+    prints as the witness says."""
+    grid = _grid_exp_for(j1, j2)
+    env = {x: next(v for v in carrier_values(ty, binding, sig, grid)
+                   if str(v) == witness[x])
+           for zone in j1.zones for x, ty in zone}
+    names, slots = list(env), tuple(env.values())
+    return compile_derivation(d1, names, binding, sig)(slots) != \
+        compile_derivation(d2, names, binding, sig)(slots)

@@ -570,6 +570,13 @@ class Judgement:
                     raise SyntaxError_(f"duplicate context variable {name!r}")
                 seen.add(name)
 
+    def with_term(self, term: Term) -> "Judgement":
+        """This judgement's shape with another term.  The shape is not
+        validated again: it is this judgement's, which was."""
+        j = object.__new__(Judgement)
+        j.__dict__.update(self.__dict__, term=term)
+        return j
+
     @property
     def is_command(self) -> bool:
         return self.calculus == "arrow" and self.form == "C"

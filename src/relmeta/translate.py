@@ -30,6 +30,11 @@ class TranslateError(Exception):
     pass
 
 
+class IllTypedTarget(TranslateError):
+    """A well-typed source translated to a judgement that fails its check:
+    a fault of the translation, not of its input."""
+
+
 @dataclass
 class TranslationTrace:
     source: Judgement
@@ -106,7 +111,7 @@ def _translate(j: Judgement, sig: Signature, tgt_sig: Signature | None,
     tres = check(tgt, tgt_sig if tgt_sig is not None else sig)
     trace.typing_preserved = bool(tres.ok)
     if not tres.ok:
-        raise TranslateError(
+        raise IllTypedTarget(
             f"translation produced an ill-typed judgement: {tres.message}\n"
             f"  {tgt}")
     return tgt, trace
@@ -283,20 +288,29 @@ def conservativity_harness(pairs, direction: str, sig: Signature,
     (a) a Proven source pair must not be Refuted in the target;
     (b) a Refuted target pair must be Refuted in the source too.
     Disagreements are reported, not raised: the theorems say there are none.
+    So is a side whose translation fails the target's check: it counts as
+    a typing failure, and its row is a BUG with the checker's message.
     """
     from .equations import check_eq
 
     report = HarnessReport(direction)
     tr = gmm_to_lnl if direction == "gmm" else arrow_to_armm
     for name, jl, jr in pairs:
-        tl, trace_l = tr(jl, sig, tgt_sig)
-        trc, trace_r = tr(jr, sig, tgt_sig)
+        targets, failures = [], []
+        for j in (jl, jr):
+            try:
+                targets.append(tr(j, sig, tgt_sig)[0])
+            except IllTypedTarget as e:
+                failures.append(str(e))
         report.typing_checked += 2
-        report.typing_failures += (not trace_l.typing_preserved) + \
-            (not trace_r.typing_preserved)
+        report.typing_failures += len(failures)
         src_v = check_eq(jl, jr, sig, src_models, depth=search_depth)
+        if failures:
+            report.rows.append(HarnessRow(name, src_v.status, "ILL-TYPED",
+                                          False, failures[0]))
+            continue
         use_sig = tgt_sig if tgt_sig is not None else sig
-        tgt_v = check_eq(tl, trc, use_sig, tgt_models, depth=search_depth)
+        tgt_v = check_eq(*targets, use_sig, tgt_models, depth=search_depth)
         ok = True
         detail = ""
         if src_v.status == "PROVEN" and tgt_v.status == "REFUTED":

@@ -880,12 +880,13 @@ NOT_TT = "interp not = {tt -> tt, ff -> tt}"
 
 
 def test_a_binding_that_breaks_a_relation_is_swept_over_the_originals(
-        coin_sig):
+        coin_sig, dist_binding, monkeypatch):
     """Normalization collapses `not not z` to z (`gen.word` reads the
     relation not;not = id_2), so under a binding that breaks the relation
     the normal forms, `ret z` and `ret and2(z, z)`, are equal everywhere
     while the originals differ at z = ff: the binding is swept over the
-    originals, and refutes after the failed search."""
+    originals, and refutes after the failed search.  dist.mb, which
+    respects the relation, is swept over the normal forms alone."""
     free = load_signature("calculus rmm\nobject 2\nobject 4\n"
                           "gen not : 2 -> 2\nop coin : () -> T(2)\n"
                           "op pair2 : (x : J(2), y : J(2)) -> J(4)\n"
@@ -902,6 +903,17 @@ def test_a_binding_that_breaks_a_relation_is_swept_over_the_originals(
     assert _rendered(check_eq, jl, jr, coin_sig, [("broken", broken)]) == \
         _rendered(_check_eq_search_first, jl, jr, coin_sig,
                   [("broken", broken)])
+    swept = []
+    real = models._sweep
+
+    def sweep(j1, j2, d1, d2, *rest):
+        swept.append([term_to_text(d.judgement.term) for d in (d1, d2)])
+        return real(j1, j2, d1, d2, *rest)
+    monkeypatch.setattr(models, "_sweep", sweep)
+    check_eq(jl, jr, coin_sig, [("dist", dist_binding)])
+    assert swept == [["ret z", "ret and2(z, z)"]]
+    check_eq(jl, jr, coin_sig, [("broken", broken)])
+    assert swept[1:] == [["ret not not z", "ret and2(z, z)"]]
 
 
 def test_a_normal_form_the_models_separate_does_not_change_the_verdict(

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from relmeta import gen as genmod
-from relmeta import syntax
+from relmeta import syntax, translate as translate_mod
 from relmeta.models import load_binding
 from relmeta.signatures import load_signature
 from relmeta.syntax import (alpha_eq, judgement, parse_context, parse_term,
@@ -223,6 +223,38 @@ def test_conservativity_reports(gmm_plain_sig, arrow_sig, karr_binding,
     for r in rep2.rows:
         if r.name in ("arr.beta", "arr.eta"):
             assert r.tgt_status == "PROVEN"
+
+
+def test_an_ill_typed_target_is_a_bug_row(arrow_sig, karr_binding,
+                                         karmm_binding, monkeypatch):
+    """A translation clause that drops `ret`'s J(-) makes ill-typed
+    targets: the harness counts each as a typing failure and reports its
+    row as a BUG with the checker's message, instead of raising."""
+    real = translate_mod._tr_arrow
+
+    def drop_j(node, kids):
+        if node.rule == "cmd-ret":
+            return syntax.ret(kids[0])
+        return real(node, kids)
+    monkeypatch.setattr(translate_mod, "_tr_arrow", drop_j)
+    pairs = genmod.arrow_schema_instances(random.Random(7), arrow_sig,
+                                          ["B", "C"])
+    rep = conservativity_harness(pairs, "arrow", arrow_sig,
+                                 src_models=[("karr", karr_binding)],
+                                 tgt_models=[("karmm", karmm_binding)],
+                                 search_depth=3)
+    assert not rep.ok
+    bad = [r for r in rep.rows if r.tgt_status == "ILL-TYPED"]
+    assert bad and len(bad) <= rep.typing_failures <= 2 * len(bad)
+    assert rep.typing_checked == 2 * len(pairs) == 2 * len(rep.rows)
+    for r in bad:
+        assert not r.ok and r.src_status == "PROVEN"
+        assert r.detail.startswith(
+            "translation produced an ill-typed judgement: ")
+    text = rep.render()
+    assert f"typing preserved: {rep.typing_checked - rep.typing_failures}/" \
+        f"{rep.typing_checked}\n" in text
+    assert f"  BUG {bad[0].name}: source=PROVEN target=ILL-TYPED " in text
 
 
 def test_unequal_pair_refuted_on_both_sides(arrow_sig, karr_binding,
