@@ -354,11 +354,9 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     verdict is UNKNOWN.  So the verdict is the one a search followed by the
     sweep would give.
 
-    A sweep evaluates the normal forms, which are smaller (a translated
-    pair loses its administrative redexes), over the originals'
-    environments, when the binding respects sig's relations, and confirms
-    every witness on the originals; `_sweep_binding` says why the verdict
-    and witness are the originals'.
+    A sweep evaluates the smaller normal forms over the originals'
+    environments where the binding respects sig's relations, and confirms
+    each witness on the originals (`_sweep_binding`).
     """
     if (jl.calculus, jl.form, jl.zones, jl.ty) != \
             (jr.calculus, jr.form, jr.zones, jr.ty):
@@ -408,18 +406,13 @@ def _derivation(j: Judgement, n: NormalizeResult, d, sig: Signature):
 
 
 def _sweep_binding(jl, jr, dl, dr, nf, binding, sig: Signature):
-    """`models._sweep` of jl against jr, whose derivations are dl and dr:
-    (True, None) or (False, the first separating environment), or a
-    ModelError raised.
-
-    Where nf is given (either side took a rewrite step) and binding
-    respects sig's relations, the sweep runs over nf(), the normal forms'
-    derivations, with the originals' environments, order and grid.  The
-    rules hold in such a binding (`gen.word` reads the relations), so each
-    normal form takes its original's value everywhere and the answer is
-    the originals'.  A separating environment is evaluated on the
-    originals before it is returned; if they do not differ there, or the
-    normal forms' sweep raises, the originals are swept."""
+    """`models._sweep` of jl against jr (derivations dl, dr), run over
+    nf(), the normal forms' derivations, where nf is given and binding
+    respects sig's relations: the rules hold in such a binding (`gen.word`
+    reads the relations), so each normal form has its original's value in
+    every environment.  A separating environment is confirmed on the
+    originals; if they do not differ there, or the normal forms' sweep
+    raises, the originals are swept."""
     from . import models as models_mod
     if nf is not None and _respects_relations(binding, sig):
         try:
