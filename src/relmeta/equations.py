@@ -7,13 +7,7 @@ sides; Refuted means a registered finite model separates them under some
 environment (with a replayable witness); otherwise the verdict is Unknown
 and carries both normal forms.  The models are swept before the search,
 and a separating binding that is a model of the signature's theory
-refutes without one: what the theory derives holds in each of its models.
-A separating binding that is not a model, or a sweep that raises, waits
-for the search, which may still prove the pair.  A sweep evaluates the
-normal forms rather than the originals, over the originals' environments,
-when the binding respects the signature's relations (so the rules hold in
-it), and every witness it finds is confirmed on the originals; otherwise it
-evaluates the originals.
+refutes without one (`check_eq`; what a sweep evaluates: `_sweep_binding`).
 
 Subject reduction is re-checked after every rewrite, never assumed.  A
 judgement entering the engine is checked in full, and its typing index
@@ -26,13 +20,13 @@ free names or dangling bound variables changed, its type is not the
 recorded one, or it fails to check) the whole term is checked again,
 which also words any failure.  The checks of one engine call are kept by
 term, so none is repeated, and the call's shared judgement shape is
-validated once.  `check_proof` replays with full checks only, so it stays
-an independent check of what the engine found.
+validated once; a `typecheck.Checked` under the call's signature object
+enters with its own check.  `check_proof` replays with full checks only,
+so it stays an independent check of what the engine found.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -41,7 +35,7 @@ from .rules import INDEX, RuleCtx, instantiate, match
 from .signatures import Axiom, Signature, SignatureError
 from .syntax import (Judgement, Term, alpha_eq, replace_at, subterm_at,
                      term_to_text)
-from .typecheck import check, check_at, typings
+from .typecheck import check, check_at, forget, is_checked, typings
 
 
 class RewriteError(Exception):
@@ -129,41 +123,38 @@ class _Checked(NamedTuple):
 
 
 class _Checks:
-    """The typechecks of one engine call, by term.  Every judgement one call
-    visits has the same shape (check_eq's two sides share it), so a term is
+    """The typechecks of one engine call, by term: each term's typing index,
+    and the Checked of each full check.  Every judgement one call visits
+    has the same shape (check_eq's two sides share it), so a term is
     checked once however often the call reaches it, and the shape's zones
-    and type are validated once.  Only each check's typing index is kept,
-    not its derivation.  A rewrite step's result is checked locally where
-    `check_at` can show that gives a full check's index, and in full
-    otherwise."""
+    and type are validated once.  A rewrite step's result is checked
+    locally where `check_at` can show that gives a full check's index, and
+    in full otherwise."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.results = {}   # term -> typing index, or the failure message
+        self.full = {}      # term -> its Checked
         self.shape = None   # the judgement shape a check here accepted
 
     def _full(self, j: Judgement):
-        """Check j in full and keep its typing index, or its failure
-        message: (the check's result, what was kept)."""
+        """Check j in full, unless it is a Checked under this call's
+        signature; keep it and its typing index, or the failure message."""
         shape = (j.calculus, j.form, j.zones, j.ty)
-        res = check(j, self.sig, validated=shape == self.shape)
+        res = j if is_checked(j, self.sig) else \
+            check(j, self.sig, validated=shape == self.shape)
         if res.ok:
             self.shape = shape
+            self.full[j.term] = res
         out = self.results[j.term] = \
             typings(res.derivation, memo=res.occ) if res.ok else res.message
-        return res, out
+        return out
 
-    def _out(self, j: Judgement, out):
-        if isinstance(out, str):
-            return None, out
-        return _Checked(j, out, self), ""
-
-    def __call__(self, j: Judgement):
+    def __call__(self, j: Judgement, kept=None):
         """(_Checked, "") for a well-typed j, else (None, message)."""
-        out = self.results.get(j.term)
-        if out is None:
-            _, out = self._full(j)
-        return self._out(j, out)
+        out = kept or self.results.get(j.term) or self._full(j)
+        return (None, out) if isinstance(out, str) else \
+            (_Checked(j, out, self), "")
 
     def at(self, cj: _Checked, path: tuple, new: Term):
         """What __call__ gives for cj's judgement with `new` at `path`."""
@@ -171,23 +162,15 @@ class _Checks:
         out = self.results.get(j.term)
         if out is None:
             out = check_at(cj.j, cj.ann, path, new, self.sig)
-            if out is None:
-                _, out = self._full(j)
-            else:
+            if out is not None:
                 self.results[j.term] = out
-        return self._out(j, out)
+        return self(j, out)
 
-    def root(self, j: Judgement):
-        """(_Checked, derivation) for a judgement entering the engine,
-        checked in full, or with derivation None if this call has checked
-        its term already; raises if ill-typed."""
-        res, out = None, self.results.get(j.term)
-        if out is None:
-            res, out = self._full(j)
-        cj, msg = self._out(j, out)
-        if cj is None:
-            raise RewriteError(f"term does not type-check: {msg}")
-        return cj, None if res is None else res.derivation
+    def checked(self, j: Judgement):
+        """j's Checked: kept, or made now if its term's check was local."""
+        if j.term not in self.full:
+            self._full(j)
+        return self.full[j.term]
 
 
 def _enter(j, sig: Signature, checks: _Checks | None = None) -> _Checked:
@@ -247,13 +230,14 @@ def normalize(j, sig: Signature, *, budget: int = 10000,
     registration order) unless an rng is supplied, in which case each step
     picks a uniformly random redex (used by the confluence smoke tests).
     Subject reduction is enforced, not assumed: the input is checked once
-    (unless it is a `_Checked` this module made) and every step's result
-    is checked, and that check's typing index drives the next step, so n
-    steps make at most n+1 checks (fewer when the input's engine call has
-    already checked a term on the way).  A step's check covers the
-    rewritten subterm alone where `typecheck.check_at` can show that this
-    gives what a full check would, and the whole term otherwise; a step
-    that breaks typing always ends in a full check, which words the error.
+    (unless it is a `_Checked` this module made, or a `typecheck.Checked`
+    under sig) and every step's result is checked, and that check's typing
+    index drives the next step, so n steps make at most n+1 checks (fewer
+    when the input's engine call has already checked a term on the way).
+    A step's check covers the rewritten subterm alone where
+    `typecheck.check_at` can show that this gives what a full check would,
+    and the whole term otherwise; a step that breaks typing always ends in
+    a full check, which words the error.
     """
     cur = _enter(j, sig)
     steps: list[Step] = []
@@ -339,9 +323,10 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     """Proven / Refuted / Unknown for a pair of judgements of one shape.
 
     models is a list of (name, ModelBinding) used for refutation.  Both
-    sides and the axiom search share one set of checks, so the rewriting
-    engine checks no term twice in one call; a sweep checks a normal form
-    that took a step once more, in full, for its derivation.
+    sides, the axiom search and the sweeps share one set of checks, so no
+    term is checked twice in one call, nor a `typecheck.Checked` side
+    under sig at all.  The call spends the checks its sides carry
+    (`typecheck.forget`), so that kept judgements keep no derivations.
 
     When the normal forms differ, the models are swept in order before the
     axiom search, stopping at the first that separates the sides or
@@ -352,20 +337,25 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     Otherwise the search runs, and a proof gives PROVEN; failing that, the
     sweep's refutation is returned, or its ModelError raised, or the
     verdict is UNKNOWN.  So the verdict is the one a search followed by the
-    sweep would give.
-
-    A sweep evaluates the smaller normal forms over the originals'
-    environments where the binding respects sig's relations, and confirms
-    each witness on the originals (`_sweep_binding`).
+    sweep would give.  How a binding is swept: `_sweep_binding`.
     """
     if (jl.calculus, jl.form, jl.zones, jl.ty) != \
             (jr.calculus, jr.form, jr.zones, jr.ty):
         raise RewriteError("the two sides are not judgements of one shape")
-    cl, dl = _Checks(sig).root(jl)
+    try:
+        return _decide(jl, jr, sig, models, depth, breadth, budget)
+    finally:
+        forget(jl)
+        forget(jr)
+
+
+def _decide(jl, jr, sig, models, depth, breadth, budget):
+    checks = _Checks(sig)
+    cl = _enter(jl, sig, checks)
+    if is_checked(jr, sig):  # free now, and jl's normalization may reach it
+        checks(jr)
     nl = normalize(cl, sig, budget=budget)
-    # dr is None only if jl's normalization reached jr, which then has
-    # jl's normal form: the sweep that reads dr is not reached
-    cr, dr = cl.checks.root(jr)
+    cr = _enter(jr, sig, checks)
     nr = normalize(cr, sig, budget=budget)
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN",
@@ -373,15 +363,12 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     from . import models as models_mod
     refuted = error = None
     theory = sig.theory
-    # the normal forms' derivations, made when a sweep first needs them
-    nf = functools.cache(lambda: (_derivation(jl, nl, dl, sig),
-                                  _derivation(jr, nr, dr, sig))) \
-        if nl.steps or nr.steps else None
     try:
         for name, binding in models:
-            eq, witness = _sweep_binding(jl, jr, dl, dr, nf, binding, sig)
-            if not eq:
-                refuted = EqVerdict("REFUTED", model=name, witness=witness)
+            env = _sweep_binding(checks, (jl, nl), (jr, nr), binding)
+            if env is not None:
+                refuted = EqVerdict("REFUTED", model=name, witness={
+                    x: str(v) for x, v in env.items()})
                 if (theory is None or theory.calculus == jl.calculus) \
                         and _models_theory(binding, sig):
                     return refuted
@@ -397,32 +384,30 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     return refuted or EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
 
 
-def _derivation(j: Judgement, n: NormalizeResult, d, sig: Signature):
-    """The derivation of j's normal form n: d, j's own, if n took no step,
-    else one check (j's shape was validated by j's)."""
-    if not n.steps:
-        return d
-    return check(j.with_term(n.term), sig, validated=True).derivation
-
-
-def _sweep_binding(jl, jr, dl, dr, nf, binding, sig: Signature):
-    """`models._sweep` of jl against jr (derivations dl, dr), run over
-    nf(), the normal forms' derivations, where nf is given and binding
-    respects sig's relations: the rules hold in such a binding (`gen.word`
-    reads the relations), so each normal form has its original's value in
-    every environment.  A separating environment is confirmed on the
-    originals; if they do not differ there, or the normal forms' sweep
-    raises, the originals are swept."""
+def _sweep_binding(checks: _Checks, left, right, binding):
+    """The first environment, in `semantic_eq`'s order, in which binding
+    separates the sides left and right, each (judgement, NormalizeResult)
+    and swept as the call's Checked, or None.  Where a side took a step and
+    binding respects the relations (so the rules hold in it: `gen.word`
+    reads them), the normal forms are swept over the originals'
+    environments, and a separating one is confirmed on the originals; else,
+    or if they do not differ there, or that sweep raises, the originals."""
     from . import models as models_mod
-    if nf is not None and _respects_relations(binding, sig):
+    sig = checks.sig
+    jl, jr = checks.checked(left[0]), checks.checked(right[0])
+
+    def sweep(c1, c2, envs=None):
+        return models_mod._sweep(c1, c2, envs or models_mod.env_space(
+            jl, binding, sig, models_mod._grid_exp_for(jl, jr)), binding, sig)
+    if (left[1].steps or right[1].steps) and _respects_relations(binding, sig):
         try:
-            eq, witness = models_mod._sweep(jl, jr, *nf(), binding, sig)
-            if eq or models_mod._differ_at(jl, jr, dl, dr, binding, sig,
-                                           witness):
-                return eq, witness
+            env = sweep(*(checks.checked(j.with_term(n.term))
+                          for j, n in (left, right)))
+            if env is None or sweep(jl, jr, (env,)) is not None:
+                return env
         except models_mod.ModelError:
             pass
-    return models_mod._sweep(jl, jr, dl, dr, binding, sig)
+    return sweep(jl, jr)
 
 
 def _once(memo: list, sig: Signature, decide) -> bool:

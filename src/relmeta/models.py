@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from . import syntax
 from .signatures import Signature, SignatureError
 from .syntax import Grade, Judgement, TypeExpr
-from .typecheck import Derivation, check
+from .typecheck import Derivation, check, is_checked
 
 
 class ModelError(Exception):
@@ -544,7 +544,7 @@ MEMO_CAP = 4096      # tables kept per node before its memo starts over
 
 def eval_term(j: Judgement, env: dict, binding: ModelBinding,
               sig: Signature) -> Value:
-    res = check(j, sig)
+    res = j if is_checked(j, sig) else check(j, sig)
     if not res.ok:
         raise ModelError(f"judgement does not check: {res.message}")
     names = _root_names(j)
@@ -884,43 +884,28 @@ def semantic_eq(j1: Judgement, j2: Judgement, binding: ModelBinding,
     """Exact validity check: evaluate both sides under every environment.
 
     Returns (True, None) or (False, witness_env) with the first differing
-    environment in the fixed enumeration order.
+    environment in the fixed enumeration order.  A `typecheck.Checked`
+    side under sig is not checked again.
     """
     if (j1.zones, j1.ty, j1.form) != (j2.zones, j2.ty, j2.form):
         raise ModelError("semantic equality needs a shared judgement shape")
-    r1 = check(j1, sig)
-    r2 = check(j2, sig)
+    r1, r2 = (j if is_checked(j, sig) else check(j, sig) for j in (j1, j2))
     if not (r1.ok and r2.ok):
         raise ModelError("semantic equality on ill-typed judgements")
-    return _sweep(j1, j2, r1.derivation, r2.derivation, binding, sig, cap)
+    env = _sweep(r1, r2, env_space(j1, binding, sig, _grid_exp_for(j1, j2),
+                                   cap), binding, sig)
+    return (True, None) if env is None else \
+        (False, {k: str(v) for k, v in env.items()})
 
 
-def _sweep(j1: Judgement, j2: Judgement, d1: Derivation, d2: Derivation,
-           binding: ModelBinding, sig: Signature, cap: int = 10 ** 6):
-    """semantic_eq of two judgements of one shape, from their checks'
-    derivations."""
-    grid = _grid_exp_for(j1, j2)
-    names = _root_names(j1)
-    run1 = compile_derivation(d1, names, binding, sig)
-    run2 = compile_derivation(d2, names, binding, sig)
-    for env in env_space(j1, binding, sig, grid, cap):
+def _sweep(c1, c2, envs, binding: ModelBinding, sig: Signature):
+    """The first of envs under which the checked c1 and c2, of one shape,
+    evaluate differently, or None; each derivation is compiled once."""
+    names = _root_names(c1)
+    run1 = compile_derivation(c1.derivation, names, binding, sig)
+    run2 = compile_derivation(c2.derivation, names, binding, sig)
+    for env in envs:
         slots = tuple(env[x] for x in names)
         if run1(slots) != run2(slots):
-            witness = {k: str(v) for k, v in env.items()}
-            return False, witness
-    return True, None
-
-
-def _differ_at(j1: Judgement, j2: Judgement, d1: Derivation, d2: Derivation,
-               binding: ModelBinding, sig: Signature, witness: dict) -> bool:
-    """Whether two derivations of j1's shape evaluate differently under
-    the environment that `_sweep(j1, j2, ...)` printed as witness: each
-    name takes the first value of its carrier at the sweep's grid that
-    prints as the witness says."""
-    grid = _grid_exp_for(j1, j2)
-    env = {x: next(v for v in carrier_values(ty, binding, sig, grid)
-                   if str(v) == witness[x])
-           for zone in j1.zones for x, ty in zone}
-    names, slots = list(env), tuple(env.values())
-    return compile_derivation(d1, names, binding, sig)(slots) != \
-        compile_derivation(d2, names, binding, sig)(slots)
+            return env
+    return None

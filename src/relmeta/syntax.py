@@ -571,10 +571,11 @@ class Judgement:
                 seen.add(name)
 
     def with_term(self, term: Term) -> "Judgement":
-        """This judgement's shape with another term.  The shape is not
-        validated again: it is this judgement's, which was."""
+        """This judgement's shape with another term, a plain judgement; the
+        shape is not validated again: it is this judgement's, which was."""
         j = object.__new__(Judgement)
-        j.__dict__.update(self.__dict__, term=term)
+        j.__dict__.update(calculus=self.calculus, form=self.form,
+                          zones=self.zones, term=term, ty=self.ty)
         return j
 
     @property

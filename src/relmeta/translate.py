@@ -23,7 +23,7 @@ from . import syntax
 from .signatures import Signature
 from .syntax import (GradeMor, Judgement, Term, TypeExpr, aabs, bv, grty,
                      gtensor, jt, lolli, prod, rt, shift, tt)
-from .typecheck import Derivation, check
+from .typecheck import Derivation, check, is_checked
 
 
 class TranslateError(Exception):
@@ -90,14 +90,14 @@ def _fold(node: Derivation, trace: TranslationTrace, own, source: str,
 
 def _translate(j: Judgement, sig: Signature, tgt_sig: Signature | None,
                source: str, target: str, own, ty):
-    """Check j, a `source` judgement; fold its derivation with the
-    direction's clauses `own`; translate its zones and type by `ty`; check
-    the `target` judgement, under `tgt_sig` if given.  Returns (target
-    judgement, trace)."""
+    """Check j, a `source` judgement, unless it is a `typecheck.Checked`
+    under sig; fold its derivation with the direction's clauses `own`;
+    translate its zones and type by `ty`; check the `target` judgement,
+    under `tgt_sig` if given.  Returns (target's Checked, trace)."""
     if j.calculus != source:
         raise TranslateError(
             f"the source judgement is {j.calculus}, not {source}")
-    res = check(j, sig)
+    res = j if is_checked(j, sig) else check(j, sig)
     if not res.ok:
         raise TranslateError(f"source judgement fails checking: {res.message}")
     trace = TranslationTrace(j, None)
@@ -106,14 +106,13 @@ def _translate(j: Judgement, sig: Signature, tgt_sig: Signature | None,
     result = ty(j.ty)
     if j.form == "C":  # a command lands in an empty third zone, at T(-)
         zones, result = zones + ((),), tt(result)
-    tgt = Judgement(target, j.form, zones, term, result)
-    trace.target = tgt
-    tres = check(tgt, tgt_sig if tgt_sig is not None else sig)
-    trace.typing_preserved = bool(tres.ok)
-    if not tres.ok:
+    trace.target = Judgement(target, j.form, zones, term, result)
+    tgt = check(trace.target, tgt_sig if tgt_sig is not None else sig)
+    trace.typing_preserved = bool(tgt.ok)
+    if not tgt.ok:
         raise IllTypedTarget(
-            f"translation produced an ill-typed judgement: {tres.message}\n"
-            f"  {tgt}")
+            f"translation produced an ill-typed judgement: {tgt.message}\n"
+            f"  {trace.target}")
     return tgt, trace
 
 
@@ -290,12 +289,15 @@ def conservativity_harness(pairs, direction: str, sig: Signature,
     Disagreements are reported, not raised: the theorems say there are none.
     So is a side whose translation fails the target's check: it counts as
     a typing failure, and its row is a BUG with the checker's message.
+    Each source is checked once, for its translation and its verdict (an
+    ill-typed one stays plain: its translation raises, as ever).
     """
     from .equations import check_eq
 
     report = HarnessReport(direction)
     tr = gmm_to_lnl if direction == "gmm" else arrow_to_armm
     for name, jl, jr in pairs:
+        jl, jr = (check(j, sig) or j for j in (jl, jr))
         targets, failures = [], []
         for j in (jl, jr):
             try:

@@ -39,17 +39,13 @@ rebuild a node's names by walking from the root.  The rewrite engine, the
 evaluator and the translations read the derivation.
 
 Each node also holds the expected type the checker was given there (the
-synthesis function pushes it, and the node's `deriv` pops it).  `typings` reads
-a derivation into the rewrite engine's typing index: per position, the
-form and type found, the zones, expected type and names in force given,
-and the occurrences of the subterm there.
-Those inputs and the root's names to avoid fix how a subterm is checked, so
-`check_at` checks a rewritten subterm on its own and splices its nodes into
-the index, where it can show that a full check would give the same.
+synthesis function pushes it, and the node's `deriv` pops it), so that
+`check_at` can check a rewritten subterm on its own (see `typings`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from . import syntax
@@ -80,18 +76,44 @@ class Derivation:
 
 
 @dataclass
-class CheckResult:
+class CheckResult:  # a rejection; an acceptance is a `Checked`
     ok: bool
     message: str = ""
     path: tuple | None = None
     rule: str | None = None
     expected: str | None = None
     actual: str | None = None
-    derivation: Derivation | None = None
-    occ: dict | None = None  # the check's occurrence table (`occurrences`)
 
     def __bool__(self):
         return self.ok
+
+
+class Checked(Judgement):
+    """An accepted judgement, equal to its plain judgement, with the object
+    `sig` it was checked under, its `derivation` and occurrence table `occ`.
+    Only `check` makes one, as only LCF's kernel makes theorems (Gordon,
+    Milner & Wadsworth 1979); `with_term` and `replace` make plain ones."""
+
+    ok = True  # read as a check's result, an acceptance
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Checked is made by typecheck.check alone")
+
+    @property
+    def __class__(self):  # what `==` and `dataclasses.replace` read
+        return Judgement
+
+
+def is_checked(j: Judgement, sig: Signature) -> bool:
+    """Whether `check` made j under sig (the object): a copy is not one."""
+    owner = vars(j).get("_owner")
+    return owner is not None and owner() is j and j.sig is sig
+
+
+def forget(j: Judgement):
+    """Drop what a Checked's check found: a layer then checks it again."""
+    for key in ("_owner", "sig", "derivation", "occ"):
+        vars(j).pop(key, None)
 
 
 class _Fail(Exception):
@@ -887,11 +909,11 @@ class _Checker:
 # ---------------------------------------------------------------------------
 # Public API
 
-def check(j: Judgement, sig: Signature, *, validated=False) -> CheckResult:
-    """Decide the judgement; on acceptance return a replayable derivation.
-    `validated` says that a check accepted a judgement of j's shape (its
-    calculus, form, zones and type) before, so its zones and type are not
-    validated again."""
+def check(j: Judgement, sig: Signature, *, validated=False):
+    """Decide the judgement, even a Checked one: its `Checked`, holding a
+    replayable derivation, or the rejection.  `validated` says that a check
+    accepted a judgement of j's shape (its calculus, form, zones and type)
+    before, so its zones and type are not validated again."""
     c = _Checker(sig, j.calculus)
     try:
         d = c.check_judgement(j, validated)
@@ -900,7 +922,11 @@ def check(j: Judgement, sig: Signature, *, validated=False) -> CheckResult:
                            expected=e.expected, actual=e.actual)
     except SignatureError as e:
         return CheckResult(False, message=str(e), path=(), rule="signature")
-    return CheckResult(True, derivation=d, occ=c.occ)
+    out = _new(Checked)
+    vars(out).update(calculus=j.calculus, form=j.form, zones=j.zones,
+                     term=j.term, ty=j.ty, sig=sig, derivation=d, occ=c.occ,
+                     _owner=weakref.ref(out))
+    return out
 
 
 def typings(d: Derivation, path=(), names=(), out=None, memo=None) -> dict:

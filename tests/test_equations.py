@@ -573,9 +573,10 @@ def _check_eq_search_first(jl, jr, sig, bindings=(), *, depth=6,
             (jr.calculus, jr.form, jr.zones, jr.ty):
         raise equations.RewriteError(
             "the two sides are not judgements of one shape")
-    cl, dl = equations._Checks(sig).root(jl)
+    checks = equations._Checks(sig)
+    cl = equations._enter(jl, sig, checks)
     nl = normalize(cl, sig, budget=budget)
-    cr, dr = cl.checks.root(jr)
+    cr = equations._enter(jr, sig, checks)
     nr = normalize(cr, sig, budget=budget)
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN", proof=EqProof(
@@ -586,7 +587,8 @@ def _check_eq_search_first(jl, jr, sig, bindings=(), *, depth=6,
     if mid is not None:
         return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
     for name, binding in bindings:
-        eq, witness = models._sweep(jl, jr, dl, dr, binding, sig)
+        eq, witness = models.semantic_eq(checks.checked(jl),
+                                         checks.checked(jr), binding, sig)
         if not eq:
             return EqVerdict("REFUTED", model=name, witness=witness)
     return EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
@@ -906,9 +908,10 @@ def test_a_binding_that_breaks_a_relation_is_swept_over_the_originals(
     swept = []
     real = models._sweep
 
-    def sweep(j1, j2, d1, d2, *rest):
-        swept.append([term_to_text(d.judgement.term) for d in (d1, d2)])
-        return real(j1, j2, d1, d2, *rest)
+    def sweep(c1, c2, *rest):
+        swept.append([term_to_text(c.derivation.judgement.term)
+                      for c in (c1, c2)])
+        return real(c1, c2, *rest)
     monkeypatch.setattr(models, "_sweep", sweep)
     check_eq(jl, jr, coin_sig, [("dist", dist_binding)])
     assert swept == [["ret z", "ret and2(z, z)"]]

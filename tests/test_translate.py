@@ -274,3 +274,56 @@ def test_unequal_pair_refuted_on_both_sides(arrow_sig, karr_binding,
     tr, _ = arrow_to_armm(jr, arrow_sig)
     vtgt = check_eq(tl, tr, arrow_sig, [("karmm", karmm_binding)])
     assert vtgt.status == "REFUTED"
+
+
+def _count_full_checks(monkeypatch):
+    """The judgements every layer checks in full, in order, as (calculus,
+    form, zones, term, type)."""
+    from relmeta import equations, models
+    seen = []
+
+    def counting(j, sig, **kw):
+        seen.append((j.calculus, j.form, j.zones, j.term, j.ty))
+        return check(j, sig, **kw)
+    for mod in (equations, models, translate_mod):
+        monkeypatch.setattr(mod, "check", counting)
+    return seen
+
+
+def test_a_translation_and_its_verdicts_check_each_judgement_once(
+        gmm_plain_sig, monkeypatch):
+    """A translate -> check_eq round trip, and a conservativity_harness
+    row, make one full check per distinct judgement: check_eq reads the
+    targets' checks from their translation, the harness gives each source's
+    check to both its translation and its verdict, and a normal form is
+    checked in full for the sweep only where its check was local.  A
+    second pass over the same sources checks as much as the first."""
+    from relmeta.equations import check_eq
+    sig = gmm_plain_sig
+    gl = "calculus {}\nbackend gradedlist\ncarrier A = {{a1, a2}}\n"
+    src_models = [("gl", load_binding(gl.format("gmm"), sig))]
+    tgt_models = [("lnl", load_binding(gl.format("lnl"), sig))]
+    src = [judgement("gmm", [parse_context("a : A", sig)],
+                     parse_term(t, "gmm", sig), parse_type("T_1(A)"))
+           for t in ("do x <- ret a in ret x", "ret a")]
+    seen = _count_full_checks(monkeypatch)
+    passes = []
+    for _ in range(2):
+        del seen[:]
+        targets = [gmm_to_lnl(j, sig)[0] for j in src]
+        # the normal forms differ, the sweep does not separate them, and
+        # the search does not join them
+        assert check_eq(*targets, sig, tgt_models).status == "UNKNOWN"
+        assert len(set(seen)) == len(seen) > 4  # a normal form was checked
+        assert [j for j in seen if j[0] == "lnl"][:2] == \
+            [(t.calculus, t.form, t.zones, t.term, t.ty) for t in targets]
+        round_trip = list(seen)
+        del seen[:]
+        rep = conservativity_harness([("beta", *src)], "gmm", sig,
+                                     src_models, tgt_models)
+        assert rep.ok and rep.rows[0].src_status == "PROVEN"
+        assert len(set(seen)) == len(seen)
+        assert seen[:2] == [(j.calculus, j.form, j.zones, j.term, j.ty)
+                            for j in src]
+        passes.append((round_trip, list(seen)))
+    assert passes[0] == passes[1]

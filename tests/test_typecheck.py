@@ -762,6 +762,114 @@ def test_occurrence_table_agrees_with_free_vars(lnl_sig):
     assert LNL_SPLITS <= splits
 
 
+# -- the checked judgement ----------------------------------------------------
+
+FIELDS = ("calculus", "form", "zones", "term", "ty")
+
+
+def _coin_judgement(coin_sig, term):
+    return judgement("rmm", [parse_context("u : T(2)", coin_sig)],
+                     parse_term(term, "rmm", coin_sig), parse_type("T(2)"))
+
+
+def _forge(c, **attrs):
+    """A Checked built through object.__new__ from c's fields and attrs."""
+    f = object.__new__(typecheck.Checked)
+    vars(f).update({k: getattr(c, k) for k in FIELDS}, **attrs)
+    return f
+
+
+def _count_full_checks(monkeypatch):
+    """The terms every layer checks in full, in order."""
+    from relmeta import equations, models, translate
+    seen = []
+
+    def counting(j, sig, **kw):
+        seen.append(j.term)
+        return check(j, sig, **kw)
+    for mod in (equations, models, translate):
+        monkeypatch.setattr(mod, "check", counting)
+    return seen
+
+
+def test_only_check_makes_a_checked_judgement(coin_sig):
+    """check hands back a Checked that equals, and hashes as, its
+    judgement; the class cannot be called, and replace and with_term give
+    plain judgements."""
+    j = _coin_judgement(coin_sig, "do x <- u in ret x")
+    c = check(j, coin_sig)
+    assert type(c) is typecheck.Checked and c.ok and c.sig is coin_sig
+    assert c == j and j == c and hash(c) == hash(j) and {c: 1}[j] == 1
+    assert c.derivation.judgement.term is j.term
+    assert typecheck.is_checked(c, coin_sig)
+    assert not typecheck.is_checked(j, coin_sig)
+    with pytest.raises(TypeError):
+        typecheck.Checked(*(getattr(j, f) for f in FIELDS))
+    for plain in (replace(c), replace(c, term=parse_term("u", "rmm")),
+                  c.with_term(c.term)):
+        assert type(plain) is syntax.Judgement
+        assert not typecheck.is_checked(plain, coin_sig)
+
+
+def test_a_forged_checked_judgement_is_checked_again(coin_sig, dist_binding,
+                                                     monkeypatch):
+    """A Checked built through object.__new__ is not taken for checked,
+    whether it has a derivation alone, or copies all that a genuine one's
+    check found, for its own term or for another: every layer checks it, so
+    an ill-typed one is refused and a well-typed one is checked in full."""
+    from relmeta import equations, models
+    good = check(_coin_judgement(coin_sig, "do x <- u in ret x"), coin_sig)
+    assert not typecheck.is_checked(_forge(good, **vars(good)), coin_sig)
+    bad = parse_term("ret u", "rmm", coin_sig)  # ret takes a J-term
+    found = {k: v for k, v in vars(good).items() if k not in FIELDS}
+    for attrs in ({"derivation": good.derivation, "sig": coin_sig}, found):
+        def forged():
+            return _forge(good, term=bad, **attrs)
+        assert not typecheck.is_checked(forged(), coin_sig)
+        with pytest.raises(models.ModelError, match="ill-typed"):
+            models.semantic_eq(forged(), good, dist_binding, coin_sig)
+        with pytest.raises(models.ModelError, match="does not check"):
+            models.eval_term(forged(), {}, dist_binding, coin_sig)
+        with pytest.raises(equations.RewriteError, match="type-check"):
+            equations.normalize(forged(), coin_sig)
+        with pytest.raises(equations.RewriteError, match="type-check"):
+            equations.check_eq(forged(), forged(), coin_sig)
+        assert not equations.check_proof(equations.EqProof(()), forged(),
+                                          forged(), coin_sig)
+    other = parse_term("do x <- u in ret not x", "rmm", coin_sig)
+    seen = _count_full_checks(monkeypatch)
+    equations.normalize(_forge(good, **dict(found, term=other)), coin_sig)
+    assert seen == [other]
+
+
+def test_a_checked_judgement_is_read_under_its_own_signature_only(
+        coin_sig, dist_binding, monkeypatch):
+    """A layer handed a Checked under the signature object it was checked
+    under reads its derivation; under another signature object, even one
+    loaded from the same text, it checks it again.  check_eq spends the
+    checks of its sides, so a later layer checks them again."""
+    from conftest import fixture_text
+    from relmeta import equations, models
+    other = load_signature(fixture_text("coin.sig"))
+    jl = _coin_judgement(coin_sig, "do x <- u in ret x")
+    jr = _coin_judgement(coin_sig, "do x <- u in ret not x")
+    cl, cr = check(jl, coin_sig), check(jr, coin_sig)
+    seen = _count_full_checks(monkeypatch)
+    equations.normalize(cl, coin_sig)
+    env = {"u": models.VDist([(models.VElem("tt"), models.DY_ONE)])}
+    models.eval_term(cl, env, dist_binding, coin_sig)
+    assert not models.semantic_eq(cl, cr, dist_binding, coin_sig)[0]
+    assert seen == []
+    equations.normalize(cl, other)
+    assert seen == [jl.term]
+    del seen[:]
+    equations.check_eq(cl, cr, coin_sig, [("dist", dist_binding)])
+    assert jl.term not in seen and jr.term not in seen
+    assert not typecheck.is_checked(cl, coin_sig)
+    equations.normalize(cl, coin_sig)
+    assert seen[-1] == jl.term
+
+
 # -- generated-judgement golden ---------------------------------------------
 
 GENERATED = Path(__file__).parent / "golden" / "generated" / "typecheck.txt"
