@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from .signatures import SignatureError
 from .syntax import (BINDERS, GradeMor, SyntaxError_, Term, bv, gtensor,
                      jterm, kterm, letpair, pair, rebind, regrade, shift,
                      term_key, unmerge, uses_bvar)
@@ -351,9 +352,13 @@ def _do_regrade(side):
         l = g.norm(other.grade)
         xis = [g.norm_mor(inner.xi)]
         xis.insert(1 - side, GradeMor(l, l))
+        try:  # a presented grading tensors identities only
+            xi = g.tensor_mor(*xis)
+        except SignatureError:
+            return None
         subs = list(t.subs)
         subs[side] = inner.subs[0]
-        return regrade(g.tensor_mor(*xis), _rebuilt(t, *subs))
+        return regrade(xi, _rebuilt(t, *subs))
     return rewrite
 
 

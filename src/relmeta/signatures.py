@@ -346,8 +346,9 @@ class PresentedGrading(Grading):
         raise SignatureError("presented gradings only tensor identity morphisms")
 
     def word_mor(self, word) -> GradeMor:
-        src, tgt = self.pres.word_endpoints(tuple(word))
-        return GradeMor(gname(src), gname(tgt), self.pres.normalize_word(tuple(word)))
+        word, at = _parse_word(";".join(word))  # as a `rel` line reads it
+        src, tgt = self.pres.word_endpoints(word, at)
+        return GradeMor(gname(src), gname(tgt), self.pres.normalize_word(word, at))
 
 
 # ---------------------------------------------------------------------------

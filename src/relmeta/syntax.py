@@ -767,7 +767,7 @@ class _P:
             self.next()
             second = self.grade()
             return GradeMor(first, second)
-        # presented-grading generator word  g;f  (endpoints resolved later)
+        # a presented grading's generator word g;f, or identity id_m
         self.i = save
         word = [self.next()]
         while self.peek() == ";":

@@ -8,9 +8,10 @@ from relmeta.models import load_binding
 from relmeta.signatures import load_signature
 
 GOLDEN = Path(__file__).parent / "golden"
-# golden name prefix (its calculus) -> signature file
+# golden name prefix (its calculus, or its grading) -> signature file
 CALCULUS_SIG = {"urmm": "coin.sig", "rmm": "coin.sig", "gmm": "gmm.sig",
-                "lnl": "lnl.sig", "arrow": "arrow.sig", "armm": "arrow.sig"}
+                "lnl": "lnl.sig", "arrow": "arrow.sig", "armm": "arrow.sig",
+                "presented": "presented.sig"}
 
 
 def fixture_text(name: str) -> str:
@@ -147,6 +148,11 @@ def gmm_sig():
     return load_signature(
         "calculus gmm\nobject A\nobject B\ngrading builtin mult\n"
         "op pick : () -> T_2(A)\n")
+
+
+@pytest.fixture(scope="session")
+def presented_sig():
+    return load_signature(Path(golden_sig_path("presented")).read_text())
 
 
 @pytest.fixture(scope="session")

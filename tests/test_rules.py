@@ -7,7 +7,8 @@ from conftest import fixture_path
 from relmeta import rules
 from relmeta.rules import INDEX, RULES, RuleCtx, match, rule
 from relmeta.signatures import load_signature
-from relmeta.syntax import (SyntaxError_, Term, base, bv, do, lam, letpair,
+from relmeta.syntax import (SyntaxError_, Term, base, bv, do, judgement,
+                            lam, letpair, parse_type,
                             opapp, parse_term, ret, shift, var)
 
 BY_NAME = {r.name: r for r in RULES}
@@ -274,3 +275,29 @@ def test_rows_of_one_rule_are_told_apart_by_their_kinds():
              "do x <- ret u in t[x] ~> t[u]")
     rule("good", ("rmm",), ("pi1", "pi2"), "pi1 (u, v) ~> u",
          "pi2 (u, v) ~> v")
+
+
+@pytest.mark.parametrize("text, ty, path, rule_name", [
+    ("do y <- regrade<up> u in ret (y, y)", "T_m(A * A)", (),
+     "do.regrade.scrutinee"),
+    ("do x <- u in regrade<up> u", "T_m(A)", (), "do.regrade.body"),
+    ("do x <- u in do y <- regrade<up> u in ret (x, y)", "T_m(A * A)", (1,),
+     "do.regrade.scrutinee"),
+])
+def test_a_regrade_hoist_declines_a_tensor_the_grading_cannot_make(
+        presented_sig, text, ty, path, rule_name):
+    """A presented grading tensors identity morphisms only, so hoisting a
+    generator's regrade out of a bind, which tensors it with the other
+    side's identity, cannot be computed: the rule is asked and declines, as
+    regrade.comp does where it cannot compose, and the term is its own
+    normal form."""
+    from relmeta.equations import _enter, normalize, redexes
+    j = judgement("gmm", [[("u", parse_type("T_m(A)", presented_sig))]],
+                  parse_term(text, "gmm", presented_sig),
+                  parse_type(ty, presented_sig))
+    cj = _enter(j, presented_sig)
+    sub = j.term.subs[1] if path else j.term
+    assert rule_name in [r.name for r, _ in INDEX.candidates(
+        "gmm", False, sub, cj.ann[path][1])]
+    assert list(redexes(cj, presented_sig)) == []
+    assert normalize(j, presented_sig).term == j.term

@@ -105,7 +105,7 @@ def test_open_close_inverse(coin_sig):
     assert close_binder(open_binder(body, "fresh"), "fresh") == body
 
 
-def test_print_parse_roundtrip_hand(coin_sig, lnl_sig):
+def test_print_parse_roundtrip_hand(coin_sig, lnl_sig, presented_sig):
     cases = [
         ("rmm", coin_sig, "do x <- coin in do y <- coin in ret pair2(x,y)"),
         ("rmm", coin_sig, "pi1 (ret (), coin)"),
@@ -113,6 +113,9 @@ def test_print_parse_roundtrip_hand(coin_sig, lnl_sig):
          "lam (f:R(gr(2) -o T(A))). R(lam (s:gr(2)). app (derelict f) s)"),
         ("lnl", lnl_sig, "lam (x:gr(2 * 3)). let (t,r) = unmerge x in (t, r)"),
         ("lnl", lnl_sig, "regrade<4>=2> s"),
+        # a presented grading's identity prints as id_m, and reads back
+        ("gmm", presented_sig, "regrade<id_m> u"),
+        ("gmm", presented_sig, "regrade<up;up> regrade<up> u"),
     ]
     for calc, sig, text in cases:
         t = parse_term(text, calc, sig)
