@@ -547,6 +547,9 @@ def test_check_eq_validates_the_shape_once(coin_sig, dist_binding,
             "do x <- coin in do w <- u in ret x", "T(2)")
     jr = _j("rmm", coin_sig, "z : J(2), u : T(2)", "do w <- u in ret z",
             "T(2)")
+    # whether dist.mb models the coin theory is decided once per binding,
+    # by checks of the axioms' sides: decided here, outside the count
+    assert equations._models_theory(dist_binding, coin_sig)
     calls = []
     orig = typecheck.validate_type
     monkeypatch.setattr(typecheck, "validate_type",

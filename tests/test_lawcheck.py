@@ -318,6 +318,23 @@ def test_graded_ext_override_killed(glist, rng):
         assert not lc.check_graded_laws(mut, stop_early=True).ok
 
 
+def test_graded_sweep_too_large():
+    """A function space of more maps than the sweep cap is an error, also
+    where every law it would be swept for holds by the bounded-list
+    theorem: the clean instance raises at unit-left's maps G x X -> T_2 X,
+    13^6 of them, and a unit mutant, whose unit-left fails earlier, at
+    associativity's sweep of the same space."""
+    gd = lc.bounded_list_instance(
+        carriers={"G": ("g0", "g1"), "X": ("x0", "x1", "x2")})
+    msg = "graded sweep too large: 13^6"
+    with pytest.raises(lc.LawError, match=re.escape(msg)):
+        lc.check_graded_laws(gd)
+    mut = gd.copy()
+    mut.eta[("X", "x0")] = ("x1",)
+    with pytest.raises(lc.LawError, match=re.escape(msg)):
+        lc.check_graded_laws(mut)
+
+
 def test_graded_instance_runtime(glist):
     import time
     t0 = time.time()
