@@ -18,6 +18,17 @@ elements, so the witnesses do not depend on the block size: associativity
 (over f and g) in blocks of whole cells, once per class of the (f, cell)
 pairs whose two sides read the same of f; context naturality (over u and
 f) in blocks of whole arrays.
+
+The kernels sweep only the combinations that depart from the bounded-list
+monad.  A combination of unit-left, associativity, context naturality or
+regrade compatibility whose every table is at its default holds by a
+theorem and is decided True without building a table (_Tables.at_default,
+called from the law predicates; the default of each law: graded_laws).
+The decision is exact: at the default the tables are those of the list
+monad, f* at a cell the concatenation of f's values at its elements and
+every regrade the inclusion, so the kernel would find no failing instance;
+and the function spaces the kernel would build are sized first, so that a
+space over the sweep cap raises LawError where the kernel would.
 """
 
 from __future__ import annotations
@@ -65,11 +76,18 @@ class _GradedCodec:
         return self._flat[a * len(self.vals) + b]
 
 
-def _all_maps_array(dom_size, n_codes):
-    """All functions dom -> codes as an int array (N, dom_size)."""
+def _sweep_size(dom_size, n_codes):
+    """The number of functions dom -> codes; LawError where a sweep of
+    them would be too large."""
     total = n_codes ** dom_size
     if total > 600000:
         raise LawError(f"graded sweep too large: {n_codes}^{dom_size}")
+    return total
+
+
+def _all_maps_array(dom_size, n_codes):
+    """All functions dom -> codes as an int array (N, dom_size)."""
+    total = _sweep_size(dom_size, n_codes)
     ar = _np.arange(total, dtype=_np.int32)
     out = _np.empty((total, dom_size), dtype=_np.int32)
     for i in range(dom_size):
@@ -193,7 +211,25 @@ class _Tables:
         self.codecs = {X: _GradedCodec(gd, X, max(gd.grades))
                        for X in sorted(gd.carriers)}
         self.ovr = gd.overrides()
+        # where gd departs from the bounded-list monad: its overridden
+        # extension keys (G, m, n, X, Y), its regrade families (hi, lo, Y)
+        # that are not inclusions, and its carriers X whose unit is not
+        # the singleton
+        self.departs = set(self.ovr) | \
+            {k[:3] for k, v in gd.tx.items() if v != k[3]} | \
+            {X for (X, a), v in gd.eta.items() if v != (a,)}
         self._built = {}
+
+    def at_default(self, fmats, reads):
+        """Whether a combination holds by the bounded-list theorem: none of
+        the extension keys, regrade families and unit carriers it reads
+        departs.  The function spaces (G, X, n, Y) its kernel sweeps are
+        sized first, in the kernel's order, so that one too large raises
+        here as it does where the kernel builds it."""
+        car = self.gd.carriers
+        for G, X, n, Y in fmats:
+            _sweep_size(len(car[G]) * len(car[X]), len(self.gd.tvals(n, Y)))
+        return self.departs.isdisjoint(reads)
 
     def _once(self, key, build):
         """The value stored under key, built by build() on first use."""
@@ -294,7 +330,27 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
     in the context; out-of-fragment tensors are reported as skips.  The
     engine quantifies over grades and carriers; the vectorized kernels
     sweep the function spaces.  The laws share one store of tables, which
-    lives as long as the list returned."""
+    lives as long as the list returned.
+
+    A kernel runs only where a table its combination reads departs from
+    the default: an override of an extension key (G, m, n, X, Y) it reads,
+    a regrade family (hi, lo, Y) it reads that is not the inclusion
+    tx(hi, lo, Y, v) = v, or a unit eta(a) other than (a,) on the carrier
+    unit-left reads.  At the default each law is an identity of lists:
+    - unit-left at (G, m, A, B) reads f*_{e,m} and eta on A:
+      f*(g, (a,)) = f(g, a), the concatenation of one list;
+    - associativity at (l, m, n, G, A, B, C) reads f*_{l,m}, g*_{l (x) m,n},
+      g*_{m,n} and h*_{l,m (x) n} with h : G x A -> T_{m (x) n} C: both
+      sides at (g0, xs) concatenate g's values at the elements of f's
+      values at xs, and concatenation is associative;
+    - context naturality at (m, n, G2, G, A, B) reads f*_{m,n} at G and at
+      G2: (f o (u x A))* at (g2, xs) is f* at (u g2, xs), so both sides are
+      the same columns of f*;
+    - regrade compatibility at (m, n, n2, G, A, B) reads the extensions
+      at (m, n), (m, n2) and each (m2, n2) of its mirrored condition, and
+      the regrades n >= n2 and m (x) n >= m (x) n2 of B and, per m2,
+      m (x) n2 >= m2 (x) n2 of B and m >= m2 of A: inclusions commute with
+      concatenation, so both sides are the same list."""
     grades, e, car, tx, tensor = (gd.grades, gd.unit_grade, gd.carriers,
                                   gd.tx, gd.tensor)
     names = sorted(car)
@@ -322,6 +378,8 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
 
     def unit_left(G, m, A, B):
         # f*_{e,m} o (G x eta) = f for every f, at each (g, a) in loop order
+        if tables.at_default([(G, A, m, B)], [(G, e, m, A, B), A]):
+            return True
         fmat, dom_index = tables.fmat(G, A, m, B)
         extv = tables.ext(G, e, m, A, B)
         keys = list(dom_index)
@@ -334,6 +392,9 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
         # Without overrides (f o (u x A))* at (g2, xs) is f* at (u g2, xs),
         # so both sides are columns of f*, before and after G's overrides,
         # and the left one gets the overrides at G2 that match f o (u x A).
+        if tables.at_default([(G, A, n, B)],
+                             [(G, m, n, A, B), (G2, m, n, A, B)]):
+            return True  # both sides are the same columns of f*
         fmat, dom_index = tables.fmat(G, A, n, B)
         plain, extv = (tables.plain(G, m, n, A, B),
                        tables.ext(G, m, n, A, B))
@@ -350,8 +411,6 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
         over2 = _coded_overrides(tables.ovr.get((G2, m, n, A, B), ()), keys,
                                  tables.codecs[B],
                                  {c: i for i, c in enumerate(cells)})
-        if extv is plain and not over2:
-            return True  # both sides are the same columns of f*
         ptab, etab = (_np.ascontiguousarray(t.mat.T) for t in (plain, extv))
         ftab = _np.ascontiguousarray(fmat.T) if over2 else None
 
@@ -369,6 +428,24 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
             return True
         o, c, i = hit
         return (us[o], *cells[c], f"f#{i}")
+
+    def associativity(l, m, n, G, A, B, Cc):
+        lm, mn = tensor(l, m), tensor(m, n)
+        return tables.at_default(
+            [(G, A, m, B), (G, B, n, Cc)],
+            [(G, l, m, A, B), (G, lm, n, B, Cc), (G, m, n, B, Cc),
+             (G, l, mn, A, Cc)]) or \
+            _graded_assoc_combo(tables, G, A, B, Cc, l, m, n)
+
+    def regrade_compatibility(m, n, n2, G, A, B):
+        mn, mn2 = tensor(m, n), tensor(m, n2)
+        reads = [(G, m, n, A, B), (n, n2, B), (G, m, n2, A, B), (mn, mn2, B)]
+        for m2 in below(m):
+            if tensor(m2, n2) in grades:
+                reads += [(G, m2, n2, A, B), (mn2, tensor(m2, n2), B),
+                          (m, m2, A)]
+        return tables.at_default([(G, A, n2, B)], reads) or \
+            _graded_regrade_combo(tables, G, A, B, m, n, n2)
 
     return [
         Law("graded-functor-identity", "tx-id",
@@ -395,8 +472,7 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
                    tensor(m, n) in grades and
                    tensor(tensor(l, m), n) in grades),
              names, names, names, names),
-            lambda l, m, n, G, A, B, Cc: _graded_assoc_combo(
-                tables, G, A, B, Cc, l, m, n)),
+            associativity),
         Law("graded-context-naturality", "naturality",
             (grades, grades, Guard(lambda m, n: tensor(m, n) in grades),
              names, names, names, names), naturality),
@@ -405,8 +481,7 @@ def graded_laws(gd: GradedMonadData) -> list[Law]:
              Guard(lambda m, n, n2: n >= n2 and tensor(m, n) in grades and
                    tensor(m, n2) in grades),
              names, names, names),
-            lambda m, n, n2, G, A, B: _graded_regrade_combo(
-                tables, G, A, B, m, n, n2)),
+            regrade_compatibility),
     ]
 
 

@@ -1333,6 +1333,42 @@ def test_graded_reports_do_not_depend_on_the_block_budget(monkeypatch, rng):
         assert got == want
 
 
+def test_graded_reports_do_not_depend_on_the_theorem(monkeypatch, glist,
+                                                     rng):
+    """Where every table a combination reads is at the bounded-list default
+    the combination holds by a theorem and no kernel runs
+    (_Tables.at_default).  With the theorem refused, every combination is
+    swept, and each report is the same, line for line, witnesses and skip
+    counts included.  The instances are the builtin one, the grades-(1,2)
+    instance with its every unit and regrade cell mutant and 6 sampled
+    extension cell mutants, the oracle test's mutants, the overrides of
+    h's extension, and the unit and regrade mutants of a grades-(1,2)
+    instance whose one-element carrier sorts first: there regrade
+    compatibility first fails where only the regrade of its argument
+    carrier departs (the mirrored condition's T_{m >= m2} A)."""
+    small = lc.bounded_list_instance(grades=(1, 2))
+    first = lc.bounded_list_instance(
+        carriers={"A": ("a",), "B": ("b0", "b1")}, grades=(1, 2))
+    cases = [glist, small,
+             *(m for _, m in lc.graded_mutations(small, rng=rng,
+                                                 ext_samples=6)),
+             *_oracle_mutants().values(), *_h_override_mutants(small).values(),
+             *(m for _, m in lc.graded_mutations(first))]
+    decided = collections.Counter()
+    at_default = graded._Tables.at_default
+
+    def counted(self, fmats, reads):
+        out = at_default(self, fmats, reads)
+        decided[out] += 1
+        return out
+
+    monkeypatch.setattr(graded._Tables, "at_default", counted)
+    want = [lc.check_graded_laws(gd).lines for gd in cases]
+    assert decided[True] > decided[False] > 0
+    monkeypatch.setattr(graded._Tables, "at_default", lambda *args: False)
+    assert [lc.check_graded_laws(gd).lines for gd in cases] == want
+
+
 def test_graded_check_memory_peak(glist):
     """The traced allocation peak of a check of the builtin instance, its
     tables and the transient arrays of its kernels: 5.56 MB before
@@ -1392,8 +1428,12 @@ def test_graded_tables_are_built_once_per_check(monkeypatch, glist, rng):
 def test_graded_tables_are_freed_when_the_check_ends(monkeypatch, glist):
     """No table outlives its check: not after a full report, one that
     stops at the first failing law (associativity, after tables were
-    built), or a check that raises.  The cycle collector is off, so the
-    tables must go as the check's last reference to its store does."""
+    built), or a check that raises.  The instances are mutants, since a
+    law is swept only where a table departs from the bounded-list monad:
+    a unit mutant, an extension mutant and, for the check that raises in
+    regrade compatibility once a combination's tables are built, a regrade
+    mutant.  The cycle collector is off, so the tables must go as the
+    check's last reference to its store does."""
     refs = []
 
     class ExtVec(graded._ExtVec):
@@ -1401,14 +1441,20 @@ def test_graded_tables_are_freed_when_the_check_ends(monkeypatch, glist):
             super().__init__(*args)
             refs.append(weakref.ref(self))
 
+    combo = graded._graded_regrade_combo
+
     def raising(*args):
+        combo(*args)
         raise lc.LawError("stop")
 
     monkeypatch.setattr(graded, "_ExtVec", ExtVec)
+    unit, regrade = glist.copy(), glist.copy()
+    unit.eta[("B", "b0")] = ("b1",)
+    regrade.tx[(2, 1, "B", ("b0",))] = ("b0", "b0")
     mutant = _ext_mutant(glist, "U", 1, 1, "U", "U", [()], ("u", ()))
     gc.disable()
     try:
-        for gd, stop_early in ((glist, False), (mutant, False),
+        for gd, stop_early in ((unit, False), (mutant, False),
                                (mutant, True)):
             refs.clear()
             lc.check_graded_laws(gd, stop_early)
@@ -1416,7 +1462,7 @@ def test_graded_tables_are_freed_when_the_check_ends(monkeypatch, glist):
         refs.clear()
         monkeypatch.setattr(graded, "_graded_regrade_combo", raising)
         with pytest.raises(lc.LawError):
-            lc.check_graded_laws(glist)
+            lc.check_graded_laws(regrade)
         assert refs and not any(r() for r in refs)
     finally:
         gc.enable()
