@@ -1342,18 +1342,27 @@ def test_graded_reports_do_not_depend_on_the_theorem(monkeypatch, glist,
     counts included.  The instances are the builtin one, the grades-(1,2)
     instance with its every unit and regrade cell mutant and 6 sampled
     extension cell mutants, the oracle test's mutants, the overrides of
-    h's extension, and the unit and regrade mutants of a grades-(1,2)
-    instance whose one-element carrier sorts first: there regrade
-    compatibility first fails where only the regrade of its argument
-    carrier departs (the mirrored condition's T_{m >= m2} A)."""
+    h's extension, and instances on which a law first fails where one
+    table alone departs that no earlier combination of it reads: the unit
+    and regrade mutants of a grades-(1,2) instance whose one-element
+    carrier sorts first (regrade compatibility's T_{m >= m2} A), and of
+    one-carrier instances at grades (1,2,4) and (1,2,3,6) (its
+    T_{m (x) n >= m (x) n2} B and T_{n >= n2} B), and two extension
+    mutants (associativity's g*_{m,n}, regrade compatibility's
+    f*_{m2,n2})."""
     small = lc.bounded_list_instance(grades=(1, 2))
     first = lc.bounded_list_instance(
         carriers={"A": ("a",), "B": ("b0", "b1")}, grades=(1, 2))
+    one = [lc.bounded_list_instance(carriers={"U": ("u",)}, grades=grades)
+           for grades in ((1, 2, 4), (1, 2, 3, 6))]
+    two = lc.bounded_list_instance(carriers={"U": ("u",), "V": ("v",)})
     cases = [glist, small,
              *(m for _, m in lc.graded_mutations(small, rng=rng,
                                                  ext_samples=6)),
              *_oracle_mutants().values(), *_h_override_mutants(small).values(),
-             *(m for _, m in lc.graded_mutations(first))]
+             *(m for gd in (first, *one) for _, m in lc.graded_mutations(gd)),
+             _ext_mutant(one[1], "U", 3, 1, "U", "U", [("u",)], ("u", ("u",))),
+             _ext_mutant(two, "U", 2, 1, "U", "U", [()], ("u", ("u", "u")))]
     decided = collections.Counter()
     at_default = graded._Tables.at_default
 
@@ -1369,11 +1378,14 @@ def test_graded_reports_do_not_depend_on_the_theorem(monkeypatch, glist,
     assert [lc.check_graded_laws(gd).lines for gd in cases] == want
 
 
-def test_graded_check_memory_peak(glist):
+def test_graded_check_memory_peak(monkeypatch, glist):
     """The traced allocation peak of a check of the builtin instance, its
     tables and the transient arrays of its kernels: 5.56 MB before
     associativity was decided in blocks of cells, 5.16 MB after; the bound
-    is the former with a tenth to spare."""
+    is the former with a tenth to spare.  The bounded-list theorem is
+    refused, so that every kernel sweeps, as a clean instance builds no
+    table."""
+    monkeypatch.setattr(graded._Tables, "at_default", lambda *args: False)
     lc.check_graded_laws(glist)  # numpy loaded, the law engines compiled
     tracemalloc.start()
     try:
