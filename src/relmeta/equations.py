@@ -10,32 +10,33 @@ and a separating binding that is a model of the signature's theory
 refutes without one (`check_eq`; what a sweep evaluates: `_sweep_binding`).
 
 Subject reduction is re-checked after every rewrite, never assumed.  A
-judgement entering the engine is checked in full, and its typing index
-(`typecheck.typings`) records at each position what the checker found and
-what it was given there.  A rule step, an axiom move or a search-only move
-replaces one subterm, and `typecheck.check_at` checks that subterm alone
-under the inputs recorded at its position, splicing the result into the
-index.  Where that cannot be shown to equal a full check (the subterm's
-free names or dangling bound variables changed, its type is not the
-recorded one, or it fails to check) the whole term is checked again,
-which also words any failure.  The checks of one engine call are kept by
-term, so none is repeated, and the call's shared judgement shape is
-validated once; a `typecheck.Checked` under the call's signature object
-enters with its own check.  `check_proof` replays with full checks only,
-so it stays an independent check of what the engine found.
+judgement entering the engine is checked in full, and its
+`typecheck.Checked` carries the derivation, whose nodes hold what the
+checker found and what it was given at each position.  A rule step, an
+axiom move or a search-only move replaces one subterm, and
+`typecheck.check_at` checks that subterm alone under the inputs its node
+holds, splicing the result into the derivation.  Where that cannot be
+shown to equal a full check (the subterm's free names or dangling bound
+variables changed, its type is not the node's, or it fails to check) the
+whole term is checked again, which also words any failure.  The checks of
+one engine call are kept by term, so none is repeated, and the call's
+shared judgement shape is validated once; a `typecheck.Checked` under the
+call's signature object enters with its own check.  `check_proof` replays
+with full checks only, so it stays an independent check of what the
+engine found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 from . import syntax
 from .rules import INDEX, RuleCtx, instantiate, match
 from .signatures import Axiom, Signature, SignatureError
 from .syntax import (Judgement, Term, alpha_eq, replace_at, subterm_at,
                      term_to_text)
-from .typecheck import check, check_at, forget, is_checked, typings
+from .typecheck import (Checked, check, check_at, forget, is_checked,
+                        renamed)
 
 
 class RewriteError(Exception):
@@ -113,166 +114,165 @@ class NormalizeResult:
 # ---------------------------------------------------------------------------
 # checked judgements, redex enumeration and single steps
 
-class _Checked(NamedTuple):
-    """A judgement with its typing index (`typecheck.typings`) from a check
-    this module ran on it, and the checks of the engine call it belongs to;
-    each rewrite step hands its own on."""
-    j: Judgement
-    ann: dict
-    checks: "_Checks"
-
-
 class _Checks:
-    """The typechecks of one engine call, by term: each term's typing index,
-    and the Checked of each full check.  Every judgement one call visits
-    has the same shape (check_eq's two sides share it), so a term is
-    checked once however often the call reaches it, and the shape's zones
-    and type are validated once.  A rewrite step's result is checked
-    locally where `check_at` can show that gives a full check's index, and
-    in full otherwise."""
+    """The typechecks of one engine call: each term's Checked, or the
+    failure message.  Every judgement one call visits has the same shape
+    (check_eq's two sides share it), so a term is checked once however
+    often the call reaches it, and the shape's zones and type are validated
+    once.  A rewrite step's result is checked locally where `check_at` can
+    show that gives a full check's derivation, and in full otherwise."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.results = {}   # term -> typing index, or the failure message
-        self.full = {}      # term -> its Checked
+        self.results = {}   # term -> its Checked, or the failure message
         self.shape = None   # the judgement shape a check here accepted
 
-    def _full(self, j: Judgement):
-        """Check j in full, unless it is a Checked under this call's
-        signature; keep it and its typing index, or the failure message."""
-        shape = (j.calculus, j.form, j.zones, j.ty)
-        res = j if is_checked(j, self.sig) else \
-            check(j, self.sig, validated=shape == self.shape)
-        if res.ok:
-            self.shape = shape
-            self.full[j.term] = res
-        out = self.results[j.term] = \
-            typings(res.derivation, memo=res.occ) if res.ok else res.message
-        return out
-
-    def __call__(self, j: Judgement, kept=None):
-        """(_Checked, "") for a well-typed j, else (None, message)."""
-        out = kept or self.results.get(j.term) or self._full(j)
-        return (None, out) if isinstance(out, str) else \
-            (_Checked(j, out, self), "")
-
-    def at(self, cj: _Checked, path: tuple, new: Term):
-        """What __call__ gives for cj's judgement with `new` at `path`."""
-        j = cj.j.with_term(replace_at(cj.j.term, path, new))
+    def __call__(self, j: Judgement):
+        """j's Checked, or the failure message: kept, or j itself if it is
+        a Checked under this call's signature, or from a full check."""
         out = self.results.get(j.term)
         if out is None:
-            out = check_at(cj.j, cj.ann, path, new, self.sig)
-            if out is not None:
-                self.results[j.term] = out
-        return self(j, out)
+            shape = (j.calculus, j.form, j.zones, j.ty)
+            out = j if is_checked(j, self.sig) else \
+                check(j, self.sig, validated=shape == self.shape)
+            if out.ok:
+                self.shape = shape
+            else:
+                out = out.message
+            self.results[j.term] = out
+        return _result_for(out, j.term)
 
-    def checked(self, j: Judgement):
-        """j's Checked: kept, or made now if its term's check was local."""
-        if j.term not in self.full:
-            self._full(j)
-        return self.full[j.term]
+    def at(self, c: Checked, path: tuple, new: Term):
+        """What __call__ gives for c's judgement with `new` at `path`."""
+        term = replace_at(c.term, path, new)
+        out = self.results.get(term)
+        if out is not None:
+            return _result_for(out, term)
+        out = check_at(c, path, new)
+        if out is None:
+            return self(c.with_term(term))
+        self.results[term] = out
+        return out
 
 
-def _enter(j, sig: Signature, checks: _Checks | None = None) -> _Checked:
-    """Check a judgement as it enters the engine (through the call's
-    checks, if given); raises if ill-typed."""
-    if isinstance(j, _Checked):
-        return j
-    cj, msg = (checks or _Checks(sig))(j)
-    if cj is None:
-        raise RewriteError(f"term does not type-check: {msg}")
-    return cj
+def _result_for(out, term: Term):
+    """A kept result for `term`: the failure message, or a Checked of term
+    itself (the kept one's may print its binders by other names)."""
+    return out if type(out) is str or out.term is term else renamed(out, term)
 
 
-def redexes(cj: _Checked, sig: Signature, search_only=False):
+def _enter(j, checks: _Checks) -> Checked:
+    """Check a judgement as it enters the engine, through the call's
+    checks; raises if ill-typed."""
+    out = checks(j)
+    if type(out) is str:
+        raise RewriteError(f"term does not type-check: {out}")
+    return out
+
+
+def _positions(c: Checked):
+    """(path, subterm, derivation node) of each position of c's term, in
+    preorder (`syntax.positions`)."""
+    stack = [((), c.term, c.derivation)]
+    while stack:
+        path, t, node = stack.pop()
+        yield path, t, node
+        for i in range(len(t.subs) - 1, -1, -1):
+            stack.append((path + (i,), t.subs[i], node.children[i]))
+
+
+def redexes(c: Checked, sig: Signature, search_only=False):
     """The (rule, path, new subterm) triples on a checked judgement,
     lazily, leftmost-outermost and then in rule registration order: of the
     normalizing rules, or with search_only of the search-only ones alone.
     At each position only the rules `rules.INDEX` gives for its kinds are
     tried."""
-    calculus = cj.j.calculus
+    calculus = c.calculus
     if (calculus, search_only) not in INDEX.trees:
         return
-    # the typing index is in `positions` order: walk the term in preorder
-    stack = [cj.j.term]
-    for path, typing in cj.ann.items():
-        sub = stack.pop()
-        if sub.subs:
-            stack.extend(reversed(sub.subs))
-        cands = INDEX.candidates(calculus, search_only, sub, typing[1])
+    for path, sub, node in _positions(c):
+        cands = INDEX.candidates(calculus, search_only, sub,
+                                 node.judgement.ty)
         if cands:
-            ctx = RuleCtx(sig, calculus, path, cj.ann)
+            ctx = RuleCtx(sig, calculus, node)
             for r, rewrite in cands:
                 new = rewrite(sub, ctx)
                 if new is not None and new != sub:
                     yield r, path, new
 
 
-def apply_rule_at(cj: _Checked, sig: Signature, rule_name: str,
+def apply_rule_at(c: Checked, sig: Signature, rule_name: str,
                   path: tuple) -> Term:
     """Replay a single named rule at a position; raises if it does not fire."""
-    sub = subterm_at(cj.j.term, path)
+    sub, node = c.term, c.derivation
+    for i in path:
+        sub, node = sub.subs[i], node.children[i]
     r = INDEX.by_name.get(rule_name)
     if r is not None:
-        ctx = RuleCtx(sig, cj.j.calculus, path, cj.ann)
-        for cand, rewrite in INDEX.candidates(cj.j.calculus, r.search_only,
+        ctx = RuleCtx(sig, c.calculus, node)
+        for cand, rewrite in INDEX.candidates(c.calculus, r.search_only,
                                               sub, ctx.ty):
             if cand is r and (new := rewrite(sub, ctx)) is not None:
-                return replace_at(cj.j.term, path, new)
+                return replace_at(c.term, path, new)
     raise RewriteError(f"rule {rule_name} does not apply at {path}")
 
 
-def normalize(j, sig: Signature, *, budget: int = 10000,
-              rng=None) -> NormalizeResult:
+def normalize(j, sig: Signature, *, budget: int = 10000, rng=None,
+              checks: _Checks | None = None) -> NormalizeResult:
     """Rewrite to a fixed point of the oriented rule set.
 
     Deterministic (the first redex: leftmost-outermost, then rule
     registration order) unless an rng is supplied, in which case each step
     picks a uniformly random redex (used by the confluence smoke tests).
     Subject reduction is enforced, not assumed: the input is checked once
-    (unless it is a `_Checked` this module made, or a `typecheck.Checked`
-    under sig) and every step's result is checked, and that check's typing
-    index drives the next step, so n steps make at most n+1 checks (fewer
-    when the input's engine call has already checked a term on the way).
-    A step's check covers the rewritten subterm alone where
+    (unless it is a `typecheck.Checked` under sig, or one of an engine
+    call's `checks`, given with them) and every step's result is checked,
+    and that check's derivation drives the next step, so n steps make at
+    most n+1 checks (fewer when the call has already checked a term on the
+    way).  A step's check covers the rewritten subterm alone where
     `typecheck.check_at` can show that this gives what a full check would,
     and the whole term otherwise; a step that breaks typing always ends in
     a full check, which words the error.
     """
-    cur = _enter(j, sig)
+    if checks is None:
+        checks = _Checks(sig)
+        j = _enter(j, checks)
     steps: list[Step] = []
     for _ in range(budget):
         if rng is None:
-            rd = next(redexes(cur, sig), None)
+            rd = next(redexes(j, sig), None)
         else:
-            rds = list(redexes(cur, sig))
+            rds = list(redexes(j, sig))
             rd = rds[rng.randrange(len(rds))] if rds else None
         if rd is None:
-            return NormalizeResult(cur.j.term, steps)
+            return NormalizeResult(j.term, steps)
         r, path, new = rd
-        nxt, msg = cur.checks.at(cur, path, new)
-        if nxt is None:
+        nxt = checks.at(j, path, new)
+        if type(nxt) is str:
             raise SubjectReductionError(
-                f"rule {r.name} at {path} broke typing: {msg}\n"
-                f"  before: {term_to_text(cur.j.term)}\n"
-                f"  after:  {term_to_text(replace_at(cur.j.term, path, new))}")
-        cur = nxt
+                f"rule {r.name} at {path} broke typing: {nxt}\n"
+                f"  before: {term_to_text(j.term)}\n"
+                f"  after:  {term_to_text(replace_at(j.term, path, new))}")
+        j = nxt
         steps.append(Step(r.name, path))
-    raise BudgetExceeded(budget, cur.j.term)
+    raise BudgetExceeded(budget, j.term)
 
 
 # ---------------------------------------------------------------------------
 # axiom application
 
-def axiom_moves(j, sig: Signature, axioms):
+def axiom_moves(j, sig: Signature, axioms, *,
+                checks: _Checks | None = None):
     """All single axiom rewrites (either direction, any position) that keep
-    the judgement well-typed, each as (step, checked result), by axiom,
-    direction and position.  j may be a `_Checked` this module made; its
-    engine call's checks then serve.  Raises if j is ill-typed."""
-    cj = _enter(j, sig)
+    the judgement well-typed, each as (step, its Checked result), by axiom,
+    direction and position.  j is checked as it enters, unless it is one of
+    an engine call's `checks`, given with them.  Raises if j is ill-typed."""
+    if checks is None:
+        checks = _Checks(sig)
+        j = _enter(j, checks)
     if not axioms:
         return []
-    everywhere = [(path, subterm_at(cj.j.term, path)) for path in cj.ann]
+    everywhere = [(path, sub) for path, sub, _ in _positions(j)]
     at_kind = {}
     for path, sub in everywhere:
         at_kind.setdefault(sub.kind, []).append((path, sub))
@@ -290,8 +290,8 @@ def axiom_moves(j, sig: Signature, axioms):
                 # a var only on the other side cannot be guessed
                 if sigma is None or axvars - set(sigma):
                     continue
-                nxt, _ = cj.checks.at(cj, path, instantiate(tgt, sigma))
-                if nxt is not None:
+                nxt = checks.at(j, path, instantiate(tgt, sigma))
+                if type(nxt) is not str:
                     out.append((Step(ax.name, path, kind="axiom",
                                      axdir=axdir,
                                      sigma=tuple(sorted(sigma.items()))),
@@ -351,12 +351,12 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
 
 def _decide(jl, jr, sig, models, depth, breadth, budget):
     checks = _Checks(sig)
-    cl = _enter(jl, sig, checks)
+    cl = _enter(jl, checks)
     if is_checked(jr, sig):  # free now, and jl's normalization may reach it
         checks(jr)
-    nl = normalize(cl, sig, budget=budget)
-    cr = _enter(jr, sig, checks)
-    nr = normalize(cr, sig, budget=budget)
+    nl = normalize(cl, sig, budget=budget, checks=checks)
+    cr = _enter(jr, checks)
+    nr = normalize(cr, sig, budget=budget, checks=checks)
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN",
                          proof=EqProof(tuple(nl.steps + _backward(nr.steps))))
@@ -376,7 +376,7 @@ def _decide(jl, jr, sig, models, depth, breadth, budget):
     except models_mod.ModelError as e:
         error = e
     axioms = theory.axioms if theory else []
-    mid = _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget)
+    mid = _bisearch(checks, cl, nl, cr, nr, axioms, depth, breadth, budget)
     if mid is not None:
         return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
     if error is not None:
@@ -387,21 +387,22 @@ def _decide(jl, jr, sig, models, depth, breadth, budget):
 def _sweep_binding(checks: _Checks, left, right, binding):
     """The first environment, in `semantic_eq`'s order, in which binding
     separates the sides left and right, each (judgement, NormalizeResult)
-    and swept as the call's Checked, or None.  Where a side took a step and
+    and swept as the call's Checked (a normal form's from its step's
+    check), or None.  Where a side took a step and
     binding respects the relations (so the rules hold in it: `gen.word`
     reads them), the normal forms are swept over the originals'
     environments, and a separating one is confirmed on the originals; else,
     or if they do not differ there, or that sweep raises, the originals."""
     from . import models as models_mod
     sig = checks.sig
-    jl, jr = checks.checked(left[0]), checks.checked(right[0])
+    jl, jr = checks(left[0]), checks(right[0])
 
     def sweep(c1, c2, envs=None):
         return models_mod._sweep(c1, c2, envs or models_mod.env_space(
             jl, binding, sig, models_mod._grid_exp_for(jl, jr)), binding, sig)
     if (left[1].steps or right[1].steps) and _respects_relations(binding, sig):
         try:
-            env = sweep(*(checks.checked(j.with_term(n.term))
+            env = sweep(*(checks(j.with_term(n.term))
                           for j, n in (left, right)))
             if env is None or sweep(jl, jr, (env,)) is not None:
                 return env
@@ -462,27 +463,31 @@ def _backward(steps):
     return [replace(s, orientation="bwd") for s in reversed(steps)]
 
 
-def _expand(cj, sig, axioms, budget):
+def _expand(c, checks: _Checks, axioms, budget):
     """One search layer: (move, NormalizeResult) for each axiom or
-    search-only rule move, followed by renormalization."""
-    out = [(step, normalize(nxt, sig, budget=budget))
-           for step, nxt in axiom_moves(cj, sig, axioms)]
+    search-only rule move, followed by renormalization, through the engine
+    call's checks."""
+    sig = checks.sig
+    out = [(step, normalize(nxt, sig, budget=budget, checks=checks))
+           for step, nxt in axiom_moves(c, sig, axioms, checks=checks)]
     # search-only rules participate in both orientations
-    for r, path, new in redexes(cj, sig, search_only=True):
-        nxt, msg = cj.checks.at(cj, path, new)
-        if nxt is None:
-            raise RewriteError(f"term does not type-check: {msg}")
-        out.append((Step(r.name, path), normalize(nxt, sig, budget=budget)))
+    for r, path, new in redexes(c, sig, search_only=True):
+        nxt = checks.at(c, path, new)
+        if type(nxt) is str:
+            raise RewriteError(f"term does not type-check: {nxt}")
+        out.append((Step(r.name, path),
+                    normalize(nxt, sig, budget=budget, checks=checks)))
     return out
 
 
-def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
-    if not axioms and (cl.j.calculus, True) not in INDEX.trees:
+def _bisearch(checks: _Checks, cl, nl, cr, nr, axioms, depth, breadth,
+              budget):
+    if not axioms and (cl.calculus, True) not in INDEX.trees:
         return None
     # seed with the originals too: an axiom redex may only exist before
     # normalization reshapes the term
-    left = {nl.term: list(nl.steps), cl.j.term: []}
-    right = {nr.term: _backward(nr.steps), cr.j.term: []}
+    left = {nl.term: list(nl.steps), cl.term: []}
+    right = {nr.term: _backward(nr.steps), cr.term: []}
     lfront, rfront = dict(left), dict(right)
     for _ in range(depth):
         if not lfront and not rfront:
@@ -492,8 +497,8 @@ def _bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth, budget):
                             else (rfront, right, left))
         nxt_front = {}
         for term, steps in list(src.items()):
-            cj = _enter(cl.j.with_term(term), sig, cl.checks)
-            for step, norm in _expand(cj, sig, axioms, budget):
+            c = _enter(cl.with_term(term), checks)
+            for step, norm in _expand(c, checks, axioms, budget):
                 nt, new_steps = norm.term, [step] + norm.steps
                 if nt in seen:
                     continue
@@ -526,7 +531,7 @@ def check_proof(proof: EqProof, jl: Judgement, jr: Judgement,
     """Replay a valley proof: forward steps from the left endpoint, backward
     steps from the right endpoint, cursors must meet alpha-equal.  Both
     endpoints and every intermediate term must type-check; each step's
-    check supplies the typing index the next rule step reads.
+    check supplies the derivation the next rule step reads.
     """
     steps = proof.steps
     k = 0
@@ -537,18 +542,19 @@ def check_proof(proof: EqProof, jl: Judgement, jr: Judgement,
     axioms = {ax.name: ax for ax in (sig.theory.axioms if sig.theory else [])}
 
     def replay(j, side):
-        cj = _enter(j, sig)
+        checks = _Checks(sig)
+        c = _enter(j, checks)
         for step in side:
             if step.kind != "axiom":
-                new_term = apply_rule_at(cj, sig, step.name, step.path)
+                new_term = apply_rule_at(c, sig, step.name, step.path)
             elif step.name not in axioms:
                 raise RewriteError(f"unknown axiom {step.name}")
             else:
                 new_term = apply_axiom_at(
-                    cj.j, sig, axioms[step.name], step.path, step.axdir,
+                    c, sig, axioms[step.name], step.path, step.axdir,
                     dict(step.sigma) if step.sigma else None)
-            cj = _enter(cj.j.with_term(new_term), sig, cj.checks)
-        return cj.j.term
+            c = _enter(c.with_term(new_term), checks)
+        return c.term
 
     try:
         return alpha_eq(replay(jl, steps[:k]), replay(jr, reversed(steps[k:])))

@@ -1155,12 +1155,14 @@ def graded_mutations(gd: GradedMonadData, rng=None, ext_samples=0):
     if not rng or not ext_samples:
         return
     names = sorted(gd.carriers)
+    if not any(gd.carriers.values()):
+        return  # no context value, so no extension cell
     made = 0
     while made < ext_samples:
         G, A, B = (rng.choice(names) for _ in range(3))
         m = rng.choice(gd.grades)
         n = rng.choice(gd.grades)
-        if gd.tensor(m, n) not in gd.grades:
+        if gd.tensor(m, n) not in gd.grades or not gd.carriers[G]:
             continue
         dom = [(g, a) for g in gd.carriers[G] for a in gd.carriers[A]]
         f = {k: rng.choice(gd.tvals(n, B)) for k in dom}

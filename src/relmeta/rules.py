@@ -56,17 +56,20 @@ from . import syntax
 class RuleCtx:
     sig: object
     calculus: str
-    path: tuple
-    ann: dict  # position -> (judgement form, TypeExpr) of the node there
+    node: object  # the position's `typecheck.Derivation` node; None: untyped
 
     @property
     def ty(self):
-        info = self.ann.get(self.path)
-        return info[1] if info else None
+        return self.typeof(())
 
     def typeof(self, rel):
-        info = self.ann.get(self.path + tuple(rel))
-        return info[1] if info else None
+        """The type of the node at `rel` below the position's, or None
+        where there is none."""
+        node = self.node
+        for i in rel:
+            kids = node.children if node else ()
+            node = kids[i] if i < len(kids) else None
+        return node and node.judgement.ty
 
 
 class Row(NamedTuple):
@@ -287,10 +290,8 @@ def unit_eta(t, ctx):
     ty = ctx.ty
     if ty is None or ty.kind != "unit1" or t.kind == "unit":
         return None
-    if ctx.calculus == "lnl":
-        info = ctx.ann.get(ctx.path)
-        if info and info[0] == "C":
-            return None  # the linear unit I has let-form laws instead
+    if ctx.calculus == "lnl" and ctx.node.judgement.form == "C":
+        return None  # the linear unit I has let-form laws instead
     return syntax.UNIT
 
 

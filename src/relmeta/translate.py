@@ -88,12 +88,12 @@ def _fold(node: Derivation, trace: TranslationTrace, own, source: str,
     return out
 
 
-def _translate(j: Judgement, sig: Signature, tgt_sig: Signature | None,
-               source: str, target: str, own, ty):
+def _translate(j: Judgement, sig: Signature, source: str, target: str, own,
+               ty):
     """Check j, a `source` judgement, unless it is a `typecheck.Checked`
     under sig; fold its derivation with the direction's clauses `own`;
-    translate its zones and type by `ty`; check the `target` judgement,
-    under `tgt_sig` if given.  Returns (target's Checked, trace)."""
+    translate its zones and type by `ty`; check the `target` judgement
+    under sig.  Returns (target's Checked, trace)."""
     if j.calculus != source:
         raise TranslateError(
             f"the source judgement is {j.calculus}, not {source}")
@@ -107,7 +107,7 @@ def _translate(j: Judgement, sig: Signature, tgt_sig: Signature | None,
     if j.form == "C":  # a command lands in an empty third zone, at T(-)
         zones, result = zones + ((),), tt(result)
     trace.target = Judgement(target, j.form, zones, term, result)
-    tgt = check(trace.target, tgt_sig if tgt_sig is not None else sig)
+    tgt = check(trace.target, sig)
     trace.typing_preserved = bool(tgt.ok)
     if not tgt.ok:
         raise IllTypedTarget(
@@ -181,17 +181,18 @@ def _tr_gmm(node: Derivation, kids) -> Term | None:
                               hint=node.binders[0])
             return syntax.app(syntax.app(prog, kids[0]), karg)
         case "regrade":
+            # a presented grading's morphism is its word, not its endpoints
             uty = node.children[0].judgement.ty
-            prog = regrade_program(GradeMor(ty.grade, uty.grade),
+            word = node.judgement.term.xi.word
+            prog = regrade_program(GradeMor(ty.grade, uty.grade, word),
                                    ty_gmm_to_lnl(uty.subs[0]))
             return syntax.app(prog, kids[0])
     return None
 
 
-def gmm_to_lnl(j: Judgement, sig: Signature,
-               tgt_sig: Signature | None = None):
+def gmm_to_lnl(j: Judgement, sig: Signature):
     """Translate a graded judgement; returns (target judgement, trace)."""
-    return _translate(j, sig, tgt_sig, "gmm", "lnl", _tr_gmm, ty_gmm_to_lnl)
+    return _translate(j, sig, "gmm", "lnl", _tr_gmm, ty_gmm_to_lnl)
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +228,17 @@ def _tr_arrow(node: Derivation, kids) -> Term | None:
     return None
 
 
-def arrow_to_armm(j: Judgement, sig: Signature,
-                  tgt_sig: Signature | None = None):
+def arrow_to_armm(j: Judgement, sig: Signature):
     """Translate an arrow-calculus judgement or command; returns
     (target judgement, trace)."""
-    return _translate(j, sig, tgt_sig, "arrow", "armm", _tr_arrow,
-                      ty_arrow_to_armm)
+    return _translate(j, sig, "arrow", "armm", _tr_arrow, ty_arrow_to_armm)
 
 
-def translate(j: Judgement, sig: Signature, src: str, tgt: str,
-              tgt_sig: Signature | None = None):
+def translate(j: Judgement, sig: Signature, src: str, tgt: str):
     if (src, tgt) == ("gmm", "lnl-rmm") or (src, tgt) == ("gmm", "lnl"):
-        return gmm_to_lnl(j, sig, tgt_sig)
+        return gmm_to_lnl(j, sig)
     if (src, tgt) == ("arrow", "armm"):
-        return arrow_to_armm(j, sig, tgt_sig)
+        return arrow_to_armm(j, sig)
     raise TranslateError(f"no translation {src} -> {tgt}")
 
 
@@ -280,7 +278,6 @@ class HarnessReport:
 
 def conservativity_harness(pairs, direction: str, sig: Signature,
                            src_models=(), tgt_models=(),
-                           tgt_sig: Signature | None = None,
                            search_depth: int = 4) -> HarnessReport:
     """For each source equation pair: translate, then compare verdicts.
 
@@ -301,7 +298,7 @@ def conservativity_harness(pairs, direction: str, sig: Signature,
         targets, failures = [], []
         for j in (jl, jr):
             try:
-                targets.append(tr(j, sig, tgt_sig)[0])
+                targets.append(tr(j, sig)[0])
             except IllTypedTarget as e:
                 failures.append(str(e))
         report.typing_checked += 2
@@ -311,16 +308,12 @@ def conservativity_harness(pairs, direction: str, sig: Signature,
             report.rows.append(HarnessRow(name, src_v.status, "ILL-TYPED",
                                           False, failures[0]))
             continue
-        use_sig = tgt_sig if tgt_sig is not None else sig
-        tgt_v = check_eq(*targets, use_sig, tgt_models, depth=search_depth)
-        ok = True
+        tgt_v = check_eq(*targets, sig, tgt_models, depth=search_depth)
         detail = ""
-        if src_v.status == "PROVEN" and tgt_v.status == "REFUTED":
-            ok = False
+        if tgt_v.status == "REFUTED" and src_v.status == "PROVEN":
             detail = f"translated pair refuted: {tgt_v.witness}"
-        if tgt_v.status == "REFUTED" and src_v.status != "REFUTED":
-            ok = False
-            detail = detail or "target refuted but source is not"
-        report.rows.append(HarnessRow(name, src_v.status, tgt_v.status, ok,
-                                      detail))
+        elif tgt_v.status == "REFUTED" and src_v.status != "REFUTED":
+            detail = "target refuted but source is not"
+        report.rows.append(HarnessRow(name, src_v.status, tgt_v.status,
+                                      not detail, detail))
     return report

@@ -34,13 +34,16 @@ its term as it sits in the root term, bvars and all) and, at a binding
 rule, the names it gave the binding child's binders.  Only the root
 judgement is validated; the nodes' judgements are built from its zones
 and fresh names, so they are valid by construction.  Every node of a scope
-holds the same zone tuples, not copies of them.  Printing and replay
-rebuild a node's names by walking from the root.  The rewrite engine, the
-evaluator and the translations read the derivation.
+holds the same zone tuples, not copies of them.  Printing, replay and
+`check_at` rebuild a node's names by walking from the root.  The rewrite
+engine, the evaluator and the translations read the derivation.  A
+`Checked` holds the derivation of its term, or, `renamed`, of a term `==`
+it whose binders print other names.
 
-Each node also holds the expected type the checker was given there (the
-synthesis function pushes it, and the node's `deriv` pops it), so that
-`check_at` can check a rewritten subterm on its own (see `typings`).
+Each node also holds its term's occurrences and the expected type the
+checker was given there (the synthesis function pushes it, and the node's
+`deriv` pops it), so that `check_at` can check a rewritten subterm on its
+own and splice its derivation in.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class Derivation:
     children: tuple = ()
     binders: tuple = ()  # names of the binding child's binders, in slot order
     expect: TypeExpr | None = None  # the expected type the checker was given
+    occ: tuple | None = None  # its term's occurrences (`occurrences`)
 
     def walk(self):
         yield self
@@ -90,14 +94,14 @@ class CheckResult:  # a rejection; an acceptance is a `Checked`
 
 class Checked(Judgement):
     """An accepted judgement, equal to its plain judgement, with the object
-    `sig` it was checked under, its `derivation` and occurrence table `occ`.
-    Only `check` makes one, as only LCF's kernel makes theorems (Gordon,
+    `sig` it was checked under and its `derivation`.  Only `check` and
+    `check_at` make one, as only LCF's kernel makes theorems (Gordon,
     Milner & Wadsworth 1979); `with_term` and `replace` make plain ones."""
 
     ok = True  # read as a check's result, an acceptance
 
     def __init__(self, *args, **kwargs):
-        raise TypeError("a Checked is made by typecheck.check alone")
+        raise TypeError("a Checked is made by a check alone")
 
     @property
     def __class__(self):  # what `==` and `dataclasses.replace` read
@@ -112,7 +116,7 @@ def is_checked(j: Judgement, sig: Signature) -> bool:
 
 def forget(j: Judgement):
     """Drop what a Checked's check found: a layer then checks it again."""
-    for key in ("_owner", "sig", "derivation", "occ"):
+    for key in ("_owner", "sig", "derivation"):
         vars(j).pop(key, None)
 
 
@@ -391,7 +395,9 @@ class _Checker:
         j.__dict__.update(calculus=self.calculus,
                           form="A" if len(zs) == 1 else "C", zones=zs,
                           term=term, ty=ty)
-        return Derivation(rule, j, children, binders, self.expects.pop())
+        occ = self.occ.get(id(term)) or occurrences(term, self.occ)
+        return Derivation(rule, j, children, binders, self.expects.pop(),
+                          occ)
 
     def synth(self, form):
         """The synthesis function of the judgements of a form."""
@@ -922,75 +928,66 @@ def check(j: Judgement, sig: Signature, *, validated=False):
                            expected=e.expected, actual=e.actual)
     except SignatureError as e:
         return CheckResult(False, message=str(e), path=(), rule="signature")
+    return _accepted(j, j.term, sig, d)
+
+
+def _accepted(j: Judgement, term: Term, sig: Signature, d: Derivation):
+    """The Checked of j's shape with `term`, derived by d."""
     out = _new(Checked)
     vars(out).update(calculus=j.calculus, form=j.form, zones=j.zones,
-                     term=j.term, ty=j.ty, sig=sig, derivation=d, occ=c.occ,
+                     term=term, ty=j.ty, sig=sig, derivation=d,
                      _owner=weakref.ref(out))
     return out
 
 
-def typings(d: Derivation, path=(), names=(), out=None, memo=None) -> dict:
-    """The typing index of a derivation: position -> (form, type, zones,
-    expected type, names, occurrences) of each node, in `positions` order
-    (child i of a node types sub-term i).  The form and type are what the
-    checker found at the node; the zones, the expected type and the names
-    of the binders in force (innermost last) are what it was given there,
-    so `check_at` can check the node's position again on its own; the
-    occurrences are its term's (`occurrences`, through `memo`)."""
-    out = {} if out is None else out
-    memo = {} if memo is None else memo
-    j = d.judgement
-    out[path] = (j.form, j.ty, j.zones, d.expect, names,
-                 memo.get(id(j.term)) or occurrences(j.term, memo))
-    for i, c in enumerate(d.children):
-        typings(c, path + (i,), d.child_names(i, names), out, memo)
-    return out
+def renamed(checked: Checked, term: Term) -> Checked:
+    """checked, of `term`, a term `==` checked's that may print its binders
+    by other names (`Term.hints`, which `==` ignores)."""
+    return _accepted(checked, term, checked.sig, checked.derivation)
 
 
-def check_at(j: Judgement, index: dict, path: tuple, new: Term,
-             sig: Signature) -> dict | None:
-    """The typing index of j with its subterm at `path` replaced by `new`,
-    from a check of `new` alone; `index` is j's (see `typings`).
+def check_at(checked: Checked, path: tuple, new: Term) -> Checked | None:
+    """The Checked of checked's judgement with its subterm at `path`
+    replaced by `new`, from a check of `new` alone.
 
-    `new` is checked under the inputs the index records at `path` and the
-    names j's check avoided, which for a well-typed j are its zones' names
-    (every free name of j is one of them).  The result is j's index with
-    the subtree at `path` replaced by the new one, in `positions` order.
-    That is what a full check of the new judgement gives when `new` has the
-    old subterm's occurrences (free names and dangling bvars, recorded in
-    the index: the linear splits, the unused-variable tests and the names
-    to avoid above it read only those) and its type is `==` the recorded
-    one (the nodes above read it as is: equality up to the grading could
-    still change their types).  None when either differs or the check of
-    `new` fails: a full check then decides, and words the failure."""
-    form, ty, zones, expect, names, occ = index[path]
+    `new` is checked under the inputs the node at `path` was given (zones,
+    form, expected type, and the names in force, found walking down from
+    the root), avoiding the names checked's check avoided: for a well-typed
+    judgement, its zones' names.  The derivation is checked's with the
+    subtree at `path` replaced, the ancestors on `path` rebuilt over the
+    new root term's spine and every other subtree shared.  That is what a
+    full check gives when `new` has the node's occurrences (the linear
+    splits, the unused-variable tests and the names to avoid above it read
+    only those) and its type is `==` the node's (the nodes above read it
+    as is: equality up to the grading could still change their types).
+    None when either differs or the check of `new` fails: a full check
+    then decides, and words the failure."""
+    node, t, names, spine = checked.derivation, checked.term, (), []
+    for i in path:
+        spine.append((node, t))
+        names = node.child_names(i, names)
+        node, t = node.children[i], t.subs[i]
     memo = {}
-    if occurrences(new, memo) != occ:
+    if occurrences(new, memo) != node.occ:
         return None
-    c = _Checker(sig, j.calculus, names)
+    j = node.judgement
+    c = _Checker(checked.sig, checked.calculus, names)
     c.occ = memo
-    c.avoid.update(x for zone in j.zones for x, _ in zone)
+    c.avoid.update(x for zone in checked.zones for x, _ in zone)
     try:
-        d, got = c.synth(form)(new, path, zones, expect)
+        d, got = c.synth(j.form)(new, path, j.zones, node.expect)
     except (_Fail, SignatureError):
         return None
-    if got != ty:
+    if got != j.ty:
         return None
-    # the positions under `path` are one run of the preorder
-    out = {}
-    rest = iter(index.items())
-    for p, typing in rest:
-        if p == path:
-            break
-        out[p] = typing
-    typings(d, path, names, out, memo)
-    n = len(path)
-    for p, typing in rest:
-        if p[:n] != path:
-            out[p] = typing
-            break
-    out.update(rest)
-    return out
+    term = new
+    for (up, t), i in zip(reversed(spine), reversed(path)):
+        term = syntax.with_subs(t, t.subs[:i] + (term,) + t.subs[i + 1:])
+        kids = up.children
+        d = Derivation(up.rule, up.judgement.with_term(term),
+                       kids[:i] + (d,) + kids[i + 1:], up.binders, up.expect,
+                       up.occ)
+    return _accepted(checked, term, checked.sig, d)
 
 
 def check_graded_arithmetic(derivation: Derivation, sig: Signature) -> bool:

@@ -313,6 +313,7 @@ def test_eval_golden(name, mode, monkeypatch, capsys):
 
 
 TRANSLATE_ARGS = {"gmm": ["--from", "gmm", "--to", "lnl"],
+                  "presented": ["--from", "gmm", "--to", "lnl"],
                   "arrow": ["--from", "arrow", "--to", "armm"]}
 REJECTED = {"lnl_unused", "rmm_reject"}
 

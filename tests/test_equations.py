@@ -20,7 +20,7 @@ from relmeta.syntax import (alpha_eq, base, judgement, parse_context,
                             parse_term, parse_type, positions, replace_at,
                             subterm_at, term_to_text)
 from relmeta.translate import arrow_to_armm, gmm_to_lnl
-from relmeta.typecheck import check, check_at, typings
+from relmeta.typecheck import check, check_at, serialize_derivation
 
 
 def _j(calc, sig, ctx, term, ty, form=None):
@@ -300,10 +300,10 @@ def _count_checks(monkeypatch, local=None):
         seen.append(j.term)
         return check(j, sig, **kw)
 
-    def counting_at(j, index, path, new, sig):
-        out = check_at(j, index, path, new, sig)
+    def counting_at(checked, path, new):
+        out = check_at(checked, path, new)
         if out is not None:
-            seen.append(replace_at(j.term, path, new))
+            seen.append(replace_at(checked.term, path, new))
             if local is not None:
                 local.append(seen[-1])
         return out
@@ -359,50 +359,70 @@ def test_check_eq_checks_each_term_once(coin_sig, monkeypatch, lhs, rhs):
     assert len(set(seen)) == len(seen)
 
 
-def test_typing_index_has_exactly_the_term_positions():
-    """The engine's typing index of a checked judgement has one entry per
-    term position, in `positions` order, each the form, type, zones and
-    expected type of the derivation node at that position, the names of
-    the binders in force there and the occurrences of the subterm there;
-    for all six calculi."""
+def test_derivation_nodes_are_the_term_positions():
+    """The derivation the engine reads has one node per term position, in
+    `positions` order, each holding the subterm at that position and its
+    occurrences, and the form, type, zones and expected type that a check
+    of the judgement finds and is given there, with the names of the
+    binders in force there; for all six calculi."""
     calculi = set()
     for name, j, sig in accepted_golden_judgements():
-        cj = equations._enter(j, sig)
-        assert list(cj.ann) == positions(j.term), name
+        c = equations._enter(j, equations._Checks(sig))
+        nodes = list(equations._positions(c))
+        assert [path for path, _, _ in nodes] == positions(j.term), name
         d = check(j, sig).derivation
-        for path, (form, ty, zones, expect, names, occ) in cj.ann.items():
-            node, in_force = d, ()
+        for path, sub, node in nodes:
+            other, in_force, names = d, (), ()
             for i in path:
-                node, in_force = node.children[i], \
-                    node.child_names(i, in_force)
-            sub = subterm_at(j.term, path)
+                other, in_force = other.children[i], \
+                    other.child_names(i, in_force)
+            ours = c.derivation
+            for i in path:
+                ours, names = ours.children[i], ours.child_names(i, names)
+            assert ours is node
+            assert sub is subterm_at(j.term, path) is node.judgement.term
             assert len(node.children) == len(sub.subs)
-            assert (form, ty, zones, expect, names, occ) == \
-                (node.judgement.form, node.judgement.ty,
-                 node.judgement.zones, node.expect, in_force,
+            assert (node.judgement.form, node.judgement.ty,
+                    node.judgement.zones, node.expect, names, node.occ) == \
+                (other.judgement.form, other.judgement.ty,
+                 other.judgement.zones, other.expect, in_force,
                  typecheck.occurrences(sub, {}))
-        assert cj.ann[()][3] == j.ty  # the root is checked against its type
+        assert c.derivation.expect == j.ty  # the root's, against its type
         calculi.add(j.calculus)
     assert calculi == {"urmm", "rmm", "gmm", "lnl", "arrow", "armm"}
 
 
 # -- local subject-reduction checks --------------------------------------------
 
+def _nodes(d, path=()):
+    """Each node of a derivation with its path, in preorder, as comparable
+    values: rule, judgement, binder names, expected type, occurrences."""
+    out = [(path, d.rule, d.judgement, d.binders, d.expect, d.occ)]
+    for i, c in enumerate(d.children):
+        out += _nodes(c, path + (i,))
+    return out
+
+
 def _differential(monkeypatch):
     """Check every step result the engine checks locally in full as well:
-    where the local check decides, its spliced index must be the full
-    check's, entry for entry and in order, and the full check must accept.
-    Returns the count of (calculus, decided locally) over the calls."""
+    where the local check decides, its spliced derivation must be the full
+    check's, node for node with binder names and expected types, and print
+    as it does, and the full check must accept.  Returns the count of
+    (calculus, decided locally) over the calls."""
     counts = collections.Counter()
 
-    def both(j, index, path, new, sig):
-        out = check_at(j, index, path, new, sig)
-        full = check(replace(j, term=replace_at(j.term, path, new)), sig)
+    def both(checked, path, new):
+        out = check_at(checked, path, new)
+        full = check(replace(checked, term=replace_at(checked.term, path,
+                                                      new)), checked.sig)
         if out is not None:
             assert full.ok, full.message
-            assert list(out.items()) == \
-                list(typings(full.derivation).items())
-        counts[j.calculus, out is not None] += 1
+            assert out == full and out.term == full.term
+            assert _nodes(out.derivation) == _nodes(full.derivation)
+            assert out.derivation == full.derivation
+            assert serialize_derivation(out.derivation) == \
+                serialize_derivation(full.derivation)
+        counts[checked.calculus, out is not None] += 1
         return out
 
     monkeypatch.setattr(equations, "check_at", both)
@@ -414,11 +434,12 @@ def _rewrite_everything(j, sig):
     (axiom and search-only moves, each renormalized) from j and from its
     normal form."""
     axioms = sig.theory.axioms if sig.theory else []
-    cj = equations._enter(j, sig)
-    nf = normalize(cj, sig)
-    equations._expand(cj, sig, axioms, 10000)
-    equations._expand(equations._enter(replace(j, term=nf.term), sig,
-                                       cj.checks), sig, axioms, 10000)
+    checks = equations._Checks(sig)
+    c = equations._enter(j, checks)
+    nf = normalize(c, sig, checks=checks)
+    equations._expand(c, checks, axioms, 10000)
+    equations._expand(equations._enter(replace(j, term=nf.term), checks),
+                      checks, axioms, 10000)
 
 
 def _generated(rng, sig, calc, objects, n):
@@ -442,11 +463,11 @@ def _generated(rng, sig, calc, objects, n):
     return out
 
 
-def test_spliced_index_equals_a_full_checks(coin_sig, sweep_sig,
+def test_spliced_derivation_equals_a_full_checks(coin_sig, sweep_sig,
                                             gmm_plain_sig, lnl_sig,
                                             arrow_sig, monkeypatch):
-    """Every local check of an engine rewrite gives the index a full check
-    of the result gives: on the accepted goldens, on generated terms and on
+    """Every local check of an engine rewrite gives the derivation a full
+    check of the result gives: on the accepted goldens, on generated terms and on
     their gmm -> lnl and arrow -> armm translations, in all six calculi
     (`gen.Gen` makes no unary terms, so those are written out, as is an
     LNL step that writes a grade another way: regrade.id turns
@@ -577,21 +598,21 @@ def _check_eq_search_first(jl, jr, sig, bindings=(), *, depth=6,
         raise equations.RewriteError(
             "the two sides are not judgements of one shape")
     checks = equations._Checks(sig)
-    cl = equations._enter(jl, sig, checks)
-    nl = normalize(cl, sig, budget=budget)
-    cr = equations._enter(jr, sig, checks)
-    nr = normalize(cr, sig, budget=budget)
+    cl = equations._enter(jl, checks)
+    nl = normalize(cl, sig, budget=budget, checks=checks)
+    cr = equations._enter(jr, checks)
+    nr = normalize(cr, sig, budget=budget, checks=checks)
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN", proof=EqProof(
             tuple(nl.steps + equations._backward(nr.steps))))
     axioms = sig.theory.axioms if sig.theory else []
-    mid = equations._bisearch(cl, nl, cr, nr, sig, axioms, depth, breadth,
-                              budget)
+    mid = equations._bisearch(checks, cl, nl, cr, nr, axioms, depth,
+                              breadth, budget)
     if mid is not None:
         return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
     for name, binding in bindings:
-        eq, witness = models.semantic_eq(checks.checked(jl),
-                                         checks.checked(jr), binding, sig)
+        eq, witness = models.semantic_eq(checks(jl), checks(jr), binding,
+                                         sig)
         if not eq:
             return EqVerdict("REFUTED", model=name, witness=witness)
     return EqVerdict("UNKNOWN", lhs_nf=nl.term, rhs_nf=nr.term)
@@ -937,7 +958,7 @@ def test_a_normal_form_the_models_separate_does_not_change_the_verdict(
 
     def normalize_wrongly(j, sig, **kw):
         out = real(j, sig, **kw)
-        if isinstance(j, equations._Checked) and j.j.term == jl.term:
+        if typecheck.is_checked(j, sig) and j.term == jl.term:
             return equations.NormalizeResult(wrong, out.steps)
         return out
     monkeypatch.setattr(equations, "normalize", normalize_wrongly)
@@ -947,19 +968,21 @@ def test_a_normal_form_the_models_separate_does_not_change_the_verdict(
                           "  rhs normal form: ret and2(z, z)")
 
 
-def _expand_every_rule(cj, sig, axioms, budget):
+def _expand_every_rule(c, checks, axioms, budget):
     """`_expand` as it was: every rule fired at every position, and the
     search-only ones kept."""
-    out = [(step, normalize(nxt, sig, budget=budget))
-           for step, nxt in equations.axiom_moves(cj, sig, axioms)]
-    for r, path, new in _redexes_by_head(cj, sig, lambda r: True):
+    sig = checks.sig
+    out = [(step, normalize(nxt, sig, budget=budget, checks=checks))
+           for step, nxt in equations.axiom_moves(c, sig, axioms,
+                                                  checks=checks)]
+    for r, path, new in _redexes_by_head(c, sig, lambda r: True):
         if r.search_only:
-            nxt, msg = cj.checks.at(cj, path, new)
-            if nxt is None:
+            nxt = checks.at(c, path, new)
+            if isinstance(nxt, str):
                 raise equations.RewriteError(
-                    f"term does not type-check: {msg}")
+                    f"term does not type-check: {nxt}")
             out.append((Step(r.name, path),
-                        normalize(nxt, sig, budget=budget)))
+                        normalize(nxt, sig, budget=budget, checks=checks)))
     return out
 
 
@@ -982,11 +1005,11 @@ def test_search_moves_ask_only_the_search_only_rules(coin_sig, lnl_sig,
     expanded = collections.Counter()
     real = equations._expand
 
-    def both(cj, sig, axioms, budget):
-        got = _moves(real, cj, sig, axioms, budget)
-        assert got == _moves(_expand_every_rule, cj, sig, axioms, budget)
-        expanded[cj.j.calculus, isinstance(got, str)] += 1
-        return real(cj, sig, axioms, budget)
+    def both(c, checks, axioms, budget):
+        got = _moves(real, c, checks, axioms, budget)
+        assert got == _moves(_expand_every_rule, c, checks, axioms, budget)
+        expanded[c.calculus, isinstance(got, str)] += 1
+        return real(c, checks, axioms, budget)
 
     monkeypatch.setattr(equations, "_expand", both)
     pairs = [(_j("rmm", coin_sig, "", lhs, ty),
@@ -1001,9 +1024,9 @@ def test_search_moves_ask_only_the_search_only_rules(coin_sig, lnl_sig,
             "unmerge r in (x, (y, z))", "gr(2) * (gr(2) * gr(2))", form="C")
     jr = _j("lnl", lnl_sig, zones, "let (x,r) = unmerge w in let (y,z) = "
             "unmerge r in (y, (x, z))", "gr(2) * (gr(2) * gr(2))", form="C")
-    cj = equations._enter(jl, lnl_sig)
+    c = check(jl, lnl_sig)
     assert [(r.name, path) for r, path, _ in equations.redexes(
-        cj, lnl_sig, search_only=True)] == [("grade.assoc", ())]
+        c, lnl_sig, search_only=True)] == [("grade.assoc", ())]
     assert check_eq(jl, jr, lnl_sig).status == "UNKNOWN"
     # letpairs of unmerges that grade.assoc is asked about and declines
     zones = ["", "w : gr(2 * 3), v : gr(2 * 3)"]
@@ -1045,18 +1068,18 @@ def _record_firings(monkeypatch):
     lines = []
     real_redexes, real_apply = equations.redexes, equations.apply_rule_at
 
-    def line(name, cj, path, new, term):
-        lines.append(f"{name} {cj.j.calculus} {path} {new!r} "
+    def line(name, c, path, new, term):
+        lines.append(f"{name} {c.calculus} {path} {new!r} "
                      f"{term_to_text(term)}")
 
-    def redexes(cj, sig, search_only=False):
-        for r, path, new in real_redexes(cj, sig, search_only):
-            line(r.name, cj, path, new, replace_at(cj.j.term, path, new))
+    def redexes(c, sig, search_only=False):
+        for r, path, new in real_redexes(c, sig, search_only):
+            line(r.name, c, path, new, replace_at(c.term, path, new))
             yield r, path, new
 
-    def apply_rule_at(cj, sig, name, path):
-        term = real_apply(cj, sig, name, path)
-        line(name, cj, path, subterm_at(term, path), term)
+    def apply_rule_at(c, sig, name, path):
+        term = real_apply(c, sig, name, path)
+        line(name, c, path, subterm_at(term, path), term)
         return term
 
     monkeypatch.setattr(equations, "redexes", redexes)
@@ -1119,21 +1142,23 @@ def test_the_rule_firings_of_a_fixed_corpus_are_pinned(
 
 # -- the rule and axiom index against trying everything ------------------------
 
-def _redexes_by_head(cj, sig, keep):
+def _redexes_by_head(c, sig, keep):
     """The (rule, path, new subterm) triples that trying every rule `keep`
     admits at every position gives, in position and then registration
     order: the engine's search before the rule index."""
-    for path in cj.ann:
-        sub = subterm_at(cj.j.term, path)
-        ctx = RuleCtx(sig, cj.j.calculus, path, cj.ann)
+    for path in positions(c.term):
+        sub, node = subterm_at(c.term, path), c.derivation
+        for i in path:
+            node = node.children[i]
+        ctx = RuleCtx(sig, c.calculus, node)
         for r in RULES:
-            if cj.j.calculus in r.calculi and sub.kind in r.heads and keep(r):
+            if c.calculus in r.calculi and sub.kind in r.heads and keep(r):
                 new = _rewrite_by_rows(r, sub, ctx)
                 if new is not None and new != sub:
                     yield r, path, new
 
 
-def _axiom_moves_everywhere(cj, sig, axioms):
+def _axiom_moves_everywhere(c, checks, axioms):
     """`axiom_moves` before its position index: each axiom, each way, tried
     at every position."""
     out = []
@@ -1141,13 +1166,13 @@ def _axiom_moves_everywhere(cj, sig, axioms):
         axvars = {x for x, _ in ax.zones[0]}
         for axdir, (src, tgt) in (("lr", (ax.lhs, ax.rhs)),
                                   ("rl", (ax.rhs, ax.lhs))):
-            for path in positions(cj.j.term):
-                sigma = rules.match(src, subterm_at(cj.j.term, path), axvars,
+            for path in positions(c.term):
+                sigma = rules.match(src, subterm_at(c.term, path), axvars,
                                     {})
                 if sigma is None or axvars - set(sigma):
                     continue
-                nxt, _ = cj.checks.at(cj, path, rules.instantiate(tgt, sigma))
-                if nxt is not None:
+                nxt = checks.at(c, path, rules.instantiate(tgt, sigma))
+                if not isinstance(nxt, str):
                     out.append((Step(ax.name, path, kind="axiom", axdir=axdir,
                                      sigma=tuple(sorted(sigma.items()))),
                                 nxt))
@@ -1198,24 +1223,25 @@ def test_the_index_tries_what_trying_everything_finds(
     fired, moved, terms = collections.Counter(), 0, 0
     for j, sig in corpus:
         axioms = sig.theory.axioms if sig.theory else []
-        cj = equations._enter(j, sig)
+        checks = equations._Checks(sig)
+        c = equations._enter(j, checks)
         for _ in range(100):
             terms += 1
             for search_only in (False, True):
-                got = _shown(equations.redexes(cj, sig, search_only))
+                got = _shown(equations.redexes(c, sig, search_only))
                 assert got == _shown(_redexes_by_head(
-                    cj, sig, lambda r: r.search_only == search_only)), \
-                    term_to_text(cj.j.term)
+                    c, sig, lambda r: r.search_only == search_only)), \
+                    term_to_text(c.term)
                 fired.update(name for name, _, _ in got)
-            moves = [(step, nxt.j.term) for step, nxt in
-                     equations.axiom_moves(cj, sig, axioms)]
-            assert moves == [(step, nxt.j.term) for step, nxt in
-                             _axiom_moves_everywhere(cj, sig, axioms)]
+            moves = [(step, nxt.term) for step, nxt in
+                     equations.axiom_moves(c, sig, axioms, checks=checks)]
+            assert moves == [(step, nxt.term) for step, nxt in
+                             _axiom_moves_everywhere(c, checks, axioms)]
             moved += len(moves)
-            rd = next(equations.redexes(cj, sig), None)
+            rd = next(equations.redexes(c, sig), None)
             if rd is None:
                 break
-            cj, _ = cj.checks.at(cj, rd[1], rd[2])
+            c = checks.at(c, rd[1], rd[2])
     assert {"unit.eta", "jk.unit.eta", "grade.assoc", "fun.beta",
             "let.exchange", "do.regrade.body"} <= set(fired), fired
     assert moved > 100 and terms > 500, (moved, terms)

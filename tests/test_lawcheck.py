@@ -298,6 +298,28 @@ def test_graded_empty_carrier():
     assert combos == 60
 
 
+def test_graded_ext_mutations_with_an_empty_carrier():
+    """Extension-cell mutations of an instance with an empty carrier are
+    drawn at a context value of another carrier (drawing one from the
+    empty carrier raised IndexError); those into the nonempty carrier are
+    killed.  Without a context value there is no cell to draw."""
+    import random
+    gd = lc.bounded_list_instance(carriers={"E": (), "B": ("b0", "b1")},
+                                  grades=(1, 2))
+    muts = [(d, m) for d, m in lc.graded_mutations(
+        gd, random.Random(1), ext_samples=6) if d.startswith("ext[")]
+    assert len(muts) == 6
+    assert all(d.startswith("ext[B,") for d, _ in muts), muts
+    into_b = [m for d, m in muts if d.split("]")[0].endswith(",B")]
+    assert len(into_b) >= 3
+    for mut in into_b:
+        assert not lc.check_graded_laws(mut, stop_early=True).ok
+    assert list(lc.graded_mutations(lc.bounded_list_instance(
+        carriers={"E": ()}, grades=(1,)), random.Random(1), ext_samples=2)) \
+        == list(lc.graded_mutations(lc.bounded_list_instance(
+            carriers={"E": ()}, grades=(1,))))
+
+
 def test_graded_eta_mutation_killed(glist):
     mut = glist.copy()
     mut.eta[("B", "b0")] = ("b1",)

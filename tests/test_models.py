@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import BARE_DIST_MB, fixture_text
 from relmeta import gen as genmod
 from relmeta.models import (CarrierTooLarge, Dyadic, ModelError, VDist,
-                            VElem, VErr, VFun, VOk, VTuple, VUnit,
+                            VElem, VErr, VFun, VJ, VK, VOk, VTuple, VUnit,
                             carrier_values, eval_arrow_command, eval_term,
                             load_binding, semantic_eq)
 from relmeta.signatures import load_signature
@@ -297,6 +297,36 @@ def test_throwing_arrow_propagates(arrow_sig, karr_binding):
                (VElem("b1"), VOk(VElem("b1")))))
     v = eval_arrow_command(jl, {"f": throw, "g": ok}, karr_binding, arrow_sig)
     assert all(out == VErr("boom") for _, out in v.payload)
+
+
+def test_armm_k_values_and_application(arrow_sig, karmm_binding):
+    """The three-zone calculus evaluates K(-) and let K(a): a K(B) variable
+    ranges over B's elements in K; and its application of u : A => J(B),
+    which lands in B."""
+    letk = _j("armm", arrow_sig, ["", "", "k : K(B)"],
+              "let K(a) = k in (K(a), K(a))", "K(B) * K(B)", form="C")
+    pair = _j("armm", arrow_sig, ["", "", "k : K(B)"], "(k, k)",
+              "K(B) * K(B)", form="C")
+    kb = VK(VElem("b1"))
+    assert eval_term(letk, {"k": kb}, karmm_binding, arrow_sig) == \
+        VTuple(kb, kb)
+    assert semantic_eq(letk, pair, karmm_binding, arrow_sig) == (True, None)
+    swap = _j("armm", arrow_sig, ["", "", "k : K(B), h : K(B)"],
+              "let K(a) = k in let K(b) = h in K(b)", "K(B)", form="C")
+    first = _j("armm", arrow_sig, ["", "", "k : K(B), h : K(B)"], "k",
+               "K(B)", form="C")
+    assert semantic_eq(swap, first, karmm_binding, arrow_sig) == \
+        (False, {"k": "K(b0)", "h": "K(b1)"})
+    app = _j("armm", arrow_sig, "f : B => J(B), w : B", "app f w", "B",
+            form="A")
+    flip = VFun(((VElem("b0"), VJ(VElem("b1"))),
+                 (VElem("b1"), VJ(VElem("b0")))))
+    assert eval_term(app, {"f": flip, "w": VElem("b0")}, karmm_binding,
+                     arrow_sig) == VElem("b1")
+    beta = _j("armm", arrow_sig, "w : B", "app (lamarrow (a:B). J(a)) w",
+              "B", form="A")
+    w = _j("armm", arrow_sig, "w : B", "w", "B", form="A")
+    assert semantic_eq(beta, w, karmm_binding, arrow_sig) == (True, None)
 
 
 # -- lattice sweep over distribution-typed variables -----------------------------

@@ -146,7 +146,7 @@ def _fire(name, calc, t):
     (t's recorded type a base type), one row or function at most."""
     t = parse_term(t, calc) if isinstance(t, str) else t
     r = BY_NAME[name]
-    ctx = RuleCtx(None, calc, (), {})
+    ctx = RuleCtx(None, calc, None)
     news = [rewrite(t, ctx) for cand, rewrite in
             INDEX.candidates(calc, r.search_only, t, base("A")) if cand is r]
     assert len(news) <= 1
@@ -291,13 +291,15 @@ def test_a_regrade_hoist_declines_a_tensor_the_grading_cannot_make(
     side's identity, cannot be computed: the rule is asked and declines, as
     regrade.comp does where it cannot compose, and the term is its own
     normal form."""
-    from relmeta.equations import _enter, normalize, redexes
+    from relmeta.equations import normalize, redexes
+    from relmeta.typecheck import check
     j = judgement("gmm", [[("u", parse_type("T_m(A)", presented_sig))]],
                   parse_term(text, "gmm", presented_sig),
                   parse_type(ty, presented_sig))
-    cj = _enter(j, presented_sig)
+    c = check(j, presented_sig)
     sub = j.term.subs[1] if path else j.term
+    node = c.derivation.children[1] if path else c.derivation
     assert rule_name in [r.name for r, _ in INDEX.candidates(
-        "gmm", False, sub, cj.ann[path][1])]
-    assert list(redexes(cj, presented_sig)) == []
+        "gmm", False, sub, node.judgement.ty)]
+    assert list(redexes(c, presented_sig)) == []
     assert normalize(j, presented_sig).term == j.term
