@@ -464,13 +464,13 @@ def _generated(rng, sig, calc, objects, n):
 
 
 def test_spliced_derivation_equals_a_full_checks(coin_sig, sweep_sig,
-                                            gmm_plain_sig, lnl_sig,
-                                            arrow_sig, monkeypatch):
+                                                 gmm_plain_sig, lnl_sig,
+                                                 arrow_sig, monkeypatch):
     """Every local check of an engine rewrite gives the derivation a full
-    check of the result gives: on the accepted goldens, on generated terms and on
-    their gmm -> lnl and arrow -> armm translations, in all six calculi
-    (`gen.Gen` makes no unary terms, so those are written out, as is an
-    LNL step that writes a grade another way: regrade.id turns
+    check of the result gives: on the accepted goldens, on generated terms
+    and on their gmm -> lnl and arrow -> armm translations, in all six
+    calculi (`gen.Gen` makes no unary terms, so those are written out, as
+    is an LNL step that writes a grade another way: regrade.id turns
     `regrade<6>=6> w` of type gr(6) into w of type gr(2 * 3))."""
     rng = random.Random(20240811)
     corpus = [(j, sig) for _, j, sig in accepted_golden_judgements()]
