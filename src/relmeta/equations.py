@@ -33,8 +33,7 @@ from dataclasses import dataclass, field, replace
 from . import syntax
 from .rules import INDEX, RuleCtx, instantiate, match
 from .signatures import Axiom, Signature, SignatureError
-from .syntax import (Judgement, Term, alpha_eq, replace_at, subterm_at,
-                     term_to_text)
+from .syntax import Judgement, Term, alpha_eq, replace_at, term_to_text
 from .typecheck import (Checked, check, check_at, forget, is_checked,
                         renamed)
 
@@ -201,12 +200,21 @@ def redexes(c: Checked, sig: Signature, search_only=False):
                     yield r, path, new
 
 
+def _subterm(t: Term, path: tuple) -> Term:
+    """The subterm of t at path; raises if path is not a position of t."""
+    for i in path:
+        if i >= len(t.subs):
+            raise RewriteError(f"no subterm at {path}")
+        t = t.subs[i]
+    return t
+
+
 def apply_rule_at(c: Checked, sig: Signature, rule_name: str,
                   path: tuple) -> Term:
     """Replay a single named rule at a position; raises if it does not fire."""
-    sub, node = c.term, c.derivation
+    sub, node = _subterm(c.term, path), c.derivation
     for i in path:
-        sub, node = sub.subs[i], node.children[i]
+        node = node.children[i]
     r = INDEX.by_name.get(rule_name)
     if r is not None:
         ctx = RuleCtx(sig, c.calculus, node)
@@ -302,7 +310,7 @@ def axiom_moves(j, sig: Signature, axioms, *,
 def apply_axiom_at(j: Judgement, sig: Signature, ax: Axiom, path: tuple,
                    axdir: str, sigma: dict | None = None) -> Term:
     src, tgt = (ax.lhs, ax.rhs) if axdir == "lr" else (ax.rhs, ax.lhs)
-    sub = subterm_at(j.term, path)
+    sub = _subterm(j.term, path)
     if sigma is None:
         sigma = match(src, sub, {x for x, _ in ax.zones[0]}, {})
         if sigma is None:

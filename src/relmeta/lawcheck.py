@@ -1137,7 +1137,8 @@ def check_graded_laws(gd: GradedMonadData, stop_early: bool = False
 
 def graded_mutations(gd: GradedMonadData, rng=None, ext_samples=0):
     """Single-cell mutations: every eta cell, every regrade cell, and (when
-    rng is given) a sample of extension-operator cells."""
+    rng is given) a sample of extension-operator cells, drawn again (100
+    draws a sample at most) where a cell's space holds one value."""
     for (X, a), val in list(gd.eta.items()):
         space = gd.tvals(1, X)
         alt = space[(space.index(val) + 1) % len(space)]
@@ -1158,7 +1159,9 @@ def graded_mutations(gd: GradedMonadData, rng=None, ext_samples=0):
     if not any(gd.carriers.values()):
         return  # no context value, so no extension cell
     made = 0
-    while made < ext_samples:
+    for _ in range(100 * ext_samples):
+        if made == ext_samples:
+            return
         G, A, B = (rng.choice(names) for _ in range(3))
         m = rng.choice(gd.grades)
         n = rng.choice(gd.grades)
@@ -1170,6 +1173,8 @@ def graded_mutations(gd: GradedMonadData, rng=None, ext_samples=0):
         xs = rng.choice(gd.tvals(m, A))
         cur = gd.ext_value(G, m, n, A, B, f, (g0, xs))
         space = gd.tvals(gd.tensor(m, n), B)
+        if len(space) < 2:
+            continue
         alt = space[(space.index(cur) + 1) % len(space)]
         mut = gd.copy()
         key = (G, m, n, A, B, tuple(sorted(f.items())))

@@ -98,18 +98,6 @@ class Rule:
 # ---------------------------------------------------------------------------
 # matching and instantiating schemas
 
-def _mentions(t: Term, barred: set, e: int = 0) -> bool:
-    """Whether t, under e of its own binders, has a bvar pointing to one of
-    the binders just outside it that `barred` holds (counted from t)."""
-    if t.kind == "bvar":
-        return t.index - e in barred
-    binders = BINDERS[t.kind]
-    for i, s in enumerate(t.subs):
-        if _mentions(s, barred, e + binders[i] if binders else e):
-            return True
-    return False
-
-
 def match(pat: Term, t: Term, metas, sigma: dict, hints: dict | None = None,
           depth: int = 0) -> dict | None:
     """sigma extended so that t, found under `depth` of pat's binders, is
@@ -127,8 +115,8 @@ def match(pat: Term, t: Term, metas, sigma: dict, hints: dict | None = None,
             outer = [None] * depth
             for p, a in enumerate(pat.subs):
                 outer[a.index] = bv(k - 1 - p)
-            if depth != k and _mentions(
-                    t, {j for j, a in enumerate(outer) if a is None}):
+            barred = sum(1 << j for j, a in enumerate(outer) if a is None)
+            if t.occ[1] & barred:
                 return None  # a binder the metavariable may not mention
             t = rebind(t, outer, k)
         old = sigma.setdefault(pat.name, t)

@@ -224,8 +224,12 @@ _TERM_KINDS = {
 BINDERS = {k: b if any(b) else () for k, (_, b) in _TERM_KINDS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
+    """A term.  It keeps two fields filled from its children's on first
+    request (`_fill`): its structural hash, which leaves out `hints` as
+    `==` does, and its occurrences (`occ`)."""
+
     kind: str
     subs: tuple["Term", ...] = ()
     name: str | None = None          # var name, gen/op symbol
@@ -233,6 +237,10 @@ class Term:
     xi: GradeMor | None = None       # regrade payload
     tyann: TypeExpr | None = None    # lam / lamarrow annotation
     hints: tuple[str, ...] = field(default=(), compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)
+    _occ: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         spec = _TERM_KINDS.get(self.kind)
@@ -240,8 +248,67 @@ class Term:
         if spec[0] >= 0:
             assert len(self.subs) == spec[0], (self.kind, self.subs)
 
+    def __hash__(self):
+        h = self._hash
+        return _fill(self)._hash if h is None else h
+
+    @property
+    def occ(self) -> tuple:
+        """(free names, dangling bvars): the bvars as a bit mask, bit k set
+        when bvar k, counted from this node, dangles."""
+        o = self._occ
+        return _fill(self)._occ if o is None else o
+
+    def __reduce__(self):
+        # the kept fields are left out: a str's hash is salted per process
+        return Term, (self.kind, self.subs, self.name, self.index, self.xi,
+                      self.tyann, self.hints)
+
     def __str__(self):
         return term_to_text(self)
+
+
+_EMPTY = frozenset()
+
+
+def _fill(t: Term) -> Term:
+    """t, its hash and occurrences filled, and those of every subterm that
+    lacks them, children first.  An explicit stack stands in for the
+    recursion, so a term of any depth is filled."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        subs = u.subs
+        if subs:
+            pending = [s for s in subs if s._hash is None]
+            if pending:
+                stack += pending
+                continue
+        stack.pop()
+        if u._hash is not None:  # a shared subterm, pushed twice
+            continue
+        kind = u.kind
+        if not subs:
+            occ = (frozenset((u.name,)), 0) if kind == "var" else \
+                (_EMPTY, 1 << u.index) if kind == "bvar" else (_EMPTY, 0)
+        elif len(subs) == 1 and not BINDERS[kind]:
+            occ = subs[0]._occ
+        else:
+            binders, names, mask = BINDERS[kind], _EMPTY, 0
+            for i, s in enumerate(subs):
+                n, b = s._occ
+                mask |= b >> binders[i] if binders else b
+                if n and n is not names:
+                    names = names | n if names else n
+            occ = (names, mask)
+        _set_hash(u, hash((kind, u.name, u.index, u.xi, u.tyann,
+                           *[s._hash for s in subs])))
+        _set_occ(u, occ)
+    return t
+
+
+# the setters of the two kept fields, past the frozen `__setattr__`
+_set_hash, _set_occ = Term._hash.__set__, Term._occ.__set__
 
 
 def var(x: str) -> Term:
@@ -362,16 +429,15 @@ def rebind(t: Term, outer: list, depth: int, e: int = 0) -> Term:
     replaced: a bvar pointing to the j-th of them by outer[j], a term under
     `depth` binders (t points to none whose outer[j] is None), and one
     pointing m binders past them by one pointing m past the `depth`
-    binders.  Nodes that do not change are kept."""
+    binders.  Nodes that do not change are kept, and a subterm with no
+    bvar dangling at or past its cutoff is kept without a walk."""
+    if not t.occ[1] >> e:
+        return t
     if t.kind == "bvar":
         j = t.index - e
-        if j < 0:
-            return t
         if j >= len(outer):
             return bv(j - len(outer) + depth + e)
         return shift(outer[j], e) if e else outer[j]
-    if not t.subs:
-        return t
     binders = BINDERS[t.kind]
     subs = [rebind(s, outer, depth, e + binders[i] if binders else e)
             for i, s in enumerate(t.subs)]
@@ -418,28 +484,18 @@ def subst_free(t: Term, x: str, u: Term) -> Term:
     return with_subs(t, (subst_free(s, x, u) for s in t.subs))
 
 
-def free_vars(t: Term, names=()) -> frozenset:
-    """The free names of t.  `names` names the binders around t, innermost
-    last; the names its dangling bvars refer to are free in t too."""
-    out, todo = set(), [(t, 0)]
-    while todo:
-        t, depth = todo.pop()
-        if t.kind == "var":
-            out.add(t.name)
-        elif t.kind == "bvar":
-            if 0 <= t.index - depth < len(names):
-                out.add(names[depth - 1 - t.index])
-        else:
-            todo.extend((s, depth + child_binders(t, i))
-                        for i, s in enumerate(t.subs))
-    return frozenset(out)
+def free_vars(t: Term, names=(), binders=0) -> frozenset:
+    """The free names of t.  `names` names the binders in force around t,
+    innermost last, and t sits under `binders` more, unnamed: the names its
+    dangling bvars refer to past those are free in t too."""
+    fv, mask = t.occ
+    mask = mask >> binders & ((1 << len(names)) - 1)
+    return fv.union([names[-1 - k] for k in range(mask.bit_length())
+                     if mask >> k & 1]) if mask else fv
 
 
 def uses_bvar(t: Term, j: int = 0) -> bool:
-    if t.kind == "bvar":
-        return t.index == j
-    return any(uses_bvar(s, j + child_binders(t, i))
-               for i, s in enumerate(t.subs))
+    return bool(t.occ[1] >> j & 1)
 
 
 def term_size(t: Term) -> int:

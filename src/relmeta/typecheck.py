@@ -5,10 +5,10 @@ type, checking against an expected type otherwise), syntax-directed, and
 produces a full derivation tree on acceptance.  Linear contexts in the LNL
 calculus use leftover-free splitting: each multiplicative node partitions
 the available linear variables by free occurrence, which is the unique
-valid split when one exists.  Free occurrences come from one occurrence
-table per check (`occurrences`): each subterm's free names and dangling
-bvars, computed once bottom-up and read by the splits, the unused-variable
-tests and the root's names to avoid, so no question walks the term again.
+valid split when one exists.  Free occurrences are cached on the term
+(`syntax.Term.occ`, each subterm's free names and dangling bvars, filled
+once bottom-up and kept), and the splits, the unused-variable tests and
+the root's names to avoid read them there, so no check walks for them.
 
 A judgement's form fixes the kind of each of its zones and of its result
 (`syntax.FORMS`); which types a zone kind admits in a calculus is one
@@ -40,10 +40,10 @@ engine, the evaluator and the translations read the derivation.  A
 `Checked` holds the derivation of its term, or, `renamed`, of a term `==`
 it whose binders print other names.
 
-Each node also holds its term's occurrences and the expected type the
-checker was given there (the synthesis function pushes it, and the node's
-`deriv` pops it), so that `check_at` can check a rewritten subterm on its
-own and splice its derivation in.
+Each node also reads its term's occurrences and holds the expected type
+the checker was given there (the synthesis function pushes it, and the
+node's `deriv` pops it), so that `check_at` can check a rewritten subterm
+on its own and splice its derivation in.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class Derivation:
     children: tuple = ()
     binders: tuple = ()  # names of the binding child's binders, in slot order
     expect: TypeExpr | None = None  # the expected type the checker was given
-    occ: tuple | None = None  # its term's occurrences (`occurrences`)
 
     def walk(self):
         yield self
@@ -212,65 +211,17 @@ def validate_type(ty: TypeExpr, calculus: str, zone: str, sig: Signature,
 # ---------------------------------------------------------------------------
 # Linear splitting
 
-_EMPTY = frozenset()
-_CLOSED = (_EMPTY, _EMPTY)
-
-
-def occurrences(t: Term, memo: dict) -> tuple:
-    """(free names, dangling bvar indices) of t, an index counted from t's
-    top.  Neither depends on where t sits, so `memo` keys them by node
-    identity and a term is walked once however often it is asked about;
-    the memo must not outlive the terms it holds."""
-    key = id(t)
-    r = memo.get(key)
-    if r is not None:
-        return r
-    subs = t.subs
-    binders = syntax.BINDERS[t.kind]
-    if not subs:
-        r = (frozenset((t.name,)), _EMPTY) if t.kind == "var" else \
-            (_EMPTY, frozenset((t.index,))) if t.kind == "bvar" else _CLOSED
-    elif len(subs) == 1 and not binders:
-        r = occurrences(subs[0], memo)
-    else:
-        names = bvars = _EMPTY
-        for i, s in enumerate(subs):
-            n, b = occurrences(s, memo)
-            c = binders[i] if binders else 0
-            if c and b:  # indices under the binders t puts s under
-                b = frozenset([j - c for j in b if j >= c])
-            if n:
-                names = names | n if names else n
-            if b:
-                bvars = bvars | b if bvars else b
-        r = (names, bvars)
-    memo[key] = r
-    return r
-
-
-def _free(occ: tuple, names, binders=0) -> frozenset:
-    """`syntax.free_vars` of a term from its occurrences: its free names and
-    the names of the binders in force (`names`, innermost last) that its
-    dangling bvars point to, past the `binders` the term is under."""
-    fv, bvars = occ
-    n = len(names) + binders
-    bound = [names[binders - 1 - k] for k in bvars if binders <= k < n]
-    return fv.union(bound) if bound else fv
-
-
-def split_linear(delta: tuple, t: Term, names=(), memo=None) -> list[tuple]:
+def split_linear(delta: tuple, t: Term, names=()) -> list[tuple]:
     """Partition the available linear zone among the children of t by
     free occurrence, each share a sub-zone in the zone's order.  The split
     is unique when it exists; duplicated use raises.  Unused variables are
     left unclaimed (callers decide where emptiness is required).  `names`
     names the binders in force at t, innermost last: a child's dangling
     bvar claims its binder's name, and the binders t itself gives a child
-    are not in the zone yet.  `memo` is an occurrence table (see
-    `occurrences`) shared with other questions about the same term."""
-    memo = {} if memo is None else memo
+    are not in the zone yet."""
     claims = []
     for i, s in enumerate(t.subs):
-        fv = _free(occurrences(s, memo), names, syntax.child_binders(t, i))
+        fv = syntax.free_vars(s, names, syntax.child_binders(t, i))
         claims.append(tuple((x, ty) for x, ty in delta if x in fv))
     seen = {}
     for i, c in enumerate(claims):
@@ -318,7 +269,6 @@ class _Checker:
         # names[-1 - i]); avoid is them plus the root judgement's names
         self.names = list(names)
         self.avoid = set(names)
-        self.occ = {}  # the occurrence table of the root term's nodes
         # the expected types of the nodes being checked, outermost first:
         # each synthesis function pushes its own, and its node's `deriv`
         # pops it
@@ -364,13 +314,10 @@ class _Checker:
             return self.names[-1 - t.index]
         return t.name if t.kind == "var" else None
 
-    def uses_bvar(self, t, j):
-        return j in occurrences(t, self.occ)[1]
-
     def split(self, t, path, delta):
         """The shares of the linear zone delta that t's children get."""
         try:
-            return split_linear(delta, t, self.names, self.occ)
+            return split_linear(delta, t, self.names)
         except LinearityError as e:
             raise LinearityError(path, e.rule, e.message)
 
@@ -395,9 +342,7 @@ class _Checker:
         j.__dict__.update(calculus=self.calculus,
                           form="A" if len(zs) == 1 else "C", zones=zs,
                           term=term, ty=ty)
-        occ = self.occ.get(id(term)) or occurrences(term, self.occ)
-        return Derivation(rule, j, children, binders, self.expects.pop(),
-                          occ)
+        return Derivation(rule, j, children, binders, self.expects.pop())
 
     def synth(self, form):
         """The synthesis function of the judgements of a form."""
@@ -421,13 +366,13 @@ class _Checker:
                     validate_type(ty, self.calculus, kind, self.sig)
             validate_type(j.ty, self.calculus, kinds[-1], self.sig)
         self.avoid |= {x for zone in j.zones for x, _ in zone}
-        occ = occurrences(j.term, self.occ)
-        self.avoid |= occ[0]
+        self.avoid |= j.term.occ[0]
         if self.calculus == "urmm" and len(j.zones[0]) != 1:
             self.fail((), "judgement",
                       "the unary calculus takes exactly one context variable")
         if j.form == "C" and self.calculus == "lnl":
-            unused = {x for x, _ in j.zones[1]} - _free(occ, self.names)
+            unused = {x for x, _ in j.zones[1]} - \
+                syntax.free_vars(j.term, self.names)
             if unused:
                 raise LinearityError(
                     (), "linear", f"unused linear variable(s): "
@@ -473,7 +418,7 @@ class _Checker:
             self.fail(path, "do", "do expects a computation", actual=ty1)
         x = self.push(t)
         if self.calculus == "lnl" and z == 1 and \
-                not self.uses_bvar(t.subs[1], 0):
+                not syntax.uses_bvar(t.subs[1], 0):
             raise LinearityError(path, "do", f"unused linear variable {x!r}")
         d2, ty2 = synth(t.subs[1], path + (1,),
                         _extend(zs1, z, x, jt(ty1.subs[0])), expect)
@@ -699,7 +644,7 @@ class _Checker:
                               " a tensor type", actual=ty1)
                 x, y = self.push(t, 0, "x"), self.push(t, 1, "y")
                 for v, i in ((x, 1), (y, 0)):  # x is bvar 1, y is bvar 0
-                    if not self.uses_bvar(t.subs[1], i):
+                    if not syntax.uses_bvar(t.subs[1], i):
                         raise LinearityError(
                             path, "letpair", f"unused linear variable {v!r}")
                 d2, ty2 = self.synth_lnl_c(
@@ -710,7 +655,7 @@ class _Checker:
                                   binders=(x, y)), ty2
             case "lam":
                 x = self.push(t)
-                if not self.uses_bvar(t.subs[0], 0):
+                if not syntax.uses_bvar(t.subs[0], 0):
                     raise LinearityError(
                         path, "limpl", f"unused linear variable {x!r}")
                 d1, tyb = self.synth_lnl_c(t.subs[0], path + (0,),
@@ -967,12 +912,10 @@ def check_at(checked: Checked, path: tuple, new: Term) -> Checked | None:
         spine.append((node, t))
         names = node.child_names(i, names)
         node, t = node.children[i], t.subs[i]
-    memo = {}
-    if occurrences(new, memo) != node.occ:
+    if new.occ != node.judgement.term.occ:
         return None
     j = node.judgement
     c = _Checker(checked.sig, checked.calculus, names)
-    c.occ = memo
     c.avoid.update(x for zone in checked.zones for x, _ in zone)
     try:
         d, got = c.synth(j.form)(new, path, j.zones, node.expect)
@@ -985,8 +928,7 @@ def check_at(checked: Checked, path: tuple, new: Term) -> Checked | None:
         term = syntax.with_subs(t, t.subs[:i] + (term,) + t.subs[i + 1:])
         kids = up.children
         d = Derivation(up.rule, up.judgement.with_term(term),
-                       kids[:i] + (d,) + kids[i + 1:], up.binders, up.expect,
-                       up.occ)
+                       kids[:i] + (d,) + kids[i + 1:], up.binders, up.expect)
     return _accepted(checked, term, checked.sig, d)
 
 

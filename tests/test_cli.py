@@ -548,10 +548,12 @@ PROVE_GOLDEN = Path(__file__).parent / "golden" / "prove"
 
 
 @pytest.mark.parametrize("mode", ["txt", "json"])
-@pytest.mark.parametrize("name, code", [("valley", 0), ("valley_bad", 1)])
+@pytest.mark.parametrize("name, code", [("valley", 0), ("valley_bad", 1),
+                                        ("valley_badpath", 1)])
 def test_prove_golden(name, code, mode, monkeypatch, capsys):
-    """`prove` on a rule valley that replays and on one that lacks a step,
-    byte for byte."""
+    """`prove` on a rule valley that replays, on one that lacks a step and
+    on one whose step is at a path that is not a position, byte for
+    byte."""
     monkeypatch.chdir(PROVE_GOLDEN)
     args = ["--json"] if mode == "json" else []
     assert cli.main(args + ["prove", "--theory", fixture_path("coin.sig"),

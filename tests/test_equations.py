@@ -221,6 +221,19 @@ def test_proof_wrong_position_fails(coin_sig):
     assert not check_proof(bad, jl, jr, coin_sig)
 
 
+@pytest.mark.parametrize("step", ["do.assoc at 7.3 fwd", "ax3 at 9.9 lr bwd"])
+def test_a_step_at_no_position_does_not_replay(step, coin_sig):
+    """A rule step or an axiom step whose path is not a position of the
+    term is a step that does not apply: the proof does not replay."""
+    ctx = "w : J(2)"
+    jl = _j("rmm", coin_sig, ctx, "do x <- (do y <- coin in ret not y) in"
+            " ret pi1 (pair2(x, w), x)", "T(4)")
+    jr = _j("rmm", coin_sig, ctx, "do y <- coin in do x <- ret not y in"
+            " ret pair2(x, w)", "T(4)")
+    proof = parse_proof(step, coin_sig, "rmm")
+    assert not check_proof(proof, jl, jr, coin_sig)
+
+
 def test_axiom_proof_with_substitution(store_sig):
     jl = _j("rmm", store_sig, "a : J(Atom), b : J(Val)",
             "do z <- assign(a,b) in lookup(a)", "T(Val)")
@@ -383,10 +396,11 @@ def test_derivation_nodes_are_the_term_positions():
             assert sub is subterm_at(j.term, path) is node.judgement.term
             assert len(node.children) == len(sub.subs)
             assert (node.judgement.form, node.judgement.ty,
-                    node.judgement.zones, node.expect, names, node.occ) == \
+                    node.judgement.zones, node.expect, names,
+                    node.judgement.term.occ) == \
                 (other.judgement.form, other.judgement.ty,
                  other.judgement.zones, other.expect, in_force,
-                 typecheck.occurrences(sub, {}))
+                 sub.occ)
         assert c.derivation.expect == j.ty  # the root's, against its type
         calculi.add(j.calculus)
     assert calculi == {"urmm", "rmm", "gmm", "lnl", "arrow", "armm"}
@@ -397,7 +411,8 @@ def test_derivation_nodes_are_the_term_positions():
 def _nodes(d, path=()):
     """Each node of a derivation with its path, in preorder, as comparable
     values: rule, judgement, binder names, expected type, occurrences."""
-    out = [(path, d.rule, d.judgement, d.binders, d.expect, d.occ)]
+    out = [(path, d.rule, d.judgement, d.binders, d.expect,
+            d.judgement.term.occ)]
     for i, c in enumerate(d.children):
         out += _nodes(c, path + (i,))
     return out

@@ -320,6 +320,40 @@ def test_graded_ext_mutations_with_an_empty_carrier():
             carriers={"E": ()}, grades=(1,))))
 
 
+def _changed_cells(gd, mut):
+    """The cells at which mut's tables give another value than gd's."""
+    out = [k for k in gd.eta if mut.eta[k] != gd.eta[k]]
+    out += [k for k in gd.tx if mut.tx[k] != gd.tx[k]]
+    for (key, cell), val in mut.ext_overrides.items():
+        G, m, n, A, B, ftab = key
+        if val != gd.ext_value(G, m, n, A, B, dict(ftab), cell):
+            out.append((key, cell))
+    return out
+
+
+@pytest.mark.parametrize("carriers, grades", [
+    ({"E": (), "B": ("b0", "b1")}, (1, 2)),
+    ({"U": ("u",), "B": ("b0", "b1")}, (0, 1, 2)),
+    ({"B": ("b0",)}, (0, 1)),
+    ({"B": ("b0",)}, (0,)),  # every extension space holds one value
+])
+def test_no_graded_mutant_equals_its_instance(carriers, grades):
+    """Each mutant changes one cell of its instance to another value: an
+    extension draw into a space of one value is drawn again, and the
+    draws end on an instance where every extension space holds one
+    value.  Every mutant of the first instance is killed."""
+    import random
+    gd = lc.bounded_list_instance(carriers=carriers, grades=grades)
+    muts = list(lc.graded_mutations(gd, random.Random(1), ext_samples=6))
+    assert muts
+    for desc, mut in muts:
+        assert len(_changed_cells(gd, mut)) == 1, desc
+    if carriers == {"E": (), "B": ("b0", "b1")}:
+        assert sum(d.startswith("ext[") for d, _ in muts) == 6
+        for desc, mut in muts:
+            assert not lc.check_graded_laws(mut, stop_early=True).ok, desc
+
+
 def test_graded_eta_mutation_killed(glist):
     mut = glist.copy()
     mut.eta[("B", "b0")] = ("b1",)

@@ -401,6 +401,27 @@ def test_deep_spines_parse_and_print(former, coin_sig, lnl_sig, arrow_sig):
     assert bv(depth - 1) in (body, *body.subs)
 
 
+@pytest.mark.parametrize("former", sorted(CHAINS))
+def test_deep_spines_hash_and_have_occurrences(former, coin_sig, lnl_sig,
+                                               arrow_sig):
+    """The hash and the occurrences of a spine of 5,000 binders are filled
+    under the default recursion limit, and two spines parsed apart hash
+    equal.  (`==` and `repr` on terms still recurse once per level.)"""
+    assert sys.getrecursionlimit() <= 1000
+    calc, text_of = CHAINS[former]
+    sig = {"rmm": coin_sig, "lnl": lnl_sig, "arrow": arrow_sig}[calc]
+    t, u = (parse_term(text_of(5000), calc, sig) for _ in range(2))
+    assert t is not u and hash(t) == hash(u)
+    assert t.occ == u.occ == (frozenset({"p"} if former == "letpair"
+                                        else ()), 0)
+    assert free_vars(t) == t.occ[0]
+    body = u
+    while body.kind == u.kind:
+        body = body.subs[-1]
+    depth = 5000 * (2 if former == "letpair" else 1)
+    assert body.occ[1].bit_length() == depth  # x0 dangles there
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
 def test_a_do_chain_parses_as_closing_each_body_did(n, coin_sig):
     coin = syntax.opapp("coin")

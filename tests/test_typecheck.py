@@ -734,25 +734,25 @@ def _oracle_split(delta, t, names):
 
 def test_occurrence_table_agrees_with_free_vars(lnl_sig):
     """At every node of every LNL derivation, under the names in force:
-    the occurrence table gives `free_vars` and `uses_bvar` of the node's
-    term, and the linear split it gives, with one table for the whole
-    term or none, is the split `free_vars` gives."""
+    the term's cached occurrences give `free_vars` and `uses_bvar` of the
+    node's term, and the linear split they give, with the names in force
+    as a tuple or as a list, is the split `free_vars` gives."""
     splits = set()
     for name, j, sig in _lnl_judgements(lnl_sig):
         res = check(j, sig)
         assert res.ok, (name, res.message)
-        memo = {}
 
         def go(node, names):
             t, zones = node.judgement.term, node.judgement.zones
-            fv, bvars = typecheck.occurrences(t, memo)
+            fv, mask = t.occ
+            bvars = {k for k in range(mask.bit_length()) if mask >> k & 1}
             assert fv | {names[-1 - k] for k in bvars if k < len(names)} \
                 == syntax.free_vars(t, names), (name, node.rule)
             for k in range(max(bvars, default=0) + 2):
                 assert (k in bvars) == syntax.uses_bvar(t, k), (name, k)
             if node.judgement.form == "C" and t.subs:
                 want = _oracle_split(zones[1], t, names)
-                assert split_linear(zones[1], t, names, memo) == want
+                assert split_linear(zones[1], t, list(names)) == want
                 assert split_linear(zones[1], t, tuple(names)) == want
                 splits.add(node.rule)
             for i, c in enumerate(node.children):
