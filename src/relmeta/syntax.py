@@ -269,28 +269,33 @@ class Term:
 
 
 _EMPTY = frozenset()
+_CLOSED = (_EMPTY, 0)
+_LEAF_OCC = {}  # the occurrences of a var or bvar leaf, by name or index
+# the setters of the two kept fields, past the frozen `__setattr__`
+_set_hash, _set_occ = Term._hash.__set__, Term._occ.__set__
 
 
 def _fill(t: Term) -> Term:
     """t, its hash and occurrences filled, and those of every subterm that
-    lacks them, children first.  An explicit stack stands in for the
-    recursion, so a term of any depth is filled."""
-    stack = [t]
+    lacks them.  One loop lists them parents first and another fills them
+    in reverse, children first, so a term of any depth is filled."""
+    order, stack = [], [t]
     while stack:
-        u = stack[-1]
-        subs = u.subs
-        if subs:
-            pending = [s for s in subs if s._hash is None]
-            if pending:
-                stack += pending
-                continue
-        stack.pop()
-        if u._hash is not None:  # a shared subterm, pushed twice
+        u = stack.pop()
+        order.append(u)
+        for s in u.subs:
+            if s._hash is None:
+                stack.append(s)
+    for u in reversed(order):
+        if u._hash is not None:  # a shared subterm, listed twice
             continue
-        kind = u.kind
+        kind, subs = u.kind, u.subs
         if not subs:
-            occ = (frozenset((u.name,)), 0) if kind == "var" else \
-                (_EMPTY, 1 << u.index) if kind == "bvar" else (_EMPTY, 0)
+            key = u.name if kind == "var" else u.index
+            occ = _LEAF_OCC.get(key) if kind in ("var", "bvar") else _CLOSED
+            if occ is None:
+                occ = _LEAF_OCC[key] = (frozenset((key,)), 0) \
+                    if kind == "var" else (_EMPTY, 1 << key)
         elif len(subs) == 1 and not BINDERS[kind]:
             occ = subs[0]._occ
         else:
@@ -305,10 +310,6 @@ def _fill(t: Term) -> Term:
                            *[s._hash for s in subs])))
         _set_occ(u, occ)
     return t
-
-
-# the setters of the two kept fields, past the frozen `__setattr__`
-_set_hash, _set_occ = Term._hash.__set__, Term._occ.__set__
 
 
 def var(x: str) -> Term:
