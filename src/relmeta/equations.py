@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import syntax
+from . import models as models_mod, syntax
 from .rules import INDEX, RuleCtx, instantiate, match
 from .signatures import Axiom, Signature, SignatureError
 from .syntax import Judgement, Term, alpha_eq, replace_at, term_to_text
@@ -190,8 +190,7 @@ def redexes(c: Checked, sig: Signature, search_only=False):
     if (calculus, search_only) not in INDEX.trees:
         return
     for path, sub, node in _positions(c):
-        cands = INDEX.candidates(calculus, search_only, sub,
-                                 node.judgement.ty)
+        cands = INDEX.candidates(calculus, search_only, sub, node.ty)
         if cands:
             ctx = RuleCtx(sig, calculus, node)
             for r, rewrite in cands:
@@ -368,7 +367,6 @@ def _decide(jl, jr, sig, models, depth, breadth, budget):
     if alpha_eq(nl.term, nr.term):
         return EqVerdict("PROVEN",
                          proof=EqProof(tuple(nl.steps + _backward(nr.steps))))
-    from . import models as models_mod
     refuted = error = None
     theory = sig.theory
     try:
@@ -401,7 +399,6 @@ def _sweep_binding(checks: _Checks, left, right, binding):
     reads them), the normal forms are swept over the originals'
     environments, and a separating one is confirmed on the originals; else,
     or if they do not differ there, or that sweep raises, the originals."""
-    from . import models as models_mod
     sig = checks.sig
     jl, jr = checks(left[0]), checks(right[0])
 
@@ -435,8 +432,6 @@ def _respects_relations(binding, sig: Signature) -> bool:
     """Whether binding interprets sig's generators totally and respects
     its relations (`models.validate_binding`); decided once per (binding,
     sig)."""
-    from . import models as models_mod
-
     def decide():
         try:
             models_mod.validate_binding(binding, sig)
@@ -451,7 +446,6 @@ def _models_theory(binding, sig: Signature) -> bool:
     both sides of every axiom of sig's theory are equal under it in every
     environment (vacuously for no theory).  A check that raises counts as
     not a model.  Decided once per (binding, sig)."""
-    from . import models as models_mod
     theory = sig.theory
 
     def decide():

@@ -595,11 +595,8 @@ def _compile(node: Derivation, scope: dict, n: int, binding: ModelBinding,
     """(run, free slots) for one node.  scope maps the root's names to
     their slots; n is the number of slots in use at the node, the root's
     and then one per binder in force, so bvar i is slot n-1-i."""
-    t = node.judgement.term
-    rule = node.rule
+    t, rule, calc, ty = node.term, node.rule, node.calculus, node.ty
     backend = binding.backend
-    calc = node.judgement.calculus
-    ty = node.judgement.ty
     free = set()
 
     def sub(i, bound=()):
@@ -795,7 +792,7 @@ def _command_table(node, scope, n, binding, sig, sub):
     Delta-environments to values of the inner monad (the Kleisli-arrow
     reading of commands).  A Delta environment overrides the Delta slots
     of env before a child runs."""
-    delta = node.judgement.zones[1]
+    delta = node.zones[1]
     # Delta is the root's Delta (or the binder of an arrow abstraction)
     # followed by the binders of the command dos above: nothing else binds
     # between them, so the bound ones hold the top slots, in order

@@ -69,7 +69,7 @@ class RuleCtx:
         for i in rel:
             kids = node.children if node else ()
             node = kids[i] if i < len(kids) else None
-        return node and node.judgement.ty
+        return node and node.ty
 
 
 class Row(NamedTuple):
@@ -278,7 +278,7 @@ def unit_eta(t, ctx):
     ty = ctx.ty
     if ty is None or ty.kind != "unit1" or t.kind == "unit":
         return None
-    if ctx.calculus == "lnl" and ctx.node.judgement.form == "C":
+    if ctx.calculus == "lnl" and ctx.node.form == "C":
         return None  # the linear unit I has let-form laws instead
     return syntax.UNIT
 

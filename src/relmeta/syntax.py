@@ -256,8 +256,7 @@ class Term:
     def occ(self) -> tuple:
         """(free names, dangling bvars): the bvars as a bit mask, bit k set
         when bvar k, counted from this node, dangles."""
-        o = self._occ
-        return _fill(self)._occ if o is None else o
+        return (self if self._hash is not None else _fill(self))._occ
 
     def __reduce__(self):
         # the kept fields are left out: a str's hash is salted per process
@@ -277,27 +276,36 @@ _set_hash, _set_occ = Term._hash.__set__, Term._occ.__set__
 
 def _fill(t: Term) -> Term:
     """t, its hash and occurrences filled, and those of every subterm that
-    lacks them.  One loop lists them parents first and another fills them
-    in reverse, children first, so a term of any depth is filled."""
-    order, stack = [], [t]
+    lacks them, children first, from an explicit stack, so a term of any
+    depth is filled.  A node with children goes back on the stack under
+    them, holding this call's mark where its occurrences go (only a filled
+    hash makes those current); a subterm shared several ways is filled at
+    one of its occurrences and skipped at the others."""
+    stack, mark = [t], object()
     while stack:
         u = stack.pop()
-        order.append(u)
-        for s in u.subs:
-            if s._hash is None:
-                stack.append(s)
-    for u in reversed(order):
-        if u._hash is not None:  # a shared subterm, listed twice
+        if u._hash is not None:
             continue
-        kind, subs = u.kind, u.subs
+        subs = u.subs
+        if subs and u._occ is not mark:
+            _set_occ(u, mark)
+            stack.append(u)
+            for s in subs:
+                if s._hash is None:
+                    stack.append(s)
+            continue
+        kind = u.kind
         if not subs:
             key = u.name if kind == "var" else u.index
             occ = _LEAF_OCC.get(key) if kind in ("var", "bvar") else _CLOSED
             if occ is None:
                 occ = _LEAF_OCC[key] = (frozenset((key,)), 0) \
                     if kind == "var" else (_EMPTY, 1 << key)
+            h = hash((kind, u.name, u.index, u.xi, u.tyann))
         elif len(subs) == 1 and not BINDERS[kind]:
-            occ = subs[0]._occ
+            s = subs[0]
+            occ = s._occ
+            h = hash((kind, u.name, u.index, u.xi, u.tyann, s._hash))
         else:
             binders, names, mask = BINDERS[kind], _EMPTY, 0
             for i, s in enumerate(subs):
@@ -306,9 +314,10 @@ def _fill(t: Term) -> Term:
                 if n and n is not names:
                     names = names | n if names else n
             occ = (names, mask)
-        _set_hash(u, hash((kind, u.name, u.index, u.xi, u.tyann,
-                           *[s._hash for s in subs])))
-        _set_occ(u, occ)
+            h = hash((kind, u.name, u.index, u.xi, u.tyann,
+                      *[s._hash for s in subs]))
+        _set_occ(u, occ)  # before the hash, which marks the node filled
+        _set_hash(u, h)
     return t
 
 
@@ -635,20 +644,17 @@ class Judgement:
                           zones=self.zones, term=term, ty=self.ty)
         return j
 
-    @property
-    def is_command(self) -> bool:
-        return self.calculus == "arrow" and self.form == "C"
-
     def __str__(self):
         return self.text()
 
     def text(self, names=()) -> str:
         """The judgement as printed; `names` names the binders around its
-        term, as `term_to_text` takes them."""
+        term, as `term_to_text` takes them.  `self` may be any record of a
+        judgement's fields, as a `typecheck.Derivation` node is."""
         zs = " ; ".join(
             ", ".join(f"{x} : {type_to_text(ty)}" for x, ty in zone) or "-"
             for zone in self.zones)
-        bang = " !" if self.is_command else " :"
+        bang = " !" if (self.calculus, self.form) == ("arrow", "C") else " :"
         return f"[{self.calculus}/{self.form}] {zs} |-{bang} " \
                f"{term_to_text(self.term, names)} : {type_to_text(self.ty)}"
 

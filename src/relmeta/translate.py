@@ -69,7 +69,7 @@ def _fold(node: Derivation, trace: TranslationTrace, own, source: str,
           path=()) -> Term:
     """The term of a derivation node translated: the clauses both
     directions share, else `own(node, translated children)`."""
-    t, rule = node.judgement.term, node.rule
+    t, rule = node.term, node.rule
     trace.node_map[path] = rule
     kids = [_fold(c, trace, own, source, path + (i,))
             for i, c in enumerate(node.children)]
@@ -167,13 +167,13 @@ def regrade_program(xi: GradeMor, x_ty: TypeExpr) -> Term:
 
 def _tr_gmm(node: Derivation, kids) -> Term | None:
     """The graded formers' clauses: each applies its program."""
-    ty = node.judgement.ty
+    ty = node.ty
     match node.rule:
         case "ret":
             prog = unit_program(ty_gmm_to_lnl(ty.subs[0]), ty.grade)
             return syntax.app(prog, kids[0])
         case "do":
-            uty, bty = (c.judgement.ty for c in node.children)
+            uty, bty = (c.ty for c in node.children)
             prog = bind_program(uty.grade, bty.grade,
                                 ty_gmm_to_lnl(uty.subs[0]),
                                 ty_gmm_to_lnl(bty.subs[0]))
@@ -182,8 +182,8 @@ def _tr_gmm(node: Derivation, kids) -> Term | None:
             return syntax.app(syntax.app(prog, kids[0]), karg)
         case "regrade":
             # a presented grading's morphism is its word, not its endpoints
-            uty = node.children[0].judgement.ty
-            word = node.judgement.term.xi.word
+            uty = node.children[0].ty
+            word = node.term.xi.word
             prog = regrade_program(GradeMor(ty.grade, uty.grade, word),
                                    ty_gmm_to_lnl(uty.subs[0]))
             return syntax.app(prog, kids[0])
@@ -211,7 +211,7 @@ def _tr_arrow(node: Derivation, kids) -> Term | None:
         case "lam" | "lamarrow":
             # lam (x:A). u  becomes  lamarrow (x:A'). J(u'); A is read off
             # the node's type, as the term may leave it to the checker
-            dom = ty_arrow_to_armm(node.judgement.ty.subs[0])
+            dom = ty_arrow_to_armm(node.ty.subs[0])
             body = syntax.jterm(kids[0]) if node.rule == "lam" else kids[0]
             return syntax.lamarrow(dom, body, hint=node.binders[0])
         case "app":

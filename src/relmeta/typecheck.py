@@ -29,12 +29,13 @@ a stack of the binders in force, each named once, by its hint made fresh
 for the root's names and those in force.  A zone is an ordered tuple of
 (name, type) pairs; a binder extends it with `zone + ((x, ty),)`, and x is
 fresh for every name in force, so names stay unique.  The derivation is the
-one typing record: each node holds its judgement (zones, form, type, and
-its term as it sits in the root term, bvars and all) and, at a binding
-rule, the names it gave the binding child's binders.  Only the root
-judgement is validated; the nodes' judgements are built from its zones
-and fresh names, so they are valid by construction.  Every node of a scope
-holds the same zone tuples, not copies of them.  Printing, replay and
+one typing record: each node holds its calculus, zones, term (as it sits
+in the root term, bvars and all) and type inline, no judgement object,
+with its form read off its zones, and, at a binding rule, the names it
+gave the binding child's binders.  Only the root judgement is validated;
+the nodes' zones are built from its zones and fresh names, so they are
+valid by construction.  Every node of a scope holds the same zone
+tuples, not copies of them.  Printing, replay and
 `check_at` rebuild a node's names by walking from the root.  The rewrite
 engine, the evaluator and the translations read the derivation.  A
 `Checked` holds the derivation of its term, or, `renamed`, of a term `==`
@@ -57,13 +58,22 @@ from .syntax import (Judgement, SyntaxError_, Term, TypeExpr, base, grty,
                      jt, prod, tgr, tt, type_to_text)
 
 
-@dataclass
+@dataclass(slots=True)
 class Derivation:
+    """A node of a derivation.  It holds its calculus, zones, term and type
+    inline, no judgement object, and its form is read off its zones."""
     rule: str
-    judgement: Judgement
+    calculus: str
+    zones: tuple
+    term: Term
+    ty: TypeExpr
     children: tuple = ()
     binders: tuple = ()  # names of the binding child's binders, in slot order
     expect: TypeExpr | None = None  # the expected type the checker was given
+
+    @property
+    def form(self):
+        return "A" if len(self.zones) == 1 else "C"  # `syntax.FORMS`
 
     def walk(self):
         yield self
@@ -73,14 +83,14 @@ class Derivation:
     def child_names(self, i, names):
         """The names of the binders in force at child i, given `names`, the
         binders in force at this node (innermost last)."""
-        if syntax.child_binders(self.judgement.term, i):
+        if syntax.child_binders(self.term, i):
             return names + self.binders
         return names
 
 
 @dataclass
 class CheckResult:  # a rejection; an acceptance is a `Checked`
-    ok: bool
+    ok = False  # read as a check's result, a rejection
     message: str = ""
     path: tuple | None = None
     rule: str | None = None
@@ -333,16 +343,12 @@ class _Checker:
     def deriv(self, rule, zs, term, ty, children=(), binders=()):
         """The node of a rule, holding its zones by reference; a binding
         rule's binders are the names its body was checked under, which are
-        released here.  Its judgement is not validated again: its form is A
-        for one zone and C for more (`syntax.FORMS`), and every name a
+        released here.  Its zones are not validated again: every name a
         binder adds is fresh for the names to avoid."""
         for _ in binders:
             self.avoid.discard(self.names.pop())
-        j = _new(Judgement)
-        j.__dict__.update(calculus=self.calculus,
-                          form="A" if len(zs) == 1 else "C", zones=zs,
-                          term=term, ty=ty)
-        return Derivation(rule, j, children, binders, self.expects.pop())
+        return Derivation(rule, self.calculus, zs, term, ty, children,
+                          binders, self.expects.pop())
 
     def synth(self, form):
         """The synthesis function of the judgements of a form."""
@@ -869,10 +875,9 @@ def check(j: Judgement, sig: Signature, *, validated=False):
     try:
         d = c.check_judgement(j, validated)
     except _Fail as e:
-        return CheckResult(False, message=e.message, path=e.path, rule=e.rule,
-                           expected=e.expected, actual=e.actual)
+        return CheckResult(e.message, e.path, e.rule, e.expected, e.actual)
     except SignatureError as e:
-        return CheckResult(False, message=str(e), path=(), rule="signature")
+        return CheckResult(str(e), (), "signature")
     return _accepted(j, j.term, sig, d)
 
 
@@ -912,22 +917,21 @@ def check_at(checked: Checked, path: tuple, new: Term) -> Checked | None:
         spine.append((node, t))
         names = node.child_names(i, names)
         node, t = node.children[i], t.subs[i]
-    if new.occ != node.judgement.term.occ:
+    if new.occ != node.term.occ:
         return None
-    j = node.judgement
     c = _Checker(checked.sig, checked.calculus, names)
     c.avoid.update(x for zone in checked.zones for x, _ in zone)
     try:
-        d, got = c.synth(j.form)(new, path, j.zones, node.expect)
+        d, got = c.synth(node.form)(new, path, node.zones, node.expect)
     except (_Fail, SignatureError):
         return None
-    if got != j.ty:
+    if got != node.ty:
         return None
     term = new
     for (up, t), i in zip(reversed(spine), reversed(path)):
         term = syntax.with_subs(t, t.subs[:i] + (term,) + t.subs[i + 1:])
         kids = up.children
-        d = Derivation(up.rule, up.judgement.with_term(term),
+        d = Derivation(up.rule, up.calculus, up.zones, term, up.ty,
                        kids[:i] + (d,) + kids[i + 1:], up.binders, up.expect)
     return _accepted(checked, term, checked.sig, d)
 
@@ -939,15 +943,13 @@ def check_graded_arithmetic(derivation: Derivation, sig: Signature) -> bool:
     if grading is None:
         return False
     for node in derivation.walk():
-        t = node.judgement.term
         if node.rule == "regrade":
-            xi = grading.norm_mor(t.xi)
+            xi = grading.norm_mor(node.term.xi)
             if not grading.has_mor(xi):
                 return False
-        if node.rule == "do" and node.judgement.calculus == "gmm":
-            m = node.children[0].judgement.ty
-            n = node.children[1].judgement.ty
-            out = node.judgement.ty
+        if node.rule == "do" and node.calculus == "gmm":
+            m, n = (c.ty for c in node.children)
+            out = node.ty
             if m.kind != "tgr" or n.kind != "tgr" or out.kind != "tgr":
                 return False
             if not grading.equal_grades(
@@ -961,9 +963,9 @@ def replay(derivation: Derivation, sig: Signature) -> bool:
     ancestors gave the binders in force; True if all accept."""
     def go(node, names):
         try:
-            _Checker(sig, node.judgement.calculus, names).check_judgement(
-                node.judgement)
-        except (_Fail, SignatureError):
+            _Checker(sig, node.calculus, names).check_judgement(Judgement(
+                node.calculus, node.form, node.zones, node.term, node.ty))
+        except (_Fail, SignatureError, SyntaxError_):
             return False
         return all(go(c, node.child_names(i, names))
                    for i, c in enumerate(node.children))
@@ -981,7 +983,7 @@ def serialize_derivation(d: Derivation) -> str:
         lines.append(None)
         kids = [go(c, node.child_names(i, names))
                 for i, c in enumerate(node.children)]
-        lines[idx] = f"{idx}: {node.rule} | {node.judgement.text(names)}" \
+        lines[idx] = f"{idx}: {node.rule} | {Judgement.text(node, names)}" \
                      f" | children={kids}"
         return idx
 

@@ -393,13 +393,11 @@ def test_derivation_nodes_are_the_term_positions():
             for i in path:
                 ours, names = ours.children[i], ours.child_names(i, names)
             assert ours is node
-            assert sub is subterm_at(j.term, path) is node.judgement.term
+            assert sub is subterm_at(j.term, path) is node.term
             assert len(node.children) == len(sub.subs)
-            assert (node.judgement.form, node.judgement.ty,
-                    node.judgement.zones, node.expect, names,
-                    node.judgement.term.occ) == \
-                (other.judgement.form, other.judgement.ty,
-                 other.judgement.zones, other.expect, in_force,
+            assert (node.form, node.ty, node.zones, node.expect, names,
+                    node.term.occ) == \
+                (other.form, other.ty, other.zones, other.expect, in_force,
                  sub.occ)
         assert c.derivation.expect == j.ty  # the root's, against its type
         calculi.add(j.calculus)
@@ -411,8 +409,8 @@ def test_derivation_nodes_are_the_term_positions():
 def _nodes(d, path=()):
     """Each node of a derivation with its path, in preorder, as comparable
     values: rule, judgement, binder names, expected type, occurrences."""
-    out = [(path, d.rule, d.judgement, d.binders, d.expect,
-            d.judgement.term.occ)]
+    out = [(path, d.rule, (d.calculus, d.form, d.zones, d.term, d.ty),
+            d.binders, d.expect, d.term.occ)]
     for i, c in enumerate(d.children):
         out += _nodes(c, path + (i,))
     return out
@@ -948,7 +946,7 @@ def test_a_binding_that_breaks_a_relation_is_swept_over_the_originals(
     real = models._sweep
 
     def sweep(c1, c2, *rest):
-        swept.append([term_to_text(c.derivation.judgement.term)
+        swept.append([term_to_text(c.derivation.term)
                       for c in (c1, c2)])
         return real(c1, c2, *rest)
     monkeypatch.setattr(models, "_sweep", sweep)

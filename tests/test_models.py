@@ -449,7 +449,7 @@ def test_semantic_eq_compiles_each_side_once(coin_sig, dist_binding,
     real_compile, real_envs = models.compile_derivation, models.env_space
 
     def counting_compile(node, *args):
-        compiled.append(node.judgement.term)
+        compiled.append(node.term)
         return real_compile(node, *args)
 
     def counting_envs(*args, **kwargs):

@@ -300,6 +300,6 @@ def test_a_regrade_hoist_declines_a_tensor_the_grading_cannot_make(
     sub = j.term.subs[1] if path else j.term
     node = c.derivation.children[1] if path else c.derivation
     assert rule_name in [r.name for r, _ in INDEX.candidates(
-        "gmm", False, sub, node.judgement.ty)]
+        "gmm", False, sub, node.ty)]
     assert list(redexes(c, presented_sig)) == []
     assert normalize(j, presented_sig).term == j.term

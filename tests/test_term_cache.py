@@ -11,6 +11,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -218,6 +219,32 @@ def test_equal_terms_hash_equal(corpus):
                     _ref_occ(other)
         rehinted = replace(t, hints=tuple(x + "_" for x in t.hints))
         assert rehinted == t and hash(rehinted) == h
+
+
+def test_a_shared_subterm_is_filled_once():
+    """The first fill lists a subterm once however often it is shared:
+    `t = pair(t, t)` nested 20 times over a variable (2**21 - 1 positions,
+    21 distinct nodes) hashes the first time within a small memory peak,
+    and every node of a term shared under binders keeps the hash and the
+    occurrences of an unshared copy."""
+    t = var("x")
+    for _ in range(20):
+        t = syntax.pair(t, t)
+    tracemalloc.start()
+    try:
+        hash(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    s = syntax.pair(var("x"), bv(1))
+    for _ in range(6):
+        s = syntax.do(s, syntax.pair(bv(0), s))
+    fresh = _rebuilt(s)
+    assert hash(s) == hash(fresh)
+    for (a, _), (b, _) in zip(_subterms(s), _subterms(fresh)):
+        assert a._hash == b._hash and a.occ == b.occ
+        assert (a.occ[0], _bits(a.occ[1])) == _ref_occ(a)
 
 
 def test_copies_keep_working(corpus):

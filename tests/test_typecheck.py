@@ -196,7 +196,7 @@ def test_golden_rule(case, coin_sig):
     res = check(j, sig)
     assert res.ok == accept, (name, res.message)
     if accept:
-        assert res.derivation.judgement.term is not None
+        assert res.derivation.term is not None
         assert replay(res.derivation, sig)
 
 
@@ -520,9 +520,9 @@ def test_derivation_binders_are_the_new_zone_names():
                 assert node.binders == (), (name, node.rule)
                 continue
             seen.add(node.rule)
-            mine = {x for zone in node.judgement.zones for x, _ in zone}
+            mine = {x for zone in node.zones for x, _ in zone}
             child = node.children[BINDING_CHILD[node.rule]]
-            new = tuple(x for zone in child.judgement.zones for x, _ in zone
+            new = tuple(x for zone in child.zones for x, _ in zone
                         if x not in mine)
             assert node.binders == new and new, (name, node.rule)
     assert seen == set(BINDING_CHILD)
@@ -580,10 +580,10 @@ def test_replay_rejects_a_wrong_type_under_a_binder():
                 yield from under_binders(c, node.child_names(i, names))
 
         for node in list(under_binders(d, ())):
-            right = node.judgement
-            node.judgement = replace(right, ty=syntax.prod(right.ty, right.ty))
+            right = node.ty
+            node.ty = syntax.prod(right, right)
             assert not replay(d, sig), (name, node.rule)
-            node.judgement = right
+            node.ty = right
             seen.add(j.calculus)
         assert replay(d, sig), name
     assert seen == set(syntax.CALCULI)
@@ -604,7 +604,9 @@ def test_op_node_records_its_callers_judgement(calc, sig_text, zones, term,
                   parse_term(term, calc, sig), parse_type(ty, sig), form="C")
     res = check(j, sig)
     assert res.ok, res.message
-    assert (res.derivation.rule, res.derivation.judgement) == ("op", j)
+    d = res.derivation
+    assert (d.rule, *(getattr(d, f) for f in FIELDS)) == \
+        ("op", *(getattr(j, f) for f in FIELDS))
     assert replay(res.derivation, sig)
 
 
@@ -629,14 +631,13 @@ def test_nodes_share_their_parents_zones(coin_sig):
     shared = set()
     for name, j, sig in cases:
         d = check(j, sig).derivation
-        assert all(a is b for a, b in zip(d.judgement.zones, j.zones)), name
+        assert all(a is b for a, b in zip(d.zones, j.zones)), name
         for node in d.walk():
-            pj = node.judgement
-            pz = pj.zones
+            pz = node.zones
             for i, child in enumerate(node.children):
-                cz = child.judgement.zones
+                cz = child.zones
                 bound = set(node.binders) \
-                    if syntax.child_binders(pj.term, i) else set()
+                    if syntax.child_binders(node.term, i) else set()
                 added = ()
                 for z, c in enumerate(cz):
                     k = sum(1 for x, _ in c if x in bound)
@@ -645,7 +646,7 @@ def test_nodes_share_their_parents_zones(coin_sig):
                     added += tuple(x for x, _ in new)
                     p = pz[z] if z < len(pz) else ()
                     where = (name, node.rule, i, z)
-                    if pj.calculus == "lnl" and pj.form == "C" and z == 1 \
+                    if node.calculus == "lnl" and node.form == "C" and z == 1 \
                             and node.rule in LNL_SPLITS:
                         assert _is_subsequence(old, p), where
                     elif k:
@@ -655,7 +656,7 @@ def test_nodes_share_their_parents_zones(coin_sig):
                     else:
                         assert old is p, where
                         if p:
-                            shared.add(pj.calculus)
+                            shared.add(node.calculus)
                 assert added == (node.binders if bound else ()), \
                     (name, node.rule, i)
     assert shared == set(syntax.CALCULI)
@@ -688,16 +689,41 @@ def _checked_corpus(coin_sig):
     return [(name, j, sig) for name, j, sig in cases if check(j, sig).ok]
 
 
+def test_a_node_holds_its_judgement_inline():
+    """A derivation node is a slotted record, with no instance dict, and
+    its calculus, form, zones, term and type are those of the root node of
+    a full check of its subterm, under the names of the binders in force
+    there; for all six calculi."""
+    calculi = set()
+    for name, j, sig in accepted_golden_judgements():
+
+        def go(node, names):
+            assert not hasattr(node, "__dict__"), (name, node.rule)
+            fields = tuple(getattr(node, f) for f in FIELDS)
+            full = typecheck._Checker(sig, node.calculus, names) \
+                .check_judgement(syntax.Judgement(*fields))
+            assert tuple(getattr(full, f) for f in FIELDS) == fields, \
+                (name, node.rule)
+            for i, c in enumerate(node.children):
+                go(c, node.child_names(i, names))
+
+        go(check(j, sig).derivation, ())
+        calculi.add(j.calculus)
+    assert calculi == set(syntax.CALCULI)
+
+
 def test_node_judgements_are_valid_judgements(coin_sig):
-    """Every node judgement the checker builds without validation passes
-    it: rebuilt with `Judgement(...)`, none raises and each is equal."""
+    """Every node's judgement, which the checker builds without validation,
+    passes it: rebuilt with `Judgement(...)`, none raises and each has the
+    node's fields."""
     calculi = set()
     for name, j, sig in _checked_corpus(coin_sig):
         for node in check(j, sig).derivation.walk():
-            nj = node.judgement
-            assert syntax.Judgement(nj.calculus, nj.form, nj.zones, nj.term,
-                                    nj.ty) == nj, (name, node.rule)
-            calculi.add(nj.calculus)
+            fields = tuple(getattr(node, f) for f in FIELDS)
+            nj = syntax.Judgement(*fields)
+            assert tuple(getattr(nj, f) for f in FIELDS) == fields, \
+                (name, node.rule)
+            calculi.add(node.calculus)
     assert calculi == set(syntax.CALCULI)
 
 
@@ -743,14 +769,14 @@ def test_occurrence_table_agrees_with_free_vars(lnl_sig):
         assert res.ok, (name, res.message)
 
         def go(node, names):
-            t, zones = node.judgement.term, node.judgement.zones
+            t, zones = node.term, node.zones
             fv, mask = t.occ
             bvars = {k for k in range(mask.bit_length()) if mask >> k & 1}
             assert fv | {names[-1 - k] for k in bvars if k < len(names)} \
                 == syntax.free_vars(t, names), (name, node.rule)
             for k in range(max(bvars, default=0) + 2):
                 assert (k in bvars) == syntax.uses_bvar(t, k), (name, k)
-            if node.judgement.form == "C" and t.subs:
+            if node.form == "C" and t.subs:
                 want = _oracle_split(zones[1], t, names)
                 assert split_linear(zones[1], t, list(names)) == want
                 assert split_linear(zones[1], t, tuple(names)) == want
@@ -800,7 +826,7 @@ def test_only_check_makes_a_checked_judgement(coin_sig):
     c = check(j, coin_sig)
     assert type(c) is typecheck.Checked and c.ok and c.sig is coin_sig
     assert c == j and j == c and hash(c) == hash(j) and {c: 1}[j] == 1
-    assert c.derivation.judgement.term is j.term
+    assert c.derivation.term is j.term
     assert typecheck.is_checked(c, coin_sig)
     assert not typecheck.is_checked(j, coin_sig)
     with pytest.raises(TypeError):
