@@ -247,9 +247,6 @@ def split_linear(delta: tuple, t: Term, names=()) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # The checker
 
-_new = object.__new__
-
-
 def _find(zone, x):
     """The type of x in a zone, or None if x is not in it."""
     for y, ty in zone:
@@ -883,7 +880,7 @@ def check(j: Judgement, sig: Signature, *, validated=False):
 
 def _accepted(j: Judgement, term: Term, sig: Signature, d: Derivation):
     """The Checked of j's shape with `term`, derived by d."""
-    out = _new(Checked)
+    out = object.__new__(Checked)
     vars(out).update(calculus=j.calculus, form=j.form, zones=j.zones,
                      term=term, ty=j.ty, sig=sig, derivation=d,
                      _owner=weakref.ref(out))
