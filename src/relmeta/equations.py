@@ -147,7 +147,7 @@ class _Checks:
         out = self.results.get(term)
         if out is not None:
             return _result_for(out, term)
-        out = check_at(c, path, new)
+        out = check_at(c, path, term)
         if out is None:
             return self(c.with_term(term))
         self.results[term] = out
@@ -185,18 +185,29 @@ def redexes(c: Checked, sig: Signature, search_only=False):
     lazily, leftmost-outermost and then in rule registration order: of the
     normalizing rules, or with search_only of the search-only ones alone.
     At each position only the rules `rules.INDEX` gives for its kinds are
-    tried."""
+    tried.  A node whose subtree held none is marked clean for the rule set
+    and skipped after, until a step below it rebuilds it unmarked."""
     calculus = c.calculus
     if (calculus, search_only) not in INDEX.trees:
         return
-    for path, sub, node in _positions(c):
+    bit = (2 if search_only else 1) if sig is c.sig else 0
+    fired, stack = 0, [((), c.term, c.derivation)]
+    while stack:
+        path, sub, node = stack.pop()
+        if path is None or node.clean & bit:  # leaving node, or a clean one
+            node.clean |= bit if path is None and sub == fired else 0
+            continue
+        stack.append((None, fired, node))
         cands = INDEX.candidates(calculus, search_only, sub, node.ty)
         if cands:
             ctx = RuleCtx(sig, calculus, node)
             for r, rewrite in cands:
                 new = rewrite(sub, ctx)
                 if new is not None and new != sub:
+                    fired += 1
                     yield r, path, new
+        for i in range(len(sub.subs) - 1, -1, -1):
+            stack.append((path + (i,), sub.subs[i], node.children[i]))
 
 
 def _subterm(t: Term, path: tuple) -> Term:

@@ -252,6 +252,24 @@ class Term:
         h = self._hash
         return _fill(self)._hash if h is None else h
 
+    def __eq__(self, other):
+        """Structural equality, `hints` aside, from explicit stacks."""
+        if type(other) is not Term:
+            return NotImplemented
+        xs, ys = [self], [other]
+        while xs:
+            a, b = xs.pop(), ys.pop()
+            if a is not b:
+                ha, hb = a._hash, b._hash
+                if a.kind != b.kind or len(a.subs) != len(b.subs) or \
+                        ha != hb and ha is not None and hb is not None or \
+                        a.name != b.name or a.index != b.index or \
+                        a.xi != b.xi or a.tyann != b.tyann:
+                    return False
+                xs += a.subs
+                ys += b.subs
+        return True
+
     @property
     def occ(self) -> tuple:
         """(free names, dangling bvars): the bvars as a bit mask, bit k set
@@ -519,12 +537,14 @@ def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
 
 
 def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    i = path[0]
-    subs = list(t.subs)
-    subs[i] = replace_at(subs[i], path[1:], new)
-    return with_subs(t, subs)
+    spine = []  # the nodes on the path, rebuilt innermost first
+    for i in path:
+        spine.append(t)
+        t = t.subs[i]
+    for i in reversed(path):
+        t = spine.pop()
+        new = with_subs(t, t.subs[:i] + (new,) + t.subs[i + 1:])
+    return new
 
 
 def positions(t: Term, prefix=()) -> list:

@@ -50,7 +50,7 @@ on its own and splice its derivation in.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import syntax
 from .signatures import Signature, SignatureError
@@ -70,15 +70,17 @@ class Derivation:
     children: tuple = ()
     binders: tuple = ()  # names of the binding child's binders, in slot order
     expect: TypeExpr | None = None  # the expected type the checker was given
+    clean: int = field(default=0, compare=False, repr=False)  # `redexes`
 
     @property
     def form(self):
         return "A" if len(self.zones) == 1 else "C"  # `syntax.FORMS`
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        stack = [self]  # the nodes of this subtree in preorder, stack-safe
+        while stack:
+            yield (node := stack.pop())
+            stack += reversed(node.children)
 
     def child_names(self, i, names):
         """The names of the binders in force at child i, given `names`, the
@@ -268,7 +270,7 @@ def _extend(zs, z, x, ty):
 
 
 class _Checker:
-    def __init__(self, sig: Signature, calculus: str, names=()):
+    def __init__(self, sig: Signature, calculus: str, names=(), old=None):
         self.sig = sig
         self.calculus = calculus
         self.grading = sig.grading
@@ -280,6 +282,7 @@ class _Checker:
         # each synthesis function pushes its own, and its node's `deriv`
         # pops it
         self.expects = []
+        self.old = old  # what `check_at` may reuse, see `kept`
 
     # .. helpers ..........................................................
 
@@ -346,6 +349,16 @@ class _Checker:
             self.avoid.discard(self.names.pop())
         return Derivation(rule, self.calculus, zs, term, ty, children,
                           binders, self.expects.pop())
+
+    def kept(self, t, zs, expect):
+        """The old node for t itself, given zs, expect and these names."""
+        node, names, index = self.old
+        hit = index.get(id(t))
+        if hit is None or hit[0].zones != zs or hit[0].expect != expect:
+            return None
+        for i in hit[1]:
+            names, node = node.child_names(i, names), node.children[i]
+        return (node, node.ty) if list(names) == self.names else None
 
     def synth(self, form):
         """The synthesis function of the judgements of a form."""
@@ -472,6 +485,8 @@ class _Checker:
     # .. A-zone synthesis (Cartesian judgements of every calculus) ........
 
     def synth_a(self, t: Term, path, zs, expect=None):
+        if self.old and t.subs and (hit := self.kept(t, zs, expect)):
+            return hit
         self.expects.append(expect)
         calc = self.calculus
         k = t.kind
@@ -607,6 +622,8 @@ class _Checker:
     # .. LNL linear judgements ............................................
 
     def synth_lnl_c(self, t: Term, path, zs, expect=None):
+        if self.old and t.subs and (hit := self.kept(t, zs, expect)):
+            return hit
         self.expects.append(expect)
         k = t.kind
         gamma, delta = zs
@@ -774,6 +791,8 @@ class _Checker:
     # .. arrow-calculus commands ..........................................
 
     def synth_command(self, t: Term, path, zs, expect=None):
+        if self.old and t.subs and (hit := self.kept(t, zs, expect)):
+            return hit
         self.expects.append(expect)
         gamma, delta = zs
         match t.kind:
@@ -808,6 +827,8 @@ class _Checker:
     # .. three-zone judgements ............................................
 
     def synth_armm_c(self, t: Term, path, zs, expect=None):
+        if self.old and t.subs and (hit := self.kept(t, zs, expect)):
+            return hit
         self.expects.append(expect)
         gamma, delta, phi = zs
         k = t.kind
@@ -893,30 +914,30 @@ def renamed(checked: Checked, term: Term) -> Checked:
     return _accepted(checked, term, checked.sig, checked.derivation)
 
 
-def check_at(checked: Checked, path: tuple, new: Term) -> Checked | None:
-    """The Checked of checked's judgement with its subterm at `path`
-    replaced by `new`, from a check of `new` alone.
-
-    `new` is checked under the inputs the node at `path` was given (zones,
-    form, expected type, and the names in force, found walking down from
-    the root), avoiding the names checked's check avoided: for a well-typed
-    judgement, its zones' names.  The derivation is checked's with the
-    subtree at `path` replaced, the ancestors on `path` rebuilt over the
-    new root term's spine and every other subtree shared.  That is what a
-    full check gives when `new` has the node's occurrences (the linear
-    splits, the unused-variable tests and the names to avoid above it read
-    only those) and its type is `==` the node's (the nodes above read it
-    as is: equality up to the grading could still change their types).
-    None when either differs or the check of `new` fails: a full check
-    then decides, and words the failure."""
-    node, t, names, spine = checked.derivation, checked.term, (), []
+def check_at(checked: Checked, path: tuple, term: Term) -> Checked | None:
+    """The Checked of checked's judgement with `term`, checked's term with
+    `new` at `path` (`syntax.replace_at`), from a check of `new` alone under
+    the inputs its node was given (zones, expected type, names in force),
+    which keeps the node's children and grandchildren where it meets their
+    very terms (`kept`).  The derivation shares every subtree off `path`
+    and rebuilds the path over `term`'s spine: a full check's, if `new` has
+    the node's occurrences (all the splits and names to avoid above read)
+    and a type `==` the node's.  Else None, as on failure: check in full."""
+    node, new, names, spine = checked.derivation, term, (), []
     for i in path:
-        spine.append((node, t))
+        spine.append((node, new))
         names = node.child_names(i, names)
-        node, t = node.children[i], t.subs[i]
+        node, new = node.children[i], new.subs[i]
     if new.occ != node.term.occ:
         return None
-    c = _Checker(checked.sig, checked.calculus, names)
+    old = {}  # the node's children and grandchildren that have children
+    for i, k in enumerate(node.children):
+        if k.children:
+            old[id(k.term)] = k, (i,)
+            for j, g in enumerate(k.children):
+                if g.children:
+                    old[id(g.term)] = g, (i, j)
+    c = _Checker(checked.sig, checked.calculus, names, (node, names, old))
     c.avoid.update(x for zone in checked.zones for x, _ in zone)
     try:
         d, got = c.synth(node.form)(new, path, node.zones, node.expect)
@@ -924,11 +945,9 @@ def check_at(checked: Checked, path: tuple, new: Term) -> Checked | None:
         return None
     if got != node.ty:
         return None
-    term = new
     for (up, t), i in zip(reversed(spine), reversed(path)):
-        term = syntax.with_subs(t, t.subs[:i] + (term,) + t.subs[i + 1:])
         kids = up.children
-        d = Derivation(up.rule, up.calculus, up.zones, term, up.ty,
+        d = Derivation(up.rule, up.calculus, up.zones, t, up.ty,
                        kids[:i] + (d,) + kids[i + 1:], up.binders, up.expect)
     return _accepted(checked, term, checked.sig, d)
 

@@ -313,10 +313,10 @@ def _count_checks(monkeypatch, local=None):
         seen.append(j.term)
         return check(j, sig, **kw)
 
-    def counting_at(checked, path, new):
-        out = check_at(checked, path, new)
+    def counting_at(checked, path, term):
+        out = check_at(checked, path, term)
         if out is not None:
-            seen.append(replace_at(checked.term, path, new))
+            seen.append(term)
             if local is not None:
                 local.append(seen[-1])
         return out
@@ -424,10 +424,9 @@ def _differential(monkeypatch):
     (calculus, decided locally) over the calls."""
     counts = collections.Counter()
 
-    def both(checked, path, new):
-        out = check_at(checked, path, new)
-        full = check(replace(checked, term=replace_at(checked.term, path,
-                                                      new)), checked.sig)
+    def both(checked, path, term):
+        out = check_at(checked, path, term)
+        full = check(replace(checked, term=term), checked.sig)
         if out is not None:
             assert full.ok, full.message
             assert out == full and out.term == full.term
@@ -1258,3 +1257,49 @@ def test_the_index_tries_what_trying_everything_finds(
     assert {"unit.eta", "jk.unit.eta", "grade.assoc", "fun.beta",
             "let.exchange", "do.regrade.body"} <= set(fired), fired
     assert moved > 100 and terms > 500, (moved, terms)
+
+
+def test_the_marked_scan_finds_what_an_unmarked_scan_finds(
+        coin_sig, gmm_plain_sig, arrow_sig, monkeypatch):
+    """Every scan the engine makes, reading and leaving clean marks, yields
+    the redexes, in order, that a scan of a full check's unmarked derivation
+    of the same judgement yields, on the pairs the two rewrite workloads
+    decide: closed coin programs and rmm and gmm schema instances, and gmm
+    and arrow schema instances with their lnl and armm translations, at the
+    workloads' search depths.  Whether a scan is consumed in part (a
+    normalization step) or in full, each yield is compared as it is made."""
+    real = equations.redexes
+    scans = collections.Counter()
+
+    def redexes(c, sig, search_only=False):
+        scans[search_only] += 1
+        want = _shown(real(check(c, sig), sig, search_only))
+        got = []
+        for rd in real(c, sig, search_only):
+            got += _shown([rd])
+            assert got == want[:len(got)], term_to_text(c.term)
+            yield rd
+        assert got == want, term_to_text(c.term)
+
+    monkeypatch.setattr(equations, "redexes", redexes)
+    rng = random.Random(20241020)
+    pairs = [(jl, jr, coin_sig, 6) for jl, jr in _coin_pairs(rng, coin_sig)]
+    for _ in range(2):
+        pairs += [(jl, jr, coin_sig, 6) for _, jl, jr in
+                  genmod.rmm_schema_instances(rng, coin_sig, ["2", "4"])]
+        pairs += [(jl, jr, gmm_plain_sig, 6) for _, jl, jr in
+                  genmod.gmm_schema_instances(rng, gmm_plain_sig,
+                                              ["A", "B"])]
+        for make, sig, objects, tr in (
+                (genmod.gmm_schema_instances, gmm_plain_sig, ["A", "B"],
+                 gmm_to_lnl),
+                (genmod.arrow_schema_instances, arrow_sig, ["B", "C"],
+                 arrow_to_armm)):
+            for _, jl, jr in make(rng, sig, objects, size=2):
+                pairs += [(jl, jr, sig, 3),
+                          (tr(jl, sig)[0], tr(jr, sig)[0], sig, 3)]
+    statuses = collections.Counter(
+        check_eq(jl, jr, sig, depth=depth).status
+        for jl, jr, sig, depth in pairs)
+    assert statuses["PROVEN"] > 80 and statuses["UNKNOWN"] > 30, statuses
+    assert scans[False] > 2000 and scans[True] > 200, scans

@@ -13,8 +13,8 @@ from relmeta import syntax
 from relmeta.signatures import load_signature
 from relmeta.syntax import (SyntaxError_, alpha_eq, bv, close_binder,
                             free_vars, judgement, open_binder, parse_context,
-                            parse_term, parse_type, subst_free, term_to_text,
-                            var)
+                            parse_term, parse_type, replace_at, subst_free,
+                            subterm_at, term_to_text, var)
 
 
 def test_parse_simple(coin_sig):
@@ -213,13 +213,13 @@ def closed_terms(draw, depth=3):
 
 
 @given(closed_terms(), names)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_subst_self_is_identity(t, x):
     assert alpha_eq(subst_free(t, x, var(x)), t)
 
 
 @given(closed_terms(), names, closed_terms())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_subst_free_var_lemma(t, x, u):
     s = subst_free(t, x, u)
     fv_t, fv_u, fv_s = free_vars(t), free_vars(u), free_vars(s)
@@ -406,7 +406,7 @@ def test_deep_spines_hash_and_have_occurrences(former, coin_sig, lnl_sig,
                                                arrow_sig):
     """The hash and the occurrences of a spine of 5,000 binders are filled
     under the default recursion limit, and two spines parsed apart hash
-    equal.  (`==` and `repr` on terms still recurse once per level.)"""
+    equal.  (`repr` on terms still recurses once per level.)"""
     assert sys.getrecursionlimit() <= 1000
     calc, text_of = CHAINS[former]
     sig = {"rmm": coin_sig, "lnl": lnl_sig, "arrow": arrow_sig}[calc]
@@ -420,6 +420,34 @@ def test_deep_spines_hash_and_have_occurrences(former, coin_sig, lnl_sig,
         body = body.subs[-1]
     depth = 5000 * (2 if former == "letpair" else 1)
     assert body.occ[1].bit_length() == depth  # x0 dangles there
+
+
+@pytest.mark.parametrize("former", sorted(CHAINS))
+def test_deep_spines_compare_and_replace(former, coin_sig, lnl_sig,
+                                         arrow_sig):
+    """Under the default recursion limit, two spines of 5,000 binders parsed
+    apart are `==`, before their hashes are filled and after; a subterm
+    replaced 4,000 binders down keeps every other subterm and makes the
+    spine unequal, and replacing it back makes it equal again."""
+    assert sys.getrecursionlimit() <= 1000
+    calc, text_of = CHAINS[former]
+    sig = {"rmm": coin_sig, "lnl": lnl_sig, "arrow": arrow_sig}[calc]
+    t, u = (parse_term(text_of(5000), calc, sig) for _ in range(2))
+    assert t == u and not t != u
+    assert hash(t) == hash(u) and t == u
+    path = ()
+    for _ in range(4000):
+        path += (len(subterm_at(t, path).subs) - 1,)
+    old = subterm_at(t, path)
+    v = replace_at(t, path, var("z"))
+    assert subterm_at(v, path) == var("z") and v != t and v != u
+    for k in range(len(path)):
+        above, here = subterm_at(t, path[:k]), subterm_at(v, path[:k])
+        assert here is not above and here.kind == above.kind
+        assert all(a is b for i, (a, b) in enumerate(zip(above.subs,
+                                                         here.subs))
+                   if i != path[k])
+    assert replace_at(v, path, old) == t
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])

@@ -3,6 +3,7 @@ the zone disciplines, and the checkable metatheory (substitution,
 exchange, weakening)."""
 
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -526,6 +527,27 @@ def test_derivation_binders_are_the_new_zone_names():
                         if x not in mine)
             assert node.binders == new and new, (name, node.rule)
     assert seen == set(BINDING_CHILD)
+
+
+def test_walk_is_preorder_and_stack_safe():
+    """`Derivation.walk` gives every node once, in preorder, on the goldens,
+    and walks a derivation 5,000 nodes deep under the default recursion
+    limit."""
+    def preorder(node):
+        return [node] + [n for c in node.children for n in preorder(c)]
+
+    for name, j, sig in accepted_golden_judgements():
+        d = check(j, sig).derivation
+        assert list(map(id, d.walk())) == list(map(id, preorder(d))), name
+    assert sys.getrecursionlimit() <= 1000
+    leaf = typecheck.Derivation("unit", "rmm", ((),), syntax.Term("unit"),
+                                syntax.UNIT1)
+    d = leaf
+    for _ in range(5000):
+        d = typecheck.Derivation("pair", "rmm", ((),), leaf.term, leaf.ty,
+                                 (d, leaf))
+    nodes = list(d.walk())
+    assert len(nodes) == 10001 and nodes[0] is d and nodes[-1] is leaf
 
 
 
