@@ -351,7 +351,7 @@ class _Checker:
                           binders, self.expects.pop())
 
     def kept(self, t, zs, expect):
-        """The old node for t itself, given zs, expect and these names."""
+        """t's old node, given zs, expect and names: all that synth reads."""
         node, names, index = self.old
         hit = index.get(id(t))
         if hit is None or hit[0].zones != zs or hit[0].expect != expect:
