@@ -279,15 +279,11 @@ def normalize(j, sig: Signature, *, budget: int = 10000, rng=None,
 # ---------------------------------------------------------------------------
 # axiom application
 
-def axiom_moves(j, sig: Signature, axioms, *,
-                checks: _Checks | None = None):
+def axiom_moves(j: Checked, sig: Signature, axioms, *, checks: _Checks):
     """All single axiom rewrites (either direction, any position) that keep
     the judgement well-typed, each as (step, its Checked result), by axiom,
-    direction and position.  j is checked as it enters, unless it is one of
-    an engine call's `checks`, given with them.  Raises if j is ill-typed."""
-    if checks is None:
-        checks = _Checks(sig)
-        j = _enter(j, checks)
+    direction and position.  j is one of an engine call's `checks`, given
+    with them."""
     if not axioms:
         return []
     everywhere = [(path, sub) for path, sub, _ in _positions(j)]
@@ -343,8 +339,10 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
     models is a list of (name, ModelBinding) used for refutation.  Both
     sides, the axiom search and the sweeps share one set of checks, so no
     term is checked twice in one call, nor a `typecheck.Checked` side
-    under sig at all.  The call spends the checks its sides carry
-    (`typecheck.forget`), so that kept judgements keep no derivations.
+    under sig at all.  The call releases the checks its sides carry
+    (`typecheck.forget`): a Checked side keeps its root's judgement, with
+    no signature, so that kept judgements keep no derivations and a later
+    layer checks them again.
 
     When the normal forms differ, the models are swept in order before the
     axiom search, stopping at the first that separates the sides or

@@ -100,7 +100,7 @@ def _translate(j: Judgement, sig: Signature, source: str, target: str, own,
     res = j if is_checked(j, sig) else check(j, sig)
     if not res.ok:
         raise TranslateError(f"source judgement fails checking: {res.message}")
-    trace = TranslationTrace(j, None)
+    trace = TranslationTrace(j.with_term(j.term), None)  # a plain source
     term = _fold(res.derivation, trace, own, source)
     zones = tuple(tuple((x, ty(a)) for x, a in z) for z in j.zones)
     result = ty(j.ty)

@@ -38,8 +38,10 @@ valid by construction.  Every node of a scope holds the same zone
 tuples, not copies of them.  Printing, replay and
 `check_at` rebuild a node's names by walking from the root.  The rewrite
 engine, the evaluator and the translations read the derivation.  A
-`Checked` holds the derivation of its term, or, `renamed`, of a term `==`
-it whose binders print other names.
+`Checked` is its signature and its derivation, whose root holds the
+judgement, its type the root's `expect` (the root's `ty` is synthesized,
+and may be written otherwise: T_2(A) for T_(1 * 2)(A)).  `renamed` gives
+a new root over a term `==` it whose binders print other names.
 
 Each node also reads its term's occurrences and holds the expected type
 the checker was given there (the synthesis function pushes it, and the
@@ -49,8 +51,7 @@ on its own and splice its derivation in.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import syntax
 from .signatures import Signature, SignatureError
@@ -61,7 +62,8 @@ from .syntax import (Judgement, SyntaxError_, Term, TypeExpr, base, grty,
 @dataclass(slots=True)
 class Derivation:
     """A node of a derivation.  It holds its calculus, zones, term and type
-    inline, no judgement object, and its form is read off its zones."""
+    inline, no judgement object, and its form is read off its zones; `ty`
+    is synthesized, `expect` given (at the root, the judgement's type)."""
     rule: str
     calculus: str
     zones: tuple
@@ -103,32 +105,39 @@ class CheckResult:  # a rejection; an acceptance is a `Checked`
         return self.ok
 
 
-class Checked(Judgement):
-    """An accepted judgement, equal to its plain judgement, with the object
-    `sig` it was checked under and its `derivation`.  Only `check` and
-    `check_at` make one, as only LCF's kernel makes theorems (Gordon,
-    Milner & Wadsworth 1979); `with_term` and `replace` make plain ones."""
+class Checked:
+    """An accepted judgement: the object `sig` it was checked under and the
+    `derivation`, whose root holds the judgement, its `expect` the type.
+    Only `check` and `check_at` make one, as only LCF's kernel makes
+    theorems (Gordon, Milner & Wadsworth 1979); `with_term` makes a plain
+    judgement of its shape, and `str` prints it."""
 
+    __slots__ = ("sig", "derivation")
     ok = True  # read as a check's result, an acceptance
+    calculus = property(lambda self: self.derivation.calculus)
+    form = property(lambda self: self.derivation.form)
+    zones = property(lambda self: self.derivation.zones)
+    term = property(lambda self: self.derivation.term)
+    # the type it was checked against, not the root's synthesized `ty`
+    ty = property(lambda self: self.derivation.expect)
+    with_term = Judgement.with_term
+    __str__ = Judgement.text
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a Checked is made by a check alone")
 
-    @property
-    def __class__(self):  # what `==` and `dataclasses.replace` read
-        return Judgement
+
+def is_checked(j, sig: Signature) -> bool:
+    """Whether j is a Checked under sig (the object)."""
+    return type(j) is Checked and j.sig is sig
 
 
-def is_checked(j: Judgement, sig: Signature) -> bool:
-    """Whether `check` made j under sig (the object): a copy is not one."""
-    owner = vars(j).get("_owner")
-    return owner is not None and owner() is j and j.sig is sig
-
-
-def forget(j: Judgement):
-    """Drop what a Checked's check found: a layer then checks it again."""
-    for key in ("_owner", "sig", "derivation"):
-        vars(j).pop(key, None)
+def forget(j):
+    """Drop what a Checked's check found, but for its root's judgement: a
+    layer then checks it again."""
+    if type(j) is Checked:
+        j.sig, j.derivation = None, replace(j.derivation, children=(),
+                                            binders=())
 
 
 class _Fail(Exception):
@@ -373,7 +382,8 @@ class _Checker:
     def check_judgement(self, j: Judgement, validated=False) -> Derivation:
         if not validated:
             try:
-                j.__post_init__()  # the root's zones, which every node's share
+                # the root's zones, which all nodes share; j may be a Checked
+                Judgement.__post_init__(j)
             except SyntaxError_ as e:
                 self.fail((), "judgement", e.msg)
             kinds = syntax.FORMS[j.calculus, j.form]
@@ -896,22 +906,20 @@ def check(j: Judgement, sig: Signature, *, validated=False):
         return CheckResult(e.message, e.path, e.rule, e.expected, e.actual)
     except SignatureError as e:
         return CheckResult(str(e), (), "signature")
-    return _accepted(j, j.term, sig, d)
+    return _accepted(sig, d)
 
 
-def _accepted(j: Judgement, term: Term, sig: Signature, d: Derivation):
-    """The Checked of j's shape with `term`, derived by d."""
+def _accepted(sig: Signature, d: Derivation) -> Checked:
     out = object.__new__(Checked)
-    vars(out).update(calculus=j.calculus, form=j.form, zones=j.zones,
-                     term=term, ty=j.ty, sig=sig, derivation=d,
-                     _owner=weakref.ref(out))
+    out.sig, out.derivation = sig, d
     return out
 
 
 def renamed(checked: Checked, term: Term) -> Checked:
     """checked, of `term`, a term `==` checked's that may print its binders
-    by other names (`Term.hints`, which `==` ignores)."""
-    return _accepted(checked, term, checked.sig, checked.derivation)
+    by other names (`Term.hints`, which `==` ignores): a new root over
+    `term` shares the children."""
+    return _accepted(checked.sig, replace(checked.derivation, term=term))
 
 
 def check_at(checked: Checked, path: tuple, term: Term) -> Checked | None:
@@ -949,7 +957,7 @@ def check_at(checked: Checked, path: tuple, term: Term) -> Checked | None:
         kids = up.children
         d = Derivation(up.rule, up.calculus, up.zones, t, up.ty,
                        kids[:i] + (d,) + kids[i + 1:], up.binders, up.expect)
-    return _accepted(checked, term, checked.sig, d)
+    return _accepted(checked.sig, d)
 
 
 def check_graded_arithmetic(derivation: Derivation, sig: Signature) -> bool:

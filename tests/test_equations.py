@@ -426,10 +426,10 @@ def _differential(monkeypatch):
 
     def both(checked, path, term):
         out = check_at(checked, path, term)
-        full = check(replace(checked, term=term), checked.sig)
+        full = check(checked.with_term(term), checked.sig)
         if out is not None:
             assert full.ok, full.message
-            assert out == full and out.term == full.term
+            assert out.with_term(out.term) == full.with_term(full.term)
             assert _nodes(out.derivation) == _nodes(full.derivation)
             assert out.derivation == full.derivation
             assert serialize_derivation(out.derivation) == \
@@ -450,7 +450,7 @@ def _rewrite_everything(j, sig):
     c = equations._enter(j, checks)
     nf = normalize(c, sig, checks=checks)
     equations._expand(c, checks, axioms, 10000)
-    equations._expand(equations._enter(replace(j, term=nf.term), checks),
+    equations._expand(equations._enter(j.with_term(nf.term), checks),
                       checks, axioms, 10000)
 
 

@@ -329,6 +329,25 @@ def test_armm_k_values_and_application(arrow_sig, karmm_binding):
     assert semantic_eq(beta, w, karmm_binding, arrow_sig) == (True, None)
 
 
+def test_an_armm_sweep_ranges_over_the_abstractions_of_a_context_type(
+        arrow_sig, karmm_binding):
+    """A context variable f : B => J(C) of the three-zone calculus ranges
+    over the tables from B to C's elements in J, here the one table under
+    karr.mb read as armm, so the sweep of an eta pair covers each w with
+    it."""
+    table = VFun(((VElem("b0"), VJ(VElem("c0"))),
+                  (VElem("b1"), VJ(VElem("c0")))))
+    assert carrier_values(parse_type("B => J(C)", arrow_sig), karmm_binding,
+                          arrow_sig) == [table]
+    ctx = "f : B => J(C), w : B"
+    eta = _j("armm", arrow_sig, ctx, "app (lamarrow (a:B). J(app f a)) w",
+             "C", form="A")
+    app = _j("armm", arrow_sig, ctx, "app f w", "C", form="A")
+    assert semantic_eq(eta, app, karmm_binding, arrow_sig) == (True, None)
+    assert eval_term(app, {"f": table, "w": VElem("b1")}, karmm_binding,
+                     arrow_sig) == VElem("c0")
+
+
 # -- lattice sweep over distribution-typed variables -----------------------------
 
 def test_monad_laws_over_distribution_variables(coin_sig, dist_binding):

@@ -303,3 +303,26 @@ def test_a_regrade_hoist_declines_a_tensor_the_grading_cannot_make(
         "gmm", False, sub, node.ty)]
     assert list(redexes(c, presented_sig)) == []
     assert normalize(j, presented_sig).term == j.term
+
+
+def test_an_identity_regrade_hoists_and_drops_under_a_presented_grading(
+        presented_sig):
+    """A presented grading has each identity morphism (an empty word) and
+    tensors identities, so an identity regrade of a bind's scrutinee is
+    hoisted out of the bind, as the identity of the bind's grade, and then
+    dropped."""
+    from relmeta.equations import normalize
+    from relmeta.syntax import gname
+    g = presented_sig.grading
+    m, e = gname("m"), g.unit()
+    assert g.has_mor(g.id_mor(m)) and g.has_mor(g.id_mor(e))
+    assert g.tensor_mor(g.id_mor(m), g.id_mor(e)) == g.id_mor(m)
+    j = judgement("gmm", [[("u", parse_type("T_m(A)", presented_sig))]],
+                  parse_term("do x <- regrade<id_m> u in ret (x, x)", "gmm",
+                             presented_sig),
+                  parse_type("T_m(A * A)", presented_sig))
+    out = normalize(j, presented_sig)
+    assert out.term == parse_term("do x <- u in ret (x, x)", "gmm",
+                                  presented_sig)
+    assert [(s.name, s.path) for s in out.steps] == \
+        [("do.regrade.scrutinee", ()), ("regrade.id", ())]

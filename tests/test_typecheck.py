@@ -4,7 +4,6 @@ exchange, weakening)."""
 
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -820,13 +819,6 @@ def _coin_judgement(coin_sig, term):
                      parse_term(term, "rmm", coin_sig), parse_type("T(2)"))
 
 
-def _forge(c, **attrs):
-    """A Checked built through object.__new__ from c's fields and attrs."""
-    f = object.__new__(typecheck.Checked)
-    vars(f).update({k: getattr(c, k) for k in FIELDS}, **attrs)
-    return f
-
-
 def _count_full_checks(monkeypatch):
     """The terms every layer checks in full, in order."""
     from relmeta import equations, models, translate
@@ -840,54 +832,65 @@ def _count_full_checks(monkeypatch):
     return seen
 
 
-def test_only_check_makes_a_checked_judgement(coin_sig):
-    """check hands back a Checked that equals, and hashes as, its
-    judgement; the class cannot be called, and replace and with_term give
-    plain judgements."""
+def test_a_checked_judgement_is_its_signature_and_root_derivation(coin_sig):
+    """check hands back a Checked, a record of its signature object and its
+    derivation that is not a Judgement: it reads its judgement off the
+    derivation's root and prints it; the class cannot be called, and
+    with_term gives a plain judgement."""
     j = _coin_judgement(coin_sig, "do x <- u in ret x")
     c = check(j, coin_sig)
+    assert typecheck.Checked.__slots__ == ("sig", "derivation")
     assert type(c) is typecheck.Checked and c.ok and c.sig is coin_sig
-    assert c == j and j == c and hash(c) == hash(j) and {c: 1}[j] == 1
-    assert c.derivation.term is j.term
+    assert not isinstance(c, syntax.Judgement) and c != j
+    assert c.term is c.derivation.term is j.term
+    assert tuple(getattr(c, f) for f in FIELDS) == \
+        tuple(getattr(j, f) for f in FIELDS)
+    assert str(c) == str(j)
     assert typecheck.is_checked(c, coin_sig)
     assert not typecheck.is_checked(j, coin_sig)
     with pytest.raises(TypeError):
-        typecheck.Checked(*(getattr(j, f) for f in FIELDS))
-    for plain in (replace(c), replace(c, term=parse_term("u", "rmm")),
-                  c.with_term(c.term)):
+        typecheck.Checked(coin_sig, c.derivation)
+    for plain in (c.with_term(c.term), c.with_term(parse_term("u", "rmm"))):
         assert type(plain) is syntax.Judgement
         assert not typecheck.is_checked(plain, coin_sig)
+    assert c.with_term(c.term) == j
 
 
-def test_a_forged_checked_judgement_is_checked_again(coin_sig, dist_binding,
-                                                     monkeypatch):
-    """A Checked built through object.__new__ is not taken for checked,
-    whether it has a derivation alone, or copies all that a genuine one's
-    check found, for its own term or for another: every layer checks it, so
-    an ill-typed one is refused and a well-typed one is checked in full."""
-    from relmeta import equations, models
-    good = check(_coin_judgement(coin_sig, "do x <- u in ret x"), coin_sig)
-    assert not typecheck.is_checked(_forge(good, **vars(good)), coin_sig)
-    bad = parse_term("ret u", "rmm", coin_sig)  # ret takes a J-term
-    found = {k: v for k, v in vars(good).items() if k not in FIELDS}
-    for attrs in ({"derivation": good.derivation, "sig": coin_sig}, found):
-        def forged():
-            return _forge(good, term=bad, **attrs)
-        assert not typecheck.is_checked(forged(), coin_sig)
-        with pytest.raises(models.ModelError, match="ill-typed"):
-            models.semantic_eq(forged(), good, dist_binding, coin_sig)
-        with pytest.raises(models.ModelError, match="does not check"):
-            models.eval_term(forged(), {}, dist_binding, coin_sig)
-        with pytest.raises(equations.RewriteError, match="type-check"):
-            equations.normalize(forged(), coin_sig)
-        with pytest.raises(equations.RewriteError, match="type-check"):
-            equations.check_eq(forged(), forged(), coin_sig)
-        assert not equations.check_proof(equations.EqProof(()), forged(),
-                                          forged(), coin_sig)
-    other = parse_term("do x <- u in ret not x", "rmm", coin_sig)
+def test_a_checked_judgement_has_the_type_it_was_checked_against(gmm_sig):
+    """A Checked's type is the one its check was given, which its root's
+    `expect` holds, not the type the root synthesized, which may be written
+    otherwise: `do x <- u in w` checks at T_(1 * 2)(A) and synthesizes
+    T_2(A).  So a side check_eq releases keeps it, and the pair of a
+    Checked and a plain side is of one shape."""
+    from relmeta import equations
+    ctx = parse_context("u : T_1(A), w : T_2(A)", gmm_sig)
+    j, jr = (judgement("gmm", [ctx], parse_term(t, "gmm", gmm_sig),
+                       parse_type("T_(1 * 2)(A)"))
+             for t in ("do x <- u in w", "do y <- u in w"))
+    c = check(j, gmm_sig)
+    assert c.ty == j.ty and c.derivation.ty != j.ty
+    assert c.derivation.ty == parse_type("T_2(A)")
+    assert equations.check_eq(c, jr, gmm_sig).proven
+    assert c.ty == j.ty and c.derivation.ty != j.ty and str(c) == str(j)
+
+
+def test_check_eq_releases_its_sides_to_their_root_judgements(
+        coin_sig, dist_binding, monkeypatch):
+    """check_eq releases the checks of the sides it is handed: each keeps a
+    childless root of its judgement and no signature, so a later layer
+    checks it in full."""
+    from relmeta import equations
+    jl = _coin_judgement(coin_sig, "do x <- u in ret x")
+    jr = _coin_judgement(coin_sig, "do x <- u in ret not x")
+    cl, cr = check(jl, coin_sig), check(jr, coin_sig)
+    equations.check_eq(cl, cr, coin_sig, [("dist", dist_binding)])
+    for c, j in ((cl, jl), (cr, jr)):
+        assert c.sig is None and c.derivation.children == ()
+        assert c.derivation.binders == () and c.term is j.term
+        assert str(c) == str(j) and not typecheck.is_checked(c, coin_sig)
     seen = _count_full_checks(monkeypatch)
-    equations.normalize(_forge(good, **dict(found, term=other)), coin_sig)
-    assert seen == [other]
+    equations.normalize(cl, coin_sig)
+    assert seen[0] is jl.term
 
 
 def test_a_checked_judgement_is_read_under_its_own_signature_only(
