@@ -90,10 +90,6 @@ class EqVerdict:
     lhs_nf: Term | None = None
     rhs_nf: Term | None = None
 
-    @property
-    def proven(self):
-        return self.status == "PROVEN"
-
     def render(self) -> str:
         if self.status == "PROVEN":
             return "PROVEN\n" + self.proof.render()
@@ -331,9 +327,11 @@ def apply_axiom_at(j: Judgement, sig: Signature, ax: Axiom, path: tuple,
 # ---------------------------------------------------------------------------
 # the three-valued decision procedure
 
+BREADTH = 400  # terms the axiom search keeps on each side
+
+
 def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
-             depth: int = 6, breadth: int = 400, budget: int = 10000
-             ) -> EqVerdict:
+             depth: int = 6, budget: int = 10000) -> EqVerdict:
     """Proven / Refuted / Unknown for a pair of judgements of one shape.
 
     models is a list of (name, ModelBinding) used for refutation.  Both
@@ -359,13 +357,13 @@ def check_eq(jl: Judgement, jr: Judgement, sig: Signature, models=(), *,
             (jr.calculus, jr.form, jr.zones, jr.ty):
         raise RewriteError("the two sides are not judgements of one shape")
     try:
-        return _decide(jl, jr, sig, models, depth, breadth, budget)
+        return _decide(jl, jr, sig, models, depth, budget)
     finally:
         forget(jl)
         forget(jr)
 
 
-def _decide(jl, jr, sig, models, depth, breadth, budget):
+def _decide(jl, jr, sig, models, depth, budget):
     checks = _Checks(sig)
     cl = _enter(jl, checks)
     if is_checked(jr, sig):  # free now, and jl's normalization may reach it
@@ -391,7 +389,7 @@ def _decide(jl, jr, sig, models, depth, breadth, budget):
     except models_mod.ModelError as e:
         error = e
     axioms = theory.axioms if theory else []
-    mid = _bisearch(checks, cl, nl, cr, nr, axioms, depth, breadth, budget)
+    mid = _bisearch(checks, cl, nl, cr, nr, axioms, depth, budget)
     if mid is not None:
         return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
     if error is not None:
@@ -491,8 +489,7 @@ def _expand(c, checks: _Checks, axioms, budget):
     return out
 
 
-def _bisearch(checks: _Checks, cl, nl, cr, nr, axioms, depth, breadth,
-              budget):
+def _bisearch(checks: _Checks, cl, nl, cr, nr, axioms, depth, budget):
     if not axioms and (cl.calculus, True) not in INDEX.trees:
         return None
     # seed with the originals too: an axiom redex may only exist before
@@ -517,20 +514,17 @@ def _bisearch(checks: _Checks, cl, nl, cr, nr, axioms, depth, breadth,
                        else _backward(new_steps) + steps)
                 seen[nt] = acc
                 nxt_front[nt] = acc
-                if len(seen) > breadth:
-                    break
+                # before the breadth cut, so the term added at it meets too
                 if nt in other:
                     return acc + other[nt] if expand_left else other[nt] + acc
-            if len(seen) > breadth:
+                if len(seen) > BREADTH:
+                    break
+            if len(seen) > BREADTH:
                 break
         if expand_left:
             lfront = nxt_front
         else:
             rfront = nxt_front
-        meet = set(left) & set(right)
-        if meet:
-            t = next(iter(meet))
-            return left[t] + right[t]
     return None
 
 
@@ -621,29 +615,3 @@ def _parse_step(text, name, sig, calculus) -> Step:
         p.err(f"trailing input starting at {p.peek()!r}")
     return Step(name, path, orientation=orient, kind=kind, axdir=axdir,
                 sigma=tuple(sorted(sigma.items())))
-
-
-# ---------------------------------------------------------------------------
-# the local-store regression entry point
-
-@dataclass
-class StoreReport:
-    axioms_ok: bool
-    results: list  # (name, EqVerdict)
-
-    @property
-    def ok(self):
-        return self.axioms_ok and all(v.proven for _, v in self.results)
-
-
-def derive_local_store(sig: Signature, fixtures, models=()) -> StoreReport:
-    """Check that the store theory's axioms load (they type-check at load
-    time) and that each fixture equation pair is Proven from them.
-
-    fixtures: list of (name, Judgement, Judgement).
-    """
-    axioms_ok = sig.theory is not None and len(sig.theory.axioms) >= 2
-    results = []
-    for name, jl, jr in fixtures:
-        results.append((name, check_eq(jl, jr, sig, models)))
-    return StoreReport(axioms_ok, results)

@@ -275,10 +275,6 @@ def _factorizations(n, grading):
     return [(a, n // a) for a in range(1, n + 1) if n % a == 0]
 
 
-def _subst_top(body: Term, u: Term) -> Term:
-    return syntax.bsubst(body, 0, u)
-
-
 def seeded_context(calculus, objects, extra=()):
     """A context guaranteeing every base object is inhabited."""
     if calculus in ("rmm", "urmm"):
@@ -348,7 +344,7 @@ def rmm_schema_instances(rng: random.Random, sig: Signature, objects,
     tB = g.gen_term(ctx + ((x, jt(A)),), tt(B), size)
     tB_cl = close_binder(tB, x)
     out.append(("do.beta", jd(syntax.do(syntax.ret(uA), tB_cl, hint=x), tt(B)),
-                jd(_subst_top(tB_cl, uA), tt(B))))
+                jd(syntax.bsubst(tB_cl, 0, uA), tt(B))))
     uT = g.gen_term(ctx, tt(A), size)
     out.append(("do.eta", jd(syntax.do(uT, syntax.ret(bv(0)), hint=x), tt(A)),
                 jd(uT, tt(A))))
@@ -412,7 +408,7 @@ def gmm_schema_instances(rng: random.Random, sig: Signature, objects,
     tb = close_binder(g.gen_graded(ctx + ((x, A),), tgr(gnat(mm), B), size), x)
     out.append(("do.beta",
                 jd(syntax.do(syntax.ret(uA), tb, hint=x), tgr(gnat(mm), B)),
-                jd(_subst_top(tb, uA), tgr(gnat(mm), B))))
+                jd(syntax.bsubst(tb, 0, uA), tgr(gnat(mm), B))))
     um2 = g.gen_graded(ctx, tgr(gnat(mm), A), size)
     out.append(("do.eta",
                 jd(syntax.do(um2, syntax.ret(bv(0)), hint=x), tgr(gnat(mm), A)),
@@ -482,7 +478,7 @@ def arrow_schema_instances(rng: random.Random, sig: Signature, objects,
     u = g.gen_term(gamma + delta, A, size)
     out.append(("arr.beta",
                 cmd(syntax.aapp(syntax.lamarrow(A, body_cl, hint=x), u), B),
-                cmd(_subst_top(body_cl, u), B)))
+                cmd(syntax.bsubst(body_cl, 0, u), B)))
     # eta: lamarrow x. (f . x) = f
     out.append(("arr.eta",
                 term(syntax.lamarrow(A, syntax.aapp(syntax.var("f"), bv(0)),
@@ -493,7 +489,7 @@ def arrow_schema_instances(rng: random.Random, sig: Signature, objects,
     ub = g.gen_term(gamma + delta, B, size)
     out.append(("do.beta",
                 cmd(syntax.do(syntax.ret(ub), t1, hint=x), C),
-                cmd(_subst_top(t1, ub), C)))
+                cmd(syntax.bsubst(t1, 0, ub), C)))
     # right unit
     c1 = g.gen_command(gamma, delta, B, size)
     out.append(("do.eta",

@@ -540,6 +540,7 @@ def _simplex_lattice(n, k):
 
 MISSING = object()   # the slot of a name the caller's environment lacks
 MEMO_CAP = 4096      # tables kept per node before its memo starts over
+SWEEP_CAP = 10 ** 6  # environments a sweep may enumerate
 
 
 def eval_term(j: Judgement, env: dict, binding: ModelBinding,
@@ -841,20 +842,11 @@ def _command_table(node, scope, n, binding, sig, sub):
     return build
 
 
-def eval_arrow_command(j: Judgement, env: dict, binding: ModelBinding,
-                       sig: Signature) -> Value:
-    """Public entry point for command judgements: returns the Kleisli-arrow
-    table keyed by Delta-environment tuples."""
-    if not (j.calculus == "arrow" and j.form == "C"):
-        raise ModelError("not an arrow-calculus command judgement")
-    return eval_term(j, env, binding, sig)
-
-
 # ---------------------------------------------------------------------------
 # semantic equality
 
 def env_space(j: Judgement, binding: ModelBinding, sig: Signature,
-              grid_exp: int, cap: int = 10 ** 6):
+              grid_exp: int):
     names, spaces = [], []
     for zone in j.zones:
         for x, ty in zone:
@@ -864,9 +856,9 @@ def env_space(j: Judgement, binding: ModelBinding, sig: Signature,
     total = 1
     for s in spaces:
         total *= max(1, len(s))
-        if total > cap:
+        if total > SWEEP_CAP:
             raise CarrierTooLarge(
-                f"environment count exceeds the sweep cap {cap}")
+                f"environment count exceeds the sweep cap {SWEEP_CAP}")
     for combo in itertools.product(*spaces):
         yield dict(zip(names, combo))
 
@@ -877,20 +869,21 @@ def _grid_exp_for(j1: Judgement, j2: Judgement) -> int:
 
 
 def semantic_eq(j1: Judgement, j2: Judgement, binding: ModelBinding,
-                sig: Signature, cap: int = 10 ** 6):
+                sig: Signature):
     """Exact validity check: evaluate both sides under every environment.
 
     Returns (True, None) or (False, witness_env) with the first differing
     environment in the fixed enumeration order.  A `typecheck.Checked`
     side under sig is not checked again.
     """
-    if (j1.zones, j1.ty, j1.form) != (j2.zones, j2.ty, j2.form):
+    if (j1.calculus, j1.form, j1.zones, j1.ty) != \
+            (j2.calculus, j2.form, j2.zones, j2.ty):
         raise ModelError("semantic equality needs a shared judgement shape")
     r1, r2 = (j if is_checked(j, sig) else check(j, sig) for j in (j1, j2))
     if not (r1.ok and r2.ok):
         raise ModelError("semantic equality on ill-typed judgements")
-    env = _sweep(r1, r2, env_space(j1, binding, sig, _grid_exp_for(j1, j2),
-                                   cap), binding, sig)
+    env = _sweep(r1, r2, env_space(j1, binding, sig, _grid_exp_for(j1, j2)),
+                 binding, sig)
     return (True, None) if env is None else \
         (False, {k: str(v) for k, v in env.items()})
 

@@ -482,13 +482,9 @@ def bsubst(t: Term, j: int, u: Term) -> Term:
     return rebind(t, [u], 0, j)
 
 
-def open_binder(body: Term, name: str) -> Term:
-    """Replace the innermost binder's variable (bvar 0) by a free name."""
-    return bsubst(body, 0, var(name))
-
-
 def close_binder(body: Term, name: str) -> Term:
-    """Inverse of open_binder: abstract the free name as bvar 0."""
+    """Abstract the free name as bvar 0: the inverse of
+    `bsubst(body, 0, var(name))`."""
 
     def go(t, depth):
         if t.kind == "var" and t.name == name:

@@ -12,8 +12,7 @@ from conftest import (BARE_DIST_MB, EXC_MB, accepted_golden_judgements,
 from relmeta import equations, gen as genmod, models, rules, typecheck
 from relmeta.cli import load_eq_file
 from relmeta.equations import (BudgetExceeded, EqProof, EqVerdict, Step,
-                               check_eq, check_proof, derive_local_store,
-                               normalize, parse_proof)
+                               check_eq, check_proof, normalize, parse_proof)
 from relmeta.rules import RULES, RuleCtx, RuleIndex
 from relmeta.signatures import load_signature
 from relmeta.syntax import (alpha_eq, base, judgement, parse_context,
@@ -250,26 +249,26 @@ def test_axiom_proof_with_substitution(store_sig):
 # -- local store ---------------------------------------------------------------
 
 def test_local_store_suite(store_sig):
-    from conftest import fixture_text
-    from relmeta.cli import load_eq_file
-    import tempfile, os
-    fixtures = []
-    for name in ("store_d1.eq", "store_d2.eq"):
-        with tempfile.NamedTemporaryFile("w", suffix=".eq", delete=False) \
-                as fh:
-            fh.write(fixture_text(name))
-            path = fh.name
-        jl, jr = load_eq_file(path, store_sig)
-        os.unlink(path)
-        fixtures.append((name, jl, jr))
-    rep = derive_local_store(store_sig, fixtures)
-    assert rep.axioms_ok
-    assert rep.ok, [(n, v.status) for n, v in rep.results]
+    """The store theory loads with its axioms (they type-check at load
+    time), and each fixture equation pair is proven from them."""
+    assert store_sig.theory is not None and len(store_sig.theory.axioms) >= 2
+    statuses = [(name, check_eq(*load_eq_file(fixture_path(name), store_sig),
+                                store_sig).status)
+                for name in ("store_d1.eq", "store_d2.eq")]
+    assert all(s == "PROVEN" for _, s in statuses), statuses
 
 
-def test_local_store_empty_suite_vacuous(store_sig):
-    rep = derive_local_store(store_sig, [])
-    assert rep.ok
+def test_the_search_meets_at_its_breadth_cut(monkeypatch, store_sig):
+    """A term the search adds as it reaches its breadth is still met
+    against the other side: with one term kept a side, store_d1 is proven
+    by the proof it gets at the full breadth, and the proof replays."""
+    monkeypatch.setattr(equations, "BREADTH", 1)
+    jl, jr = load_eq_file(fixture_path("store_d1.eq"), store_sig)
+    v = check_eq(jl, jr, store_sig)
+    assert v.status == "PROVEN"
+    assert v.proof.render().splitlines() == [
+        "do.eta at 1 fwd", "ax1 at root with {x := x, y := y} rl bwd"]
+    assert check_proof(v.proof, jl, jr, store_sig)
 
 
 # -- confluence smoke (small; the full 1000-term sweep runs in acceptance) ----
@@ -601,7 +600,7 @@ def test_check_eq_validates_the_shape_once(coin_sig, dist_binding,
 # -- the model sweep ahead of the axiom search --------------------------------
 
 def _check_eq_search_first(jl, jr, sig, bindings=(), *, depth=6,
-                           breadth=400, budget=10000):
+                           budget=10000):
     """check_eq with the axiom search before the model sweep: the order it
     had before a model of the theory refuted ahead of the search, kept as
     the reference its verdicts must equal."""
@@ -618,8 +617,7 @@ def _check_eq_search_first(jl, jr, sig, bindings=(), *, depth=6,
         return EqVerdict("PROVEN", proof=EqProof(
             tuple(nl.steps + equations._backward(nr.steps))))
     axioms = sig.theory.axioms if sig.theory else []
-    mid = equations._bisearch(checks, cl, nl, cr, nr, axioms, depth,
-                              breadth, budget)
+    mid = equations._bisearch(checks, cl, nl, cr, nr, axioms, depth, budget)
     if mid is not None:
         return EqVerdict("PROVEN", proof=EqProof(tuple(mid)))
     for name, binding in bindings:
@@ -1142,7 +1140,7 @@ def test_the_rule_firings_of_a_fixed_corpus_are_pinned(
         v = check_eq(jl, jr, sig, bindings)
         statuses[v.status] += 1
         lines.append(v.render())
-        if v.proven:
+        if v.status == "PROVEN":
             assert check_proof(v.proof, jl, jr, sig)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), dict(statuses)) == \

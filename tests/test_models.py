@@ -11,7 +11,7 @@ from conftest import BARE_DIST_MB, fixture_text
 from relmeta import gen as genmod
 from relmeta.models import (CarrierTooLarge, Dyadic, ModelError, VDist,
                             VElem, VErr, VFun, VJ, VK, VOk, VTuple, VUnit,
-                            carrier_values, eval_arrow_command, eval_term,
+                            carrier_values, eval_term,
                             load_binding, semantic_eq)
 from relmeta.signatures import load_signature
 from relmeta.syntax import judgement, parse_context, parse_term, parse_type
@@ -137,11 +137,22 @@ def test_semantic_refutation_first_witness(coin_sig, dist_binding):
     assert not eq and w == {"z": "tt"}
 
 
-def test_environment_cap(coin_sig, dist_binding):
+def test_semantic_eq_needs_one_calculus(coin_sig, dist_binding):
+    """Two sides of one context, type and form but of two calculi are not
+    judgements of one shape, so they are not swept as equal."""
+    jl, jr = (_j(calc, coin_sig, "z : J(2)", "ret z", "T(2)")
+              for calc in ("rmm", "urmm"))
+    with pytest.raises(ModelError, match="shared judgement shape"):
+        semantic_eq(jl, jr, dist_binding, coin_sig)
+
+
+def test_environment_cap(monkeypatch, coin_sig, dist_binding):
+    from relmeta import models
+    monkeypatch.setattr(models, "SWEEP_CAP", 10 ** 4)
     ctx = ", ".join(f"v{i} : T(4)" for i in range(8))
     jl = _j("rmm", coin_sig, ctx, "ret ()", "T(1)")
     with pytest.raises(CarrierTooLarge):
-        semantic_eq(jl, jl, dist_binding, coin_sig, cap=10 ** 4)
+        semantic_eq(jl, jl, dist_binding, coin_sig)
 
 
 # -- exception backend and the restriction oracle -------------------------------
@@ -171,9 +182,9 @@ def _direct_exception_eval(term, env, sig, binding):
         mv = _direct_exception_eval(term.subs[0], env, sig, binding)
         if mv.kind == "err":
             return mv
-        from relmeta.syntax import open_binder
+        from relmeta.syntax import bsubst, var
         x = f"_o{len(env)}"
-        body = open_binder(term.subs[1], x)
+        body = bsubst(term.subs[1], 0, var(x))
         env2 = dict(env)
         env2[x] = mv.payload[0]
         return _direct_exception_eval(body, env2, sig, binding)
@@ -270,14 +281,14 @@ def test_arrow_command_tables(arrow_sig, karr_binding):
            "do y <- f . w in ret y", "B", form="C")
     ftab = VFun(((VElem("b0"), VOk(VElem("b1"))),
                  (VElem("b1"), VErr("boom"))))
-    v = eval_arrow_command(j, {"f": ftab}, karr_binding, arrow_sig)
+    v = eval_term(j, {"f": ftab}, karr_binding, arrow_sig)
     assert v == VFun(((VTuple(VElem("b0"), VUnit()), VOk(VElem("b1"))),
                       (VTuple(VElem("b1"), VUnit()), VErr("boom"))))
 
 
 def test_arrow_ret_is_constant_arrow(arrow_sig, karr_binding):
     j = _j("arrow", arrow_sig, ["b : B", "d : C"], "ret b", "B", form="C")
-    v = eval_arrow_command(j, {"b": VElem("b0")}, karr_binding, arrow_sig)
+    v = eval_term(j, {"b": VElem("b0")}, karr_binding, arrow_sig)
     assert all(out == VOk(VElem("b0")) for _, out in v.payload)
 
 
@@ -295,7 +306,7 @@ def test_throwing_arrow_propagates(arrow_sig, karr_binding):
     throw = VFun(((VElem("b0"), VErr("boom")), (VElem("b1"), VErr("boom"))))
     ok = VFun(((VElem("b0"), VOk(VElem("b0"))),
                (VElem("b1"), VOk(VElem("b1")))))
-    v = eval_arrow_command(jl, {"f": throw, "g": ok}, karr_binding, arrow_sig)
+    v = eval_term(jl, {"f": throw, "g": ok}, karr_binding, arrow_sig)
     assert all(out == VErr("boom") for _, out in v.payload)
 
 

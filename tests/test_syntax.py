@@ -11,8 +11,8 @@ from relmeta import cli, equations
 from relmeta import gen as genmod
 from relmeta import syntax
 from relmeta.signatures import load_signature
-from relmeta.syntax import (SyntaxError_, alpha_eq, bv, close_binder,
-                            free_vars, judgement, open_binder, parse_context,
+from relmeta.syntax import (SyntaxError_, alpha_eq, bsubst, bv,
+                            close_binder, free_vars, judgement, parse_context,
                             parse_term, parse_type, replace_at, subst_free,
                             subterm_at, term_to_text, var)
 
@@ -102,7 +102,7 @@ def test_subst_free_vars():
 def test_open_close_inverse(coin_sig):
     t = parse_term("do x <- coin in ret pair2(x, w)", "rmm", coin_sig)
     body = t.subs[1]
-    assert close_binder(open_binder(body, "fresh"), "fresh") == body
+    assert close_binder(bsubst(body, 0, var("fresh")), "fresh") == body
 
 
 def test_print_parse_roundtrip_hand(coin_sig, lnl_sig, presented_sig):
