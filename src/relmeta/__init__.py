@@ -8,16 +8,16 @@ tabulated data, and the two embedding translations.
 """
 
 from .signatures import (CategoryPresentation, EffectTheory, Signature,
-                         builtin_grading, load_signature)
+                         load_signature)
 from .syntax import (Judgement, Term, TypeExpr, judgement, parse_context,
                      parse_term, parse_type, term_to_text, type_to_text)
 from .typecheck import CheckResult, check
 
 __all__ = [
-    "CategoryPresentation", "EffectTheory", "Signature", "builtin_grading",
-    "load_signature", "Judgement", "Term", "TypeExpr", "judgement",
-    "parse_context", "parse_term", "parse_type", "term_to_text",
-    "type_to_text", "CheckResult", "check",
+    "CategoryPresentation", "EffectTheory", "Signature", "load_signature",
+    "Judgement", "Term", "TypeExpr", "judgement", "parse_context",
+    "parse_term", "parse_type", "term_to_text", "type_to_text",
+    "CheckResult", "check",
 ]
 
 __version__ = "0.1.0"

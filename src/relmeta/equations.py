@@ -43,9 +43,7 @@ class RewriteError(Exception):
 
 
 class BudgetExceeded(RewriteError):
-    def __init__(self, budget, term):
-        self.budget, self.term = budget, term
-        super().__init__(f"rewriting exceeded the step budget {budget}")
+    pass
 
 
 class SubjectReductionError(RewriteError):
@@ -269,7 +267,7 @@ def normalize(j, sig: Signature, *, budget: int = 10000, rng=None,
                 f"  after:  {term_to_text(replace_at(j.term, path, new))}")
         j = nxt
         steps.append(Step(r.name, path))
-    raise BudgetExceeded(budget, j.term)
+    raise BudgetExceeded(f"rewriting exceeded the step budget {budget}")
 
 
 # ---------------------------------------------------------------------------

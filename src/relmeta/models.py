@@ -84,12 +84,6 @@ class Dyadic:
     def __mul__(self, other):
         return Dyadic.make(self.num * other.num, self.exp + other.exp)
 
-    def __lt__(self, other):
-        return (self - other).num < 0
-
-    def __le__(self, other):
-        return (self - other).num <= 0
-
     def __str__(self):
         return str(self.num) if self.exp == 0 else f"{self.num}/2^{self.exp}"
 
@@ -488,9 +482,9 @@ def carrier_values(ty: TypeExpr, binding: ModelBinding, sig: Signature,
 
 
 def _tables(dom, cod):
-    if len(cod) ** len(dom) > 200000:
-        raise CarrierTooLarge(
-            f"{len(cod)}^{len(dom)} function tables exceed the sweep cap")
+    if len(cod) ** len(dom) > TABLE_CAP:
+        raise CarrierTooLarge(f"{len(cod)}^{len(dom)} function tables "
+                              f"exceed the table cap {TABLE_CAP}")
     out = []
     for images in itertools.product(cod, repeat=len(dom)):
         out.append(VFun(tuple(zip(dom, images))))
@@ -541,6 +535,7 @@ def _simplex_lattice(n, k):
 MISSING = object()   # the slot of a name the caller's environment lacks
 MEMO_CAP = 4096      # tables kept per node before its memo starts over
 SWEEP_CAP = 10 ** 6  # environments a sweep may enumerate
+TABLE_CAP = 200_000  # tables a function space may enumerate
 
 
 def eval_term(j: Judgement, env: dict, binding: ModelBinding,

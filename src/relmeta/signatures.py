@@ -187,31 +187,14 @@ def pres_line(pres: CategoryPresentation, n: int, head: str, rest: str):
 # Gradings
 
 class Grading:
-    """Interface shared by the built-in numeric gradings and presented ones."""
+    """Interface shared by the built-in numeric gradings and presented ones.
 
-    name = "abstract"
-
-    def unit(self) -> Grade:
-        raise NotImplementedError
-
-    def tensor(self, m: Grade, n: Grade) -> Grade:
-        raise NotImplementedError
-
-    def has_object(self, m: Grade) -> bool:
-        raise NotImplementedError
-
-    def has_mor(self, xi: GradeMor) -> bool:
-        raise NotImplementedError
+    Each subclass defines `unit()`, `tensor(m, n)`, `has_object(m)`,
+    `has_mor(xi)`, `compose(phi, xi)` (phi o xi for xi : m -> n and
+    phi : n -> l) and `tensor_mor(xi, phi)`."""
 
     def id_mor(self, m: Grade) -> GradeMor:
         return GradeMor(m, m, None if isinstance(self, BuiltinGrading) else ())
-
-    def compose(self, phi: GradeMor, xi: GradeMor) -> GradeMor:
-        """phi o xi for xi : m -> n, phi : n -> l."""
-        raise NotImplementedError
-
-    def tensor_mor(self, xi: GradeMor, phi: GradeMor) -> GradeMor:
-        raise NotImplementedError
 
     def norm(self, g: Grade) -> Grade:
         """Collapse formal tensors through the grading's tensor."""
@@ -413,10 +396,6 @@ class Signature:
 
     def op_arity(self, name: str) -> int:
         return len(self.op_decl(name).params)
-
-
-def builtin_grading(flavor: str) -> BuiltinGrading:
-    return BuiltinGrading(flavor)
 
 
 # ---------------------------------------------------------------------------

@@ -499,15 +499,6 @@ def close_binder(body: Term, name: str) -> Term:
     return go(body, 0)
 
 
-def subst_free(t: Term, x: str, u: Term) -> Term:
-    """Capture-avoiding substitution of `u` for the free variable x."""
-    if t.kind == "var":
-        return u if t.name == x else t
-    if not t.subs:
-        return t
-    return with_subs(t, (subst_free(s, x, u) for s in t.subs))
-
-
 def free_vars(t: Term, names=(), binders=0) -> frozenset:
     """The free names of t.  `names` names the binders in force around t,
     innermost last, and t sits under `binders` more, unnamed: the names its

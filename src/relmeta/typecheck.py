@@ -960,28 +960,6 @@ def check_at(checked: Checked, path: tuple, term: Term) -> Checked | None:
     return _accepted(checked.sig, d)
 
 
-def check_graded_arithmetic(derivation: Derivation, sig: Signature) -> bool:
-    """Re-verify every grading-morphism edge and tensor in a graded
-    derivation against the grading category."""
-    grading = sig.grading
-    if grading is None:
-        return False
-    for node in derivation.walk():
-        if node.rule == "regrade":
-            xi = grading.norm_mor(node.term.xi)
-            if not grading.has_mor(xi):
-                return False
-        if node.rule == "do" and node.calculus == "gmm":
-            m, n = (c.ty for c in node.children)
-            out = node.ty
-            if m.kind != "tgr" or n.kind != "tgr" or out.kind != "tgr":
-                return False
-            if not grading.equal_grades(
-                    out.grade, syntax.gtensor(m.grade, n.grade)):
-                return False
-    return True
-
-
 def replay(derivation: Derivation, sig: Signature) -> bool:
     """Re-check every node's judgement locally, under the names its
     ancestors gave the binders in force; True if all accept."""

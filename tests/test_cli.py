@@ -123,6 +123,21 @@ type T(2)
     assert "normal form: ret y" in r.stdout
 
 
+@pytest.mark.parametrize("mode, out", [
+    ("txt", "# relmeta seed=0\nrewriting exceeded the step budget 1\n"),
+    ("json", '{"verdict": "budget-exceeded"}\n')], ids=["txt", "json"])
+def test_normalize_step_budget(mode, out, capsys):
+    """`--step-budget` caps the rewrite steps: a normalization that needs
+    more is reported as over budget, with the exit code of an undecided
+    answer."""
+    args = ["--json"] if mode == "json" else []
+    term = Path(__file__).parent / "golden" / "normalize" / "rmm_assoc.term"
+    assert cli.main(args + ["--step-budget", "1", "normalize", "--sig",
+                            fixture_path("coin.sig"), str(term)]) == \
+        cli.EXIT_UNKNOWN == 2
+    assert capsys.readouterr().out == out
+
+
 def test_lawcheck_pass_and_fail(tmp_path):
     r = run_cli("lawcheck", fixture_path("exception.inst"), "--laws",
                 "strong")
@@ -481,9 +496,11 @@ def test_output_determinism():
 
 def test_repl_session():
     script = "\n".join([
+        ":help",
         ":type T(2)",
         ":check do x <- coin in ret not x",
         ":eval do x <- coin in ret not x",
+        ":normalize do x <- coin in ret x",
         ":eq do x <- coin in ret not x = coin",
         ":quit",
     ]) + "\n"
@@ -492,8 +509,12 @@ def test_repl_session():
                "--model", fixture_path("dist.mb")],
         input=script, capture_output=True, text=True)
     assert r.returncode == 0
+    replies = r.stdout.split("relmeta> ")[1:]
+    assert replies[0].startswith("commands: :sig <path> |")
+    assert ":normalize <t> | :eq <t> = <t> | :quit\n" in replies[0]
     assert "accepted" in r.stdout
     assert "{ff:1/2^1, tt:1/2^1}" in r.stdout
+    assert replies[4] == "coin\n", replies
     assert "PROVEN" in r.stdout
 
 

@@ -405,6 +405,18 @@ def test_derivation_nodes_are_the_term_positions():
 
 # -- local subject-reduction checks --------------------------------------------
 
+def test_a_failed_local_check_leaves_the_step_to_the_full_check(coin_sig):
+    """A replacement with the node's occurrences whose local synthesis
+    fails gives no Checked, and the step's check is then the full check,
+    whose message the engine reports."""
+    c = check(_j("rmm", coin_sig, "z : J(2)", "ret z", "T(2)"), coin_sig)
+    bad = parse_term("pi1 z", "rmm", coin_sig)
+    assert bad.occ == c.term.subs[0].occ
+    assert check_at(c, (0,), replace_at(c.term, (0,), bad)) is None
+    assert equations._Checks(coin_sig).at(c, (0,), bad) == \
+        "projection of a non-product"
+
+
 def _nodes(d, path=()):
     """Each node of a derivation with its path, in preorder, as comparable
     values: rule, judgement, binder names, expected type, occurrences."""

@@ -155,6 +155,18 @@ def test_environment_cap(monkeypatch, coin_sig, dist_binding):
         semantic_eq(jl, jl, dist_binding, coin_sig)
 
 
+def test_table_cap_names_itself(gmm_sig):
+    """A function space of more than models.TABLE_CAP tables is refused
+    with the table cap's own name and value, not the sweep cap's."""
+    a = ", ".join(f"a{i}" for i in range(18))
+    b = load_binding("calculus gmm\nbackend gradedlist\n"
+                     f"carrier A = {{{a}}}\ncarrier B = {{b1, b2}}\n", gmm_sig)
+    with pytest.raises(CarrierTooLarge,
+                       match=r"2\^18 function tables exceed the table cap "
+                             r"200000"):
+        carrier_values(parse_type("A -> B", gmm_sig), b, gmm_sig)
+
+
 # -- exception backend and the restriction oracle -------------------------------
 
 def _direct_exception_eval(term, env, sig, binding):

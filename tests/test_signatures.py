@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from relmeta.lawcheck import finset_mor, finset_skeleton_presentation
-from relmeta.signatures import SignatureError, builtin_grading, load_signature
+from relmeta.signatures import BuiltinGrading, SignatureError, load_signature
 from relmeta.syntax import SyntaxError_, gnat, gname, gtensor, GradeMor
 
 
@@ -123,13 +123,13 @@ def test_axiom_context_is_read_like_a_judgement_context(ctx, message):
 
 
 def test_builtin_gradings():
-    mult = builtin_grading("mult")
+    mult = BuiltinGrading("mult")
     assert mult.unit() == gnat(1)
     assert mult.tensor(gnat(2), gnat(3)) == gnat(6)
     assert mult.has_mor(GradeMor(gnat(5), gnat(3)))
     assert not mult.has_mor(GradeMor(gnat(2), gnat(3)))
     assert mult.norm(gtensor(gnat(2), gnat(3))) == gnat(6)
-    add = builtin_grading("add")
+    add = BuiltinGrading("add")
     assert add.unit() == gnat(0)
     assert add.tensor(gnat(2), gnat(3)) == gnat(5)
     comp = mult.compose(GradeMor(gnat(3), gnat(2)), GradeMor(gnat(4), gnat(3)))

@@ -13,8 +13,13 @@ from relmeta import syntax
 from relmeta.signatures import load_signature
 from relmeta.syntax import (SyntaxError_, alpha_eq, bsubst, bv,
                             close_binder, free_vars, judgement, parse_context,
-                            parse_term, parse_type, replace_at, subst_free,
-                            subterm_at, term_to_text, var)
+                            parse_term, parse_type, replace_at, subterm_at,
+                            term_to_text, var)
+
+
+def subst(t, x, u):
+    """Substitute u, which has no dangling bvar, for the free name x."""
+    return bsubst(close_binder(t, x), 0, u)
 
 
 def test_parse_simple(coin_sig):
@@ -86,16 +91,16 @@ def test_alpha_eq_nested_permuted(coin_sig):
 
 def test_subst_basics():
     u = parse_term("ret z", "rmm")
-    assert subst_free(var("x"), "x", u) == u
+    assert subst(var("x"), "x", u) == u
     # bound occurrences shadow nothing in the locally nameless form:
     # substitution never touches indices
     t = parse_term("do y <- v in ret y", "rmm")
-    assert subst_free(t, "y", u) == t
+    assert subst(t, "y", u) == t
 
 
 def test_subst_free_vars():
     t = parse_term("ret x", "rmm")
-    s = subst_free(t, "x", parse_term("not2", "rmm"))
+    s = subst(t, "x", parse_term("not2", "rmm"))
     assert free_vars(s) == frozenset({"not2"})
 
 
@@ -215,13 +220,13 @@ def closed_terms(draw, depth=3):
 @given(closed_terms(), names)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_subst_self_is_identity(t, x):
-    assert alpha_eq(subst_free(t, x, var(x)), t)
+    assert alpha_eq(subst(t, x, var(x)), t)
 
 
 @given(closed_terms(), names, closed_terms())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_subst_free_var_lemma(t, x, u):
-    s = subst_free(t, x, u)
+    s = subst(t, x, u)
     fv_t, fv_u, fv_s = free_vars(t), free_vars(u), free_vars(s)
     if x in fv_t:
         assert fv_s == (fv_t - {x}) | fv_u

@@ -10,8 +10,9 @@ from relmeta import gen as genmod
 from relmeta import syntax, translate as translate_mod
 from relmeta.models import load_binding
 from relmeta.signatures import load_signature
-from relmeta.syntax import (alpha_eq, judgement, parse_context, parse_term,
-                            parse_type, subst_free, term_to_text)
+from relmeta.syntax import (alpha_eq, bsubst, close_binder, judgement,
+                            parse_context, parse_term, parse_type,
+                            term_to_text)
 from relmeta.translate import (TranslateError, arrow_to_armm, bind_program,
                                conservativity_harness, gmm_to_lnl,
                                regrade_program, translate, ty_arrow_to_armm,
@@ -190,12 +191,13 @@ def test_translation_commutes_with_substitution(gmm_plain_sig, rng):
         done += 1
         jt = judgement("gmm", [ctx + (("xx", xty),)], t, ty)
         ju = judgement("gmm", [ctx], u, xty)
-        jsub = judgement("gmm", [ctx], subst_free(t, "xx", u), ty)
+        jsub = judgement("gmm", [ctx], bsubst(close_binder(t, "xx"), 0, u),
+                         ty)
         t_tr, _ = gmm_to_lnl(jt, gmm_sig)
         u_tr, _ = gmm_to_lnl(ju, gmm_sig)
         sub_tr, _ = gmm_to_lnl(jsub, gmm_sig)
         assert alpha_eq(sub_tr.term,
-                        subst_free(t_tr.term, "xx", u_tr.term))
+                        bsubst(close_binder(t_tr.term, "xx"), 0, u_tr.term))
 
 
 def test_conservativity_reports(gmm_plain_sig, arrow_sig, karr_binding,

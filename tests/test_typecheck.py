@@ -4,6 +4,7 @@ exchange, weakening)."""
 
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,10 @@ from conftest import accepted_golden_judgements, fixture_text
 from relmeta import gen as genmod
 from relmeta import syntax, typecheck
 from relmeta.signatures import load_signature
-from relmeta.syntax import (judgement, parse_context, parse_term, parse_type,
-                            subst_free)
-from relmeta.typecheck import (check, check_graded_arithmetic, replay,
-                               serialize_derivation, split_linear,
-                               LinearityError)
+from relmeta.syntax import (bsubst, close_binder, judgement, parse_context,
+                            parse_term, parse_type)
+from relmeta.typecheck import (check, replay, serialize_derivation,
+                               split_linear, LinearityError)
 
 ARMM_SIG = "calculus armm\nobject B\nobject C\n"
 LNL_SIG = "calculus lnl\nobject A\nobject B\ngrading builtin mult\n"
@@ -392,7 +392,28 @@ def test_graded_arithmetic_audit(gmm_sig):
                   parse_type("T_8(B)"))
     res = check(j, gmm_sig)
     assert res.ok
-    assert check_graded_arithmetic(res.derivation, gmm_sig)
+    d = res.derivation
+    assert replay(d, gmm_sig)
+    # the do's grade is 2 * 4, not 6
+    assert not replay(replace(d, ty=parse_type("T_6(B)")), gmm_sig)
+    # 3 => 4 is no morphism of (N, >=, *, 1)
+    u, reg = d.children
+    assert reg.rule == "regrade"
+    reg = replace(reg, term=parse_term("regrade<3>=4> v", "gmm", gmm_sig))
+    assert not replay(replace(d, children=(u, reg)), gmm_sig)
+
+
+
+def test_a_signature_error_is_a_rejection(gmm_sig):
+    """A grade the built-in grading cannot multiply out is rejected by rule
+    `signature`, not raised."""
+    j = judgement("gmm", [parse_context("u : T_1(A)", gmm_sig)],
+                  parse_term("regrade<a * b>=1> u", "gmm", gmm_sig),
+                  parse_type("T_2(A)"))
+    res = check(j, gmm_sig)
+    assert not res.ok
+    assert (res.rule, res.message) == \
+        ("signature", "built-in gradings have numeric grades only")
 
 
 def test_self_sequencing_program(lnl_sig, lnl_add_sig):
@@ -468,7 +489,7 @@ def test_substitution_lemma(sweep_sig, rng):
         d, tty = chk.synth_a(t, (), (ctx + (("xx", xty),),))
         jt = judgement("rmm", [ctx + (("xx", xty),)], t, tty)
         assert check(jt, sweep_sig).ok
-        js = judgement("rmm", [ctx], subst_free(t, "xx", u), tty)
+        js = judgement("rmm", [ctx], bsubst(close_binder(t, "xx"), 0, u), tty)
         assert check(js, sweep_sig).ok
 
 
