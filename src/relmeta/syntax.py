@@ -10,13 +10,20 @@ One Term/TypeExpr datatype serves every calculus; a calculus tag plus the
 term-former table below say which terms a given language may use, and
 FORMS gives each calculus's judgement forms and the kind of each of their
 zones.  Which types a zone kind admits is the checker's table.
+
+Types are hash-consed: each type structure is one `TypeExpr` object, kept
+in a module table, so `==` and `hash` on types are identity's.  Every way
+of building a type reaches the table: `TypeExpr(...)` and the constructors
+below, `parse_type` (and so a loaded signature and a rule schema's type
+metavariable), and `pickle`, `copy`, `deepcopy` and `dataclasses.replace`,
+through `TypeExpr.__reduce__`.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import is_
 
 CALCULI = ("urmm", "rmm", "gmm", "lnl", "arrow", "armm")
@@ -119,21 +126,38 @@ _TYPE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TypeExpr:
+    """A type, hash-consed: each structure is one object, kept in `_TYPES`,
+    so `==` and `hash` are identity's."""
+
     kind: str
     subs: tuple["TypeExpr", ...] = ()
     name: str | None = None
     grade: Grade | None = None
 
-    def __post_init__(self):
-        assert self.kind in _TYPE_KINDS, self.kind
-        assert len(self.subs) == _TYPE_KINDS[self.kind], (self.kind, self.subs)
+    def __new__(cls, kind, subs=(), name=None, grade=None):
+        # the subs are the table's objects already, so their ids key it
+        key = (kind, name, grade, *map(id, subs))
+        ty = _TYPES.get(key)
+        if ty is None:
+            assert kind in _TYPE_KINDS, kind
+            assert len(subs) == _TYPE_KINDS[kind], (kind, subs)
+            ty = _TYPES[key] = object.__new__(cls)
+            for slot, value in zip(_TYPE_SLOTS, (kind, subs, name, grade)):
+                slot.__set__(ty, value)
+        return ty
+
+    def __reduce__(self):
+        # pickle, copy and `dataclasses.replace` land on the table's object
+        return TypeExpr, (self.kind, self.subs, self.name, self.grade)
 
     def __str__(self):
         return type_to_text(self)
 
 
+_TYPES = {}  # (kind, name, grade, ids of subs) -> the one TypeExpr
+_TYPE_SLOTS = (TypeExpr.kind, TypeExpr.subs, TypeExpr.name, TypeExpr.grade)
 UNIT1 = TypeExpr("unit1")
 LUNIT = TypeExpr("lunit")
 
@@ -224,11 +248,12 @@ _TERM_KINDS = {
 BINDERS = {k: b if any(b) else () for k, (_, b) in _TERM_KINDS.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Term:
     """A term.  It keeps two fields filled from its children's on first
     request (`_fill`): its structural hash, which leaves out `hints` as
-    `==` does, and its occurrences (`occ`)."""
+    `==` does, and its occurrences (`occ`).  Its constructor sets the
+    slots through their descriptors, past the frozen `__setattr__`."""
 
     kind: str
     subs: tuple["Term", ...] = ()
@@ -242,11 +267,19 @@ class Term:
     _occ: tuple | None = field(default=None, init=False, repr=False,
                                compare=False)
 
-    def __post_init__(self):
-        spec = _TERM_KINDS.get(self.kind)
-        assert spec is not None, self.kind
-        if spec[0] >= 0:
-            assert len(self.subs) == spec[0], (self.kind, self.subs)
+    def __init__(self, kind, subs=(), name=None, index=None, xi=None,
+                 tyann=None, hints=()):
+        assert kind in _TERM_KINDS and \
+            _TERM_KINDS[kind][0] in (-1, len(subs)), (kind, subs)
+        _set_kind(self, kind)
+        _set_subs(self, subs)
+        _set_name(self, name)
+        _set_index(self, index)
+        _set_xi(self, xi)
+        _set_tyann(self, tyann)
+        _set_hints(self, hints)
+        _set_hash(self, None)
+        _set_occ(self, None)
 
     def __hash__(self):
         h = self._hash
@@ -288,42 +321,37 @@ class Term:
 _EMPTY = frozenset()
 _CLOSED = (_EMPTY, 0)
 _LEAF_OCC = {}  # the occurrences of a var or bvar leaf, by name or index
-# the setters of the two kept fields, past the frozen `__setattr__`
-_set_hash, _set_occ = Term._hash.__set__, Term._occ.__set__
+# the setters of the slots, past the frozen `__setattr__`
+_set_kind, _set_subs, _set_name, _set_index, _set_xi, _set_tyann, \
+    _set_hints, _set_hash, _set_occ = (
+        getattr(Term, f.name).__set__ for f in fields(Term))
 
 
-def _fill(t: Term) -> Term:
-    """t, its hash and occurrences filled, and those of every subterm that
-    lacks them, children first, from an explicit stack, so a term of any
-    depth is filled.  A node with children goes back on the stack under
-    them, holding this call's mark where its occurrences go (only a filled
-    hash makes those current); a subterm shared several ways is filled at
-    one of its occurrences and skipped at the others."""
-    stack, mark = [t], object()
-    while stack:
-        u = stack.pop()
-        if u._hash is not None:
-            continue
-        subs = u.subs
-        if subs and u._occ is not mark:
-            _set_occ(u, mark)
-            stack.append(u)
-            for s in subs:
-                if s._hash is None:
-                    stack.append(s)
-            continue
-        kind = u.kind
-        if not subs:
-            key = u.name if kind == "var" else u.index
-            occ = _LEAF_OCC.get(key) if kind in ("var", "bvar") else _CLOSED
-            if occ is None:
-                occ = _LEAF_OCC[key] = (frozenset((key,)), 0) \
-                    if kind == "var" else (_EMPTY, 1 << key)
-            h = hash((kind, u.name, u.index, u.xi, u.tyann))
-        elif len(subs) == 1 and not BINDERS[kind]:
+_FILL_DEPTH = 32  # the levels `_fill` recurses through before `_fill_deep`
+
+
+def _fill(t: Term, depth: int = _FILL_DEPTH) -> Term:
+    """t, its hash and occurrences filled from its children's, and those of
+    every subterm that lacks them, children first: recursively for `depth`
+    levels and from `_fill_deep`'s explicit stack below them, so a term of
+    any depth is filled.  A subterm shared several ways is filled at one of
+    its occurrences and skipped at the others."""
+    subs, kind = t.subs, t.kind
+    if not subs:
+        key = t.name if kind == "var" else t.index
+        occ = _LEAF_OCC.get(key) if kind in ("var", "bvar") else _CLOSED
+        if occ is None:
+            occ = _LEAF_OCC[key] = (frozenset((key,)), 0) \
+                if kind == "var" else (_EMPTY, 1 << key)
+        h = hash((kind, t.name, t.index, t.xi, t.tyann))
+    else:
+        for s in subs:
+            if s._hash is None:
+                _fill(s, depth - 1) if depth else _fill_deep(s)
+        if len(subs) == 1 and not BINDERS[kind]:
             s = subs[0]
             occ = s._occ
-            h = hash((kind, u.name, u.index, u.xi, u.tyann, s._hash))
+            h = hash((kind, t.name, t.index, t.xi, t.tyann, s._hash))
         else:
             binders, names, mask = BINDERS[kind], _EMPTY, 0
             for i, s in enumerate(subs):
@@ -332,11 +360,29 @@ def _fill(t: Term) -> Term:
                 if n and n is not names:
                     names = names | n if names else n
             occ = (names, mask)
-            h = hash((kind, u.name, u.index, u.xi, u.tyann,
+            h = hash((kind, t.name, t.index, t.xi, t.tyann,
                       *[s._hash for s in subs]))
-        _set_occ(u, occ)  # before the hash, which marks the node filled
-        _set_hash(u, h)
+    _set_occ(t, occ)  # before the hash, which marks the node filled
+    _set_hash(t, h)
     return t
+
+
+def _fill_deep(t: Term):
+    """`_fill` for a term below its recursion, from an explicit stack: a
+    node with children goes back on the stack under them, holding this
+    call's mark where its occurrences go (only a filled hash makes those
+    current), and is filled, not recursing, once they are."""
+    stack, mark = [t], object()
+    while stack:
+        u = stack.pop()
+        if u._hash is not None:
+            continue
+        if u.subs and u._occ is not mark:
+            _set_occ(u, mark)
+            stack.append(u)
+            stack += [s for s in u.subs if s._hash is None]
+        else:
+            _fill(u, 0)
 
 
 def var(x: str) -> Term:
@@ -717,9 +763,9 @@ class _P:
     binders in force (`scope`: name -> the depths that bind it, innermost
     last), so a term is built once, in time linear in the text.  An
     operation or generator name is never a variable, bound or free.  A
-    do/let/lam/lamarrow spine is read in a loop, so its length costs no
-    Python frames; what nests inside a spine's heads or atoms still
-    recurses.
+    do/let/lam/lamarrow spine and a chain of prefix formers are each read
+    in a loop, so their length costs no Python frames; parentheses and a
+    term nested in a spine's head (a `do` in a scrutinee) still recurse.
 
     With `schema`, the text is a side of a rule schema (`rules.py`): a
     free name is a metavariable, `t` or `t[x, y]` (a `meta` node over its
@@ -985,29 +1031,38 @@ class _P:
         return left
 
     def prefixterm(self) -> Term:
-        tok = self.peek()
-        if tok in ("ret", "pi1", "pi2", "derelict", "merge", "unmerge"):
-            self.next()
-            inner = self.prefixterm()
-            return {"ret": ret, "pi1": pi1, "pi2": pi2, "derelict": derelict,
-                    "merge": merge, "unmerge": unmerge}[tok](inner)
-        if tok == "regrade":
-            self.next()
-            self.expect("<")
-            xi = self.grade_mor()
-            self.expect(">")
-            return regrade(xi, self.prefixterm())
+        """A chain of prefix formers (`ret`, `pi1`, `regrade<xi>`, a
+        generator, ...) over a J/K/R term or an atom, read in a loop and
+        built from the inside out, so its length costs no Python frames."""
+        chain = []  # (kind, name, xi) of each prefix former, outermost first
+        while True:
+            tok = self.peek()
+            if tok in ("ret", "pi1", "pi2", "derelict", "merge", "unmerge"):
+                self.next()
+                chain.append((tok, None, None))
+            elif tok == "regrade":
+                self.next()
+                self.expect("<")
+                xi = self.grade_mor()
+                self.expect(">")
+                chain.append(("regrade", None, xi))
+            elif tok is not None and tok not in KEYWORDS and \
+                    self.is_gen(tok) and tok[0].isalpha():
+                self.next()
+                chain.append(("gen", tok, None))
+            else:
+                break
         if tok in ("J", "K", "R") and self.peek2() == "(":
             self.next()
             self.next()
             inner = self.term()
             self.expect(")")
-            return {"J": jterm, "K": kterm, "R": rterm}[tok](inner)
-        if tok is not None and tok not in KEYWORDS and self.is_gen(tok) \
-                and tok[0].isalpha():
-            self.next()
-            return gen(tok, self.prefixterm())
-        return self.atom()
+            t = {"J": jterm, "K": kterm, "R": rterm}[tok](inner)
+        else:
+            t = self.atom()
+        for kind, name, xi in reversed(chain):
+            t = Term(kind, (t,), name=name, xi=xi)
+        return t
 
     def terms(self, open_, close) -> list:
         """`open_ t, ..., t close`: one term or more."""
@@ -1063,8 +1118,8 @@ def parse_term(text: str, calculus: str = "rmm", sig=None) -> Term:
     Raises SyntaxError_ with line/column info on lex or grammar errors;
     also rejects term formers that the calculus does not admit.  Binders
     are resolved as they are read, so parsing takes time linear in the
-    text, and a do/let/lam/lamarrow spine of any length parses under the
-    default recursion limit (see `_P`).
+    text, and a do/let/lam/lamarrow spine or a chain of prefix formers of
+    any length parses under the default recursion limit (see `_P`).
     """
     p = _P(text, sig=sig, calculus=calculus)
     t = p.term()

@@ -51,7 +51,7 @@ on its own and splice its derivation in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import syntax
 from .signatures import Signature, SignatureError
@@ -136,8 +136,10 @@ def forget(j):
     """Drop what a Checked's check found, but for its root's judgement: a
     layer then checks it again."""
     if type(j) is Checked:
-        j.sig, j.derivation = None, replace(j.derivation, children=(),
-                                            binders=())
+        d = j.derivation
+        j.sig, j.derivation = None, Derivation(
+            d.rule, d.calculus, d.zones, d.term, d.ty, expect=d.expect,
+            clean=d.clean)
 
 
 class _Fail(Exception):
@@ -155,14 +157,16 @@ class LinearityError(_Fail):
 # Type equality and validation
 
 def types_equal(t1: TypeExpr, t2: TypeExpr, grading=None) -> bool:
-    if t1.kind != t2.kind or t1.name != t2.name:
+    """Equality of types up to the grading's equality of grades.  Types are
+    hash-consed, so two types of one structure are one object, and two
+    objects are equal only through a grading's equation of grades."""
+    if t1 is t2:
+        return True
+    if grading is None or t1.kind != t2.kind or t1.name != t2.name:
         return False
-    if t1.grade is not None or t2.grade is not None:
-        if grading is not None:
-            if not grading.equal_grades(t1.grade, t2.grade):
-                return False
-        elif t1.grade != t2.grade:
-            return False
+    if (t1.grade is not None or t2.grade is not None) and \
+            not grading.equal_grades(t1.grade, t2.grade):
+        return False
     if len(t1.subs) != len(t2.subs):
         return False
     return all(types_equal(a, b, grading) for a, b in zip(t1.subs, t2.subs))
@@ -919,7 +923,10 @@ def renamed(checked: Checked, term: Term) -> Checked:
     """checked, of `term`, a term `==` checked's that may print its binders
     by other names (`Term.hints`, which `==` ignores): a new root over
     `term` shares the children."""
-    return _accepted(checked.sig, replace(checked.derivation, term=term))
+    d = checked.derivation
+    return _accepted(checked.sig, Derivation(
+        d.rule, d.calculus, d.zones, term, d.ty, d.children, d.binders,
+        d.expect, d.clean))
 
 
 def check_at(checked: Checked, path: tuple, term: Term) -> Checked | None:

@@ -455,6 +455,21 @@ def test_deep_spines_compare_and_replace(former, coin_sig, lnl_sig,
     assert replace_at(v, path, old) == t
 
 
+@pytest.mark.parametrize("former", ["not", "ret"])
+def test_deep_prefix_chains_parse(former, coin_sig):
+    """A chain of 5,000 prefix formers parses under the default recursion
+    limit, `==` to the chain its constructors build (`==` loops, so the
+    comparison is stack-safe too)."""
+    assert sys.getrecursionlimit() <= 1000
+    t = parse_term(f"{former} " * 5000 + "x", "rmm", coin_sig)
+    built = var("x")
+    for _ in range(5000):
+        built = syntax.gen("not", built) if former == "not" \
+            else syntax.ret(built)
+    assert t == built and hash(t) == hash(built)
+    assert t != syntax.ret(built)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
 def test_a_do_chain_parses_as_closing_each_body_did(n, coin_sig):
     coin = syntax.opapp("coin")

@@ -586,16 +586,16 @@ def test_check_and_print_build_no_terms(monkeypatch, coin_sig):
     cases = accepted_golden_judgements() + \
         [("chain", _bind_chain(100, coin_sig), coin_sig)]
     built = []
-    post_init = syntax.Term.__post_init__
+    init = syntax.Term.__init__
 
-    def counting(self):
-        built.append(self.kind)
-        post_init(self)
+    def counting(self, kind, *args, **kwargs):
+        built.append(kind)
+        init(self, kind, *args, **kwargs)
 
     def refuse(*args):
         raise AssertionError("a binder was opened")
 
-    monkeypatch.setattr(syntax.Term, "__post_init__", counting)
+    monkeypatch.setattr(syntax.Term, "__init__", counting)
     monkeypatch.setattr(syntax, "bsubst", refuse)
     for name, j, sig in cases:
         res = check(j, sig)
