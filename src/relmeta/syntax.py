@@ -137,8 +137,8 @@ class TypeExpr:
     grade: Grade | None = None
 
     def __new__(cls, kind, subs=(), name=None, grade=None):
-        # the subs are the table's objects already, so their ids key it
-        key = (kind, name, grade, *map(id, subs))
+        # the subs are the table's objects already, compared by identity
+        key = (kind, name, grade, subs)
         ty = _TYPES.get(key)
         if ty is None:
             assert kind in _TYPE_KINDS, kind
@@ -156,7 +156,7 @@ class TypeExpr:
         return type_to_text(self)
 
 
-_TYPES = {}  # (kind, name, grade, ids of subs) -> the one TypeExpr
+_TYPES = {}  # (kind, name, grade, subs) -> the one TypeExpr
 _TYPE_SLOTS = (TypeExpr.kind, TypeExpr.subs, TypeExpr.name, TypeExpr.grade)
 UNIT1 = TypeExpr("unit1")
 LUNIT = TypeExpr("lunit")
