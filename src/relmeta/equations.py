@@ -28,7 +28,7 @@ engine found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import models as models_mod, syntax
 from .rules import INDEX, RuleCtx, instantiate, match
@@ -50,7 +50,7 @@ class SubjectReductionError(RewriteError):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True)
 class Step:
     name: str
     path: tuple
@@ -58,16 +58,6 @@ class Step:
     kind: str = "rule"            # "rule" | "axiom"
     axdir: str = "lr"             # for axioms: which side rewrites to which
     sigma: tuple = ()             # for axioms: sorted (var, term) bindings
-
-    def __init__(self, name, path, orientation="fwd", kind="rule",
-                 axdir="lr", sigma=()):
-        # the slots set through their descriptors, as `syntax.Term` does
-        _set_name(self, name)
-        _set_path(self, path)
-        _set_orientation(self, orientation)
-        _set_kind(self, kind)
-        _set_axdir(self, axdir)
-        _set_sigma(self, sigma)
 
     def render(self) -> str:
         loc = ".".join(str(i) for i in self.path) if self.path else "root"
@@ -79,10 +69,6 @@ class Step:
         if self.kind == "axiom":
             out += f" {self.axdir}"
         return out + f" {self.orientation}"
-
-
-_set_name, _set_path, _set_orientation, _set_kind, _set_axdir, _set_sigma = (
-    getattr(Step, f.name).__set__ for f in fields(Step))
 
 
 @dataclass
