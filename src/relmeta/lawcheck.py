@@ -9,7 +9,8 @@ declared domains, outermost first, and stops at the first failing one:
 that instance is the law's replayable witness, and the skip count of a
 failing law covers the instances enumerated before it.  The engine
 compiles each step shape once into nested loops, and every law of that
-shape runs through them.
+shape runs through them; a guard or Let that declares how many values it
+reads runs once per instance of those (loop-invariant code motion).
 
 The graded laws' vectorized kernels are in relmeta.graded, the one
 module that imports numpy; check_graded_laws imports it on first use.
@@ -434,21 +435,25 @@ def _add_canonical_strength(d: FinRelMonadData):
 
 @dataclass(frozen=True)
 class Guard:
-    """A side condition on the values bound so far.  When it fails, the
-    instances below it are out of the fragment: they count as one skip
-    and are not enumerated."""
+    """A side condition on the first `reads` values bound so far (all of
+    them when None).  When it fails, the instances below it are out of the
+    fragment: they count as one skip for each instance of the steps above
+    it, and are not enumerated."""
 
     test: Callable
+    reads: int | None = None
 
 
 @dataclass(frozen=True)
 class Let:
-    """A value computed once from the values bound so far, for every
-    instance below it: the steps below take it as one more bound value,
-    but it is not part of the witness.  None puts the instances below out
-    of the fragment, as a failing Guard does."""
+    """A value computed from the first `reads` values bound so far (all of
+    them when None), once for every instance of the quantifiers it reads:
+    the steps below take it as one more bound value, but it is not part of
+    the witness.  None puts the instances below out of the fragment, as a
+    failing Guard does."""
 
     value: Callable
+    reads: int | None = None
 
 
 @dataclass(frozen=True)
@@ -471,7 +476,8 @@ class Law:
     pred: Callable
 
 
-# step shape (one letter per step: c a constant domain, d a dependent one,
+# step shape (one letter per step: c a constant domain, C one that the
+# Guard or Let ending its run of Cs is hoisted above, d a dependent domain,
 # g a Guard, l a Let) -> its enumerator, compiled on the shape's first use
 _ENGINES: dict = {}
 
@@ -480,26 +486,39 @@ def _engine_source(shape: str) -> str:
     """The source of the enumerator of one step shape: a function of the
     law's tag, predicate and steps (a domain, or a Guard's test or a Let's
     value) that runs one nested loop per quantifier and one if per Guard
-    or Let, and returns (witness or None, skips)."""
+    or Let, and returns (witness or None, skips).  A Guard or Let after a
+    run of Cs runs above their loops, and counts a skip for each of their
+    instances."""
     steps = [f"s{i}" for i in range(len(shape))]
     lines = [f"def forall(tag, pred, {', '.join(steps)}):",
              "    skipped = 0"]
     bound, shown, pad = [], [], "    "
-    for i, kind in enumerate(shape):
+
+    def check(i, skips):
+        nonlocal pad
         call = f"s{i}({', '.join(bound)})"
-        if kind == "g":
-            lines += [f"{pad}if not {call}:", f"{pad}    skipped += 1",
-                      f"{pad}else:"]
-        elif kind == "l":
-            lines += [f"{pad}v{i} = {call}", f"{pad}if v{i} is None:",
-                      f"{pad}    skipped += 1", f"{pad}else:"]
+        if shape[i] == "g":
+            lines.extend([f"{pad}if not {call}:",
+                          f"{pad}    skipped += {skips}", f"{pad}else:"])
         else:
-            domain = call if kind == "d" else steps[i]
+            lines.extend([f"{pad}v{i} = {call}", f"{pad}if v{i} is None:",
+                          f"{pad}    skipped += {skips}", f"{pad}else:"])
+        pad += "    "
+
+    for i, kind in enumerate(shape):
+        if kind == "C" and shape[i - 1:i] != "C":
+            end = len(shape) - len(shape[i:].lstrip("C"))
+            check(end, " * ".join(f"len(s{j})" for j in range(i, end)))
+        if kind in "gl":
+            if shape[i - 1:i] != "C":
+                check(i, "1")
+        else:
+            domain = f"s{i}({', '.join(bound)})" if kind == "d" else steps[i]
             lines.append(f"{pad}for v{i} in {domain}:")
             shown.append(f"v{i}")
+            pad += "    "
         if kind != "g":
             bound.append(f"v{i}")
-        pad += "    "
     lines += [f"{pad}r = pred({', '.join(bound)})",
               f"{pad}if r is None:",
               f"{pad}    skipped += 1",
@@ -514,17 +533,27 @@ def _forall(law: Law):
     """Enumerate law's instances in the order of its domains and stop at
     the first failing one: (witness or None, skips counted on the way).
     A failing Guard, a Let whose value is None and a predicate that
-    returns None count one skip each; a Let's value is computed once per
-    instance of the steps above it, and left out of the witness.  The
+    returns None count one skip for each instance below them; a Let's
+    value is left out of the witness.  A Guard or Let runs once per
+    instance of the quantifiers it reads: it is hoisted above the constant
+    domains right above it whose values it does not read, never above a
+    dependent domain or another Guard or Let (so it also runs where a
+    domain it is hoisted above is empty, and counts no skip there).  The
     enumerator is the compiled one of the law's step shape."""
-    shape, args = [], []
+    shape, args, bound = [], [], []  # bound: values bound above each step
     for step in law.domains:
-        if isinstance(step, Guard):
-            shape.append("g")
-            args.append(step.test)
-        elif isinstance(step, Let):
-            shape.append("l")
-            args.append(step.value)
+        bound.append(len(shape) - shape.count("g"))
+        if isinstance(step, (Guard, Let)):
+            fn = step.test if isinstance(step, Guard) else step.value
+            reads = bound[-1] if step.reads is None else step.reads
+            top = len(shape)
+            while top and shape[top - 1] == "c" and bound[top - 1] >= reads:
+                top -= 1
+            shape[top:] = "C" * (len(shape) - top)
+            if bound[top] > reads:  # values it cannot be hoisted above
+                fn = functools.partial(_first, reads, fn)
+            shape.append("g" if isinstance(step, Guard) else "l")
+            args.append(fn)
         else:
             shape.append("d" if callable(step) else "c")
             args.append(step)
@@ -539,6 +568,11 @@ def _forall(law: Law):
              namespace)
         run = _ENGINES[shape] = namespace["forall"]
     return run(law.tag, law.pred, *args)
+
+
+def _first(n, fn, *values):
+    """fn of the first n values."""
+    return fn(*values[:n])
 
 
 def _report(name, laws, stop_early=False) -> LawReport:
@@ -683,7 +717,7 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
             return None
         return compose(fstar, tensor((ids[wobj(g)], eta[a]))) == f
 
-    def assoc_defined(g, e, a, b, c):
+    def assoc_defined(g, e, a, b):
         return None not in (tj[g, a], tt[g, a], C.tensor_obj(dg[g, e], J[a]),
                             C.tensor_obj(dg[g, e], T[a]), tj[e, b])
 
@@ -703,7 +737,7 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
         rhs = ext_get((comp_idx[g, e], a, c, compose(gstar, mid_j)))
         return None if rhs is None else compose(gstar, mid_t) == rhs
 
-    def nat_lifts(gp, g, h, a, b):
+    def nat_lifts(gp, g, h, a):
         # h (x) JA and h (x) TA, or None where a tensor is undefined
         hj, ht = tensor((h, ids[J[a]])), tensor((h, ids[T[a]]))
         if None in (tj[g, a], tj[gp, a], tt[gp, a], tt[g, a], hj, ht):
@@ -728,13 +762,13 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
         Law("strong-associativity", "strong-assoc",
             (indices, indices,
              Guard(lambda g, e: comp_idx[g, e] is not None),
-             A, A, A, Guard(assoc_defined),
+             A, A, A, Guard(assoc_defined, reads=4),
              lambda g, e, a, b, c: homs((tj[g, a], T[b]), ()),
              Let(assoc_mids),
              lambda g, e, a, b, c, f, mids: homs((tj[e, b], T[c]), ())),
             assoc),
         Law("strong-naturality", "strong-naturality",
-            (indices, indices, nat_mors, A, A, Let(nat_lifts),
+            (indices, indices, nat_mors, A, A, Let(nat_lifts, reads=4),
              lambda gp, g, h, a, b, lifts: homs((tj[g, a], T[b]), ())),
             naturality),
     ]

@@ -1281,6 +1281,8 @@ def _fresh(hint: str, avoid: set) -> str:
 # the formers whose last child is a body under their binders, printed in a
 # loop by term_to_text
 _SPINE = {"do", "lam", "lamarrow", "letunit", "letpair", "letj", "letk"}
+_PREFIX = {"pi1", "pi2", "ret", "derelict", "merge", "unmerge", "gen",
+           "regrade"}
 
 
 def term_to_text(t: Term, names=()) -> str:
@@ -1290,7 +1292,8 @@ def term_to_text(t: Term, names=()) -> str:
     for a subterm, one of `names`, the binders around t (innermost last).
     Each binder of t prints as its hint, made fresh for the free names t
     refers to and the binders of t around it.  A do/let/lam/lamarrow spine
-    is printed in a loop, so its length costs no Python frames."""
+    is printed in a loop, and so is a chain of prefix formers, so their
+    lengths cost no Python frames."""
     avoid = set(free_vars(t, names))
     stack = list(names)
 
@@ -1345,6 +1348,17 @@ def term_to_text(t: Term, names=()) -> str:
                 avoid.difference_update(xs)
         return "".join(parts)
 
+    def prefix(t):
+        """A chain of prefix formers, its heads printed in a loop as
+        _P.prefixterm reads them, then its argument as an atom."""
+        heads = []
+        while t.kind in _PREFIX:
+            heads.append(t.name if t.kind == "gen" else
+                         f"regrade<{t.xi}>" if t.kind == "regrade" else t.kind)
+            t = t.subs[0]
+        heads.append(atom(t))
+        return " ".join(heads)
+
     def go(t):
         match t.kind:
             case "var":
@@ -1357,16 +1371,12 @@ def term_to_text(t: Term, names=()) -> str:
                 return "()"
             case "pair":
                 return f"({go(t.subs[0])}, {go(t.subs[1])})"
-            case "pi1" | "pi2" | "ret" | "derelict" | "merge" | "unmerge":
-                return f"{t.kind} {atom(t.subs[0])}"
-            case "gen":
-                return f"{t.name} {atom(t.subs[0])}"
+            case kind if kind in _PREFIX:
+                return prefix(t)
             case "opapp":
                 if not t.subs:
                     return t.name
                 return f"{t.name}({', '.join(go(s) for s in t.subs)})"
-            case "regrade":
-                return f"regrade<{t.xi}> {atom(t.subs[0])}"
             case kind if kind in _SPINE:
                 return spine(t)
             case "app":

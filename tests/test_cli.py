@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import BARE_DIST_MB, EXC_MB, fixture_path, golden_sig_path
-from relmeta import cli
+from relmeta import cli, lawcheck
 from relmeta.signatures import load_signature
 
 RUN = [sys.executable, "-m", "relmeta.cli"]
@@ -231,6 +231,28 @@ def test_lawcheck_golden(name, mode, monkeypatch, capsys):
     assert cli.main(args + ["lawcheck", f"{name}.inst", "--laws", "all"]) == 0
     assert capsys.readouterr().out.encode() == \
         (GOLDEN / f"{name}.{mode}").read_bytes()
+
+
+def test_lawcheck_failing_strong_golden(monkeypatch, capsys):
+    """A failing strong report, byte for byte: two laws fail, each with the
+    skips counted before its witness, some of them by a hoisted Guard or
+    Let.  The instance is the builtin exception instance written out as
+    tables, with one strong extension cell changed."""
+    monkeypatch.chdir(GOLDEN)
+    d = cli.load_instance("exception_strong_mutant.inst")
+    exc = lawcheck.exception_restriction_instance()
+    cell = ("2", "0", "1", "f0_2_e")
+    assert (exc.ext_strong[cell], d.ext_strong[cell]) == \
+        ("f2_2_11", "f2_2_00")
+    assert d.ext_strong == {**exc.ext_strong, cell: "f2_2_00"}
+    for name in ("homs", "comp", "ids", "unit", "obj_tensor", "mor_tensor"):
+        assert getattr(d.C, name) == getattr(exc.C, name), name
+    for name in ("aobjs", "jmap", "tmap", "eta", "ext_plain"):
+        assert getattr(d, name) == getattr(exc, name), name
+    assert cli.main(["lawcheck", "--laws", "strong",
+                     "exception_strong_mutant.inst"]) == 1
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / "exception_strong_mutant.txt").read_bytes()
 
 
 EQ_GOLDEN = Path(__file__).parent / "golden" / "eq"

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -530,17 +531,18 @@ def _next_cell(d, table, key):
 def _declared_instances(law):
     """The instances of law's declared domains in order, walked without
     the engine: (every bound value, the quantified ones), or None for a
-    subtree cut by a failing guard or a Let whose value is None."""
+    subtree cut by a failing guard or a Let whose value is None.  A Guard
+    or Let runs where it is declared, on the values it reads."""
     def walk(env, shown, steps):
         if not steps:
             yield env, shown
         elif isinstance(steps[0], lc.Guard):
-            if steps[0].test(*env):
+            if steps[0].test(*env[:steps[0].reads]):
                 yield from walk(env, shown, steps[1:])
             else:
                 yield None
         elif isinstance(steps[0], lc.Let):
-            v = steps[0].value(*env)
+            v = steps[0].value(*env[:steps[0].reads])
             if v is None:
                 yield None
             else:
@@ -856,6 +858,115 @@ def test_a_law_without_an_innermost_quantifier_is_rejected(monkeypatch,
         lc._forall(lc.Law("bad", "bad", domains, lambda *v: True))
 
 
+def _recorded(fn, calls):
+    """fn, appending the values of each call to calls."""
+    def record(*values):
+        calls.append(values)
+        return fn(*values)
+    return record
+
+
+def _recorded_step(step, calls):
+    """step, its Guard's test or Let's value recorded under its name."""
+    if isinstance(step, lc.Guard):
+        return replace(step, test=_recorded(step.test,
+                                            calls[step.test.__name__]))
+    if isinstance(step, lc.Let):
+        return replace(step, value=_recorded(step.value,
+                                             calls[step.value.__name__]))
+    return step
+
+
+D = (0, 1, 2)
+
+
+def _step(kind):
+    """A Guard or Let that reads v0 alone, out of the fragment at v0 = 1."""
+    if kind == "g":
+        return lc.Guard(lambda a: a != 1, reads=1)
+    return lc.Let(lambda a: None if a == 1 else 10 * a, reads=1)
+
+
+# declared steps (X the Guard or Let of _step) -> the shape they compile
+# to, and the v0 of each run of X up to the witness, the first instance
+# with v0 = 2.  X is hoisted above constant domains only, up to the last
+# value it reads: never above a dependent domain, a Guard or a Let
+HOISTS = {
+    "above constants": (lambda x: (D, D, D, x, D), "cCCXc", [0, 1, 2]),
+    "below a dependent domain": (
+        lambda x: (D, lambda a: range(a + 1), x, D), "cdXc", [0, 1, 1, 2]),
+    "below a Guard": (
+        lambda x: (D, D, lc.Guard(lambda a, b: a != b), D, x, D),
+        "ccgCXc", [0, 0, 1, 1, 2]),
+    "below a Let": (
+        lambda x: (D, lc.Let(lambda a: a), D, x, D), "clCXc", [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("kind", ["g", "l"])
+@pytest.mark.parametrize("case", HOISTS)
+def test_a_step_is_hoisted_only_above_constant_domains(monkeypatch, kind,
+                                                       case):
+    """The step's shape and the number of its runs show where it went, and
+    the witness and skips are those of the declared walk, which runs each
+    step where it is declared."""
+    domains, shape, runs = HOISTS[case]
+    calls = collections.defaultdict(list)
+    step = _recorded_step(_step(kind), calls)
+
+    def pred(*v):  # skips at v[-1] = 1, fails at the last instance
+        return None if v[-1] == 1 else v[0] != 2 or v[-1] != 2
+    law = lc.Law("hoist", "hoist", domains(step), pred)
+    monkeypatch.setattr(lc, "_ENGINES", {})
+    line = lc._report("hoists", [law]).lines[0]
+    assert set(lc._ENGINES) == {shape.replace("X", kind)}
+    assert calls["<lambda>"] == [(v0,) for v0 in runs]
+    assert line.status == "FAIL" and line.skipped > 0
+    _assert_first_witness(law, line)
+
+
+def _counted_strong_laws(monkeypatch):
+    """Record the values each Guard and Let of strong_laws runs on, by
+    the name of its function."""
+    calls = collections.defaultdict(list)
+    strong_laws = lc.strong_laws
+
+    def counted(*args, **kwargs):
+        return [replace(law, domains=tuple(_recorded_step(step, calls)
+                                           for step in law.domains))
+                for law in strong_laws(*args, **kwargs)]
+    monkeypatch.setattr(lc, "strong_laws", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_strong_steps_run_once_per_instance_they_read(monkeypatch, exc,
+                                                      mutant):
+    """A host-independent count of the strong laws' work: on the exception
+    instance and on a mutant of one strong cell, nat_lifts runs once per
+    (Gamma', Gamma, h, A) and assoc_defined once per (Gamma, Delta, A, B)
+    that the check enumerates, in enumeration order, up to the failing
+    law's witness; not again for each B or C, which they do not read."""
+    d = exc.copy()
+    if mutant:
+        d.ext_strong["2", "0", "1", "f0_2_e"] = "f2_2_00"
+    calls = _counted_strong_laws(monkeypatch)
+    lines = {l.law: l for l in lc.check_strong_laws(d).lines}
+    C, A = d.C, d.aobjs
+    nat = [(gp, g, h, a) for gp in C.objects for g in C.objects
+           for h in C.hom(gp, g) for a in A]
+    assoc = [(g, e, a, b) for g in C.objects for e in C.objects
+             if C.tensor_obj(e, g) is not None for a in A for b in A]
+    for name, law, runs in (("nat_lifts", "strong-naturality", nat),
+                            ("assoc_defined", "strong-associativity",
+                             assoc)):
+        witness = lines[law].witness
+        assert (witness is not None) == mutant
+        if mutant:
+            runs = runs[:runs.index(witness[1:5]) + 1]
+        assert calls[name] == runs
+
+
 def _every_law_set(exc, ident):
     for d in (_with_every_table(exc), _with_every_table(ident)):
         for law_set, _ in ENGINE_SETS.values():
@@ -880,8 +991,10 @@ def test_each_step_shape_is_compiled_once(monkeypatch, exc, ident):
     _every_law_set(exc, ident)
     assert made == first and set(first.values()) == {1}
     assert set(lc._ENGINES) == set(first)
-    # the shipped laws' shapes, 18 of them, at most 10 steps deep
+    # the shipped laws' shapes, 18 of them, at most 10 steps deep: a hoist
+    # is keyed by the domains it passes (C), so it adds no step to a shape
     assert len(first) == 18 and max(map(len, first)) == 10
+    assert {"ccdcCld", "ccgccCgdld"} <= set(first)
 
 
 def test_engine_source(exc, ident):
@@ -905,6 +1018,28 @@ def forall(tag, pred, s0, s1, s2, s3, s4):
                             skipped += 1
                         elif r is not True:
                             return (tag, v0, v2, v4) + \
+(() if r is False else r), skipped
+    return None, skipped
+"""
+    # a Let hoisted above the two constant domains it does not read: it
+    # runs once per v0, counts a skip for each (v1, v2) when None, and the
+    # steps below take its value after v1 and v2, as declared
+    assert lc._engine_source("cCCld") == """\
+def forall(tag, pred, s0, s1, s2, s3, s4):
+    skipped = 0
+    for v0 in s0:
+        v3 = s3(v0)
+        if v3 is None:
+            skipped += len(s1) * len(s2)
+        else:
+            for v1 in s1:
+                for v2 in s2:
+                    for v4 in s4(v0, v1, v2, v3):
+                        r = pred(v0, v1, v2, v3, v4)
+                        if r is None:
+                            skipped += 1
+                        elif r is not True:
+                            return (tag, v0, v1, v2, v4) + \
 (() if r is False else r), skipped
     return None, skipped
 """

@@ -470,6 +470,19 @@ def test_deep_prefix_chains_parse(former, coin_sig):
     assert t != syntax.ret(built)
 
 
+@pytest.mark.parametrize("chain, inner", [("ret ", "x"), ("not ", "x"),
+                                          ("ret pi1 not pi2 ", "(x, y)")])
+def test_deep_prefix_chains_print(chain, inner, coin_sig):
+    """A chain of 5,000 prefix formers prints under the default recursion
+    limit, as it was written, and parses back to itself."""
+    assert sys.getrecursionlimit() <= 1000
+    text = chain * (5000 // len(chain.split())) + inner
+    t = parse_term(text, "rmm", coin_sig)
+    printed = term_to_text(t)
+    assert printed == text
+    assert parse_term(printed, "rmm", coin_sig) == t
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
 def test_a_do_chain_parses_as_closing_each_body_did(n, coin_sig):
     coin = syntax.opapp("coin")
