@@ -155,6 +155,12 @@ class FinCategory:
                     if h not in self.hom(a, c):
                         raise LawError(f"comp {g} {f} = {h}: {h} is not in"
                                        f" hom {a} {c}")
+        # and no entry for any other pair, so a hit in comp is composable
+        for (g, f), h in self.comp.items():
+            if f not in self.cod or g not in self.dom or \
+                    self.cod[f] != self.dom[g]:
+                raise LawError(f"comp {g} {f} = {h}: {g} after {f} is not"
+                               f" a composable pair")
         for (a, b), ms in self.homs.items():
             for f in ms:
                 for g, h in ((self.ids[b], f), (f, self.ids[a])):
@@ -597,15 +603,6 @@ def _trie(table: dict) -> dict:
     return root
 
 
-def _composer(C: FinCategory):
-    """C.compose reading C's tables directly; raises as C.compose does."""
-    comp, dom, cod = C.comp, C.dom, C.cod
-
-    def compose(g, f):
-        return comp[g, f] if cod[f] == dom[g] else C.compose(g, f)
-    return compose
-
-
 # ---------------------------------------------------------------------------
 # law sets
 
@@ -614,7 +611,7 @@ def relmonad_laws(d: FinRelMonadData) -> list[Law]:
     C, A, ext, eta = d.C, d.aobjs, d.ext_plain, d.eta
     if ext is None:
         raise LawError("plain extension tables absent")
-    compose, homs, J, T = _composer(C), C.homs.get, d.jmap, d.tmap
+    compose, homs, J, T = C.compose, C.homs.get, d.jmap, d.tmap
 
     def kleisli(a, b):
         return homs((J[a], T[b]), ())
@@ -646,7 +643,7 @@ def monad_morphism_laws(gamma: dict, d1: FinRelMonadData,
                         d2: FinRelMonadData) -> list[Law]:
     """gamma_A : T1 A -> T2 A a morphism of relative monads."""
     C, A, ext1, ext2 = d1.C, d1.aobjs, d1.ext_plain, d2.ext_plain
-    compose, homs, J, T = _composer(C), C.homs.get, d1.jmap, d1.tmap
+    compose, homs, J, T = C.compose, C.homs.get, d1.jmap, d1.tmap
 
     def extension(a, b, f):
         return compose(gamma[b], ext1[(a, b, f)]) == compose(
@@ -680,8 +677,10 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
     if indices is None:
         indices = C.objects
     w_omap = (wfun.omap if wfun else None)
-    compose, homs, tensor = _composer(C), C.homs.get, C.mor_tensor.get
-    ids, ext_get = C.ids, ext.get
+    homs, tensor, ids, ext_get = C.homs.get, C.mor_tensor.get, C.ids, ext.get
+    # a composite is one read of C's table, which has entries for the
+    # composable pairs only (validate); C.compose runs on a miss and raises
+    comp_get, compose = C.comp.get, C.compose
 
     def wobj(g):
         return w_omap[g] if w_omap else g
@@ -715,27 +714,40 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
         fstar = ext_get((g, a, b, f))
         if fstar is None:
             return None
-        return compose(fstar, tensor((ids[wobj(g)], eta[a]))) == f
+        mid = tensor((ids[wobj(g)], eta[a]))
+        return (comp_get((fstar, mid)) or compose(fstar, mid)) == f
+
+    def ext_unit_defined(g, a):
+        return tj[g, a] is not None and tt[g, a] is not None
 
     def assoc_defined(g, e, a, b):
         return None not in (tj[g, a], tt[g, a], C.tensor_obj(dg[g, e], J[a]),
                             C.tensor_obj(dg[g, e], T[a]), tj[e, b])
 
-    def assoc_mids(g, e, a, b, c, f):
-        # W(Delta) (x) f* and W(Delta) (x) f, which every h shares; either
-        # may be undefined, which puts each h out of the fragment
+    @functools.cache
+    def assoc_mids(g, e, a, b, f):
+        # the index of Gamma (x) Delta, W(Delta) (x) f* and W(Delta) (x) f,
+        # which every (C, h) shares; either tensor may be undefined, which
+        # puts each h out of the fragment
         if (g, a, b, f) not in ext:
             return None
         we = ids[wobj(e)]
-        return tensor((we, ext[(g, a, b, f)])), tensor((we, f))
+        return comp_idx[g, e], tensor((we, ext[(g, a, b, f)])), \
+            tensor((we, f))
+
+    def assoc_mids_once(g, e, a, b, c, f):
+        # not again for each C, which assoc_mids does not read
+        return assoc_mids(g, e, a, b, f)
 
     def assoc(g, e, a, b, c, f, mids, h):
         gstar = ext_get((e, b, c, h))
-        mid_t, mid_j = mids
+        ge, mid_t, mid_j = mids
         if gstar is None or mid_t is None or mid_j is None:
             return None
-        rhs = ext_get((comp_idx[g, e], a, c, compose(gstar, mid_j)))
-        return None if rhs is None else compose(gstar, mid_t) == rhs
+        rhs = ext_get((ge, a, c,
+                       comp_get((gstar, mid_j)) or compose(gstar, mid_j)))
+        return None if rhs is None else \
+            (comp_get((gstar, mid_t)) or compose(gstar, mid_t)) == rhs
 
     def nat_lifts(gp, g, h, a):
         # h (x) JA and h (x) TA, or None where a tensor is undefined
@@ -747,24 +759,22 @@ def strong_laws(d: FinRelMonadData, table: str = "ext_strong",
     def naturality(gp, g, h, a, b, lifts, f):
         hj, ht = lifts
         fstar = ext_get((g, a, b, f))
-        lhs = ext_get((gp, a, b, compose(f, hj)))
+        lhs = ext_get((gp, a, b, comp_get((f, hj)) or compose(f, hj)))
         if fstar is None or lhs is None:
             return None
-        return lhs == compose(fstar, ht)
+        return lhs == (comp_get((fstar, ht)) or compose(fstar, ht))
 
     return [
         Law("strong-unit", "strong-unit", (A,), unit),
         Law("strong-extension-unit", "strong-ext-unit",
-            (indices, A, A,
-             Guard(lambda g, a, b: tj[g, a] is not None and
-                   tt[g, a] is not None),
+            (indices, A, A, Guard(ext_unit_defined, reads=2),
              lambda g, a, b: homs((tj[g, a], T[b]), ())), ext_unit),
         Law("strong-associativity", "strong-assoc",
             (indices, indices,
              Guard(lambda g, e: comp_idx[g, e] is not None),
              A, A, A, Guard(assoc_defined, reads=4),
              lambda g, e, a, b, c: homs((tj[g, a], T[b]), ()),
-             Let(assoc_mids),
+             Let(assoc_mids_once),
              lambda g, e, a, b, c, f, mids: homs((tj[e, b], T[c]), ())),
             assoc),
         Law("strong-naturality", "strong-naturality",
@@ -855,7 +865,7 @@ def strength_map_laws(theta: dict, d: FinRelMonadData) -> list[Law]:
     if d.jfun is None:
         raise LawError("J witnesses absent")
     iota, kappa, plain = d.jfun.iota, d.jfun.kappa, d.ext_plain
-    compose, homs, tensor, ids = (_composer(C), C.homs.get,
+    compose, homs, tensor, ids = (C.compose, C.homs.get,
                                   C.mor_tensor.get, C.ids)
     unit_a = next((a for a in reversed(A) if J[a] == C.unit), None)
 
@@ -953,7 +963,8 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
     if ext is None:
         raise LawError("bistrong tables absent")
     t = _trie(ext)
-    compose, tensor, ids = _composer(C), C.mor_tensor.get, C.ids
+    comp_get, compose, tensor, ids = (C.comp.get, C.compose,
+                                      C.mor_tensor.get, C.ids)
 
     def keys(*prefix):
         node = t
@@ -991,8 +1002,10 @@ def bistrong_laws(d: FinRelMonadData) -> list[Law]:
         if None in lifts:
             return None
         gstar = ext[(g2, d2, b, c, g)]
-        rhs = ext.get((og, od, a, c, compose(gstar, m2j)))
-        return None if rhs is None else compose(gstar, m2) == rhs
+        rhs = ext.get((og, od, a, c,
+                       comp_get((gstar, m2j)) or compose(gstar, m2j)))
+        return None if rhs is None else \
+            (comp_get((gstar, m2)) or compose(gstar, m2)) == rhs
 
     @functools.cache
     def shuffle(g, e, p, x):

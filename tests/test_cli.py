@@ -461,6 +461,8 @@ def test_malformed_judgement_file_is_a_usage_error(tmp_path, capsys, text,
     (("hom A A = [idA, eA]", "hom A A = [idA, eA]\nhom A B = [f]"),
      "hom A B: B is not an object"),
     (("id A = idA", ""), "id A: no identity in hom A A"),
+    (("comp eA eA = eA", "comp eA eA = eA\ncomp eA x = eA"),
+     "comp eA x = eA: eA after x is not a composable pair"),
 ])
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_malformed_instance_table_is_a_usage_error(tmp_path, edit, message,
@@ -473,6 +475,25 @@ def test_malformed_instance_table_is_a_usage_error(tmp_path, edit, message,
     r = subprocess.run([sys.executable, *flags, "-m", "relmeta.cli",
                         "lawcheck", path], capture_output=True, text=True)
     assert (r.returncode, r.stderr) == (3, f"error: {message}\n")
+
+
+def test_stray_comp_entry_is_a_usage_error(tmp_path, capsys):
+    """`comp` lists exactly the composable pairs: an entry for f after f,
+    where f : A -> B, is rejected by name, not checked against laws that
+    never read it."""
+    path = write(tmp_path, "stray.inst", "\n".join([
+        "objects A B", "hom A A = [idA]", "hom B B = [idB]", "hom A B = [f]",
+        "id A = idA", "id B = idB", "comp idA idA = idA",
+        "comp idB idB = idB", "comp f idA = f", "comp idB f = f",
+        "comp f f = f", "aobj A", "tmap A = A", "eta A = idA",
+        "ext A A idA = idA", ""]))
+    assert cli.main(["lawcheck", "--laws", "all", path]) == 3
+    assert capsys.readouterr().err == \
+        "error: comp f f = f: f after f is not a composable pair\n"
+    # without the stray entry the instance passes
+    Path(path).write_text(Path(path).read_text().replace("comp f f = f\n",
+                                                         ""))
+    assert cli.main(["lawcheck", "--laws", "all", path]) == 0
 
 
 @pytest.mark.parametrize("drop, cell", [("ext A A eA = eA", "ext A A eA"),

@@ -939,32 +939,69 @@ def _counted_strong_laws(monkeypatch):
     return calls
 
 
+def _calls_of(fn, name):
+    """fn's value, and the arguments of each call of lawcheck's functions
+    named name that fn makes, in order (by sys.setprofile, so the body of
+    a closure is seen however it is reached)."""
+    calls, outer = [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == name and \
+                code.co_filename == lc.__file__:
+            calls.append(tuple(frame.f_locals[v] for v in
+                               code.co_varnames[:code.co_argcount]))
+    sys.setprofile(profile)
+    try:
+        return fn(), calls
+    finally:
+        sys.setprofile(outer)
+
+
 @pytest.mark.parametrize("mutant", [False, True])
 def test_strong_steps_run_once_per_instance_they_read(monkeypatch, exc,
                                                       mutant):
     """A host-independent count of the strong laws' work: on the exception
-    instance and on a mutant of one strong cell, nat_lifts runs once per
-    (Gamma', Gamma, h, A) and assoc_defined once per (Gamma, Delta, A, B)
-    that the check enumerates, in enumeration order, up to the failing
-    law's witness; not again for each B or C, which they do not read."""
+    instance and on a mutant of one strong cell, each step runs once per
+    instance of the values it reads that the check enumerates, in
+    enumeration order, up to the failing law's witness: nat_lifts once per
+    (Gamma', Gamma, h, A), assoc_defined once per (Gamma, Delta, A, B), the
+    extension-unit guard once per (Gamma, A), and the body of assoc_mids
+    once per (Gamma, Delta, A, B, f); not again for each B or C, which
+    they do not read."""
     d = exc.copy()
     if mutant:
         d.ext_strong["2", "0", "1", "f0_2_e"] = "f2_2_00"
     calls = _counted_strong_laws(monkeypatch)
-    lines = {l.law: l for l in lc.check_strong_laws(d).lines}
-    C, A = d.C, d.aobjs
+    report, bodies = _calls_of(lambda: lc.check_strong_laws(d), "assoc_mids")
+    lines = {l.law: l for l in report.lines}
+    C, A, J, T, t = d.C, d.aobjs, d.jmap, d.tmap, d.C.tensor_obj
     nat = [(gp, g, h, a) for gp in C.objects for g in C.objects
            for h in C.hom(gp, g) for a in A]
     assoc = [(g, e, a, b) for g in C.objects for e in C.objects
-             if C.tensor_obj(e, g) is not None for a in A for b in A]
-    for name, law, runs in (("nat_lifts", "strong-naturality", nat),
-                            ("assoc_defined", "strong-associativity",
-                             assoc)):
+             if t(e, g) is not None for a in A for b in A]
+    # the (Gamma, Delta, A, B, C, f) that reach the Let of assoc_mids
+    mids = [(g, e, a, b, c, f) for g, e, a, b in assoc
+            if None not in (t(g, J[a]), t(g, T[a]), t(t(e, g), J[a]),
+                            t(t(e, g), T[a]), t(e, J[b]))
+            for c in A for f in C.hom(t(g, J[a]), T[b])]
+    assert lines["strong-extension-unit"].witness is None
+    assert calls["ext_unit_defined"] == [(g, a) for g in C.objects
+                                         for a in A]
+    for name, law, runs, at in (
+            ("nat_lifts", "strong-naturality", nat, slice(1, 5)),
+            ("assoc_defined", "strong-associativity", assoc, slice(1, 5)),
+            ("assoc_mids_once", "strong-associativity", mids,
+             slice(1, 7))):
         witness = lines[law].witness
         assert (witness is not None) == mutant
         if mutant:
-            runs = runs[:runs.index(witness[1:5]) + 1]
+            runs = runs[:runs.index(witness[at]) + 1]
         assert calls[name] == runs
+    once = calls["assoc_mids_once"]
+    assert bodies == list(dict.fromkeys((g, e, a, b, f)
+                                        for g, e, a, b, c, f in once))
+    assert len(bodies) < len(once)
 
 
 def _every_law_set(exc, ident):
@@ -991,10 +1028,12 @@ def test_each_step_shape_is_compiled_once(monkeypatch, exc, ident):
     _every_law_set(exc, ident)
     assert made == first and set(first.values()) == {1}
     assert set(lc._ENGINES) == set(first)
-    # the shipped laws' shapes, 18 of them, at most 10 steps deep: a hoist
-    # is keyed by the domains it passes (C), so it adds no step to a shape
-    assert len(first) == 18 and max(map(len, first)) == 10
-    assert {"ccdcCld", "ccgccCgdld"} <= set(first)
+    # the shipped laws' shapes, 19 of them, at most 10 steps deep: a hoist
+    # is keyed by the domains it passes (C), so it adds no step to a shape.
+    # strong-extension-unit's guard, which reads (Gamma, A), is hoisted
+    # above B: its shape ccCgd is the 19th
+    assert len(first) == 19 and max(map(len, first)) == 10
+    assert {"ccdcCld", "ccgccCgdld", "ccCgd"} <= set(first)
 
 
 def test_engine_source(exc, ident):
